@@ -82,27 +82,23 @@ func BenchmarkIngestPipeline(b *testing.B) {
 
 	for _, bc := range []struct {
 		name    string
+		proto   string // row of collector.Protocols: the decode runs through the table, as in the collector
 		pkt     []byte
 		sampleN uint64
-		decode  func(tc *collector.TemplateCache, pkt []byte, dst []flow.Record) ([]flow.Record, error)
 	}{
-		{"proto=v5", v5pkt, 1, func(_ *collector.TemplateCache, pkt []byte, dst []flow.Record) ([]flow.Record, error) {
-			_, recs, err := collector.DecodeV5(pkt, dst)
-			return recs, err
-		}},
-		{"proto=ipfix", ipfixData, 1, func(tc *collector.TemplateCache, pkt []byte, dst []flow.Record) ([]flow.Record, error) {
-			_, recs, _, err := tc.DecodeIPFIX("bench", pkt, dst)
-			return recs, err
-		}},
-		{"proto=sflow", sflowPkt, 1, func(_ *collector.TemplateCache, pkt []byte, dst []flow.Record) ([]flow.Record, error) {
-			_, recs, _, err := collector.DecodeSFlow(pkt, arrival, dst)
-			return recs, err
-		}},
-		{"proto=v5/sample=16", v5pkt, 16, func(_ *collector.TemplateCache, pkt []byte, dst []flow.Record) ([]flow.Record, error) {
-			_, recs, err := collector.DecodeV5(pkt, dst)
-			return recs, err
-		}},
+		{"proto=v5", "v5", v5pkt, 1},
+		{"proto=ipfix", "ipfix", ipfixData, 1},
+		{"proto=sflow", "sflow", sflowPkt, 1},
+		{"proto=v5/sample=16", "v5", v5pkt, 16},
 	} {
+		row, err := collector.ExportProtocol(bc.proto)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decode := func(tc *collector.TemplateCache, pkt []byte, dst []flow.Record) ([]flow.Record, error) {
+			_, recs, err := row.Decode(tc, "bench", pkt, arrival, dst)
+			return recs, err
+		}
 		b.Run(bc.name, func(b *testing.B) {
 			tc := collector.NewTemplateCache()
 			if bc.name == "proto=ipfix" {
@@ -114,7 +110,7 @@ func BenchmarkIngestPipeline(b *testing.B) {
 			var arena ingest.RecordArena
 			sampler := ingest.Sampler{N: bc.sampleN, Seed: 42}
 			// Warm the arena slab so the timed loop is pure steady state.
-			recs, err := bc.decode(tc, bc.pkt, arena.Take())
+			recs, err := decode(tc, bc.pkt, arena.Take())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,7 +121,7 @@ func BenchmarkIngestPipeline(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recs, err := bc.decode(tc, bc.pkt, arena.Take())
+				recs, err := decode(tc, bc.pkt, arena.Take())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,8 +33,8 @@ func main() {
 
 func run() error {
 	var (
-		from = flag.String("from", "binary", "input format: binary, csv, jsonl, netflow, ipfix, or sflow")
-		to   = flag.String("to", "csv", "output format: binary, csv, jsonl, netflow, ipfix, or sflow")
+		from = flag.String("from", "binary", "input format: "+plotters.TraceFormatNames())
+		to   = flag.String("to", "csv", "output format: "+plotters.TraceFormatNames())
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {

@@ -45,8 +45,8 @@ func main() {
 func run() error {
 	var (
 		to      = flag.String("to", "", "UDP address of the collector, e.g. 127.0.0.1:2055 (required)")
-		emit    = flag.String("emit", "v5", "export protocol for outgoing datagrams: v5, ipfix, or sflow")
-		format  = flag.String("format", "binary", "trace format: binary, csv, jsonl, netflow, ipfix, or sflow")
+		emit    = flag.String("emit", "v5", "export protocol for outgoing datagrams: "+plotters.ExportProtocolNames())
+		format  = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
 		speedup = flag.Float64("speedup", 0, "pace packets by record start times compressed this many times (1 = real time, 0 = no pacing)")
 		batch   = flag.Int("batch", 30, "records per export packet (1-30)")
 	)
@@ -58,8 +58,9 @@ func run() error {
 	if *to == "" {
 		return fmt.Errorf("-to is required")
 	}
-	if *emit != "v5" && *emit != "ipfix" && *emit != "sflow" {
-		return fmt.Errorf("-emit must be v5, ipfix, or sflow (got %q)", *emit)
+	proto, err := plotters.LookupExportProtocol(*emit)
+	if err != nil {
+		return fmt.Errorf("-emit: %w", err)
 	}
 	if *batch < 1 || *batch > 30 {
 		return fmt.Errorf("-batch must be between 1 and 30 (v5 packets hold at most 30 records)")
@@ -114,25 +115,13 @@ func run() error {
 			}
 		}
 		var err error
-		switch *emit {
-		case "ipfix":
-			pkt, err = plotters.AppendIPFIX(pkt[:0], pending, seq)
-		case "sflow":
-			pkt, err = plotters.AppendSFlow(pkt[:0], pending, seq)
-		default:
-			pkt, err = plotters.AppendNetFlowV5(pkt[:0], pending, seq)
-		}
-		if err != nil {
+		if pkt, err = proto.Append(pkt[:0], pending, seq); err != nil {
 			return err
 		}
 		if _, err := conn.Write(pkt); err != nil {
 			return err
 		}
-		if *emit == "sflow" {
-			seq++ // sFlow sequences count datagrams, not records
-		} else {
-			seq += uint32(len(pending))
-		}
+		seq += proto.SeqStep(len(pending))
 		packets++
 		records += len(pending)
 		sent += int64(len(pkt))

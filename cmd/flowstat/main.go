@@ -29,7 +29,7 @@ func main() {
 
 func run() error {
 	var (
-		format    = flag.String("format", "binary", "trace format: binary, csv, or jsonl")
+		format    = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
 		internals = flag.String("internal", "", "comma-separated internal CIDRs (empty = all initiators)")
 		cdf       = flag.String("cdf", "", "dump a CDF: avgbytes, failrate, newip, or flows")
 	)
@@ -142,16 +142,11 @@ func readTrace(path, format string) ([]plotters.Record, error) {
 		return nil, err
 	}
 	defer f.Close()
-	switch format {
-	case "binary":
-		return plotters.ReadTrace(f)
-	case "csv":
-		return plotters.ReadTraceCSV(f)
-	case "jsonl":
-		return plotters.ReadTraceJSONL(f)
-	default:
-		return nil, fmt.Errorf("unknown format %q", format)
+	tr, err := plotters.NewTraceReader(f, format)
+	if err != nil {
+		return nil, err
 	}
+	return plotters.ReadAllTrace(tr)
 }
 
 func max(a, b int) int {

@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -33,39 +31,17 @@ func runDistShard(path, format string, reg *plotters.Metrics, cfg plotters.Engin
 	defer worker.Close()
 	fmt.Fprintf(os.Stderr, "shard %d/%d: streaming %s to coordinator %s\n", shard, shards, path, peer)
 
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	tr, err := plotters.NewTraceReader(f, format)
-	if err != nil {
-		return 0, err
-	}
-	tr = plotters.MeterTraceReader(tr, reg)
-
-	n := 0
+	// Content-hash sampling: every shard drops the same flow set, so a
+	// sampled distributed run equals the sampled single-process run.
 	var last time.Time
-	for {
-		rec, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return n, err
-		}
-		// Content-hash sampling: every shard drops the same flow set, so
-		// a sampled distributed run equals the sampled single-process run.
-		if !sampler.Keep(&rec) {
-			continue
-		}
-		n++
+	n, _, err := scanTrace(path, format, reg, sampler, func(rec *plotters.Record) error {
 		if rec.Start.After(last) {
 			last = rec.Start
 		}
-		if err := worker.Add(&rec); err != nil {
-			return n, err
-		}
+		return worker.Add(rec)
+	})
+	if err != nil {
+		return n, err
 	}
 	// Seal every window the trace fully covered (watermark = last record
 	// start), then flush the tail window as an explicit partial.

@@ -103,7 +103,7 @@ func main() {
 
 func run() error {
 	var (
-		format    = flag.String("format", "binary", "trace format: binary, csv, jsonl, or netflow")
+		format    = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
 		internals = flag.String("internal", "128.2.0.0/16,128.237.0.0/16", "comma-separated internal CIDR prefixes")
 		verbose   = flag.Bool("v", false, "print per-stage host sets")
 		volPct    = flag.Float64("vol-pct", 0, "override τ_vol percentile (0 = default)")
@@ -461,45 +461,22 @@ func runBatchEnsemble(dets []plotters.Detector, res *plotters.Result, records []
 
 // runWindowed streams the trace through the continuous detection engine,
 // printing one summary per sealed window, and returns the record count.
-// The trace is read record by record — it never sits in memory.
 func runWindowed(path, format string, reg *plotters.Metrics, cfg plotters.EngineConfig, sampler plotters.FlowSampler, verbose bool) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	tr, err := plotters.NewTraceReader(f, format)
-	if err != nil {
-		return 0, err
-	}
-	tr = plotters.MeterTraceReader(tr, reg)
-
 	eng, err := plotters.NewWindowedDetector(cfg, windowPrinter(verbose))
 	if err != nil {
 		return 0, err
 	}
-
-	n, dropped, sampledOut := 0, 0, 0
-	for {
-		rec, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			break
+	dropped := 0
+	n, sampledOut, err := scanTrace(path, format, reg, sampler, func(rec *plotters.Record) error {
+		err := eng.Add(rec)
+		if errors.Is(err, plotters.ErrLateRecord) {
+			dropped++
+			return nil
 		}
-		if err != nil {
-			return n, err
-		}
-		if !sampler.Keep(&rec) {
-			sampledOut++
-			continue
-		}
-		n++
-		if err := eng.Add(&rec); err != nil {
-			if errors.Is(err, plotters.ErrLateRecord) {
-				dropped++
-				continue
-			}
-			return n, err
-		}
+		return err
+	})
+	if err != nil {
+		return n, err
 	}
 	if err := eng.Flush(); err != nil {
 		return n, err
@@ -787,31 +764,53 @@ func parseSubnets(csv string) (func(plotters.IP) bool, error) {
 	}, nil
 }
 
-func readTrace(path, format string, reg *plotters.Metrics, sampler plotters.FlowSampler) ([]plotters.Record, int, error) {
+// scanTrace streams the trace at path, record by record — it never sits
+// in memory — through the metered reader and the content-hash sampler,
+// calling fn for every kept record. It returns how many records were
+// kept and how many sampled out; an error from fn stops the scan. fn's
+// record is overwritten by the next one: copy it to keep it.
+func scanTrace(path, format string, reg *plotters.Metrics, sampler plotters.FlowSampler, fn func(*plotters.Record) error) (kept, sampledOut int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
 	tr, err := plotters.NewTraceReader(f, format)
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
 	plotters.MeterTraceReader(tr, reg)
-	var records []plotters.Record
-	sampledOut := 0
+	// One record for the whole scan: its address goes to fn, so declared
+	// inside the loop it would be a heap allocation per record.
+	var rec plotters.Record
 	for {
-		rec, err := tr.Next()
+		rec, err = tr.Next()
 		if errors.Is(err, io.EOF) {
-			return records, sampledOut, nil
+			return kept, sampledOut, nil
 		}
 		if err != nil {
-			return nil, sampledOut, err
+			return kept, sampledOut, err
 		}
 		if !sampler.Keep(&rec) {
 			sampledOut++
 			continue
 		}
-		records = append(records, rec)
+		kept++
+		if err := fn(&rec); err != nil {
+			return kept, sampledOut, err
+		}
 	}
+}
+
+// readTrace loads the whole (sampled) trace for a batch run.
+func readTrace(path, format string, reg *plotters.Metrics, sampler plotters.FlowSampler) ([]plotters.Record, int, error) {
+	var records []plotters.Record
+	_, sampledOut, err := scanTrace(path, format, reg, sampler, func(rec *plotters.Record) error {
+		records = append(records, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, sampledOut, err
+	}
+	return records, sampledOut, nil
 }

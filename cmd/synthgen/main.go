@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	synthgen -out DIR [-days N] [-seed S] [-campus N] [-format binary|csv|jsonl]
+//	synthgen -out DIR [-days N] [-seed S] [-campus N] [-format binary|csv|jsonl|netflow|ipfix|sflow]
 //
 // The output directory receives day-<i>.flows, storm.flows, and
 // nugache.flows (extension varies by format), plus a manifest.txt
@@ -35,7 +35,7 @@ func run() error {
 		days    = flag.Int("days", 8, "number of campus days to synthesize")
 		seed    = flag.Int64("seed", 42, "master random seed")
 		campus  = flag.Int("campus", 360, "background campus hosts per day")
-		format  = flag.String("format", "binary", "trace format: binary, csv, or jsonl")
+		format  = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
 		gnut    = flag.Int("gnutella", 10, "Gnutella Traders per day")
 		emule   = flag.Int("emule", 12, "eMule Traders per day")
 		torrent = flag.Int("bittorrent", 20, "BitTorrent Traders per day")
@@ -45,7 +45,7 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("-out is required")
 	}
-	ext, write, err := codec(*format)
+	tf, err := plotters.LookupTraceFormat(*format)
 	if err != nil {
 		return err
 	}
@@ -70,8 +70,8 @@ func run() error {
 	var manifest strings.Builder
 	fmt.Fprintf(&manifest, "seed\t%d\ndays\t%d\n", *seed, cfg.Days)
 	for i, day := range ds.Days {
-		name := fmt.Sprintf("day-%d%s", i, ext)
-		if err := writeTrace(filepath.Join(*outDir, name), day.Records, write); err != nil {
+		name := fmt.Sprintf("day-%d%s", i, tf.Ext)
+		if err := writeTrace(filepath.Join(*outDir, name), day.Records, tf); err != nil {
 			return err
 		}
 		fmt.Fprintf(&manifest, "day\t%d\tfile\t%s\trecords\t%d\twindow\t%s\n",
@@ -91,8 +91,8 @@ func run() error {
 		{"storm", ds.Storm},
 		{"nugache", ds.Nugache},
 	} {
-		name := tr.name + ext
-		if err := writeTrace(filepath.Join(*outDir, name), tr.trace.Records, write); err != nil {
+		name := tr.name + tf.Ext
+		if err := writeTrace(filepath.Join(*outDir, name), tr.trace.Records, tf); err != nil {
 			return err
 		}
 		bots := make([]string, len(tr.trace.Bots))
@@ -111,27 +111,12 @@ func run() error {
 	return nil
 }
 
-type writeFunc func(f *os.File, records []plotters.Record) error
-
-func codec(format string) (string, writeFunc, error) {
-	switch format {
-	case "binary":
-		return ".flows", func(f *os.File, r []plotters.Record) error { return plotters.WriteTrace(f, r) }, nil
-	case "csv":
-		return ".csv", func(f *os.File, r []plotters.Record) error { return plotters.WriteTraceCSV(f, r) }, nil
-	case "jsonl":
-		return ".jsonl", func(f *os.File, r []plotters.Record) error { return plotters.WriteTraceJSONL(f, r) }, nil
-	default:
-		return "", nil, fmt.Errorf("unknown format %q (want binary, csv, or jsonl)", format)
-	}
-}
-
-func writeTrace(path string, records []plotters.Record, write writeFunc) error {
+func writeTrace(path string, records []plotters.Record, tf *plotters.TraceFormat) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("creating %s: %w", path, err)
 	}
-	if err := write(f, records); err != nil {
+	if err := plotters.WriteAllTrace(tf.NewWriter(f), records); err != nil {
 		f.Close()
 		return fmt.Errorf("writing %s: %w", path, err)
 	}

@@ -3,33 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"plotters"
 )
-
-func TestCodec(t *testing.T) {
-	for _, tc := range []struct {
-		format string
-		ext    string
-	}{
-		{"binary", ".flows"},
-		{"csv", ".csv"},
-		{"jsonl", ".jsonl"},
-	} {
-		ext, write, err := codec(tc.format)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.format, err)
-		}
-		if ext != tc.ext || write == nil {
-			t.Errorf("%s: ext=%q", tc.format, ext)
-		}
-	}
-	if _, _, err := codec("bogus"); err == nil {
-		t.Error("unknown format accepted")
-	}
-}
 
 func TestWriteTrace(t *testing.T) {
 	start := time.Date(2007, time.November, 5, 9, 0, 0, 0, time.UTC)
@@ -39,25 +18,31 @@ func TestWriteTrace(t *testing.T) {
 		SrcPkts: 1, DstPkts: 1, SrcBytes: 10, DstBytes: 10,
 		State: plotters.StateEstablished,
 	}}
-	_, write, err := codec("binary")
-	if err != nil {
-		t.Fatal(err)
+	// Every row of the trace-format table, under the row's extension.
+	for _, name := range strings.Split(plotters.TraceFormatNames(), ", ") {
+		tf, err := plotters.LookupTraceFormat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "out"+tf.Ext)
+		if err := writeTrace(path, records, tf); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plotters.ReadAllTrace(tf.NewReader(f))
+		f.Close()
+		if err != nil || len(got) != 1 || got[0].Src != 1 {
+			t.Errorf("%s round trip: %v, %v", name, got, err)
+		}
+		// Unwritable path errors.
+		if err := writeTrace(filepath.Join(t.TempDir(), "no", "such", "dir", "x"), records, tf); err == nil {
+			t.Errorf("%s: bad path accepted", name)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "out.flows")
-	if err := writeTrace(path, records, write); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := plotters.ReadTrace(f)
-	if err != nil || len(got) != 1 {
-		t.Errorf("round trip: %d records, %v", len(got), err)
-	}
-	// Unwritable path errors.
-	if err := writeTrace(filepath.Join(t.TempDir(), "no", "such", "dir", "x"), records, write); err == nil {
-		t.Error("bad path accepted")
+	if _, err := plotters.LookupTraceFormat("bogus"); err == nil {
+		t.Error("unknown format accepted")
 	}
 }

@@ -94,29 +94,25 @@ func (c *Config) Validate() error {
 // exporterKey identifies one exporter stream for sequence accounting.
 type exporterKey struct {
 	addr   string
-	engine uint16 // v5 engine_type<<8|engine_id, or v9 source / IPFIX domain / sFlow sub-agent ID (low 16)
+	stream uint16 // Packet.Stream
 }
 
-// exporterState tracks per-exporter sequence expectations. The v5/v9
-// pairs survive restarts via SequenceStates; the IPFIX and sFlow pairs
-// are collector-local (the checkpoint wire format predates them), so a
-// restarted collector treats those streams as fresh — which can hide a
-// cross-outage gap but can never fabricate one.
-type exporterState struct {
-	v5Seen    bool
-	v5Next    uint32 // expected flow_sequence of the next v5 packet
-	v9Seen    bool
-	v9Next    uint32 // expected package sequence of the next v9 packet
-	ipfixSeen bool
-	ipfixNext uint32 // expected sequence (cumulative records) of the next IPFIX message
-	sflowSeen bool
-	sflowNext uint32 // expected datagram sequence of the next sFlow datagram
+// exporterState tracks one exporter stream's sequence expectations, one
+// slot per row of Protocols: whether a packet of that protocol has been
+// seen, and the sequence number expected on the next one. Slots 0 and 1
+// survive restarts via SequenceStates; the rest are collector-local (the
+// checkpoint wire format predates them), so a restarted collector
+// treats those streams as fresh — which can hide a cross-outage gap but
+// can never fabricate one.
+type exporterState [len(Protocols)]struct {
+	seen bool
+	next uint32
 }
 
 // Collector ingests flow export packets from a UDP socket: a batched
 // reader drains datagrams into a fixed ring of reusable buffers
 // (recvmmsg on Linux — see internal/ingest), a worker pool decodes
-// them (NetFlow v5/v9, IPFIX, sFlow v5), an optional deterministic
+// them (one row of Protocols each), an optional deterministic
 // sampling stage thins the records, and survivors are handed to the
 // configured Handler in serialized calls. The steady-state path from
 // socket to Handler performs zero allocations per record. Create with
@@ -146,7 +142,7 @@ type Collector struct {
 	mResets, mTemplates, mMissingTmpl *metrics.Counter
 	mReadErrors, mBatches             *metrics.Counter
 	mSampledOut, mEvicted             *metrics.Counter
-	mSFlowSkipped                     *metrics.Counter
+	mSkippedItems                     *metrics.Counter
 	gQueueHW, gExporters              *metrics.Gauge
 }
 
@@ -212,7 +208,7 @@ func Listen(cfg Config) (*Collector, error) {
 		mBatches:      reg.Counter("collector/batches"),
 		mSampledOut:   reg.Counter("collector/records/sampled_out"),
 		mEvicted:      reg.Counter("collector/templates/evicted"),
-		mSFlowSkipped: reg.Counter("collector/sflow/skipped"),
+		mSkippedItems: reg.Counter("collector/sflow/skipped"),
 		gQueueHW:      reg.Gauge("collector/queue/high_water"),
 		gExporters:    reg.Gauge("collector/exporters"),
 	}
@@ -296,7 +292,10 @@ func (c *Collector) readLoop(ctx context.Context) error {
 		for _, b := range bufs[n:] {
 			c.ring.Put(b)
 		}
+		// One clock read per batch, none in any decoder.
+		arrival := time.Now().UTC()
 		for _, b := range bufs[:n] {
+			b.Arrival = arrival
 			c.ingest(b)
 		}
 	}
@@ -323,6 +322,7 @@ func (c *Collector) Inject(data []byte, exporter string) {
 	pb.Data = pb.Data[:len(data)]
 	copy(pb.Data, data)
 	pb.Exporter = exporter
+	pb.Arrival = time.Now().UTC()
 	c.ingest(pb)
 }
 
@@ -359,10 +359,10 @@ func (c *Collector) worker() {
 	}
 }
 
-// process decodes one packet, accounts its sequence, and delivers its
-// records through the sampling stage. Malformed input is counted and
-// skipped — a hostile or buggy exporter must never take the collector
-// down.
+// process decodes one packet with the first row of Protocols that
+// recognises it, accounts its sequence, and delivers its records through
+// the sampling stage. Malformed input is counted and skipped — a hostile
+// or buggy exporter must never take the collector down.
 func (c *Collector) process(pb *ingest.Buf, arena *ingest.RecordArena) {
 	defer c.ring.Put(pb)
 	if pb.Truncated {
@@ -371,72 +371,32 @@ func (c *Collector) process(pb *ingest.Buf, arena *ingest.RecordArena) {
 		c.mMalformed.Add(1)
 		return
 	}
-	scratch := arena.Take()
-	defer func() { arena.Reset(scratch) }()
-	version, ok := PacketVersion(pb.Data)
-	if !ok {
-		c.mMalformed.Add(1)
+	for i := range Protocols {
+		p := &Protocols[i]
+		if !p.Sniff(pb.Data) {
+			continue
+		}
+		pk, recs, err := p.Decode(c.templates, pb.Exporter, pb.Data, pb.Arrival, arena.Take())
+		c.mTemplates.Add(int64(pk.Templates))
+		c.mMissingTmpl.Add(int64(pk.MissingTemplates))
+		c.mEvicted.Add(int64(pk.Evicted))
+		c.mSkippedItems.Add(int64(pk.Skipped))
+		if err != nil {
+			c.mMalformed.Add(1)
+		} else {
+			c.account(i, pb.Exporter, pk, len(recs))
+		}
+		if err == nil || p.KeepPartial {
+			c.deliver(recs)
+		}
+		arena.Reset(recs)
 		return
 	}
-	switch version {
-	case 0:
-		// sFlow v5 leads with a u32 version, so the first u16 is 0.
-		if len(pb.Data) < 4 || !isSFlow(pb.Data) {
-			c.mUnknownVer.Add(1)
-			return
-		}
-		hdr, recs, stats, err := DecodeSFlow(pb.Data, time.Now().UTC(), scratch)
-		scratch = recs
-		c.mSFlowSkipped.Add(int64(stats.SkippedSamples + stats.SkippedRecords))
-		if err != nil {
-			c.mMalformed.Add(1)
-			// Keep whatever decoded cleanly before the error.
-		} else {
-			c.accountSFlow(pb.Exporter, hdr)
-		}
-		c.deliver(recs)
-	case 5:
-		hdr, recs, err := DecodeV5(pb.Data, scratch)
-		scratch = recs
-		if err != nil {
-			c.mMalformed.Add(1)
-			return
-		}
-		c.accountV5(pb.Exporter, hdr)
-		c.deliver(recs)
-	case 9:
-		hdr, recs, stats, err := c.templates.DecodeV9(pb.Exporter, pb.Data, scratch)
-		scratch = recs
-		c.mTemplates.Add(int64(stats.TemplatesLearned))
-		c.mMissingTmpl.Add(int64(stats.MissingTemplate))
-		c.mEvicted.Add(int64(stats.TemplatesEvicted))
-		if err != nil {
-			c.mMalformed.Add(1)
-			// Keep whatever decoded cleanly before the error.
-		} else {
-			c.accountV9(pb.Exporter, hdr)
-		}
-		c.deliver(recs)
-	case 10:
-		hdr, recs, stats, err := c.templates.DecodeIPFIX(pb.Exporter, pb.Data, scratch)
-		scratch = recs
-		c.mTemplates.Add(int64(stats.TemplatesLearned))
-		c.mMissingTmpl.Add(int64(stats.MissingTemplate))
-		c.mEvicted.Add(int64(stats.TemplatesEvicted))
-		if err != nil {
-			c.mMalformed.Add(1)
-		} else {
-			c.accountIPFIX(pb.Exporter, hdr, stats.Records)
-		}
-		c.deliver(recs)
-	default:
+	if len(pb.Data) < 2 {
+		c.mMalformed.Add(1) // too short to carry any version field
+	} else {
 		c.mUnknownVer.Add(1)
 	}
-}
-
-// isSFlow reports whether the datagram opens with sFlow's u32 version.
-func isSFlow(pkt []byte) bool {
-	return len(pkt) >= 4 && pkt[0] == 0 && pkt[1] == 0 && pkt[2] == 0 && pkt[3] == 5
 }
 
 // deliver runs one packet's records through the sampling stage and
@@ -472,28 +432,32 @@ func (c *Collector) exporter(key exporterKey) *exporterState {
 	return st
 }
 
-// accountV5 tracks the exporter's running flow count. flow_sequence is
-// the count of flows exported before this packet, so a jump forward of
-// d means exactly d flows were exported but never decoded here — lost
-// in the network, the kernel buffer, or our own queue drops. A jump
-// backward is an exporter restart (or heavy reordering): counted as a
-// reset and resynced, never as a gap.
-func (c *Collector) accountV5(exporter string, hdr V5Header) {
-	key := exporterKey{exporter, uint16(hdr.EngineType)<<8 | uint16(hdr.EngineID)}
+// account checks one cleanly decoded packet of row proto against the
+// exporter stream's running sequence. The sequence number counts what
+// the stream sent before this packet, so a jump forward of d means
+// exactly d flows or packets (the row's unit) were exported but never
+// decoded here — lost in the network, the kernel buffer, or our own
+// queue drops. A jump backward is an exporter restart (or heavy
+// reordering): counted as a reset and resynced, never as a gap.
+func (c *Collector) account(proto int, exporter string, pk Packet, records int) {
+	p := &Protocols[proto]
 	c.expMu.Lock()
 	defer c.expMu.Unlock()
-	st := c.exporter(key)
-	if st.v5Seen {
-		switch d := int32(hdr.FlowSequence - st.v5Next); {
+	st := &c.exporter(exporterKey{exporter, pk.Stream})[proto]
+	if st.seen {
+		switch d := int32(pk.Sequence - st.next); {
 		case d > 0:
 			c.mGaps.Add(1)
-			c.mLostFlows.Add(int64(d))
+			lost := c.mLostPackets
+			if p.SeqCountsFlows {
+				lost = c.mLostFlows
+			}
+			lost.Add(int64(d))
 		case d < 0:
 			c.mResets.Add(1)
 		}
 	}
-	st.v5Seen = true
-	st.v5Next = hdr.FlowSequence + uint32(hdr.Count)
+	st.seen, st.next = true, pk.Sequence+p.SeqStep(records)
 }
 
 // SequenceState is one exporter stream's serializable sequence
@@ -501,9 +465,9 @@ func (c *Collector) accountV5(exporter string, hdr V5Header) {
 // first packets after recovery are checked against the pre-crash
 // sequence numbers instead of being treated as a fresh stream (real
 // gaps across the outage stay visible; false resets never fire). Only
-// the v5/v9 expectations are checkpointed (the snapshot wire format
-// predates the IPFIX/sFlow decoders); those streams restart fresh,
-// which can hide a cross-outage gap but never invents one.
+// rows 0 and 1 of Protocols are checkpointed (the snapshot wire format
+// predates the others); those streams restart fresh, which can hide a
+// cross-outage gap but never invents one.
 type SequenceState struct {
 	Exporter string // exporter socket address, as reported by the kernel
 	Engine   uint16 // v5: engine_type<<8|engine_id; v9: source ID (low 16)
@@ -526,11 +490,11 @@ func (c *Collector) SequenceStates() []SequenceState {
 	for key, st := range c.exporters {
 		out = append(out, SequenceState{
 			Exporter: key.addr,
-			Engine:   key.engine,
-			V5Seen:   st.v5Seen,
-			V5Next:   st.v5Next,
-			V9Seen:   st.v9Seen,
-			V9Next:   st.v9Next,
+			Engine:   key.stream,
+			V5Seen:   st[0].seen,
+			V5Next:   st[0].next,
+			V9Seen:   st[1].seen,
+			V9Next:   st[1].next,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -549,70 +513,8 @@ func (c *Collector) RestoreSequenceStates(states []SequenceState) {
 	c.expMu.Lock()
 	defer c.expMu.Unlock()
 	for _, s := range states {
-		st := c.exporter(exporterKey{addr: s.Exporter, engine: s.Engine})
-		st.v5Seen = s.V5Seen
-		st.v5Next = s.V5Next
-		st.v9Seen = s.V9Seen
-		st.v9Next = s.V9Next
+		st := c.exporter(exporterKey{addr: s.Exporter, stream: s.Engine})
+		st[0].seen, st[0].next = s.V5Seen, s.V5Next
+		st[1].seen, st[1].next = s.V9Seen, s.V9Next
 	}
-}
-
-// accountV9 does the same for v9, whose sequence counts packets.
-func (c *Collector) accountV9(exporter string, hdr V9Header) {
-	key := exporterKey{exporter, uint16(hdr.SourceID)}
-	c.expMu.Lock()
-	defer c.expMu.Unlock()
-	st := c.exporter(key)
-	if st.v9Seen {
-		switch d := int32(hdr.Sequence - st.v9Next); {
-		case d > 0:
-			c.mGaps.Add(1)
-			c.mLostPackets.Add(int64(d))
-		case d < 0:
-			c.mResets.Add(1)
-		}
-	}
-	st.v9Seen = true
-	st.v9Next = hdr.Sequence + 1
-}
-
-// accountIPFIX tracks IPFIX's record-counting sequence: the header
-// carries the cumulative data-record count before this message, so a
-// forward jump of d means exactly d flow records were lost — v5-exact
-// loss measurement, unlike v9's packet counting.
-func (c *Collector) accountIPFIX(exporter string, hdr IPFIXHeader, records int) {
-	key := exporterKey{exporter, uint16(hdr.DomainID)}
-	c.expMu.Lock()
-	defer c.expMu.Unlock()
-	st := c.exporter(key)
-	if st.ipfixSeen {
-		switch d := int32(hdr.Sequence - st.ipfixNext); {
-		case d > 0:
-			c.mGaps.Add(1)
-			c.mLostFlows.Add(int64(d))
-		case d < 0:
-			c.mResets.Add(1)
-		}
-	}
-	st.ipfixSeen = true
-	st.ipfixNext = hdr.Sequence + uint32(records)
-}
-
-// accountSFlow tracks sFlow's datagram sequence (per sub-agent).
-func (c *Collector) accountSFlow(exporter string, hdr SFlowHeader) {
-	key := exporterKey{exporter, uint16(hdr.SubAgent)}
-	c.expMu.Lock()
-	defer c.expMu.Unlock()
-	st := c.exporter(key)
-	if st.sflowSeen {
-		switch d := int32(hdr.Sequence - st.sflowNext); {
-		case d > 0:
-			c.mGaps.Add(1)
-			c.mLostPackets.Add(int64(d))
-		case d < 0:
-			c.mResets.Add(1)
-		}
-	}
-	st.sflowSeen = true
-	st.sflowNext = hdr.Sequence + 1
 }

@@ -138,37 +138,6 @@ func TestCollectorSurvivesHostilePackets(t *testing.T) {
 	}
 }
 
-func TestCollectorSequenceGapAndReset(t *testing.T) {
-	tc := startCollector(t, nil)
-	records := wireRecords() // 4 records per packet
-
-	inject := func(seq uint32) {
-		pkt, err := AppendV5(nil, records, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.Inject(pkt, "router-1")
-	}
-	inject(0)  // baseline: next expected = 4
-	inject(10) // gap: flows 4..9 (6 flows) lost
-	inject(0)  // exporter restart: sequence reset
-
-	waitFor(t, "sequence accounting", func() bool { return tc.counter("collector/seq/resets") == 1 })
-	if n := tc.counter("collector/seq/gaps"); n != 1 {
-		t.Errorf("gaps = %d, want 1", n)
-	}
-	if n := tc.counter("collector/seq/lost_flows"); n != 6 {
-		t.Errorf("lost_flows = %d, want 6", n)
-	}
-	if n := tc.reg.Gauge("collector/exporters").Value(); n != 1 {
-		t.Errorf("exporters = %d, want 1", n)
-	}
-	// All three packets' records were delivered regardless.
-	if got := len(tc.records()); got != 3*len(records) {
-		t.Errorf("delivered %d records, want %d", got, 3*len(records))
-	}
-}
-
 // Sequence accounting restored from a snapshot must carry across a
 // collector restart: packets lost during the outage surface as a gap
 // against the pre-crash expectations, and an in-sequence first packet
@@ -229,24 +198,6 @@ func TestCollectorSequenceStateSurvivesRestart(t *testing.T) {
 	})
 	if n := third.counter("collector/seq/gaps"); n != 0 {
 		t.Errorf("fresh collector gaps = %d, want 0", n)
-	}
-}
-
-func TestCollectorV9SequenceCountsPackets(t *testing.T) {
-	tc := startCollector(t, nil)
-	tmpl := func(seq uint32) []byte {
-		return v9Packet(1000, 1194253200, seq, 7, flowSet(0, fullTemplate(300)))
-	}
-	tc.Inject(tmpl(1), "router-9")
-	tc.Inject(tmpl(5), "router-9") // packets 2,3,4 lost
-	tc.Inject(tmpl(0), "router-9") // restart
-
-	waitFor(t, "v9 accounting", func() bool { return tc.counter("collector/seq/resets") == 1 })
-	if n := tc.counter("collector/seq/lost_packets"); n != 3 {
-		t.Errorf("lost_packets = %d, want 3", n)
-	}
-	if n := tc.counter("collector/v9/templates"); n != 3 {
-		t.Errorf("templates learned = %d, want 3", n)
 	}
 }
 

@@ -18,7 +18,7 @@
 //     both by length; only the standard fixed-size fields it shares
 //     with v9 land in records.
 //   - The sequence number counts cumulative data records, not export
-//     packets, which accountIPFIX in the collector exploits to measure
+//     packets (the row's SeqCountsFlows), so the collector measures
 //     lost flows exactly.
 //
 // AppendIPFIX is the matching software exporter: every message is
@@ -32,6 +32,7 @@ package collector
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -132,6 +133,23 @@ func (tc *TemplateCache) DecodeIPFIX(exporter string, pkt []byte, dst []flow.Rec
 		off += setLen
 	}
 	return hdr, dst, stats, nil
+}
+
+// decodeIPFIX is the IPFIX row's Decode.
+func decodeIPFIX(tc *TemplateCache, exporter string, pkt []byte, _ time.Time, dst []flow.Record) (Packet, []flow.Record, error) {
+	hdr, recs, stats, err := tc.DecodeIPFIX(exporter, pkt, dst)
+	return stats.packet(hdr.DomainID, hdr.Sequence), recs, err
+}
+
+// frameIPFIX is the IPFIX row's Frame: version + length is all the
+// framing needs. A length below the four bytes already read is refused
+// by readChunk, one below the header size by Decode.
+func frameIPFIX(r io.Reader, buf []byte) ([]byte, error) {
+	pkt, err := readChunk(r, buf[:0], 4)
+	if err != nil {
+		return pkt, err
+	}
+	return readChunk(r, pkt, int(binary.BigEndian.Uint16(pkt[2:]))-4)
 }
 
 // learnIPFIXTemplates parses one template set body. It differs from the

@@ -22,17 +22,13 @@
 // fidelity, plus a synthesized raw Ethernet/IPv4/TCP|UDP header so the
 // standard parse path is exercised by every emitted datagram (and by
 // the fuzzer) and foreign collectors still get the 5-tuple.
-//
-// Dispatch note: an sFlow datagram starts with the u32 version 5, so
-// its first two bytes are 0x0000 — PacketVersion reads 0, which cannot
-// collide with NetFlow versions. The collector routes version 0 +
-// u32 5 here.
 
 package collector
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -138,6 +134,47 @@ func DecodeSFlow(pkt []byte, arrival time.Time, dst []flow.Record) (SFlowHeader,
 		stats.Records++
 	}
 	return hdr, dst, stats, nil
+}
+
+// decodeSFlow is the sFlow row's Decode.
+func decodeSFlow(_ *TemplateCache, _ string, pkt []byte, arrival time.Time, dst []flow.Record) (Packet, []flow.Record, error) {
+	hdr, recs, stats, err := DecodeSFlow(pkt, arrival, dst)
+	return Packet{Stream: uint16(hdr.SubAgent), Sequence: hdr.Sequence,
+		Skipped: stats.SkippedSamples + stats.SkippedRecords}, recs, err
+}
+
+// frameSFlow is the sFlow row's Frame. sFlow has no datagram-length
+// field, but it still frames itself one level down: the fixed header,
+// then each sample's (type, length) pair.
+func frameSFlow(r io.Reader, buf []byte) ([]byte, error) {
+	be := binary.BigEndian
+	// Version + agent address type size the rest of the fixed header.
+	pkt, err := readChunk(r, buf[:0], 8)
+	if err != nil {
+		return pkt, err
+	}
+	var addrLen int
+	switch t := be.Uint32(pkt[4:]); t {
+	case 1:
+		addrLen = 4
+	case 2:
+		addrLen = 16
+	default:
+		return pkt, fmt.Errorf("%w: agent address type %d", ErrCorrupt, t)
+	}
+	// Agent address, then sub-agent, sequence, uptime, sample count.
+	if pkt, err = readChunk(r, pkt, addrLen+16); err != nil {
+		return pkt, err
+	}
+	for s := be.Uint32(pkt[len(pkt)-4:]); s > 0; s-- {
+		if pkt, err = readChunk(r, pkt, 8); err != nil { // sample type + length
+			return pkt, err
+		}
+		if pkt, err = readChunk(r, pkt, int(be.Uint32(pkt[len(pkt)-4:]))); err != nil {
+			return pkt, err
+		}
+	}
+	return pkt, nil
 }
 
 // decodeFlowSample cracks one standard flow_sample body into at most

@@ -1,26 +1,3 @@
-// Package collector is the system's live network I/O boundary: it
-// decodes NetFlow export packets — the telemetry a border router or a
-// software exporter emits about every flow it forwards — into
-// flow.Records and pumps them off a UDP socket into the continuous
-// detection engine. Two export formats are understood:
-//
-//   - NetFlow v5, the fixed-layout workhorse format (24-byte header,
-//     48-byte records, ≤30 records per packet), decoded and encoded —
-//     the encode side lets synthesized traces be replayed over loopback
-//     as real exporter traffic (cmd/flowreplay, flowio.NetFlowWriter).
-//   - NetFlow v9, the template-based format, decoded through a small
-//     template cache: templates announce field layouts per exporter and
-//     data FlowSets are cracked against them, with unknown fields
-//     skipped by length ("template-lite" — no options templates, no
-//     variable-length IPFIX strings).
-//
-// The Collector itself (Listen/Run) is shaped for production ingest:
-// the socket reader only reads and enqueues, a bounded queue drops on
-// overflow rather than ever blocking the reader, a worker pool decodes,
-// per-exporter flow_sequence accounting measures export loss, and
-// malformed or unknown-version packets are counted and skipped, never
-// fatal.
-//
 // NetFlow v5 carries less than a flow.Record holds. The mapping, and
 // what detection needs of it, is:
 //
@@ -40,12 +17,14 @@
 //     UDP therefore decode as established — the conservative default.
 //   - Payload (ground-truth labeling only, never read by detection)
 //     cannot be carried and is dropped.
+
 package collector
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -111,15 +90,6 @@ func flagsState(proto flow.Proto, flags byte) flow.ConnState {
 		return flow.StateFailed
 	}
 	return flow.StateEstablished
-}
-
-// PacketVersion peeks an export packet's version field without
-// decoding. ok is false when the packet is too short to carry one.
-func PacketVersion(pkt []byte) (version uint16, ok bool) {
-	if len(pkt) < 2 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(pkt), true
 }
 
 // V5Header is the decoded fixed header of one NetFlow v5 packet.
@@ -192,6 +162,22 @@ func DecodeV5(pkt []byte, dst []flow.Record) (V5Header, []flow.Record, error) {
 		})
 	}
 	return hdr, dst, nil
+}
+
+// decodeV5 is the v5 row's Decode.
+func decodeV5(_ *TemplateCache, _ string, pkt []byte, _ time.Time, dst []flow.Record) (Packet, []flow.Record, error) {
+	hdr, recs, err := DecodeV5(pkt, dst)
+	return Packet{Stream: uint16(hdr.EngineType)<<8 | uint16(hdr.EngineID), Sequence: hdr.FlowSequence}, recs, err
+}
+
+// frameV5 is the v5 row's Frame: the header's record count gives the
+// packet's length.
+func frameV5(r io.Reader, buf []byte) ([]byte, error) {
+	pkt, err := readChunk(r, buf[:0], V5HeaderSize)
+	if err != nil {
+		return pkt, err
+	}
+	return readChunk(r, pkt, int(binary.BigEndian.Uint16(pkt[2:]))*V5RecordSize)
 }
 
 // AppendV5 encodes 1..V5MaxRecords records as one NetFlow v5 packet

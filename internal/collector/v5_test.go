@@ -220,12 +220,3 @@ func TestV5DecodeAppendsToDst(t *testing.T) {
 		t.Errorf("dst reuse broken: len=%d cap=%d", len(out), cap(out))
 	}
 }
-
-func TestPacketVersion(t *testing.T) {
-	if _, ok := PacketVersion([]byte{5}); ok {
-		t.Error("1-byte packet reported a version")
-	}
-	if v, ok := PacketVersion([]byte{0, 9, 1, 2}); !ok || v != 9 {
-		t.Errorf("version = %d/%v, want 9/true", v, ok)
-	}
-}

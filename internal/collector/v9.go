@@ -266,6 +266,18 @@ func (tc *TemplateCache) DecodeV9(exporter string, pkt []byte, dst []flow.Record
 	return hdr, dst, stats, nil
 }
 
+// packet is the Packet a template protocol's row reports for s.
+func (s V9Stats) packet(stream, seq uint32) Packet {
+	return Packet{Stream: uint16(stream), Sequence: seq, Templates: s.TemplatesLearned,
+		MissingTemplates: s.MissingTemplate, Evicted: s.TemplatesEvicted}
+}
+
+// decodeV9 is the v9 row's Decode.
+func decodeV9(tc *TemplateCache, exporter string, pkt []byte, _ time.Time, dst []flow.Record) (Packet, []flow.Record, error) {
+	hdr, recs, stats, err := tc.DecodeV9(exporter, pkt, dst)
+	return stats.packet(hdr.SourceID, hdr.Sequence), recs, err
+}
+
 // learnTemplates parses one template FlowSet body: a sequence of
 // (template ID, field count, fields...) definitions. Returns templates
 // learned and cache entries the per-exporter bound evicted.

@@ -1,9 +1,9 @@
-// Package flowio reads and writes flow-record traces in four formats: a
-// compact streaming binary format (the native trace format of this
-// project's tools), CSV, JSON Lines, and NetFlow v5 packet streams (the
-// wire format real exporters speak — see NetFlowWriter). All codecs
-// stream — traces can be far larger than memory, as they would be at a
-// real network border.
+// Package flowio reads and writes flow-record traces in the formats of
+// one table, Formats: a compact streaming binary format (the native
+// trace format of this project's tools), CSV, JSON Lines, and packet
+// streams in the wire formats real exporters speak (see PacketWriter).
+// All codecs stream — traces can be far larger than memory, as they
+// would be at a real network border.
 package flowio
 
 import (
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"plotters/internal/flow"
-	"plotters/internal/metrics"
 )
 
 // magic identifies the binary trace format, versioned in the last byte.
@@ -138,17 +137,17 @@ func (bw *BinaryWriter) Flush() error {
 // BinaryReader streams records from an io.Reader produced by
 // BinaryWriter.
 type BinaryReader struct {
-	src     *countReader
+	meter
 	r       *bufio.Reader
 	started bool
-	records *metrics.Counter
 	buf     [binaryHeaderSize]byte
 }
 
 // NewBinaryReader wraps r.
 func NewBinaryReader(r io.Reader) *BinaryReader {
-	src := &countReader{r: r}
-	return &BinaryReader{src: src, r: bufio.NewReaderSize(src, 1<<16)}
+	br := &BinaryReader{}
+	br.r = bufio.NewReaderSize(br.meter.wrap("binary", r), 1<<16)
+	return br
 }
 
 // Next returns the next record, or io.EOF at end of trace.
@@ -202,28 +201,9 @@ func (br *BinaryReader) Next() (flow.Record, error) {
 }
 
 // ReadAllBinary decodes an entire binary trace into memory.
-func ReadAllBinary(r io.Reader) ([]flow.Record, error) {
-	br := NewBinaryReader(r)
-	var out []flow.Record
-	for {
-		rec, err := br.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
+func ReadAllBinary(r io.Reader) ([]flow.Record, error) { return ReadAll(NewBinaryReader(r)) }
 
 // WriteAllBinary encodes records to w and flushes.
 func WriteAllBinary(w io.Writer, records []flow.Record) error {
-	bw := NewBinaryWriter(w)
-	for i := range records {
-		if err := bw.Write(&records[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteAll(NewBinaryWriter(w), records)
 }

@@ -2,6 +2,7 @@ package flowio
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -175,6 +176,46 @@ func FuzzJSONLDecode(f *testing.F) {
 		}
 		if !equivalent(records, again) {
 			t.Errorf("round trip changed records:\nfirst  %v\nsecond %v", records, again)
+		}
+	})
+}
+
+// The packet-stream readers parse untrusted files by the protocols' own
+// length fields. Arbitrary bytes through every packet format's Frame +
+// Decode must never panic, and a length field may never make the reader
+// hold more than 1 MiB (the per-field cap) beyond the bytes it was
+// actually given.
+func FuzzPacketStreamDecode(f *testing.F) {
+	var packetFormats []*Format
+	for i := range Formats {
+		format := &Formats[i]
+		if _, ok := format.NewWriter(io.Discard).(*PacketWriter); !ok {
+			continue
+		}
+		packetFormats = append(packetFormats, format)
+		for _, seed := range fuzzSeeds(func(buf *bytes.Buffer) {
+			if err := WriteAll(format.NewWriter(buf), sampleRecords()); err != nil {
+				f.Fatal(err)
+			}
+		}) {
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, format := range packetFormats {
+			pr := format.NewReader(bytes.NewReader(data)).(*PacketReader)
+			for {
+				rec, err := pr.Next()
+				if held := cap(pr.pkt); held > len(data)+1<<20 {
+					t.Fatalf("%s: %d input bytes grew the packet buffer to %d", format.Name, len(data), held)
+				}
+				if err != nil {
+					break
+				}
+				if rec.End.Before(rec.Start) {
+					t.Fatalf("%s: decoded a record that ends before it starts", format.Name)
+				}
+			}
 		}
 	})
 }

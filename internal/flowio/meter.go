@@ -21,48 +21,28 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// meter is the instrumentation every codec reader embeds: the byte
+// tally on its source and the count of records it has decoded.
+type meter struct {
+	format  string
+	src     countReader
+	records *metrics.Counter
+}
+
+// wrap names the meter and returns r behind the byte tally — what the
+// codec must read from.
+func (m *meter) wrap(format string, r io.Reader) io.Reader {
+	m.format, m.src.r = format, r
+	return &m.src
+}
+
 // Meter attaches reg's instruments to the reader: the
-// "flowio/binary/records" counter (records decoded) and the
-// "flowio/binary/bytes" counter (bytes consumed from the underlying
+// "flowio/<format>/records" counter (records decoded) and the
+// "flowio/<format>/bytes" counter (bytes consumed from the underlying
 // source, including read-ahead buffering).
-func (br *BinaryReader) Meter(reg *metrics.Registry) {
-	br.records = reg.Counter("flowio/binary/records")
-	br.src.bytes = reg.Counter("flowio/binary/bytes")
-}
-
-// Meter attaches reg's "flowio/csv/records" and "flowio/csv/bytes"
-// counters to the reader.
-func (c *CSVReader) Meter(reg *metrics.Registry) {
-	c.records = reg.Counter("flowio/csv/records")
-	c.src.bytes = reg.Counter("flowio/csv/bytes")
-}
-
-// Meter attaches reg's "flowio/jsonl/records" and "flowio/jsonl/bytes"
-// counters to the reader.
-func (j *JSONLReader) Meter(reg *metrics.Registry) {
-	j.records = reg.Counter("flowio/jsonl/records")
-	j.src.bytes = reg.Counter("flowio/jsonl/bytes")
-}
-
-// Meter attaches reg's "flowio/netflow/records" and
-// "flowio/netflow/bytes" counters to the reader.
-func (nr *NetFlowReader) Meter(reg *metrics.Registry) {
-	nr.records = reg.Counter("flowio/netflow/records")
-	nr.src.bytes = reg.Counter("flowio/netflow/bytes")
-}
-
-// Meter attaches reg's "flowio/ipfix/records" and "flowio/ipfix/bytes"
-// counters to the reader.
-func (ir *IPFIXReader) Meter(reg *metrics.Registry) {
-	ir.records = reg.Counter("flowio/ipfix/records")
-	ir.src.bytes = reg.Counter("flowio/ipfix/bytes")
-}
-
-// Meter attaches reg's "flowio/sflow/records" and "flowio/sflow/bytes"
-// counters to the reader.
-func (sr *SFlowReader) Meter(reg *metrics.Registry) {
-	sr.records = reg.Counter("flowio/sflow/records")
-	sr.src.bytes = reg.Counter("flowio/sflow/bytes")
+func (m *meter) Meter(reg *metrics.Registry) {
+	m.records = reg.Counter("flowio/" + m.format + "/records")
+	m.src.bytes = reg.Counter("flowio/" + m.format + "/bytes")
 }
 
 // MeterReader attaches reg to r when r is one of this package's codec
@@ -70,19 +50,8 @@ func (sr *SFlowReader) Meter(reg *metrics.Registry) {
 // without a type switch of its own). Unknown Reader implementations are
 // left untouched. Returns r for chaining.
 func MeterReader(r Reader, reg *metrics.Registry) Reader {
-	switch tr := r.(type) {
-	case *BinaryReader:
-		tr.Meter(reg)
-	case *CSVReader:
-		tr.Meter(reg)
-	case *JSONLReader:
-		tr.Meter(reg)
-	case *NetFlowReader:
-		tr.Meter(reg)
-	case *IPFIXReader:
-		tr.Meter(reg)
-	case *SFlowReader:
-		tr.Meter(reg)
+	if m, ok := r.(interface{ Meter(*metrics.Registry) }); ok {
+		m.Meter(reg)
 	}
 	return r
 }

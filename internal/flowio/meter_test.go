@@ -2,7 +2,6 @@ package flowio
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -11,81 +10,17 @@ import (
 	"plotters/internal/metrics"
 )
 
-// drain reads r to EOF, returning the decoded records.
-func drain(t *testing.T, r Reader) []flow.Record {
-	t.Helper()
-	var out []flow.Record
-	for {
-		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, rec)
-	}
-}
-
-// Every metered reader must report the records it decoded and the bytes
-// it consumed from the source.
-func TestMeteredReaders(t *testing.T) {
-	records := sampleRecords()
-	for _, tc := range []struct {
-		format string
-		encode func(io.Writer) Writer
-		decode func(io.Reader) Reader
-	}{
-		{"binary", func(w io.Writer) Writer { return NewBinaryWriter(w) }, func(r io.Reader) Reader { return NewBinaryReader(r) }},
-		{"csv", func(w io.Writer) Writer { return NewCSVWriter(w) }, func(r io.Reader) Reader { return NewCSVReader(r) }},
-		{"jsonl", func(w io.Writer) Writer { return NewJSONLWriter(w) }, func(r io.Reader) Reader { return NewJSONLReader(r) }},
-		{"netflow", func(w io.Writer) Writer { return NewNetFlowWriter(w) }, func(r io.Reader) Reader { return NewNetFlowReader(r) }},
-	} {
-		t.Run(tc.format, func(t *testing.T) {
-			if tc.format == "netflow" {
-				records = netflowSample() // inside v5 carrying capacity
-			}
-			var buf bytes.Buffer
-			w := tc.encode(&buf)
-			for i := range records {
-				if err := w.Write(&records[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			encoded := buf.Len()
-
-			reg := metrics.New()
-			got := drain(t, MeterReader(tc.decode(&buf), reg))
-			if len(got) != len(records) {
-				t.Fatalf("decoded %d records, want %d", len(got), len(records))
-			}
-
-			snap := reg.TakeSnapshot()
-			if n := snap.Counters["flowio/"+tc.format+"/records"]; n != int64(len(records)) {
-				t.Errorf("records counter = %d, want %d", n, len(records))
-			}
-			// The codec's read-ahead buffer may stop at EOF without an
-			// extra empty read, but every encoded byte must be tallied.
-			if n := snap.Counters["flowio/"+tc.format+"/bytes"]; n != int64(encoded) {
-				t.Errorf("bytes counter = %d, want %d (encoded size)", n, encoded)
-			}
-		})
-	}
-}
-
-// An unmetered reader (nil counters) must behave identically.
+// An unmetered reader (nil counters) must behave identically. The
+// counters themselves are checked per format in TestFormats.
 func TestUnmeteredReaderUnchanged(t *testing.T) {
 	records := sampleRecords()
 	var buf bytes.Buffer
 	if err := WriteAllBinary(&buf, records); err != nil {
 		t.Fatal(err)
 	}
-	got := drain(t, NewBinaryReader(bytes.NewReader(buf.Bytes())))
-	if !reflect.DeepEqual(got, records) {
-		t.Errorf("unmetered decode mismatch:\ngot  %v\nwant %v", got, records)
+	got, err := ReadAll(NewBinaryReader(bytes.NewReader(buf.Bytes())))
+	if err != nil || !reflect.DeepEqual(got, records) {
+		t.Errorf("unmetered decode mismatch (err %v):\ngot  %v\nwant %v", err, got, records)
 	}
 }
 

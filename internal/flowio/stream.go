@@ -7,55 +7,92 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
+	"plotters/internal/collector"
 	"plotters/internal/flow"
-	"plotters/internal/metrics"
 )
 
-// Reader is the streaming decode interface implemented by all three
-// codecs: Next returns records one at a time until io.EOF.
+// Reader is the streaming decode interface implemented by every
+// codec: Next returns records one at a time until io.EOF.
 type Reader interface {
 	Next() (flow.Record, error)
 }
 
-// Writer is the streaming encode interface implemented by all three
-// codecs.
+// Writer is the streaming encode interface implemented by every codec.
 type Writer interface {
 	Write(r *flow.Record) error
 	Flush() error
 }
 
-// Compile-time interface checks.
-var (
-	_ Reader = (*BinaryReader)(nil)
-	_ Reader = (*CSVReader)(nil)
-	_ Reader = (*JSONLReader)(nil)
-	_ Reader = (*NetFlowReader)(nil)
-	_ Reader = (*IPFIXReader)(nil)
-	_ Reader = (*SFlowReader)(nil)
-	_ Writer = (*BinaryWriter)(nil)
-	_ Writer = (*CSVWriter)(nil)
-	_ Writer = (*JSONLWriter)(nil)
-	_ Writer = (*NetFlowWriter)(nil)
-	_ Writer = (*IPFIXWriter)(nil)
-	_ Writer = (*SFlowWriter)(nil)
-)
+// Format is one row of Formats.
+type Format struct {
+	// Name is the format's name on command lines ("-format csv").
+	Name string
+	// Ext is the file extension tools give traces they write.
+	Ext string
+	// NewReader and NewWriter open the format's codec.
+	NewReader func(io.Reader) Reader
+	NewWriter func(io.Writer) Writer
+}
+
+// Formats is the table of trace formats: the project's native binary
+// stream, two text forms, and one packet-stream format per export
+// protocol the software exporter can speak (concatenated wire
+// datagrams — see PacketWriter). Adding a format is adding a row.
+var Formats = [...]Format{
+	{"binary", ".flows", func(r io.Reader) Reader { return NewBinaryReader(r) }, func(w io.Writer) Writer { return NewBinaryWriter(w) }},
+	{"csv", ".csv", func(r io.Reader) Reader { return NewCSVReader(r) }, func(w io.Writer) Writer { return NewCSVWriter(w) }},
+	{"jsonl", ".jsonl", func(r io.Reader) Reader { return NewJSONLReader(r) }, func(w io.Writer) Writer { return NewJSONLWriter(w) }},
+	packetFormat("netflow", ".nf5", "v5"),
+	packetFormat("ipfix", ".ipfix", "ipfix"),
+	packetFormat("sflow", ".sflow", "sflow"),
+}
+
+// packetFormat is the row for the packet stream of one export protocol.
+func packetFormat(name, ext, protocol string) Format {
+	proto, err := collector.ExportProtocol(protocol)
+	if err != nil {
+		panic(err) // a typo in the table above
+	}
+	return Format{name, ext,
+		func(r io.Reader) Reader { return NewPacketReader(r, name, proto) },
+		func(w io.Writer) Writer { return NewPacketWriter(w, proto) }}
+}
+
+// Lookup returns the row called name; the error lists every row.
+func Lookup(name string) (*Format, error) {
+	for i := range Formats {
+		if Formats[i].Name == name {
+			return &Formats[i], nil
+		}
+	}
+	return nil, fmt.Errorf("flowio: unknown trace format %q (have %s)", name, Names())
+}
+
+// Names lists the rows' names, for help strings.
+func Names() string {
+	names := make([]string, len(Formats))
+	for i := range Formats {
+		names[i] = Formats[i].Name
+	}
+	return strings.Join(names, ", ")
+}
 
 // CSVReader streams records from CSV.
 type CSVReader struct {
-	src     *countReader
-	cr      *csv.Reader
-	header  bool
-	line    int
-	records *metrics.Counter
+	meter
+	cr     *csv.Reader
+	header bool
+	line   int
 }
 
 // NewCSVReader wraps r.
 func NewCSVReader(r io.Reader) *CSVReader {
-	src := &countReader{r: r}
-	cr := csv.NewReader(src)
-	cr.FieldsPerRecord = len(csvHeader)
-	return &CSVReader{src: src, cr: cr}
+	c := &CSVReader{}
+	c.cr = csv.NewReader(c.meter.wrap("csv", r))
+	c.cr.FieldsPerRecord = len(csvHeader)
+	return c
 }
 
 // Next returns the next record, or io.EOF at end of input.
@@ -139,16 +176,16 @@ func (c *CSVWriter) Flush() error {
 
 // JSONLReader streams records from JSON Lines.
 type JSONLReader struct {
-	src     *countReader
-	dec     *json.Decoder
-	line    int
-	records *metrics.Counter
+	meter
+	dec  *json.Decoder
+	line int
 }
 
 // NewJSONLReader wraps r.
 func NewJSONLReader(r io.Reader) *JSONLReader {
-	src := &countReader{r: r}
-	return &JSONLReader{src: src, dec: json.NewDecoder(src)}
+	j := &JSONLReader{}
+	j.dec = json.NewDecoder(j.meter.wrap("jsonl", r))
+	return j
 }
 
 // Next returns the next record, or io.EOF at end of input.
@@ -218,4 +255,29 @@ func Copy(w Writer, r Reader) (int, error) {
 		}
 		n++
 	}
+}
+
+// ReadAll drains r into memory.
+func ReadAll(r Reader) ([]flow.Record, error) {
+	var out []flow.Record
+	for {
+		rec, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+}
+
+// WriteAll encodes records to w and flushes.
+func WriteAll(w Writer, records []flow.Record) error {
+	for i := range records {
+		if err := w.Write(&records[i]); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }

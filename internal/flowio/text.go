@@ -1,9 +1,7 @@
 package flowio
 
 import (
-	"encoding/csv"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -40,44 +38,18 @@ func formatCSVRow(r *flow.Record, row []string) {
 }
 
 // WriteCSV encodes records as CSV with a header row.
-func WriteCSV(w io.Writer, records []flow.Record) error {
-	cw := NewCSVWriter(w)
-	for i := range records {
-		if err := cw.Write(&records[i]); err != nil {
-			return err
-		}
-	}
-	return cw.Flush()
-}
+func WriteCSV(w io.Writer, records []flow.Record) error { return WriteAll(NewCSVWriter(w), records) }
 
 // ReadCSV decodes a CSV trace written by WriteCSV.
 func ReadCSV(r io.Reader) ([]flow.Record, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("flowio: reading CSV header: %w", err)
+	cr := NewCSVReader(r)
+	out, err := ReadAll(cr)
+	if err == nil && !cr.header {
+		// The streaming reader ends an input without a header on a wrapped
+		// io.EOF; a whole-trace read of nothing is an error.
+		return nil, errors.New("flowio: empty CSV input")
 	}
-	for i, want := range csvHeader {
-		if header[i] != want {
-			return nil, fmt.Errorf("flowio: CSV column %d is %q, want %q", i, header[i], want)
-		}
-	}
-	var out []flow.Record
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("flowio: reading CSV line %d: %w", line, err)
-		}
-		rec, err := parseCSVRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("flowio: CSV line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
+	return out, err
 }
 
 func parseCSVRow(row []string) (flow.Record, error) {
@@ -177,34 +149,11 @@ func toJSONRecord(r *flow.Record) jsonRecord {
 
 // WriteJSONL encodes records as JSON Lines (one object per line).
 func WriteJSONL(w io.Writer, records []flow.Record) error {
-	jw := NewJSONLWriter(w)
-	for i := range records {
-		if err := jw.Write(&records[i]); err != nil {
-			return err
-		}
-	}
-	return jw.Flush()
+	return WriteAll(NewJSONLWriter(w), records)
 }
 
 // ReadJSONL decodes a JSON Lines trace written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]flow.Record, error) {
-	dec := json.NewDecoder(r)
-	var out []flow.Record
-	for line := 1; ; line++ {
-		var jr jsonRecord
-		if err := dec.Decode(&jr); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return nil, fmt.Errorf("flowio: decoding JSONL record %d: %w", line, err)
-		}
-		rec, err := jr.toRecord()
-		if err != nil {
-			return nil, fmt.Errorf("flowio: JSONL record %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-}
+func ReadJSONL(r io.Reader) ([]flow.Record, error) { return ReadAll(NewJSONLReader(r)) }
 
 func (jr *jsonRecord) toRecord() (flow.Record, error) {
 	row := []string{

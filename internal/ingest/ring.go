@@ -1,5 +1,7 @@
 package ingest
 
+import "time"
+
 // Buf is one reusable datagram buffer cycling through a Ring. Data is
 // the receive slab truncated to the datagram's length; Exporter is the
 // interned source address of the packet. Reset restores the full
@@ -15,6 +17,11 @@ type Buf struct {
 	// it (MSG_TRUNC). Truncated packets never decode cleanly; the flag
 	// lets the collector count them as malformed without parsing.
 	Truncated bool
+	// Arrival is the receive clock, read once per batch by whoever filled
+	// the buffer. Decoders never read the wall clock themselves; only
+	// protocols that carry no clock of their own (sFlow raw headers)
+	// consume it.
+	Arrival time.Time
 }
 
 // reset restores the buffer to its full receive capacity.
@@ -22,6 +29,7 @@ func (b *Buf) reset() {
 	b.Data = b.Data[:cap(b.Data)]
 	b.Exporter = ""
 	b.Truncated = false
+	b.Arrival = time.Time{}
 }
 
 // Ring is a fixed-size free-list of packet buffers: Get hands out an

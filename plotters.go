@@ -31,7 +31,6 @@
 package plotters
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"time"
@@ -575,62 +574,53 @@ func NewWindowedDetector(cfg EngineConfig, emit func(*WindowResult) error) (*Win
 	return engine.New(cfg, emit)
 }
 
-// Streaming trace I/O: Next()/Write() interfaces over all four formats,
-// for traces larger than memory.
+// Streaming trace I/O: Next()/Write() interfaces over every row of the
+// trace-format table, for traces larger than memory.
 type (
 	// TraceReader streams records from a trace.
 	TraceReader = flowio.Reader
 	// TraceWriter streams records to a trace.
 	TraceWriter = flowio.Writer
+	// TraceFormat is one row of the trace-format table: name, file
+	// extension, and the reader/writer constructors.
+	TraceFormat = flowio.Format
 )
 
-// NewTraceReader opens a streaming reader for the given format
-// ("binary", "csv", "jsonl", "netflow" — a stream of NetFlow v5
-// export packets — "ipfix", or "sflow").
+// LookupTraceFormat returns the table row called name; the error lists
+// every row, so tools report a mistyped -format the same way.
+func LookupTraceFormat(name string) (*TraceFormat, error) { return flowio.Lookup(name) }
+
+// TraceFormatNames lists the table's names, for flag help strings.
+func TraceFormatNames() string { return flowio.Names() }
+
+// NewTraceReader opens a streaming reader for the named format.
 func NewTraceReader(r io.Reader, format string) (TraceReader, error) {
-	switch format {
-	case "binary":
-		return flowio.NewBinaryReader(r), nil
-	case "csv":
-		return flowio.NewCSVReader(r), nil
-	case "jsonl":
-		return flowio.NewJSONLReader(r), nil
-	case "netflow":
-		return flowio.NewNetFlowReader(r), nil
-	case "ipfix":
-		return flowio.NewIPFIXReader(r), nil
-	case "sflow":
-		return flowio.NewSFlowReader(r), nil
-	default:
-		return nil, fmt.Errorf("plotters: unknown trace format %q", format)
+	f, err := flowio.Lookup(format)
+	if err != nil {
+		return nil, err
 	}
+	return f.NewReader(r), nil
 }
 
-// NewTraceWriter opens a streaming writer for the given format. The
-// "netflow", "ipfix", and "sflow" writers issue one Write per packed
-// export packet, so handing them a net.Conn replays the trace as real
-// exporter datagrams. "netflow" (v5) is lossy — millisecond
-// timestamps, no responder counters, no payload; "ipfix" and "sflow"
-// keep bidirectional counters and lose only sub-millisecond time and
-// payload.
+// NewTraceWriter opens a streaming writer for the named format. The
+// packet-stream formats (one per export protocol) issue one Write per
+// packed export packet, so handing them a net.Conn replays the trace as
+// real exporter datagrams. They are lossy where their protocols are —
+// all floor timestamps to the millisecond and drop payload, NetFlow v5
+// also drops responder counters — see flowio.PacketWriter.
 func NewTraceWriter(w io.Writer, format string) (TraceWriter, error) {
-	switch format {
-	case "binary":
-		return flowio.NewBinaryWriter(w), nil
-	case "csv":
-		return flowio.NewCSVWriter(w), nil
-	case "jsonl":
-		return flowio.NewJSONLWriter(w), nil
-	case "netflow":
-		return flowio.NewNetFlowWriter(w), nil
-	case "ipfix":
-		return flowio.NewIPFIXWriter(w), nil
-	case "sflow":
-		return flowio.NewSFlowWriter(w), nil
-	default:
-		return nil, fmt.Errorf("plotters: unknown trace format %q", format)
+	f, err := flowio.Lookup(format)
+	if err != nil {
+		return nil, err
 	}
+	return f.NewWriter(w), nil
 }
+
+// ReadAllTrace drains r into memory.
+func ReadAllTrace(r TraceReader) ([]Record, error) { return flowio.ReadAll(r) }
+
+// WriteAllTrace encodes records to w and flushes.
+func WriteAllTrace(w TraceWriter, records []Record) error { return flowio.WriteAll(w, records) }
 
 // CopyTrace streams all records from r to w (format conversion without
 // buffering), returning the record count.
@@ -726,34 +716,27 @@ type (
 // ListenNetFlow binds the collector's UDP socket; drive it with Run.
 func ListenNetFlow(cfg CollectorConfig) (*Collector, error) { return collector.Listen(cfg) }
 
-// AppendNetFlowV5 encodes 1..30 records as one NetFlow v5 export packet
-// appended to dst. seq is the exporter's running flow count before this
-// packet; maintain it as seq += len(records).
-func AppendNetFlowV5(dst []byte, records []Record, seq uint32) ([]byte, error) {
-	return collector.AppendV5(dst, records, seq)
-}
-
 // DecodeNetFlowV5 decodes one NetFlow v5 export packet, appending its
 // records to dst.
 func DecodeNetFlowV5(pkt []byte, dst []Record) (NetFlowV5Header, []Record, error) {
 	return collector.DecodeV5(pkt, dst)
 }
 
-// AppendIPFIX encodes records as one self-describing IPFIX message
-// (template set + data set) appended to dst. seq is the exporter's
-// cumulative data-record count before this message; maintain it as
-// seq += len(records).
-func AppendIPFIX(dst []byte, records []Record, seq uint32) ([]byte, error) {
-	return collector.AppendIPFIX(dst, records, seq)
+// ExportProtocol is one row of the collector's export-protocol table.
+// Append encodes records as one datagram numbered seq; advance seq by
+// SeqStep(len(records)) — records for v5 and IPFIX, one per datagram
+// for sFlow, each protocol's native unit.
+type ExportProtocol = collector.Protocol
+
+// LookupExportProtocol returns the row called name if a software
+// exporter can speak it (every row but NetFlow v9, whose templates make
+// it a session protocol); the error lists the rows it can.
+func LookupExportProtocol(name string) (*ExportProtocol, error) {
+	return collector.ExportProtocol(name)
 }
 
-// AppendSFlow encodes records as one sFlow v5 datagram — one flow
-// sample per record, raw synthesized packet header plus the software
-// exporter's lossless extension record — appended to dst. seq numbers
-// the datagram; maintain it as seq++.
-func AppendSFlow(dst []byte, records []Record, seq uint32) ([]byte, error) {
-	return collector.AppendSFlow(dst, records, seq)
-}
+// ExportProtocolNames lists what LookupExportProtocol accepts.
+func ExportProtocolNames() string { return collector.ExportProtocolNames() }
 
 // Durable state: checkpoint/restore for crash-safe continuous
 // detection. A CheckpointManager owns a snapshot file and a per-record
