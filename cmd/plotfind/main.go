@@ -340,7 +340,7 @@ func run() error {
 	}
 
 	if dets != nil {
-		if err := runBatchEnsemble(dets, res, records, internal, cfg, *verbose); err != nil {
+		if err := runBatchEnsemble(dets, res, *verbose); err != nil {
 			return err
 		}
 	}
@@ -418,13 +418,11 @@ func buildDetectors(spec string, cfg plotters.Config, reg *plotters.Metrics) ([]
 }
 
 // runBatchEnsemble runs the non-paper detectors of a batch invocation
-// over the already-loaded records (the paper verdict res is reused, not
-// recomputed) and prints per-detector and ensemble suspect counts.
-func runBatchEnsemble(dets []plotters.Detector, res *plotters.Result, records []plotters.Record, internal func(plotters.IP) bool, cfg plotters.Config, verbose bool) error {
-	src := plotters.ExtractFeatureSet(records, plotters.FeatureOptions{
-		Hosts:        internal,
-		NewPeerGrace: cfg.NewPeerGrace,
-	}, plotters.Window{})
+// over the feature source the paper run already extracted (the paper
+// verdict res is reused, not recomputed) and prints per-detector and
+// ensemble suspect counts.
+func runBatchEnsemble(dets []plotters.Detector, res *plotters.Result, verbose bool) error {
+	src := res.Analysis.Source()
 	detections := make([]*plotters.Detection, 0, len(dets))
 	for _, det := range dets {
 		if det.Name() == plotters.PaperDetectorName {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,9 +108,17 @@ func TestRunReport(t *testing.T) {
 	}
 	f.Close()
 
+	// The ensemble row runs the community detector over the feature
+	// source the paper run extracted: one extraction either way.
+	for _, detectors := range []string{"findplotters", "findplotters,community"} {
+		t.Run(detectors, func(t *testing.T) { testRunReport(t, dir, trace, detectors, records) })
+	}
+}
+
+func testRunReport(t *testing.T, dir, trace, detectors string, records []plotters.Record) {
 	report := filepath.Join(dir, "report.json")
 	flag.CommandLine = flag.NewFlagSet("plotfind", flag.ContinueOnError)
-	os.Args = []string{"plotfind", "-internal", "0.0.0.0/8", "-metrics", report, trace}
+	os.Args = []string{"plotfind", "-internal", "0.0.0.0/8", "-detectors", detectors, "-metrics", report, trace}
 	if err := run(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +140,23 @@ func TestRunReport(t *testing.T) {
 	if got.ElapsedSeconds <= 0 {
 		t.Errorf("elapsed = %v, want > 0", got.ElapsedSeconds)
 	}
-	stages := make(map[string]bool)
+	stages := make(map[string]int64)
 	for _, s := range got.Metrics.Stages {
-		stages[s.Name] = true
+		stages[s.Name] = s.Count
 		if s.Count < 1 {
 			t.Errorf("stage %q has count %d", s.Name, s.Count)
 		}
 	}
-	for _, want := range []string{
+	want := []string{
 		"pipeline", "pipeline/extract", "pipeline/reduction", "pipeline/vol",
 		"pipeline/churn", "pipeline/hm",
-	} {
-		if !stages[want] {
-			t.Errorf("stage %q missing from report", want)
+	}
+	if strings.Contains(detectors, "community") {
+		want = append(want, "community/build")
+	}
+	for _, name := range want {
+		if stages[name] != 1 {
+			t.Errorf("stage %q ran %d times, want once", name, stages[name])
 		}
 	}
 	for _, want := range []string{

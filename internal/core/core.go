@@ -203,9 +203,10 @@ func sortIPs(hosts []flow.IP) {
 // slice, an incremental StreamExtractor, or the sharded store behind
 // the windowed engine all feed it through flow.FeatureSource.
 type Analysis struct {
-	cfg    Config
-	feats  map[flow.IP]*flow.HostFeatures
-	window flow.Window
+	cfg      Config
+	src      flow.FeatureSource
+	feats    map[flow.IP]*flow.HostFeatures
+	sketches map[flow.IP]flow.Sketch // nil: θ_hm builds them from Interstitials
 }
 
 // NewAnalysis extracts features for internal hosts from the window's
@@ -236,15 +237,23 @@ func NewAnalysisFromSource(src flow.FeatureSource, cfg Config) (*Analysis, error
 	if src == nil {
 		return nil, fmt.Errorf("core: nil feature source")
 	}
-	return &Analysis{cfg: cfg, feats: src.Features(), window: src.Window()}, nil
+	a := &Analysis{cfg: cfg, src: src, feats: src.Features()}
+	if ss, ok := src.(flow.SketchSource); ok {
+		a.sketches = ss.Sketches()
+	}
+	return a, nil
 }
+
+// Source returns the feature source the analysis wraps, so further
+// detectors can run over the same extraction.
+func (a *Analysis) Source() flow.FeatureSource { return a.src }
 
 // Features exposes the extracted per-host features.
 func (a *Analysis) Features() map[flow.IP]*flow.HostFeatures { return a.feats }
 
 // Window returns the observation bounds the features cover (zero if
 // the source did not declare them).
-func (a *Analysis) Window() flow.Window { return a.window }
+func (a *Analysis) Window() flow.Window { return a.src.Window() }
 
 // Hosts returns every analyzed host.
 func (a *Analysis) Hosts() HostSet {

@@ -62,9 +62,6 @@ func NewPaperDetector(cfg Config) (*PaperDetector, error) {
 // Name implements Detector.
 func (d *PaperDetector) Name() string { return PaperName }
 
-// Config returns the wrapped pipeline configuration.
-func (d *PaperDetector) Config() Config { return d.cfg }
-
 // Detect implements Detector: the full reduction → θ_vol → θ_churn →
 // θ_hm pipeline over the source's features, with the complete
 // stage-by-stage Result attached as Detection.Paper.

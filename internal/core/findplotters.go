@@ -37,24 +37,12 @@ func FindPlotters(records []flow.Record, internal func(flow.IP) bool, cfg Config
 	return analysis.FindPlotters()
 }
 
-// FindPlotters runs the pipeline over an existing analysis. When
-// cfg.Metrics is set, each stage's wall time lands under the
-// "pipeline/..." stages and each filter's survivor count under the
-// "pipeline/hosts/..." gauges.
+// FindPlotters runs the pipeline over an existing analysis: initial
+// reduction, θ_vol and θ_churn over the reduced set, then θ_hm over the
+// union of their survivors. When cfg.Metrics is set, each stage's wall
+// time lands under the "pipeline/..." stages and each filter's survivor
+// count under the "pipeline/hosts/..." gauges.
 func (a *Analysis) FindPlotters() (*Result, error) {
-	return a.runPipeline(func(union HostSet) (HMResult, error) {
-		return a.HMTest(union, a.cfg.HMPercentile)
-	})
-}
-
-// runPipeline is the stage driver shared by the single-process pipeline
-// and the distributed GlobalPass: initial reduction, θ_vol and θ_churn
-// over the reduced set, then the supplied θ_hm implementation over the
-// union of their survivors. The two callers differ only in where θ_hm's
-// per-host histogram signatures come from — raw interstitial samples
-// (HMTest) or precomputed shard sketches (hmFromSketches) — so every
-// threshold, gauge, and stage timer stays identical between them.
-func (a *Analysis) runPipeline(hm func(HostSet) (HMResult, error)) (*Result, error) {
 	reg := a.cfg.Metrics
 	total := reg.StartStage("pipeline")
 	reg.Gauge("pipeline/hosts/analyzed").Set(int64(len(a.feats)))
@@ -86,7 +74,7 @@ func (a *Analysis) runPipeline(hm func(HostSet) (HMResult, error)) (*Result, err
 	union := vol.Kept.Union(churn.Kept)
 	reg.Gauge("pipeline/hosts/union").Set(int64(len(union)))
 	t = total.Child("hm")
-	hmRes, err := hm(union)
+	hmRes, err := a.HMTest(union, a.cfg.HMPercentile)
 	if err != nil {
 		return nil, fmt.Errorf("core: hm: %w", err)
 	}

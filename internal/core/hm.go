@@ -65,21 +65,26 @@ type HMResult struct {
 func (a *Analysis) HMTest(s HostSet, pct float64) (HMResult, error) {
 	reg := a.cfg.Metrics
 	hosts := make([]flow.IP, 0, len(s))
-	hists := make([]*histogram.Histogram, 0, len(s))
+	sketches := make([]flow.Sketch, 0, len(s))
 	skipped := 0
+	// A host's signature ships with the source (a merged shard summary)
+	// or is built here from its raw samples; with neither it is skipped.
 	t := reg.StartStage("pipeline/hm/histograms")
 	for _, h := range s.Sorted() {
-		f, ok := a.feats[h]
-		if !ok || len(f.Interstitials) < a.cfg.MinInterstitialSamples {
+		sk, ok := a.sketches[h]
+		if f := a.feats[h]; a.sketches == nil && f != nil && len(f.Interstitials) >= a.cfg.MinInterstitialSamples {
+			var err error
+			if sk, err = hmSketch(f.Interstitials, a.cfg); err != nil {
+				return HMResult{}, fmt.Errorf("core: histogram for %v: %w", h, err)
+			}
+			ok = true
+		}
+		if !ok {
 			skipped++
 			continue
 		}
-		hist, err := hmHistogram(f.Interstitials, a.cfg)
-		if err != nil {
-			return HMResult{}, fmt.Errorf("core: histogram for %v: %w", h, err)
-		}
 		hosts = append(hosts, h)
-		hists = append(hists, hist)
+		sketches = append(sketches, sk)
 	}
 	t.Stop()
 	reg.Gauge("pipeline/hm/clustered").Set(int64(len(hosts)))
@@ -94,10 +99,9 @@ func (a *Analysis) HMTest(s HostSet, pct float64) (HMResult, error) {
 	// address order, so any signature error reports the first offending
 	// host deterministically.
 	t = reg.StartStage("pipeline/hm/signatures")
-	sigs := make([]*emd.Signature, len(hists))
-	for i, h := range hists {
-		pos, w := h.Signature()
-		sig, err := emd.NewSignature(pos, w)
+	sigs := make([]*emd.Signature, len(sketches))
+	for i, sk := range sketches {
+		sig, err := emd.NewSignature(sk.Positions, sk.Weights)
 		if err != nil {
 			return HMResult{}, fmt.Errorf("core: EMD signature for %v: %w", hosts[i], err)
 		}
@@ -107,24 +111,29 @@ func (a *Analysis) HMTest(s HostSet, pct float64) (HMResult, error) {
 	return a.hmCluster(hosts, sigs, skipped, pct)
 }
 
-// hmHistogram builds one host's interstitial-time histogram at the
-// configured scale and resolution — the per-host sketch that is all
-// θ_hm ever looks at. It is deliberately a pure function of one host's
-// samples and the config, which is what lets the shard-local phase
-// (LocalPass) precompute it far from the coordinator that clusters.
-func hmHistogram(interstitials []float64, cfg Config) (*histogram.Histogram, error) {
+// hmSketch builds one host's interstitial-time histogram at the
+// configured scale and resolution and returns its signature — the
+// per-host sketch that is all θ_hm ever looks at. It is deliberately a
+// pure function of one host's samples and the config, which is what lets
+// the shard-local phase (LocalPass) precompute it far from the
+// coordinator that clusters.
+func hmSketch(interstitials []float64, cfg Config) (flow.Sketch, error) {
 	samples := interstitials
 	if !cfg.RawTimeScale {
 		samples = logScale(samples)
 	}
-	return histogram.Build(samples, cfg.MaxHistogramBins)
+	hist, err := histogram.Build(samples, cfg.MaxHistogramBins)
+	if err != nil {
+		return flow.Sketch{}, err
+	}
+	pos, w := hist.Signature()
+	return flow.Sketch{Positions: pos, Weights: w}, nil
 }
 
 // hmCluster is the global half of θ_hm: given the clusterable hosts (in
 // ascending address order) and their validated EMD signatures, run the
 // pairwise distance matrix, agglomerative clustering, and the τ_hm
-// diameter filter. Both the single-process HMTest and the distributed
-// GlobalPass end up here, so the two paths cannot diverge.
+// diameter filter.
 func (a *Analysis) hmCluster(hosts []flow.IP, sigs []*emd.Signature, skipped int, pct float64) (HMResult, error) {
 	reg := a.cfg.Metrics
 

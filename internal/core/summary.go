@@ -3,33 +3,38 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"plotters/internal/emd"
 	"plotters/internal/flow"
 )
 
-// This file splits the FindPlotters pipeline into its shard-local and
-// global phases. The cut follows the paper's own structure: every
-// per-host quantity — the reduction/θ_vol/θ_churn feature vector and
-// the θ_hm interstitial-time histogram sketch — depends on one host's
-// flows alone, and host-hash sharding (flow.ShardOf) guarantees one
-// host's flows all land on one shard. Only the population-relative
-// decisions need a global view: the percentile thresholds, the pairwise
-// EMD clustering of θ_hm, and the community graph. So a shard runs
-// LocalPass over its hosts and ships a compact ShardSummary; the
-// coordinator merges the disjoint summaries and runs GlobalPass, and
-// the outcome is bit-identical to a single process running FindPlotters
-// over the union — the property the distributed golden test pins.
+// This file is the shard side of the FindPlotters pipeline, and the
+// whole of what makes it distributable. The cut follows the paper's own
+// structure: every per-host quantity — the reduction/θ_vol/θ_churn
+// feature vector and the θ_hm interstitial-time histogram sketch —
+// depends on one host's flows alone, and host-hash sharding
+// (flow.ShardOf) guarantees one host's flows all land on one shard.
+// Only the population-relative decisions need a global view: the
+// percentile thresholds, the pairwise EMD clustering of θ_hm, and the
+// community graph.
 //
-//	stage                        phase    needs
-//	per-host feature vector      local    one host's flows
-//	θ_hm histogram sketch        local    one host's interstitials
-//	contact set                  local    one host's destinations
+//	stage                        where    needs
+//	per-host feature vector      shard    one host's flows
+//	θ_hm histogram sketch        shard    one host's interstitials
+//	contact set                  shard    one host's destinations
 //	reduction median             global   every host's failed rate
 //	τ_vol / τ_churn percentiles  global   every candidate's features
 //	θ_hm EMD matrix + clusters   global   every sketch
 //	community graph              global   every contact set
+//
+// So a shard runs LocalPass over its hosts and ships a compact
+// ShardSummary, and there is no second, "global" pipeline: a merged
+// summary is a feature source that carries sketches
+// (ShardSummary.FeatureSet), and every detector — FindPlotters included
+// — runs over it exactly as over a single process's sealed window. θ_hm
+// takes a host's signature from the source when it ships them and builds
+// it from raw samples otherwise, with the same code (hmSketch) on either
+// side of the wire, so the outcome is bit-identical to a single process
+// over the union — the property the distributed golden test pins.
 //
 // Serialization of ShardSummary lives in internal/dist, which frames it
 // with the checkpoint-derived wire codec and a format version.
@@ -41,18 +46,9 @@ import (
 // compact), and the contacted-destination set the community detector
 // reads.
 type HostSummary struct {
-	Host flow.IP
-
-	// Scalar features, exactly the fields of flow.HostFeatures the
-	// global tests derive their ratios from.
-	Flows           int
-	SuccessfulFlows int
-	FailedFlows     int
-	BytesUploaded   uint64
-	Peers           int
-	NewPeers        int
-	FirstSeen       time.Time
-	LastSeen        time.Time
+	// HostFeatures is the host's feature vector with Interstitials nil:
+	// only the samples' count and sketch travel.
+	flow.HostFeatures
 
 	// InterstitialCount is how many interstitial-time samples the host
 	// accumulated. Hosts below Config.MinInterstitialSamples carry the
@@ -71,24 +67,6 @@ type HostSummary struct {
 	// Contacts is the host's contacted-destination set, ascending. Nil
 	// when the shard's feature source tracks no contacts.
 	Contacts []flow.IP
-}
-
-// Features reconstructs the flow.HostFeatures the scalar tests consume.
-// The raw Interstitials are deliberately absent — only their count and
-// sketch travel — so a reconstructed feature set feeds every stage
-// except a from-samples HMTest; GlobalPass clusters from the sketches.
-func (h *HostSummary) Features() *flow.HostFeatures {
-	return &flow.HostFeatures{
-		Host:            h.Host,
-		Flows:           h.Flows,
-		SuccessfulFlows: h.SuccessfulFlows,
-		FailedFlows:     h.FailedFlows,
-		BytesUploaded:   h.BytesUploaded,
-		Peers:           h.Peers,
-		NewPeers:        h.NewPeers,
-		FirstSeen:       h.FirstSeen,
-		LastSeen:        h.LastSeen,
-	}
 }
 
 // ShardSummary is one shard's complete contribution to one detection
@@ -157,26 +135,16 @@ func LocalPass(src flow.FeatureSource, cfg Config, shard, shards int) (*ShardSum
 		if got := flow.ShardOf(h, shards); got != shard {
 			return nil, fmt.Errorf("core: local pass: host %v hashes to shard %d but this source claims shard %d/%d", h, got, shard, shards)
 		}
-		f := feats[h]
-		hs := HostSummary{
-			Host:              h,
-			Flows:             f.Flows,
-			SuccessfulFlows:   f.SuccessfulFlows,
-			FailedFlows:       f.FailedFlows,
-			BytesUploaded:     f.BytesUploaded,
-			Peers:             f.Peers,
-			NewPeers:          f.NewPeers,
-			FirstSeen:         f.FirstSeen,
-			LastSeen:          f.LastSeen,
-			InterstitialCount: len(f.Interstitials),
-		}
-		if len(f.Interstitials) >= cfg.MinInterstitialSamples {
-			hist, err := hmHistogram(f.Interstitials, cfg)
+		hs := HostSummary{HostFeatures: *feats[h]}
+		hs.InterstitialCount = len(hs.Interstitials)
+		if hs.InterstitialCount >= cfg.MinInterstitialSamples {
+			sk, err := hmSketch(hs.Interstitials, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: local pass: histogram for %v: %w", h, err)
 			}
-			hs.SketchPositions, hs.SketchWeights = hist.Signature()
+			hs.SketchPositions, hs.SketchWeights = sk.Positions, sk.Weights
 		}
+		hs.Interstitials = nil
 		if cset := contacts[h]; len(cset) > 0 {
 			hs.Contacts = append([]flow.IP(nil), cset...)
 			sortIPs(hs.Contacts)
@@ -244,45 +212,35 @@ func MergeSummaries(sums []*ShardSummary) (*ShardSummary, error) {
 	return out, nil
 }
 
-// FeatureSet reconstructs the summary's hosts as a flow.FeatureSet
-// (with contact sets when the shards tracked them), the currency every
-// detector consumes.
+// FeatureSet presents the summary as the currency every detector
+// consumes: the hosts' feature vectors (pointing into s.Hosts, not
+// copied), their θ_hm sketches, and their contact sets when the shards
+// tracked them.
 func (s *ShardSummary) FeatureSet() *flow.FeatureSet {
 	feats := make(map[flow.IP]*flow.HostFeatures, len(s.Hosts))
+	sketches := make(map[flow.IP]flow.Sketch)
 	var contacts map[flow.IP][]flow.IP
 	if s.HasContacts {
 		contacts = make(map[flow.IP][]flow.IP, len(s.Hosts))
 	}
 	for i := range s.Hosts {
 		h := &s.Hosts[i]
-		feats[h.Host] = h.Features()
+		feats[h.Host] = &h.HostFeatures
+		if h.SketchPositions != nil {
+			sketches[h.Host] = flow.Sketch{Positions: h.SketchPositions, Weights: h.SketchWeights}
+		}
 		if s.HasContacts && len(h.Contacts) > 0 {
 			contacts[h.Host] = h.Contacts
 		}
 	}
-	set := flow.NewFeatureSet(feats, s.Window)
-	if s.HasContacts {
-		set = set.WithContacts(contacts)
-	}
-	return set
+	return flow.NewFeatureSet(feats, s.Window).WithSketches(sketches).WithContacts(contacts)
 }
 
-// Records sums the flows attributed to the summary's hosts.
-func (s *ShardSummary) Records() int {
-	n := 0
-	for i := range s.Hosts {
-		n += s.Hosts[i].Flows
-	}
-	return n
-}
-
-// GlobalPass runs the global phase over one window's shard summaries:
-// merge, population percentiles (reduction, τ_vol, τ_churn), and θ_hm
-// clustering from the shipped sketches. The result is bit-identical to
-// FindPlotters over the same population — same thresholds, survivor
-// sets, clusters, and suspects — because every per-host input was
-// computed by the same code on the shard and the global stages run the
-// same driver (runPipeline).
+// GlobalPass is FindPlotters over one window's shard summaries: merge
+// them and run the pipeline over the merged summary's feature set. The
+// result is bit-identical to FindPlotters over the same population —
+// same thresholds, survivor sets, clusters, and suspects — because every
+// per-host input was computed by the same code on the shard.
 func GlobalPass(sums []*ShardSummary, cfg Config) (*Result, error) {
 	merged, err := MergeSummaries(sums)
 	if err != nil {
@@ -292,47 +250,7 @@ func GlobalPass(sums []*ShardSummary, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	byHost := make(map[flow.IP]*HostSummary, len(merged.Hosts))
-	for i := range merged.Hosts {
-		byHost[merged.Hosts[i].Host] = &merged.Hosts[i]
-	}
-	return a.runPipeline(func(union HostSet) (HMResult, error) {
-		return a.hmFromSketches(union, byHost, cfg.HMPercentile)
-	})
-}
-
-// hmFromSketches is θ_hm fed by precomputed shard sketches instead of
-// raw interstitial samples: reconstruct each clusterable host's EMD
-// signature from its shipped histogram signature, then hand off to the
-// same hmCluster the single-process HMTest uses. A host without a
-// sketch had fewer than MinInterstitialSamples observations on its
-// shard and is skipped, exactly as HMTest would have.
-func (a *Analysis) hmFromSketches(s HostSet, byHost map[flow.IP]*HostSummary, pct float64) (HMResult, error) {
-	reg := a.cfg.Metrics
-	hosts := make([]flow.IP, 0, len(s))
-	sigs := make([]*emd.Signature, 0, len(s))
-	skipped := 0
-	t := reg.StartStage("pipeline/hm/signatures")
-	for _, h := range s.Sorted() {
-		hs, ok := byHost[h]
-		if !ok || hs.SketchPositions == nil {
-			skipped++
-			continue
-		}
-		sig, err := emd.NewSignature(hs.SketchPositions, hs.SketchWeights)
-		if err != nil {
-			return HMResult{}, fmt.Errorf("core: EMD signature for %v: %w", h, err)
-		}
-		hosts = append(hosts, h)
-		sigs = append(sigs, sig)
-	}
-	t.Stop()
-	reg.Gauge("pipeline/hm/clustered").Set(int64(len(hosts)))
-	reg.Gauge("pipeline/hm/skipped").Set(int64(skipped))
-	if len(hosts) < 2 {
-		return HMResult{Kept: HostSet{}, Skipped: skipped, Clustered: len(hosts)}, nil
-	}
-	return a.hmCluster(hosts, sigs, skipped, pct)
+	return a.FindPlotters()
 }
 
 // LocalName is the shard-local phase's detector identifier.

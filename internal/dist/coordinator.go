@@ -23,9 +23,9 @@ type CoordinatorConfig struct {
 	Shards int
 	// Engine is the window geometry and detection configuration every
 	// shard must match (the hello handshake compares fingerprints).
-	// Engine.Detectors configures the global phase exactly as
-	// engine.DistConfig does; Engine.Internal/Shards/StateDir/DropLate
-	// are shard-side concerns and ignored here.
+	// Engine.Core and Engine.Detectors configure detection over each
+	// merged window; Engine.Internal/Shards/StateDir/DropLate are
+	// shard-side concerns and ignored here.
 	Engine engine.Config
 	// WindowTimeout, when positive, force-seals a window that has been
 	// waiting on missing shards for this long since its first summary
@@ -90,11 +90,7 @@ func NewCoordinator(cfg CoordinatorConfig, emit func(*engine.Result) error) (*Co
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, err
 	}
-	det, err := engine.NewDistributed(engine.DistConfig{
-		Shards:    cfg.Shards,
-		Core:      cfg.Engine.Core,
-		Detectors: cfg.Engine.Detectors,
-	}, emit)
+	det, err := engine.NewDistributed(cfg.Engine, cfg.Shards, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +168,7 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 func (c *Coordinator) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 
-	id, payload, err := wire.ReadFrame(conn, maxFramePayload)
+	id, payload, err := wire.ReadFrame(conn, maxHelloPayload)
 	if err != nil {
 		return fmt.Errorf("dist: coordinator: reading hello: %w", err)
 	}

@@ -2,8 +2,8 @@
 // ShardWorkers each own one host-hash slice of the monitored population
 // (feature extraction plus the shard-local phase, core.LocalPass) and
 // ship per-window ShardSummary frames over TCP to one Coordinator,
-// which runs the global phase (engine.DistributedDetector →
-// core.GlobalPass) once every shard has reported.
+// which merges them and runs the detectors over the merged summary
+// (engine.DistributedDetector) once every shard has reported.
 //
 // The wire format is the checkpoint package's codec, reused on purpose:
 // the same little-endian primitives (internal/wire), the same CRC-framed
@@ -50,6 +50,13 @@ const (
 // bins × 16 bytes ≈ 4 KiB per clusterable host, so 256 MiB covers tens
 // of thousands of hosts per shard-window with room to spare.
 const maxFramePayload = 256 << 20
+
+// maxHelloPayload bounds the first frame of a connection, read before
+// the peer has proven anything: a hello is about 110 bytes, and
+// wire.ReadFrame allocates the declared length before reading it, so
+// the summary-sized limit here would let six bytes from anyone who can
+// reach the listener pin maxFramePayload of memory per connection.
+const maxHelloPayload = 4 << 10
 
 // minHostSummary is the smallest encoded HostSummary (empty sketch and
 // contact list), used to validate host counts before allocation.

@@ -29,26 +29,30 @@ func testSummary() *core.ShardSummary {
 		HasContacts: true,
 		Hosts: []core.HostSummary{
 			{
-				Host:              0x0a000001,
-				Flows:             12,
-				SuccessfulFlows:   9,
-				FailedFlows:       3,
-				BytesUploaded:     48213,
-				Peers:             7,
-				NewPeers:          2,
-				FirstSeen:         time.Unix(1030, 500).UTC(),
-				LastSeen:          time.Unix(4400, 0).UTC(),
+				HostFeatures: flow.HostFeatures{
+					Host:            0x0a000001,
+					Flows:           12,
+					SuccessfulFlows: 9,
+					FailedFlows:     3,
+					BytesUploaded:   48213,
+					Peers:           7,
+					NewPeers:        2,
+					FirstSeen:       time.Unix(1030, 500).UTC(),
+					LastSeen:        time.Unix(4400, 0).UTC(),
+				},
 				InterstitialCount: 240,
 				SketchPositions:   []float64{0.5, 1.25, 3.75},
 				SketchWeights:     []float64{10, 220, 10},
 				Contacts:          []flow.IP{0x08080808, 0x0a000002},
 			},
 			{
-				Host:              0x0a000005,
-				Flows:             3,
-				FailedFlows:       3,
-				FirstSeen:         time.Unix(2000, 0).UTC(),
-				LastSeen:          time.Unix(2100, 0).UTC(),
+				HostFeatures: flow.HostFeatures{
+					Host:        0x0a000005,
+					Flows:       3,
+					FailedFlows: 3,
+					FirstSeen:   time.Unix(2000, 0).UTC(),
+					LastSeen:    time.Unix(2100, 0).UTC(),
+				},
 				InterstitialCount: 2,
 			},
 		},
@@ -265,5 +269,36 @@ func TestServeConnRefusesOutOfRangeShard(t *testing.T) {
 	client.Close()
 	if err == nil || !strings.Contains(err.Error(), "shard 5") {
 		t.Fatalf("out-of-range shard not refused by name: %v", err)
+	}
+}
+
+// The hello is read before the peer has proven anything, so its length
+// field must be held to hello size: a first frame header declaring a
+// summary-sized payload is refused on the six header bytes alone, not
+// allocated and waited for.
+func TestServeConnRefusesOversizedHello(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: 2, Engine: testEngineConfig()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	client, server := net.Pipe()
+	defer client.Close()
+	errc := make(chan error, 1)
+	go func() { errc <- coord.ServeConn(server) }()
+	var hdr wire.Encoder
+	hdr.U16(frameHello)
+	hdr.U32(200 << 20)
+	if _, err := client.Write(hdr.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Fatalf("oversized hello not refused as implausible: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator is still waiting for a 200 MiB hello payload")
 	}
 }

@@ -8,51 +8,28 @@ import (
 
 	"plotters/internal/core"
 	"plotters/internal/flow"
+	"plotters/internal/metrics"
 )
 
-// DistConfig shapes a DistributedDetector — the coordinator-side half
-// of the distributed pipeline. Each of Shards shard processes runs a
-// WindowedDetector over its host-hash slice with a core.LocalDetector
-// attached and ships the resulting ShardSummary per sealed window; the
-// DistributedDetector collects them, decides when a window is complete,
-// and runs the global phase.
-type DistConfig struct {
-	// Shards is the total shard count of the deployment. Required.
-	Shards int
-	// Core tunes the global phase (GlobalPass) and must match the
-	// configuration the shards ran LocalPass with — internal/dist
-	// enforces that with a config fingerprint at connection time.
-	Core core.Config
-	// Detectors, when non-empty, lists the detectors run over every
-	// completed window. A *core.PaperDetector runs as GlobalPass over
-	// the shard sketches (bit-identical to single-process FindPlotters);
-	// any other detector consumes the merged summary's reconstructed
-	// FeatureSet. Empty means the paper pipeline alone, configured by
-	// Core.
-	Detectors []core.Detector
-}
-
-// Validate checks the configuration.
-func (c *DistConfig) Validate() error {
-	if c.Shards < 1 {
-		return fmt.Errorf("engine: distributed Shards = %d must be >= 1", c.Shards)
-	}
-	return c.Core.Validate()
-}
-
-// DistributedDetector assembles per-shard window summaries into global
-// detection results. Windows seal per shard by watermark: a shard has
-// reported window w once it either offered w's summary or advanced its
-// watermark past w's end (proving w was empty on that shard). A window
-// emits only when every shard has reported — or when the caller force-
-// seals it (timeout, shutdown), in which case the result carries an
-// explicit Partial mark. Emission is always in ascending window order.
+// DistributedDetector is the coordinator-side half of the distributed
+// pipeline. Each shard process runs a WindowedDetector over its
+// host-hash slice with a core.LocalDetector attached and ships the
+// resulting ShardSummary per sealed window; the DistributedDetector
+// collects them, decides when a window is complete, and runs the
+// detectors over the merged summary — a feature source like any other
+// (runWindow). Windows seal per shard by watermark: a shard has reported
+// window w once it either offered w's summary or advanced its watermark
+// past w's end (proving w was empty on that shard). A window emits only
+// when every shard has reported — or when the caller force-seals it
+// (timeout, shutdown), in which case the result carries an explicit
+// Partial mark. Emission is always in ascending window order.
 //
 // Safe for concurrent use: the coordinator's per-connection readers all
 // feed one detector.
 type DistributedDetector struct {
 	mu         sync.Mutex
-	cfg        DistConfig
+	reg        *metrics.Registry
+	shards     int
 	emit       func(*Result) error
 	detectors  []core.Detector
 	watermarks []time.Time
@@ -66,29 +43,34 @@ type pendingWindow struct {
 	sums   map[int]*core.ShardSummary
 }
 
-// NewDistributed creates the coordinator-side detector. emit receives
-// each completed window's result in ascending window order; a non-nil
-// error aborts the triggering Offer, Watermark, SealWindow, or Flush.
-func NewDistributed(cfg DistConfig, emit func(*Result) error) (*DistributedDetector, error) {
-	if err := cfg.Validate(); err != nil {
+// NewDistributed creates the coordinator-side detector for a deployment
+// of shards shard processes. Only cfg.Core and cfg.Detectors are read;
+// Core must match what the shards ran LocalPass with (internal/dist
+// enforces that with a config fingerprint at connection time). emit
+// receives each completed window's result in ascending window order; a
+// non-nil error aborts the triggering Offer, Watermark, SealWindow, or
+// Flush.
+func NewDistributed(cfg Config, shards int, emit func(*Result) error) (*DistributedDetector, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("engine: distributed shards = %d must be >= 1", shards)
+	}
+	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	detectors := cfg.Detectors
-	if len(detectors) == 0 {
-		pd, err := core.NewPaperDetector(cfg.Core)
-		if err != nil {
-			return nil, err
-		}
-		detectors = []core.Detector{pd}
+	detectors, err := cfg.detectors()
+	if err != nil {
+		return nil, err
 	}
-	return &DistributedDetector{
-		cfg:        cfg,
-		emit:       emit,
+	d := &DistributedDetector{
+		reg:        cfg.Core.Metrics,
+		shards:     shards,
 		detectors:  detectors,
-		watermarks: make([]time.Time, cfg.Shards),
+		watermarks: make([]time.Time, shards),
 		pending:    make(map[int]*pendingWindow),
 		maxSealed:  -1,
-	}, nil
+	}
+	d.emit = counted(&d.emitted, emit)
+	return d, nil
 }
 
 // Windows returns how many window results have been emitted.
@@ -120,14 +102,14 @@ func (d *DistributedDetector) MaxSealed() int {
 func (d *DistributedDetector) Offer(shard, index int, sum *core.ShardSummary) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if shard < 0 || shard >= d.cfg.Shards {
-		return false, fmt.Errorf("engine: summary from shard %d outside [0,%d)", shard, d.cfg.Shards)
+	if shard < 0 || shard >= d.shards {
+		return false, fmt.Errorf("engine: summary from shard %d outside [0,%d)", shard, d.shards)
 	}
 	if sum == nil {
 		return false, fmt.Errorf("engine: nil summary from shard %d", shard)
 	}
-	if sum.Shards != d.cfg.Shards {
-		return false, fmt.Errorf("engine: shard %d summarizes a %d-shard split but this coordinator runs %d shards", shard, sum.Shards, d.cfg.Shards)
+	if sum.Shards != d.shards {
+		return false, fmt.Errorf("engine: shard %d summarizes a %d-shard split but this coordinator runs %d shards", shard, sum.Shards, d.shards)
 	}
 	if sum.Shard != shard {
 		return false, fmt.Errorf("engine: summary claims shard %d but arrived attributed to shard %d", sum.Shard, shard)
@@ -160,8 +142,8 @@ func (d *DistributedDetector) Offer(shard, index int, sum *core.ShardSummary) (b
 func (d *DistributedDetector) Watermark(shard int, t time.Time) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if shard < 0 || shard >= d.cfg.Shards {
-		return fmt.Errorf("engine: watermark from shard %d outside [0,%d)", shard, d.cfg.Shards)
+	if shard < 0 || shard >= d.shards {
+		return fmt.Errorf("engine: watermark from shard %d outside [0,%d)", shard, d.shards)
 	}
 	if t.After(d.watermarks[shard]) {
 		d.watermarks[shard] = t
@@ -235,8 +217,8 @@ func (d *DistributedDetector) trySeal() error {
 	return nil
 }
 
-// seal runs the global phase over one pending window and emits. Called
-// with mu held.
+// seal merges one pending window's summaries (once), runs the detectors
+// over the merge, and emits. Called with mu held.
 func (d *DistributedDetector) seal(index int) error {
 	pw := d.pending[index]
 	delete(d.pending, index)
@@ -244,10 +226,9 @@ func (d *DistributedDetector) seal(index int) error {
 		d.maxSealed = index
 	}
 
-	reg := d.cfg.Core.Metrics
 	partial := false
 	sums := make([]*core.ShardSummary, 0, len(pw.sums))
-	for shard := 0; shard < d.cfg.Shards; shard++ {
+	for shard := 0; shard < d.shards; shard++ {
 		if sum, ok := pw.sums[shard]; ok {
 			sums = append(sums, sum)
 			partial = partial || sum.Partial
@@ -263,61 +244,9 @@ func (d *DistributedDetector) seal(index int) error {
 	if err != nil {
 		return fmt.Errorf("engine: window %d [%v, %v): %w", index, pw.window.From, pw.window.To, err)
 	}
-
-	t := reg.StartStage("engine/globalpass")
-	detections := make([]*core.Detection, 0, len(d.detectors))
-	var paper *core.Result
-	var src *flow.FeatureSet
-	for _, det := range d.detectors {
-		dt := t.Child(det.Name())
-		var detn *core.Detection
-		if pd, ok := det.(*core.PaperDetector); ok {
-			res, err := core.GlobalPass(sums, pd.Config())
-			if err == nil {
-				detn = &core.Detection{Detector: det.Name(), Suspects: res.Suspects, Paper: res}
-			} else {
-				dt.Stop()
-				t.Stop()
-				return fmt.Errorf("engine: window %d [%v, %v): %s: %w", index, pw.window.From, pw.window.To, det.Name(), err)
-			}
-		} else {
-			if src == nil {
-				src = merged.FeatureSet()
-			}
-			detn, err = det.Detect(src)
-			if err != nil {
-				dt.Stop()
-				t.Stop()
-				return fmt.Errorf("engine: window %d [%v, %v): %w", index, pw.window.From, pw.window.To, err)
-			}
-		}
-		dt.Stop()
-		detections = append(detections, detn)
-		if paper == nil && detn.Paper != nil {
-			paper = detn.Paper
-		}
-		reg.Gauge("engine/suspects/" + detn.Detector).Set(int64(len(detn.Suspects)))
-	}
-	t.Stop()
-
-	result := &Result{
-		Window:     pw.window,
-		Index:      index,
-		Hosts:      len(merged.Hosts),
-		Records:    merged.Records(),
-		Detection:  paper,
-		Detections: detections,
-		Partial:    partial || merged.Partial,
-	}
-	d.emitted++
-	reg.Counter("engine/windows").Add(1)
-	if result.Partial {
-		reg.Counter("engine/windows/partial").Add(1)
-	}
-	reg.Gauge("engine/window_index").Set(int64(index))
-	reg.Gauge("engine/window_hosts").Set(int64(result.Hosts))
-	if d.emit == nil {
-		return nil
-	}
-	return d.emit(result)
+	return runWindow(d.reg, "engine/globalpass", d.detectors, merged.FeatureSet(), &Result{
+		Window:  pw.window,
+		Index:   index,
+		Partial: partial,
+	}, d.emit)
 }

@@ -21,6 +21,7 @@ import (
 
 	"plotters/internal/core"
 	"plotters/internal/flow"
+	"plotters/internal/metrics"
 )
 
 // ErrLateRecord marks a record that arrived more than MaxSkew behind
@@ -109,6 +110,19 @@ func (c *Config) Validate() error {
 	return c.Core.Validate()
 }
 
+// detectors resolves the configured detector list: an empty list means
+// the paper pipeline alone, at Core.
+func (c *Config) detectors() ([]core.Detector, error) {
+	if len(c.Detectors) > 0 {
+		return c.Detectors, nil
+	}
+	pd, err := core.NewPaperDetector(c.Core)
+	if err != nil {
+		return nil, err
+	}
+	return []core.Detector{pd}, nil
+}
+
 // Result is one sealed detection window's outcome.
 type Result struct {
 	// Window is the detection window the result covers (half-open).
@@ -180,22 +194,18 @@ func New(cfg Config, emit func(*Result) error) (*WindowedDetector, error) {
 		NewPeerGrace: cfg.Core.NewPeerGrace,
 	}, cfg.Shards, cfg.MaxSkew).Metrics(cfg.Core.Metrics)
 	store.CarryFirstSeen(cfg.CarryFirstSeen)
-	detectors := cfg.Detectors
-	if len(detectors) == 0 {
-		pd, err := core.NewPaperDetector(cfg.Core)
-		if err != nil {
-			return nil, err
-		}
-		detectors = []core.Detector{pd}
+	detectors, err := cfg.detectors()
+	if err != nil {
+		return nil, err
 	}
 	d := &WindowedDetector{
 		cfg:       cfg,
-		emit:      emit,
 		store:     store,
 		detectors: detectors,
 		paneDur:   paneDur,
 		k:         k,
 	}
+	d.emit = counted(&d.emitted, emit)
 	cfg.Core.Metrics.Gauge("engine/shards").Set(int64(store.Shards()))
 	return d, nil
 }
@@ -384,52 +394,67 @@ func (d *WindowedDetector) emitMerged(window flow.Window, index int) error {
 	return d.detect(src, window, index)
 }
 
-// detect runs every configured detector over one sealed window and
-// emits the result.
+// detect runs the detectors over one sealed window and emits the result.
 func (d *WindowedDetector) detect(src *flow.FeatureSet, w flow.Window, index int) error {
-	reg := d.cfg.Core.Metrics
-	t := reg.StartStage("engine/detect")
-	detections := make([]*core.Detection, 0, len(d.detectors))
-	var paper *core.Result
-	for _, det := range d.detectors {
+	return runWindow(d.cfg.Core.Metrics, "engine/detect", d.detectors, src, &Result{
+		Window:  w,
+		Index:   index,
+		Partial: d.flushing && w.To.After(d.frontier),
+	}, d.emit)
+}
+
+// counted wraps an engine's emit callback so the window count moves
+// before the callback runs: the callback may snapshot the engine, and
+// the count is part of the snapshot. A nil emit only counts.
+func counted(n *int, emit func(*Result) error) func(*Result) error {
+	return func(r *Result) error {
+		*n++
+		if emit == nil {
+			return nil
+		}
+		return emit(r)
+	}
+}
+
+// runWindow is the one path from a sealed window to its verdicts, shared
+// by the single-process engine and the coordinator-side assembler: run
+// every detector over the window's feature source in order, fill res
+// (which arrives with its window, index and Partial mark set), report
+// the per-window instruments, and emit. stage names the enclosing timer;
+// each detector's time lands under stage/<detector>.
+func runWindow(reg *metrics.Registry, stage string, detectors []core.Detector, src flow.FeatureSource, res *Result, emit func(*Result) error) error {
+	feats := src.Features()
+	res.Hosts = len(feats)
+	for _, f := range feats {
+		res.Records += f.Flows
+	}
+	t := reg.StartStage(stage)
+	res.Detections = make([]*core.Detection, 0, len(detectors))
+	for _, det := range detectors {
 		dt := t.Child(det.Name())
 		detn, err := det.Detect(src)
 		dt.Stop()
 		if err != nil {
 			t.Stop()
-			return fmt.Errorf("engine: window %d [%v, %v): %w", index, w.From, w.To, err)
+			return fmt.Errorf("engine: window %d [%v, %v): %w", res.Index, res.Window.From, res.Window.To, err)
 		}
-		detections = append(detections, detn)
-		if paper == nil && detn.Paper != nil {
-			paper = detn.Paper
+		res.Detections = append(res.Detections, detn)
+		if res.Detection == nil && detn.Paper != nil {
+			res.Detection = detn.Paper
 		}
 		reg.Gauge("engine/suspects/" + detn.Detector).Set(int64(len(detn.Suspects)))
 	}
 	t.Stop()
-	records := 0
-	for _, f := range src.Features() {
-		records += f.Flows
-	}
-	result := &Result{
-		Window:     w,
-		Index:      index,
-		Hosts:      src.Hosts(),
-		Records:    records,
-		Detection:  paper,
-		Detections: detections,
-		Partial:    d.flushing && w.To.After(d.frontier),
-	}
-	d.emitted++
 	reg.Counter("engine/windows").Add(1)
-	reg.Gauge("engine/window_index").Set(int64(index))
-	reg.Gauge("engine/window_hosts").Set(int64(result.Hosts))
-	suspects := len(detections[0].Suspects)
-	if paper != nil {
-		suspects = len(paper.Suspects)
+	if res.Partial {
+		reg.Counter("engine/windows/partial").Add(1)
 	}
-	reg.Gauge("engine/window_suspects").Set(int64(suspects))
-	if d.emit == nil {
-		return nil
+	reg.Gauge("engine/window_index").Set(int64(res.Index))
+	reg.Gauge("engine/window_hosts").Set(int64(res.Hosts))
+	suspects := res.Detections[0].Suspects
+	if res.Detection != nil {
+		suspects = res.Detection.Suspects
 	}
-	return d.emit(result)
+	reg.Gauge("engine/window_suspects").Set(int64(len(suspects)))
+	return emit(res)
 }

@@ -39,9 +39,10 @@ func NewSuite(ds *scenario.Dataset, cfg core.Config, seed int64) (*Suite, error)
 
 // NewSuiteDetectors wraps a dataset with an explicit detector list run
 // over every day (the multi-detector framework). The list must include
-// the paper pipeline (a *core.PaperDetector) — the figures score stage
-// compositions only it produces. nil means the paper pipeline alone at
-// the suite configuration, the original single-detector suite.
+// the paper pipeline (a detector named core.PaperName) — the figures
+// score stage compositions only it produces. nil means the paper
+// pipeline alone at the suite configuration, the original
+// single-detector suite.
 func NewSuiteDetectors(ds *scenario.Dataset, cfg core.Config, seed int64, detectors []core.Detector) (*Suite, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -52,13 +53,10 @@ func NewSuiteDetectors(ds *scenario.Dataset, cfg core.Config, seed int64, detect
 	if detectors != nil {
 		hasPaper := false
 		for _, d := range detectors {
-			if _, ok := d.(*core.PaperDetector); ok {
-				hasPaper = true
-				break
-			}
+			hasPaper = hasPaper || d.Name() == core.PaperName
 		}
 		if !hasPaper {
-			return nil, fmt.Errorf("eval: detector list must include the paper pipeline (*core.PaperDetector)")
+			return nil, fmt.Errorf("eval: detector list must include the paper pipeline (%s)", core.PaperName)
 		}
 	}
 	s := &Suite{ds: ds, cfg: cfg, seed: seed, detectors: detectors, days: make([]*DayEval, len(ds.Days))}
@@ -125,14 +123,11 @@ func (s *Suite) Day(i int) (*DayEval, error) {
 			if len(s.detectors) > 0 {
 				// Batch fallback with explicit detectors: run each over the
 				// day's retained feature set (contact sets included).
-				de.detections = make([]*core.Detection, 0, len(s.detectors))
-				for _, det := range s.detectors {
-					detn, err := det.Detect(de.source)
-					if err != nil {
-						return nil, fmt.Errorf("eval: day %d detector %s: %w", i, det.Name(), err)
-					}
-					de.detections = append(de.detections, detn)
-					if de.detection == nil && detn.Paper != nil {
+				if de.detections, err = de.DetectWith(s.detectors); err != nil {
+					return nil, fmt.Errorf("eval: day %d: %w", i, err)
+				}
+				for _, detn := range de.detections {
+					if de.detection == nil {
 						de.detection = detn.Paper
 					}
 				}

@@ -32,12 +32,31 @@ type ContactSource interface {
 	Contacts() map[IP][]IP
 }
 
+// Sketch is one host's θ_hm histogram signature: the centers and masses
+// of the non-empty bins of its interstitial-time histogram — all the
+// pairwise EMD reads, at a fraction of the raw samples' size.
+type Sketch struct {
+	Positions []float64
+	Weights   []float64
+}
+
+// SketchSource is the θ_hm side of the feature seam: a source whose
+// hosts arrive with their signatures already built (a merged shard
+// summary — the raw Interstitials stayed on the shard).
+type SketchSource interface {
+	// Sketches returns the per-host signatures; a host with too few
+	// samples to cluster has no entry. Nil means the source carries raw
+	// samples and θ_hm builds the signatures itself.
+	Sketches() map[IP]Sketch
+}
+
 // FeatureSet is the plain concrete FeatureSource: a feature map plus the
 // window it covers. It is what batch extraction and pane merging
 // produce.
 type FeatureSet struct {
 	feats    map[IP]*HostFeatures
 	contacts map[IP][]IP
+	sketches map[IP]Sketch
 	window   Window
 }
 
@@ -58,11 +77,21 @@ func (fs *FeatureSet) WithContacts(contacts map[IP][]IP) *FeatureSet {
 	return fs
 }
 
+// WithSketches attaches per-host θ_hm signatures, making the set a
+// SketchSource. Returns fs for chaining.
+func (fs *FeatureSet) WithSketches(sketches map[IP]Sketch) *FeatureSet {
+	fs.sketches = sketches
+	return fs
+}
+
 // Features returns the per-host feature map.
 func (fs *FeatureSet) Features() map[IP]*HostFeatures { return fs.feats }
 
 // Contacts implements ContactSource (nil when never attached).
 func (fs *FeatureSet) Contacts() map[IP][]IP { return fs.contacts }
+
+// Sketches implements SketchSource (nil when never attached).
+func (fs *FeatureSet) Sketches() map[IP]Sketch { return fs.sketches }
 
 // Window returns the observation bounds.
 func (fs *FeatureSet) Window() Window { return fs.window }

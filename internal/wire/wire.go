@@ -159,13 +159,26 @@ func (d *Decoder) Rest() []byte {
 
 func (d *Decoder) I64() int64     { return int64(d.U64()) }
 func (d *Decoder) F64() float64   { return math.Float64frombits(d.U64()) }
-func (d *Decoder) Bool() bool     { return d.U8() != 0 }
 func (d *Decoder) Remaining() int { return len(d.b) }
 
+// Bool accepts only the two bytes the Encoder writes, so that whatever
+// decodes re-encodes to the same bytes.
+func (d *Decoder) Bool() bool {
+	v := d.U8()
+	if v > 1 {
+		d.Fail("wire: boolean byte %d is neither 0 nor 1", v)
+	}
+	return v == 1
+}
+
+// Time is as strict as Bool: a zero flag carries a zero count.
 func (d *Decoder) Time() time.Time {
-	set := d.U8()
+	set := d.Bool()
 	ns := d.I64()
-	if d.err != nil || set == 0 {
+	if !set && ns != 0 {
+		d.Fail("wire: zero-time flag with a nonzero nanosecond count %d", ns)
+	}
+	if d.err != nil || !set {
 		return time.Time{}
 	}
 	return time.Unix(0, ns).UTC()

@@ -809,8 +809,6 @@ type (
 	ShardSummary = core.ShardSummary
 	// LocalDetector adapts the shard-local phase to the Detector seam.
 	LocalDetector = core.LocalDetector
-	// DistEngineConfig shapes a DistributedDetector.
-	DistEngineConfig = engine.DistConfig
 	// DistributedDetector assembles per-shard window summaries into
 	// global detection results, sealing windows by shard watermark.
 	DistributedDetector = engine.DistributedDetector
@@ -858,7 +856,7 @@ func MergeShardSummaries(sums []*ShardSummary) (*ShardSummary, error) {
 	return core.MergeSummaries(sums)
 }
 
-// GlobalPass runs the global phase over one window's shard summaries,
+// GlobalPass runs FindPlotters over one window's merged shard summaries,
 // bit-identical to FindPlotters over the merged population.
 func GlobalPass(sums []*ShardSummary, cfg Config) (*Result, error) {
 	return core.GlobalPass(sums, cfg)
@@ -869,10 +867,12 @@ func NewLocalDetector(cfg Config, shard, shards int) (*LocalDetector, error) {
 	return core.NewLocalDetector(cfg, shard, shards)
 }
 
-// NewDistributedDetector creates the coordinator-side window assembler;
-// emit receives completed windows in ascending order.
-func NewDistributedDetector(cfg DistEngineConfig, emit func(*WindowResult) error) (*DistributedDetector, error) {
-	return engine.NewDistributed(cfg, emit)
+// NewDistributedDetector creates the coordinator-side window assembler
+// for a deployment of shards shard processes; cfg.Core and cfg.Detectors
+// configure detection over each merged window, and emit receives
+// completed windows in ascending order.
+func NewDistributedDetector(cfg EngineConfig, shards int, emit func(*WindowResult) error) (*DistributedDetector, error) {
+	return engine.NewDistributed(cfg, shards, emit)
 }
 
 // NewCoordinator creates a distributed deployment's coordinator; drive

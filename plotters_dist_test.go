@@ -26,6 +26,14 @@ func distEngineConfig(w plotters.Window, cfg plotters.Config) plotters.EngineCon
 	}
 }
 
+// forwardingDetector embeds the paper detector and only forwards Detect
+// — the shape of any decorator (timing, tracing) put around it.
+type forwardingDetector struct{ *plotters.PaperDetector }
+
+func (f forwardingDetector) Detect(src plotters.FeatureSource) (*plotters.Detection, error) {
+	return f.PaperDetector.Detect(src)
+}
+
 // distGoldenCheck compares one distributed window result against the
 // pinned golden outcome.
 func distGoldenCheck(t *testing.T, day *plotters.DayEval, results []*plotters.WindowResult) {
@@ -59,32 +67,48 @@ func TestDistributedGolden(t *testing.T) {
 	w := ds.Days[0].Window
 	ecfg := distEngineConfig(w, cfg)
 
-	t.Run("simnet", func(t *testing.T) {
-		var results []*plotters.WindowResult
-		cl, err := plotters.NewDistCluster(plotters.CoordinatorConfig{Shards: distShards, Engine: ecfg},
-			func(r *plotters.WindowResult) error { results = append(results, r); return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		for i := range day.Records {
-			if err := cl.Add(&day.Records[i]); err != nil {
+	paper, err := plotters.NewPaperDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name      string
+		detectors []plotters.Detector
+	}{
+		{"simnet", nil},
+		// A decorator around the paper detector must reach the shards'
+		// θ_hm sketches exactly as the bare detector does.
+		{"simnet-wrapped-detector", []plotters.Detector{forwardingDetector{paper}}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rcfg := ecfg
+			rcfg.Detectors = row.detectors
+			var results []*plotters.WindowResult
+			cl, err := plotters.NewDistCluster(plotters.CoordinatorConfig{Shards: distShards, Engine: rcfg},
+				func(r *plotters.WindowResult) error { results = append(results, r); return nil })
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := cl.AdvanceTo(w.To); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Drain(30 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		distGoldenCheck(t, day, results)
-		for _, ss := range cl.Coordinator.ShardSeqs() {
-			if !ss.Seen {
-				t.Errorf("shard %d never connected", ss.Shard)
+			defer cl.Close()
+			for i := range day.Records {
+				if err := cl.Add(&day.Records[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	})
+			if err := cl.AdvanceTo(w.To); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Drain(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			distGoldenCheck(t, day, results)
+			for _, ss := range cl.Coordinator.ShardSeqs() {
+				if !ss.Seen {
+					t.Errorf("shard %d never connected", ss.Shard)
+				}
+			}
+		})
+	}
 
 	t.Run("tcp", func(t *testing.T) {
 		var results []*plotters.WindowResult
