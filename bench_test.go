@@ -291,10 +291,11 @@ func hmBenchRecords(n int) []plotters.Record {
 // The metered variants attach a metrics registry, pinning the cost of
 // instrumentation on the pipeline's hottest path (it must stay within
 // noise: everything is recorded per stage or per worker, never per pair).
-// The pruned variants enable the layered pruning engine (auto-calibrated
-// cut); their results are likewise bit-identical to the exhaustive runs
-// (see TestFindPlottersPrunedGolden), and CI's bench-gate compares them
-// against both the merge-base and the same-n exhaustive timing.
+// n=1024 reaches the width where HMTest prunes the matrix on its own
+// (auto-calibrated cut; result bit-identical to the exhaustive fill, see
+// core.TestHMTestAutoCalibratedPruneMatchesExhaustive), so it measures
+// the production choice; CI's bench-gate compares every mode against
+// the merge-base.
 func BenchmarkHMTest(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		records := hmBenchRecords(n)
@@ -302,17 +303,14 @@ func BenchmarkHMTest(b *testing.B) {
 			name        string
 			parallelism int
 			metrics     bool
-			prune       bool
 		}{
-			{"seq", 1, false, false}, {"par", 0, false, false},
-			{"seq-metered", 1, true, false}, {"par-metered", 0, true, false},
-			{"seq-pruned", 1, false, true}, {"par-pruned", 0, false, true},
+			{"seq", 1, false}, {"par", 0, false},
+			{"seq-metered", 1, true}, {"par-metered", 0, true},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
 				cfg := plotters.DefaultConfig()
 				cfg.MinInterstitialSamples = 100
 				cfg.Parallelism = mode.parallelism
-				cfg.HMPrune = mode.prune
 				if mode.metrics {
 					cfg.Metrics = plotters.NewMetrics()
 				}
@@ -342,9 +340,8 @@ func BenchmarkHMTest(b *testing.B) {
 
 // BenchmarkHMTestPrunedLarge runs θ_hm at the scales where pruning is
 // the difference between feasible and not — n ∈ {4096, 16384}
-// clusterable hosts, pruned path only (the exhaustive path at n=16384
-// would evaluate 134M exact EMDs; CI caps exhaustive benches at
-// n=1024). Alongside pairs/s it reports the engine's own accounting:
+// clusterable hosts, far past the width where HMTest starts pruning (an
+// exhaustive fill at n=16384 would evaluate 134M exact EMDs). Alongside pairs/s it reports the engine's own accounting:
 // exact-frac is the fraction of pairs that paid an exact EMD
 // evaluation (the ≤0.10 acceptance ratio at n=4096, calibration
 // included), pruned-frac the fraction skipped by the prefilter and
@@ -355,7 +352,6 @@ func BenchmarkHMTestPrunedLarge(b *testing.B) {
 			records := hmBenchRecords(n)
 			cfg := plotters.DefaultConfig()
 			cfg.MinInterstitialSamples = 100
-			cfg.HMPrune = true
 			reg := plotters.NewMetrics()
 			cfg.Metrics = reg
 			a, err := plotters.NewAnalysis(records, nil, cfg)

@@ -5,7 +5,7 @@
 // code. CI runs both: benchstat for the humans reading the job summary,
 // benchgate for the red X.
 //
-// Three modes:
+// Two modes:
 //
 //	benchgate -old base.txt -new head.txt [-threshold 1.10]
 //	    Regression gate. For every benchmark name present in BOTH files,
@@ -13,14 +13,6 @@
 //	    than the threshold factor. Names only in one file are reported
 //	    but never fail the gate — new benchmarks must not break the PR
 //	    that introduces them.
-//
-//	benchgate -new head.txt -faster '(.*)-pruned$' -than '$1' [-threshold 1.0]
-//	    Ordering gate within one file. Every benchmark whose name matches
-//	    the -faster regexp must be at least as fast as its counterpart,
-//	    whose name is derived by applying -than as a replacement template
-//	    (so `BenchmarkHMTest/n=1024/par-pruned` is compared against
-//	    `BenchmarkHMTest/n=1024/par`). Fails if faster > counterpart ×
-//	    threshold. Matches with no counterpart in the file are skipped.
 //
 //	benchgate -new head.txt -zero-allocs 'IngestPipeline'
 //	    Allocation gate within one file. Every benchmark whose name
@@ -50,7 +42,7 @@ import (
 
 // benchLine matches one result line of `go test -bench` output, e.g.
 //
-//	BenchmarkHMTest/n=1024/par-pruned-4   1   77618112 ns/op   6.8e+06 pairs/s
+//	BenchmarkHMTest/n=1024/par-4   1   77618112 ns/op   6.8e+06 pairs/s
 //
 // capturing the name (with GOMAXPROCS suffix) and the ns/op value.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9][0-9.eE+-]*) ns/op`)
@@ -173,31 +165,6 @@ func gateRegression(oldB, newB map[string]float64, threshold float64) int {
 	return failures
 }
 
-// gateFaster enforces an intra-file ordering; returns the number of
-// failures and how many matched benchmarks were actually compared.
-func gateFaster(b map[string]float64, faster *regexp.Regexp, than string, threshold float64) (failures, compared int) {
-	for _, name := range sortedNames(b) {
-		if !faster.MatchString(name) {
-			continue
-		}
-		counterpart := faster.ReplaceAllString(name, than)
-		ref, ok := b[counterpart]
-		if !ok || counterpart == name {
-			continue
-		}
-		compared++
-		t := b[name]
-		verdict := "ok    "
-		if t > ref*threshold {
-			verdict = "FAIL  "
-			failures++
-		}
-		fmt.Printf("  %s %-52s %12.0f ns/op vs %s %.0f ns/op  (%.2fx)\n",
-			verdict, name, t, counterpart, ref, t/ref)
-	}
-	return failures, compared
-}
-
 // gateZeroAllocs enforces 0 allocs/op on every matching benchmark;
 // returns the number of failures and how many names matched.
 func gateZeroAllocs(allocs map[string]int64, match *regexp.Regexp) (failures, matched int) {
@@ -229,8 +196,6 @@ func main() {
 	oldPath := flag.String("old", "", "baseline -bench output file (regression mode)")
 	newPath := flag.String("new", "", "candidate -bench output file (required)")
 	threshold := flag.Float64("threshold", 1.10, "fail when candidate ns/op exceeds reference × threshold")
-	faster := flag.String("faster", "", "regexp selecting benchmarks that must beat their counterpart (ordering mode)")
-	than := flag.String("than", "", "replacement template deriving the counterpart name from a -faster match")
 	zeroAllocs := flag.String("zero-allocs", "", "regexp selecting benchmarks that must report 0 allocs/op (allocation mode)")
 	flag.Parse()
 
@@ -241,19 +206,12 @@ func main() {
 	if *newPath == "" {
 		fail("-new is required")
 	}
-	modes := 0
-	for _, set := range []bool{*oldPath != "", *faster != "", *zeroAllocs != ""} {
-		if set {
-			modes++
-		}
-	}
-	if modes != 1 {
-		fail("exactly one of -old (regression mode), -faster/-than (ordering mode), or -zero-allocs (allocation mode) must be set")
+	if (*oldPath != "") == (*zeroAllocs != "") {
+		fail("exactly one of -old (regression mode) or -zero-allocs (allocation mode) must be set")
 	}
 
 	var failures int
-	switch {
-	case *oldPath != "":
+	if *oldPath != "" {
 		newB, err := parseBench(*newPath)
 		if err != nil {
 			fail("%v", err)
@@ -264,7 +222,7 @@ func main() {
 		}
 		fmt.Printf("benchgate: regression gate, threshold %.2fx (min over repetitions)\n", *threshold)
 		failures = gateRegression(oldB, newB, *threshold)
-	case *zeroAllocs != "":
+	} else {
 		re, err := regexp.Compile(*zeroAllocs)
 		if err != nil {
 			fail("bad -zero-allocs regexp: %v", err)
@@ -278,24 +236,6 @@ func main() {
 		failures, matched = gateZeroAllocs(allocs, re)
 		if matched == 0 {
 			fail("no benchmark matched -zero-allocs %q", *zeroAllocs)
-		}
-	default:
-		if *than == "" {
-			fail("-faster requires -than")
-		}
-		newB, err := parseBench(*newPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		re, err := regexp.Compile(*faster)
-		if err != nil {
-			fail("bad -faster regexp: %v", err)
-		}
-		fmt.Printf("benchgate: ordering gate %q must beat %q, threshold %.2fx\n", *faster, *than, *threshold)
-		var compared int
-		failures, compared = gateFaster(newB, re, *than, *threshold)
-		if compared == 0 {
-			fail("no benchmark matched -faster %q with a counterpart present", *faster)
 		}
 	}
 

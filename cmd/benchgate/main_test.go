@@ -123,29 +123,3 @@ func TestGateZeroAllocs(t *testing.T) {
 		t.Errorf("Unmeasured: failures=%d matched=%d, want 1/1", failures, matched)
 	}
 }
-
-// TestGateFaster: the pruned variant must beat its exhaustive
-// counterpart; a pruned bench with no counterpart is skipped, not
-// failed.
-func TestGateFaster(t *testing.T) {
-	re := regexp.MustCompile(`(.*)-pruned$`)
-	b := map[string]float64{
-		"HM/n=64-pruned":   90,
-		"HM/n=64":          100,
-		"HM/n=256-pruned":  130,
-		"HM/n=256":         100,
-		"HM/n=4096-pruned": 10, // no exhaustive counterpart at this n
-	}
-	failures, compared := gateFaster(b, re, "$1", 1.0)
-	if compared != 2 {
-		t.Errorf("compared = %d, want 2", compared)
-	}
-	if failures != 1 {
-		t.Errorf("failures = %d, want 1 (n=256 pruned is slower)", failures)
-	}
-	// With 40% headroom the slow pair passes too.
-	failures, _ = gateFaster(b, re, "$1", 1.4)
-	if failures != 0 {
-		t.Errorf("failures = %d, want 0 at 1.4x threshold", failures)
-	}
-}

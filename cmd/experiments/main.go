@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-fig N[,N...]|all] [-days N] [-seed S] [-scale small|paper] [-hm-prune [-hm-cut D]] [-metrics FILE]
+//	experiments [-fig N[,N...]|all] [-days N] [-seed S] [-scale small|paper] [-metrics FILE]
 //	experiments -sampling [-fig none] [-days N] [-seed S] [-scale small|paper]
 //	experiments -campaign [-fig none] [-campaign-worlds W[,W...]] [-campaign-grid P[,P...]] [-campaign-out FILE]
 //
@@ -24,10 +24,10 @@
 //
 // With -metrics, cumulative pipeline stage timings across every figure
 // run are written to FILE as JSON (see EXPERIMENTS.md for how to read
-// them). With -hm-prune, every θ_hm run prunes its pairwise EMD matrix
-// (identical figures, fewer exact EMD evaluations); the metrics file
-// and a stderr summary then carry the engine's cumulative pair
-// accounting across all figure runs.
+// them). A θ_hm run over about a thousand clusterable hosts or more
+// prunes its pairwise EMD matrix on its own (identical figures, fewer
+// exact EMD evaluations); the metrics file and a stderr summary then
+// carry the kernel's cumulative pair accounting across all figure runs.
 package main
 
 import (
@@ -59,8 +59,6 @@ func run() error {
 		seed      = flag.Int64("seed", 42, "master random seed")
 		scale     = flag.String("scale", "paper", "dataset scale: small (fast) or paper")
 		parallel  = flag.Int("parallelism", 0, "worker count for the θ_hm distance matrix (0 = all CPUs, 1 = sequential)")
-		hmPrune   = flag.Bool("hm-prune", false, "prune the θ_hm distance matrix: skip exact EMD for pairs provably above the clustering cut (identical figures)")
-		hmCut     = flag.Float64("hm-cut", 0, "explicit θ_hm prune/gate distance (0 = auto-calibrate when -hm-prune is set)")
 		metricsTo = flag.String("metrics", "", "write cumulative pipeline stage timings to this file as JSON")
 		detectors = flag.String("detectors", "findplotters", "comma-separated detectors run per day: findplotters, community. More than one appends the ensemble precision/recall table")
 		voteK     = flag.Int("vote-k", 0, "k for the ensemble k-of-n vote combiner (0 = majority)")
@@ -80,7 +78,7 @@ func run() error {
 	}
 
 	if *camp {
-		if err := runCampaign(*seed, *days, *scale, *campWorld, *campGrid, *campOut, *voteK, *parallel, *hmPrune, *hmCut); err != nil {
+		if err := runCampaign(*seed, *days, *scale, *campWorld, *campGrid, *campOut, *voteK, *parallel); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
 		// -fig none -campaign runs the campaign alone.
@@ -105,8 +103,6 @@ func run() error {
 	}
 	pipeCfg := plotters.DefaultConfig()
 	pipeCfg.Parallelism = *parallel
-	pipeCfg.HMPrune = *hmPrune
-	pipeCfg.HMCut = *hmCut
 	var reg *plotters.Metrics
 	if *metricsTo != "" {
 		reg = plotters.NewMetrics()
@@ -200,14 +196,12 @@ func run() error {
 // runCampaign executes the red-team campaign sweep and prints the
 // evasion-cost frontier as a markdown table (JSON also written when out
 // is set).
-func runCampaign(seed int64, days int, scale, worlds, grid, out string, voteK, parallel int, hmPrune bool, hmCut float64) error {
+func runCampaign(seed int64, days int, scale, worlds, grid, out string, voteK, parallel int) error {
 	cfg := plotters.DefaultCampaignConfig(seed)
 	cfg.Days = days
 	cfg.Scale = plotters.CampaignScale(scale)
 	cfg.VoteK = voteK
 	cfg.Pipeline.Parallelism = parallel
-	cfg.Pipeline.HMPrune = hmPrune
-	cfg.Pipeline.HMCut = hmCut
 	if worlds != "all" {
 		cfg.Worlds = nil
 		for _, w := range strings.Split(worlds, ",") {

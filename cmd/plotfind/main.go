@@ -5,20 +5,19 @@
 // Usage:
 //
 //	plotfind [-format binary|csv|jsonl|netflow|ipfix|sflow] [-internal CIDR[,CIDR]] [-metrics FILE] [-v] TRACE
-//	plotfind -hm-prune [-hm-cut D] ... TRACE
 //	plotfind -sample 16 [-sample-seed S] ... TRACE
 //	plotfind -window 6h [-slide 1h] [-shards N] [-skew 5m] ... TRACE
 //	plotfind -listen :2055 -window 6h [-ingest-batch 32] [-sample N] [-skew 5m] [-state-dir DIR [-checkpoint-every 5m]] ...
 //	plotfind -role coordinator -peers :7055 -dist-shards 2 -window 6h -origin TIME ...
 //	plotfind -role shard -shard 0 -dist-shards 2 -peers host:7055 -window 6h -origin TIME ... TRACE
 //
-// With -hm-prune, θ_hm's pairwise EMD matrix runs through the layered
-// pruning engine: pairs provably above the clustering cut skip their
-// exact EMD evaluation, with detection output identical to the
-// exhaustive run. The cut auto-calibrates from a host subsample, or
-// -hm-cut pins it explicitly. The -metrics report (and the stdout
-// summary) then carries the pair accounting — how many pairs the bound
-// and pivot layers skipped versus evaluated exactly.
+// From about a thousand clusterable hosts up, θ_hm's pairwise EMD matrix
+// runs through the layered pruning kernel on its own: pairs provably
+// above the clustering cut (auto-calibrated from a host subsample) skip
+// their exact EMD evaluation, with detection output identical to the
+// exhaustive run. The -metrics report (and the stdout summary) then
+// carries the pair accounting — how many pairs the bound and pivot
+// layers skipped versus evaluated exactly.
 //
 // With -window, the trace streams through the continuous windowed
 // detection engine instead of one batch run: records feed a sharded
@@ -110,8 +109,6 @@ func run() error {
 		churnPct  = flag.Float64("churn-pct", 0, "override τ_churn percentile (0 = default)")
 		hmPct     = flag.Float64("hm-pct", 0, "override τ_hm percentile (0 = default)")
 		parallel  = flag.Int("parallelism", 0, "worker count for the θ_hm distance matrix (0 = all CPUs, 1 = sequential)")
-		hmPrune   = flag.Bool("hm-prune", false, "prune the θ_hm distance matrix: skip exact EMD for pairs provably above the clustering cut (identical detection output)")
-		hmCut     = flag.Float64("hm-cut", 0, "explicit θ_hm prune/gate distance (0 = auto-calibrate when -hm-prune is set)")
 		metricsTo = flag.String("metrics", "", "write a JSON run report (stage timings, survivor counts, I/O volume) to this file")
 		detectors = flag.String("detectors", "findplotters", "comma-separated detectors to run per window: findplotters, community. More than one prints per-detector and ensemble (union/intersection) suspect counts")
 		window    = flag.Duration("window", 0, "run continuous windowed detection with this window length instead of one batch run")
@@ -188,8 +185,6 @@ func run() error {
 		cfg.HMPercentile = *hmPct
 	}
 	cfg.Parallelism = *parallel
-	cfg.HMPrune = *hmPrune
-	cfg.HMCut = *hmCut
 
 	dets, err := buildDetectors(*detectors, cfg, reg)
 	if err != nil {
@@ -354,8 +349,9 @@ func run() error {
 				marker = "*"
 			}
 			if c.Diameter == math.MaxFloat64 {
-				// Clamped sentinel spread: an explicit -hm-cut below this
-				// cluster's true spread (see the pipeline's overcut gauge).
+				// Clamped sentinel spread: the calibrated cut fell below
+				// this cluster's true spread (see the pipeline's overcut
+				// gauge).
 				fmt.Printf("  %s size=%-4d spread=overcut\n", marker, len(c.Hosts))
 				continue
 			}
@@ -628,7 +624,17 @@ func runListen(addr string, reg *plotters.Metrics, cfg plotters.EngineConfig, sa
 			fmt.Fprintln(os.Stderr, "note: WAL ended mid-frame (crash during append); torn tail truncated")
 		}
 		col.RestoreSequenceStates(recovered.Exporters)
-		go func() { ckptErr <- mgr.Run(ctx) }()
+		go func() {
+			err := mgr.Run(ctx)
+			if err != nil {
+				// A failed periodic checkpoint ends Run: no more
+				// snapshots, and a WAL that is never rotated again. Stop
+				// collecting now instead of ingesting without durability
+				// until the operator's Ctrl-C surfaces the error.
+				stop()
+			}
+			ckptErr <- err
+		}()
 	} else {
 		close(ckptErr)
 	}
@@ -686,8 +692,8 @@ func runListen(addr string, reg *plotters.Metrics, cfg plotters.EngineConfig, sa
 
 // runReport is the JSON document -metrics emits: trace metadata plus the
 // full metrics snapshot (per-stage durations, survivor-count gauges, and
-// I/O counters). Prune summarizes the θ_hm pruning engine's pair
-// accounting when -hm-prune or -hm-cut engaged it.
+// I/O counters). Prune summarizes the θ_hm pruning kernel's pair
+// accounting when the population was wide enough to engage it.
 type runReport struct {
 	Tool           string                   `json:"tool"`
 	Trace          string                   `json:"trace"`

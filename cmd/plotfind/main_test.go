@@ -171,3 +171,33 @@ func testRunReport(t *testing.T, dir, trace, detectors string, records []plotter
 		t.Errorf("flowio/binary/records = %d, want %d", n, len(records))
 	}
 }
+
+// TestRunListenStopsOnCheckpointFailure: a periodic checkpoint that
+// fails must end the live run with that error, not leave the collector
+// ingesting without snapshots until Ctrl-C. The state directory's
+// snapshot temp path is pre-created as a directory, so recovery
+// cold-starts fine and the first checkpoint write fails.
+func TestRunListenStopsOnCheckpointFailure(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "snapshot.pckp.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := plotters.EngineConfig{
+		Window:   time.Hour,
+		Core:     plotters.DefaultConfig(),
+		StateDir: dir,
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := runListen("127.0.0.1:0", nil, cfg, plotters.FlowSampler{N: 1}, 0, 10*time.Millisecond, 0, false)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "snapshot.pckp.tmp") {
+			t.Fatalf("runListen returned %v, want the checkpoint write error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("runListen still collecting 10s after the first periodic checkpoint failed")
+	}
+}

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"plotters/internal/flow"
@@ -73,24 +72,6 @@ type Config struct {
 	// for reproducible benchmarking and debugging). The detection output
 	// is identical at every setting; only wall-clock time changes.
 	Parallelism int
-	// HMPrune enables the layered pruning engine for θ_hm's pairwise
-	// EMD matrix: a coarsened-CDF prefilter and pivot triangle bounds
-	// skip the exact EMD evaluation of every pair provably above the
-	// clustering cut (see internal/distmatrix). With HMCut = 0 the cut
-	// is auto-calibrated from a deterministic host subsample sized so
-	// the result reproduces the exhaustive run bit for bit; an explicit
-	// HMCut skips calibration. Pruning pays at thousands of clusterable
-	// hosts — it cuts exact EMD calls by orders of magnitude — and is
-	// within noise below a few hundred.
-	HMPrune bool
-	// HMCut is the explicit prune/gate distance for θ_hm: pairwise EMD
-	// values above it are recorded as the above-cut sentinel that
-	// clustering never merges below the cut. It applies with or without
-	// HMPrune — without, every exact distance is still computed and then
-	// gated, which is the reference the equivalence tests compare the
-	// pruned path against. 0 means no explicit cut (exhaustive when
-	// HMPrune is off, auto-calibrated when on).
-	HMCut float64
 	// Metrics, when non-nil, receives per-stage wall times, candidate-set
 	// sizes, and distance-matrix worker statistics from every pipeline
 	// run (see the run-report flags on cmd/plotfind and
@@ -137,9 +118,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: Parallelism = %d must be >= 0 (0 = all CPUs)", c.Parallelism)
-	}
-	if c.HMCut < 0 || math.IsNaN(c.HMCut) || math.IsInf(c.HMCut, 0) {
-		return fmt.Errorf("core: HMCut = %v must be a finite value >= 0", c.HMCut)
 	}
 	return nil
 }

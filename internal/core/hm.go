@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -63,19 +61,35 @@ type HMResult struct {
 // share timer structure and co-cluster tightly; human-driven hosts do
 // not.
 func (a *Analysis) HMTest(s HostSet, pct float64) (HMResult, error) {
+	hosts, sigs, skipped, err := a.hmSignatures(s)
+	if err != nil {
+		return HMResult{}, err
+	}
+	if len(hosts) < 2 {
+		return HMResult{Kept: HostSet{}, Skipped: skipped, Clustered: len(hosts)}, nil
+	}
+	dist, err := hmMatrix(sigs, a.cfg)
+	if err != nil {
+		return HMResult{}, err
+	}
+	return hmFromMatrix(hosts, dist, skipped, pct, a.cfg)
+}
+
+// hmSignatures is the per-host half of θ_hm: the clusterable hosts of s
+// in ascending address order, each with its validated EMD signature, and
+// the count of hosts skipped for lack of samples.
+func (a *Analysis) hmSignatures(s HostSet) (hosts []flow.IP, sigs []*emd.Signature, skipped int, err error) {
 	reg := a.cfg.Metrics
-	hosts := make([]flow.IP, 0, len(s))
+	hosts = make([]flow.IP, 0, len(s))
 	sketches := make([]flow.Sketch, 0, len(s))
-	skipped := 0
 	// A host's signature ships with the source (a merged shard summary)
 	// or is built here from its raw samples; with neither it is skipped.
 	t := reg.StartStage("pipeline/hm/histograms")
 	for _, h := range s.Sorted() {
 		sk, ok := a.sketches[h]
 		if f := a.feats[h]; a.sketches == nil && f != nil && len(f.Interstitials) >= a.cfg.MinInterstitialSamples {
-			var err error
 			if sk, err = hmSketch(f.Interstitials, a.cfg); err != nil {
-				return HMResult{}, fmt.Errorf("core: histogram for %v: %w", h, err)
+				return nil, nil, 0, fmt.Errorf("core: histogram for %v: %w", h, err)
 			}
 			ok = true
 		}
@@ -90,25 +104,24 @@ func (a *Analysis) HMTest(s HostSet, pct float64) (HMResult, error) {
 	reg.Gauge("pipeline/hm/clustered").Set(int64(len(hosts)))
 	reg.Gauge("pipeline/hm/skipped").Set(int64(skipped))
 	if len(hosts) < 2 {
-		return HMResult{Kept: HostSet{}, Skipped: skipped, Clustered: len(hosts)}, nil
+		return hosts, nil, skipped, nil
 	}
 
-	// Pairwise EMD over histogram signatures. Each host's signature is
-	// validated, sorted, and normalized exactly once here; the O(n²)
-	// pairwise comparisons then run allocation-free. Hosts are in sorted
-	// address order, so any signature error reports the first offending
-	// host deterministically.
+	// Each host's signature is validated, sorted, and normalized exactly
+	// once here; the O(n²) pairwise comparisons then run allocation-free
+	// and cannot fail. Hosts are in sorted address order, so any
+	// signature error reports the first offending host deterministically.
 	t = reg.StartStage("pipeline/hm/signatures")
-	sigs := make([]*emd.Signature, len(sketches))
+	sigs = make([]*emd.Signature, len(sketches))
 	for i, sk := range sketches {
 		sig, err := emd.NewSignature(sk.Positions, sk.Weights)
 		if err != nil {
-			return HMResult{}, fmt.Errorf("core: EMD signature for %v: %w", hosts[i], err)
+			return nil, nil, 0, fmt.Errorf("core: EMD signature for %v: %w", hosts[i], err)
 		}
 		sigs[i] = sig
 	}
 	t.Stop()
-	return a.hmCluster(hosts, sigs, skipped, pct)
+	return hosts, sigs, skipped, nil
 }
 
 // hmSketch builds one host's interstitial-time histogram at the
@@ -130,88 +143,89 @@ func hmSketch(interstitials []float64, cfg Config) (flow.Sketch, error) {
 	return flow.Sketch{Positions: pos, Weights: w}, nil
 }
 
-// hmCluster is the global half of θ_hm: given the clusterable hosts (in
-// ascending address order) and their validated EMD signatures, run the
-// pairwise distance matrix, agglomerative clustering, and the τ_hm
-// diameter filter.
-func (a *Analysis) hmCluster(hosts []flow.IP, sigs []*emd.Signature, skipped int, pct float64) (HMResult, error) {
-	reg := a.cfg.Metrics
+// hmPruneMinHosts is the clusterable-host count from which θ_hm's
+// matrix runs through the pruning layers instead of the plain exhaustive
+// fill. The choice is made by size, not by a switch, because size is the
+// one thing that decides it: calibration is a fixed exhaustive
+// hmCalibrationSample-host mini-matrix, so below a few hundred hosts it
+// *is* the whole matrix and pruning can only add to it. Measured with
+// BenchmarkHMTest (par, 2 vCPU), pruned ÷ exhaustive wall time was 1.53×
+// at n=384, 1.19× at 512, 0.89× at 768 and 0.55× at 1,024; the threshold
+// sits at the first measured size with a clear win.
+const hmPruneMinHosts = 1024
 
-	// Resolve the prune/gate cut. Exact distances only matter below the
-	// clustering cut — with UPGMA's monotone merge weights, the
-	// top-fraction cut removes exactly the last merges, so any pair
-	// provably above every surviving cluster's diameter can be recorded
-	// as the sentinel without changing a single merge (the derivation
-	// lives in DESIGN.md). An explicit HMCut is used as-is; HMPrune with
-	// HMCut = 0 calibrates one from a deterministic host subsample.
-	cut := a.cfg.HMCut
-	if a.cfg.HMPrune && cut == 0 {
+// hmMatrix is the pairwise half of θ_hm: the EMD distance matrix over
+// the hosts' signatures. It is the pipeline's dominant cost; distmatrix
+// shards it across cfg.Parallelism workers (0 = all CPUs) with output
+// bit-identical at every worker count.
+//
+// From hmPruneMinHosts hosts up, the fill is pruned. Exact distances
+// only matter below the clustering cut — with UPGMA's monotone merge
+// weights, the top-fraction cut removes exactly the last merges, so any
+// pair provably above every surviving cluster's diameter can be recorded
+// as the sentinel without changing a single merge (the derivation lives
+// in DESIGN.md). The cut is calibrated from a deterministic host
+// subsample, and the pruned matrix is bit-identical to the exhaustive
+// one gated at the same cut.
+func hmMatrix(sigs []*emd.Signature, cfg Config) (*distmatrix.Matrix, error) {
+	reg := cfg.Metrics
+	opts := distmatrix.Options{Parallelism: cfg.Parallelism, Metrics: reg}
+	if len(sigs) >= hmPruneMinHosts {
 		t := reg.StartStage("pipeline/hm/calibrate")
-		c, err := calibrateCut(sigs, a.cfg)
+		cut, err := calibrateCut(sigs, cfg)
 		t.Stop()
 		if err != nil {
-			return HMResult{}, fmt.Errorf("core: cut calibration: %w", err)
+			return nil, fmt.Errorf("core: cut calibration: %w", err)
 		}
-		cut = c
-	}
-	opts := distmatrix.Options{Parallelism: a.cfg.Parallelism, Metrics: reg, Cut: cut}
-	var pstats distmatrix.PruneStats
-	if cut > 0 {
-		opts.Stats = &pstats
 		reg.Gauge("pipeline/hm/cut_microemd").Set(int64(cut * 1e6))
-	}
-	if a.cfg.HMPrune && cut > 0 {
-		// Coarsened-CDF signatures over one shared grid spanning every
-		// host's support: the pairwise L1 of these fixed-length vectors
-		// lower-bounds the exact EMD (admissible — see internal/emd),
-		// and costs ~1/40th of an exact evaluation.
-		t := reg.StartStage("pipeline/hm/prefilter")
-		lo, hi := sigs[0].Support()
-		for _, s := range sigs[1:] {
-			slo, shi := s.Support()
-			if slo < lo {
-				lo = slo
-			}
-			if shi > hi {
-				hi = shi
-			}
-		}
-		cdfs := make([]*emd.CDFSignature, len(sigs))
-		for i, s := range sigs {
-			cdfs[i] = s.CDFSignature(lo, hi, hmBoundCells)
-		}
+		t = reg.StartStage("pipeline/hm/prefilter")
+		opts.Cut, opts.Bound, opts.Pivots = cut, hmBound(sigs, cut), hmPivots
 		t.Stop()
-		// The early-exit stop sits just above the engine's slack-adjusted
-		// threshold, so a capped scan that exits has provably cleared it.
-		stop := cut * (1 + 1e-6)
-		opts.Bound = func(i, j int) float64 { return emd.LowerBoundAtLeast(cdfs[i], cdfs[j], stop) }
-		opts.Pivots = hmPivots
 	}
-
-	// The matrix is the pipeline's dominant cost; distmatrix shards it
-	// across cfg.Parallelism workers (0 = all CPUs) with output — values
-	// and any error — bit-identical to a sequential i-then-j loop, and
-	// (when a cut is active) bit-identical between the pruned and the
-	// exhaustive-then-gated fills.
 	t := reg.StartStage("pipeline/hm/matrix")
-	dist, err := distmatrix.Compute(context.Background(), len(hosts),
-		func(i, j int) (float64, error) { return sigs[i].Distance(sigs[j]), nil },
-		opts)
-	t.Stop()
-	if err != nil {
-		var pe *distmatrix.PairError
-		if errors.As(err, &pe) {
-			return HMResult{}, fmt.Errorf("core: EMD between %v and %v: %w", hosts[pe.I], hosts[pe.J], pe.Err)
-		}
-		return HMResult{}, fmt.Errorf("core: distance matrix: %w", err)
-	}
+	defer t.Stop()
+	return distmatrix.Compute(len(sigs), exactEMD(sigs), opts), nil
+}
 
-	t = reg.StartStage("pipeline/hm/cluster")
+// exactEMD is the matrix's distance function: the exact 1-D EMD between
+// two validated signatures.
+func exactEMD(sigs []*emd.Signature) distmatrix.DistFunc {
+	return func(i, j int) float64 { return sigs[i].Distance(sigs[j]) }
+}
+
+// hmBound builds the prefilter for a pruned fill at the given cut:
+// coarsened-CDF signatures over one shared grid spanning every host's
+// support. The pairwise L1 of these fixed-length vectors lower-bounds
+// the exact EMD (admissible — see internal/emd), and costs ~1/40th of an
+// exact evaluation.
+func hmBound(sigs []*emd.Signature, cut float64) distmatrix.BoundFunc {
+	lo, hi := sigs[0].Support()
+	for _, s := range sigs[1:] {
+		slo, shi := s.Support()
+		lo, hi = min(lo, slo), max(hi, shi)
+	}
+	cdfs := make([]*emd.CDFSignature, len(sigs))
+	for i, s := range sigs {
+		cdfs[i] = s.CDFSignature(lo, hi, hmBoundCells)
+	}
+	// The early-exit stop sits just above the kernel's slack-adjusted
+	// threshold, so a capped scan that exits has provably cleared it.
+	stop := cut * (1 + 1e-6)
+	return func(i, j int) float64 { return emd.LowerBoundAtLeast(cdfs[i], cdfs[j], stop) }
+}
+
+// hmFromMatrix is the global half of θ_hm: given the clusterable hosts
+// (in ascending address order) and their pairwise distance matrix, run
+// agglomerative clustering, the top-fraction cut, and the τ_hm diameter
+// filter.
+func hmFromMatrix(hosts []flow.IP, dist *distmatrix.Matrix, skipped int, pct float64, cfg Config) (HMResult, error) {
+	reg := cfg.Metrics
+	t := reg.StartStage("pipeline/hm/cluster")
 	dendro, err := cluster.Agglomerate(len(hosts), dist.DistFunc())
 	if err != nil {
 		return HMResult{}, fmt.Errorf("core: clustering: %w", err)
 	}
-	groups := dendro.CutTopFraction(a.cfg.CutFraction)
+	groups := dendro.CutTopFraction(cfg.CutFraction)
 	t.Stop()
 
 	// Multi-member clusters only: a lone machine-like host has no botnet
@@ -223,13 +237,14 @@ func (a *Analysis) hmCluster(hosts []flow.IP, sigs []*emd.Signature, skipped int
 		if len(members) < 2 {
 			continue
 		}
-		diam := clusterSpread(a.cfg, members, dist.DistFunc())
+		diam := clusterSpread(cfg, members, dist.DistFunc())
 		if math.IsInf(diam, 1) {
 			// A sentinel pair inside a surviving cluster means the cut
 			// was tighter than this cluster's true spread — possible
-			// only with a miscalibrated explicit HMCut. Record it and
-			// clamp to the largest finite value: the cluster can never
-			// pass τ_hm, and the result stays JSON-serializable.
+			// only if calibration's subsample underestimated the
+			// population by more than hmCutSafety. Record it and clamp
+			// to the largest finite value: the cluster can never pass
+			// τ_hm, and the result stays JSON-serializable.
 			overcut++
 			diam = math.MaxFloat64
 		}
@@ -281,7 +296,7 @@ const (
 	hmCutSafety         = 2.0
 )
 
-// calibrateCut derives the prune/gate distance for HMPrune from a
+// calibrateCut derives the prune/gate distance for a pruned fill from a
 // deterministic stride subsample of the (address-sorted) clusterable
 // hosts: cluster the subsample exhaustively exactly as the full run
 // would, take the widest surviving multi-member cluster's true diameter
@@ -304,12 +319,9 @@ func calibrateCut(sigs []*emd.Signature, cfg Config) (float64, error) {
 	// matrix, keeping Exact ≤ PairsTotal); calibration's cost is
 	// reported separately, by this counter and the calibrate stage time.
 	cfg.Metrics.Counter("pipeline/hm/calibration_pairs").Add(int64(m) * int64(m-1) / 2)
-	mat, err := distmatrix.Compute(context.Background(), m,
-		func(i, j int) (float64, error) { return sigs[idx[i]].Distance(sigs[idx[j]]), nil },
+	mat := distmatrix.Compute(m,
+		func(i, j int) float64 { return sigs[idx[i]].Distance(sigs[idx[j]]) },
 		distmatrix.Options{Parallelism: cfg.Parallelism})
-	if err != nil {
-		return 0, err
-	}
 	dendro, err := cluster.Agglomerate(m, mat.DistFunc())
 	if err != nil {
 		return 0, err

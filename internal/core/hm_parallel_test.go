@@ -27,18 +27,27 @@ func parallelCorpus(t testing.TB) []flow.Record {
 	}
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 40; i++ {
-		at := t0()
-		for j := 0; j < 80; j++ {
-			records = append(records, flow.Record{
-				Src: addr, Dst: flow.IP(0x0D000000 + uint32(j%4)),
-				SrcPort: 4000, DstPort: 80, Proto: flow.TCP,
-				Start: at, End: at.Add(time.Second),
-				SrcPkts: 1, DstPkts: 1, SrcBytes: 100, DstBytes: 10,
-				State: flow.StateEstablished,
-			})
-			at = at.Add(time.Duration((1 + rng.ExpFloat64()*float64(5+i%17)) * float64(time.Second)))
-		}
+		records = append(records, humanRecords(rng, addr, float64(5+i%17))...)
 		addr++
+	}
+	return records
+}
+
+// humanRecords is one human-like host: 80 flows to a handful of servers
+// with irregular, exponentially distributed gaps of the given mean
+// (seconds) on top of a one-second floor.
+func humanRecords(rng *rand.Rand, addr flow.IP, meanGap float64) []flow.Record {
+	records := make([]flow.Record, 0, 80)
+	at := t0()
+	for j := 0; j < 80; j++ {
+		records = append(records, flow.Record{
+			Src: addr, Dst: flow.IP(0x0D000000 + uint32(j%4)),
+			SrcPort: 4000, DstPort: 80, Proto: flow.TCP,
+			Start: at, End: at.Add(time.Second),
+			SrcPkts: 1, DstPkts: 1, SrcBytes: 100, DstBytes: 10,
+			State: flow.StateEstablished,
+		})
+		at = at.Add(time.Duration((1 + rng.ExpFloat64()*meanGap) * float64(time.Second)))
 	}
 	return records
 }

@@ -69,8 +69,7 @@ const minHostSummary = 4 + 3*8 + 8 + 2*8 + 2*9 + 8 + 4 + 4
 // percentiles would just come out quietly different — so the hello
 // handshake compares every field and refuses the connection on the
 // first mismatch. Knobs that provably cannot change the output
-// (Parallelism, HMPrune/HMCut, DropLate, metrics) are deliberately
-// excluded.
+// (Parallelism, DropLate, metrics) are deliberately excluded.
 type Fingerprint struct {
 	Window         time.Duration
 	Slide          time.Duration

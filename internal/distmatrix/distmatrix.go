@@ -4,33 +4,50 @@
 // evaluations over per-host histograms before any clustering happens —
 // and that work is embarrassingly parallel: every pair is independent.
 //
-// The upper triangle is sharded into row blocks handed to a worker pool
-// bounded by runtime.NumCPU. Row blocks (rather than individual pairs or
-// interleaved rows) keep each worker walking contiguous memory in the
-// flat backing array and reusing its row item against a streak of
-// partners, which is what the cache wants. Because row i holds n-1-i
-// pairs, blocks are balanced by pair count, not row count: early rows
-// travel in smaller blocks than late rows.
+// There is one kernel. The upper triangle is sharded into row blocks
+// handed to a worker pool bounded by runtime.NumCPU. Row blocks (rather
+// than individual pairs or interleaved rows) keep each worker walking
+// contiguous memory in the flat backing array and reusing its row item
+// against a streak of partners, which is what the cache wants. Because
+// row i holds n-1-i pairs, blocks are balanced by pair count, not row
+// count: early rows travel in smaller blocks than late rows. A single
+// worker runs the same loop inline — small inputs (below
+// DefaultSequentialCutoff) always do, because goroutine startup costs
+// more than the matrix for tiny n.
 //
-// Guarantees:
+// With Options.Cut > 0 the same loop prunes. Exact distances only matter
+// below the cut — the θ_hm agglomerative clustering this package serves
+// never merges across the cut, so any pair provably above it can be
+// stored as Sentinel without computing it. Layers, cheapest first:
 //
-//   - The parallel result is bit-identical to the sequential one: the
-//     same dist(i, j) calls produce the same float64s regardless of the
-//     order workers make them, and each cell is written exactly once.
-//   - Errors are deterministic: if dist fails for several pairs, Compute
-//     reports the lexicographically smallest (i, j), exactly as a
-//     sequential i-then-j loop would, no matter which worker saw its
-//     error first.
-//   - Cancellation: a canceled context stops the computation promptly
-//     and Compute returns ctx.Err().
+//  1. prefilter — Options.Bound, an admissible lower bound (for θ_hm, the
+//     coarsened-CDF L1 distance from internal/emd). One branch-free pass
+//     per row discards the bulk of above-cut pairs.
+//  2. pivot triangle pruning — exact distances from every item to k
+//     pivots (deterministic farthest-point selection) give the metric
+//     lower bound max_p |d(i,p) − d(j,p)| for pairs the prefilter let
+//     through.
+//  3. exact evaluation — survivors get the real DistFunc call; values
+//     above the cut are still stored as Sentinel (the gate).
 //
-// Small inputs (below Options.SequentialCutoff) skip the pool entirely —
-// goroutine startup costs more than the matrix for tiny n.
+// With Cut == 0 there is no gate and no layer: every column of every row
+// survives to the exact pass.
+//
+// The invariant all equivalence tests pin: the finished matrix is a pure
+// function of the exact distances and the cut. Each cell is written
+// exactly once, from dist(i, j) alone, so the result is bit-identical at
+// every worker count by construction; pruning layers decide how many
+// exact evaluations are spent producing it, never what it contains.
+//
+// Compute has no error path and takes no context, on purpose. A
+// DistFunc is a pure comparison of two already-validated items (θ_hm
+// validates every host's signature before the matrix, and clustering
+// rejects NaN or negative distances after it), so there is nothing for
+// a pair to fail on; and the only caller runs the matrix to completion
+// inside one detection window, so there is nobody to cancel it.
 package distmatrix
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -42,7 +59,7 @@ import (
 
 // DistFunc reports the distance between items i and j (i < j). It must
 // be safe for concurrent calls from multiple goroutines.
-type DistFunc func(i, j int) (float64, error)
+type DistFunc func(i, j int) float64
 
 // BoundFunc reports a lower bound on the distance between items i and j
 // (i < j): Bound(i, j) <= dist(i, j) up to float rounding. It must be
@@ -94,32 +111,30 @@ func (m *Matrix) DistFunc() func(i, j int) float64 {
 	return m.At
 }
 
-// Options tunes Compute. The zero value asks for full parallelism with
-// the default sequential cutoff.
+// Options tunes Compute. The zero value asks for full parallelism and an
+// exhaustive (ungated, unpruned) fill.
 type Options struct {
 	// Parallelism bounds the worker pool: 0 (or negative) means
-	// runtime.NumCPU(), 1 forces the sequential path. Explicit values
-	// above NumCPU are honored — the workload is CPU-bound so they
-	// rarely help, but they keep the parallel path testable on
-	// single-core machines.
+	// runtime.NumCPU(), 1 runs the fill inline on the caller's
+	// goroutine. Explicit values above NumCPU are honored — the workload
+	// is CPU-bound so they rarely help, but they keep the pool testable
+	// on single-core machines.
 	Parallelism int
-	// SequentialCutoff is the matrix dimension below which Compute runs
-	// sequentially even when Parallelism allows more. 0 means
-	// DefaultSequentialCutoff; negative disables the cutoff.
-	SequentialCutoff int
 	// Metrics, when non-nil, receives the computation's statistics:
 	// the "distmatrix/pairs" counter (distance evaluations performed),
 	// the "distmatrix/workers" gauge (effective pool size), and the
 	// "distmatrix/worker_busy" histogram (each worker's busy wall time,
-	// whose spread exposes load imbalance). With Cut > 0 the pruning
-	// engine additionally reports the "distmatrix/pairs_total",
+	// whose spread exposes load imbalance). With Cut > 0 it additionally
+	// receives the "distmatrix/pairs_total",
 	// "distmatrix/pairs_pruned_bound", "distmatrix/pairs_pruned_pivot",
-	// and "distmatrix/pairs_gated" counters, the per-worker
-	// "distmatrix/prefilter_busy" / "distmatrix/exact_busy" histograms
-	// (time split between the cheap bound passes and the exact distance
-	// evaluations), and a "distmatrix/pivots" stage timer around pivot
-	// selection. Recording happens per worker lifetime, never per pair,
-	// so the hot loops are untouched.
+	// and "distmatrix/pairs_gated" counters — pairs_total =
+	// pairs_pruned_bound + pairs_pruned_pivot + pairs, pivot-phase rows
+	// included — the per-worker "distmatrix/prefilter_busy" /
+	// "distmatrix/exact_busy" histograms (time split between the cheap
+	// bound passes and the exact distance evaluations), and a
+	// "distmatrix/pivots" stage timer around pivot selection. Recording
+	// happens per worker lifetime, never per pair, so the hot loops are
+	// untouched.
 	Metrics *metrics.Registry
 
 	// Cut, when positive, enables gating: every pair whose distance
@@ -136,32 +151,12 @@ type Options struct {
 	// between the two computations.
 	Bound BoundFunc
 	// Pivots, when positive (and Cut > 0), layers triangle-inequality
-	// pruning behind the prefilter: the engine computes exact distances
+	// pruning behind the prefilter: the fill computes exact distances
 	// from every item to Pivots pivot items (chosen by deterministic
 	// farthest-point selection), and |d(i,p) − d(j,p)| lower-bounds
 	// d(i,j) for any metric distance. Only meaningful when dist is a
 	// metric — 1-D EMD is.
 	Pivots int
-	// Stats, when non-nil (and Cut > 0), accumulates pruning tallies.
-	// Fields are updated atomically; read them after Compute returns.
-	Stats *PruneStats
-}
-
-// PruneStats tallies the pruning engine's work. On a successful Compute,
-// Total = PrunedBound + PrunedPivot + Exact, and Exact is the number of
-// exact distance evaluations performed (pivot-phase rows included).
-type PruneStats struct {
-	// Total is the number of pairs in the upper triangle.
-	Total int64
-	// PrunedBound counts pairs skipped by the prefilter bound.
-	PrunedBound int64
-	// PrunedPivot counts pairs skipped by the pivot triangle bound.
-	PrunedPivot int64
-	// Exact counts exact distance evaluations (each pair at most once).
-	Exact int64
-	// Gated counts exactly-evaluated pairs whose distance exceeded Cut
-	// and was stored as Sentinel.
-	Gated int64
 }
 
 // boundSlack is the relative margin added to Cut before comparing lower
@@ -171,261 +166,293 @@ type PruneStats struct {
 // value's own gate comparison uses Cut unmodified.
 const boundSlack = 1e-9
 
-// DefaultSequentialCutoff is the default n below which the worker pool
-// is not worth its startup cost: a 48×48 matrix is ~1.1k pairs, on the
-// order of the cost of spinning up and tearing down the pool itself.
+// DefaultSequentialCutoff is the n below which the worker pool is not
+// worth its startup cost: a 48×48 matrix is ~1.1k pairs, on the order of
+// the cost of spinning up and tearing down the pool itself.
 const DefaultSequentialCutoff = 48
+
+// minBlockPairs floors the row-block size so a small matrix is not
+// chopped into blocks cheaper than the cursor claim that hands them out.
+const minBlockPairs = 256
 
 // workers resolves the effective worker count for an n×n matrix.
 func (o Options) workers(n int) int {
-	p := o.Parallelism
-	if p <= 0 {
-		p = runtime.NumCPU()
-	}
-	cutoff := o.SequentialCutoff
-	if cutoff == 0 {
-		cutoff = DefaultSequentialCutoff
-	}
-	if n < cutoff {
+	if n < DefaultSequentialCutoff {
 		return 1
 	}
-	return p
+	if o.Parallelism <= 0 {
+		return runtime.NumCPU()
+	}
+	return o.Parallelism
 }
 
 // Compute fills a symmetric n×n matrix from dist. See the package
 // comment for the parallel execution and determinism guarantees.
-func Compute(ctx context.Context, n int, dist DistFunc, opts Options) (*Matrix, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("distmatrix: negative dimension %d", n)
-	}
+func Compute(n int, dist DistFunc, opts Options) *Matrix {
 	m := New(n)
 	if n < 2 {
-		return m, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		return m
 	}
 	workers := opts.workers(n)
 	opts.Metrics.Gauge("distmatrix/workers").Set(int64(workers))
+	f := &fill{m: m, dist: dist, reg: opts.Metrics}
+	// ~8 blocks per worker balances the tail without cursor thrash.
+	f.blockPairs = max(n*(n-1)/2/(workers*8), minBlockPairs)
 	if opts.Cut > 0 {
-		e, err := newEngine(ctx, m, dist, opts)
-		if err != nil {
-			return nil, err
+		f.cut = opts.Cut
+		f.threshold = opts.Cut * (1 + boundSlack)
+		f.bound = opts.Bound
+		if k := min(opts.Pivots, n); k > 0 {
+			t := f.reg.StartStage("distmatrix/pivots")
+			f.selectPivots(k)
+			t.Stop()
 		}
-		if workers <= 1 {
-			err = computeSeqPruned(ctx, e)
-		} else {
-			err = computeParPruned(ctx, e, workers)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
 	}
-	if workers <= 1 {
-		if err := computeSeq(ctx, m, dist, opts.Metrics); err != nil {
-			return nil, err
-		}
-		return m, nil
+	if workers == 1 {
+		f.work()
+		return m
 	}
-	if err := computePar(ctx, m, dist, workers, opts.Metrics); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ctxCheckStride is how many pairs a loop computes between context
-// polls; EMD evaluations are microseconds, so this keeps cancellation
-// latency well under a millisecond without a per-pair atomic load.
-const ctxCheckStride = 256
-
-// computeSeq is the deterministic reference path: rows ascending, then
-// columns ascending, stopping at the first error.
-func computeSeq(ctx context.Context, m *Matrix, dist DistFunc, reg *metrics.Registry) error {
-	done := ctx.Done()
-	pairs := 0
-	if reg != nil {
-		start := time.Now()
-		defer func() {
-			reg.Histogram("distmatrix/worker_busy").Observe(time.Since(start))
-			reg.Counter("distmatrix/pairs").Add(int64(pairs))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			f.work()
 		}()
 	}
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if pairs++; pairs%ctxCheckStride == 0 && done != nil {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			v, err := dist(i, j)
-			if err != nil {
-				return pairError(i, j, err)
-			}
-			m.set(i, j, v)
-		}
-	}
-	return nil
+	wg.Wait()
+	return m
 }
 
-// pairError wraps a distance error with its pair for the caller.
-func pairError(i, j int, err error) error {
-	return &PairError{I: i, J: j, Err: err}
+// fill holds the shared state of one matrix fill.
+type fill struct {
+	m    *Matrix
+	dist DistFunc
+	reg  *metrics.Registry
+	// cursor is the next unclaimed row; blockPairs the pair count a
+	// claimed block of rows aims for.
+	cursor     atomic.Int64
+	blockPairs int
+	// cut gates stored values; threshold (cut plus relative slack) gates
+	// lower bounds, absorbing float rounding between bound and exact.
+	// Both are zero, and bound and the pivot tables nil, on an ungated
+	// fill.
+	cut       float64
+	threshold float64
+	bound     BoundFunc
+	// pivotSlot[i] >= 0 marks item i as pivot #pivotSlot[i]; pivotD[t][j]
+	// is the exact distance from pivot t to item j. Pivot rows are fully
+	// written into the matrix during selection, so the main fill skips
+	// any pair touching a pivot.
+	pivotSlot []int32
+	pivotD    [][]float64
 }
 
-// PairError reports which pair a distance evaluation failed on. Compute
-// always surfaces the failing pair that a sequential loop would have hit
-// first.
-type PairError struct {
-	I, J int
-	Err  error
+// tally is one worker's scratch and local counts, flushed once at worker
+// exit so the per-pair loops carry no metrics calls.
+type tally struct {
+	surv []int32 // columns of the current row needing exact evaluation
+
+	total, prunedBound, prunedPivot, exact, gated int64
+
+	boundDur, exactDur time.Duration
 }
 
-func (e *PairError) Error() string {
-	return fmt.Sprintf("distmatrix: pair (%d,%d): %v", e.I, e.J, e.Err)
-}
-
-// Unwrap exposes the underlying distance error.
-func (e *PairError) Unwrap() error { return e.Err }
-
-// computePar shards the upper triangle across workers.
+// work is the kernel: claim row blocks off the shared cursor until the
+// triangle is exhausted, and for each row run the pruning layers (none
+// on an ungated fill) and then the exact pass over the survivors.
 //
 // Work distribution: an atomic row cursor hands out blocks of
 // consecutive rows. The block size for a grab starting at row r is
-// chosen so each block holds roughly targetPairs pairs — rows near the
+// chosen so each block holds roughly blockPairs pairs — rows near the
 // top of the triangle are long, rows near the bottom short, so blocks
 // grow as the cursor descends. Grabbing blocks (not single rows) keeps
 // the cursor contention negligible; sizing them by pair count keeps the
 // tail balanced.
-//
-// Error determinism: workers do not stop at the first error they see.
-// Instead, the linear index i*n+j of the smallest erroring pair found so
-// far is kept in an atomic; workers skip any pair at or beyond it
-// (nothing past that pair can matter — sequential execution would have
-// stopped there) and keep refining it downward. Every pair smaller than
-// the final bound is therefore evaluated, so the reported error is
-// exactly the one the sequential loop reports. Healthy runs never touch
-// the error path's mutex.
-func computePar(ctx context.Context, m *Matrix, dist DistFunc, workers int, reg *metrics.Registry) error {
-	n := m.n
-	totalPairs := n * (n - 1) / 2
-	// ~8 blocks per worker balances the tail without cursor thrash.
-	targetPairs := totalPairs / (workers * 8)
-	if targetPairs < ctxCheckStride {
-		targetPairs = ctxCheckStride
-	}
-
-	var (
-		cursor   atomic.Int64 // next unclaimed row
-		errBound atomic.Int64 // linear index of smallest erroring pair so far
-		errMu    sync.Mutex
-		errs     = map[int64]error{} // linear index -> distance error
-		wg       sync.WaitGroup
-	)
-	errBound.Store(int64(n) * int64(n)) // past every real pair
-
-	done := ctx.Done()
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-
-	// Busy time and pair tallies are recorded once per worker lifetime —
-	// the per-pair loop below stays free of metrics calls.
-	pairsCtr := reg.Counter("distmatrix/pairs")
-	busyHist := reg.Histogram("distmatrix/worker_busy")
-
-	worker := func() {
-		defer wg.Done()
-		sinceCheck := 0
-		computed := 0
-		if reg != nil {
-			start := time.Now()
-			defer func() {
-				busyHist.Observe(time.Since(start))
-				pairsCtr.Add(int64(computed))
-			}()
-		}
+func (f *fill) work() {
+	n := f.m.n
+	st := &tally{surv: make([]int32, 0, n)}
+	start := time.Now()
+	defer func() { f.flush(st, start) }()
+	// The layer/exact time split is only reported for a gated fill.
+	timed := f.reg != nil && f.cut > 0
+	for {
+		// Claim a row block sized to ~blockPairs pairs.
+		lo := int(f.cursor.Load())
+		var hi int
 		for {
-			// Claim a row block sized to ~targetPairs pairs.
-			start := int(cursor.Load())
-			var end int
-			for {
-				if start >= n-1 {
-					return
-				}
-				end = start
-				pairs := 0
-				for end < n-1 && pairs < targetPairs {
-					pairs += n - 1 - end
-					end++
-				}
-				if cursor.CompareAndSwap(int64(start), int64(end)) {
-					break
-				}
-				start = int(cursor.Load())
+			if lo >= n-1 {
+				return
 			}
-			for i := start; i < end; i++ {
-				rowBase := int64(i) * int64(n)
-				if rowBase+int64(i)+1 >= errBound.Load() {
-					// Every remaining pair of this block is at or past
-					// the current first error; sequential execution
-					// would never reach them.
-					return
-				}
-				for j := i + 1; j < n; j++ {
-					if sinceCheck++; sinceCheck >= ctxCheckStride {
-						sinceCheck = 0
-						if canceled() {
-							return
-						}
-					}
-					idx := rowBase + int64(j)
-					if idx >= errBound.Load() {
-						break // rest of the row is past the first error
-					}
-					computed++
-					v, err := dist(i, j)
-					if err != nil {
-						errMu.Lock()
-						errs[idx] = err
-						errMu.Unlock()
-						// Ratchet the bound down to this pair.
-						for {
-							cur := errBound.Load()
-							if idx >= cur || errBound.CompareAndSwap(cur, idx) {
-								break
-							}
-						}
-						break
-					}
-					m.set(i, j, v)
-				}
+			hi = lo
+			for pairs := 0; hi < n-1 && pairs < f.blockPairs; hi++ {
+				pairs += n - 1 - hi
+			}
+			if f.cursor.CompareAndSwap(int64(lo), int64(hi)) {
+				break
+			}
+			lo = int(f.cursor.Load())
+		}
+		for i := lo; i < hi; i++ {
+			if f.pivotSlot != nil && f.pivotSlot[i] >= 0 {
+				continue // row fully written during the pivot phase
+			}
+			var t0 time.Time
+			if timed {
+				t0 = time.Now()
+			}
+			f.boundRow(i, st)
+			if timed {
+				now := time.Now()
+				st.boundDur += now.Sub(t0)
+				t0 = now
+			}
+			for _, j := range st.surv {
+				f.m.set(i, int(j), f.gate(f.dist(i, int(j)), st))
+			}
+			st.exact += int64(len(st.surv))
+			if timed {
+				st.exactDur += time.Since(t0)
 			}
 		}
 	}
+}
 
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
+// boundRow runs the pruning layers over row i: pruned pairs get their
+// Sentinel written immediately, survivors' columns land in st.surv for
+// the exact pass. On an ungated fill every column survives.
+func (f *fill) boundRow(i int, st *tally) {
+	st.surv = st.surv[:0]
+	n := f.m.n
+	for j := i + 1; j < n; j++ {
+		if f.pivotSlot != nil && f.pivotSlot[j] >= 0 {
+			continue // written (and counted) in the pivot phase
+		}
+		st.total++
+		if f.bound != nil {
+			if lb := f.bound(i, j); lb > f.threshold {
+				st.prunedBound++
+				f.m.set(i, j, Sentinel)
+				continue
+			}
+		}
+		if f.pivotD != nil && f.pivotTriBound(i, j) > f.threshold {
+			st.prunedPivot++
+			f.m.set(i, j, Sentinel)
+			continue
+		}
+		st.surv = append(st.surv, int32(j))
 	}
-	wg.Wait()
+}
 
-	if canceled() {
-		return ctx.Err()
+// gate stores-or-sentinels one exactly-evaluated distance.
+func (f *fill) gate(v float64, st *tally) float64 {
+	if f.cut > 0 && v > f.cut {
+		st.gated++
+		return Sentinel
 	}
-	if bound := errBound.Load(); bound < int64(n)*int64(n) {
-		i, j := int(bound/int64(n)), int(bound%int64(n))
-		errMu.Lock()
-		err := errs[bound]
-		errMu.Unlock()
-		return pairError(i, j, err)
+	return v
+}
+
+// pivotTriBound is max_p |d(i,p) − d(j,p)|, early-exiting once any pivot
+// certifies the pair above the threshold.
+func (f *fill) pivotTriBound(i, j int) float64 {
+	var best float64
+	for _, row := range f.pivotD {
+		d := row[i] - row[j]
+		if d < 0 {
+			d = -d
+		}
+		if d > best {
+			if d > f.threshold {
+				return d
+			}
+			best = d
+		}
 	}
-	return nil
+	return best
+}
+
+// selectPivots picks k pivots by farthest-point traversal — item 0
+// first, then repeatedly the item maximizing its distance to the nearest
+// chosen pivot (ties toward the smallest index) — computing each pivot's
+// full exact distance row along the way. Farthest-point spreads pivots
+// across the metric space, which is what makes |d(i,p) − d(j,p)| sharp:
+// a pivot near i and far from j certifies a large d(i,j).
+func (f *fill) selectPivots(k int) {
+	n := f.m.n
+	f.pivotSlot = make([]int32, n)
+	for i := range f.pivotSlot {
+		f.pivotSlot[i] = -1
+	}
+	f.pivotD = make([][]float64, 0, k)
+	minD := make([]float64, n)
+	for i := range minD {
+		minD[i] = Sentinel
+	}
+	st := &tally{}
+	start := time.Now()
+	defer func() { f.flush(st, start) }()
+	cur := 0
+	for t := 0; t < k; t++ {
+		f.pivotSlot[cur] = int32(t)
+		row := make([]float64, n)
+		for j := 0; j < n; j++ {
+			if j == cur {
+				continue
+			}
+			if s := f.pivotSlot[j]; s >= 0 {
+				// Pair already computed (and counted) by an earlier
+				// pivot's row; reuse the symmetric entry.
+				row[j] = f.pivotD[s][cur]
+				continue
+			}
+			lo, hi := min(cur, j), max(cur, j)
+			v := f.dist(lo, hi)
+			st.total++
+			st.exact++
+			row[j] = v
+			f.m.set(lo, hi, f.gate(v, st))
+		}
+		f.pivotD = append(f.pivotD, row)
+		next := -1
+		best := -1.0
+		for j := 0; j < n; j++ {
+			if f.pivotSlot[j] >= 0 {
+				continue
+			}
+			if row[j] < minD[j] {
+				minD[j] = row[j]
+			}
+			if minD[j] > best {
+				best = minD[j]
+				next = j
+			}
+		}
+		if next < 0 {
+			break // every item is a pivot
+		}
+		cur = next
+	}
+}
+
+// flush publishes one worker's tallies: one batch of counter adds plus
+// busy-time observations into the registry. The layer counters and the
+// time split exist only for a gated fill — consumers read
+// "pairs_total == 0" as "pruning never engaged".
+func (f *fill) flush(st *tally, start time.Time) {
+	if f.reg == nil {
+		return
+	}
+	f.reg.Counter("distmatrix/pairs").Add(st.exact)
+	f.reg.Histogram("distmatrix/worker_busy").Observe(time.Since(start))
+	if f.cut == 0 {
+		return
+	}
+	f.reg.Counter("distmatrix/pairs_total").Add(st.total)
+	f.reg.Counter("distmatrix/pairs_pruned_bound").Add(st.prunedBound)
+	f.reg.Counter("distmatrix/pairs_pruned_pivot").Add(st.prunedPivot)
+	f.reg.Counter("distmatrix/pairs_gated").Add(st.gated)
+	f.reg.Histogram("distmatrix/prefilter_busy").Observe(st.boundDur)
+	f.reg.Histogram("distmatrix/exact_busy").Observe(st.exactDur)
 }

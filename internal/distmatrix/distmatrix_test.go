@@ -1,19 +1,17 @@
 package distmatrix
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
+	"runtime"
 	"testing"
 )
 
 // absDist builds a DistFunc over scalar points.
 func absDist(pts []float64) DistFunc {
-	return func(i, j int) (float64, error) {
-		return math.Abs(pts[i] - pts[j]), nil
+	return func(i, j int) float64 {
+		return math.Abs(pts[i] - pts[j])
 	}
 }
 
@@ -27,25 +25,18 @@ func randomPoints(rng *rand.Rand, n int) []float64 {
 
 func TestComputeDegenerate(t *testing.T) {
 	for _, n := range []int{0, 1} {
-		m, err := Compute(context.Background(), n, nil, Options{})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if m.N() != n {
+		if m := Compute(n, nil, Options{}); m.N() != n {
 			t.Errorf("n=%d: N() = %d", n, m.N())
 		}
 	}
-	if _, err := Compute(context.Background(), -1, nil, Options{}); err == nil {
-		t.Error("negative dimension accepted")
+	if m := Compute(-1, nil, Options{}); m.N() != 0 {
+		t.Errorf("negative dimension: N() = %d, want the empty matrix", m.N())
 	}
 }
 
 func TestComputeSmallKnown(t *testing.T) {
 	pts := []float64{0, 1, 5}
-	m, err := Compute(context.Background(), 3, absDist(pts), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := Compute(3, absDist(pts), Options{Parallelism: 1})
 	want := [][]float64{{0, 1, 5}, {1, 0, 4}, {5, 4, 0}}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
@@ -56,27 +47,21 @@ func TestComputeSmallKnown(t *testing.T) {
 	}
 }
 
-// The parallel path must produce a matrix bit-identical to the
-// sequential one, across sizes spanning the sequential cutoff and worker
-// counts exceeding the row count.
+// The pool must produce a matrix bit-identical to the inline single
+// worker, across sizes spanning the sequential cutoff and worker counts
+// exceeding the row count.
 func TestParallelBitIdenticalToSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{2, 3, 17, 47, 48, 49, 100, 257} {
 		pts := randomPoints(rng, n)
 		// An irrational-ish transform so values exercise the full
 		// mantissa, making "bit-identical" a real claim.
-		dist := func(i, j int) (float64, error) {
-			return math.Sqrt(math.Abs(pts[i]-pts[j])) * math.Pi, nil
+		dist := func(i, j int) float64 {
+			return math.Sqrt(math.Abs(pts[i]-pts[j])) * math.Pi
 		}
-		seq, err := Compute(context.Background(), n, dist, Options{Parallelism: 1, SequentialCutoff: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq := Compute(n, dist, Options{Parallelism: 1})
 		for _, par := range []int{2, 3, 8, n + 5} {
-			got, err := Compute(context.Background(), n, dist, Options{Parallelism: par, SequentialCutoff: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := Compute(n, dist, Options{Parallelism: par})
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if sv, gv := seq.At(i, j), got.At(i, j); math.Float64bits(sv) != math.Float64bits(gv) {
@@ -91,10 +76,7 @@ func TestParallelBitIdenticalToSequential(t *testing.T) {
 func TestMatrixSymmetricZeroDiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 64
-	m, err := Compute(context.Background(), n, absDist(randomPoints(rng, n)), Options{Parallelism: 4, SequentialCutoff: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := Compute(n, absDist(randomPoints(rng, n)), Options{Parallelism: 4})
 	for i := 0; i < n; i++ {
 		if m.At(i, i) != 0 {
 			t.Errorf("diagonal At(%d,%d) = %v", i, i, m.At(i, i))
@@ -107,145 +89,23 @@ func TestMatrixSymmetricZeroDiagonal(t *testing.T) {
 	}
 }
 
-// Whichever worker sees an error first, Compute must report the error of
-// the lexicographically smallest failing pair — the one a sequential
-// loop would hit — so error output is stable under parallelism.
-func TestFirstErrorIsLexicographicallySmallest(t *testing.T) {
-	n := 120
-	// Every pair with i ≥ 40 fails, plus a scattering of earlier pairs;
-	// the sequential first failure is (13, 77).
-	failing := func(i, j int) bool {
-		return i >= 40 || (i == 13 && j == 77) || (i == 13 && j == 90) || (i == 25 && j == 26)
-	}
-	dist := func(i, j int) (float64, error) {
-		if failing(i, j) {
-			return 0, fmt.Errorf("boom(%d,%d)", i, j)
-		}
-		return 1, nil
-	}
-	for _, par := range []int{1, 2, 4, 8} {
-		_, err := Compute(context.Background(), n, dist, Options{Parallelism: par, SequentialCutoff: -1})
-		if err == nil {
-			t.Fatalf("par=%d: expected error", par)
-		}
-		var pe *PairError
-		if !errors.As(err, &pe) {
-			t.Fatalf("par=%d: error %T is not a PairError", par, err)
-		}
-		if pe.I != 13 || pe.J != 77 {
-			t.Errorf("par=%d: reported pair (%d,%d), want (13,77)", par, pe.I, pe.J)
-		}
-		if want := "boom(13,77)"; pe.Err.Error() != want {
-			t.Errorf("par=%d: wrapped error %q, want %q", par, pe.Err, want)
-		}
-	}
-}
-
-// Property test: for random failure sets, parallel error == sequential
-// error, and successful runs agree cell-for-cell.
-func TestErrorOrderingProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		n := 50 + rng.Intn(60)
-		fail := make(map[int]bool)
-		for k := 0; k < rng.Intn(6); k++ {
-			i := rng.Intn(n - 1)
-			j := i + 1 + rng.Intn(n-i-1)
-			fail[i*n+j] = true
-		}
-		dist := func(i, j int) (float64, error) {
-			if fail[i*n+j] {
-				return 0, fmt.Errorf("fail %d %d", i, j)
-			}
-			return float64(i) + float64(j)/1000, nil
-		}
-		seqM, seqErr := Compute(context.Background(), n, dist, Options{Parallelism: 1, SequentialCutoff: -1})
-		parM, parErr := Compute(context.Background(), n, dist, Options{Parallelism: 6, SequentialCutoff: -1})
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("trial %d: seq err %v, par err %v", trial, seqErr, parErr)
-		}
-		if seqErr != nil {
-			if seqErr.Error() != parErr.Error() {
-				t.Fatalf("trial %d: seq %q != par %q", trial, seqErr, parErr)
-			}
-			continue
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if seqM.At(i, j) != parM.At(i, j) {
-					t.Fatalf("trial %d: mismatch at (%d,%d)", trial, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	n := 200
-	var calls atomic.Int64
-	dist := func(i, j int) (float64, error) {
-		if calls.Add(1) == 500 {
-			cancel()
-		}
-		return 1, nil
-	}
-	_, err := Compute(ctx, n, dist, Options{Parallelism: 4, SequentialCutoff: -1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if c := calls.Load(); c >= int64(n*(n-1)/2) {
-		t.Errorf("cancellation did not stop work early: %d calls", c)
-	}
-}
-
-func TestContextCancellationSequential(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	dist := func(i, j int) (float64, error) {
-		if calls.Add(1) == 300 {
-			cancel()
-		}
-		return 1, nil
-	}
-	_, err := Compute(ctx, 100, dist, Options{Parallelism: 1, SequentialCutoff: -1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestPreCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dist := func(i, j int) (float64, error) {
-		t.Error("dist called under pre-canceled context")
-		return 0, nil
-	}
-	if _, err := Compute(ctx, 50, dist, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // Below the cutoff, Compute must not spin up workers: a dist function
 // that records goroutine fan-out via call interleaving can't observe
 // that directly, so instead assert via Options.workers.
 func TestSequentialCutoff(t *testing.T) {
 	if w := (Options{Parallelism: 8}).workers(DefaultSequentialCutoff - 1); w != 1 {
-		t.Errorf("below default cutoff: workers = %d, want 1", w)
+		t.Errorf("below the cutoff: workers = %d, want 1", w)
 	}
-	if w := (Options{Parallelism: 0, SequentialCutoff: 10}).workers(9); w != 1 {
-		t.Errorf("below explicit cutoff: workers = %d, want 1", w)
+	if w := (Options{Parallelism: 8}).workers(DefaultSequentialCutoff); w != 8 {
+		t.Errorf("at the cutoff: workers = %d, want 8", w)
 	}
-	if w := (Options{Parallelism: 2, SequentialCutoff: -1}).workers(2); w != 2 {
-		t.Errorf("cutoff disabled: workers = %d, want 2", w)
+	if w := (Options{}).workers(DefaultSequentialCutoff); w != runtime.NumCPU() {
+		t.Errorf("Parallelism 0: workers = %d, want NumCPU = %d", w, runtime.NumCPU())
 	}
 }
 
 func TestDistFuncAdapter(t *testing.T) {
-	m, err := Compute(context.Background(), 3, absDist([]float64{0, 2, 7}), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := Compute(3, absDist([]float64{0, 2, 7}), Options{Parallelism: 1})
 	f := m.DistFunc()
 	if f(0, 2) != 7 || f(2, 1) != 5 {
 		t.Errorf("adapter: f(0,2)=%v f(2,1)=%v", f(0, 2), f(2, 1))
@@ -258,12 +118,12 @@ func BenchmarkCompute(b *testing.B) {
 		pts := randomPoints(rng, n)
 		// A dist with enough work per call (~1µs) to resemble an EMD
 		// evaluation rather than a single subtraction.
-		dist := func(i, j int) (float64, error) {
+		dist := func(i, j int) float64 {
 			var acc float64
 			for k := 0; k < 200; k++ {
 				acc += math.Sqrt(math.Abs(pts[i]-pts[j]) + float64(k))
 			}
-			return acc, nil
+			return acc
 		}
 		for _, par := range []int{1, 0} {
 			name := fmt.Sprintf("n=%d/par=seq", n)
@@ -272,9 +132,7 @@ func BenchmarkCompute(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := Compute(context.Background(), n, dist, Options{Parallelism: par, SequentialCutoff: -1}); err != nil {
-						b.Fatal(err)
-					}
+					Compute(n, dist, Options{Parallelism: par})
 				}
 			})
 		}

@@ -1,17 +1,16 @@
 package distmatrix
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"plotters/internal/metrics"
 )
 
-// Both execution paths must account for every pair exactly once and
+// Inline and pooled runs must account for every pair exactly once and
 // report the pool shape.
 func TestComputeMetrics(t *testing.T) {
-	dist := func(i, j int) (float64, error) { return math.Abs(float64(i - j)), nil }
+	dist := func(i, j int) float64 { return math.Abs(float64(i - j)) }
 	for _, tc := range []struct {
 		name        string
 		n           int
@@ -24,11 +23,7 @@ func TestComputeMetrics(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.New()
-			_, err := Compute(context.Background(), tc.n, dist,
-				Options{Parallelism: tc.parallelism, Metrics: reg})
-			if err != nil {
-				t.Fatal(err)
-			}
+			Compute(tc.n, dist, Options{Parallelism: tc.parallelism, Metrics: reg})
 			snap := reg.TakeSnapshot()
 			wantPairs := int64(tc.n) * int64(tc.n-1) / 2
 			if got := snap.Counters["distmatrix/pairs"]; got != wantPairs {
@@ -40,7 +35,7 @@ func TestComputeMetrics(t *testing.T) {
 			if len(snap.Histograms) != 1 || snap.Histograms[0].Name != "distmatrix/worker_busy" {
 				t.Fatalf("histograms = %+v", snap.Histograms)
 			}
-			// One busy-time observation per worker (sequential counts as one).
+			// One busy-time observation per worker (inline counts as one).
 			if got := snap.Histograms[0].Count; got != tc.wantWorkers {
 				t.Errorf("worker_busy observations = %d, want %d", got, tc.wantWorkers)
 			}
@@ -50,16 +45,9 @@ func TestComputeMetrics(t *testing.T) {
 
 // Metrics must not change the computed matrix.
 func TestComputeMetricsSameValues(t *testing.T) {
-	dist := func(i, j int) (float64, error) { return float64(i*31 + j), nil }
-	plain, err := Compute(context.Background(), 80, dist, Options{Parallelism: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	metered, err := Compute(context.Background(), 80, dist,
-		Options{Parallelism: 3, Metrics: metrics.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := func(i, j int) float64 { return float64(i*31 + j) }
+	plain := Compute(80, dist, Options{Parallelism: 3})
+	metered := Compute(80, dist, Options{Parallelism: 3, Metrics: metrics.New()})
 	for i := 0; i < 80; i++ {
 		for j := 0; j < 80; j++ {
 			if plain.At(i, j) != metered.At(i, j) {

@@ -1,8 +1,6 @@
 package distmatrix
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,8 +26,8 @@ func randLineMetric(rng *rand.Rand, n int) *lineMetric {
 	return &lineMetric{x: x}
 }
 
-func (l *lineMetric) dist(i, j int) (float64, error) {
-	return math.Abs(l.x[i] - l.x[j]), nil
+func (l *lineMetric) dist(i, j int) float64 {
+	return math.Abs(l.x[i] - l.x[j])
 }
 
 // bound rounds both coordinates to a 0.5 grid: the rounded distance can
@@ -46,15 +44,15 @@ func (l *lineMetric) bound(i, j int) float64 {
 	return lb
 }
 
-// gateMatrix applies the cut to an exhaustive matrix: the reference the
-// pruned engine must reproduce bit for bit.
-func gateMatrix(m *Matrix, cut float64) *Matrix {
-	n := m.N()
+// naiveMatrix is the reference every mode of the kernel must reproduce
+// bit for bit: a plain double loop over dist, with the cut (when
+// positive) applied after the fact.
+func naiveMatrix(n int, dist DistFunc, cut float64) *Matrix {
 	out := New(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := m.At(i, j)
-			if v > cut {
+			v := dist(i, j)
+			if cut > 0 && v > cut {
 				v = Sentinel
 			}
 			out.set(i, j, v)
@@ -74,34 +72,58 @@ func matricesEqual(a, b *Matrix) (int, int, bool) {
 	return 0, 0, true
 }
 
-// TestPrunedMatrixMatchesGatedExhaustive pins the engine's central
+// TestKernelMatchesNaiveLoop: the one worker loop, at every worker
+// count and with every combination of layers, fills exactly the matrix
+// the naive double loop does. n clears DefaultSequentialCutoff so the
+// pool really runs for workers > 1.
+func TestKernelMatchesNaiveLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{48, 131} {
+		l := randLineMetric(rng, n)
+		const cut = 12.5
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{
+			{"no cut", Options{}},
+			{"cut only", Options{Cut: cut}},
+			{"cut + bound", Options{Cut: cut, Bound: l.bound}},
+			{"cut + bound + pivots", Options{Cut: cut, Bound: l.bound, Pivots: 4}},
+		} {
+			want := naiveMatrix(n, l.dist, mode.opts.Cut)
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := mode.opts
+				opts.Parallelism = workers
+				got := Compute(n, l.dist, opts)
+				if i, j, ok := matricesEqual(got, want); !ok {
+					t.Errorf("n=%d %s workers=%d: cell (%d,%d) = %v, want %v",
+						n, mode.name, workers, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// TestPrunedMatrixMatchesGatedExhaustive pins the kernel's central
 // invariant: for random metrics and random cuts, the pruned matrix —
-// any combination of prefilter, pivots, sequential, parallel — is
+// any combination of prefilter, pivots, inline, pooled — is
 // bit-identical to the exhaustive matrix with the same cut applied
 // after the fact.
 func TestPrunedMatrixMatchesGatedExhaustive(t *testing.T) {
-	ctx := context.Background()
 	property := func(seed int64, nRaw, pivotsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(nRaw)%60
+		n := 2 + int(nRaw)%120
 		l := randLineMetric(rng, n)
 		cut := rng.Float64() * 60
-		exhaustive, err := Compute(ctx, n, l.dist, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := gateMatrix(exhaustive, cut)
+		want := naiveMatrix(n, l.dist, cut)
 		for _, cfg := range []Options{
 			{Parallelism: 1, Cut: cut},
 			{Parallelism: 1, Cut: cut, Bound: l.bound},
 			{Parallelism: 1, Cut: cut, Bound: l.bound, Pivots: 1 + int(pivotsRaw)%5},
-			{Parallelism: 4, SequentialCutoff: -1, Cut: cut, Bound: l.bound, Pivots: 1 + int(pivotsRaw)%5},
-			{Parallelism: 4, SequentialCutoff: -1, Cut: cut, Pivots: 3},
+			{Parallelism: 4, Cut: cut, Bound: l.bound, Pivots: 1 + int(pivotsRaw)%5},
+			{Parallelism: 4, Cut: cut, Pivots: 3},
 		} {
-			got, err := Compute(ctx, n, l.dist, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := Compute(n, l.dist, cfg)
 			if i, j, ok := matricesEqual(got, want); !ok {
 				t.Logf("seed=%d n=%d cut=%v cfg=%+v: cell (%d,%d) = %v, want %v",
 					seed, n, cut, cfg, i, j, got.At(i, j), want.At(i, j))
@@ -115,49 +137,59 @@ func TestPrunedMatrixMatchesGatedExhaustive(t *testing.T) {
 	}
 }
 
+// pruneCounters reads the layer tallies a gated fill reported.
+type pruneCounters struct {
+	total, prunedBound, prunedPivot, exact, gated int64
+}
+
+func readCounters(reg *metrics.Registry) pruneCounters {
+	c := reg.TakeSnapshot().Counters
+	return pruneCounters{
+		total:       c["distmatrix/pairs_total"],
+		prunedBound: c["distmatrix/pairs_pruned_bound"],
+		prunedPivot: c["distmatrix/pairs_pruned_pivot"],
+		exact:       c["distmatrix/pairs"],
+		gated:       c["distmatrix/pairs_gated"],
+	}
+}
+
 // TestPrunedStatsAccounting: every pair is counted exactly once across
-// the pruning layers, the registry counters agree with the caller's
-// PruneStats, and pruning actually skips work on a spread-out input.
+// the pruning layers, and pruning actually skips work on a spread-out
+// input.
 func TestPrunedStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 120
 	l := randLineMetric(rng, n)
-	var st PruneStats
 	reg := metrics.New()
-	_, err := Compute(context.Background(), n, l.dist, Options{
-		Parallelism: 3, SequentialCutoff: -1,
-		Cut: 5, Bound: l.bound, Pivots: 4, Stats: &st, Metrics: reg,
+	Compute(n, l.dist, Options{
+		Parallelism: 3, Cut: 5, Bound: l.bound, Pivots: 4, Metrics: reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := readCounters(reg)
 	total := int64(n * (n - 1) / 2)
-	if st.Total != total {
-		t.Errorf("Total = %d, want %d", st.Total, total)
+	if st.total != total {
+		t.Errorf("pairs_total = %d, want %d", st.total, total)
 	}
-	if got := st.PrunedBound + st.PrunedPivot + st.Exact; got != total {
-		t.Errorf("PrunedBound+PrunedPivot+Exact = %d, want %d (%+v)", got, total, st)
+	if got := st.prunedBound + st.prunedPivot + st.exact; got != total {
+		t.Errorf("pruned_bound+pruned_pivot+pairs = %d, want %d (%+v)", got, total, st)
 	}
-	if st.PrunedBound == 0 {
+	if st.prunedBound == 0 {
 		t.Error("prefilter pruned nothing on a spread-out input")
 	}
-	if st.Exact >= total/2 {
-		t.Errorf("Exact = %d of %d pairs: pruning ineffective", st.Exact, total)
+	if st.exact >= total/2 {
+		t.Errorf("pairs = %d of %d: pruning ineffective", st.exact, total)
 	}
-	if st.Gated > st.Exact {
-		t.Errorf("Gated = %d exceeds Exact = %d", st.Gated, st.Exact)
+	if st.gated > st.exact {
+		t.Errorf("pairs_gated = %d exceeds pairs = %d", st.gated, st.exact)
 	}
 	snap := reg.TakeSnapshot()
-	for name, want := range map[string]int64{
-		"distmatrix/pairs":              st.Exact,
-		"distmatrix/pairs_total":        st.Total,
-		"distmatrix/pairs_pruned_bound": st.PrunedBound,
-		"distmatrix/pairs_pruned_pivot": st.PrunedPivot,
-		"distmatrix/pairs_gated":        st.Gated,
-	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("counter %s = %d, want %d", name, got, want)
+	for _, h := range snap.Histograms {
+		// One observation per pool worker plus one for the pivot phase.
+		if h.Count != 4 {
+			t.Errorf("histogram %s: %d observations, want 4", h.Name, h.Count)
 		}
+	}
+	if len(snap.Histograms) != 3 {
+		t.Errorf("histograms = %+v, want worker_busy, prefilter_busy, exact_busy", snap.Histograms)
 	}
 }
 
@@ -166,18 +198,15 @@ func TestPrunedStatsAccounting(t *testing.T) {
 func TestPrunedSentinelPlacement(t *testing.T) {
 	l := &lineMetric{x: []float64{0, 1, 2, 50, 51, 103}}
 	n := len(l.x)
-	m, err := Compute(context.Background(), n, l.dist, Options{
+	m := Compute(n, l.dist, Options{
 		Parallelism: 1, Cut: 10, Bound: l.bound, Pivots: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < n; i++ {
 		if m.At(i, i) != 0 {
 			t.Errorf("diagonal (%d,%d) = %v", i, i, m.At(i, i))
 		}
 		for j := i + 1; j < n; j++ {
-			want, _ := l.dist(i, j)
+			want := l.dist(i, j)
 			got := m.At(i, j)
 			if want > 10 {
 				if !IsSentinel(got) {
@@ -193,75 +222,23 @@ func TestPrunedSentinelPlacement(t *testing.T) {
 	}
 }
 
-// TestPrunedErrorDeterminism: the sequential and parallel pruned paths
-// report the same erroring pair — the first one in the pruned
-// evaluation order — regardless of worker scheduling.
-func TestPrunedErrorDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 90
-	l := randLineMetric(rng, n)
-	errBoom := errors.New("boom")
-	// Fail every close pair in rows 40+: close pairs survive pruning, so
-	// the engine must reach one, and many will fail across workers.
-	dist := func(i, j int) (float64, error) {
-		v, _ := l.dist(i, j)
-		if i >= 40 && v < 20 {
-			return 0, errBoom
-		}
-		return v, nil
-	}
-	var seqPE, parPE *PairError
-	_, err := Compute(context.Background(), n, dist, Options{Parallelism: 1, Cut: 15, Bound: l.bound})
-	if !errors.As(err, &seqPE) {
-		t.Fatalf("sequential: expected PairError, got %v", err)
-	}
-	_, err = Compute(context.Background(), n, dist, Options{Parallelism: 8, SequentialCutoff: -1, Cut: 15, Bound: l.bound})
-	if !errors.As(err, &parPE) {
-		t.Fatalf("parallel: expected PairError, got %v", err)
-	}
-	if seqPE.I != parPE.I || seqPE.J != parPE.J {
-		t.Errorf("error pair: seq (%d,%d), par (%d,%d)", seqPE.I, seqPE.J, parPE.I, parPE.J)
-	}
-	if !errors.Is(err, errBoom) {
-		t.Errorf("unwrap lost the distance error: %v", err)
-	}
-}
-
-// TestPrunedCancellation: a canceled context stops both pruned paths.
-func TestPrunedCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 80
-	l := randLineMetric(rng, n)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, par := range []int{1, 4} {
-		_, err := Compute(ctx, n, l.dist, Options{Parallelism: par, SequentialCutoff: -1, Cut: 10, Bound: l.bound})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("parallelism %d: err = %v, want context.Canceled", par, err)
-		}
-	}
-}
-
 // TestPrunedPivotSaturation: asking for more pivots than items must not
 // loop or double-count; with every item a pivot the matrix is complete
 // and exact evaluations cover each pair once.
 func TestPrunedPivotSaturation(t *testing.T) {
 	l := &lineMetric{x: []float64{3, 1, 4, 1.5, 9}}
 	n := len(l.x)
-	var st PruneStats
-	m, err := Compute(context.Background(), n, l.dist, Options{
-		Parallelism: 1, Cut: 100, Pivots: 50, Stats: &st,
+	reg := metrics.New()
+	m := Compute(n, l.dist, Options{
+		Parallelism: 1, Cut: 100, Pivots: 50, Metrics: reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := int64(n * (n - 1) / 2)
-	if st.Exact != total || st.Total != total {
-		t.Errorf("stats = %+v, want Total = Exact = %d", st, total)
+	if st := readCounters(reg); st.exact != total || st.total != total {
+		t.Errorf("counters = %+v, want pairs_total = pairs = %d", st, total)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			want, _ := l.dist(i, j)
+			want := l.dist(i, j)
 			if got := m.At(i, j); got != want {
 				t.Errorf("(%d,%d) = %v, want %v", i, j, got, want)
 			}
@@ -277,19 +254,12 @@ func TestPrunedAdversarialBound(t *testing.T) {
 	const n = 40
 	l := randLineMetric(rng, n)
 	cut := 20.0
-	exhaustive, err := Compute(context.Background(), n, l.dist, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gateMatrix(exhaustive, cut)
+	want := naiveMatrix(n, l.dist, cut)
 	for name, bound := range map[string]BoundFunc{
 		"zero":  func(i, j int) float64 { return 0 },
-		"exact": func(i, j int) float64 { v, _ := l.dist(i, j); return v },
+		"exact": l.dist,
 	} {
-		got, err := Compute(context.Background(), n, l.dist, Options{Parallelism: 1, Cut: cut, Bound: bound})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := Compute(n, l.dist, Options{Parallelism: 1, Cut: cut, Bound: bound})
 		if i, j, ok := matricesEqual(got, want); !ok {
 			t.Errorf("%s bound: cell (%d,%d) = %v, want %v", name, i, j, got.At(i, j), want.At(i, j))
 		}
@@ -301,15 +271,13 @@ func ExampleOptions_pruned() {
 	// cross-clump pair is pruned or gated to the sentinel.
 	x := []float64{0, 1, 2, 3, 4, 100, 101, 102, 103, 104}
 	l := &lineMetric{x: x}
-	var st PruneStats
-	m, err := Compute(context.Background(), len(x), l.dist, Options{
-		Parallelism: 1, Cut: 5, Bound: l.bound, Pivots: 2, Stats: &st,
+	reg := metrics.New()
+	m := Compute(len(x), l.dist, Options{
+		Parallelism: 1, Cut: 5, Bound: l.bound, Pivots: 2, Metrics: reg,
 	})
-	if err != nil {
-		panic(err)
-	}
+	st := readCounters(reg)
 	fmt.Printf("within: %v  across: sentinel=%v  exact evals: %d of %d\n",
-		m.At(0, 4), IsSentinel(m.At(0, 9)), st.Exact, st.Total)
+		m.At(0, 4), IsSentinel(m.At(0, 9)), st.exact, st.total)
 	// Output:
 	// within: 4  across: sentinel=true  exact evals: 29 of 45
 }

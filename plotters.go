@@ -645,15 +645,14 @@ type (
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.New() }
 
-// PruneReport summarizes the θ_hm pruning engine's pair accounting from
-// an instrumented run (Config.HMPrune / Config.HMCut): how many of the
+// PruneReport summarizes the θ_hm pruning kernel's pair accounting from
+// an instrumented run wide enough to engage it (θ_hm prunes on its own
+// from about a thousand clusterable hosts up): how many of the
 // n·(n−1)/2 candidate pairs were skipped by each pruning layer versus
 // evaluated exactly. Calibration counts the exact evaluations the
 // auto-calibration mini-matrix paid on top of the main matrix.
 // ExactFraction is the run's headline economy — the share of pairs that
-// paid an exact EMD evaluation, calibration included; it can exceed 1
-// on populations small enough that the calibration subsample covers
-// most hosts, where pruning costs more than it saves.
+// paid an exact EMD evaluation, calibration included.
 type PruneReport struct {
 	PairsTotal    int64   `json:"pairs_total"`
 	Exact         int64   `json:"exact"`
@@ -666,8 +665,8 @@ type PruneReport struct {
 
 // PruneSummary derives a PruneReport from a snapshot's distmatrix and
 // calibration counters. The second return is false when the snapshot
-// holds no gated-matrix activity — the run never engaged the pruning
-// engine.
+// holds no gated-matrix activity — no θ_hm population in the run was
+// wide enough to prune.
 func PruneSummary(snap MetricsSnapshot) (PruneReport, bool) {
 	total := snap.Counters["distmatrix/pairs_total"]
 	if total == 0 {
