@@ -1,8 +1,10 @@
 package checkpoint_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"strings"
 	"testing"
 
@@ -93,5 +95,54 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// testdata/snapshot_v1_pr18.bin was written by the commit before the
+// feature layer merged each host's two per-destination maps into one
+// table and replaced the reorder heap with keys over a record slab: 454
+// records of synthStream(seed 18, 50 min) through testEngineConfig(), so
+// two sealed panes, buffered records and carried anchors are all in it.
+// The in-memory layout changed; the bytes must not. Restoring the old
+// build's snapshot into this build's engine and snapshotting again has
+// to give back the file exactly — which proves the merged table
+// re-exports both address-sorted lists, and every time in them, as the
+// old maps did.
+func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot_v1_pr18.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending, anchors, dests := 0, 0, 0
+	for _, sh := range snap.Engine.Store.Shards {
+		pending += len(sh.Pending)
+		anchors += len(sh.Anchors)
+		for _, h := range sh.Hosts {
+			dests += len(h.FirstContact)
+		}
+	}
+	if len(snap.Engine.Recent) == 0 || pending == 0 || anchors == 0 || dests == 0 {
+		t.Fatalf("fixture is too thin to prove anything: %d sealed panes, %d pending, %d anchors, %d open-pane destinations",
+			len(snap.Engine.Recent), pending, anchors, dests)
+	}
+
+	eng := newTestEngine(t, nil)
+	if err := snap.RestoreEngine(eng); err != nil {
+		t.Fatal(err)
+	}
+	again, err := checkpoint.Encode(&checkpoint.Snapshot{
+		Meta:      snap.Meta,
+		Engine:    eng.State(),
+		Exporters: snap.Exporters,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("re-encoded snapshot differs from the parent build's (%d vs %d bytes)", len(again), len(data))
 	}
 }

@@ -174,6 +174,11 @@ type WindowedDetector struct {
 	emitted  int
 	dropped  int
 	flushing bool // inside Flush: mark windows sealed early as Partial
+
+	// Per-record instruments, resolved once: a lookup by name takes the
+	// registry mutex, which Add must not do per record.
+	records *metrics.Counter // "engine/records"
+	drops   *metrics.Counter // "engine/drops"
 }
 
 // New creates a windowed detector. emit receives each sealed window's
@@ -204,6 +209,8 @@ func New(cfg Config, emit func(*Result) error) (*WindowedDetector, error) {
 		detectors: detectors,
 		paneDur:   paneDur,
 		k:         k,
+		records:   cfg.Core.Metrics.Counter("engine/records"),
+		drops:     cfg.Core.Metrics.Counter("engine/drops"),
 	}
 	d.emit = counted(&d.emitted, emit)
 	cfg.Core.Metrics.Gauge("engine/shards").Set(int64(store.Shards()))
@@ -259,14 +266,17 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 		return err
 	}
 	if err := d.store.Add(r); err != nil {
+		// The store rejects only late records, and with a static error:
+		// the text is built here, and only when somebody will read it.
 		d.dropped++
-		d.cfg.Core.Metrics.Counter("engine/drops").Add(1)
+		d.drops.Add(1)
 		if d.cfg.DropLate {
 			return nil
 		}
-		return fmt.Errorf("%w: %v", ErrLateRecord, err)
+		return fmt.Errorf("%w: record at %v is more than %v behind the frontier %v",
+			ErrLateRecord, r.Start, d.cfg.MaxSkew, d.frontier)
 	}
-	d.cfg.Core.Metrics.Counter("engine/records").Add(1)
+	d.records.Add(1)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -345,6 +346,71 @@ func TestDropLateModeCountsNotErrors(t *testing.T) {
 	}
 	if n := coreCfg.Metrics.Counter("engine/records").Value(); n != 3 {
 		t.Errorf("engine/records = %d, want 3 (drops must not count as ingested)", n)
+	}
+}
+
+// A late record must cost less than an accepted one. With DropLate (the
+// live default) the reject path allocates nothing — an exporter clock
+// step makes every record of a burst late, on the handler thread — and
+// without it the surfaced error still says which record, how much skew
+// was allowed, and where the frontier stood.
+func TestLateRecordRejectPath(t *testing.T) {
+	base := baseTime()
+	mk := func(at time.Time) flow.Record {
+		return flow.Record{
+			Src: 1, Dst: 100, SrcPort: 4000, DstPort: 80, Proto: flow.TCP,
+			Start: at, End: at.Add(time.Second),
+			SrcPkts: 1, DstPkts: 1, SrcBytes: 10, DstBytes: 10,
+			State: flow.StateEstablished,
+		}
+	}
+	frontier := base.Add(61*time.Minute + time.Second)
+	late := mk(base.Add(50 * time.Minute))
+	for _, dropLate := range []bool{true, false} {
+		coreCfg := testConfig()
+		coreCfg.Metrics = metrics.New()
+		d, err := New(Config{
+			Window:   time.Hour,
+			Origin:   base,
+			MaxSkew:  time.Minute,
+			DropLate: dropLate,
+			Core:     coreCfg,
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []time.Time{base.Add(30 * time.Minute), frontier} {
+			r := mk(at)
+			if err := d.Add(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dropLate {
+			if avg := testing.AllocsPerRun(100, func() {
+				if err := d.Add(&late); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("DropLate: a rejected Add allocates %v times, want 0", avg)
+			}
+			// AllocsPerRun calls once to warm up, then 100 times.
+			if n := coreCfg.Metrics.Counter("engine/drops").Value(); n != 101 || d.Dropped() != 101 {
+				t.Errorf("engine/drops = %d, Dropped() = %d, want 101 each", n, d.Dropped())
+			}
+			if n := coreCfg.Metrics.Counter("stream/skew_drops").Value(); n != 101 {
+				t.Errorf("stream/skew_drops = %d, want 101", n)
+			}
+			continue
+		}
+		err = d.Add(&late)
+		if !errors.Is(err, ErrLateRecord) {
+			t.Fatalf("err = %v, want ErrLateRecord", err)
+		}
+		for _, want := range []string{late.Start.String(), time.Minute.String(), frontier.String()} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
 	}
 }
 

@@ -80,11 +80,27 @@ func (h *HostFeatures) NewPeerFraction() float64 {
 	return float64(h.NewPeers) / float64(h.Peers)
 }
 
-// featureBuilder accumulates one host's state during extraction.
+// featureBuilder accumulates one host's state during extraction: the
+// features plus one table entry per contacted destination.
 type featureBuilder struct {
-	feats     *HostFeatures
-	firstSeen map[IP]time.Time // destination -> first contact
-	lastStart map[IP]time.Time // destination -> latest flow start
+	feats *HostFeatures
+	dests map[IP]destTimes
+}
+
+// destTimes is what a host remembers about one destination: its first
+// contact (peer de-duplication, the churn grace test) and its latest
+// flow start (the next interstitial gap), as Unix nanoseconds. Both live
+// in one entry because every record reads and writes both for the same
+// destination — one lookup and one store per record.
+type destTimes struct {
+	first, last int64
+}
+
+func newFeatureBuilder(host IP, firstSeen time.Time) *featureBuilder {
+	return &featureBuilder{
+		feats: &HostFeatures{Host: host, FirstSeen: firstSeen},
+		dests: make(map[IP]destTimes),
+	}
 }
 
 // ExtractFeatures computes per-host features from the record set.
@@ -114,11 +130,7 @@ func extractBuilders(records []Record, opts FeatureOptions) map[IP]*featureBuild
 		}
 		b, ok := builders[r.Src]
 		if !ok {
-			b = &featureBuilder{
-				feats:     &HostFeatures{Host: r.Src, FirstSeen: r.Start},
-				firstSeen: make(map[IP]time.Time),
-				lastStart: make(map[IP]time.Time),
-			}
+			b = newFeatureBuilder(r.Src, r.Start)
 			builders[r.Src] = b
 		}
 		b.observe(r, grace)
@@ -136,20 +148,26 @@ func featuresOfBuilders(builders map[IP]*featureBuilder) map[IP]*HostFeatures {
 }
 
 // contactsOfBuilders derives each host's contacted-destination set (the
-// keys of its per-destination first-contact table) in ascending address
-// order — the flow-graph view of the accumulated state that the
-// community detector consumes.
+// keys of its per-destination table) in ascending address order — the
+// flow-graph view of the accumulated state that the community detector
+// consumes.
 func contactsOfBuilders(builders map[IP]*featureBuilder) map[IP][]IP {
 	out := make(map[IP][]IP, len(builders))
 	for ip, b := range builders {
-		dsts := make([]IP, 0, len(b.firstSeen))
-		for dst := range b.firstSeen {
-			dsts = append(dsts, dst)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		out[ip] = dsts
+		out[ip] = b.sortedDests()
 	}
 	return out
+}
+
+// sortedDests returns the host's contacted destinations in ascending
+// address order.
+func (b *featureBuilder) sortedDests() []IP {
+	dsts := make([]IP, 0, len(b.dests))
+	for dst := range b.dests {
+		dsts = append(dsts, dst)
+	}
+	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	return dsts
 }
 
 // FeatureValues extracts one float feature from a host set in a

@@ -1,15 +1,12 @@
 package flow
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Pane is one sealed accumulation interval's raw per-host state: the
 // feature builders detached from a StreamExtractor at a pane boundary.
 // A tumbling detection window is a single pane; a sliding window is the
 // merge of its last Window/Slide panes. Panes keep the per-destination
-// first-contact and last-start maps alive so MergePanes can stitch
+// first-contact/last-start tables alive so MergePanes can stitch
 // adjacent panes back together exactly (peer de-duplication and
 // cross-pane interstitial gaps included).
 type Pane struct {
@@ -95,24 +92,20 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 			WithContacts(nonEmpty[0].Contacts())
 	}
 
-	type hostMerge struct {
-		feats        *HostFeatures
-		firstContact map[IP]time.Time // destination -> earliest contact across panes
-		lastStart    map[IP]time.Time // destination -> latest start so far (for boundary gaps)
-	}
-	merged := make(map[IP]*hostMerge)
+	// Per merged host: the summed features and, per destination, the
+	// earliest first contact and the latest start across the panes so far.
+	merged := make(map[IP]*featureBuilder)
 	for _, p := range nonEmpty {
 		for ip, b := range p.builders {
 			m, ok := merged[ip]
 			if !ok {
-				m = &hostMerge{
+				m = &featureBuilder{
 					feats: &HostFeatures{
 						Host:      ip,
 						FirstSeen: b.feats.FirstSeen,
 						LastSeen:  b.feats.LastSeen,
 					},
-					firstContact: make(map[IP]time.Time, len(b.firstSeen)),
-					lastStart:    make(map[IP]time.Time, len(b.lastStart)),
+					dests: make(map[IP]destTimes, len(b.dests)),
 				}
 				merged[ip] = m
 			}
@@ -128,21 +121,16 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 				f.LastSeen = b.feats.LastSeen
 			}
 			// Pane-internal gaps survive as-is; the boundary gap between
-			// the previous pane's last start to a destination and this
+			// the earlier panes' last start to a destination and this
 			// pane's first contact with it is reconstructed here.
 			f.Interstitials = append(f.Interstitials, b.feats.Interstitials...)
-			for dst, first := range b.firstSeen {
-				if prev, ok := m.lastStart[dst]; ok {
-					f.Interstitials = append(f.Interstitials, first.Sub(prev).Seconds())
+			for dst, d := range b.dests {
+				if cur, ok := m.dests[dst]; ok {
+					f.Interstitials = append(f.Interstitials, time.Duration(d.first-cur.last).Seconds())
+					d.first = min(d.first, cur.first)
+					d.last = max(d.last, cur.last)
 				}
-				if cur, ok := m.firstContact[dst]; !ok || first.Before(cur) {
-					m.firstContact[dst] = first
-				}
-			}
-			for dst, last := range b.lastStart {
-				if cur, ok := m.lastStart[dst]; !ok || last.After(cur) {
-					m.lastStart[dst] = last
-				}
+				m.dests[dst] = d
 			}
 		}
 	}
@@ -151,18 +139,16 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 	contacts := make(map[IP][]IP, len(merged))
 	for ip, m := range merged {
 		f := m.feats
-		f.Peers = len(m.firstContact)
+		f.Peers = len(m.dests)
 		f.NewPeers = 0
-		dsts := make([]IP, 0, len(m.firstContact))
-		for dst, first := range m.firstContact {
-			dsts = append(dsts, dst)
-			if first.Sub(f.FirstSeen) > grace {
+		graceEnd := f.FirstSeen.Add(grace).UnixNano()
+		for _, d := range m.dests {
+			if d.first > graceEnd {
 				f.NewPeers++
 			}
 		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
 		out[ip] = f
-		contacts[ip] = dsts
+		contacts[ip] = m.sortedDests()
 	}
 	return NewFeatureSet(out, window).WithContacts(contacts)
 }

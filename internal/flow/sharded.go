@@ -117,10 +117,15 @@ func (se *ShardedExtractor) CarryFirstSeen(on bool) {
 func (se *ShardedExtractor) Add(r *Record) error {
 	s := se.shardOf(r.Src)
 	s.mu.Lock()
+	before := len(s.ex.builders)
 	err := s.ex.Add(r)
 	n := len(s.ex.builders)
 	s.mu.Unlock()
-	se.hostsHW.SetMax(int64(n))
+	// The gauge is one cache line every shard's caller shares: touch it
+	// only when this shard's host table actually grew.
+	if n > before {
+		se.hostsHW.SetMax(int64(n))
+	}
 	return err
 }
 

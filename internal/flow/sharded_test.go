@@ -134,11 +134,13 @@ func featuresEqualModGapOrder(a, b *HostFeatures) bool {
 // Sealing a stream into panes and merging them back must reproduce the
 // batch extraction over the combined records: counters, de-duplicated
 // peers, grace-anchored new-peer counts, and the exact multiset of
-// interstitial gaps including the cross-pane boundary gaps.
+// interstitial gaps including the cross-pane boundary gaps — also for a
+// destination that skips a pane and a host that never leaves its grace
+// period (withTableEdgeCases).
 func TestMergePanesMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 20; trial++ {
-		records := strictlyOrderedRecords(rng, 600)
+		records := withTableEdgeCases(strictlyOrderedRecords(rng, 600))
 		start := records[0].Start
 		end := records[len(records)-1].Start.Add(time.Nanosecond)
 
@@ -160,7 +162,12 @@ func TestMergePanesMatchesBatch(t *testing.T) {
 		panes = append(panes, se.TakePane(Window{From: cut.Add(-time.Hour), To: cut}))
 
 		merged := MergePanes(0, panes...)
-		batch := ExtractFeatures(records, FeatureOptions{})
+		batchSet := ExtractFeatureSet(records, FeatureOptions{}, Window{})
+		batch := batchSet.Features()
+		checkTableEdgeCases(t, merged.Features())
+		if !reflect.DeepEqual(merged.Contacts(), batchSet.Contacts()) {
+			t.Fatalf("trial %d: merged contact sets differ from batch", trial)
+		}
 		if len(merged.Features()) != len(batch) {
 			t.Fatalf("trial %d: host counts differ: %d vs %d",
 				trial, len(merged.Features()), len(batch))

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -10,14 +9,17 @@ import (
 // This file is the durable-state seam of the feature layer: exported,
 // plain-data snapshots of the incremental extractors' internal state, so
 // internal/checkpoint can persist a live deployment and restore it
-// bit-identically after a crash. The types mirror the unexported
-// accumulation structures (featureBuilder, the reorder heap, the
-// first-seen anchors) field for field; State() detaches a deep copy,
-// RestoreState() rebuilds the originals inside a freshly constructed
-// extractor. Configuration (FeatureOptions, shard count, skew) is never
-// part of the state — the restoring caller constructs the extractor
-// with the same configuration, and the checkpoint layer pins that
-// equality in its metadata.
+// bit-identically after a crash. The types are the format, not a mirror
+// of the accumulation structures: a host's one per-destination table
+// leaves as two address-sorted lists (FirstContact, LastStart) and the
+// reorder buffer's keys and slab as one (start, seq)-sorted Pending list,
+// so how the extractor lays state out in memory can change without the
+// snapshot bytes changing. State() detaches a deep copy, RestoreState()
+// rebuilds the originals inside a freshly constructed extractor.
+// Configuration (FeatureOptions, shard count, skew) is never part of the
+// state — the restoring caller constructs the extractor with the same
+// configuration, and the checkpoint layer pins that equality in its
+// metadata.
 
 // HostTime pairs an address with a timestamp — one entry of a
 // per-destination first-contact or last-start table, or one first-seen
@@ -36,7 +38,7 @@ type HostState struct {
 	LastStart    []HostTime // destination -> latest flow start, ascending by Host
 }
 
-// PendingState is one record buffered in the reorder heap, with the
+// PendingState is one record held in the reorder buffer, with the
 // arrival sequence number that keeps same-start ties in arrival order.
 type PendingState struct {
 	Rec Record
@@ -86,7 +88,7 @@ func hostTimesFromMap(m map[IP]time.Time) []HostTime {
 	return out
 }
 
-// hostTimesToMap rebuilds the map form.
+// hostTimesToMap rebuilds the map form (first-seen anchors).
 func hostTimesToMap(entries []HostTime) map[IP]time.Time {
 	m := make(map[IP]time.Time, len(entries))
 	for _, e := range entries {
@@ -110,12 +112,17 @@ func stateOfBuilders(builders map[IP]*featureBuilder) []HostState {
 	out := make([]HostState, len(hosts))
 	for i, ip := range hosts {
 		b := builders[ip]
-		hs := HostState{
-			Feats:        *b.feats,
-			FirstContact: hostTimesFromMap(b.firstSeen),
-			LastStart:    hostTimesFromMap(b.lastStart),
-		}
+		hs := HostState{Feats: *b.feats}
 		hs.Feats.Interstitials = append([]float64(nil), b.feats.Interstitials...)
+		if dsts := b.sortedDests(); len(dsts) > 0 {
+			hs.FirstContact = make([]HostTime, len(dsts))
+			hs.LastStart = make([]HostTime, len(dsts))
+			for j, dst := range dsts {
+				d := b.dests[dst]
+				hs.FirstContact[j] = HostTime{Host: dst, Time: time.Unix(0, d.first).UTC()}
+				hs.LastStart[j] = HostTime{Host: dst, Time: time.Unix(0, d.last).UTC()}
+			}
+		}
 		out[i] = hs
 	}
 	return out
@@ -128,11 +135,24 @@ func buildersFromState(hosts []HostState) map[IP]*featureBuilder {
 		hs := &hosts[i]
 		feats := hs.Feats
 		feats.Interstitials = append([]float64(nil), hs.Feats.Interstitials...)
-		builders[hs.Feats.Host] = &featureBuilder{
-			feats:     &feats,
-			firstSeen: hostTimesToMap(hs.FirstContact),
-			lastStart: hostTimesToMap(hs.LastStart),
+		b := &featureBuilder{feats: &feats, dests: make(map[IP]destTimes, len(hs.FirstContact))}
+		for _, e := range hs.FirstContact {
+			ns := e.Time.UnixNano()
+			b.dests[e.Host] = destTimes{first: ns, last: ns}
 		}
+		// Every snapshot this package writes lists the same destinations
+		// in both tables; one named only here has no earlier contact on
+		// record, so its latest start stands in for it.
+		for _, e := range hs.LastStart {
+			ns := e.Time.UnixNano()
+			d, ok := b.dests[e.Host]
+			if !ok {
+				d.first = ns
+			}
+			d.last = ns
+			b.dests[e.Host] = d
+		}
+		builders[hs.Feats.Host] = b
 	}
 	return builders
 }
@@ -150,18 +170,13 @@ func (se *StreamExtractor) State() *StreamState {
 		Hosts:    stateOfBuilders(se.builders),
 		Anchors:  hostTimesFromMap(se.anchors),
 	}
-	if len(se.pending) > 0 {
-		st.Pending = make([]PendingState, len(se.pending))
-		for i, p := range se.pending {
-			st.Pending[i] = PendingState{Rec: p.rec, Seq: p.seq}
+	if n := se.pending.len(); n > 0 {
+		keys := append([]reorderKey(nil), se.pending.keys...)
+		sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+		st.Pending = make([]PendingState, n)
+		for i, k := range keys {
+			st.Pending[i] = PendingState{Rec: se.pending.slab[k.slot], Seq: k.seq}
 		}
-		sort.Slice(st.Pending, func(i, j int) bool {
-			a, b := &st.Pending[i], &st.Pending[j]
-			if !a.Rec.Start.Equal(b.Rec.Start) {
-				return a.Rec.Start.Before(b.Rec.Start)
-			}
-			return a.Seq < b.Seq
-		})
 	}
 	return st
 }
@@ -172,7 +187,7 @@ func (se *StreamExtractor) State() *StreamState {
 // one; feature semantics would silently diverge otherwise, so a
 // non-empty extractor is rejected.
 func (se *StreamExtractor) RestoreState(st *StreamState) error {
-	if se.count != 0 || len(se.builders) != 0 || len(se.pending) != 0 {
+	if se.count != 0 || len(se.builders) != 0 || se.pending.len() != 0 {
 		return fmt.Errorf("flow: RestoreState on an extractor that already holds %d records", se.count)
 	}
 	se.first = st.First
@@ -184,12 +199,8 @@ func (se *StreamExtractor) RestoreState(st *StreamState) error {
 	if se.anchors != nil && len(st.Anchors) > 0 {
 		se.anchors = hostTimesToMap(st.Anchors)
 	}
-	if len(st.Pending) > 0 {
-		se.pending = make(recordHeap, len(st.Pending))
-		for i := range st.Pending {
-			se.pending[i] = pendingRecord{rec: st.Pending[i].Rec, seq: st.Pending[i].Seq}
-		}
-		heap.Init(&se.pending)
+	for i := range st.Pending {
+		se.pending.push(&st.Pending[i].Rec, st.Pending[i].Seq)
 	}
 	se.hostCtr.Set(int64(len(se.builders)))
 	return nil
@@ -222,10 +233,13 @@ func (se *ShardedExtractor) RestoreState(st *ShardedState) error {
 		s := &se.shards[i]
 		s.mu.Lock()
 		err := s.ex.RestoreState(&st.Shards[i])
+		n := len(s.ex.builders)
 		s.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("flow: shard %d: %w", i, err)
 		}
+		se.hostsHW.SetMax(int64(n)) // Add publishes growth only
+
 	}
 	return nil
 }

@@ -1,8 +1,7 @@
 package flow
 
 import (
-	"container/heap"
-	"fmt"
+	"errors"
 	"time"
 
 	"plotters/internal/metrics"
@@ -16,17 +15,17 @@ import (
 // emit records at flow *end*, so a live feed arrives only approximately
 // start-ordered. Set FeatureOptions via NewStreamExtractor and a MaxSkew
 // via NewStreamExtractorSkew to buffer records in a small start-ordered
-// heap: a record is processed once the feed has advanced MaxSkew past
-// its start time, which tolerates exactly the reordering a flow
-// monitor's expiry timers introduce. With zero skew, records must arrive
-// strictly start-ordered.
+// reorder buffer: a record is processed once the feed has advanced
+// MaxSkew past its start time, which tolerates exactly the reordering a
+// flow monitor's expiry timers introduce. With zero skew, records must
+// arrive strictly start-ordered.
 type StreamExtractor struct {
 	opts     FeatureOptions
 	grace    time.Duration
 	maxSkew  time.Duration
 	builders map[IP]*featureBuilder
 	anchors  map[IP]time.Time // host -> carried first-seen (nil = off)
-	pending  recordHeap
+	pending  reorderBuffer
 	first    time.Time // earliest start time seen
 	frontier time.Time // latest start time seen
 	released time.Time // start time up to which records were processed
@@ -78,13 +77,19 @@ func (se *StreamExtractor) Metrics(reg *metrics.Registry) *StreamExtractor {
 	return se
 }
 
+// errLate is what Add returns for every record behind the released
+// watermark. One static value: a stepped exporter clock turns every
+// record of a burst into a reject, and callers that only count drops
+// (the live default) must not pay for a message nobody reads. Callers
+// that surface the drop describe it themselves (engine.ErrLateRecord).
+var errLate = errors.New("flow: record is more than MaxSkew behind the stream frontier")
+
 // Add folds one record into the running features. Records may arrive up
 // to MaxSkew out of start-time order; older records are rejected.
 func (se *StreamExtractor) Add(r *Record) error {
 	if r.Start.Before(se.released) {
 		se.dropCtr.Add(1)
-		return fmt.Errorf("flow: record at %v is more than %v behind the stream frontier %v",
-			r.Start, se.maxSkew, se.frontier)
+		return errLate
 	}
 	se.count++
 	se.recCtr.Add(1)
@@ -100,24 +105,26 @@ func (se *StreamExtractor) Add(r *Record) error {
 		return nil
 	}
 	se.seq++
-	heap.Push(&se.pending, pendingRecord{rec: *r, seq: se.seq})
-	se.pendingHW.SetMax(int64(len(se.pending)))
-	se.release(se.frontier.Add(-se.maxSkew))
+	se.pending.push(r, se.seq)
+	se.pendingHW.SetMax(int64(se.pending.len()))
+	se.release(se.frontier.UnixNano() - int64(se.maxSkew) + 1)
 	return nil
 }
 
-// release processes buffered records with start times up to watermark.
-func (se *StreamExtractor) release(watermark time.Time) {
-	for len(se.pending) > 0 && !se.pending[0].rec.Start.After(watermark) {
-		p := heap.Pop(&se.pending).(pendingRecord)
-		se.released = p.rec.Start
-		se.process(&p.rec)
+// release processes buffered records with start times (Unix ns) strictly
+// below bound, earliest first. A watermark that is itself releasable
+// (frontier − MaxSkew, the frontier at end of feed) passes watermark+1.
+func (se *StreamExtractor) release(bound int64) {
+	for se.pending.len() > 0 && se.pending.minStart() < bound {
+		r := se.pending.pop()
+		se.released = r.Start
+		se.process(&r)
 	}
 }
 
 // Drain processes every buffered record (end of feed).
 func (se *StreamExtractor) Drain() {
-	se.release(se.frontier)
+	se.release(se.frontier.UnixNano() + 1)
 }
 
 // ReleaseBefore force-processes every buffered record with a start time
@@ -127,11 +134,7 @@ func (se *StreamExtractor) Drain() {
 // the stream frontier proves no conforming record below t can still
 // arrive, so records at or past t stay buffered for the next pane.
 func (se *StreamExtractor) ReleaseBefore(t time.Time) {
-	for len(se.pending) > 0 && se.pending[0].rec.Start.Before(t) {
-		p := heap.Pop(&se.pending).(pendingRecord)
-		se.released = p.rec.Start
-		se.process(&p.rec)
-	}
+	se.release(t.UnixNano())
 	if t.After(se.released) {
 		se.released = t
 	}
@@ -180,11 +183,7 @@ func (se *StreamExtractor) process(r *Record) {
 		if anchor, ok := se.anchors[r.Src]; ok && anchor.Before(first) {
 			first = anchor
 		}
-		b = &featureBuilder{
-			feats:     &HostFeatures{Host: r.Src, FirstSeen: first},
-			firstSeen: make(map[IP]time.Time),
-			lastStart: make(map[IP]time.Time),
-		}
+		b = newFeatureBuilder(r.Src, first)
 		se.builders[r.Src] = b
 		se.hostCtr.Set(int64(len(se.builders)))
 	}
@@ -196,7 +195,7 @@ func (se *StreamExtractor) process(r *Record) {
 func (se *StreamExtractor) Records() int { return se.count }
 
 // Pending returns how many records are buffered awaiting the watermark.
-func (se *StreamExtractor) Pending() int { return len(se.pending) }
+func (se *StreamExtractor) Pending() int { return se.pending.len() }
 
 // Hosts returns how many distinct initiators have been processed.
 func (se *StreamExtractor) Hosts() int { return len(se.builders) }
@@ -234,33 +233,6 @@ func (se *StreamExtractor) Window() Window {
 	return Window{From: se.first, To: se.frontier.Add(1)}
 }
 
-// pendingRecord is one buffered record; seq keeps ties in arrival order
-// so the skewed stream reproduces the batch extractor exactly.
-type pendingRecord struct {
-	rec Record
-	seq uint64
-}
-
-// recordHeap is a min-heap of records by (start time, arrival order).
-type recordHeap []pendingRecord
-
-func (h recordHeap) Len() int { return len(h) }
-func (h recordHeap) Less(i, j int) bool {
-	if !h[i].rec.Start.Equal(h[j].rec.Start) {
-		return h[i].rec.Start.Before(h[j].rec.Start)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h recordHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *recordHeap) Push(x any)   { *h = append(*h, x.(pendingRecord)) }
-func (h *recordHeap) Pop() any {
-	old := *h
-	n := len(old)
-	rec := old[n-1]
-	*h = old[:n-1]
-	return rec
-}
-
 // observe folds one record into a host's builder. Shared by the batch
 // and streaming extractors so their semantics cannot drift.
 func (b *featureBuilder) observe(r *Record, grace time.Duration) {
@@ -275,15 +247,17 @@ func (b *featureBuilder) observe(r *Record, grace time.Duration) {
 	if r.Start.After(f.LastSeen) {
 		f.LastSeen = r.Start
 	}
-	if _, seen := b.firstSeen[r.Dst]; !seen {
-		b.firstSeen[r.Dst] = r.Start
+	start := r.Start.UnixNano()
+	d, seen := b.dests[r.Dst]
+	if seen {
+		f.Interstitials = append(f.Interstitials, time.Duration(start-d.last).Seconds())
+	} else {
+		d.first = start
 		f.Peers++
 		if r.Start.Sub(f.FirstSeen) > grace {
 			f.NewPeers++
 		}
 	}
-	if prev, ok := b.lastStart[r.Dst]; ok {
-		f.Interstitials = append(f.Interstitials, r.Start.Sub(prev).Seconds())
-	}
-	b.lastStart[r.Dst] = r.Start
+	d.last = start
+	b.dests[r.Dst] = d
 }

@@ -34,6 +34,54 @@ func strictlyOrderedRecords(rng *rand.Rand, n int) []Record {
 	return out
 }
 
+// Two hosts that pin the per-destination table's edges, on half-second
+// offsets so their starts never tie with strictlyOrderedRecords' whole
+// seconds.
+const (
+	skipPaneHost IP = 50 // contacts skipPaneDst in hours 1 and 3, not 2
+	skipPaneDst  IP = 900
+	graceHost    IP = 51 // every record inside its own NewPeerGrace
+)
+
+// withTableEdgeCases merges the two edge-case hosts into a strictly
+// ordered stream that starts at baseTime. skipPaneHost's three flows to
+// one destination leave exactly two gaps, 2 min and 1 h 58 min; cut into
+// hour panes, the second is a boundary gap that has to reach over an
+// empty pane (pane 3's first contact minus pane 1's last start).
+func withTableEdgeCases(records []Record) []Record {
+	at := func(d time.Duration) time.Time { return baseTime().Add(d + 500*time.Millisecond) }
+	out := append([]Record(nil), records...)
+	for _, e := range []struct {
+		src, dst IP
+		start    time.Time
+	}{
+		{skipPaneHost, skipPaneDst, at(10 * time.Minute)},
+		{skipPaneHost, skipPaneDst, at(12 * time.Minute)},
+		{skipPaneHost, skipPaneDst, at(2*time.Hour + 10*time.Minute)},
+		{graceHost, 901, at(time.Minute)},
+		{graceHost, 902, at(5 * time.Minute)},
+		{graceHost, 901, at(20 * time.Minute)},
+	} {
+		out = append(out, mkRecord(e.src, e.dst, e.start, 10, StateEstablished))
+	}
+	SortByStart(out)
+	return out
+}
+
+// checkTableEdgeCases asserts what the two edge-case hosts must come out
+// as, however the stream was cut or reordered on the way.
+func checkTableEdgeCases(t *testing.T, feats map[IP]*HostFeatures) {
+	t.Helper()
+	if f := feats[skipPaneHost]; f == nil || f.Peers != 1 || f.NewPeers != 0 ||
+		!reflect.DeepEqual(sortedGaps(f), []float64{120, 7080}) {
+		t.Errorf("skip-pane host: got %+v, want 1 peer, 0 new, gaps [120 7080]", f)
+	}
+	if f := feats[graceHost]; f == nil || f.Peers != 2 || f.NewPeers != 0 ||
+		!reflect.DeepEqual(sortedGaps(f), []float64{1140}) {
+		t.Errorf("grace host: got %+v, want 2 peers, 0 new, gaps [1140]", f)
+	}
+}
+
 // Property: for ANY record stream and ANY reordering that displaces each
 // record's arrival by less than maxSkew, the streaming extractor with
 // that MaxSkew reproduces the batch extractor exactly. Each record's
@@ -46,8 +94,8 @@ func TestStreamShufflePropertyMatchesBatch(t *testing.T) {
 		n := 20 + int(sizeRaw)%400
 		maxSkew := time.Duration(1+int(skewRaw)%600) * time.Second
 
-		records := strictlyOrderedRecords(rng, n)
-		shuffled := make([]keyedRecord, n)
+		records := withTableEdgeCases(strictlyOrderedRecords(rng, n))
+		shuffled := make([]keyedRecord, len(records))
 		for i, r := range records {
 			shuffled[i] = keyedRecord{rec: r, key: r.Start.Add(time.Duration(rng.Int63n(int64(maxSkew))))}
 		}
@@ -66,8 +114,14 @@ func TestStreamShufflePropertyMatchesBatch(t *testing.T) {
 			return false
 		}
 
-		batch := ExtractFeatures(records, FeatureOptions{})
+		batchSet := ExtractFeatureSet(records, FeatureOptions{}, Window{})
+		batch := batchSet.Features()
 		stream := se.Snapshot()
+		checkTableEdgeCases(t, stream)
+		if !reflect.DeepEqual(batchSet.Contacts(), se.Contacts()) {
+			t.Logf("seed %d: contact sets differ from batch", seed)
+			return false
+		}
 		if len(batch) != len(stream) {
 			t.Logf("seed %d: host counts differ: %d vs %d", seed, len(batch), len(stream))
 			return false
