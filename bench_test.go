@@ -291,11 +291,11 @@ func hmBenchRecords(n int) []plotters.Record {
 // The metered variants attach a metrics registry, pinning the cost of
 // instrumentation on the pipeline's hottest path (it must stay within
 // noise: everything is recorded per stage or per worker, never per pair).
-// n=1024 reaches the width where HMTest prunes the matrix on its own
-// (auto-calibrated cut; result bit-identical to the exhaustive fill, see
-// core.TestHMTestAutoCalibratedPruneMatchesExhaustive), so it measures
-// the production choice; CI's bench-gate compares every mode against
-// the merge-base.
+// n=1024 is past the width (768) from which HMTest works from the sparse
+// below-cut graph (auto-calibrated cut; result bit-identical to the dense
+// path, see core.TestHMTestAutoCalibratedPruneMatchesExhaustive), so it
+// measures the production choice; CI's bench-gate compares every mode
+// against the merge-base.
 func BenchmarkHMTest(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		records := hmBenchRecords(n)
@@ -344,8 +344,8 @@ func BenchmarkHMTest(b *testing.B) {
 // exhaustive fill at n=16384 would evaluate 134M exact EMDs). Alongside pairs/s it reports the engine's own accounting:
 // exact-frac is the fraction of pairs that paid an exact EMD
 // evaluation (the ≤0.10 acceptance ratio at n=4096, calibration
-// included), pruned-frac the fraction skipped by the prefilter and
-// pivot layers.
+// included), pruned-frac the fraction skipped by the mean index and the
+// CDF prefilter.
 func BenchmarkHMTestPrunedLarge(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d/par-pruned", n), func(b *testing.B) {
@@ -375,8 +375,8 @@ func BenchmarkHMTestPrunedLarge(b *testing.B) {
 			if total > 0 {
 				exact := float64(snap.Counters["distmatrix/pairs"] +
 					snap.Counters["pipeline/hm/calibration_pairs"])
-				pruned := float64(snap.Counters["distmatrix/pairs_pruned_bound"] +
-					snap.Counters["distmatrix/pairs_pruned_pivot"])
+				pruned := float64(snap.Counters["distmatrix/pairs_pruned_index"] +
+					snap.Counters["distmatrix/pairs_pruned_bound"])
 				b.ReportMetric(exact/total, "exact-frac")
 				b.ReportMetric(pruned/total, "pruned-frac")
 			}

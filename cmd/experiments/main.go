@@ -172,8 +172,8 @@ func run() error {
 	if reg != nil {
 		snap := reg.TakeSnapshot()
 		if pr, ok := plotters.PruneSummary(snap); ok {
-			fmt.Fprintf(os.Stderr, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; bound pruned %d, pivots pruned %d, gated %d)\n",
-				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedBound, pr.PrunedPivot, pr.Gated)
+			fmt.Fprintf(os.Stderr, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
+				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
 		}
 		f, err := os.Create(*metricsTo)
 		if err != nil {

@@ -307,8 +307,8 @@ func run() error {
 		len(res.Suspects), res.HM.Threshold, len(res.HM.Clusters), res.HM.Clustered, res.HM.Skipped)
 	if reg != nil {
 		if pr, ok := plotters.PruneSummary(reg.TakeSnapshot()); ok {
-			fmt.Printf("θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; bound pruned %d, pivots pruned %d, gated %d)\n",
-				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedBound, pr.PrunedPivot, pr.Gated)
+			fmt.Printf("θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
+				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
 		}
 	}
 

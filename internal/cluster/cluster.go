@@ -5,6 +5,13 @@
 // the average inter-cluster distances. The final clusters are formed by
 // cutting the top fraction (the paper uses 5%) of links with the largest
 // weights.
+//
+// There are two builders of the same Dendrogram. Agglomerate reads every
+// pairwise distance into a working n×n matrix: the small-population path
+// and the oracle. AgglomerateSparse works from the neighbour graph of the
+// finite pairs alone — at campus width nine pairs in ten are the +Inf
+// sentinel — and reproduces Agglomerate's merges bit for bit. Cutting and
+// the spread statistics only see the Dendrogram and a DistFunc.
 package cluster
 
 import (
@@ -166,7 +173,7 @@ func Agglomerate(n int, dist DistFunc) (*Dendrogram, error) {
 			if !active[k] || k == bi || k == bj {
 				continue
 			}
-			upd := (ni*mat[bi][k] + nj*mat[bj][k]) / (ni + nj)
+			upd := average(ni, mat[bi][k], nj, mat[bj][k])
 			mat[bi][k] = upd
 			mat[k][bi] = upd
 		}

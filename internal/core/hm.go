@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"plotters/internal/cluster"
 	"plotters/internal/distmatrix"
@@ -61,18 +62,38 @@ type HMResult struct {
 // share timer structure and co-cluster tightly; human-driven hosts do
 // not.
 func (a *Analysis) HMTest(s HostSet, pct float64) (HMResult, error) {
+	cfg := a.cfg
+	reg := cfg.Metrics
 	hosts, sigs, skipped, err := a.hmSignatures(s)
 	if err != nil {
 		return HMResult{}, err
 	}
+	if len(hosts) >= hmPruneMinHosts {
+		t := reg.StartStage("pipeline/hm/calibrate")
+		cut, below, err := calibrateCut(sigs, cfg)
+		t.Stop()
+		if err != nil {
+			return HMResult{}, fmt.Errorf("core: cut calibration: %w", err)
+		}
+		reg.Gauge("pipeline/hm/below_cut_permille").Set(int64(below * 1000))
+		if below < hmSparseMaxBelowCut {
+			reg.Gauge("pipeline/hm/cut_microemd").Set(int64(cut * 1e6))
+			return hmFromGraph(hosts, hmGraph(sigs, cut, cfg), skipped, pct, cfg)
+		}
+	}
+	// The gauges describe this window: one clustered from the dense
+	// matrix has no cut, and one with nothing to cluster has no clusters
+	// either.
+	reg.Gauge("pipeline/hm/cut_microemd").Set(0)
 	if len(hosts) < 2 {
+		reg.Gauge("pipeline/hm/clusters").Set(0)
+		reg.Gauge("pipeline/hm/overcut").Set(0)
 		return HMResult{Kept: HostSet{}, Skipped: skipped, Clustered: len(hosts)}, nil
 	}
-	dist, err := hmMatrix(sigs, a.cfg)
-	if err != nil {
-		return HMResult{}, err
-	}
-	return hmFromMatrix(hosts, dist, skipped, pct, a.cfg)
+	t := reg.StartStage("pipeline/hm/matrix")
+	dist := distmatrix.Compute(len(sigs), exactEMD(sigs), distmatrix.Options{Parallelism: cfg.Parallelism, Metrics: reg})
+	t.Stop()
+	return hmFromMatrix(hosts, dist, skipped, pct, cfg)
 }
 
 // hmSignatures is the per-host half of θ_hm: the clusterable hosts of s
@@ -80,27 +101,30 @@ func (a *Analysis) HMTest(s HostSet, pct float64) (HMResult, error) {
 // the count of hosts skipped for lack of samples.
 func (a *Analysis) hmSignatures(s HostSet) (hosts []flow.IP, sigs []*emd.Signature, skipped int, err error) {
 	reg := a.cfg.Metrics
-	hosts = make([]flow.IP, 0, len(s))
-	sketches := make([]flow.Sketch, 0, len(s))
-	// A host's signature ships with the source (a merged shard summary)
-	// or is built here from its raw samples; with neither it is skipped.
+	// A host's sketch ships with the source (a merged shard summary) or is
+	// built here from its raw samples; with neither it is skipped.
 	t := reg.StartStage("pipeline/hm/histograms")
+	hosts = make([]flow.IP, 0, len(s))
 	for _, h := range s.Sorted() {
-		sk, ok := a.sketches[h]
-		if f := a.feats[h]; a.sketches == nil && f != nil && len(f.Interstitials) >= a.cfg.MinInterstitialSamples {
-			if sk, err = hmSketch(f.Interstitials, a.cfg); err != nil {
-				return nil, nil, 0, fmt.Errorf("core: histogram for %v: %w", h, err)
-			}
-			ok = true
+		_, shipped := a.sketches[h]
+		if f := a.feats[h]; shipped || a.sketches == nil && f != nil && len(f.Interstitials) >= a.cfg.MinInterstitialSamples {
+			hosts = append(hosts, h)
 		}
-		if !ok {
-			skipped++
-			continue
-		}
-		hosts = append(hosts, h)
-		sketches = append(sketches, sk)
 	}
+	skipped = len(s) - len(hosts)
+	sketches := make([]flow.Sketch, len(hosts))
+	err = eachHost(len(hosts), a.cfg.Parallelism, func(i int) (err error) {
+		if a.sketches != nil {
+			sketches[i] = a.sketches[hosts[i]]
+		} else if sketches[i], err = hmSketch(a.feats[hosts[i]].Interstitials, a.cfg); err != nil {
+			return fmt.Errorf("core: histogram for %v: %w", hosts[i], err)
+		}
+		return nil
+	})
 	t.Stop()
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	reg.Gauge("pipeline/hm/clustered").Set(int64(len(hosts)))
 	reg.Gauge("pipeline/hm/skipped").Set(int64(skipped))
 	if len(hosts) < 2 {
@@ -108,20 +132,47 @@ func (a *Analysis) hmSignatures(s HostSet) (hosts []flow.IP, sigs []*emd.Signatu
 	}
 
 	// Each host's signature is validated, sorted, and normalized exactly
-	// once here; the O(n²) pairwise comparisons then run allocation-free
-	// and cannot fail. Hosts are in sorted address order, so any
-	// signature error reports the first offending host deterministically.
+	// once here; the pairwise comparisons then run allocation-free and
+	// cannot fail.
 	t = reg.StartStage("pipeline/hm/signatures")
-	sigs = make([]*emd.Signature, len(sketches))
-	for i, sk := range sketches {
-		sig, err := emd.NewSignature(sk.Positions, sk.Weights)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: EMD signature for %v: %w", hosts[i], err)
+	defer t.Stop()
+	sigs = make([]*emd.Signature, len(hosts))
+	err = eachHost(len(hosts), a.cfg.Parallelism, func(i int) (err error) {
+		if sigs[i], err = emd.NewSignature(sketches[i].Positions, sketches[i].Weights); err != nil {
+			return fmt.Errorf("core: EMD signature for %v: %w", hosts[i], err)
 		}
-		sigs[i] = sig
+		return nil
+	})
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	t.Stop()
 	return hosts, sigs, skipped, nil
+}
+
+// eachHost runs fn(i) for every i in [0, n) on a pool sized like the
+// pairwise fill's and returns the error of the smallest failing i: hosts
+// are in address order, so that is what a sequential loop stopping at its
+// first failure reports. Each fn writes only its own position.
+func eachHost(n, parallelism int, fn func(i int) error) error {
+	workers := distmatrix.Options{Parallelism: parallelism}.Workers(n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // hmSketch builds one host's interstitial-time histogram at the
@@ -143,85 +194,101 @@ func hmSketch(interstitials []float64, cfg Config) (flow.Sketch, error) {
 	return flow.Sketch{Positions: pos, Weights: w}, nil
 }
 
-// hmPruneMinHosts is the clusterable-host count from which θ_hm's
-// matrix runs through the pruning layers instead of the plain exhaustive
-// fill. The choice is made by size, not by a switch, because size is the
-// one thing that decides it: calibration is a fixed exhaustive
+// hmPruneMinHosts is the clusterable-host count from which θ_hm works
+// from the sparse below-cut graph instead of the dense matrix. Size
+// decides, not a switch: calibration is a fixed exhaustive
 // hmCalibrationSample-host mini-matrix, so below a few hundred hosts it
-// *is* the whole matrix and pruning can only add to it. Measured with
-// BenchmarkHMTest (par, 2 vCPU), pruned ÷ exhaustive wall time was 1.53×
-// at n=384, 1.19× at 512, 0.89× at 768 and 0.55× at 1,024; the threshold
-// sits at the first measured size with a clear win.
-const hmPruneMinHosts = 1024
+// *is* the whole matrix and the sparse path can only add to it. On
+// BenchmarkHMTest's corpus (par, 2 vCPU, medians of three alternating
+// rounds) sparse ÷ dense wall time was 1.24× at n=384, 0.81× at 512,
+// 0.61× at 768, 0.45× at 1,024 and 0.33× at 1,536; the threshold is the
+// first measured size with a clear win.
+const hmPruneMinHosts = 768
 
-// hmMatrix is the pairwise half of θ_hm: the EMD distance matrix over
-// the hosts' signatures. It is the pipeline's dominant cost; distmatrix
-// shards it across cfg.Parallelism workers (0 = all CPUs) with output
-// bit-identical at every worker count.
-//
-// From hmPruneMinHosts hosts up, the fill is pruned. Exact distances
-// only matter below the clustering cut — with UPGMA's monotone merge
-// weights, the top-fraction cut removes exactly the last merges, so any
-// pair provably above every surviving cluster's diameter can be recorded
-// as the sentinel without changing a single merge (the derivation lives
-// in DESIGN.md). The cut is calibrated from a deterministic host
-// subsample, and the pruned matrix is bit-identical to the exhaustive
-// one gated at the same cut.
-func hmMatrix(sigs []*emd.Signature, cfg Config) (*distmatrix.Matrix, error) {
+// hmSparseMaxBelowCut is the share of pairs at or below the calibrated cut
+// (estimated on the calibration sample) from which even a wide θ_hm
+// stays dense: a graph holding a third of the pairs is not sparse. The
+// graph and the clusterer's lists cost 64 bytes a pair against the two
+// matrices' 16 a cell, and every kept pair pays the CDF bound on top of
+// its exact EMD. On the 1,600-host test corpus (2 vCPU) sparse ÷ dense
+// wall time was 0.33× with 7% of the pairs below the cut, 0.76× with 23%
+// and 1.72× with 53%; `detect-wide` sits at 8%.
+const hmSparseMaxBelowCut = 1.0 / 3
+
+// hmGraph is the pairwise half of θ_hm from hmPruneMinHosts hosts up:
+// the neighbour graph of the pairs whose EMD is at most cut — exactly the
+// finite cells of the exhaustive matrix gated there — built without
+// visiting the others. Exact distances only matter below the clustering
+// cut: UPGMA's merge weights are monotone, so the top-fraction cut removes
+// exactly the last merges, and a pair provably above every surviving
+// cluster's diameter can stay at the sentinel without changing a single
+// merge (derivation in DESIGN.md).
+func hmGraph(sigs []*emd.Signature, cut float64, cfg Config) *distmatrix.Graph {
 	reg := cfg.Metrics
-	opts := distmatrix.Options{Parallelism: cfg.Parallelism, Metrics: reg}
-	if len(sigs) >= hmPruneMinHosts {
-		t := reg.StartStage("pipeline/hm/calibrate")
-		cut, err := calibrateCut(sigs, cfg)
-		t.Stop()
-		if err != nil {
-			return nil, fmt.Errorf("core: cut calibration: %w", err)
-		}
-		reg.Gauge("pipeline/hm/cut_microemd").Set(int64(cut * 1e6))
-		t = reg.StartStage("pipeline/hm/prefilter")
-		opts.Cut, opts.Bound, opts.Pivots = cut, hmBound(sigs, cut), hmPivots
-		t.Stop()
-	}
-	t := reg.StartStage("pipeline/hm/matrix")
-	defer t.Stop()
-	return distmatrix.Compute(len(sigs), exactEMD(sigs), opts), nil
+	t := reg.StartStage("pipeline/hm/prefilter")
+	key, slack, bound := hmLowerBounds(sigs, cut)
+	t.Stop()
+	defer reg.StartStage("pipeline/hm/matrix").Stop()
+	return distmatrix.ComputeSparse(key, slack, bound, exactEMD(sigs),
+		distmatrix.Options{Parallelism: cfg.Parallelism, Metrics: reg, Cut: cut})
 }
 
-// exactEMD is the matrix's distance function: the exact 1-D EMD between
+// exactEMD is the pairwise distance function: the exact 1-D EMD between
 // two validated signatures.
 func exactEMD(sigs []*emd.Signature) distmatrix.DistFunc {
 	return func(i, j int) float64 { return sigs[i].Distance(sigs[j]) }
 }
 
-// hmBound builds the prefilter for a pruned fill at the given cut:
-// coarsened-CDF signatures over one shared grid spanning every host's
-// support. The pairwise L1 of these fixed-length vectors lower-bounds
-// the exact EMD (admissible — see internal/emd), and costs ~1/40th of an
-// exact evaluation.
-func hmBound(sigs []*emd.Signature, cut float64) distmatrix.BoundFunc {
+// hmLowerBounds builds the sparse fill's two admissible lower bounds on
+// the exact EMD (both argued in internal/emd): the index key, each
+// signature's mean, with the rounding slack of comparing two of them
+// against an exact distance; and the prefilter, the L1 distance of
+// coarsened-CDF signatures over one grid spanning every host's support,
+// at ~1/40th the cost of an exact evaluation.
+func hmLowerBounds(sigs []*emd.Signature, cut float64) (key []float64, slack float64, bound distmatrix.BoundFunc) {
 	lo, hi := sigs[0].Support()
-	for _, s := range sigs[1:] {
+	bins := 0
+	for _, s := range sigs {
 		slo, shi := s.Support()
 		lo, hi = min(lo, slo), max(hi, shi)
+		bins = max(bins, s.Len())
 	}
+	key = make([]float64, len(sigs))
 	cdfs := make([]*emd.CDFSignature, len(sigs))
 	for i, s := range sigs {
+		key[i] = s.Mean()
 		cdfs[i] = s.CDFSignature(lo, hi, hmBoundCells)
 	}
 	// The early-exit stop sits just above the kernel's slack-adjusted
 	// threshold, so a capped scan that exits has provably cleared it.
 	stop := cut * (1 + 1e-6)
-	return func(i, j int) float64 { return emd.LowerBoundAtLeast(cdfs[i], cdfs[j], stop) }
+	bound = func(i, j int) float64 { return emd.LowerBoundAtLeast(cdfs[i], cdfs[j], stop) }
+	return key, emd.MeanSlack(bins, max(math.Abs(lo), math.Abs(hi))), bound
 }
 
-// hmFromMatrix is the global half of θ_hm: given the clusterable hosts
-// (in ascending address order) and their pairwise distance matrix, run
-// agglomerative clustering, the top-fraction cut, and the τ_hm diameter
-// filter.
+// hmFromMatrix and hmFromGraph are the global half of θ_hm over the two
+// pairwise representations: the same clustering, cut and τ_hm filter,
+// reading distances from wherever they are.
 func hmFromMatrix(hosts []flow.IP, dist *distmatrix.Matrix, skipped int, pct float64, cfg Config) (HMResult, error) {
+	return hmClusters(hosts, func() (*cluster.Dendrogram, error) {
+		return cluster.Agglomerate(len(hosts), dist.At)
+	}, dist.At, skipped, pct, cfg)
+}
+
+func hmFromGraph(hosts []flow.IP, g *distmatrix.Graph, skipped int, pct float64, cfg Config) (HMResult, error) {
+	return hmClusters(hosts, func() (*cluster.Dendrogram, error) {
+		return cluster.AgglomerateSparse(len(hosts), g.Row)
+	}, g.At, skipped, pct, cfg)
+}
+
+// hmClusters runs agglomerative clustering over the clusterable hosts (in
+// ascending address order), the top-fraction cut, and the τ_hm diameter
+// filter. dist reads one pairwise distance, the sentinel for a pair above
+// the cut.
+func hmClusters(hosts []flow.IP, agglomerate func() (*cluster.Dendrogram, error), dist cluster.DistFunc, skipped int, pct float64, cfg Config) (HMResult, error) {
 	reg := cfg.Metrics
 	t := reg.StartStage("pipeline/hm/cluster")
-	dendro, err := cluster.Agglomerate(len(hosts), dist.DistFunc())
+	dendro, err := agglomerate()
 	if err != nil {
 		return HMResult{}, fmt.Errorf("core: clustering: %w", err)
 	}
@@ -237,7 +304,7 @@ func hmFromMatrix(hosts []flow.IP, dist *distmatrix.Matrix, skipped int, pct flo
 		if len(members) < 2 {
 			continue
 		}
-		diam := clusterSpread(cfg, members, dist.DistFunc())
+		diam := clusterSpread(cfg, members, dist)
 		if math.IsInf(diam, 1) {
 			// A sentinel pair inside a surviving cluster means the cut
 			// was tighter than this cluster's true spread — possible
@@ -280,8 +347,7 @@ func hmFromMatrix(hosts []flow.IP, dist *distmatrix.Matrix, skipped int, pct flo
 
 // Pruning-engine tuning. The cell count trades prefilter cost against
 // bound tightness (64 cells over the log-time support resolves the
-// timer structure that separates bot families); the pivot count is the
-// depth of the triangle-inequality layer behind it; the calibration
+// timer structure that separates bot families); the calibration
 // sample bounds the exhaustive mini-matrix auto-calibration pays — it
 // must stay large enough that the subsample resolves the population's
 // cluster structure (a too-sparse subsample merges across true cluster
@@ -291,20 +357,21 @@ func hmFromMatrix(hosts []flow.IP, dist *distmatrix.Matrix, skipped int, pct flo
 // stays above the true requirement.
 const (
 	hmBoundCells        = 64
-	hmPivots            = 8
 	hmCalibrationSample = 384
 	hmCutSafety         = 2.0
 )
 
-// calibrateCut derives the prune/gate distance for a pruned fill from a
+// calibrateCut derives the cut of the sparse fill from a
 // deterministic stride subsample of the (address-sorted) clusterable
 // hosts: cluster the subsample exhaustively exactly as the full run
 // would, take the widest surviving multi-member cluster's true diameter
 // — the quantity the equivalence theorem needs the cut to dominate —
 // and widen it by hmCutSafety. A subsample with no multi-member
 // clusters falls back to its largest observed pairwise distance, which
-// prunes little but can never change the result.
-func calibrateCut(sigs []*emd.Signature, cfg Config) (float64, error) {
+// prunes nothing but can never change the result. below is the share of
+// the subsample's pairs at or below the cut: an estimate of how much of
+// the population's pair set the graph would hold.
+func calibrateCut(sigs []*emd.Signature, cfg Config) (cut, below float64, err error) {
 	n := len(sigs)
 	m := hmCalibrationSample
 	if m > n {
@@ -324,7 +391,7 @@ func calibrateCut(sigs []*emd.Signature, cfg Config) (float64, error) {
 		distmatrix.Options{Parallelism: cfg.Parallelism})
 	dendro, err := cluster.Agglomerate(m, mat.DistFunc())
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var widest float64
 	for _, members := range dendro.CutTopFraction(cfg.CutFraction) {
@@ -348,7 +415,16 @@ func calibrateCut(sigs []*emd.Signature, cfg Config) (float64, error) {
 		// Identical histograms everywhere: any positive cut is correct.
 		widest = 1
 	}
-	return widest * hmCutSafety, nil
+	cut = widest * hmCutSafety
+	kept := 0
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			if mat.At(i, j) <= cut {
+				kept++
+			}
+		}
+	}
+	return cut, float64(kept) / float64(m*(m-1)/2), nil
 }
 
 // clusterSpread computes the cluster statistic the τ_hm filter compares:

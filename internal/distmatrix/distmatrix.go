@@ -1,55 +1,48 @@
-// Package distmatrix computes symmetric pairwise distance matrices in
-// parallel. It exists because the θ_hm test's Earth Mover's Distance
-// matrix is the FindPlotters pipeline's dominant cost — O(n²) EMD
-// evaluations over per-host histograms before any clustering happens —
-// and that work is embarrassingly parallel: every pair is independent.
+// Package distmatrix computes symmetric pairwise distances in parallel:
+// θ_hm's Earth Mover's Distance comparisons are the FindPlotters
+// pipeline's dominant cost, and every pair is independent.
 //
-// There is one kernel. The upper triangle is sharded into row blocks
-// handed to a worker pool bounded by runtime.NumCPU. Row blocks (rather
-// than individual pairs or interleaved rows) keep each worker walking
-// contiguous memory in the flat backing array and reusing its row item
-// against a streak of partners, which is what the cache wants. Because
-// row i holds n-1-i pairs, blocks are balanced by pair count, not row
-// count: early rows travel in smaller blocks than late rows. A single
-// worker runs the same loop inline — small inputs (below
-// DefaultSequentialCutoff) always do, because goroutine startup costs
-// more than the matrix for tiny n.
+// There are two outputs and one worker loop. Compute fills a dense n×n
+// Matrix: the small-population path, and the oracle every equivalence
+// test compares against. ComputeSparse emits only the pairs at or below a
+// cut, as a CSR neighbour Graph, and never allocates or visits n² of
+// anything: it is what θ_hm runs at campus width, where fewer than a
+// tenth of the pairs are below the clustering cut and the rest would be
+// the sentinel anyway.
 //
-// With Options.Cut > 0 the same loop prunes. Exact distances only matter
-// below the cut — the θ_hm agglomerative clustering this package serves
-// never merges across the cut, so any pair provably above it can be
-// stored as Sentinel without computing it. Layers, cheapest first:
+// Both hand blocks of consecutive rows, balanced by pair count, to a
+// worker pool bounded by runtime.NumCPU; a single worker runs the same
+// loop inline, as inputs below DefaultSequentialCutoff always do.
 //
-//  1. prefilter — Options.Bound, an admissible lower bound (for θ_hm, the
-//     coarsened-CDF L1 distance from internal/emd). One branch-free pass
-//     per row discards the bulk of above-cut pairs.
-//  2. pivot triangle pruning — exact distances from every item to k
-//     pivots (deterministic farthest-point selection) give the metric
-//     lower bound max_p |d(i,p) − d(j,p)| for pairs the prefilter let
-//     through.
+// The sparse fill prunes in three layers, cheapest first:
+//
+//  1. index — items are sorted once by an admissible 1-D key
+//     (|key_i − key_j| ≤ dist(i, j); for θ_hm the signature mean), and
+//     each item sweeps only the items whose key lies within the cut of
+//     its own. Pairs outside that band are never touched.
+//  2. prefilter — a BoundFunc (for θ_hm the coarsened-CDF L1 distance
+//     from internal/emd) discards band pairs provably above the cut.
 //  3. exact evaluation — survivors get the real DistFunc call; values
-//     above the cut are still stored as Sentinel (the gate).
+//     above the cut are dropped (the gate).
 //
-// With Cut == 0 there is no gate and no layer: every column of every row
-// survives to the exact pass.
+// The invariant the equivalence tests pin: the graph holds exactly the
+// finite cells of Compute(n, dist, Options{Cut}). Every stored value
+// comes from dist(i, j) alone and rows are sorted by neighbour, so the
+// result is bit-identical at every worker count by construction; the
+// layers decide how many exact evaluations are spent producing it, never
+// what it contains.
 //
-// The invariant all equivalence tests pin: the finished matrix is a pure
-// function of the exact distances and the cut. Each cell is written
-// exactly once, from dist(i, j) alone, so the result is bit-identical at
-// every worker count by construction; pruning layers decide how many
-// exact evaluations are spent producing it, never what it contains.
-//
-// Compute has no error path and takes no context, on purpose. A
-// DistFunc is a pure comparison of two already-validated items (θ_hm
-// validates every host's signature before the matrix, and clustering
-// rejects NaN or negative distances after it), so there is nothing for
-// a pair to fail on; and the only caller runs the matrix to completion
-// inside one detection window, so there is nobody to cancel it.
+// Neither fill has an error path or takes a context, on purpose: a
+// DistFunc compares two already-validated items (clustering rejects NaN
+// or negative distances afterwards), and the only caller runs the fill
+// to completion inside one detection window.
 package distmatrix
 
 import (
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,14 +59,14 @@ type DistFunc func(i, j int) float64
 // cheap relative to DistFunc and safe for concurrent calls.
 type BoundFunc func(i, j int) float64
 
-// Sentinel is the matrix value stored for a pair whose distance provably
-// exceeds Options.Cut. +Inf is deliberate: average-linkage clustering
-// arithmetic absorbs it (any cluster pair containing a sentinel member
-// pair averages to +Inf), which is exactly the "never merged below the
-// cut" semantics the θ_hm pruning contract needs.
+// Sentinel is the value of a pair whose distance exceeds the cut: what a
+// gated Matrix stores and a Graph reports for a pair it does not hold.
+// +Inf is deliberate: average-linkage arithmetic absorbs it (any cluster
+// pair containing a sentinel member pair averages to +Inf), which is the
+// "never merged below the cut" semantics θ_hm's pruning needs.
 var Sentinel = math.Inf(1)
 
-// IsSentinel reports whether a matrix value is the above-cut sentinel.
+// IsSentinel reports whether a distance is the above-cut sentinel.
 func IsSentinel(v float64) bool { return math.IsInf(v, 1) }
 
 // Matrix is a symmetric n×n distance matrix over a flat backing slice
@@ -111,8 +104,49 @@ func (m *Matrix) DistFunc() func(i, j int) float64 {
 	return m.At
 }
 
-// Options tunes Compute. The zero value asks for full parallelism and an
-// exhaustive (ungated, unpruned) fill.
+// Graph is the neighbour graph of the pairs at or below a cut, in CSR
+// form: three flat arrays, no slice per item. Each pair is stored once,
+// in the row of its smaller item; row i lists item i's neighbours j > i
+// in ascending order with their exact distances. A Graph is read-only
+// once built.
+type Graph struct {
+	start []int     // row i is nbr/dist[start[i]:start[i+1]]
+	nbr   []int32   // neighbour indices, ascending within a row
+	dist  []float64 // parallel to nbr
+}
+
+// N returns the number of items.
+func (g *Graph) N() int { return len(g.start) - 1 }
+
+// Pairs returns the number of pairs the graph holds.
+func (g *Graph) Pairs() int { return len(g.nbr) }
+
+// Row returns item i's neighbours above i, ascending, and their
+// distances. The slices alias the graph; callers must not modify them.
+func (g *Graph) Row(i int) ([]int32, []float64) {
+	lo, hi := g.start[i], g.start[i+1]
+	return g.nbr[lo:hi], g.dist[lo:hi]
+}
+
+// At returns the distance between items i and j: the stored value for a
+// pair the graph holds, Sentinel for one it does not, 0 on the diagonal —
+// exactly what the gated Matrix holds in that cell.
+func (g *Graph) At(i, j int) float64 {
+	if i == j {
+		return 0
+	}
+	if j < i {
+		i, j = j, i
+	}
+	nbr, dist := g.Row(i)
+	if k, ok := slices.BinarySearch(nbr, int32(j)); ok {
+		return dist[k]
+	}
+	return Sentinel
+}
+
+// Options tunes Compute and ComputeSparse. The zero value asks for full
+// parallelism and, for Compute, an ungated fill.
 type Options struct {
 	// Parallelism bounds the worker pool: 0 (or negative) means
 	// runtime.NumCPU(), 1 runs the fill inline on the caller's
@@ -120,50 +154,29 @@ type Options struct {
 	// is CPU-bound so they rarely help, but they keep the pool testable
 	// on single-core machines.
 	Parallelism int
-	// Metrics, when non-nil, receives the computation's statistics:
-	// the "distmatrix/pairs" counter (distance evaluations performed),
-	// the "distmatrix/workers" gauge (effective pool size), and the
-	// "distmatrix/worker_busy" histogram (each worker's busy wall time,
-	// whose spread exposes load imbalance). With Cut > 0 it additionally
-	// receives the "distmatrix/pairs_total",
-	// "distmatrix/pairs_pruned_bound", "distmatrix/pairs_pruned_pivot",
-	// and "distmatrix/pairs_gated" counters — pairs_total =
-	// pairs_pruned_bound + pairs_pruned_pivot + pairs, pivot-phase rows
-	// included — the per-worker "distmatrix/prefilter_busy" /
-	// "distmatrix/exact_busy" histograms (time split between the cheap
-	// bound passes and the exact distance evaluations), and a
-	// "distmatrix/pivots" stage timer around pivot selection. Recording
-	// happens per worker lifetime, never per pair, so the hot loops are
-	// untouched.
+	// Metrics, when non-nil, receives under "distmatrix/": the pairs
+	// counter (exact evaluations), the workers gauge, the worker_busy
+	// histogram (each worker's busy wall time; its spread is load
+	// imbalance) and, for a gated fill, pairs_gated (evaluated, found
+	// above the cut). ComputeSparse adds pairs_total (n·(n−1)/2),
+	// pairs_pruned_index (outside the key band, never touched) and
+	// pairs_pruned_bound (discarded by the prefilter): pairs_total =
+	// pairs + pairs_pruned_index + pairs_pruned_bound. Recorded once per
+	// worker, never per pair.
 	Metrics *metrics.Registry
 
-	// Cut, when positive, enables gating: every pair whose distance
-	// exceeds Cut is stored as Sentinel instead of its exact value. The
-	// gated matrix is a pure function of the exact distances and Cut —
-	// Bound and Pivots change how many exact evaluations are needed to
-	// produce it, never its contents. Zero (the default) disables
-	// gating and pruning entirely.
+	// Cut is the gate. Compute with a positive Cut stores every pair
+	// above it as Sentinel (zero disables gating) but still evaluates
+	// every pair, which makes it the oracle for ComputeSparse — whose
+	// graph holds exactly the pairs with dist <= Cut.
 	Cut float64
-	// Bound, when non-nil (and Cut > 0), is the prefilter: a pair whose
-	// lower bound already exceeds Cut skips its exact evaluation and is
-	// stored as Sentinel directly. Admissibility (Bound <= dist) is the
-	// caller's contract; a small relative slack absorbs float rounding
-	// between the two computations.
-	Bound BoundFunc
-	// Pivots, when positive (and Cut > 0), layers triangle-inequality
-	// pruning behind the prefilter: the fill computes exact distances
-	// from every item to Pivots pivot items (chosen by deterministic
-	// farthest-point selection), and |d(i,p) − d(j,p)| lower-bounds
-	// d(i,j) for any metric distance. Only meaningful when dist is a
-	// metric — 1-D EMD is.
-	Pivots int
 }
 
 // boundSlack is the relative margin added to Cut before comparing lower
 // bounds against it: a bound computed by a different float summation than
 // the exact distance can exceed it by a few ulps on near-equal pairs, and
-// a false prune there would break the gated-matrix invariant. The exact
-// value's own gate comparison uses Cut unmodified.
+// a false prune there would break the gated invariant. The exact value's
+// own gate comparison uses Cut unmodified.
 const boundSlack = 1e-9
 
 // DefaultSequentialCutoff is the n below which the worker pool is not
@@ -171,12 +184,12 @@ const boundSlack = 1e-9
 // the cost of spinning up and tearing down the pool itself.
 const DefaultSequentialCutoff = 48
 
-// minBlockPairs floors the row-block size so a small matrix is not
-// chopped into blocks cheaper than the cursor claim that hands them out.
+// minBlockPairs floors the row-block size so a small fill is not chopped
+// into blocks cheaper than the cursor claim that hands them out.
 const minBlockPairs = 256
 
-// workers resolves the effective worker count for an n×n matrix.
-func (o Options) workers(n int) int {
+// Workers resolves the effective worker count for n items.
+func (o Options) Workers(n int) int {
 	if n < DefaultSequentialCutoff {
 		return 1
 	}
@@ -193,24 +206,140 @@ func Compute(n int, dist DistFunc, opts Options) *Matrix {
 	if n < 2 {
 		return m
 	}
-	workers := opts.workers(n)
-	opts.Metrics.Gauge("distmatrix/workers").Set(int64(workers))
-	f := &fill{m: m, dist: dist, reg: opts.Metrics}
-	// ~8 blocks per worker balances the tail without cursor thrash.
-	f.blockPairs = max(n*(n-1)/2/(workers*8), minBlockPairs)
-	if opts.Cut > 0 {
-		f.cut = opts.Cut
-		f.threshold = opts.Cut * (1 + boundSlack)
-		f.bound = opts.Bound
-		if k := min(opts.Pivots, n); k > 0 {
-			t := f.reg.StartStage("distmatrix/pivots")
-			f.selectPivots(k)
-			t.Stop()
+	f := &fill{n: n, reg: opts.Metrics, gated: opts.Cut > 0}
+	f.row = func(i int, st *tally) {
+		for j := i + 1; j < n; j++ {
+			v := dist(i, j)
+			if f.gated && v > opts.Cut {
+				st.gated++
+				v = Sentinel
+			}
+			m.set(i, j, v)
+		}
+		st.exact += int64(n - 1 - i)
+	}
+	f.run(opts.Workers(n), n*(n-1)/2)
+	return m
+}
+
+// ComputeSparse builds the neighbour graph of the pairs with
+// dist(i, j) <= opts.Cut over len(key) items without visiting the rest
+// (see the package comment). key is the index layer's coordinate:
+// |key[i] − key[j]| <= dist(i, j) + slack must hold for every pair, slack
+// being the caller's absolute bound on the rounding between the two
+// computations. bound, when non-nil, is the prefilter.
+func ComputeSparse(key []float64, slack float64, bound BoundFunc, dist DistFunc, opts Options) *Graph {
+	n := len(key)
+	if n < 2 {
+		return &Graph{start: make([]int, n+1)}
+	}
+	// Sweep order: ascending key. Ties need no rule — the band is a set,
+	// and the graph's rows are sorted by item index whatever order the
+	// sweep found them in.
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return key[order[a]] < key[order[b]] })
+	// end[p] is one past the last sweep position whose key is within the
+	// widened cut of position p's; keys ascend, so it never moves back.
+	threshold := opts.Cut * (1 + boundSlack)
+	width := threshold + slack
+	end := make([]int32, n)
+	band := 0
+	for p, e := 0, 0; p < n; p++ {
+		e = max(e, p+1)
+		for e < n && key[order[e]]-key[order[p]] <= width {
+			e++
+		}
+		end[p] = int32(e)
+		band += e - p - 1
+	}
+
+	f := &fill{n: n, reg: opts.Metrics, gated: true, end: end}
+	f.row = func(p int, st *tally) {
+		i := int(order[p])
+		for _, o := range order[p+1 : end[p]] {
+			lo, hi := i, int(o)
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			if bound != nil && bound(lo, hi) > threshold {
+				st.prunedBound++
+				continue
+			}
+			st.exact++
+			if v := dist(lo, hi); v <= opts.Cut {
+				st.add(edge{int32(lo), int32(hi), v})
+			} else {
+				st.gated++
+			}
 		}
 	}
+	total := int64(n) * int64(n-1) / 2
+	f.reg.Counter("distmatrix/pairs_total").Add(total)
+	f.reg.Counter("distmatrix/pairs_pruned_index").Add(total - int64(band))
+	f.run(opts.Workers(n), band)
+	return f.graph()
+}
+
+// fill holds the shared state of one fill.
+type fill struct {
+	n   int
+	reg *metrics.Registry
+	// row processes one claimed row: matrix row i of the dense fill,
+	// sweep position p of the sparse one.
+	row func(i int, st *tally)
+	// end[i] is one past row i's last partner; nil on the dense fill,
+	// where every row runs to n.
+	end []int32
+	// cursor is the next unclaimed row; blockPairs the pair count a
+	// claimed block of rows aims for.
+	cursor     atomic.Int64
+	blockPairs int
+	// gated marks a fill with a cut, which reports pairs_gated.
+	gated bool
+	// found collects each worker's below-cut pairs on the sparse fill.
+	mu    sync.Mutex
+	found [][]edge
+}
+
+// edge is one below-cut pair (a < b) and its exact distance.
+type edge struct {
+	a, b int32
+	d    float64
+}
+
+// edgeChunk is the capacity of one block of a worker's found list. Fixed
+// blocks rather than one growing slice: append's growth would copy — and
+// allocate — several times the final size.
+const edgeChunk = 1 << 15
+
+// tally is one worker's local counts and found pairs, flushed once at
+// worker exit so the per-pair loops carry no metrics calls and no locks.
+type tally struct {
+	exact, prunedBound, gated int64
+
+	found [][]edge
+}
+
+func (st *tally) add(e edge) {
+	k := len(st.found) - 1
+	if k < 0 || len(st.found[k]) == cap(st.found[k]) {
+		st.found = append(st.found, make([]edge, 0, edgeChunk))
+		k++
+	}
+	st.found[k] = append(st.found[k], e)
+}
+
+// run executes the fill over pairs pairs on a pool of the given size.
+func (f *fill) run(workers, pairs int) {
+	f.reg.Gauge("distmatrix/workers").Set(int64(workers))
+	// ~8 blocks per worker balances the tail without cursor thrash.
+	f.blockPairs = max(pairs/(workers*8), minBlockPairs)
 	if workers == 1 {
 		f.work()
-		return m
+		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -221,63 +350,20 @@ func Compute(n int, dist DistFunc, opts Options) *Matrix {
 		}()
 	}
 	wg.Wait()
-	return m
 }
 
-// fill holds the shared state of one matrix fill.
-type fill struct {
-	m    *Matrix
-	dist DistFunc
-	reg  *metrics.Registry
-	// cursor is the next unclaimed row; blockPairs the pair count a
-	// claimed block of rows aims for.
-	cursor     atomic.Int64
-	blockPairs int
-	// cut gates stored values; threshold (cut plus relative slack) gates
-	// lower bounds, absorbing float rounding between bound and exact.
-	// Both are zero, and bound and the pivot tables nil, on an ungated
-	// fill.
-	cut       float64
-	threshold float64
-	bound     BoundFunc
-	// pivotSlot[i] >= 0 marks item i as pivot #pivotSlot[i]; pivotD[t][j]
-	// is the exact distance from pivot t to item j. Pivot rows are fully
-	// written into the matrix during selection, so the main fill skips
-	// any pair touching a pivot.
-	pivotSlot []int32
-	pivotD    [][]float64
-}
-
-// tally is one worker's scratch and local counts, flushed once at worker
-// exit so the per-pair loops carry no metrics calls.
-type tally struct {
-	surv []int32 // columns of the current row needing exact evaluation
-
-	total, prunedBound, prunedPivot, exact, gated int64
-
-	boundDur, exactDur time.Duration
-}
-
-// work is the kernel: claim row blocks off the shared cursor until the
-// triangle is exhausted, and for each row run the pruning layers (none
-// on an ungated fill) and then the exact pass over the survivors.
-//
-// Work distribution: an atomic row cursor hands out blocks of
-// consecutive rows. The block size for a grab starting at row r is
-// chosen so each block holds roughly blockPairs pairs — rows near the
-// top of the triangle are long, rows near the bottom short, so blocks
-// grow as the cursor descends. Grabbing blocks (not single rows) keeps
-// the cursor contention negligible; sizing them by pair count keeps the
-// tail balanced.
+// work is the kernel: claim blocks of consecutive rows off the shared
+// cursor until the rows are exhausted, and run each claimed row. Blocks
+// (not single rows) keep cursor contention negligible and a worker
+// reusing its row item against a streak of partners; sizing them to
+// roughly blockPairs pairs — dense rows shorten down the triangle, a
+// sparse row is as long as its key band — keeps the tail balanced.
 func (f *fill) work() {
-	n := f.m.n
-	st := &tally{surv: make([]int32, 0, n)}
+	st := &tally{}
 	start := time.Now()
 	defer func() { f.flush(st, start) }()
-	// The layer/exact time split is only reported for a gated fill.
-	timed := f.reg != nil && f.cut > 0
+	n := f.n
 	for {
-		// Claim a row block sized to ~blockPairs pairs.
 		lo := int(f.cursor.Load())
 		var hi int
 		for {
@@ -286,7 +372,11 @@ func (f *fill) work() {
 			}
 			hi = lo
 			for pairs := 0; hi < n-1 && pairs < f.blockPairs; hi++ {
-				pairs += n - 1 - hi
+				rowEnd := n
+				if f.end != nil {
+					rowEnd = int(f.end[hi])
+				}
+				pairs += rowEnd - 1 - hi
 			}
 			if f.cursor.CompareAndSwap(int64(lo), int64(hi)) {
 				break
@@ -294,165 +384,70 @@ func (f *fill) work() {
 			lo = int(f.cursor.Load())
 		}
 		for i := lo; i < hi; i++ {
-			if f.pivotSlot != nil && f.pivotSlot[i] >= 0 {
-				continue // row fully written during the pivot phase
-			}
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			f.boundRow(i, st)
-			if timed {
-				now := time.Now()
-				st.boundDur += now.Sub(t0)
-				t0 = now
-			}
-			for _, j := range st.surv {
-				f.m.set(i, int(j), f.gate(f.dist(i, int(j)), st))
-			}
-			st.exact += int64(len(st.surv))
-			if timed {
-				st.exactDur += time.Since(t0)
-			}
+			f.row(i, st)
 		}
 	}
 }
 
-// boundRow runs the pruning layers over row i: pruned pairs get their
-// Sentinel written immediately, survivors' columns land in st.surv for
-// the exact pass. On an ungated fill every column survives.
-func (f *fill) boundRow(i int, st *tally) {
-	st.surv = st.surv[:0]
-	n := f.m.n
-	for j := i + 1; j < n; j++ {
-		if f.pivotSlot != nil && f.pivotSlot[j] >= 0 {
-			continue // written (and counted) in the pivot phase
-		}
-		st.total++
-		if f.bound != nil {
-			if lb := f.bound(i, j); lb > f.threshold {
-				st.prunedBound++
-				f.m.set(i, j, Sentinel)
-				continue
-			}
-		}
-		if f.pivotD != nil && f.pivotTriBound(i, j) > f.threshold {
-			st.prunedPivot++
-			f.m.set(i, j, Sentinel)
-			continue
-		}
-		st.surv = append(st.surv, int32(j))
-	}
-}
-
-// gate stores-or-sentinels one exactly-evaluated distance.
-func (f *fill) gate(v float64, st *tally) float64 {
-	if f.cut > 0 && v > f.cut {
-		st.gated++
-		return Sentinel
-	}
-	return v
-}
-
-// pivotTriBound is max_p |d(i,p) − d(j,p)|, early-exiting once any pivot
-// certifies the pair above the threshold.
-func (f *fill) pivotTriBound(i, j int) float64 {
-	var best float64
-	for _, row := range f.pivotD {
-		d := row[i] - row[j]
-		if d < 0 {
-			d = -d
-		}
-		if d > best {
-			if d > f.threshold {
-				return d
-			}
-			best = d
-		}
-	}
-	return best
-}
-
-// selectPivots picks k pivots by farthest-point traversal — item 0
-// first, then repeatedly the item maximizing its distance to the nearest
-// chosen pivot (ties toward the smallest index) — computing each pivot's
-// full exact distance row along the way. Farthest-point spreads pivots
-// across the metric space, which is what makes |d(i,p) − d(j,p)| sharp:
-// a pivot near i and far from j certifies a large d(i,j).
-func (f *fill) selectPivots(k int) {
-	n := f.m.n
-	f.pivotSlot = make([]int32, n)
-	for i := range f.pivotSlot {
-		f.pivotSlot[i] = -1
-	}
-	f.pivotD = make([][]float64, 0, k)
-	minD := make([]float64, n)
-	for i := range minD {
-		minD[i] = Sentinel
-	}
-	st := &tally{}
-	start := time.Now()
-	defer func() { f.flush(st, start) }()
-	cur := 0
-	for t := 0; t < k; t++ {
-		f.pivotSlot[cur] = int32(t)
-		row := make([]float64, n)
-		for j := 0; j < n; j++ {
-			if j == cur {
-				continue
-			}
-			if s := f.pivotSlot[j]; s >= 0 {
-				// Pair already computed (and counted) by an earlier
-				// pivot's row; reuse the symmetric entry.
-				row[j] = f.pivotD[s][cur]
-				continue
-			}
-			lo, hi := min(cur, j), max(cur, j)
-			v := f.dist(lo, hi)
-			st.total++
-			st.exact++
-			row[j] = v
-			f.m.set(lo, hi, f.gate(v, st))
-		}
-		f.pivotD = append(f.pivotD, row)
-		next := -1
-		best := -1.0
-		for j := 0; j < n; j++ {
-			if f.pivotSlot[j] >= 0 {
-				continue
-			}
-			if row[j] < minD[j] {
-				minD[j] = row[j]
-			}
-			if minD[j] > best {
-				best = minD[j]
-				next = j
-			}
-		}
-		if next < 0 {
-			break // every item is a pivot
-		}
-		cur = next
-	}
-}
-
-// flush publishes one worker's tallies: one batch of counter adds plus
-// busy-time observations into the registry. The layer counters and the
-// time split exist only for a gated fill — consumers read
-// "pairs_total == 0" as "pruning never engaged".
+// flush publishes one worker's tallies — one batch of counter adds plus a
+// busy-time observation — and hands over the pairs it found.
 func (f *fill) flush(st *tally, start time.Time) {
+	if st.found != nil {
+		f.mu.Lock()
+		f.found = append(f.found, st.found...)
+		f.mu.Unlock()
+	}
 	if f.reg == nil {
 		return
 	}
 	f.reg.Counter("distmatrix/pairs").Add(st.exact)
 	f.reg.Histogram("distmatrix/worker_busy").Observe(time.Since(start))
-	if f.cut == 0 {
-		return
+	if f.gated {
+		f.reg.Counter("distmatrix/pairs_gated").Add(st.gated)
 	}
-	f.reg.Counter("distmatrix/pairs_total").Add(st.total)
-	f.reg.Counter("distmatrix/pairs_pruned_bound").Add(st.prunedBound)
-	f.reg.Counter("distmatrix/pairs_pruned_pivot").Add(st.prunedPivot)
-	f.reg.Counter("distmatrix/pairs_gated").Add(st.gated)
-	f.reg.Histogram("distmatrix/prefilter_busy").Observe(st.boundDur)
-	f.reg.Histogram("distmatrix/exact_busy").Observe(st.exactDur)
+	if f.end != nil {
+		f.reg.Counter("distmatrix/pairs_pruned_bound").Add(st.prunedBound)
+	}
+}
+
+// graph assembles the workers' found pairs into the CSR graph. The pairs
+// arrive in whatever order the pool produced them; two counting passes
+// make the result canonical without a comparison sort. The first buckets
+// every pair under its larger item; the second walks those buckets in
+// ascending order and appends each pair to the row of its smaller item,
+// which therefore fills in ascending neighbour order.
+func (f *fill) graph() *Graph {
+	n := f.n
+	byHi, start := make([]int, n+1), make([]int, n+1)
+	for _, chunk := range f.found {
+		for _, e := range chunk {
+			byHi[e.b+1]++
+			start[e.a+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		byHi[i+1] += byHi[i]
+		start[i+1] += start[i]
+	}
+	pairs := start[n]
+	next := make([]int, n)
+	copy(next, byHi)
+	lo, d := make([]int32, pairs), make([]float64, pairs)
+	for _, chunk := range f.found {
+		for _, e := range chunk {
+			lo[next[e.b]], d[next[e.b]] = e.a, e.d
+			next[e.b]++
+		}
+	}
+	f.found = nil
+	g := &Graph{start: start, nbr: make([]int32, pairs), dist: make([]float64, pairs)}
+	copy(next, start)
+	for j := 0; j < n; j++ {
+		for k := byHi[j]; k < byHi[j+1]; k++ {
+			i := lo[k]
+			g.nbr[next[i]], g.dist[next[i]] = int32(j), d[k]
+			next[i]++
+		}
+	}
+	return g
 }

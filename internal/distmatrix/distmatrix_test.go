@@ -91,15 +91,15 @@ func TestMatrixSymmetricZeroDiagonal(t *testing.T) {
 
 // Below the cutoff, Compute must not spin up workers: a dist function
 // that records goroutine fan-out via call interleaving can't observe
-// that directly, so instead assert via Options.workers.
+// that directly, so instead assert via Options.Workers.
 func TestSequentialCutoff(t *testing.T) {
-	if w := (Options{Parallelism: 8}).workers(DefaultSequentialCutoff - 1); w != 1 {
+	if w := (Options{Parallelism: 8}).Workers(DefaultSequentialCutoff - 1); w != 1 {
 		t.Errorf("below the cutoff: workers = %d, want 1", w)
 	}
-	if w := (Options{Parallelism: 8}).workers(DefaultSequentialCutoff); w != 8 {
+	if w := (Options{Parallelism: 8}).Workers(DefaultSequentialCutoff); w != 8 {
 		t.Errorf("at the cutoff: workers = %d, want 8", w)
 	}
-	if w := (Options{}).workers(DefaultSequentialCutoff); w != runtime.NumCPU() {
+	if w := (Options{}).Workers(DefaultSequentialCutoff); w != runtime.NumCPU() {
 		t.Errorf("Parallelism 0: workers = %d, want NumCPU = %d", w, runtime.NumCPU())
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"plotters/internal/metrics"
 )
 
-// lineMetric is a 1-D point set: dist(i,j) = |x_i − x_j| is a true
-// metric (so pivot pruning is sound), and coarse-rounded coordinates
-// give an admissible lower bound the same way the coarsened-CDF
-// signatures do for EMD.
+// lineMetric is a 1-D point set: dist(i,j) = |x_i − x_j|. The coordinate
+// itself is an index key equal to the exact distance, and coarse-rounded
+// coordinates give an admissible lower bound the same way the
+// coarsened-CDF signatures do for EMD.
 type lineMetric struct {
 	x []float64
 }
@@ -44,6 +44,16 @@ func (l *lineMetric) bound(i, j int) float64 {
 	return lb
 }
 
+// looseKey is an admissible key that is far from tight: half the
+// coordinate, so the band holds every pair within twice the cut.
+func (l *lineMetric) looseKey() []float64 {
+	key := make([]float64, len(l.x))
+	for i, x := range l.x {
+		key[i] = x / 2
+	}
+	return key
+}
+
 // naiveMatrix is the reference every mode of the kernel must reproduce
 // bit for bit: a plain double loop over dist, with the cut (when
 // positive) applied after the fact.
@@ -72,32 +82,87 @@ func matricesEqual(a, b *Matrix) (int, int, bool) {
 	return 0, 0, true
 }
 
+// graphMatchesGated reports the first way g fails to be exactly the
+// finite cells of the gated matrix want: the same pairs (no more, no
+// fewer), each once in its smaller item's row, ascending, with the same
+// value, and At agreeing with the matrix in every cell.
+func graphMatchesGated(g *Graph, want *Matrix) error {
+	n := want.N()
+	if g.N() != n {
+		return fmt.Errorf("graph has %d items, want %d", g.N(), n)
+	}
+	finite := 0
+	for i := 0; i < n; i++ {
+		nbr, dist := g.Row(i)
+		k := 0
+		for j := 0; j < n; j++ {
+			w := want.At(i, j)
+			if got := g.At(i, j); got != w {
+				return fmt.Errorf("At(%d,%d) = %v, want %v", i, j, got, w)
+			}
+			if j <= i || IsSentinel(w) {
+				continue
+			}
+			finite++
+			if k >= len(nbr) || int(nbr[k]) != j || dist[k] != w {
+				return fmt.Errorf("row %d entry %d: got %v, want neighbour %d at %v", i, k, nbr[min(k, len(nbr)):], j, w)
+			}
+			k++
+		}
+		if k != len(nbr) {
+			return fmt.Errorf("row %d holds %d entries past the %d finite cells: %v", i, len(nbr)-k, k, nbr[k:])
+		}
+	}
+	if g.Pairs() != finite {
+		return fmt.Errorf("Pairs() = %d, want %d", g.Pairs(), finite)
+	}
+	return nil
+}
+
+// sparseModes are the index/prefilter combinations every sparse
+// equivalence test runs: the key equal to the exact distance, a loose
+// one, and a useless one (always 0: the band is every pair), each with
+// and without the prefilter.
+func sparseModes(l *lineMetric) []struct {
+	name  string
+	key   []float64
+	bound BoundFunc
+} {
+	return []struct {
+		name  string
+		key   []float64
+		bound BoundFunc
+	}{
+		{"exact key", l.x, nil},
+		{"exact key + bound", l.x, l.bound},
+		{"loose key + bound", l.looseKey(), l.bound},
+		{"useless key", make([]float64, len(l.x)), nil},
+		{"useless key + bound", make([]float64, len(l.x)), l.bound},
+	}
+}
+
 // TestKernelMatchesNaiveLoop: the one worker loop, at every worker
-// count and with every combination of layers, fills exactly the matrix
-// the naive double loop does. n clears DefaultSequentialCutoff so the
-// pool really runs for workers > 1.
+// count, fills exactly what the naive double loop does — the whole
+// matrix for Compute with and without the gate, its finite cells for
+// ComputeSparse under every combination of layers. n clears
+// DefaultSequentialCutoff so the pool really runs for workers > 1.
 func TestKernelMatchesNaiveLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{48, 131} {
 		l := randLineMetric(rng, n)
 		const cut = 12.5
-		for _, mode := range []struct {
-			name string
-			opts Options
-		}{
-			{"no cut", Options{}},
-			{"cut only", Options{Cut: cut}},
-			{"cut + bound", Options{Cut: cut, Bound: l.bound}},
-			{"cut + bound + pivots", Options{Cut: cut, Bound: l.bound, Pivots: 4}},
-		} {
-			want := naiveMatrix(n, l.dist, mode.opts.Cut)
-			for _, workers := range []int{1, 2, 4, 8} {
-				opts := mode.opts
-				opts.Parallelism = workers
-				got := Compute(n, l.dist, opts)
-				if i, j, ok := matricesEqual(got, want); !ok {
-					t.Errorf("n=%d %s workers=%d: cell (%d,%d) = %v, want %v",
-						n, mode.name, workers, i, j, got.At(i, j), want.At(i, j))
+		gated := naiveMatrix(n, l.dist, cut)
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, c := range []float64{0, cut} {
+				got := Compute(n, l.dist, Options{Parallelism: workers, Cut: c})
+				if i, j, ok := matricesEqual(got, naiveMatrix(n, l.dist, c)); !ok {
+					t.Errorf("n=%d dense cut=%v workers=%d: cell (%d,%d) = %v", n, c, workers, i, j, got.At(i, j))
+				}
+			}
+			for _, mode := range sparseModes(l) {
+				g := ComputeSparse(mode.key, 0, mode.bound, l.dist, Options{Parallelism: workers, Cut: cut})
+				if err := graphMatchesGated(g, gated); err != nil {
+					t.Errorf("n=%d %s workers=%d: %v", n, mode.name, workers, err)
 				}
 			}
 		}
@@ -105,29 +170,27 @@ func TestKernelMatchesNaiveLoop(t *testing.T) {
 }
 
 // TestPrunedMatrixMatchesGatedExhaustive pins the kernel's central
-// invariant: for random metrics and random cuts, the pruned matrix —
-// any combination of prefilter, pivots, inline, pooled — is
-// bit-identical to the exhaustive matrix with the same cut applied
-// after the fact.
+// invariant: for random metrics and random cuts — from "nothing finite"
+// to "everything finite" — the sparse graph, under any combination of
+// index key and prefilter, inline and pooled, is pair for pair and value
+// for value the finite part of the exhaustive matrix with the same cut
+// applied after the fact.
 func TestPrunedMatrixMatchesGatedExhaustive(t *testing.T) {
-	property := func(seed int64, nRaw, pivotsRaw uint8) bool {
+	property := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(nRaw)%120
 		l := randLineMetric(rng, n)
-		cut := rng.Float64() * 60
-		want := naiveMatrix(n, l.dist, cut)
-		for _, cfg := range []Options{
-			{Parallelism: 1, Cut: cut},
-			{Parallelism: 1, Cut: cut, Bound: l.bound},
-			{Parallelism: 1, Cut: cut, Bound: l.bound, Pivots: 1 + int(pivotsRaw)%5},
-			{Parallelism: 4, Cut: cut, Bound: l.bound, Pivots: 1 + int(pivotsRaw)%5},
-			{Parallelism: 4, Cut: cut, Pivots: 3},
-		} {
-			got := Compute(n, l.dist, cfg)
-			if i, j, ok := matricesEqual(got, want); !ok {
-				t.Logf("seed=%d n=%d cut=%v cfg=%+v: cell (%d,%d) = %v, want %v",
-					seed, n, cut, cfg, i, j, got.At(i, j), want.At(i, j))
-				return false
+		// Coordinates span [0, 100): a cut of 1e-3 keeps nothing, one of
+		// 120 everything.
+		cut := []float64{1e-3, rng.Float64() * 60, 120}[rng.Intn(3)]
+		want := Compute(n, l.dist, Options{Parallelism: 1, Cut: cut})
+		for _, par := range []int{1, 0, 4} {
+			for _, mode := range sparseModes(l) {
+				g := ComputeSparse(mode.key, 0, mode.bound, l.dist, Options{Parallelism: par, Cut: cut})
+				if err := graphMatchesGated(g, want); err != nil {
+					t.Logf("seed=%d n=%d cut=%v %s parallelism=%d: %v", seed, n, cut, mode.name, par, err)
+					return false
+				}
 			}
 		}
 		return true
@@ -137,77 +200,71 @@ func TestPrunedMatrixMatchesGatedExhaustive(t *testing.T) {
 	}
 }
 
-// pruneCounters reads the layer tallies a gated fill reported.
+// pruneCounters reads the layer tallies a sparse fill reported.
 type pruneCounters struct {
-	total, prunedBound, prunedPivot, exact, gated int64
+	total, prunedIndex, prunedBound, exact, gated int64
 }
 
 func readCounters(reg *metrics.Registry) pruneCounters {
 	c := reg.TakeSnapshot().Counters
 	return pruneCounters{
 		total:       c["distmatrix/pairs_total"],
+		prunedIndex: c["distmatrix/pairs_pruned_index"],
 		prunedBound: c["distmatrix/pairs_pruned_bound"],
-		prunedPivot: c["distmatrix/pairs_pruned_pivot"],
 		exact:       c["distmatrix/pairs"],
 		gated:       c["distmatrix/pairs_gated"],
 	}
 }
 
 // TestPrunedStatsAccounting: every pair is counted exactly once across
-// the pruning layers, and pruning actually skips work on a spread-out
-// input.
+// the layers, both layers actually skip work on a spread-out input, and
+// what survives the gate is what the graph holds.
 func TestPrunedStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 120
 	l := randLineMetric(rng, n)
 	reg := metrics.New()
-	Compute(n, l.dist, Options{
-		Parallelism: 3, Cut: 5, Bound: l.bound, Pivots: 4, Metrics: reg,
-	})
+	g := ComputeSparse(l.looseKey(), 0, l.bound, l.dist, Options{Parallelism: 3, Cut: 5, Metrics: reg})
 	st := readCounters(reg)
 	total := int64(n * (n - 1) / 2)
 	if st.total != total {
 		t.Errorf("pairs_total = %d, want %d", st.total, total)
 	}
-	if got := st.prunedBound + st.prunedPivot + st.exact; got != total {
-		t.Errorf("pruned_bound+pruned_pivot+pairs = %d, want %d (%+v)", got, total, st)
+	if got := st.exact + st.prunedIndex + st.prunedBound; got != total {
+		t.Errorf("pairs+pruned_index+pruned_bound = %d, want %d (%+v)", got, total, st)
 	}
-	if st.prunedBound == 0 {
-		t.Error("prefilter pruned nothing on a spread-out input")
+	if st.prunedIndex == 0 || st.prunedBound == 0 {
+		t.Errorf("a layer pruned nothing on a spread-out input: %+v", st)
 	}
 	if st.exact >= total/2 {
 		t.Errorf("pairs = %d of %d: pruning ineffective", st.exact, total)
 	}
-	if st.gated > st.exact {
-		t.Errorf("pairs_gated = %d exceeds pairs = %d", st.gated, st.exact)
+	if int64(g.Pairs()) != st.exact-st.gated {
+		t.Errorf("graph holds %d pairs, want pairs − pairs_gated = %d", g.Pairs(), st.exact-st.gated)
 	}
 	snap := reg.TakeSnapshot()
-	for _, h := range snap.Histograms {
-		// One observation per pool worker plus one for the pivot phase.
-		if h.Count != 4 {
-			t.Errorf("histogram %s: %d observations, want 4", h.Name, h.Count)
-		}
+	if got := snap.Gauges["distmatrix/workers"]; got != 3 {
+		t.Errorf("workers = %d, want 3", got)
 	}
-	if len(snap.Histograms) != 3 {
-		t.Errorf("histograms = %+v, want worker_busy, prefilter_busy, exact_busy", snap.Histograms)
+	// One busy-time observation per pool worker, and no other histogram.
+	if len(snap.Histograms) != 1 || snap.Histograms[0].Name != "distmatrix/worker_busy" || snap.Histograms[0].Count != 3 {
+		t.Errorf("histograms = %+v, want worker_busy with 3 observations", snap.Histograms)
 	}
 }
 
 // TestPrunedSentinelPlacement: below-cut pairs hold their exact values,
-// above-cut pairs hold Sentinel, the diagonal stays zero.
+// above-cut pairs read as Sentinel, the diagonal stays zero.
 func TestPrunedSentinelPlacement(t *testing.T) {
 	l := &lineMetric{x: []float64{0, 1, 2, 50, 51, 103}}
 	n := len(l.x)
-	m := Compute(n, l.dist, Options{
-		Parallelism: 1, Cut: 10, Bound: l.bound, Pivots: 2,
-	})
+	g := ComputeSparse(l.x, 0, l.bound, l.dist, Options{Parallelism: 1, Cut: 10})
 	for i := 0; i < n; i++ {
-		if m.At(i, i) != 0 {
-			t.Errorf("diagonal (%d,%d) = %v", i, i, m.At(i, i))
+		if g.At(i, i) != 0 {
+			t.Errorf("diagonal (%d,%d) = %v", i, i, g.At(i, i))
 		}
 		for j := i + 1; j < n; j++ {
 			want := l.dist(i, j)
-			got := m.At(i, j)
+			got := g.At(i, j)
 			if want > 10 {
 				if !IsSentinel(got) {
 					t.Errorf("(%d,%d) = %v, want Sentinel (exact %v > cut)", i, j, got, want)
@@ -215,69 +272,58 @@ func TestPrunedSentinelPlacement(t *testing.T) {
 			} else if got != want {
 				t.Errorf("(%d,%d) = %v, want exact %v", i, j, got, want)
 			}
-			if got != m.At(j, i) {
+			if got != g.At(j, i) {
 				t.Errorf("asymmetry at (%d,%d)", i, j)
 			}
 		}
 	}
 }
 
-// TestPrunedPivotSaturation: asking for more pivots than items must not
-// loop or double-count; with every item a pivot the matrix is complete
-// and exact evaluations cover each pair once.
-func TestPrunedPivotSaturation(t *testing.T) {
-	l := &lineMetric{x: []float64{3, 1, 4, 1.5, 9}}
-	n := len(l.x)
-	reg := metrics.New()
-	m := Compute(n, l.dist, Options{
-		Parallelism: 1, Cut: 100, Pivots: 50, Metrics: reg,
-	})
-	total := int64(n * (n - 1) / 2)
-	if st := readCounters(reg); st.exact != total || st.total != total {
-		t.Errorf("counters = %+v, want pairs_total = pairs = %d", st, total)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			want := l.dist(i, j)
-			if got := m.At(i, j); got != want {
-				t.Errorf("(%d,%d) = %v, want %v", i, j, got, want)
+// TestPrunedAdversarialBound: a useless key and bound (always 0), and a
+// key and bound equal to the exact distance — so that every band and
+// prefilter decision sits exactly on the cut for pairs at the cut — keep
+// the graph correct: layers may only skip pairs the cut proves
+// irrelevant. The cut is itself one of the distances.
+func TestPrunedAdversarialBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n = 40
+	l := randLineMetric(rng, n)
+	cut := l.dist(3, 17)
+	want := naiveMatrix(n, l.dist, cut)
+	zero := func(i, j int) float64 { return 0 }
+	for _, par := range []int{1, 0} {
+		for name, g := range map[string]*Graph{
+			"zero":  ComputeSparse(make([]float64, n), 0, zero, l.dist, Options{Parallelism: par, Cut: cut}),
+			"exact": ComputeSparse(l.x, 0, l.dist, l.dist, Options{Parallelism: par, Cut: cut}),
+		} {
+			if err := graphMatchesGated(g, want); err != nil {
+				t.Errorf("%s key and bound, parallelism %d: %v", name, par, err)
 			}
 		}
 	}
 }
 
-// TestPrunedAdversarialBound: even a uselessly loose bound (always 0)
-// and a bound that lies within the slack margin keep the matrix correct
-// — layers may only skip pairs the cut proves irrelevant.
-func TestPrunedAdversarialBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	const n = 40
-	l := randLineMetric(rng, n)
-	cut := 20.0
-	want := naiveMatrix(n, l.dist, cut)
-	for name, bound := range map[string]BoundFunc{
-		"zero":  func(i, j int) float64 { return 0 },
-		"exact": l.dist,
-	} {
-		got := Compute(n, l.dist, Options{Parallelism: 1, Cut: cut, Bound: bound})
-		if i, j, ok := matricesEqual(got, want); !ok {
-			t.Errorf("%s bound: cell (%d,%d) = %v, want %v", name, i, j, got.At(i, j), want.At(i, j))
+// TestComputeSparseDegenerate: fewer than two items is an empty graph of
+// the right size.
+func TestComputeSparseDegenerate(t *testing.T) {
+	for n := 0; n < 2; n++ {
+		g := ComputeSparse(make([]float64, n), 0, nil, nil, Options{Cut: 1})
+		if g.N() != n || g.Pairs() != 0 {
+			t.Errorf("n=%d: N() = %d, Pairs() = %d", n, g.N(), g.Pairs())
 		}
 	}
 }
 
 func ExampleOptions_pruned() {
-	// Ten points in two far-apart clumps: with a cut of 5 every
-	// cross-clump pair is pruned or gated to the sentinel.
+	// Ten points in two far-apart clumps: with a cut of 5 no cross-clump
+	// pair is ever looked at.
 	x := []float64{0, 1, 2, 3, 4, 100, 101, 102, 103, 104}
 	l := &lineMetric{x: x}
 	reg := metrics.New()
-	m := Compute(len(x), l.dist, Options{
-		Parallelism: 1, Cut: 5, Bound: l.bound, Pivots: 2, Metrics: reg,
-	})
+	g := ComputeSparse(x, 0, l.bound, l.dist, Options{Parallelism: 1, Cut: 5, Metrics: reg})
 	st := readCounters(reg)
 	fmt.Printf("within: %v  across: sentinel=%v  exact evals: %d of %d\n",
-		m.At(0, 4), IsSentinel(m.At(0, 9)), st.exact, st.total)
+		g.At(0, 4), IsSentinel(g.At(0, 9)), st.exact, st.total)
 	// Output:
-	// within: 4  across: sentinel=true  exact evals: 29 of 45
+	// within: 4  across: sentinel=true  exact evals: 20 of 45
 }

@@ -648,16 +648,18 @@ func NewMetrics() *Metrics { return metrics.New() }
 // PruneReport summarizes the θ_hm pruning kernel's pair accounting from
 // an instrumented run wide enough to engage it (θ_hm prunes on its own
 // from about a thousand clusterable hosts up): how many of the
-// n·(n−1)/2 candidate pairs were skipped by each pruning layer versus
-// evaluated exactly. Calibration counts the exact evaluations the
+// n·(n−1)/2 candidate pairs were skipped by each pruning layer — never
+// touched because the mean index put them outside the cut's band, or
+// discarded by the CDF bound — versus evaluated exactly (PairsTotal =
+// Exact + PrunedIndex + PrunedBound). Calibration counts the exact evaluations the
 // auto-calibration mini-matrix paid on top of the main matrix.
 // ExactFraction is the run's headline economy — the share of pairs that
 // paid an exact EMD evaluation, calibration included.
 type PruneReport struct {
 	PairsTotal    int64   `json:"pairs_total"`
 	Exact         int64   `json:"exact"`
+	PrunedIndex   int64   `json:"pruned_index"`
 	PrunedBound   int64   `json:"pruned_bound"`
-	PrunedPivot   int64   `json:"pruned_pivot"`
 	Gated         int64   `json:"gated"`
 	Calibration   int64   `json:"calibration,omitempty"`
 	ExactFraction float64 `json:"exact_fraction"`
@@ -675,8 +677,8 @@ func PruneSummary(snap MetricsSnapshot) (PruneReport, bool) {
 	r := PruneReport{
 		PairsTotal:  total,
 		Exact:       snap.Counters["distmatrix/pairs"],
+		PrunedIndex: snap.Counters["distmatrix/pairs_pruned_index"],
 		PrunedBound: snap.Counters["distmatrix/pairs_pruned_bound"],
-		PrunedPivot: snap.Counters["distmatrix/pairs_pruned_pivot"],
 		Gated:       snap.Counters["distmatrix/pairs_gated"],
 		Calibration: snap.Counters["pipeline/hm/calibration_pairs"],
 	}
