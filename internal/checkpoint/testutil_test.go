@@ -17,7 +17,7 @@ func baseTime() time.Time {
 }
 
 // testEngineConfig exercises every checkpointing-relevant engine
-// feature: sliding windows (pane ring), skew (reorder heaps), sharding,
+// feature: sliding windows (pane ring), skew (reorder buffers), sharding,
 // and carried first-seen anchors.
 func testEngineConfig() engine.Config {
 	cc := core.DefaultConfig()
@@ -69,7 +69,7 @@ func synthStream(rng *rand.Rand, base time.Time, span time.Duration) []flow.Reco
 	}
 	flow.SortByStart(out)
 	// Mild reordering within the skew tolerance: swap neighbors whose
-	// starts are close, so the extractors' pending heaps are non-empty
+	// starts are close, so the extractors' reorder buffers are non-empty
 	// when a snapshot lands.
 	for i := len(out) - 2; i >= 0; i-- {
 		if rng.Intn(3) == 0 && out[i+1].Start.Sub(out[i].Start) < 30*time.Second {

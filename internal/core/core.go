@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"plotters/internal/flow"
@@ -163,16 +164,8 @@ func (s HostSet) Sorted() []flow.IP {
 	for h := range s {
 		hosts = append(hosts, h)
 	}
-	sortIPs(hosts)
+	slices.Sort(hosts)
 	return hosts
-}
-
-func sortIPs(hosts []flow.IP) {
-	for i := 1; i < len(hosts); i++ {
-		for j := i; j > 0 && hosts[j] < hosts[j-1]; j-- {
-			hosts[j], hosts[j-1] = hosts[j-1], hosts[j]
-		}
-	}
 }
 
 // Analysis holds the per-host features of one detection window, shared

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -60,6 +62,44 @@ func TestHostSetOps(t *testing.T) {
 	// Union must not mutate the operands.
 	if len(a) != 3 || len(b) != 2 {
 		t.Error("Union mutated operands")
+	}
+}
+
+// randomHostSet returns n distinct addresses scattered over the whole
+// 32-bit space, and the set of them.
+func randomHostSet(n int) ([]flow.IP, HostSet) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	set := make(HostSet, n)
+	hosts := make([]flow.IP, 0, n)
+	for len(hosts) < n {
+		if h := flow.IP(rng.Uint32()); !set[h] {
+			set[h] = true
+			hosts = append(hosts, h)
+		}
+	}
+	return hosts, set
+}
+
+// Sorted at campus width: every window calls it several times over the
+// whole population, in map-iteration order.
+func TestHostSetSortedLarge(t *testing.T) {
+	want, set := randomHostSet(10000)
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if got := set.Sorted(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Sorted() of %d hosts differs from sort.Slice", len(want))
+	}
+}
+
+func BenchmarkHostSetSorted(b *testing.B) {
+	for _, n := range []int{1024, 8192} {
+		_, set := randomHostSet(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := set.Sorted(); len(got) != n {
+					b.Fatal(len(got))
+				}
+			}
+		})
 	}
 }
 

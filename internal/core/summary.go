@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"plotters/internal/flow"
@@ -147,7 +148,7 @@ func LocalPass(src flow.FeatureSource, cfg Config, shard, shards int) (*ShardSum
 		hs.Interstitials = nil
 		if cset := contacts[h]; len(cset) > 0 {
 			hs.Contacts = append([]flow.IP(nil), cset...)
-			sortIPs(hs.Contacts)
+			slices.Sort(hs.Contacts)
 		}
 		sum.Hosts = append(sum.Hosts, hs)
 	}

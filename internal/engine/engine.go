@@ -168,7 +168,8 @@ type WindowedDetector struct {
 
 	started  bool
 	origin   time.Time
-	paneIdx  int       // index of the open pane since origin
+	paneIdx  int       // index of the open pane since origin; set through setPane
+	sealAt   int64     // the open pane's end + MaxSkew, Unix ns: a frontier there ends it
 	frontier time.Time // latest start time seen (or AdvanceTo watermark)
 	recent   []*flow.Pane
 	emitted  int
@@ -241,6 +242,14 @@ func (d *WindowedDetector) paneEnd() time.Time {
 	return d.origin.Add(time.Duration(d.paneIdx+1) * d.paneDur)
 }
 
+// setPane moves the open-pane cursor, and with it the frontier Add
+// watches for: nearly every record ends no pane, and learns so from one
+// integer compare.
+func (d *WindowedDetector) setPane(idx int) {
+	d.paneIdx = idx
+	d.sealAt = d.paneEnd().UnixNano() + int64(d.cfg.MaxSkew)
+}
+
 // Add folds one record into the open window, sealing and detecting any
 // windows the record's start time proves complete first. Records more
 // than MaxSkew behind the frontier are dropped: with ErrLateRecord, or
@@ -255,15 +264,18 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 		d.started = true
 		d.frontier = r.Start
 		if r.Start.Before(d.origin) {
+			d.setPane(0)
 			return fmt.Errorf("engine: record at %v precedes the window origin %v", r.Start, d.origin)
 		}
-		d.paneIdx = int(r.Start.Sub(d.origin) / d.paneDur)
+		d.setPane(int(r.Start.Sub(d.origin) / d.paneDur))
 	}
 	if r.Start.After(d.frontier) {
 		d.frontier = r.Start
 	}
-	if err := d.advance(d.frontier.Add(-d.cfg.MaxSkew)); err != nil {
-		return err
+	if d.frontier.UnixNano() >= d.sealAt {
+		if err := d.advance(d.frontier.Add(-d.cfg.MaxSkew)); err != nil {
+			return err
+		}
 	}
 	if err := d.store.Add(r); err != nil {
 		// The store rejects only late records, and with a static error:
@@ -326,7 +338,7 @@ func (d *WindowedDetector) advance(watermark time.Time) error {
 			// cursor on the pane opening there).
 			idx := int(watermark.Sub(d.origin) / d.paneDur)
 			if idx > d.paneIdx {
-				d.paneIdx = idx
+				d.setPane(idx)
 				d.recent = d.recent[:0]
 			}
 			if d.paneEnd().After(watermark) {
@@ -365,7 +377,7 @@ func (d *WindowedDetector) sealPane() error {
 	t.Stop()
 	reg.Counter("engine/panes").Add(1)
 	sealedIdx := d.paneIdx
-	d.paneIdx++
+	d.setPane(sealedIdx + 1)
 
 	if d.k == 1 {
 		if pane.Hosts() == 0 {

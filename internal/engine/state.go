@@ -72,7 +72,7 @@ func (d *WindowedDetector) RestoreState(st *State) error {
 	d.started = st.Started
 	d.origin = st.Origin
 	d.frontier = st.Frontier
-	d.paneIdx = st.PaneIdx
+	d.setPane(st.PaneIdx)
 	d.emitted = st.Emitted
 	d.dropped = st.Dropped
 	d.recent = d.recent[:0]

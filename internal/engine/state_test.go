@@ -52,7 +52,7 @@ func collectSummaries(out *[]windowSummary) func(*Result) error {
 }
 
 // resumeConfig exercises the checkpointing-relevant engine features:
-// skew (pending heaps), sharding, and carried first-seen anchors.
+// skew (reorder buffers), sharding, and carried first-seen anchors.
 func resumeConfig(window, slide time.Duration) Config {
 	return Config{
 		Window:         window,
@@ -202,5 +202,108 @@ func TestFlushMarksPartialWindow(t *testing.T) {
 	}
 	if !got[1].Partial {
 		t.Error("flushed half-window not marked partial")
+	}
+}
+
+// paneSeal is what TestPaneEndCacheGoldens compares: which windows were
+// emitted, over what, holding how much.
+type paneSeal struct {
+	Index    int
+	From, To int // minutes after the origin
+	Hosts    int
+	Records  int
+	Partial  bool
+}
+
+// Add decides "did this record end a pane?" from a cached boundary that
+// every write of the pane cursor must refresh: the first record, the
+// fast-forward over a silent stretch, each seal, and a restore. The
+// stream below crosses all four — records one nanosecond short of and
+// exactly on a pane's end + MaxSkew, silences many panes long, a
+// State → RestoreState hop inside a pane and another right after a
+// fast-forward — and the windows it emits are pinned to what the
+// engine emitted when it recomputed the boundary for every record.
+func TestPaneEndCacheGoldens(t *testing.T) {
+	const skew = 30 * time.Second
+	base := baseTime()
+	var stream []flow.Record
+	restoreAt := map[int]bool{}
+	at := func(host flow.IP, off time.Duration) {
+		stream = append(stream, flow.Record{
+			Src: host, Dst: 900 + host, SrcPort: 4000, DstPort: 80, Proto: flow.TCP,
+			Start: base.Add(off), End: base.Add(off + time.Second),
+			SrcPkts: 1, DstPkts: 1, SrcBytes: 100, DstBytes: 100, State: flow.StateEstablished,
+		})
+	}
+	burst := func(from, to time.Duration, hosts int) {
+		for off, i := from, 0; off < to; off, i = off+20*time.Second, i+1 {
+			at(flow.IP(1+i%hosts), off)
+		}
+	}
+	burst(3*time.Minute, 10*time.Minute, 4) // the first record opens pane 0 mid-pane
+	at(7, 10*time.Minute+skew-1)            // one nanosecond short: pane 0 stays open
+	at(8, 10*time.Minute+skew)              // exactly on it: pane 0 seals
+	burst(11*time.Minute, 14*time.Minute, 3)
+	restoreAt[len(stream)] = true // inside pane 1, records buffered
+	burst(14*time.Minute, 19*time.Minute, 3)
+	at(1, 47*time.Minute) // seals pane 1, then fast-forwards 2 → 4
+	restoreAt[len(stream)] = true
+	burst(47*time.Minute+time.Second, 52*time.Minute, 5)
+	at(2, 3*time.Hour+skew-1) // pane 5 seals, fast-forward stops one pane short…
+	at(3, 3*time.Hour+skew)   // …and this moves it on
+	burst(3*time.Hour+time.Minute, 3*time.Hour+12*time.Minute, 2)
+
+	want := map[string][]paneSeal{
+		"tumbling": {
+			{0, 0, 10, 4, 21, false}, {1, 10, 20, 5, 26, false},
+			{4, 40, 50, 5, 10, false}, {5, 50, 60, 5, 6, false},
+			{18, 180, 190, 3, 29, false}, {19, 190, 200, 2, 6, true},
+		},
+		"sliding": {
+			{0, 0, 10, 4, 21, false}, {1, 5, 15, 6, 29, false}, {2, 10, 20, 5, 26, false}, {3, 15, 25, 3, 12, false},
+			{8, 40, 50, 5, 10, false}, {9, 45, 55, 5, 16, false}, {10, 50, 60, 5, 6, false},
+			{35, 175, 185, 3, 14, false}, {36, 180, 190, 3, 29, false}, {37, 185, 195, 2, 21, true},
+		},
+	}
+	for name, slide := range map[string]time.Duration{"tumbling": 0, "sliding": 5 * time.Minute} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{
+				Window: 10 * time.Minute, Slide: slide, Origin: base, Shards: 2,
+				MaxSkew: skew, DropLate: true, Core: testConfig(),
+			}
+			var got []paneSeal
+			emit := func(res *Result) error {
+				from, to := res.Window.From.Sub(base), res.Window.To.Sub(base)
+				got = append(got, paneSeal{res.Index, int(from / time.Minute), int(to / time.Minute), res.Hosts, res.Records, res.Partial})
+				return nil
+			}
+			d, err := New(cfg, emit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range stream {
+				if restoreAt[i] {
+					st := d.State()
+					if d, err = New(cfg, emit); err != nil {
+						t.Fatal(err)
+					}
+					if err := d.RestoreState(st); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := d.Add(&stream[i]); err != nil {
+					t.Fatal(err)
+				}
+				if fresh := d.paneEnd().UnixNano() + int64(skew); d.sealAt != fresh {
+					t.Fatalf("record %d: cached boundary %d is stale, pane %d ends at %d", i, d.sealAt, d.paneIdx, fresh)
+				}
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[name]) {
+				t.Errorf("emitted windows:\n got %+v\nwant %+v", got, want[name])
+			}
+		})
 	}
 }

@@ -1,20 +1,52 @@
 package flow
 
+import (
+	"cmp"
+	"slices"
+	"time"
+)
+
 // reorderBuffer holds the records a StreamExtractor has accepted but not
 // yet processed, and hands them back in (start time, arrival) order.
 //
+// It is a timing wheel, not a priority queue. The extractor only ever
+// holds records whose starts lie within MaxSkew of each other, so a ring
+// of wheelBuckets buckets, each a power-of-two slice of that span wide,
+// files a record by start with a shift and a mask. Nothing is ordered on
+// the way in. Only when the release bound reaches the oldest non-empty
+// bucket is that one bucket — tens to a few hundred records — sorted
+// into run, and records leave from the front of run. A record that
+// arrives for a bucket already taken into run (one nearly MaxSkew late)
+// is placed there by binary search.
+//
 // Records are 128 bytes and carry pointers (Payload, the Location inside
-// each time.Time), so ordering them directly means every sift step
-// copies a cache line and a half through GC write barriers. Instead the
-// records sit still in a slab and the heap orders 24-byte keys that hold
-// no pointers: the garbage collector never scans the key slice, a sift
-// step is a plain three-word move, and comparing starts is one int64
-// compare rather than a time.Time method call.
+// each time.Time), so they sit still in a slab, are processed in place
+// and then zeroed. A bucket is a list threaded through link, which runs
+// parallel to slab — as is the free list of vacated slots — so buckets
+// cost no memory beyond the ring of list heads, and what is sorted are
+// 24-byte keys that hold no pointers. Taking a bucket reads each of its
+// records' starts from the slab, which also pulls in, several at a time,
+// the cache lines process is about to need one by one.
 type reorderBuffer struct {
-	keys []reorderKey // min-heap by (start, seq)
-	slab []Record     // keys[i].slot indexes here; vacated slots are zero
-	free []int32      // vacated slab slots, reused before the slab grows
+	slab []Record   // buffered records; vacated slots are zero
+	link []slotLink // link[i] goes with slab[i]
+	free int32      // first vacated slab slot, noSlot if none
+	n    int        // records buffered
+
+	run []reorderKey // every buffered key below bucket base, ascending from cur
+	cur int
+
+	shift uint  // a record's bucket is start >> shift
+	base  int64 // ring holds buckets [base, base+wheelBuckets)
+	ring  [wheelBuckets]int32
 }
+
+// wheelBuckets is the ring size. A MaxSkew of 5 minutes makes buckets
+// 2²⁹ ns wide and uses 559 of them.
+const (
+	wheelBuckets = 1024
+	noSlot       = int32(-1)
+)
 
 // reorderKey is one buffered record's place in the order. start is the
 // record's start as Unix nanoseconds — exact for any time a flow monitor
@@ -24,83 +56,167 @@ type reorderBuffer struct {
 type reorderKey struct {
 	start int64
 	seq   uint64
-	slot  int32
+	slot  int32 // index into slab
 }
 
-func (k reorderKey) less(o reorderKey) bool {
-	if k.start != o.start {
-		return k.start < o.start
+// slotLink is what the buffer keeps per slab slot beside the record.
+type slotLink struct {
+	seq  uint64 // the record's arrival number
+	next int32  // following slot on the same bucket's list, or free list
+}
+
+func (k reorderKey) compare(o reorderKey) int {
+	if c := cmp.Compare(k.start, o.start); c != 0 {
+		return c
 	}
-	return k.seq < o.seq
+	return cmp.Compare(k.seq, o.seq)
 }
 
-func (b *reorderBuffer) len() int { return len(b.keys) }
+// init sizes the buckets for records that stay buffered until the feed
+// is maxSkew past their start: after a release up to frontier−maxSkew,
+// a record at the frontier lands less than wheelBuckets buckets past
+// base. (push copes with any start; past the ring it is just slower.)
+func (b *reorderBuffer) init(maxSkew time.Duration) {
+	for (int64(maxSkew)-1)>>b.shift >= wheelBuckets-1 {
+		b.shift++
+	}
+	b.free = noSlot
+	for i := range b.ring {
+		b.ring[i] = noSlot
+	}
+}
 
-// minStart returns the earliest buffered start; the buffer must be
-// non-empty.
-func (b *reorderBuffer) minStart() int64 { return b.keys[0].start }
+func (b *reorderBuffer) len() int { return b.n }
 
 // push buffers a copy of r under arrival number seq.
 func (b *reorderBuffer) push(r *Record, seq uint64) {
-	var slot int32
-	if n := len(b.free); n > 0 {
-		slot = b.free[n-1]
-		b.free = b.free[:n-1]
+	slot := b.free
+	if slot != noSlot {
+		b.free = b.link[slot].next
 		b.slab[slot] = *r
 	} else {
 		slot = int32(len(b.slab))
 		b.slab = append(b.slab, *r)
+		b.link = append(b.link, slotLink{})
 	}
-	b.keys = append(b.keys, reorderKey{start: r.Start.UnixNano(), seq: seq, slot: slot})
-	b.up(len(b.keys) - 1)
+	start := r.Start.UnixNano()
+	q := start >> b.shift
+	if b.n == 0 {
+		// Move the ring to the record, so that neither an idle gap nor a
+		// clock stepped years ahead is walked bucket by bucket or wraps.
+		b.base = q
+	}
+	b.n++
+	if q < b.base {
+		b.insertRun(reorderKey{start: start, seq: seq, slot: slot})
+		return
+	}
+	if uint64(q-b.base) >= wheelBuckets {
+		b.foldRing()
+		b.base = q
+	}
+	head := &b.ring[q&(wheelBuckets-1)]
+	b.link[slot] = slotLink{seq: seq, next: *head}
+	*head = slot
 }
 
-// pop removes and returns the earliest record (by start, then arrival).
-// Its slab slot is zeroed before reuse so the buffer cannot keep the
-// record's Payload alive.
-func (b *reorderBuffer) pop() Record {
-	top := b.keys[0]
-	n := len(b.keys) - 1
-	b.keys[0] = b.keys[n]
-	b.keys = b.keys[:n]
-	if n > 1 {
-		b.down(0)
+// insertRun places k in the sorted run — into the space popped keys left
+// at its front when there is any, so that a run fed only this way still
+// never outgrows the records it holds.
+func (b *reorderBuffer) insertRun(k reorderKey) {
+	i, _ := slices.BinarySearchFunc(b.run[b.cur:], k, reorderKey.compare)
+	if b.cur == 0 {
+		b.run = slices.Insert(b.run, i, k)
+		return
 	}
-	r := b.slab[top.slot]
-	b.slab[top.slot] = Record{}
-	b.free = append(b.free, top.slot)
-	return r
+	b.cur--
+	copy(b.run[b.cur:], b.run[b.cur+1:b.cur+1+i])
+	b.run[b.cur+i] = k
 }
 
-func (b *reorderBuffer) up(i int) {
-	k := b.keys[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !k.less(b.keys[parent]) {
-			break
-		}
-		b.keys[i] = b.keys[parent]
-		i = parent
+// foldRing empties every bucket into the run. Only a record more than
+// the ring's span past base needs it, which a StreamExtractor never
+// pushes; a snapshot restored under a smaller MaxSkew than it was taken
+// with can.
+func (b *reorderBuffer) foldRing() {
+	b.run = b.run[:copy(b.run, b.run[b.cur:])]
+	b.cur = 0
+	for i := range b.ring {
+		b.takeBucket(i)
 	}
-	b.keys[i] = k
+	slices.SortFunc(b.run, reorderKey.compare)
 }
 
-func (b *reorderBuffer) down(i int) {
-	k := b.keys[i]
-	n := len(b.keys)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && b.keys[r].less(b.keys[child]) {
-			child = r
-		}
-		if !b.keys[child].less(k) {
-			break
-		}
-		b.keys[i] = b.keys[child]
-		i = child
+// takeBucket moves ring bucket i's keys to the run in arrival order
+// (its list runs newest first) — sorted already if the feed was.
+func (b *reorderBuffer) takeBucket(i int) {
+	from := len(b.run)
+	b.run = b.appendBucket(b.run, b.ring[i])
+	slices.Reverse(b.run[from:])
+	b.ring[i] = noSlot
+}
+
+// appendBucket appends the keys of the records listed from slot on.
+func (b *reorderBuffer) appendBucket(keys []reorderKey, slot int32) []reorderKey {
+	for ; slot != noSlot; slot = b.link[slot].next {
+		keys = append(keys, reorderKey{start: b.slab[slot].Start.UnixNano(), seq: b.link[slot].seq, slot: slot})
 	}
-	b.keys[i] = k
+	return keys
+}
+
+// peek returns the earliest buffered record (by start, then arrival) if
+// it starts before bound, else nil. The record stays in the buffer, and
+// the pointer is good, until pop or the next push.
+func (b *reorderBuffer) peek(bound int64) *Record {
+	if b.cur == len(b.run) && !b.refill(bound) {
+		return nil
+	}
+	k := &b.run[b.cur]
+	if k.start >= bound {
+		return nil
+	}
+	return &b.slab[k.slot]
+}
+
+// refill sorts the oldest non-empty bucket into the exhausted run, if
+// that bucket begins before bound.
+func (b *reorderBuffer) refill(bound int64) bool {
+	b.run, b.cur = b.run[:0], 0
+	if b.n == 0 {
+		return false
+	}
+	// The ring is not empty, so the walk ends within wheelBuckets steps
+	// however far ahead bound is.
+	for last := bound >> b.shift; b.base <= last; {
+		i := int(b.base & (wheelBuckets - 1))
+		b.base++
+		if b.ring[i] != noSlot {
+			b.takeBucket(i)
+			slices.SortFunc(b.run, reorderKey.compare)
+			return true
+		}
+	}
+	return false
+}
+
+// pop removes the record peek just returned. Its slab slot is zeroed
+// before reuse so the buffer cannot keep the record's Payload alive.
+func (b *reorderBuffer) pop() {
+	slot := b.run[b.cur].slot
+	b.cur++
+	b.n--
+	b.slab[slot] = Record{}
+	b.link[slot].next = b.free
+	b.free = slot
+}
+
+// sorted lists every buffered key in (start, seq) order.
+func (b *reorderBuffer) sorted() []reorderKey {
+	keys := make([]reorderKey, 0, b.n)
+	keys = append(keys, b.run[b.cur:]...)
+	for _, slot := range b.ring[:] {
+		keys = b.appendBucket(keys, slot)
+	}
+	slices.SortFunc(keys, reorderKey.compare)
+	return keys
 }

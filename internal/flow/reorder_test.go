@@ -1,11 +1,14 @@
 package flow
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
+
+	"plotters/internal/metrics"
 )
 
 // reorderRecord builds record number id: Src carries the id (so the
@@ -119,32 +122,56 @@ func TestReorderMatchesStableSort(t *testing.T) {
 	}
 }
 
-// warmReorderBuffer returns a buffer that has already grown to hold n
-// records, and the records to cycle through it.
-func warmReorderBuffer(n int) (*reorderBuffer, []Record) {
+// warmReorderBuffer returns a buffer a feed has already run through —
+// every slab and run grown to the feed's reorder depth, which is n — and
+// the feed: call next for each further record and its release bound.
+// Starts climb one second per record with up to ±n/2 seconds of jitter,
+// so records leave well out of arrival order.
+func warmReorderBuffer(n int) (b *reorderBuffer, next func() (*Record, int64)) {
 	recs := make([]Record, n)
 	for i := range recs {
-		recs[i] = reorderRecord(i+1, baseTime().Add(time.Duration(i*37%n)*time.Second))
+		recs[i] = reorderRecord(i+1, baseTime().Add(time.Duration(i+i*37%n)*time.Second))
 	}
-	var b reorderBuffer
-	for i := range recs {
-		b.push(&recs[i], uint64(i))
+	maxSkew := time.Duration(n) * time.Second
+	b = new(reorderBuffer)
+	b.init(maxSkew)
+	i, frontier := 0, int64(math.MinInt64)
+	var r Record
+	next = func() (*Record, int64) {
+		r = recs[i%n]
+		r.Start = r.Start.Add(time.Duration(i/n*n) * time.Second)
+		i++
+		frontier = max(frontier, r.Start.UnixNano())
+		return &r, frontier - int64(maxSkew) + 1
 	}
-	b.pop()
-	return &b, recs
+	for range 3 * n {
+		r, bound := next()
+		b.push(r, uint64(i))
+		for b.peek(bound) != nil {
+			b.pop()
+		}
+	}
+	return b, next
 }
 
 // Accepting a record must not allocate once the slab has grown to the
 // feed's reorder depth: no boxing, no per-record node.
 func TestReorderPushPopZeroAlloc(t *testing.T) {
-	b, recs := warmReorderBuffer(256)
-	i := 0
+	b, next := warmReorderBuffer(256)
+	seq, popped := uint64(1<<20), 0
 	if avg := testing.AllocsPerRun(2000, func() {
-		b.push(&recs[i%len(recs)], uint64(len(recs)+i))
-		b.pop()
-		i++
+		r, bound := next()
+		b.push(r, seq)
+		seq++
+		for b.peek(bound) != nil {
+			b.pop()
+			popped++
+		}
 	}); avg != 0 {
 		t.Errorf("push+pop on a warm buffer: %v allocs, want 0", avg)
+	}
+	if popped < 1900 || b.len() < 64 {
+		t.Errorf("weak run: %d records popped, %d left buffered", popped, b.len())
 	}
 }
 
@@ -152,15 +179,17 @@ func TestReorderPushPopZeroAlloc(t *testing.T) {
 // anything else of it) reachable until the slot happens to be reused.
 func TestReorderPopReleasesPayload(t *testing.T) {
 	var b reorderBuffer
+	b.init(time.Minute)
 	for id := 1; id <= 5; id++ {
 		r := reorderRecord(id, baseTime().Add(time.Duration(5-id)*time.Second))
 		b.push(&r, uint64(id))
 	}
 	for n := b.len(); n > 0; n-- {
-		r := b.pop()
+		r := b.peek(math.MaxInt64)
 		if len(r.Payload) != 3 {
 			t.Fatalf("popped record lost its payload: %+v", r)
 		}
+		b.pop()
 		vacated := 0
 		for i := range b.slab {
 			if reflect.DeepEqual(b.slab[i], Record{}) {
@@ -173,15 +202,389 @@ func TestReorderPopReleasesPayload(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamReorder is one record through a warm reorder buffer —
-// the per-record cost MaxSkew adds to the streaming extractor. CI gates
-// its allocs/op at zero (benchgate -zero-allocs).
+// BenchmarkStreamReorder is one record through a warm reorder buffer,
+// 4096 deep — the per-record cost MaxSkew adds to the streaming
+// extractor. CI gates its allocs/op at zero (benchgate -zero-allocs).
 func BenchmarkStreamReorder(b *testing.B) {
-	buf, recs := warmReorderBuffer(4096)
+	buf, next := warmReorderBuffer(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.push(&recs[i%len(recs)], uint64(len(recs)+i))
-		buf.pop()
+		r, bound := next()
+		buf.push(r, uint64(1<<20+i))
+		for buf.peek(bound) != nil {
+			buf.pop()
+		}
 	}
+}
+
+// ---- the oracle: the binary heap the wheel replaced ---------------------
+
+// reorderHeap is the reorder buffer as it was before the timing wheel: a
+// binary min-heap of keys by (start, seq) over a record slab. It is kept
+// as the reference the wheel is compared against.
+type reorderHeap struct {
+	keys []reorderKey
+	slab []Record
+	free []int32
+}
+
+func (k reorderKey) less(o reorderKey) bool { return k.compare(o) < 0 }
+
+func (b *reorderHeap) len() int        { return len(b.keys) }
+func (b *reorderHeap) minStart() int64 { return b.keys[0].start }
+
+func (b *reorderHeap) push(r *Record, seq uint64) {
+	var slot int32
+	if n := len(b.free); n > 0 {
+		slot = b.free[n-1]
+		b.free = b.free[:n-1]
+		b.slab[slot] = *r
+	} else {
+		slot = int32(len(b.slab))
+		b.slab = append(b.slab, *r)
+	}
+	b.keys = append(b.keys, reorderKey{start: r.Start.UnixNano(), seq: seq, slot: slot})
+	b.up(len(b.keys) - 1)
+}
+
+func (b *reorderHeap) pop() Record {
+	top := b.keys[0]
+	n := len(b.keys) - 1
+	b.keys[0] = b.keys[n]
+	b.keys = b.keys[:n]
+	if n > 1 {
+		b.down(0)
+	}
+	r := b.slab[top.slot]
+	b.slab[top.slot] = Record{}
+	b.free = append(b.free, top.slot)
+	return r
+}
+
+func (b *reorderHeap) up(i int) {
+	k := b.keys[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.less(b.keys[parent]) {
+			break
+		}
+		b.keys[i] = b.keys[parent]
+		i = parent
+	}
+	b.keys[i] = k
+}
+
+func (b *reorderHeap) down(i int) {
+	k := b.keys[i]
+	n := len(b.keys)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && b.keys[r].less(b.keys[child]) {
+			child = r
+		}
+		if !b.keys[child].less(k) {
+			break
+		}
+		b.keys[i] = b.keys[child]
+		i = child
+	}
+	b.keys[i] = k
+}
+
+// heapStream is the reorder stage of StreamExtractor as it was over the
+// heap, statement for statement: push, then release up to frontier −
+// MaxSkew. processed logs the order records left in.
+type heapStream struct {
+	maxSkew            time.Duration
+	heap               reorderHeap
+	frontier, released time.Time
+	seq                uint64
+	highwater          int
+	processed          []IP
+}
+
+func (h *heapStream) add(r *Record) (accepted bool) {
+	if r.Start.Before(h.released) {
+		return false
+	}
+	if r.Start.After(h.frontier) {
+		h.frontier = r.Start
+	}
+	if h.maxSkew == 0 {
+		h.released = r.Start
+		h.processed = append(h.processed, r.Src)
+		return true
+	}
+	h.seq++
+	h.heap.push(r, h.seq)
+	h.highwater = max(h.highwater, h.heap.len())
+	h.release(h.frontier.UnixNano() - int64(h.maxSkew) + 1)
+	return true
+}
+
+func (h *heapStream) release(bound int64) {
+	for h.heap.len() > 0 && h.heap.minStart() < bound {
+		r := h.heap.pop()
+		h.released = r.Start
+		h.processed = append(h.processed, r.Src)
+	}
+}
+
+func (h *heapStream) releaseBefore(t time.Time) {
+	h.release(t.UnixNano())
+	if t.After(h.released) {
+		h.released = t
+	}
+}
+
+// ---- wheel against heap ---------------------------------------------------
+
+// reorderSkews are the MaxSkews a script picks from: the zero-skew
+// bypass, buckets one nanosecond wide, widths that divide nothing
+// evenly, and the live default.
+var reorderSkews = []time.Duration{0, 1, 700, 8 * time.Second, 5 * time.Minute, time.Hour}
+
+// Script operations (see runReorderScript). Each is followed by one
+// argument byte. Records trail the clock, as a monitor's exports trail
+// the flows' starts.
+const (
+	opPushNear  = iota // a record within ±128 ns of the clock: ties, one bucket
+	opPushFine         // … up to MaxSkew/16 behind it: neighbouring buckets
+	opPushWide         // … up to 1.3 MaxSkew behind it: the whole ring, and late rejects
+	opTick             // move the clock on by up to MaxSkew/64
+	opIdle             // … by up to 16 MaxSkew, further than the ring spans
+	opSeal             // ReleaseBefore a point within ±MaxSkew/2 of the clock
+	opRestore          // State → RestoreState into a fresh extractor under reorderSkews[arg]
+	opJumpYears        // step the clock arg years, either way
+	opCount
+)
+
+// reorderCoverage counts how often scripts reached the paths that are
+// easy to miss.
+type reorderCoverage struct {
+	rejects, restored, sealed, intoRun, folded, deepest int
+}
+
+// runReorderScript feeds one script to a StreamExtractor and to
+// heapStream, and fails on the first step where they differ in what was
+// accepted, the order records were processed in, how many are buffered,
+// the earliest buffered start, or the released watermark. script[0]
+// picks MaxSkew; the rest is (operation, argument) byte pairs.
+func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
+	if len(script) == 0 {
+		return
+	}
+	maxSkew := reorderSkews[int(script[0])%len(reorderSkews)]
+	unit := func(div int64) time.Duration { return time.Duration(max(1, int64(maxSkew)/div)) }
+
+	var processed []IP
+	opts := FeatureOptions{Hosts: func(ip IP) bool {
+		processed = append(processed, ip)
+		return true
+	}}
+	reg := metrics.New()
+	se := NewStreamExtractorSkew(opts, maxSkew).Metrics(reg)
+	ref := &heapStream{maxSkew: maxSkew}
+
+	clock := baseTime()
+	id := 0
+	shrunk := false // restored under a smaller MaxSkew than was buffered for
+	checked := 0    // processed[:checked] already matched the heap's
+	check := func(step int, what string) {
+		t.Helper()
+		if len(processed) != len(ref.processed) {
+			t.Fatalf("step %d (%s): processed %d records, heap %d", step, what, len(processed), len(ref.processed))
+		}
+		for ; checked < len(processed); checked++ {
+			if processed[checked] != ref.processed[checked] {
+				t.Fatalf("step %d (%s): position %d processed record %d, heap says %d", step, what, checked, processed[checked], ref.processed[checked])
+			}
+		}
+		if se.Pending() != ref.heap.len() {
+			t.Fatalf("step %d (%s): %d buffered, heap holds %d", step, what, se.Pending(), ref.heap.len())
+		}
+		if keys := se.pending.sorted(); len(keys) > 0 && keys[0].start != ref.heap.minStart() {
+			t.Fatalf("step %d (%s): earliest buffered start %d, heap says %d", step, what, keys[0].start, ref.heap.minStart())
+		}
+		if !se.released.Equal(ref.released) {
+			t.Fatalf("step %d (%s): released %v, heap says %v", step, what, se.released, ref.released)
+		}
+	}
+	push := func(step int, start time.Time) {
+		id++
+		r := reorderRecord(id, start)
+		if b := &se.pending; maxSkew > 0 && b.n > 0 && !start.Before(se.released) {
+			switch q := start.UnixNano() >> b.shift; {
+			case q < b.base:
+				cov.intoRun++
+			case uint64(q-b.base) >= wheelBuckets && !start.After(se.frontier):
+				// (One that advances the frontier is pushed after the release.)
+				if !shrunk {
+					t.Fatalf("step %d: record at %v lands beyond the ring, %d buckets past base", step, start, q-b.base)
+				}
+				cov.folded++
+			}
+		}
+		accepted := ref.add(&r)
+		if err := se.Add(&r); (err == nil) != accepted {
+			t.Fatalf("step %d: record at %v: err = %v, heap accepted = %v", step, start, err, accepted)
+		}
+		if !accepted {
+			cov.rejects++
+		}
+		cov.deepest = max(cov.deepest, se.Pending())
+		check(step, "push")
+	}
+
+	ops := script[1:]
+	for step := 0; 2*step+1 < len(ops); step++ {
+		op, arg := ops[2*step]%opCount, ops[2*step+1]
+		signed := time.Duration(int8(arg))
+		switch op {
+		case opPushNear:
+			push(step, clock.Add(signed))
+		case opPushFine:
+			push(step, clock.Add(-time.Duration(arg)*unit(16*256)))
+		case opPushWide:
+			push(step, clock.Add(-time.Duration(arg)*unit(200)))
+		case opTick:
+			clock = clock.Add(time.Duration(arg) * unit(64*256))
+		case opIdle:
+			clock = clock.Add(time.Duration(arg) * unit(16))
+		case opSeal:
+			at := clock.Add(signed * unit(256))
+			se.ReleaseBefore(at)
+			ref.releaseBefore(at)
+			cov.sealed += se.Pending()
+			check(step, "ReleaseBefore")
+		case opRestore:
+			st := se.State()
+			if len(st.Pending) != se.Pending() {
+				t.Fatalf("step %d: snapshot lists %d pending, buffer holds %d", step, len(st.Pending), se.Pending())
+			}
+			for i := 1; i < len(st.Pending); i++ {
+				a, b := st.Pending[i-1], st.Pending[i]
+				if a.Rec.Start.After(b.Rec.Start) || a.Rec.Start.Equal(b.Rec.Start) && a.Seq >= b.Seq {
+					t.Fatalf("step %d: Pending[%d:%d] out of (start, seq) order", step, i-1, i+1)
+				}
+			}
+			// The restoring extractor may run another MaxSkew (the old
+			// extractor allowed it and just buffered longer or shorter
+			// from then on); zero would strand what is buffered.
+			if next := reorderSkews[int(arg)%len(reorderSkews)]; next > 0 && maxSkew > 0 {
+				shrunk = shrunk || next < maxSkew
+				maxSkew, ref.maxSkew = next, next
+			}
+			se = NewStreamExtractorSkew(opts, maxSkew).Metrics(reg)
+			if err := se.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+			cov.restored += len(st.Pending)
+			if b := &se.pending; len(b.run) > b.cur {
+				// RestoreState had to fold: the records span more than the ring.
+				if !shrunk {
+					t.Fatalf("step %d: a snapshot restored under its own MaxSkew overran the ring", step)
+				}
+				cov.folded++
+			}
+			check(step, "restore")
+		case opJumpYears:
+			to := clock.AddDate(int(int8(arg)), 0, 0)
+			if y := to.Year(); y > 1700 && y < 2200 { // UnixNano's range
+				clock = to
+			}
+		}
+	}
+	se.Drain()
+	ref.release(ref.frontier.UnixNano() + 1)
+	check(len(ops)/2, "Drain")
+	if se.Pending() != 0 {
+		t.Fatalf("%d records left after Drain", se.Pending())
+	}
+	if got := reg.TakeSnapshot().Gauges["stream/pending_highwater"]; got != int64(ref.highwater) {
+		t.Fatalf("pending_highwater %d, heap's was %d", got, ref.highwater)
+	}
+}
+
+// reorderScripts are the cases the wheel could plausibly get wrong,
+// spelled out; they also seed FuzzReorder.
+var reorderScripts = map[string][]byte{
+	"equal starts": {4,
+		opPushNear, 0, opPushNear, 0, opPushNear, 0, opTick, 200, opPushNear, 0, opPushNear, 0,
+		opTick, 255, opTick, 255, opPushNear, 0, opPushNear, 0, opIdle, 40, opPushNear, 0},
+	"idle gap longer than the ring": {4,
+		opPushFine, 3, opPushFine, 250, opPushWide, 20, opIdle, 255, opPushFine, 1, opPushFine, 200,
+		opIdle, 17, opPushWide, 240, opPushNear, 9},
+	"years ahead and back": {4,
+		opPushFine, 5, opPushWide, 10, opJumpYears, 90, opPushFine, 2, opPushFine, 254,
+		opJumpYears, 166, opPushFine, 7, opPushNear, 0, opJumpYears, 100, opPushWide, 3, opPushWide, 250},
+	"ReleaseBefore mid-bucket": {3,
+		opPushFine, 1, opPushFine, 2, opPushFine, 3, opPushNear, 5, opPushNear, 250, opSeal, 0,
+		opPushNear, 1, opPushNear, 255, opSeal, 1, opPushFine, 1, opSeal, 200, opPushFine, 0},
+	"zero skew": {0,
+		opPushNear, 1, opPushNear, 0, opPushNear, 255, opTick, 1, opPushWide, 3, opSeal, 0, opRestore, 0, opPushNear, 4},
+	"restore mid-stream": {4,
+		opPushWide, 10, opPushWide, 20, opPushFine, 30, opPushFine, 226, opRestore, 4, opPushFine, 31,
+		opTick, 255, opPushWide, 25, opRestore, 4, opTick, 255, opTick, 255, opPushNear, 0},
+	"restore under a smaller skew": {5,
+		opPushWide, 1, opPushWide, 20, opPushWide, 40, opPushWide, 60, opPushFine, 9, opRestore, 3,
+		opPushWide, 100, opPushFine, 3, opPushWide, 127, opRestore, 2, opPushNear, 1, opPushWide, 127},
+	"one-nanosecond buckets": {1,
+		opPushNear, 0, opPushNear, 1, opPushNear, 1, opPushNear, 0, opTick, 1, opPushNear, 2, opPushNear, 120, opPushNear, 119},
+}
+
+// The timing wheel against the heap it replaced, step for step, on the
+// named scripts and on random ones.
+func TestReorderWheelMatchesHeap(t *testing.T) {
+	var cov reorderCoverage
+	for name, script := range reorderScripts {
+		t.Run(name, func(t *testing.T) { runReorderScript(t, script, &cov) })
+	}
+	rng := rand.New(rand.NewSource(22))
+	// Pushes and ticks dominate, so that the buffer runs deep between the
+	// rarer seals, restores and jumps.
+	mix := []byte{opPushNear, opPushFine, opPushFine, opPushFine, opPushWide, opPushWide, opTick, opTick}
+	for i := 0; i < 200; i++ {
+		script := []byte{byte(rng.Intn(len(reorderSkews)))}
+		for n := 100 + rng.Intn(1500); n > 0; n-- {
+			op := mix[rng.Intn(len(mix))]
+			if rng.Intn(25) == 0 {
+				op = byte(rng.Intn(opCount))
+			}
+			arg := byte(rng.Intn(256))
+			switch {
+			case op == opJumpYears:
+				arg &= 0x7f // forward: after a step back everything is late
+			case op == opSeal && rng.Intn(4) > 0:
+				arg |= 0x80 // behind the clock: ahead of it, likewise
+			}
+			script = append(script, op, arg)
+		}
+		runReorderScript(t, script, &cov)
+		if t.Failed() {
+			t.Fatalf("script %d: %v", i, script)
+		}
+	}
+	if cov.rejects == 0 || cov.restored == 0 || cov.sealed == 0 || cov.intoRun == 0 || cov.folded == 0 || cov.deepest < 128 {
+		t.Errorf("weak run: %+v", cov)
+	}
+	t.Logf("coverage: %+v", cov)
+}
+
+// FuzzReorder is TestReorderWheelMatchesHeap over scripts the fuzzer
+// writes.
+func FuzzReorder(f *testing.F) {
+	for _, script := range reorderScripts {
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 1<<13 {
+			return
+		}
+		runReorderScript(t, script, new(reorderCoverage))
+	})
 }

@@ -170,8 +170,13 @@ func (se *ShardedExtractor) TakePanes(w Window) []*Pane {
 // panes into one (hosts never straddle shards, so the merge is a
 // disjoint map union).
 func (se *ShardedExtractor) TakePane(w Window) *Pane {
-	builders := make(map[IP]*featureBuilder)
-	for _, p := range se.TakePanes(w) {
+	panes := se.TakePanes(w)
+	hosts := 0
+	for _, p := range panes {
+		hosts += len(p.builders)
+	}
+	builders := make(map[IP]*featureBuilder, hosts)
+	for _, p := range panes {
 		for ip, b := range p.builders {
 			builders[ip] = b
 		}

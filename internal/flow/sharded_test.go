@@ -66,7 +66,7 @@ func TestShardedSnapshotPropertyMatchesBatch(t *testing.T) {
 }
 
 // Concurrent ingest across goroutines must converge to the batch
-// features once drained: the per-shard reorder heaps put records back
+// features once drained: the per-shard reorder buffers put records back
 // in start order regardless of which goroutine delivered them.
 func TestShardedConcurrentAddMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))

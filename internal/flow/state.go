@@ -170,10 +170,8 @@ func (se *StreamExtractor) State() *StreamState {
 		Hosts:    stateOfBuilders(se.builders),
 		Anchors:  hostTimesFromMap(se.anchors),
 	}
-	if n := se.pending.len(); n > 0 {
-		keys := append([]reorderKey(nil), se.pending.keys...)
-		sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-		st.Pending = make([]PendingState, n)
+	if keys := se.pending.sorted(); len(keys) > 0 {
+		st.Pending = make([]PendingState, len(keys))
 		for i, k := range keys {
 			st.Pending[i] = PendingState{Rec: se.pending.slab[k.slot], Seq: k.seq}
 		}

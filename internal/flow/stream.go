@@ -55,18 +55,21 @@ func NewStreamExtractorSkew(opts FeatureOptions, maxSkew time.Duration) *StreamE
 	if maxSkew < 0 {
 		maxSkew = 0
 	}
-	return &StreamExtractor{
+	se := &StreamExtractor{
 		opts:     opts,
 		grace:    grace,
 		maxSkew:  maxSkew,
 		builders: make(map[IP]*featureBuilder),
 	}
+	se.pending.init(maxSkew)
+	return se
 }
 
 // Metrics attaches reg's instruments to the extractor: the
 // "stream/records" counter (records accepted), "stream/skew_drops"
 // counter (records rejected for arriving more than MaxSkew late),
-// "stream/pending_highwater" gauge (deepest the reorder buffer got),
+// "stream/pending_highwater" gauge (most records awaiting processing at
+// once, the one just accepted included),
 // and "stream/hosts" gauge (distinct initiators tracked). A nil reg
 // detaches. Returns se for chaining.
 func (se *StreamExtractor) Metrics(reg *metrics.Registry) *StreamExtractor {
@@ -96,7 +99,8 @@ func (se *StreamExtractor) Add(r *Record) error {
 	if se.count == 1 || r.Start.Before(se.first) {
 		se.first = r.Start
 	}
-	if r.Start.After(se.frontier) {
+	advanced := r.Start.After(se.frontier)
+	if advanced {
 		se.frontier = r.Start
 	}
 	if se.maxSkew == 0 {
@@ -105,9 +109,18 @@ func (se *StreamExtractor) Add(r *Record) error {
 		return nil
 	}
 	se.seq++
-	se.pending.push(r, se.seq)
-	se.pendingHW.SetMax(int64(se.pending.len()))
-	se.release(se.frontier.UnixNano() - int64(se.maxSkew) + 1)
+	se.pendingHW.SetMax(int64(se.pending.len()) + 1)
+	bound := se.frontier.UnixNano() - int64(se.maxSkew) + 1
+	if advanced {
+		// r is at the new frontier, past bound, so releasing first is the
+		// same order — and keeps what is buffered within MaxSkew, the
+		// span the reorder buffer's buckets are sized for.
+		se.release(bound)
+		se.pending.push(r, se.seq)
+	} else {
+		se.pending.push(r, se.seq)
+		se.release(bound)
+	}
 	return nil
 }
 
@@ -115,10 +128,10 @@ func (se *StreamExtractor) Add(r *Record) error {
 // below bound, earliest first. A watermark that is itself releasable
 // (frontier − MaxSkew, the frontier at end of feed) passes watermark+1.
 func (se *StreamExtractor) release(bound int64) {
-	for se.pending.len() > 0 && se.pending.minStart() < bound {
-		r := se.pending.pop()
+	for r := se.pending.peek(bound); r != nil; r = se.pending.peek(bound) {
 		se.released = r.Start
-		se.process(&r)
+		se.process(r)
+		se.pending.pop()
 	}
 }
 

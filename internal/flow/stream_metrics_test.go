@@ -51,8 +51,8 @@ func TestStreamExtractorMetrics(t *testing.T) {
 	if got := snap.Counters["stream/skew_drops"]; got != 1 {
 		t.Errorf("stream/skew_drops = %d, want 1", got)
 	}
-	// All four accepted records were in the heap at once: the first three
-	// buffered, then the frontier record joined before the release pass.
+	// Four accepted records were awaiting processing at once: the first
+	// three buffered, and the frontier record that then released them.
 	if got := snap.Gauges["stream/pending_highwater"]; got != 4 {
 		t.Errorf("stream/pending_highwater = %d, want 4", got)
 	}
