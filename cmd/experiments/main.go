@@ -108,7 +108,10 @@ func run() error {
 		reg = plotters.NewMetrics()
 		pipeCfg.Metrics = reg
 	}
-	dets, err := buildDetectors(*detectors, pipeCfg, *commIDF)
+	commCfg := plotters.DefaultCommunityConfig()
+	commCfg.Metrics = reg
+	commCfg.Graph.IDFWeights = *commIDF
+	dets, err := plotters.ParseDetectors(*detectors, pipeCfg, commCfg)
 	if err != nil {
 		return err
 	}
@@ -240,52 +243,6 @@ func runCampaign(seed int64, days int, scale, worlds, grid, out string, voteK, p
 		fmt.Fprintf(os.Stderr, "campaign report written to %s\n", out)
 	}
 	return nil
-}
-
-// buildDetectors parses the -detectors list. The default spec (the paper
-// pipeline alone) returns nil, keeping the suite on its original
-// single-detector path.
-func buildDetectors(spec string, cfg plotters.Config, communityIDF bool) ([]plotters.Detector, error) {
-	names := strings.Split(spec, ",")
-	var out []plotters.Detector
-	seen := map[string]bool{}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("-detectors lists %q twice", name)
-		}
-		seen[name] = true
-		switch name {
-		case plotters.PaperDetectorName:
-			det, err := plotters.NewPaperDetector(cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, det)
-		case plotters.CommunityDetectorName:
-			ccfg := plotters.DefaultCommunityConfig()
-			ccfg.Metrics = cfg.Metrics
-			ccfg.Graph.IDFWeights = communityIDF
-			det, err := plotters.NewCommunityDetector(ccfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, det)
-		default:
-			return nil, fmt.Errorf("unknown detector %q (have: %s, %s)",
-				name, plotters.PaperDetectorName, plotters.CommunityDetectorName)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-detectors lists no detectors")
-	}
-	if len(out) == 1 && seen[plotters.PaperDetectorName] {
-		return nil, nil
-	}
-	return out, nil
 }
 
 // printEnsemble scores every configured detector and the ensemble

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"plotters"
 	"plotters/internal/stats"
@@ -38,13 +37,17 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("expected exactly one trace file argument")
 	}
-	records, err := readTrace(flag.Arg(0), *format)
+	var records []plotters.Record
+	_, _, err := plotters.ScanTraceFile(flag.Arg(0), *format, nil, plotters.FlowSampler{}, func(rec *plotters.Record) error {
+		records = append(records, *rec)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
 	var internal func(plotters.IP) bool
 	if *internals != "" {
-		internal, err = parseSubnets(*internals)
+		internal, err = plotters.ParseSubnets(*internals)
 		if err != nil {
 			return err
 		}
@@ -108,45 +111,6 @@ func run() error {
 		fmt.Print(stats.FormatCDF(*cdf, ecdf.Sampled(100)))
 	}
 	return nil
-}
-
-func parseSubnets(csv string) (func(plotters.IP) bool, error) {
-	var subnets []plotters.Subnet
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		sn, err := plotters.ParseSubnet(s)
-		if err != nil {
-			return nil, err
-		}
-		subnets = append(subnets, sn)
-	}
-	if len(subnets) == 0 {
-		return nil, fmt.Errorf("no internal subnets given")
-	}
-	return func(ip plotters.IP) bool {
-		for _, sn := range subnets {
-			if sn.Contains(ip) {
-				return true
-			}
-		}
-		return false
-	}, nil
-}
-
-func readTrace(path, format string) ([]plotters.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr, err := plotters.NewTraceReader(f, format)
-	if err != nil {
-		return nil, err
-	}
-	return plotters.ReadAllTrace(tr)
 }
 
 func max(a, b int) int {

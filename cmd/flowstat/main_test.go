@@ -7,7 +7,7 @@ import (
 )
 
 func TestParseSubnets(t *testing.T) {
-	internal, err := parseSubnets("128.2.0.0/16")
+	internal, err := plotters.ParseSubnets("128.2.0.0/16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,10 +16,10 @@ func TestParseSubnets(t *testing.T) {
 	if !internal(in) || internal(out) {
 		t.Error("membership wrong")
 	}
-	if _, err := parseSubnets("nope"); err == nil {
+	if _, err := plotters.ParseSubnets("nope"); err == nil {
 		t.Error("bad CIDR accepted")
 	}
-	if _, err := parseSubnets(""); err == nil {
+	if _, err := plotters.ParseSubnets(""); err == nil {
 		t.Error("empty accepted")
 	}
 }

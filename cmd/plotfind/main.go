@@ -1,78 +1,46 @@
-// Command plotfind runs the FindPlotters detection pipeline over a flow
-// trace and prints the suspected P2P bots, with per-stage survivor counts
-// and the dynamically computed thresholds.
+// Command plotfind runs the FindPlotters detection pipeline over flow
+// records and prints the suspected P2P bots, with per-stage survivor
+// counts and the dynamically computed thresholds. A run is a source
+// feeding an engine that prints to a sink; the flags pick one of each.
 //
-// Usage:
-//
-//	plotfind [-format binary|csv|jsonl|netflow|ipfix|sflow] [-internal CIDR[,CIDR]] [-metrics FILE] [-v] TRACE
-//	plotfind -sample 16 [-sample-seed S] ... TRACE
-//	plotfind -window 6h [-slide 1h] [-shards N] [-skew 5m] ... TRACE
-//	plotfind -listen :2055 -window 6h [-ingest-batch 32] [-sample N] [-skew 5m] [-state-dir DIR [-checkpoint-every 5m]] ...
-//	plotfind -role coordinator -peers :7055 -dist-shards 2 -window 6h -origin TIME ...
+//	plotfind [-format F] [-internal CIDR[,CIDR]] [-sample N] [-metrics FILE] [-v] TRACE
+//	plotfind -window 6h [-slide 1h] [-shards N] [-skew 5m] [-origin TIME] ... TRACE
+//	plotfind -listen :2055 -window 6h [-ingest-batch 32] [-state-dir DIR [-checkpoint-every 5m]] ...
 //	plotfind -role shard -shard 0 -dist-shards 2 -peers host:7055 -window 6h -origin TIME ... TRACE
+//	plotfind -role coordinator -peers :7055 -dist-shards 2 -window 6h -origin TIME ...
 //
-// From about a thousand clusterable hosts up, θ_hm's pairwise EMD matrix
-// runs through the layered pruning kernel on its own: pairs provably
-// above the clustering cut (auto-calibrated from a host subsample) skip
-// their exact EMD evaluation, with detection output identical to the
-// exhaustive run. The -metrics report (and the stdout summary) then
-// carries the pair accounting — how many pairs the bound and pivot
-// layers skipped versus evaluated exactly.
+// Source. A TRACE file is streamed record by record. -listen binds a UDP
+// socket instead and decodes NetFlow v5/v9, IPFIX and sFlow v5 exports
+// (recvmmsg batches of -ingest-batch) until SIGINT/SIGTERM, then drains
+// its queue. The coordinator reads no records: shards send it summaries.
+// Whatever the source, -sample N keeps 1 flow in N by a deterministic
+// content hash, so every shard drops the same flows and sampled runs are
+// reproducible.
 //
-// With -window, the trace streams through the continuous windowed
-// detection engine instead of one batch run: records feed a sharded
-// feature store and the full pipeline runs at every window boundary,
-// printing one summary per window. The trace is never held in memory.
-// -slide turns the tumbling windows into overlapping sliding ones,
-// -shards sizes the feature store, and -skew sets the reorder tolerance
-// for out-of-order feeds.
+// Engine. Without -window the records are collected and FindPlotters
+// runs once. -window streams them through the continuous windowed
+// engine: the full pipeline at every window boundary, tumbling or
+// -slide, aligned at -origin. With -listen, -state-dir puts a checkpoint
+// manager around that engine — every record write-ahead logged, the
+// detection state snapshotted every -checkpoint-every and on shutdown —
+// so a restart with the same flags resumes exactly where the last
+// process stopped, even after kill -9; a failed periodic checkpoint
+// stops collection. -role shard runs only the shard-local phase for the
+// hosts hashing to -shard of -dist-shards and ships versioned summaries
+// over TCP to -peers; -role coordinator binds -peers, merges them and
+// runs the global phase per window. Every node must run with the same
+// -window, -origin and detection knobs (a mismatch is refused at
+// connection time, naming the knob); the result is then bit-identical to
+// a single -window process. One loop feeds every engine, with one
+// policy: a record more than -skew behind the stream is counted and
+// dropped, never fatal, and at end of feed the watermark advances to the
+// last record and the tail window is flushed, marked [partial].
 //
-// With -listen, there is no trace file at all: plotfind binds a UDP
-// socket, decodes NetFlow v5/v9, IPFIX, and sFlow v5 export packets
-// from live exporters, and feeds them straight into the windowed
-// engine (-window is required). Datagrams are pulled in recvmmsg
-// batches of -ingest-batch through the zero-allocation ingest ring.
-// Records beyond the -skew tolerance are counted and dropped, never
-// fatal — a live socket cannot re-request the past. Stop with Ctrl-C
-// (SIGINT/SIGTERM): the collector drains its queue, the final partial
-// window is flushed (marked [partial]), and the summary (plus the
-// -metrics report, if requested) is written on the way out.
-//
-// With -sample N, a deterministic content-hash sampler keeps 1 flow in
-// N before detection — in every mode: batch, windowed, live (where it
-// runs inside the collector, before the WAL), and distributed (where
-// every shard drops the same flow set). The kept subset depends only on
-// record content and -sample-seed, never on stream order, so sampled
-// runs are exactly reproducible; -sample 1 is bit-identical to no
-// sampler at all.
-//
-// With -role, detection runs distributed across processes. Each -role
-// shard process streams a trace through the pipeline's shard-local
-// phase — per-host feature reduction and θ_hm histogram sketches for
-// the hosts hashing to its shard — and ships only compact versioned
-// shard summaries over TCP to the coordinator named by -peers. The
-// -role coordinator process binds -peers, merges the summaries of its
-// -dist-shards workers, and runs the global phase (percentile
-// thresholds, θ_hm clustering, community graph) per window, printing
-// the same per-window summaries as a single-process -window run —
-// bit-identical to it, by construction. Every node must be started
-// with the same -window, -origin, and detection knobs; a mismatch is
-// refused at connection time with the offending knob named.
-//
-// With -state-dir, the live run is crash-safe: every record is
-// write-ahead logged before it reaches the engine, and the full
-// detection state — per-host features, window positions, collector
-// sequence numbers — is snapshotted atomically every -checkpoint-every
-// interval and once more on shutdown. Restarting with the same flags
-// and directory restores the snapshot, replays the WAL tail, and
-// resumes detection exactly where the previous process stopped, even
-// after a kill -9.
-//
-// With -metrics, a JSON run report is written to FILE: trace metadata,
-// total elapsed time, and a full metrics snapshot with every pipeline
-// stage's duration and survivor count (see the README's Observability
-// section). In -listen mode the snapshot includes the collector's
-// packet, drop, and sequence-gap counters.
+// Sink. One line per sealed window (suspects with -v), or the batch
+// run's stage table, suspects and θ_hm clusters; -detectors adds
+// per-detector and ensemble counts, and -metrics writes a JSON run
+// report with every stage's duration and survivor count, the collector's
+// counters and the final checkpoint (README, Observability).
 package main
 
 import (
@@ -83,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"os"
 	"os/signal"
 	"sort"
@@ -94,253 +63,486 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "plotfind:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		format    = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
-		internals = flag.String("internal", "128.2.0.0/16,128.237.0.0/16", "comma-separated internal CIDR prefixes")
-		verbose   = flag.Bool("v", false, "print per-stage host sets")
-		volPct    = flag.Float64("vol-pct", 0, "override τ_vol percentile (0 = default)")
-		churnPct  = flag.Float64("churn-pct", 0, "override τ_churn percentile (0 = default)")
-		hmPct     = flag.Float64("hm-pct", 0, "override τ_hm percentile (0 = default)")
-		parallel  = flag.Int("parallelism", 0, "worker count for the θ_hm distance matrix (0 = all CPUs, 1 = sequential)")
-		metricsTo = flag.String("metrics", "", "write a JSON run report (stage timings, survivor counts, I/O volume) to this file")
-		detectors = flag.String("detectors", "findplotters", "comma-separated detectors to run per window: findplotters, community. More than one prints per-detector and ensemble (union/intersection) suspect counts")
-		window    = flag.Duration("window", 0, "run continuous windowed detection with this window length instead of one batch run")
-		slide     = flag.Duration("slide", 0, "sliding-window step (0 = tumbling windows; requires -window, must divide it)")
-		shards    = flag.Int("shards", 0, "feature-store shard count for -window mode (0 = one per CPU)")
-		skew      = flag.Duration("skew", 0, "out-of-order tolerance for -window mode (records later than this are dropped)")
-		listen    = flag.String("listen", "", "UDP address to collect live NetFlow exports on (e.g. :2055) instead of reading a trace; requires -window")
-		sampleN   = flag.Uint64("sample", 1, "deterministic 1-in-N flow sampling before detection (1 = keep everything); the keep set depends only on record content and -sample-seed")
-		sampleKey = flag.Uint64("sample-seed", 0, "seed for -sample's content fingerprint (same seed + same N = same kept flows)")
-		inBatch   = flag.Int("ingest-batch", 0, "datagrams per recvmmsg batch on the -listen socket (0 = default, 1 = plain reads)")
-		stateDir  = flag.String("state-dir", "", "directory for crash-safe durable state (snapshot + write-ahead log); requires -listen. On start, any state found there is recovered")
-		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval for -state-dir")
-		walSync   = flag.Int("wal-sync-every", 256, "fsync the write-ahead log every N records (1 = every record: survives power loss, but gates ingest on fsync latency)")
-		role      = flag.String("role", "", "distributed detection role: shard (reduce a trace locally, ship summaries) or coordinator (merge shard summaries, run the global phase); requires -window, -peers, -dist-shards")
-		peers     = flag.String("peers", "", "coordinator TCP address: what a shard dials, or what the coordinator binds (required with -role)")
-		shardIdx  = flag.Int("shard", 0, "this worker's shard index in [0,dist-shards) for -role shard")
-		distN     = flag.Int("dist-shards", 0, "total shard-worker count in the distributed deployment (required with -role)")
-		distWait  = flag.Duration("dist-timeout", 0, "coordinator: force-seal a window as [partial] when shards lag this long behind it (0 = wait forever)")
-		origin    = flag.String("origin", "", "window alignment origin, RFC 3339 (required with -role, where every node must agree on it; optional with plain -window)")
-		drainWait = flag.Duration("drain-timeout", 30*time.Second, "shard: how long to wait at end of trace for the coordinator to acknowledge every frame")
-	)
-	flag.Parse()
-	switch {
-	case *role == "coordinator":
-		if flag.NArg() != 0 {
-			flag.Usage()
-			return fmt.Errorf("-role coordinator takes no trace file argument (shards read the traces)")
-		}
-	case *listen != "":
-		if flag.NArg() != 0 {
-			flag.Usage()
-			return fmt.Errorf("-listen takes no trace file argument")
-		}
-		if *window <= 0 {
-			return fmt.Errorf("-listen requires -window (live detection is windowed)")
-		}
-		if *role != "" {
-			return fmt.Errorf("-role and -listen are mutually exclusive (shards read trace files)")
-		}
-	case *stateDir != "":
-		return fmt.Errorf("-state-dir requires -listen (durable state protects live collection; file traces just re-run)")
-	case flag.NArg() != 1:
-		flag.Usage()
-		return fmt.Errorf("expected exactly one trace file argument")
-	}
+// options is the parsed command line.
+type options struct {
+	format, internals, metricsTo, detectors string
+	listen, stateDir, role, peers, origin   string
+	verbose                                 bool
+	volPct, churnPct, hmPct                 float64
+	parallel, shards, inBatch, walSync      int
+	shardIdx, distN                         int
+	window, slide, skew                     time.Duration
+	ckptEvery, distWait, drainWait          time.Duration
+	sampler                                 plotters.FlowSampler
 
-	if *inBatch < 0 {
-		return fmt.Errorf("-ingest-batch must be >= 0")
+	set   map[string]bool // flags given explicitly
+	nargs int             // positional arguments
+	trace string          // the first of them: the source, when it is a file
+}
+
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	o := &options{set: map[string]bool{}}
+	fs := flag.NewFlagSet("plotfind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.format, "format", "binary", "trace format: "+plotters.TraceFormatNames())
+	fs.StringVar(&o.internals, "internal", "128.2.0.0/16,128.237.0.0/16", "comma-separated internal CIDR prefixes")
+	fs.BoolVar(&o.verbose, "v", false, "print per-stage host sets")
+	fs.Float64Var(&o.volPct, "vol-pct", 0, "override τ_vol percentile (0 = default)")
+	fs.Float64Var(&o.churnPct, "churn-pct", 0, "override τ_churn percentile (0 = default)")
+	fs.Float64Var(&o.hmPct, "hm-pct", 0, "override τ_hm percentile (0 = default)")
+	fs.IntVar(&o.parallel, "parallelism", 0, "worker count for the θ_hm distance matrix (0 = all CPUs, 1 = sequential)")
+	fs.StringVar(&o.metricsTo, "metrics", "", "write a JSON run report (stage timings, survivor counts, I/O volume) to this file")
+	fs.StringVar(&o.detectors, "detectors", "findplotters", "comma-separated detectors to run per window: findplotters, community. More than one prints per-detector and ensemble (union/intersection) suspect counts")
+	fs.DurationVar(&o.window, "window", 0, "run continuous windowed detection with this window length instead of one batch run")
+	fs.DurationVar(&o.slide, "slide", 0, "sliding-window step (0 = tumbling windows; requires -window, must divide it)")
+	fs.IntVar(&o.shards, "shards", 0, "feature-store shard count for -window mode (0 = one per CPU)")
+	fs.DurationVar(&o.skew, "skew", 0, "out-of-order tolerance for -window mode (records later than this are dropped)")
+	fs.StringVar(&o.listen, "listen", "", "UDP address to collect live NetFlow exports on (e.g. :2055) instead of reading a trace; requires -window")
+	fs.Uint64Var(&o.sampler.N, "sample", 1, "deterministic 1-in-N flow sampling before detection (1 = keep everything); the keep set depends only on record content and -sample-seed")
+	fs.Uint64Var(&o.sampler.Seed, "sample-seed", 0, "seed for -sample's content fingerprint (same seed + same N = same kept flows)")
+	fs.IntVar(&o.inBatch, "ingest-batch", 0, "datagrams per recvmmsg batch on the -listen socket (0 = default, 1 = plain reads)")
+	fs.StringVar(&o.stateDir, "state-dir", "", "directory for crash-safe durable state (snapshot + write-ahead log); requires -listen. On start, any state found there is recovered")
+	fs.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint interval for -state-dir")
+	fs.IntVar(&o.walSync, "wal-sync-every", 256, "fsync the write-ahead log every N records (1 = every record: survives power loss, but gates ingest on fsync latency)")
+	fs.StringVar(&o.role, "role", "", "distributed detection role: shard (reduce a trace locally, ship summaries) or coordinator (merge shard summaries, run the global phase); requires -window, -peers, -dist-shards")
+	fs.StringVar(&o.peers, "peers", "", "coordinator TCP address: what a shard dials, or what the coordinator binds (required with -role)")
+	fs.IntVar(&o.shardIdx, "shard", 0, "this worker's shard index in [0,dist-shards) for -role shard")
+	fs.IntVar(&o.distN, "dist-shards", 0, "total shard-worker count in the distributed deployment (required with -role)")
+	fs.DurationVar(&o.distWait, "dist-timeout", 0, "coordinator: force-seal a window as [partial] when shards lag this long behind it (0 = wait forever)")
+	fs.StringVar(&o.origin, "origin", "", "window alignment origin, RFC 3339 (required with -role, where every node must agree on it; optional with plain -window)")
+	fs.DurationVar(&o.drainWait, "drain-timeout", 30*time.Second, "shard: how long to wait at end of trace for the coordinator to acknowledge every frame")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *inBatch != 0 && *listen == "" {
-		return fmt.Errorf("-ingest-batch requires -listen (it sizes the socket's recvmmsg batch)")
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	o.nargs, o.trace = fs.NArg(), fs.Arg(0)
+	return o, nil
+}
+
+// mode is which engine the flags select, plus — for the one engine that
+// takes either — whether a file or a socket feeds it.
+type mode int
+
+const (
+	batchMode mode = iota
+	windowMode
+	liveMode
+	shardMode
+	coordMode
+)
+
+// validate settles the mode and rejects, before any work, every flag it
+// would silently ignore and every flag or argument it is missing.
+func (o *options) validate() (mode, error) {
+	m := batchMode
+	switch {
+	case o.role == "coordinator":
+		m = coordMode
+	case o.role == "shard":
+		m = shardMode
+	case o.role != "":
+		return 0, fmt.Errorf("-role must be shard or coordinator, not %q", o.role)
+	case o.listen != "":
+		m = liveMode
+	case o.window > 0:
+		m = windowMode
 	}
-	sampler := plotters.FlowSampler{N: *sampleN, Seed: *sampleKey}
+	set, live, dist := o.set, m == liveMode, m == shardMode || m == coordMode
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{set["listen"] && !live, "-listen and -role are mutually exclusive (shards read trace files, the coordinator reads no records)"},
+		{set["state-dir"] && !live, "-state-dir requires -listen (durable state protects live collection; file traces just re-run)"},
+		{(set["checkpoint-every"] || set["wal-sync-every"]) && (!live || o.stateDir == ""), "-checkpoint-every and -wal-sync-every require -listen -state-dir"},
+		{set["ingest-batch"] && !live, "-ingest-batch requires -listen (it sizes the socket's recvmmsg batch)"},
+		{o.inBatch < 0, "-ingest-batch must be >= 0"},
+		{(set["slide"] || set["shards"] || set["skew"] || set["origin"]) && m == batchMode, "-slide, -shards, -skew and -origin require -window"},
+		{(set["peers"] || set["dist-shards"]) && !dist, "-peers and -dist-shards require -role"},
+		{(set["shard"] || set["drain-timeout"]) && m != shardMode, "-shard and -drain-timeout require -role shard"},
+		{set["dist-timeout"] && m != coordMode, "-dist-timeout requires -role coordinator (it bounds the wait for lagging shards)"},
+		{live && o.window <= 0, "-listen requires -window (live detection is windowed)"},
+		{dist && o.window <= 0, "-role requires -window (distributed detection is windowed)"},
+		{dist && o.peers == "", "-role requires -peers (the coordinator's TCP address)"},
+		{dist && o.distN < 1, "-role requires -dist-shards >= 1"},
+		{dist && o.origin == "", "-role requires -origin (shard and coordinator window indices align only against a shared origin)"},
+		{live && o.nargs != 0, "-listen takes no trace file argument"},
+		{m == coordMode && o.nargs != 0, "-role coordinator takes no trace file argument (shards read the traces)"},
+		{!live && m != coordMode && o.nargs != 1, "expected exactly one trace file argument"},
+	} {
+		if c.bad {
+			return 0, errors.New(c.msg)
+		}
+	}
+	return m, nil
+}
+
+// engine is what a record source feeds: the method set the windowed
+// detector, the checkpoint manager around it and the shard worker
+// share, and that batch implements over a slice.
+type engine interface {
+	Add(*plotters.Record) error
+	AdvanceTo(time.Time) error
+	Flush() error
+}
+
+// tally is what a feed counted.
+type tally struct {
+	records, late, sampledOut int
+	last                      time.Time // newest record start: the end-of-feed watermark
+}
+
+// feed streams a trace file into eng — the command's one record loop,
+// whatever the engine. A record beyond the skew tolerance is counted,
+// never fatal; at end of trace the watermark advances to the last record,
+// sealing every window the trace covered, and the tail is flushed partial.
+func feed(path, format string, reg *plotters.Metrics, sampler plotters.FlowSampler, eng engine) (tally, error) {
+	var t tally
+	var err error
+	t.records, t.sampledOut, err = plotters.ScanTraceFile(path, format, reg, sampler, func(rec *plotters.Record) error {
+		if rec.Start.After(t.last) {
+			t.last = rec.Start
+		}
+		err := eng.Add(rec)
+		if errors.Is(err, plotters.ErrLateRecord) {
+			t.late++
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		return t, err
+	}
+	if !t.last.IsZero() {
+		if err := eng.AdvanceTo(t.last); err != nil {
+			return t, err
+		}
+	}
+	return t, eng.Flush()
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	m, err := o.validate()
+	if err != nil {
+		return err
+	}
 
 	var reg *plotters.Metrics
-	if *metricsTo != "" {
+	if o.metricsTo != "" {
 		reg = plotters.NewMetrics()
 	}
 	started := time.Now()
 
-	internal, err := parseSubnets(*internals)
+	internal, err := plotters.ParseSubnets(o.internals)
 	if err != nil {
 		return err
 	}
 	cfg := plotters.DefaultConfig()
 	cfg.Metrics = reg
-	if *volPct > 0 {
-		cfg.VolPercentile = *volPct
+	if o.volPct > 0 {
+		cfg.VolPercentile = o.volPct
 	}
-	if *churnPct > 0 {
-		cfg.ChurnPercentile = *churnPct
+	if o.churnPct > 0 {
+		cfg.ChurnPercentile = o.churnPct
 	}
-	if *hmPct > 0 {
-		cfg.HMPercentile = *hmPct
+	if o.hmPct > 0 {
+		cfg.HMPercentile = o.hmPct
 	}
-	cfg.Parallelism = *parallel
-
-	dets, err := buildDetectors(*detectors, cfg, reg)
+	cfg.Parallelism = o.parallel
+	community := plotters.DefaultCommunityConfig()
+	community.Metrics = reg
+	dets, err := plotters.ParseDetectors(o.detectors, cfg, community)
 	if err != nil {
 		return err
 	}
-
-	if *role != "" {
-		if *role != "shard" && *role != "coordinator" {
-			return fmt.Errorf("-role must be shard or coordinator, not %q", *role)
-		}
-		if *window <= 0 {
-			return fmt.Errorf("-role requires -window (distributed detection is windowed)")
-		}
-		if *peers == "" {
-			return fmt.Errorf("-role requires -peers (the coordinator's TCP address)")
-		}
-		if *distN < 1 {
-			return fmt.Errorf("-role requires -dist-shards >= 1")
-		}
-		if *origin == "" {
-			return fmt.Errorf("-role requires -origin (shard and coordinator window indices align only against a shared origin)")
-		}
-		orig, err := time.Parse(time.RFC3339, *origin)
-		if err != nil {
+	engCfg := plotters.EngineConfig{
+		Window:    o.window,
+		Slide:     o.slide,
+		Shards:    o.shards,
+		MaxSkew:   o.skew,
+		Internal:  internal,
+		StateDir:  o.stateDir,
+		Core:      cfg,
+		Detectors: dets,
+	}
+	if o.origin != "" {
+		if engCfg.Origin, err = time.Parse(time.RFC3339, o.origin); err != nil {
 			return fmt.Errorf("-origin: %w", err)
 		}
-		engCfg := plotters.EngineConfig{
-			Window:    *window,
-			Slide:     *slide,
-			Origin:    orig,
-			Shards:    *shards,
-			MaxSkew:   *skew,
-			Internal:  internal,
-			Core:      cfg,
-			Detectors: dets,
-		}
-		if *role == "coordinator" {
-			return runDistCoordinator(*peers, plotters.CoordinatorConfig{
-				Shards:        *distN,
-				Engine:        engCfg,
-				WindowTimeout: *distWait,
-			}, *verbose)
-		}
-		n, err := runDistShard(flag.Arg(0), *format, reg, engCfg, sampler, *shardIdx, *distN, *peers, *drainWait)
+	}
+	emit := windowPrinter(stdout, o.verbose)
+	if m == liveMode || m == coordMode { // the modes that run until told to stop
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+	}
+
+	// What the report says was read, and the blank line that sets it off.
+	source, srcFormat, sep := o.trace, o.format, "\n"
+	var t tally
+	var ckpt *checkpointReport
+	switch m {
+	case coordMode:
+		source, srcFormat = o.peers, "shard-summaries"
+		err = runCoordinator(ctx, plotters.CoordinatorConfig{Shards: o.distN, Engine: engCfg, WindowTimeout: o.distWait}, o.peers, emit, stdout, stderr)
+	case liveMode:
+		source, srcFormat = o.listen, "netflow-udp"
+		t, ckpt, err = o.runLive(ctx, engCfg, reg, emit, stdout, stderr)
+	case shardMode:
+		sep = ""
+		var worker *plotters.ShardWorker
+		worker, err = plotters.NewShardWorker(plotters.ShardWorkerConfig{
+			Shard:  o.shardIdx,
+			Shards: o.distN,
+			Engine: engCfg,
+			Dial:   func() (net.Conn, error) { return net.Dial("tcp", o.peers) },
+		})
 		if err != nil {
 			return err
 		}
-		if reg != nil {
-			if err := writeReport(*metricsTo, flag.Arg(0), *format, n, time.Since(started), reg, nil); err != nil {
-				return err
-			}
-			fmt.Printf("run report written to %s\n", *metricsTo)
+		defer worker.Close()
+		fmt.Fprintf(stderr, "shard %d/%d: streaming %s to coordinator %s\n", o.shardIdx, o.distN, o.trace, o.peers)
+		if t, err = feed(o.trace, o.format, reg, o.sampler, worker); err != nil {
+			return err
 		}
-		return nil
+		if err := worker.Drain(o.drainWait); err != nil {
+			return fmt.Errorf("shard %d: %w (%d frames unacknowledged — is the coordinator still up?)",
+				o.shardIdx, err, worker.Outstanding())
+		}
+		o.closing(stdout, t, "shard %d/%d: %d records read, %d windows shipped to %s",
+			o.shardIdx, o.distN, t.records, worker.Engine().Windows(), o.peers)
+	case windowMode:
+		var eng *plotters.WindowedDetector
+		if eng, err = plotters.NewWindowedDetector(engCfg, emit); err != nil {
+			return err
+		}
+		if t, err = feed(o.trace, o.format, reg, o.sampler, eng); err == nil {
+			o.closing(stdout, t, "\n%d records, %d windows detected", t.records, eng.Windows())
+		}
+	default:
+		b := &batch{}
+		if t, err = feed(o.trace, o.format, reg, o.sampler, b); err == nil {
+			err = b.detect(stdout, o, t, internal, cfg, dets)
+		}
 	}
-	if *window > 0 {
-		engCfg := plotters.EngineConfig{
-			Window:    *window,
-			Slide:     *slide,
-			Shards:    *shards,
-			MaxSkew:   *skew,
-			Internal:  internal,
-			Core:      cfg,
-			Detectors: dets,
-		}
-		if *origin != "" {
-			engCfg.Origin, err = time.Parse(time.RFC3339, *origin)
-			if err != nil {
-				return fmt.Errorf("-origin: %w", err)
+	if err != nil || reg == nil {
+		return err
+	}
+	if err := writeReport(o.metricsTo, source, srcFormat, t.records, time.Since(started), reg, ckpt); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%srun report written to %s\n", sep, o.metricsTo)
+	return nil
+}
+
+// closing prints a streaming run's last line: what it read and sealed,
+// then what the feed lost to the skew tolerance and to sampling.
+func (o *options) closing(w io.Writer, t tally, format string, args ...any) {
+	fmt.Fprintf(w, format, args...)
+	if t.late > 0 {
+		fmt.Fprintf(w, ", %d records dropped beyond the %v skew tolerance", t.late, o.skew)
+	}
+	if t.sampledOut > 0 {
+		fmt.Fprintf(w, ", %d records sampled out (1-in-%d)", t.sampledOut, o.sampler.N)
+	}
+	fmt.Fprintln(w)
+}
+
+// runLive is the socket source: plotters.RunLive owns the collector, the
+// engine and — with -state-dir — the checkpoint manager between them,
+// until ctx is cancelled.
+func (o *options) runLive(ctx context.Context, engCfg plotters.EngineConfig, reg *plotters.Metrics, emit func(*plotters.WindowResult) error, stdout, stderr io.Writer) (tally, *checkpointReport, error) {
+	rep, err := plotters.RunLive(ctx, plotters.LiveConfig{
+		Addr:            o.listen,
+		Engine:          engCfg,
+		Sampler:         o.sampler,
+		Batch:           o.inBatch,
+		CheckpointEvery: o.ckptEvery,
+		WALSyncEvery:    o.walSync,
+		Metrics:         reg,
+		Ready: func(addr net.Addr, recovered *plotters.CheckpointRecovery) {
+			switch {
+			case recovered == nil:
+			case recovered.SnapshotLoaded:
+				fmt.Fprintf(stderr, "recovered state from %s: snapshot of %s, %d WAL records replayed\n",
+					o.stateDir, recovered.SnapshotCreated.Format(time.RFC3339), recovered.Replayed)
+			case recovered.Replayed > 0:
+				fmt.Fprintf(stderr, "recovered state from %s: no snapshot, %d WAL records replayed\n",
+					o.stateDir, recovered.Replayed)
+			default:
+				fmt.Fprintf(stderr, "durable state in %s (cold start)\n", o.stateDir)
 			}
+			if recovered != nil && recovered.WALTorn {
+				fmt.Fprintln(stderr, "note: WAL ended mid-frame (crash during append); torn tail truncated")
+			}
+			fmt.Fprintf(stderr, "listening for NetFlow v5/v9, IPFIX, and sFlow on %s (Ctrl-C to stop)\n", addr)
+		},
+	}, emit)
+	if err != nil {
+		return tally{}, nil, err
+	}
+	t := tally{records: rep.Records, late: rep.Dropped}
+	o.closing(stdout, t, "\n%d records collected, %d windows detected", rep.Records, rep.Windows)
+	if rep.SnapshotPath == "" {
+		return t, nil, nil
+	}
+	fmt.Fprintf(stdout, "final checkpoint: %s (%d bytes)\n", rep.SnapshotPath, rep.SnapshotBytes)
+	return t, &checkpointReport{
+		StateDir:        o.stateDir,
+		SnapshotPath:    rep.SnapshotPath,
+		SnapshotBytes:   rep.SnapshotBytes,
+		SnapshotLoaded:  rep.Recovered.SnapshotLoaded,
+		ReplayedRecords: rep.Recovered.Replayed,
+	}, nil
+}
+
+// runCoordinator is the run with no record source: it binds addr and runs
+// the global phase over the shards' merged summaries of each window until
+// ctx is cancelled, then force-seals any window still waiting on a shard.
+func runCoordinator(ctx context.Context, cfg plotters.CoordinatorConfig, addr string, emit func(*plotters.WindowResult) error, stdout, stderr io.Writer) error {
+	coord, err := plotters.NewCoordinator(cfg, emit)
+	if err != nil {
+		return err
+	}
+	defer coord.Close()
+	bound, err := coord.Listen(addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "coordinator: %d shards expected on %s (Ctrl-C to stop)\n", cfg.Shards, bound)
+	<-ctx.Done()
+	if err := coord.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\n%d windows detected\n", coord.Detector().Windows())
+	for _, ss := range coord.ShardSeqs() {
+		status := "never connected"
+		if ss.Seen {
+			status = fmt.Sprintf("connects=%d gaps=%d lost=%d dups=%d", ss.Connects, ss.Gaps, ss.Lost, ss.Dups)
 		}
-		var n int
-		var ckpt *checkpointReport
-		var source, srcFormat string
-		if *listen != "" {
-			source, srcFormat = *listen, "netflow-udp"
-			engCfg.StateDir = *stateDir
-			n, ckpt, err = runListen(*listen, reg, engCfg, sampler, *inBatch, *ckptEvery, *walSync, *verbose)
+		fmt.Fprintf(stdout, "shard %d: %s\n", ss.Shard, status)
+	}
+	return coord.Close()
+}
+
+// windowPrinter is the streaming engines' sink: one line per sealed
+// window. A window flushed before its scheduled end (shutdown, end of
+// trace) is marked partial: its counts cover only what had elapsed.
+func windowPrinter(w io.Writer, verbose bool) func(*plotters.WindowResult) error {
+	return func(res *plotters.WindowResult) error {
+		partial := ""
+		if res.Partial {
+			partial = " [partial]"
+		}
+		// Without the paper pipeline in the detector set there are no
+		// per-stage survivor counts, only the detector verdicts below.
+		fmt.Fprintf(w, "window %d %s%s: hosts=%d records=%d", res.Index, res.Window, partial, res.Hosts, res.Records)
+		if det := res.Detection; det != nil {
+			fmt.Fprintf(w, " reduction=%d vol=%d churn=%d suspects=%d\n",
+				len(det.Reduction.Kept), len(det.Volume.Kept), len(det.Churn.Kept), len(det.Suspects))
+			if verbose {
+				printSuspects(w, det)
+			}
 		} else {
-			source, srcFormat = flag.Arg(0), *format
-			n, err = runWindowed(source, srcFormat, reg, engCfg, sampler, *verbose)
+			fmt.Fprintln(w)
 		}
-		if err != nil {
-			return err
-		}
-		if reg != nil {
-			if err := writeReport(*metricsTo, source, srcFormat, n, time.Since(started), reg, ckpt); err != nil {
-				return err
+		if len(res.Detections) > 1 || res.Detection == nil {
+			parts := make([]string, 0, len(res.Detections))
+			for _, dn := range res.Detections {
+				parts = append(parts, fmt.Sprintf("%s=%d", dn.Detector, len(dn.Suspects)))
 			}
-			fmt.Printf("\nrun report written to %s\n", *metricsTo)
+			fmt.Fprintf(w, "  detectors: %s; union=%d intersection=%d\n",
+				strings.Join(parts, " "),
+				len(plotters.UnionSuspects(res.Detections)),
+				len(plotters.IntersectSuspects(res.Detections)))
 		}
 		return nil
 	}
-	if *slide > 0 || *skew > 0 || *shards > 0 {
-		return fmt.Errorf("-slide, -shards, and -skew require -window")
-	}
+}
 
-	records, sampledOut, err := readTrace(flag.Arg(0), *format, reg, sampler)
+// printSuspects lists a verdict's suspects with the features that
+// convicted them.
+func printSuspects(w io.Writer, res *plotters.Result) {
+	feats := res.Analysis.Features()
+	for _, h := range res.Suspects.Sorted() {
+		f := feats[h]
+		fmt.Fprintf(w, "  %-16s flows=%-6d avgBytes/flow=%-9.1f failedRate=%.2f newIPFraction=%.2f\n",
+			h, f.Flows, f.AvgBytesPerFlow(), f.FailedRate(), f.NewPeerFraction())
+	}
+}
+
+// batch is the engine of a run without -window: it collects the feed,
+// has no windows to advance or flush, and detects once over all of it.
+type batch struct{ records []plotters.Record }
+
+func (b *batch) Add(r *plotters.Record) error {
+	b.records = append(b.records, *r)
+	return nil
+}
+func (b *batch) AdvanceTo(time.Time) error { return nil }
+func (b *batch) Flush() error              { return nil }
+
+// detect runs FindPlotters over the collected records and prints the batch
+// sink: stage table, suspects, detector ensemble and θ_hm clusters.
+func (b *batch) detect(w io.Writer, o *options, t tally, internal func(plotters.IP) bool, cfg plotters.Config, dets []plotters.Detector) error {
+	sampled := ""
+	if o.sampler.Enabled() {
+		sampled = fmt.Sprintf(" (1-in-%d sampling dropped %d)", o.sampler.N, t.sampledOut)
+	}
+	fmt.Fprintf(w, "loaded %d flow records from %s%s\n", len(b.records), o.trace, sampled)
+	res, err := plotters.FindPlotters(b.records, internal, cfg)
 	if err != nil {
 		return err
 	}
-	if sampler.Enabled() {
-		fmt.Printf("loaded %d flow records from %s (1-in-%d sampling dropped %d)\n",
-			len(records), flag.Arg(0), sampler.N, sampledOut)
-	} else {
-		fmt.Printf("loaded %d flow records from %s\n", len(records), flag.Arg(0))
-	}
 
-	res, err := plotters.FindPlotters(records, internal, cfg)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("\nstage           hosts  threshold\n")
-	fmt.Printf("analyzed      %7d\n", len(res.Analysis.Hosts()))
-	fmt.Printf("reduction     %7d  failed-rate > %.4f\n", len(res.Reduction.Kept), res.Reduction.Threshold)
-	fmt.Printf("θ_vol         %7d  avg bytes/flow < %.1f\n", len(res.Volume.Kept), res.Volume.Threshold)
-	fmt.Printf("θ_churn       %7d  new-IP fraction < %.4f\n", len(res.Churn.Kept), res.Churn.Threshold)
-	fmt.Printf("θ_hm          %7d  cluster spread ≤ %.4f (%d clusters, %d hosts clustered, %d skipped)\n",
+	fmt.Fprintf(w, "\nstage           hosts  threshold\n")
+	fmt.Fprintf(w, "analyzed      %7d\n", len(res.Analysis.Hosts()))
+	fmt.Fprintf(w, "reduction     %7d  failed-rate > %.4f\n", len(res.Reduction.Kept), res.Reduction.Threshold)
+	fmt.Fprintf(w, "θ_vol         %7d  avg bytes/flow < %.1f\n", len(res.Volume.Kept), res.Volume.Threshold)
+	fmt.Fprintf(w, "θ_churn       %7d  new-IP fraction < %.4f\n", len(res.Churn.Kept), res.Churn.Threshold)
+	fmt.Fprintf(w, "θ_hm          %7d  cluster spread ≤ %.4f (%d clusters, %d hosts clustered, %d skipped)\n",
 		len(res.Suspects), res.HM.Threshold, len(res.HM.Clusters), res.HM.Clustered, res.HM.Skipped)
-	if reg != nil {
-		if pr, ok := plotters.PruneSummary(reg.TakeSnapshot()); ok {
-			fmt.Printf("θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
+	if cfg.Metrics != nil {
+		if pr, ok := plotters.PruneSummary(cfg.Metrics.TakeSnapshot()); ok {
+			fmt.Fprintf(w, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
 				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
 		}
 	}
 
-	if *verbose {
-		printSet := func(name string, set plotters.HostSet) {
-			hosts := set.Sorted()
+	if o.verbose {
+		for _, s := range []struct {
+			name string
+			set  plotters.HostSet
+		}{{"S (after reduction)", res.Reduction.Kept}, {"S_vol", res.Volume.Kept}, {"S_churn", res.Churn.Kept}} {
+			hosts := s.set.Sorted()
 			strs := make([]string, len(hosts))
 			for i, h := range hosts {
 				strs[i] = h.String()
 			}
-			fmt.Printf("\n%s (%d): %s\n", name, len(hosts), strings.Join(strs, " "))
+			fmt.Fprintf(w, "\n%s (%d): %s\n", s.name, len(hosts), strings.Join(strs, " "))
 		}
-		printSet("S (after reduction)", res.Reduction.Kept)
-		printSet("S_vol", res.Volume.Kept)
-		printSet("S_churn", res.Churn.Kept)
 	}
 
-	fmt.Printf("\nsuspected plotters (%d):\n", len(res.Suspects))
-	feats := res.Analysis.Features()
-	for _, h := range res.Suspects.Sorted() {
-		f := feats[h]
-		fmt.Printf("  %-16s flows=%-6d avgBytes/flow=%-9.1f failedRate=%.2f newIPFraction=%.2f\n",
-			h, f.Flows, f.AvgBytesPerFlow(), f.FailedRate(), f.NewPeerFraction())
-	}
+	fmt.Fprintf(w, "\nsuspected plotters (%d):\n", len(res.Suspects))
+	printSuspects(w, res)
 
 	if dets != nil {
-		if err := runBatchEnsemble(dets, res, *verbose); err != nil {
+		if err := printEnsemble(w, dets, res, o.verbose); err != nil {
 			return err
 		}
 	}
 	if len(res.HM.Clusters) > 0 {
-		fmt.Printf("\nθ_hm clusters:\n")
+		fmt.Fprintf(w, "\nθ_hm clusters:\n")
 		clusters := append([]plotters.HMCluster(nil), res.HM.Clusters...)
 		sort.Slice(clusters, func(i, j int) bool { return clusters[i].Diameter < clusters[j].Diameter })
 		for _, c := range clusters {
@@ -348,76 +550,23 @@ func run() error {
 			if c.Kept {
 				marker = "*"
 			}
+			spread := fmt.Sprintf("%.4f", c.Diameter)
 			if c.Diameter == math.MaxFloat64 {
-				// Clamped sentinel spread: the calibrated cut fell below
-				// this cluster's true spread (see the pipeline's overcut
-				// gauge).
-				fmt.Printf("  %s size=%-4d spread=overcut\n", marker, len(c.Hosts))
-				continue
+				// Clamped sentinel: the calibrated cut fell below this
+				// cluster's true spread (see the pipeline's overcut gauge).
+				spread = "overcut"
 			}
-			fmt.Printf("  %s size=%-4d spread=%.4f\n", marker, len(c.Hosts), c.Diameter)
+			fmt.Fprintf(w, "  %s size=%-4d spread=%s\n", marker, len(c.Hosts), spread)
 		}
-		fmt.Printf("(* = kept by τ_hm)\n")
-	}
-	if reg != nil {
-		if err := writeReport(*metricsTo, flag.Arg(0), *format, len(records), time.Since(started), reg, nil); err != nil {
-			return err
-		}
-		fmt.Printf("\nrun report written to %s\n", *metricsTo)
+		fmt.Fprintf(w, "(* = kept by τ_hm)\n")
 	}
 	return nil
 }
 
-// buildDetectors parses the -detectors list into detector instances.
-// The default single-paper-pipeline spec returns nil, keeping the
-// engine's and the batch path's original single-detector behavior.
-func buildDetectors(spec string, cfg plotters.Config, reg *plotters.Metrics) ([]plotters.Detector, error) {
-	names := strings.Split(spec, ",")
-	var out []plotters.Detector
-	seen := map[string]bool{}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("-detectors lists %q twice", name)
-		}
-		seen[name] = true
-		switch name {
-		case plotters.PaperDetectorName:
-			det, err := plotters.NewPaperDetector(cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, det)
-		case plotters.CommunityDetectorName:
-			ccfg := plotters.DefaultCommunityConfig()
-			ccfg.Metrics = reg
-			det, err := plotters.NewCommunityDetector(ccfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, det)
-		default:
-			return nil, fmt.Errorf("unknown detector %q (have: %s, %s)",
-				name, plotters.PaperDetectorName, plotters.CommunityDetectorName)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-detectors lists no detectors")
-	}
-	if len(out) == 1 && seen[plotters.PaperDetectorName] {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// runBatchEnsemble runs the non-paper detectors of a batch invocation
-// over the feature source the paper run already extracted (the paper
-// verdict res is reused, not recomputed) and prints per-detector and
-// ensemble suspect counts.
-func runBatchEnsemble(dets []plotters.Detector, res *plotters.Result, verbose bool) error {
+// printEnsemble runs the non-paper detectors of a batch run over the
+// feature source the paper run already extracted (its verdict res is
+// reused, not recomputed) and prints per-detector and ensemble counts.
+func printEnsemble(w io.Writer, dets []plotters.Detector, res *plotters.Result, verbose bool) error {
 	src := res.Analysis.Source()
 	detections := make([]*plotters.Detection, 0, len(dets))
 	for _, det := range dets {
@@ -434,266 +583,28 @@ func runBatchEnsemble(dets []plotters.Detector, res *plotters.Result, verbose bo
 		detections = append(detections, dn)
 	}
 
-	fmt.Printf("\ndetector ensemble:\n")
+	fmt.Fprintf(w, "\ndetector ensemble:\n")
 	for _, dn := range detections {
-		fmt.Printf("  %-14s suspects=%d", dn.Detector, len(dn.Suspects))
+		fmt.Fprintf(w, "  %-14s suspects=%d", dn.Detector, len(dn.Suspects))
 		if rep, ok := dn.Details.(*plotters.CommunityReport); ok {
-			fmt.Printf("  graph: hosts=%d edges=%d communities=%d flagged=%d",
+			fmt.Fprintf(w, "  graph: hosts=%d edges=%d communities=%d flagged=%d",
 				rep.GraphHosts, rep.GraphEdges, len(rep.Communities), len(rep.Flagged))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if verbose {
 			for _, h := range dn.Suspects.Sorted() {
-				fmt.Printf("    %s\n", h)
+				fmt.Fprintf(w, "    %s\n", h)
 			}
 		}
 	}
-	fmt.Printf("  union=%d intersection=%d\n",
+	fmt.Fprintf(w, "  union=%d intersection=%d\n",
 		len(plotters.UnionSuspects(detections)), len(plotters.IntersectSuspects(detections)))
 	return nil
 }
 
-// runWindowed streams the trace through the continuous detection engine,
-// printing one summary per sealed window, and returns the record count.
-func runWindowed(path, format string, reg *plotters.Metrics, cfg plotters.EngineConfig, sampler plotters.FlowSampler, verbose bool) (int, error) {
-	eng, err := plotters.NewWindowedDetector(cfg, windowPrinter(verbose))
-	if err != nil {
-		return 0, err
-	}
-	dropped := 0
-	n, sampledOut, err := scanTrace(path, format, reg, sampler, func(rec *plotters.Record) error {
-		err := eng.Add(rec)
-		if errors.Is(err, plotters.ErrLateRecord) {
-			dropped++
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		return n, err
-	}
-	if err := eng.Flush(); err != nil {
-		return n, err
-	}
-	fmt.Printf("\n%d records, %d windows detected", n, eng.Windows())
-	if dropped > 0 {
-		fmt.Printf(", %d records dropped beyond the %v skew tolerance", dropped, cfg.MaxSkew)
-	}
-	if sampledOut > 0 {
-		fmt.Printf(", %d records sampled out (1-in-%d)", sampledOut, sampler.N)
-	}
-	fmt.Println()
-	return n, nil
-}
-
-// windowPrinter builds the per-window emit callback shared by the file
-// and live ingest paths. Windows flushed before their scheduled end
-// (shutdown, end of trace) are marked partial — their counts cover
-// only the portion of the window that actually elapsed.
-func windowPrinter(verbose bool) func(*plotters.WindowResult) error {
-	return func(res *plotters.WindowResult) error {
-		partial := ""
-		if res.Partial {
-			partial = " [partial]"
-		}
-		if det := res.Detection; det != nil {
-			fmt.Printf("window %d %s%s: hosts=%d records=%d reduction=%d vol=%d churn=%d suspects=%d\n",
-				res.Index, res.Window, partial, res.Hosts, res.Records,
-				len(det.Reduction.Kept), len(det.Volume.Kept), len(det.Churn.Kept), len(det.Suspects))
-			if verbose {
-				feats := det.Analysis.Features()
-				for _, h := range det.Suspects.Sorted() {
-					hf := feats[h]
-					fmt.Printf("  %-16s flows=%-6d avgBytes/flow=%-9.1f failedRate=%.2f newIPFraction=%.2f\n",
-						h, hf.Flows, hf.AvgBytesPerFlow(), hf.FailedRate(), hf.NewPeerFraction())
-				}
-			}
-		} else {
-			// No paper pipeline in the detector set: the per-stage survivor
-			// counts do not exist, only the detector verdicts below.
-			fmt.Printf("window %d %s%s: hosts=%d records=%d\n",
-				res.Index, res.Window, partial, res.Hosts, res.Records)
-		}
-		if len(res.Detections) > 1 || res.Detection == nil {
-			parts := make([]string, 0, len(res.Detections))
-			for _, dn := range res.Detections {
-				parts = append(parts, fmt.Sprintf("%s=%d", dn.Detector, len(dn.Suspects)))
-			}
-			fmt.Printf("  detectors: %s; union=%d intersection=%d\n",
-				strings.Join(parts, " "),
-				len(plotters.UnionSuspects(res.Detections)),
-				len(plotters.IntersectSuspects(res.Detections)))
-		}
-		return nil
-	}
-}
-
-// runListen binds a UDP socket and feeds live NetFlow exports into the
-// windowed engine until SIGINT/SIGTERM, then drains, flushes the final
-// (partial) window, and returns the record count. Late records are
-// dropped and counted rather than treated as fatal — a live socket
-// cannot replay the past — and decode runs on a single worker so
-// records reach the engine in arrival order.
-//
-// With a state directory configured, every record is write-ahead
-// logged before it reaches the engine and a checkpointer goroutine
-// snapshots the full detection state on the -checkpoint-every cadence.
-// On start, state left by a previous (possibly crashed) process is
-// recovered: the snapshot is restored and the WAL tail replayed, so
-// detection resumes exactly where it stopped. Graceful shutdown ends
-// with a final checkpoint, so a clean restart replays nothing.
-func runListen(addr string, reg *plotters.Metrics, cfg plotters.EngineConfig, sampler plotters.FlowSampler, inBatch int, ckptEvery time.Duration, walSync int, verbose bool) (int, *checkpointReport, error) {
-	cfg.DropLate = true
-	eng, err := plotters.NewWindowedDetector(cfg, windowPrinter(verbose))
-	if err != nil {
-		return 0, nil, err
-	}
-
-	// n and ingestErr are written only by the collector's single worker
-	// and read after Run returns, once every worker has exited.
-	n := 0
-	var ingestErr error
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var mgr *plotters.CheckpointManager
-	add := eng.Add
-	if cfg.StateDir != "" {
-		mgr, err = plotters.NewCheckpointManager(plotters.CheckpointConfig{
-			Interval:  ckptEvery,
-			SyncEvery: walSync,
-			Metrics:   reg,
-		}, eng)
-		if err != nil {
-			return 0, nil, err
-		}
-		defer mgr.Close()
-		add = mgr.Add
-	}
-
-	col, err := plotters.ListenNetFlow(plotters.CollectorConfig{
-		Addr:       addr,
-		Workers:    1,
-		Batch:      inBatch,
-		SampleN:    sampler.N,
-		SampleSeed: sampler.Seed,
-		Metrics:    reg,
-		Handler: func(records []plotters.Record) {
-			if ingestErr != nil {
-				return
-			}
-			for i := range records {
-				n++
-				if err := add(&records[i]); err != nil {
-					// DropLate absorbs skew; anything left is a real
-					// detection, durability, or emit failure — stop
-					// collecting.
-					ingestErr = err
-					stop()
-					return
-				}
-			}
-		},
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-
-	// Recovery runs after the socket binds but before packets flow
-	// (nothing is decoded until col.Run), so replayed windows print
-	// before live ones.
-	var recovered *plotters.CheckpointRecovery
-	ckptErr := make(chan error, 1)
-	if mgr != nil {
-		mgr.AttachCollector(col)
-		recovered, err = mgr.Recover()
-		if err != nil {
-			return 0, nil, fmt.Errorf("recovering %s: %w", mgr.Dir(), err)
-		}
-		switch {
-		case recovered.SnapshotLoaded:
-			fmt.Fprintf(os.Stderr, "recovered state from %s: snapshot of %s, %d WAL records replayed\n",
-				mgr.Dir(), recovered.SnapshotCreated.Format(time.RFC3339), recovered.Replayed)
-		case recovered.Replayed > 0:
-			fmt.Fprintf(os.Stderr, "recovered state from %s: no snapshot, %d WAL records replayed\n",
-				mgr.Dir(), recovered.Replayed)
-		default:
-			fmt.Fprintf(os.Stderr, "durable state in %s (cold start)\n", mgr.Dir())
-		}
-		if recovered.WALTorn {
-			fmt.Fprintln(os.Stderr, "note: WAL ended mid-frame (crash during append); torn tail truncated")
-		}
-		col.RestoreSequenceStates(recovered.Exporters)
-		go func() {
-			err := mgr.Run(ctx)
-			if err != nil {
-				// A failed periodic checkpoint ends Run: no more
-				// snapshots, and a WAL that is never rotated again. Stop
-				// collecting now instead of ingesting without durability
-				// until the operator's Ctrl-C surfaces the error.
-				stop()
-			}
-			ckptErr <- err
-		}()
-	} else {
-		close(ckptErr)
-	}
-	fmt.Fprintf(os.Stderr, "listening for NetFlow v5/v9, IPFIX, and sFlow on %s (Ctrl-C to stop)\n", col.Addr())
-
-	if err := col.Run(ctx); err != nil {
-		return n, nil, err
-	}
-	stop()
-	if err := <-ckptErr; err != nil {
-		return n, nil, err
-	}
-	if ingestErr != nil {
-		return n, nil, ingestErr
-	}
-
-	// Graceful shutdown: flush the final (partial) window, then commit
-	// one last checkpoint so a clean restart replays nothing.
-	var ckpt *checkpointReport
-	if mgr != nil {
-		if err := mgr.Flush(); err != nil {
-			return n, nil, err
-		}
-		if err := mgr.Checkpoint(); err != nil {
-			return n, nil, fmt.Errorf("final checkpoint: %w", err)
-		}
-		st, err := os.Stat(mgr.SnapshotPath())
-		if err != nil {
-			return n, nil, err
-		}
-		if err := mgr.Close(); err != nil {
-			return n, nil, err
-		}
-		ckpt = &checkpointReport{
-			StateDir:        mgr.Dir(),
-			SnapshotPath:    mgr.SnapshotPath(),
-			SnapshotBytes:   st.Size(),
-			SnapshotLoaded:  recovered.SnapshotLoaded,
-			ReplayedRecords: recovered.Replayed,
-		}
-	} else if err := eng.Flush(); err != nil {
-		return n, nil, err
-	}
-
-	fmt.Printf("\n%d records collected, %d windows detected", n, eng.Windows())
-	if d := eng.Dropped(); d > 0 {
-		fmt.Printf(", %d records dropped beyond the %v skew tolerance", d, cfg.MaxSkew)
-	}
-	fmt.Println()
-	if ckpt != nil {
-		fmt.Printf("final checkpoint: %s (%d bytes)\n", ckpt.SnapshotPath, ckpt.SnapshotBytes)
-	}
-	return n, ckpt, nil
-}
-
-// runReport is the JSON document -metrics emits: trace metadata plus the
-// full metrics snapshot (per-stage durations, survivor-count gauges, and
-// I/O counters). Prune summarizes the θ_hm pruning kernel's pair
-// accounting when the population was wide enough to engage it.
+// runReport is the JSON document -metrics emits: trace metadata, the full
+// metrics snapshot (stage durations, survivor-count gauges, I/O counters)
+// and, when θ_hm was wide enough to prune, its kernel's pair accounting.
 type runReport struct {
 	Tool           string                   `json:"tool"`
 	Trace          string                   `json:"trace"`
@@ -705,9 +616,8 @@ type runReport struct {
 	Metrics        plotters.MetricsSnapshot `json:"metrics"`
 }
 
-// checkpointReport records the durable-state outcome of a -state-dir
-// run: what was recovered on the way in and the final checkpoint
-// committed on the way out.
+// checkpointReport is a -state-dir run's durable-state outcome: what was
+// recovered on the way in, the final checkpoint committed on the way out.
 type checkpointReport struct {
 	StateDir        string `json:"state_dir"`
 	SnapshotPath    string `json:"snapshot_path"`
@@ -717,10 +627,6 @@ type checkpointReport struct {
 }
 
 func writeReport(path, trace, format string, records int, elapsed time.Duration, reg *plotters.Metrics, ckpt *checkpointReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	report := runReport{
 		Tool:           "plotfind",
 		Trace:          trace,
@@ -733,88 +639,9 @@ func writeReport(path, trace, format string, records int, elapsed time.Duration,
 	if pr, ok := plotters.PruneSummary(report.Metrics); ok {
 		report.Prune = &pr
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
+	raw, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
 		return fmt.Errorf("writing run report: %w", err)
 	}
-	return f.Close()
-}
-
-func parseSubnets(csv string) (func(plotters.IP) bool, error) {
-	var subnets []plotters.Subnet
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		sn, err := plotters.ParseSubnet(s)
-		if err != nil {
-			return nil, err
-		}
-		subnets = append(subnets, sn)
-	}
-	if len(subnets) == 0 {
-		return nil, fmt.Errorf("no internal subnets given")
-	}
-	return func(ip plotters.IP) bool {
-		for _, sn := range subnets {
-			if sn.Contains(ip) {
-				return true
-			}
-		}
-		return false
-	}, nil
-}
-
-// scanTrace streams the trace at path, record by record — it never sits
-// in memory — through the metered reader and the content-hash sampler,
-// calling fn for every kept record. It returns how many records were
-// kept and how many sampled out; an error from fn stops the scan. fn's
-// record is overwritten by the next one: copy it to keep it.
-func scanTrace(path, format string, reg *plotters.Metrics, sampler plotters.FlowSampler, fn func(*plotters.Record) error) (kept, sampledOut int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	tr, err := plotters.NewTraceReader(f, format)
-	if err != nil {
-		return 0, 0, err
-	}
-	plotters.MeterTraceReader(tr, reg)
-	// One record for the whole scan: its address goes to fn, so declared
-	// inside the loop it would be a heap allocation per record.
-	var rec plotters.Record
-	for {
-		rec, err = tr.Next()
-		if errors.Is(err, io.EOF) {
-			return kept, sampledOut, nil
-		}
-		if err != nil {
-			return kept, sampledOut, err
-		}
-		if !sampler.Keep(&rec) {
-			sampledOut++
-			continue
-		}
-		kept++
-		if err := fn(&rec); err != nil {
-			return kept, sampledOut, err
-		}
-	}
-}
-
-// readTrace loads the whole (sampled) trace for a batch run.
-func readTrace(path, format string, reg *plotters.Metrics, sampler plotters.FlowSampler) ([]plotters.Record, int, error) {
-	var records []plotters.Record
-	_, sampledOut, err := scanTrace(path, format, reg, sampler, func(rec *plotters.Record) error {
-		records = append(records, *rec)
-		return nil
-	})
-	if err != nil {
-		return nil, sampledOut, err
-	}
-	return records, sampledOut, nil
+	return os.WriteFile(path, append(raw, '\n'), 0o666)
 }

@@ -1,8 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 )
 
 func TestParseSubnets(t *testing.T) {
-	internal, err := parseSubnets("128.2.0.0/16, 128.237.0.0/16")
+	internal, err := plotters.ParseSubnets("128.2.0.0/16, 128.237.0.0/16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +23,10 @@ func TestParseSubnets(t *testing.T) {
 	if !internal(in) || internal(out) {
 		t.Error("membership wrong")
 	}
-	if _, err := parseSubnets("bogus"); err == nil {
+	if _, err := plotters.ParseSubnets("bogus"); err == nil {
 		t.Error("bad CIDR accepted")
 	}
-	if _, err := parseSubnets(" , "); err == nil {
+	if _, err := plotters.ParseSubnets(" , "); err == nil {
 		t.Error("empty list accepted")
 	}
 }
@@ -57,11 +58,11 @@ func TestReadTraceFormats(t *testing.T) {
 		}
 		f.Close()
 		reg := plotters.NewMetrics()
-		got, _, err := readTrace(path, tc.format, reg, plotters.FlowSampler{})
-		if err != nil {
+		var got batch
+		if _, err := feed(path, tc.format, reg, plotters.FlowSampler{}, &got); err != nil {
 			t.Fatalf("%s: %v", tc.format, err)
 		}
-		if len(got) != 1 || got[0].Src != 1 {
+		if len(got.records) != 1 || got.records[0].Src != 1 {
 			t.Errorf("%s: round trip failed", tc.format)
 		}
 		snap := reg.TakeSnapshot()
@@ -69,10 +70,10 @@ func TestReadTraceFormats(t *testing.T) {
 			t.Errorf("%s: records counter = %d, want 1", tc.format, n)
 		}
 	}
-	if _, _, err := readTrace(filepath.Join(dir, "trace.binary"), "bogus", nil, plotters.FlowSampler{}); err == nil {
+	if _, err := feed(filepath.Join(dir, "trace.binary"), "bogus", nil, plotters.FlowSampler{}, &batch{}); err == nil {
 		t.Error("unknown format accepted")
 	}
-	if _, _, err := readTrace(filepath.Join(dir, "missing"), "binary", nil, plotters.FlowSampler{}); err == nil {
+	if _, err := feed(filepath.Join(dir, "missing"), "binary", nil, plotters.FlowSampler{}, &batch{}); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -117,9 +118,8 @@ func TestRunReport(t *testing.T) {
 
 func testRunReport(t *testing.T, dir, trace, detectors string, records []plotters.Record) {
 	report := filepath.Join(dir, "report.json")
-	flag.CommandLine = flag.NewFlagSet("plotfind", flag.ContinueOnError)
-	os.Args = []string{"plotfind", "-internal", "0.0.0.0/8", "-detectors", detectors, "-metrics", report, trace}
-	if err := run(); err != nil {
+	args := []string{"-internal", "0.0.0.0/8", "-detectors", detectors, "-metrics", report, trace}
+	if err := run(context.Background(), args, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,35 +169,5 @@ func testRunReport(t *testing.T, dir, trace, detectors string, records []plotter
 	}
 	if n := got.Metrics.Counters["flowio/binary/records"]; n != int64(len(records)) {
 		t.Errorf("flowio/binary/records = %d, want %d", n, len(records))
-	}
-}
-
-// TestRunListenStopsOnCheckpointFailure: a periodic checkpoint that
-// fails must end the live run with that error, not leave the collector
-// ingesting without snapshots until Ctrl-C. The state directory's
-// snapshot temp path is pre-created as a directory, so recovery
-// cold-starts fine and the first checkpoint write fails.
-func TestRunListenStopsOnCheckpointFailure(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, "snapshot.pckp.tmp"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	cfg := plotters.EngineConfig{
-		Window:   time.Hour,
-		Core:     plotters.DefaultConfig(),
-		StateDir: dir,
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := runListen("127.0.0.1:0", nil, cfg, plotters.FlowSampler{N: 1}, 0, 10*time.Millisecond, 0, false)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "snapshot.pckp.tmp") {
-			t.Fatalf("runListen returned %v, want the checkpoint write error", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("runListen still collecting 10s after the first periodic checkpoint failed")
 	}
 }

@@ -34,37 +34,6 @@ func ExampleExtractFeatures() {
 	// flows=4 avgBytes=500 failedRate=0.25 peers=1 interstitials=3
 }
 
-// ExampleNewAssembler assembles raw packets into an Argus-style
-// bi-directional flow record.
-func ExampleNewAssembler() {
-	start := time.Date(2007, time.November, 5, 9, 0, 0, 0, time.UTC)
-	cli, _ := plotters.ParseIP("128.2.0.1")
-	srv, _ := plotters.ParseIP("66.35.250.150")
-
-	var got []plotters.Record
-	asm, _ := plotters.NewAssembler(plotters.DefaultAssemblerConfig(), func(r plotters.Record) {
-		got = append(got, r)
-	})
-	packets := []plotters.Packet{
-		{Time: start, Src: cli, Dst: srv, SrcPort: 40000, DstPort: 80, Proto: plotters.TCP, Bytes: 60, SYN: true},
-		{Time: start.Add(10 * time.Millisecond), Src: srv, Dst: cli, SrcPort: 80, DstPort: 40000, Proto: plotters.TCP, Bytes: 60, SYN: true, ACK: true},
-		{Time: start.Add(20 * time.Millisecond), Src: cli, Dst: srv, SrcPort: 40000, DstPort: 80, Proto: plotters.TCP, Bytes: 540, ACK: true, Payload: []byte("GET /")},
-		{Time: start.Add(30 * time.Millisecond), Src: srv, Dst: cli, SrcPort: 80, DstPort: 40000, Proto: plotters.TCP, Bytes: 1500, ACK: true},
-	}
-	for _, p := range packets {
-		if err := asm.Observe(p); err != nil {
-			fmt.Println("observe:", err)
-			return
-		}
-	}
-	asm.Flush()
-	r := got[0]
-	fmt.Printf("%s -> %s %s up=%dB down=%dB payload=%q\n",
-		r.Src, r.Dst, r.State, r.SrcBytes, r.DstBytes, r.Payload)
-	// Output:
-	// 128.2.0.1 -> 66.35.250.150 established up=600B down=1560B payload="GET /"
-}
-
 // ExampleLabelTraders applies the paper's §III ground-truth payload
 // rules.
 func ExampleLabelTraders() {

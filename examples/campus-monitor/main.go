@@ -18,10 +18,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -129,19 +129,33 @@ func runSynthetic() error {
 // (at-least-once delivery) — the checkpointed truth is the engine
 // state; the tallies are a per-process view.
 func runLive(addr string, window, skew time.Duration, internals, stateDir string) error {
-	internal, err := parseSubnets(internals)
+	internal, err := plotters.ParseSubnets(internals)
 	if err != nil {
 		return err
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	flaggedWindows := make(map[plotters.IP]int)
 	windows := 0
-	eng, err := plotters.NewWindowedDetector(plotters.EngineConfig{
-		Window:   window,
-		MaxSkew:  skew,
-		Internal: internal,
-		DropLate: true, // live sockets cannot replay the past
-		StateDir: stateDir,
-		Core:     plotters.DefaultConfig(),
+	rep, err := plotters.RunLive(ctx, plotters.LiveConfig{
+		Addr: addr,
+		Engine: plotters.EngineConfig{
+			Window:   window,
+			MaxSkew:  skew,
+			Internal: internal,
+			StateDir: stateDir,
+			Core:     plotters.DefaultConfig(),
+		},
+		CheckpointEvery: time.Minute,
+		WALSyncEvery:    256, // batch fsyncs: don't gate UDP ingest on disk latency
+		Ready: func(bound net.Addr, recovered *plotters.CheckpointRecovery) {
+			if recovered != nil && (recovered.SnapshotLoaded || recovered.Replayed > 0) {
+				fmt.Printf("resumed from %s: snapshot loaded=%v, %d records replayed\n",
+					stateDir, recovered.SnapshotLoaded, recovered.Replayed)
+			}
+			fmt.Printf("monitoring NetFlow exports on %s (Ctrl-C for the summary)\n", bound)
+		},
 	}, func(res *plotters.WindowResult) error {
 		windows++
 		partial := ""
@@ -158,65 +172,11 @@ func runLive(addr string, window, skew time.Duration, internals, stateDir string
 	if err != nil {
 		return err
 	}
-
-	var mgr *plotters.CheckpointManager
-	add := eng.Add
 	if stateDir != "" {
-		mgr, err = plotters.NewCheckpointManager(plotters.CheckpointConfig{
-			Interval:  time.Minute,
-			SyncEvery: 256, // batch fsyncs: don't gate UDP ingest on disk latency
-		}, eng)
-		if err != nil {
-			return err
-		}
-		defer mgr.Close()
-		add = mgr.Add
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	col, err := plotters.ListenNetFlow(plotters.CollectorConfig{
-		Addr:    addr,
-		Workers: 1, // preserve arrival order into the engine
-		Handler: func(records []plotters.Record) {
-			for i := range records {
-				_ = add(&records[i]) // DropLate: skew drops are counted, not fatal
-			}
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if mgr != nil {
-		mgr.AttachCollector(col)
-		info, err := mgr.Recover()
-		if err != nil {
-			return err
-		}
-		if info.SnapshotLoaded || info.Replayed > 0 {
-			fmt.Printf("resumed from %s: snapshot loaded=%v, %d records replayed\n",
-				stateDir, info.SnapshotLoaded, info.Replayed)
-		}
-		col.RestoreSequenceStates(info.Exporters)
-		go mgr.Run(ctx)
-	}
-	fmt.Printf("monitoring NetFlow exports on %s (Ctrl-C for the summary)\n", col.Addr())
-	if err := col.Run(ctx); err != nil {
-		return err
-	}
-	if mgr != nil {
-		if err := mgr.Flush(); err != nil {
-			return err
-		}
-		if err := mgr.Checkpoint(); err != nil {
-			return err
-		}
 		fmt.Printf("state checkpointed to %s; restart with the same flags to resume\n", stateDir)
-	} else if err := eng.Flush(); err != nil {
-		return err
 	}
-	if d := eng.Dropped(); d > 0 {
-		fmt.Printf("%d records arrived beyond the %v skew tolerance and were dropped\n", d, skew)
+	if rep.Dropped > 0 {
+		fmt.Printf("%d records arrived beyond the %v skew tolerance and were dropped\n", rep.Dropped, skew)
 	}
 	printOffenders(flaggedWindows, nil, max(windows, 1), "windows")
 	return nil
@@ -257,30 +217,4 @@ func printOffenders(flagged map[plotters.IP]int, truth map[plotters.IP]string, p
 		fmt.Printf("  %-16s flagged on %d/%d %s%s\n", o.host, o.count, periods, unit, label)
 		shown++
 	}
-}
-
-func parseSubnets(csv string) (func(plotters.IP) bool, error) {
-	var subnets []plotters.Subnet
-	for _, s := range strings.Split(csv, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		sn, err := plotters.ParseSubnet(s)
-		if err != nil {
-			return nil, err
-		}
-		subnets = append(subnets, sn)
-	}
-	if len(subnets) == 0 {
-		return nil, fmt.Errorf("no internal subnets given")
-	}
-	return func(ip plotters.IP) bool {
-		for _, sn := range subnets {
-			if sn.Contains(ip) {
-				return true
-			}
-		}
-		return false
-	}, nil
 }

@@ -1,8 +1,8 @@
 // Stream-detect: the high-volume deployment path. A busy border (the
 // paper's network ran ~5000 flows/second) cannot buffer a day of records
 // in memory, so this example drives the continuous detection engine end
-// to end: raw packets → Argus-style flow assembly → sharded feature
-// accumulation → the full FindPlotters pipeline at every window
+// to end: flow records in the order a monitor reports them → sharded
+// feature accumulation → the full FindPlotters pipeline at every window
 // boundary, all without materializing the trace.
 package main
 
@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"sort"
 	"time"
 
 	"plotters"
@@ -55,8 +56,8 @@ func run() error {
 
 	// The continuous engine: tumbling windows over the live feed. Flow
 	// monitors report records at flow *end*, so the feed is only
-	// approximately start-ordered; tolerate the assembler's idle-timeout
-	// worth of reordering before sealing a window.
+	// approximately start-ordered; tolerate a monitor's idle-timeout worth
+	// of reordering before sealing a window.
 	eng, err := plotters.NewWindowedDetector(plotters.EngineConfig{
 		Window:   *window,
 		Origin:   start,
@@ -68,33 +69,20 @@ func run() error {
 		return err
 	}
 
-	// The streaming chain: assembler → windowed engine.
-	flows := 0
-	asm, err := plotters.NewAssembler(plotters.DefaultAssemblerConfig(), func(r plotters.Record) {
-		flows++
-		if err := eng.Add(&r); err != nil {
-			fmt.Fprintln(os.Stderr, "engine:", err)
-		}
-	})
-	if err != nil {
-		return err
-	}
-
-	// Synthesize a packet feed: 30 ordinary web hosts and 3 machines
-	// running a periodic bot-like beacon, interleaved packet by packet.
-	fmt.Println("streaming a synthetic packet feed through assembly + windowed detection...")
-	packets := synthesizePackets(rng, start)
-	fmt.Printf("feed: %d packets over 2 simulated hours, %v windows\n\n", len(packets), *window)
-	for i := range packets {
-		if err := asm.Observe(packets[i]); err != nil {
+	// Synthesize the feed: 30 ordinary web hosts and 3 machines running
+	// a periodic bot-like beacon, interleaved in flow-end order.
+	fmt.Println("streaming a synthetic flow feed through windowed detection...")
+	records := synthesizeFlows(rng, start)
+	fmt.Printf("feed: %d flow records over 2 simulated hours, %v windows\n\n", len(records), *window)
+	for i := range records {
+		if err := eng.Add(&records[i]); err != nil {
 			return err
 		}
 	}
-	asm.Flush()
 	if err := eng.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("\nassembled %d bi-directional flow records; %d windows detected\n", flows, eng.Windows())
+	fmt.Printf("\n%d windows detected\n", eng.Windows())
 
 	// The machine-timed beacons stand out every window: high failure
 	// rates put them past the reduction, tiny flows past θ_vol, and
@@ -147,10 +135,10 @@ func serveMetrics(addr string, reg *plotters.Metrics) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// synthesizePackets builds an interleaved packet feed.
-func synthesizePackets(rng *rand.Rand, start time.Time) []plotters.Packet {
-	var pkts []plotters.Packet
-	add := func(p plotters.Packet) { pkts = append(pkts, p) }
+// synthesizeFlows builds the feed, sorted by flow end — the order a flow
+// monitor reports in.
+func synthesizeFlows(rng *rand.Rand, start time.Time) []plotters.Record {
+	var recs []plotters.Record
 
 	// Web browsers; the occasional server never answers, so the
 	// population has a realistic spread of failure rates for the
@@ -162,16 +150,16 @@ func synthesizePackets(rng *rand.Rand, start time.Time) []plotters.Packet {
 		for at.Before(start.Add(2 * time.Hour)) {
 			server, _ := plotters.ParseIP(fmt.Sprintf("66.35.%d.%d", rng.Intn(200)+1, rng.Intn(250)+1))
 			port++
-			add(plotters.Packet{Time: at, Src: client, Dst: server, SrcPort: port, DstPort: 80,
-				Proto: plotters.TCP, Bytes: 60, SYN: true})
+			rec := plotters.Record{Src: client, Dst: server, SrcPort: port, DstPort: 80, Proto: plotters.TCP,
+				Start: at, End: at, SrcPkts: 1, SrcBytes: 60, State: plotters.StateFailed}
 			if rng.Intn(12) != 0 {
-				add(plotters.Packet{Time: at.Add(20 * time.Millisecond), Src: server, Dst: client, SrcPort: 80, DstPort: port,
-					Proto: plotters.TCP, Bytes: 60, SYN: true, ACK: true})
-				add(plotters.Packet{Time: at.Add(40 * time.Millisecond), Src: client, Dst: server, SrcPort: port, DstPort: 80,
-					Proto: plotters.TCP, Bytes: uint32(400 + rng.Intn(800)), ACK: true, Payload: []byte("GET /")})
-				add(plotters.Packet{Time: at.Add(90 * time.Millisecond), Src: server, Dst: client, SrcPort: 80, DstPort: port,
-					Proto: plotters.TCP, Bytes: uint32(2000 + rng.Intn(20000)), ACK: true})
+				rec.End = at.Add(90 * time.Millisecond)
+				rec.SrcPkts, rec.SrcBytes = 2, uint64(60+400+rng.Intn(800))
+				rec.DstPkts, rec.DstBytes = 2, uint64(60+2000+rng.Intn(20000))
+				rec.State = plotters.StateEstablished
+				rec.Payload = []byte("GET /")
 			}
+			recs = append(recs, rec)
 			at = at.Add(time.Duration(float64(time.Second) * (2 + rng.ExpFloat64()*20)))
 		}
 	}
@@ -183,25 +171,18 @@ func synthesizePackets(rng *rand.Rand, start time.Time) []plotters.Packet {
 		for at.Before(start.Add(2 * time.Hour)) {
 			peer, _ := plotters.ParseIP(fmt.Sprintf("199.7.%d.%d", h+1, rng.Intn(6)+1))
 			port := uint16(50000 + rng.Intn(1000))
-			add(plotters.Packet{Time: at, Src: bot, Dst: peer, SrcPort: port, DstPort: 8,
-				Proto: plotters.TCP, Bytes: 60, SYN: true})
+			rec := plotters.Record{Src: bot, Dst: peer, SrcPort: port, DstPort: 8, Proto: plotters.TCP,
+				Start: at, End: at, SrcPkts: 1, SrcBytes: 60, State: plotters.StateFailed}
 			if rng.Intn(2) == 0 {
-				add(plotters.Packet{Time: at.Add(15 * time.Millisecond), Src: peer, Dst: bot, SrcPort: 8, DstPort: port,
-					Proto: plotters.TCP, Bytes: 60, SYN: true, ACK: true})
-				add(plotters.Packet{Time: at.Add(30 * time.Millisecond), Src: bot, Dst: peer, SrcPort: port, DstPort: 8,
-					Proto: plotters.TCP, Bytes: 150, ACK: true})
+				rec.End = at.Add(30 * time.Millisecond)
+				rec.SrcPkts, rec.SrcBytes = 2, 60+150
+				rec.DstPkts, rec.DstBytes = 1, 60
+				rec.State = plotters.StateEstablished
 			}
+			recs = append(recs, rec)
 			at = at.Add(30 * time.Second)
 		}
 	}
-	sortPackets(pkts)
-	return pkts
-}
-
-func sortPackets(pkts []plotters.Packet) {
-	for i := 1; i < len(pkts); i++ {
-		for j := i; j > 0 && pkts[j].Time.Before(pkts[j-1].Time); j-- {
-			pkts[j], pkts[j-1] = pkts[j-1], pkts[j]
-		}
-	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].End.Before(recs[j].End) })
+	return recs
 }

@@ -84,12 +84,9 @@ func syntheticState(hosts int) *engine.State {
 func benchSnapshot() *checkpoint.Snapshot {
 	return &checkpoint.Snapshot{
 		Meta: checkpoint.Meta{
-			Created: time.Date(2007, 11, 5, 12, 0, 0, 0, time.UTC),
-			WALSeq:  1 << 20,
-			Window:  6 * time.Hour,
-			MaxSkew: 0,
-			Grace:   time.Hour,
-			Shards:  benchShards,
+			Created:  time.Date(2007, 11, 5, 12, 0, 0, 0, time.UTC),
+			WALSeq:   1 << 20,
+			Geometry: engine.Geometry{Window: 6 * time.Hour, Grace: time.Hour, Shards: benchShards},
 		},
 		Engine: syntheticState(10_000),
 	}

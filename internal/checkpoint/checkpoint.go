@@ -79,17 +79,12 @@ type Meta struct {
 	// with greater sequence numbers, which makes a crash between
 	// snapshot commit and WAL rotation harmless.
 	WALSeq uint64
-	// Window, Slide, MaxSkew, Grace, Shards, CarryFirstSeen, and
-	// DropLate fingerprint the engine configuration. Shards is the
-	// resolved count (never 0): the shard hash is deterministic, so an
-	// equal count restores every host to the shard that accumulated it.
-	Window         time.Duration
-	Slide          time.Duration
-	MaxSkew        time.Duration
-	Grace          time.Duration
-	Shards         int
-	CarryFirstSeen bool
-	DropLate       bool
+	// Geometry and DropLate fingerprint the engine configuration.
+	// Geometry.Shards is the feature store's resolved count: the shard
+	// hash is deterministic, so an equal count restores every host to
+	// the shard that accumulated it.
+	engine.Geometry
+	DropLate bool
 }
 
 // Snapshot is the decoded form of one checkpoint file.
@@ -107,41 +102,19 @@ type Snapshot struct {
 // zero; the caller stamps those).
 func EngineMeta(eng *engine.WindowedDetector) Meta {
 	cfg := eng.Config()
-	grace := cfg.Core.NewPeerGrace
-	if grace <= 0 {
-		grace = flow.DefaultNewPeerGrace
-	}
-	return Meta{
-		Window:         cfg.Window,
-		Slide:          cfg.Slide,
-		MaxSkew:        cfg.MaxSkew,
-		Grace:          grace,
-		Shards:         eng.Store().Shards(),
-		CarryFirstSeen: cfg.CarryFirstSeen,
-		DropLate:       cfg.DropLate,
-	}
+	return Meta{Geometry: cfg.Geometry(eng.Store().Shards()), DropLate: cfg.DropLate}
 }
 
 // checkCompatible compares the snapshot fingerprint m against a live
 // engine's, naming the first mismatched knob.
 func (m Meta) checkCompatible(cur Meta) error {
-	mismatches := []struct {
-		name      string
-		snap, now any
-	}{
-		{"window", m.Window, cur.Window},
-		{"slide", m.Slide, cur.Slide},
-		{"max-skew", m.MaxSkew, cur.MaxSkew},
-		{"new-peer grace", m.Grace, cur.Grace},
-		{"shard count", m.Shards, cur.Shards},
-		{"carry-first-seen", m.CarryFirstSeen, cur.CarryFirstSeen},
-		{"drop-late", m.DropLate, cur.DropLate},
+	knob, snap, now := m.Geometry.Mismatch(cur.Geometry)
+	if knob == "" && m.DropLate != cur.DropLate {
+		knob, snap, now = "drop-late", m.DropLate, cur.DropLate
 	}
-	for _, f := range mismatches {
-		if f.snap != f.now {
-			return fmt.Errorf("checkpoint: snapshot was taken with %s %v but this engine is configured with %v — restore requires the snapshotted configuration",
-				f.name, f.snap, f.now)
-		}
+	if knob != "" {
+		return fmt.Errorf("checkpoint: snapshot was taken with %s %v but this engine is configured with %v — restore requires the snapshotted configuration",
+			knob, snap, now)
 	}
 	return nil
 }
@@ -303,15 +276,17 @@ func encodeMeta(m Meta) []byte {
 
 func decodeMeta(d *wire.Decoder) Meta {
 	return Meta{
-		Created:        d.Time(),
-		WALSeq:         d.U64(),
-		Window:         d.Dur(),
-		Slide:          d.Dur(),
-		MaxSkew:        d.Dur(),
-		Grace:          d.Dur(),
-		Shards:         int(d.U32()),
-		CarryFirstSeen: d.Bool(),
-		DropLate:       d.Bool(),
+		Created: d.Time(),
+		WALSeq:  d.U64(),
+		Geometry: engine.Geometry{
+			Window:         d.Dur(),
+			Slide:          d.Dur(),
+			MaxSkew:        d.Dur(),
+			Grace:          d.Dur(),
+			Shards:         int(d.U32()),
+			CarryFirstSeen: d.Bool(),
+		},
+		DropLate: d.Bool(),
 	}
 }
 

@@ -1,8 +1,9 @@
 // IPFIX (RFC 7011, NetFlow v10) support.
 //
-// IPFIX shares v9's template machinery — templates are cached per
-// (exporter, observation domain, template ID) in the same bounded
-// TemplateCache — but differs where the wire formats differ:
+// IPFIX shares v9's template machinery — the set walker, template
+// learner and record cracker in v9.go, and the bounded TemplateCache
+// keyed per (exporter, observation domain, template ID) — as a dialect
+// of it, differing only where the wire formats differ:
 //
 //   - The 16-byte message header carries a total length instead of a
 //     record count, and has no SysUptime, so the uptime-relative
@@ -51,14 +52,6 @@ const (
 	fieldEndMilli   = 153 // flowEndMilliseconds, absolute
 )
 
-// ipfixUnknownField marks template slots the decoder only skips:
-// enterprise-specific fields and IEs it does not map.
-const ipfixUnknownField = 0xFFFF
-
-// ipfixVarLen in a template field's length slot declares a
-// variable-length field whose actual length prefixes each value.
-const ipfixVarLen = 0xFFFF
-
 // IPFIXHeader is the decoded fixed header of one IPFIX message.
 type IPFIXHeader struct {
 	// Length is the message's declared total length in bytes.
@@ -79,60 +72,8 @@ type IPFIXHeader struct {
 // Semantics mirror DecodeV9: unknown-template data sets are counted
 // and skipped, structural errors keep earlier records.
 func (tc *TemplateCache) DecodeIPFIX(exporter string, pkt []byte, dst []flow.Record) (IPFIXHeader, []flow.Record, V9Stats, error) {
-	var stats V9Stats
-	if len(pkt) < ipfixHeaderSize {
-		return IPFIXHeader{}, dst, stats, fmt.Errorf("%w: %d bytes, need %d for an IPFIX header", ErrTruncated, len(pkt), ipfixHeaderSize)
-	}
-	be := binary.BigEndian
-	if v := be.Uint16(pkt); v != 10 {
-		return IPFIXHeader{}, dst, stats, fmt.Errorf("%w: version %d, want 10", ErrVersion, v)
-	}
-	hdr := IPFIXHeader{
-		Length:   int(be.Uint16(pkt[2:])),
-		Exported: time.Unix(int64(be.Uint32(pkt[4:])), 0).UTC(),
-		Sequence: be.Uint32(pkt[8:]),
-		DomainID: be.Uint32(pkt[12:]),
-	}
-	if hdr.Length < ipfixHeaderSize || hdr.Length > len(pkt) {
-		return hdr, dst, stats, fmt.Errorf("%w: message declares %d bytes, datagram has %d", ErrTruncated, hdr.Length, len(pkt))
-	}
-	pkt = pkt[:hdr.Length] // spec: the message is exactly Length bytes
-
-	off := ipfixHeaderSize
-	for off+4 <= len(pkt) {
-		setID := be.Uint16(pkt[off:])
-		setLen := int(be.Uint16(pkt[off+2:]))
-		if setLen < 4 || off+setLen > len(pkt) {
-			return hdr, dst, stats, fmt.Errorf("%w: set %d claims %d bytes with %d remaining", ErrCorrupt, setID, setLen, len(pkt)-off)
-		}
-		body := pkt[off+4 : off+setLen]
-		switch {
-		case setID == 2: // template set
-			n, ev, err := tc.learnIPFIXTemplates(exporter, hdr.DomainID, body)
-			stats.TemplatesLearned += n
-			stats.TemplatesEvicted += ev
-			if err != nil {
-				return hdr, dst, stats, err
-			}
-		case setID == 3: // options template set: out of scope
-			stats.SkippedSets++
-		case setID < 256: // reserved
-			stats.SkippedSets++
-		default: // data set
-			t := tc.lookup(v9TemplateKey{exporter, hdr.DomainID, setID})
-			if t == nil {
-				stats.MissingTemplate++
-				break
-			}
-			var err error
-			dst, stats.Records, err = t.decodeIPFIXRecords(body, hdr.Exported, dst, stats.Records)
-			if err != nil {
-				return hdr, dst, stats, err
-			}
-		}
-		off += setLen
-	}
-	return hdr, dst, stats, nil
+	h, dst, stats, err := tc.decode(&dialectIPFIX, exporter, pkt, dst)
+	return IPFIXHeader{Length: h.length, Exported: h.exported, Sequence: h.sequence, DomainID: h.stream}, dst, stats, err
 }
 
 // decodeIPFIX is the IPFIX row's Decode.
@@ -150,164 +91,6 @@ func frameIPFIX(r io.Reader, buf []byte) ([]byte, error) {
 		return pkt, err
 	}
 	return readChunk(r, pkt, int(binary.BigEndian.Uint16(pkt[2:]))-4)
-}
-
-// learnIPFIXTemplates parses one template set body. It differs from the
-// v9 parser in the field encoding only: enterprise-specific fields
-// (type high bit) carry a trailing 4-byte enterprise number and are
-// cached as skip-only, and a declared length of 0xFFFF marks a
-// variable-length field.
-func (tc *TemplateCache) learnIPFIXTemplates(exporter string, domainID uint32, body []byte) (int, int, error) {
-	be := binary.BigEndian
-	learned, evictions := 0, 0
-	for len(body) >= 4 {
-		id := be.Uint16(body)
-		fieldCount := int(be.Uint16(body[2:]))
-		body = body[4:]
-		if id < 256 {
-			return learned, evictions, fmt.Errorf("%w: template ID %d is reserved", ErrCorrupt, id)
-		}
-		t := &v9Template{fields: make([]v9Field, 0, fieldCount)}
-		for i := 0; i < fieldCount; i++ {
-			if len(body) < 4 {
-				return learned, evictions, fmt.Errorf("%w: template %d truncated at field %d", ErrCorrupt, id, i)
-			}
-			typ := be.Uint16(body)
-			length := int(be.Uint16(body[2:]))
-			body = body[4:]
-			if typ&0x8000 != 0 {
-				if len(body) < 4 {
-					return learned, evictions, fmt.Errorf("%w: template %d enterprise field %d lacks its PEN", ErrCorrupt, id, i)
-				}
-				body = body[4:]         // private enterprise number
-				typ = ipfixUnknownField // skip-only
-			}
-			if length == ipfixVarLen {
-				t.fields = append(t.fields, v9Field{typ: ipfixUnknownField, length: -1})
-				t.hasVar = true
-				t.recLen++ // at least the 1-byte length prefix
-				continue
-			}
-			if length == 0 {
-				return learned, evictions, fmt.Errorf("%w: template %d field %d has zero length", ErrCorrupt, id, typ)
-			}
-			t.fields = append(t.fields, v9Field{typ: typ, length: length})
-			t.recLen += length
-			switch typ {
-			case fieldTCPFlags:
-				t.hasFlag = true
-			case fieldOutPkts:
-				t.hasOut = true
-			}
-		}
-		if t.recLen == 0 {
-			return learned, evictions, fmt.Errorf("%w: template %d has no fields", ErrCorrupt, id)
-		}
-		evictions += tc.store(v9TemplateKey{exporter, domainID, id}, t)
-		learned++
-	}
-	return learned, evictions, nil
-}
-
-// decodeIPFIXRecords cracks a data set body against the template. For
-// fixed-layout templates recLen strides the body exactly as in v9; a
-// template with variable-length fields is walked value by value. With
-// no absolute timestamp IEs present, records carry the export time.
-func (t *v9Template) decodeIPFIXRecords(body []byte, exported time.Time, dst []flow.Record, n int) ([]flow.Record, int, error) {
-	for len(body) >= t.recLen && t.recLen > 0 {
-		rec := flow.Record{Start: exported, End: exported}
-		var flags byte
-		var outPkts uint64
-		var startMS, endMS, startS, endS int64 = -1, -1, -1, -1
-		off := 0
-		truncated := false
-		for _, f := range t.fields {
-			length := f.length
-			if length < 0 { // variable-length: 1- or 3-byte prefix
-				if off >= len(body) {
-					truncated = true
-					break
-				}
-				l := int(body[off])
-				off++
-				if l == 255 {
-					if off+2 > len(body) {
-						truncated = true
-						break
-					}
-					l = int(binary.BigEndian.Uint16(body[off:]))
-					off += 2
-				}
-				length = l
-			}
-			if off+length > len(body) {
-				truncated = true
-				break
-			}
-			raw := body[off : off+length]
-			off += length
-			v, ok := uintField(raw)
-			if !ok || f.typ == ipfixUnknownField {
-				continue
-			}
-			switch f.typ {
-			case fieldInBytes:
-				rec.SrcBytes = v
-			case fieldInPkts:
-				rec.SrcPkts = uint32(min(v, 1<<32-1))
-			case fieldProtocol:
-				rec.Proto = flow.Proto(v)
-			case fieldTCPFlags:
-				flags = byte(v)
-			case fieldSrcPort:
-				rec.SrcPort = uint16(v)
-			case fieldSrcAddr:
-				rec.Src = flow.IP(v)
-			case fieldDstPort:
-				rec.DstPort = uint16(v)
-			case fieldDstAddr:
-				rec.Dst = flow.IP(v)
-			case fieldOutBytes:
-				rec.DstBytes = v
-			case fieldOutPkts:
-				rec.DstPkts = uint32(min(v, 1<<32-1))
-				outPkts = v
-			case fieldStartMilli:
-				startMS = int64(v)
-			case fieldEndMilli:
-				endMS = int64(v)
-			case fieldStartSec:
-				startS = int64(v)
-			case fieldEndSec:
-				endS = int64(v)
-			}
-			// 21/22 are sysuptime-relative; IPFIX has no boot time to
-			// resolve them against, so they are skipped by length above.
-		}
-		if truncated {
-			break // trailing padding shorter than one record
-		}
-		switch {
-		case startMS >= 0:
-			rec.Start = time.UnixMilli(startMS).UTC()
-		case startS >= 0:
-			rec.Start = time.Unix(startS, 0).UTC()
-		}
-		switch {
-		case endMS >= 0:
-			rec.End = time.UnixMilli(endMS).UTC()
-		case endS >= 0:
-			rec.End = time.Unix(endS, 0).UTC()
-		}
-		if rec.End.Before(rec.Start) {
-			return dst, n, fmt.Errorf("%w: IPFIX record ends before it starts", ErrCorrupt)
-		}
-		rec.State = t.state(rec.Proto, flags, outPkts)
-		dst = append(dst, rec)
-		n++
-		body = body[off:]
-	}
-	return dst, n, nil
 }
 
 // ipfixTemplateID is the template AppendIPFIX announces. Every message

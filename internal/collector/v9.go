@@ -13,10 +13,40 @@ import (
 // count, sys_uptime, unix_secs, package_sequence, source_id.
 const v9HeaderSize = 20
 
-// NetFlow v9 field types this decoder maps onto flow.Record. Unknown
-// types are skipped by their template-declared length, which is what
-// makes the decoder template-lite: any layout parses, only these fields
-// land in the record.
+// dialect is what the one template-set walker (decode, learn, crack)
+// needs to know about which of the two template protocols it is reading.
+type dialect struct {
+	name        string // in error messages
+	version     uint16
+	headerSize  int
+	templateSet uint16 // set id that announces templates; every other id below 256 is skipped
+	// ipfix selects RFC 7011's header, field encoding and clocks (see
+	// ipfix.go): a declared message length and no uptime, enterprise-bit
+	// fields followed by a PEN, 0xFFFF meaning variable length, absolute
+	// timestamps in IEs 150–153 and 21/22 unresolvable. Off, the v9
+	// header's uptime resolves 21/22 against boot time, every template
+	// field is a plain (type, length) pair, and 150–153 are not read.
+	ipfix bool
+}
+
+var (
+	dialectV9    = dialect{name: "v9", version: 9, headerSize: v9HeaderSize, templateSet: 0}
+	dialectIPFIX = dialect{name: "IPFIX", version: 10, headerSize: ipfixHeaderSize, templateSet: 2, ipfix: true}
+)
+
+// templateHeader is either dialect's fixed header, as the walker reads it.
+type templateHeader struct {
+	length   int           // IPFIX: declared message length
+	uptime   time.Duration // v9: time since the exporter booted
+	exported time.Time
+	sequence uint32
+	stream   uint32 // v9 source ID, IPFIX observation domain: scopes template IDs
+}
+
+// Field types the decoder maps onto flow.Record, shared by both
+// dialects. Unknown types are skipped by their template-declared
+// length, which is what makes the decoder template-lite: any layout
+// parses, only these fields land in the record.
 const (
 	fieldInBytes  = 1  // SrcBytes
 	fieldInPkts   = 2  // SrcPkts
@@ -77,7 +107,6 @@ type v9Template struct {
 	recLen  int
 	hasFlag bool // template carries TCP_FLAGS
 	hasOut  bool // template carries OUT_PKTS
-	hasVar  bool // IPFIX only: has variable-length fields (length -1)
 	// lastUsed is the cache's logical clock at the template's most
 	// recent store or lookup; the eviction victim is the minimum.
 	// Guarded by TemplateCache.mu.
@@ -213,50 +242,70 @@ func (tc *TemplateCache) lookup(key v9TemplateKey) *v9Template {
 // FlowSet, malformed template) abandons the rest of the packet but
 // keeps everything decoded before it.
 func (tc *TemplateCache) DecodeV9(exporter string, pkt []byte, dst []flow.Record) (V9Header, []flow.Record, V9Stats, error) {
+	h, dst, stats, err := tc.decode(&dialectV9, exporter, pkt, dst)
+	return V9Header{SysUptime: h.uptime, Exported: h.exported, Sequence: h.sequence, SourceID: h.stream}, dst, stats, err
+}
+
+// decode is the set walker behind DecodeV9 and DecodeIPFIX: fixed
+// header, then sets until the packet ends — template sets are learned,
+// data sets cracked against their cached template, the rest skipped.
+func (tc *TemplateCache) decode(d *dialect, exporter string, pkt []byte, dst []flow.Record) (templateHeader, []flow.Record, V9Stats, error) {
 	var stats V9Stats
-	if len(pkt) < v9HeaderSize {
-		return V9Header{}, dst, stats, fmt.Errorf("%w: %d bytes, need %d for a v9 header", ErrTruncated, len(pkt), v9HeaderSize)
+	var hdr templateHeader
+	if len(pkt) < d.headerSize {
+		return hdr, dst, stats, fmt.Errorf("%w: %d bytes, need %d for the %s header", ErrTruncated, len(pkt), d.headerSize, d.name)
 	}
 	be := binary.BigEndian
-	if v := be.Uint16(pkt); v != 9 {
-		return V9Header{}, dst, stats, fmt.Errorf("%w: version %d, want 9", ErrVersion, v)
+	if v := be.Uint16(pkt); v != d.version {
+		return hdr, dst, stats, fmt.Errorf("%w: version %d, want %d", ErrVersion, v, d.version)
 	}
-	hdr := V9Header{
-		SysUptime: time.Duration(be.Uint32(pkt[4:])) * time.Millisecond,
-		Exported:  time.Unix(int64(be.Uint32(pkt[8:])), 0).UTC(),
-		Sequence:  be.Uint32(pkt[12:]),
-		SourceID:  be.Uint32(pkt[16:]),
+	if d.ipfix {
+		hdr = templateHeader{
+			length:   int(be.Uint16(pkt[2:])),
+			exported: time.Unix(int64(be.Uint32(pkt[4:])), 0).UTC(),
+			sequence: be.Uint32(pkt[8:]),
+			stream:   be.Uint32(pkt[12:]),
+		}
+		if hdr.length < d.headerSize || hdr.length > len(pkt) {
+			return hdr, dst, stats, fmt.Errorf("%w: message declares %d bytes, datagram has %d", ErrTruncated, hdr.length, len(pkt))
+		}
+		pkt = pkt[:hdr.length] // spec: the message is exactly Length bytes
+	} else {
+		hdr = templateHeader{
+			uptime:   time.Duration(be.Uint32(pkt[4:])) * time.Millisecond,
+			exported: time.Unix(int64(be.Uint32(pkt[8:])), 0).UTC(),
+			sequence: be.Uint32(pkt[12:]),
+			stream:   be.Uint32(pkt[16:]),
+		}
 	}
-	boot := hdr.Exported.Add(-hdr.SysUptime)
+	boot := hdr.exported.Add(-hdr.uptime)
 
-	off := v9HeaderSize
+	off := d.headerSize
 	for off+4 <= len(pkt) {
 		setID := be.Uint16(pkt[off:])
 		setLen := int(be.Uint16(pkt[off+2:]))
 		if setLen < 4 || off+setLen > len(pkt) {
-			return hdr, dst, stats, fmt.Errorf("%w: FlowSet %d claims %d bytes with %d remaining", ErrCorrupt, setID, setLen, len(pkt)-off)
+			return hdr, dst, stats, fmt.Errorf("%w: %s set %d claims %d bytes with %d remaining", ErrCorrupt, d.name, setID, setLen, len(pkt)-off)
 		}
 		body := pkt[off+4 : off+setLen]
 		switch {
-		case setID == 0: // template FlowSet
-			n, ev, err := tc.learnTemplates(exporter, hdr.SourceID, body)
+		case setID == d.templateSet:
+			n, ev, err := tc.learn(d, exporter, hdr.stream, body)
 			stats.TemplatesLearned += n
 			stats.TemplatesEvicted += ev
 			if err != nil {
 				return hdr, dst, stats, err
 			}
-		case setID == 1: // options template FlowSet: out of scope
+		case setID < 256: // options templates (out of scope) and reserved ids
 			stats.SkippedSets++
-		case setID < 256: // reserved
-			stats.SkippedSets++
-		default: // data FlowSet
-			t := tc.lookup(v9TemplateKey{exporter, hdr.SourceID, setID})
+		default: // data set
+			t := tc.lookup(v9TemplateKey{exporter, hdr.stream, setID})
 			if t == nil {
 				stats.MissingTemplate++
 				break
 			}
 			var err error
-			dst, stats.Records, err = t.decodeRecords(body, boot, hdr.Exported, dst, stats.Records)
+			dst, stats.Records, err = t.crack(d, body, boot, hdr.exported, dst, stats.Records)
 			if err != nil {
 				return hdr, dst, stats, err
 			}
@@ -278,10 +327,22 @@ func decodeV9(tc *TemplateCache, exporter string, pkt []byte, _ time.Time, dst [
 	return stats.packet(hdr.SourceID, hdr.Sequence), recs, err
 }
 
-// learnTemplates parses one template FlowSet body: a sequence of
-// (template ID, field count, fields...) definitions. Returns templates
-// learned and cache entries the per-exporter bound evicted.
-func (tc *TemplateCache) learnTemplates(exporter string, sourceID uint32, body []byte) (int, int, error) {
+// unknownField marks template slots the decoder only skips: IPFIX
+// enterprise-specific and variable-length fields.
+const unknownField = 0xFFFF
+
+// ipfixVarLen in an IPFIX template field's length slot declares a
+// variable-length field whose actual length prefixes each value.
+const ipfixVarLen = 0xFFFF
+
+// learn parses one template set body: a sequence of (template ID, field
+// count, fields...) definitions. The IPFIX dialect differs in the field
+// encoding only: enterprise-specific fields (type high bit) carry a
+// trailing 4-byte enterprise number and are cached as skip-only, and a
+// declared length of 0xFFFF marks a variable-length field (cached with
+// length -1). Returns templates learned and cache entries the
+// per-exporter bound evicted.
+func (tc *TemplateCache) learn(d *dialect, exporter string, stream uint32, body []byte) (int, int, error) {
 	be := binary.BigEndian
 	learned, evictions := 0, 0
 	for len(body) >= 4 {
@@ -296,8 +357,24 @@ func (tc *TemplateCache) learnTemplates(exporter string, sourceID uint32, body [
 		}
 		t := &v9Template{fields: make([]v9Field, 0, fieldCount)}
 		for i := 0; i < fieldCount; i++ {
-			typ := be.Uint16(body[i*4:])
-			length := int(be.Uint16(body[i*4+2:]))
+			if len(body) < 4 { // enterprise numbers ate the slack
+				return learned, evictions, fmt.Errorf("%w: template %d truncated at field %d", ErrCorrupt, id, i)
+			}
+			typ := be.Uint16(body)
+			length := int(be.Uint16(body[2:]))
+			body = body[4:]
+			if d.ipfix && typ&0x8000 != 0 {
+				if len(body) < 4 {
+					return learned, evictions, fmt.Errorf("%w: template %d enterprise field %d lacks its PEN", ErrCorrupt, id, i)
+				}
+				body = body[4:] // private enterprise number
+				typ = unknownField
+			}
+			if d.ipfix && length == ipfixVarLen {
+				t.fields = append(t.fields, v9Field{typ: unknownField, length: -1})
+				t.recLen++ // at least the 1-byte length prefix
+				continue
+			}
 			if length == 0 {
 				return learned, evictions, fmt.Errorf("%w: template %d field %d has zero length", ErrCorrupt, id, typ)
 			}
@@ -310,28 +387,49 @@ func (tc *TemplateCache) learnTemplates(exporter string, sourceID uint32, body [
 				t.hasOut = true
 			}
 		}
-		body = body[fieldCount*4:]
 		if t.recLen == 0 {
 			return learned, evictions, fmt.Errorf("%w: template %d has no fields", ErrCorrupt, id)
 		}
-		evictions += tc.store(v9TemplateKey{exporter, sourceID, id}, t)
+		evictions += tc.store(v9TemplateKey{exporter, stream, id}, t)
 		learned++
 	}
 	return learned, evictions, nil
 }
 
-// decodeRecords cracks a data FlowSet body against the template,
-// appending to dst. Trailing bytes shorter than one record are padding.
-func (t *v9Template) decodeRecords(body []byte, boot, exported time.Time, dst []flow.Record, n int) ([]flow.Record, int, error) {
+// crack decodes a data set body against the template, appending to
+// dst. A fixed-layout template strides the body by recLen; one with
+// variable-length fields is walked value by value. Trailing bytes
+// shorter than one record are padding. Timestamps come from the
+// dialect's clock — v9: 21/22 against boot; IPFIX: 152/153, else the
+// seconds-resolution 150/151 — and default to the export time.
+func (t *v9Template) crack(d *dialect, body []byte, boot, exported time.Time, dst []flow.Record, n int) ([]flow.Record, int, error) {
 	for len(body) >= t.recLen {
 		rec := flow.Record{Start: exported, End: exported}
 		var flags byte
 		var outPkts uint64
-		var first, last int64 = -1, -1
+		var first, last, startMS, endMS, startS, endS int64 = -1, -1, -1, -1, -1, -1
 		off := 0
 		for _, f := range t.fields {
-			raw := body[off : off+f.length]
-			off += f.length
+			length := f.length
+			if length < 0 { // variable-length: 1- or 3-byte prefix
+				if off >= len(body) {
+					return dst, n, nil
+				}
+				length = int(body[off])
+				off++
+				if length == 255 {
+					if off+2 > len(body) {
+						return dst, n, nil
+					}
+					length = int(binary.BigEndian.Uint16(body[off:]))
+					off += 2
+				}
+			}
+			if off+length > len(body) {
+				return dst, n, nil
+			}
+			raw := body[off : off+length]
+			off += length
 			v, ok := uintField(raw)
 			if !ok {
 				continue // wider than 8 bytes: not a numeric field we read
@@ -362,21 +460,44 @@ func (t *v9Template) decodeRecords(body []byte, boot, exported time.Time, dst []
 			case fieldOutPkts:
 				rec.DstPkts = uint32(min(v, 1<<32-1))
 				outPkts = v
+			case fieldStartMilli:
+				startMS = int64(v)
+			case fieldEndMilli:
+				endMS = int64(v)
+			case fieldStartSec:
+				startS = int64(v)
+			case fieldEndSec:
+				endS = int64(v)
 			}
 		}
-		if first >= 0 {
-			rec.Start = boot.Add(time.Duration(first) * time.Millisecond)
-		}
-		if last >= 0 {
-			rec.End = boot.Add(time.Duration(last) * time.Millisecond)
+		if d.ipfix {
+			switch {
+			case startMS >= 0:
+				rec.Start = time.UnixMilli(startMS).UTC()
+			case startS >= 0:
+				rec.Start = time.Unix(startS, 0).UTC()
+			}
+			switch {
+			case endMS >= 0:
+				rec.End = time.UnixMilli(endMS).UTC()
+			case endS >= 0:
+				rec.End = time.Unix(endS, 0).UTC()
+			}
+		} else {
+			if first >= 0 {
+				rec.Start = boot.Add(time.Duration(first) * time.Millisecond)
+			}
+			if last >= 0 {
+				rec.End = boot.Add(time.Duration(last) * time.Millisecond)
+			}
 		}
 		if rec.End.Before(rec.Start) {
-			return dst, n, fmt.Errorf("%w: v9 record ends before it starts", ErrCorrupt)
+			return dst, n, fmt.Errorf("%w: %s record ends before it starts", ErrCorrupt, d.name)
 		}
 		rec.State = t.state(rec.Proto, flags, outPkts)
 		dst = append(dst, rec)
 		n++
-		body = body[t.recLen:]
+		body = body[off:]
 	}
 	return dst, n, nil
 }

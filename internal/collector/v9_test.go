@@ -307,3 +307,84 @@ func TestV9WideFieldSkipped(t *testing.T) {
 		t.Errorf("record = %+v, want Src=11 Dst=12", recs[0])
 	}
 }
+
+// TestTemplateDialectsDifferOnlyInClock feeds the same template and data
+// sets — carrying both clocks, uptime-relative 21/22 and absolute
+// 152/153 — through the v9 and the IPFIX dialect of the one walker.
+// Each must read its own clock and ignore the other's, and the records
+// must agree on everything else.
+func TestTemplateDialectsDifferOnlyInClock(t *testing.T) {
+	const unixSecs = 1194253200 // 2007-11-05 09:00:00 UTC
+	exported := time.Unix(unixSecs, 0).UTC()
+	boot := exported.Add(-60 * time.Second)
+	absStart := exported.Add(-5 * time.Hour)
+	tmpl := templateBody(300,
+		[2]uint16{fieldSrcAddr, 4}, [2]uint16{fieldDstAddr, 4},
+		[2]uint16{fieldSrcPort, 2}, [2]uint16{fieldDstPort, 2},
+		[2]uint16{fieldProtocol, 1}, [2]uint16{fieldInPkts, 4}, [2]uint16{fieldInBytes, 4},
+		[2]uint16{fieldOutPkts, 4}, [2]uint16{fieldOutBytes, 4},
+		[2]uint16{fieldFirstMS, 4}, [2]uint16{fieldLastMS, 4},
+		[2]uint16{fieldStartMilli, 8}, [2]uint16{fieldEndMilli, 8},
+	)
+	be := binary.BigEndian
+	var data []byte
+	for i, outPkts := range []uint32{3, 0} {
+		data = be.AppendUint32(data, uint32(flow.MakeIP(128, 2, 0, byte(i+1))))
+		data = be.AppendUint32(data, uint32(flow.MakeIP(66, 35, 250, 150)))
+		data = be.AppendUint16(data, uint16(40000+i))
+		data = be.AppendUint16(data, 80)
+		data = append(data, byte(flow.TCP))
+		data = be.AppendUint32(data, 5)
+		data = be.AppendUint32(data, 840)
+		data = be.AppendUint32(data, outPkts)
+		data = be.AppendUint32(data, outPkts*500)
+		data = be.AppendUint32(data, uint32(1000+i)) // 21/22: ms since boot
+		data = be.AppendUint32(data, uint32(3500+i))
+		data = be.AppendUint64(data, uint64(absStart.UnixMilli()+int64(i)))
+		data = be.AppendUint64(data, uint64(absStart.UnixMilli()+int64(i)+250))
+	}
+
+	v9 := v9Packet(60_000, unixSecs, 1, 42, flowSet(0, tmpl), flowSet(300, data))
+	ipfix := make([]byte, ipfixHeaderSize)
+	be.PutUint16(ipfix[0:], 10)
+	be.PutUint32(ipfix[4:], unixSecs)
+	be.PutUint32(ipfix[12:], 42)
+	ipfix = append(append(ipfix, flowSet(2, tmpl)...), flowSet(300, data)...)
+	be.PutUint16(ipfix[2:], uint16(len(ipfix)))
+
+	_, fromV9, v9Stats, err := NewTemplateCache().DecodeV9("exp", v9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fromIPFIX, ipfixStats, err := NewTemplateCache().DecodeIPFIX("exp", ipfix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v9Stats != ipfixStats || len(fromV9) != 2 || len(fromIPFIX) != 2 {
+		t.Fatalf("stats differ or short: v9 %+v (%d records), IPFIX %+v (%d records)", v9Stats, len(fromV9), ipfixStats, len(fromIPFIX))
+	}
+	for i := range fromV9 {
+		a, b := fromV9[i], fromIPFIX[i]
+		ms := time.Duration(i) * time.Millisecond
+		if want := boot.Add(time.Second + ms); !a.Start.Equal(want) || !a.End.Equal(want.Add(2500*time.Millisecond)) {
+			t.Errorf("v9 record %d spans %v–%v, want boot-relative %v +2.5s", i, a.Start, a.End, want)
+		}
+		if want := absStart.Add(ms); !b.Start.Equal(want) || !b.End.Equal(want.Add(250*time.Millisecond)) {
+			t.Errorf("IPFIX record %d spans %v–%v, want absolute %v +250ms", i, b.Start, b.End, want)
+		}
+		a.Start, a.End, b.Start, b.End = time.Time{}, time.Time{}, time.Time{}, time.Time{}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("record %d differs beyond its clock:\n v9    %+v\n IPFIX %+v", i, a, b)
+		}
+	}
+	if fromV9[0].State != flow.StateEstablished || fromV9[1].State != flow.StateFailed {
+		t.Errorf("states %v/%v, want established/failed from OUT_PKTS", fromV9[0].State, fromV9[1].State)
+	}
+
+	// The set id that announces templates in one dialect is a skipped
+	// reserved id in the other: nothing is learned, the data set misses.
+	_, recs, stats, err := NewTemplateCache().DecodeV9("exp", v9Packet(60_000, unixSecs, 1, 42, flowSet(2, tmpl), flowSet(300, data)), nil)
+	if err != nil || len(recs) != 0 || stats.TemplatesLearned != 0 || stats.SkippedSets != 1 || stats.MissingTemplate != 1 {
+		t.Errorf("v9 with an IPFIX template set id: %d records, stats %+v, err %v", len(recs), stats, err)
+	}
+}

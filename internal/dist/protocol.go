@@ -71,13 +71,9 @@ const minHostSummary = 4 + 3*8 + 8 + 2*8 + 2*9 + 8 + 4 + 4
 // first mismatch. Knobs that provably cannot change the output
 // (Parallelism, DropLate, metrics) are deliberately excluded.
 type Fingerprint struct {
-	Window         time.Duration
-	Slide          time.Duration
-	Origin         time.Time
-	MaxSkew        time.Duration
-	Grace          time.Duration
-	CarryFirstSeen bool
-	Shards         int
+	// Geometry.Shards is the deployment's worker-process count.
+	engine.Geometry
+	Origin time.Time
 
 	VolPercentile          float64
 	ChurnPercentile        float64
@@ -92,18 +88,9 @@ type Fingerprint struct {
 // FingerprintOf derives the fingerprint of one shard engine
 // configuration in an N-shard deployment.
 func FingerprintOf(cfg engine.Config, shards int) Fingerprint {
-	grace := cfg.Core.NewPeerGrace
-	if grace <= 0 {
-		grace = flow.DefaultNewPeerGrace
-	}
 	return Fingerprint{
-		Window:                 cfg.Window,
-		Slide:                  cfg.Slide,
+		Geometry:               cfg.Geometry(shards),
 		Origin:                 cfg.Origin,
-		MaxSkew:                cfg.MaxSkew,
-		Grace:                  grace,
-		CarryFirstSeen:         cfg.CarryFirstSeen,
-		Shards:                 shards,
 		VolPercentile:          cfg.Core.VolPercentile,
 		ChurnPercentile:        cfg.Core.ChurnPercentile,
 		HMPercentile:           cfg.Core.HMPercentile,
@@ -116,19 +103,15 @@ func FingerprintOf(cfg engine.Config, shards int) Fingerprint {
 }
 
 // Check compares a worker's fingerprint against the coordinator's,
-// naming the first mismatched knob.
+// naming the first mismatched knob: the shared geometry first, then the
+// origin and the detection operating point.
 func (f Fingerprint) Check(cur Fingerprint) error {
-	mismatches := []struct {
-		name       string
-		peer, mine any
+	knob, peer, mine := f.Geometry.Mismatch(cur.Geometry)
+	for _, m := range []struct {
+		name string
+		a, b any
 	}{
-		{"window", f.Window, cur.Window},
-		{"slide", f.Slide, cur.Slide},
 		{"origin", f.Origin.UnixNano(), cur.Origin.UnixNano()},
-		{"max-skew", f.MaxSkew, cur.MaxSkew},
-		{"new-peer grace", f.Grace, cur.Grace},
-		{"carry-first-seen", f.CarryFirstSeen, cur.CarryFirstSeen},
-		{"shard count", f.Shards, cur.Shards},
 		{"vol percentile", f.VolPercentile, cur.VolPercentile},
 		{"churn percentile", f.ChurnPercentile, cur.ChurnPercentile},
 		{"hm percentile", f.HMPercentile, cur.HMPercentile},
@@ -137,12 +120,17 @@ func (f Fingerprint) Check(cur Fingerprint) error {
 		{"max histogram bins", f.MaxHistogramBins, cur.MaxHistogramBins},
 		{"max-diameter", f.MaxDiameter, cur.MaxDiameter},
 		{"raw-time-scale", f.RawTimeScale, cur.RawTimeScale},
-	}
-	for _, m := range mismatches {
-		if m.peer != m.mine {
-			return fmt.Errorf("dist: configuration fingerprint mismatch: peer runs with %s %v but this end is configured with %v — distributed detection requires identical configuration on every node",
-				m.name, m.peer, m.mine)
+	} {
+		if knob != "" {
+			break
 		}
+		if m.a != m.b {
+			knob, peer, mine = m.name, m.a, m.b
+		}
+	}
+	if knob != "" {
+		return fmt.Errorf("dist: configuration fingerprint mismatch: peer runs with %s %v but this end is configured with %v — distributed detection requires identical configuration on every node",
+			knob, peer, mine)
 	}
 	return nil
 }
@@ -166,23 +154,23 @@ func (f Fingerprint) encode(e *wire.Encoder) {
 }
 
 func decodeFingerprint(d *wire.Decoder) Fingerprint {
-	return Fingerprint{
-		Window:                 d.Dur(),
-		Slide:                  d.Dur(),
-		Origin:                 d.Time(),
-		MaxSkew:                d.Dur(),
-		Grace:                  d.Dur(),
-		CarryFirstSeen:         d.Bool(),
-		Shards:                 int(d.U32()),
-		VolPercentile:          d.F64(),
-		ChurnPercentile:        d.F64(),
-		HMPercentile:           d.F64(),
-		CutFraction:            d.F64(),
-		MinInterstitialSamples: int(d.U32()),
-		MaxHistogramBins:       int(d.U32()),
-		MaxDiameter:            d.Bool(),
-		RawTimeScale:           d.Bool(),
-	}
+	var f Fingerprint
+	f.Window = d.Dur()
+	f.Slide = d.Dur()
+	f.Origin = d.Time()
+	f.MaxSkew = d.Dur()
+	f.Grace = d.Dur()
+	f.CarryFirstSeen = d.Bool()
+	f.Shards = int(d.U32())
+	f.VolPercentile = d.F64()
+	f.ChurnPercentile = d.F64()
+	f.HMPercentile = d.F64()
+	f.CutFraction = d.F64()
+	f.MinInterstitialSamples = int(d.U32())
+	f.MaxHistogramBins = int(d.U32())
+	f.MaxDiameter = d.Bool()
+	f.RawTimeScale = d.Bool()
+	return f
 }
 
 // hello is the first frame of every worker connection.

@@ -5,20 +5,16 @@
 // EMD is the minimum-cost solution of the classic transportation problem
 // (Dantzig, 1951): move the probability mass of one distribution onto the
 // other at per-unit cost equal to the ground distance between bin
-// positions. Two solvers are provided:
+// positions. Interstitial times are scalar, so the package ships the exact
+// O(m+n) closed form for one-dimensional signatures with |·| ground
+// distance — Distance1D, the integral of the absolute difference of the
+// two CDFs. The general transportation-simplex solver it is
+// cross-validated against lives in transport_test.go, as the tests'
+// oracle.
 //
-//   - Distance1D: an exact O(m+n) closed form for one-dimensional
-//     signatures with |·| ground distance, obtained by integrating the
-//     absolute difference of the two CDFs. This is what the detection
-//     pipeline uses (interstitial times are scalar).
-//   - Transport: a general transportation-simplex solver (northwest-corner
-//     start, MODI improvement with Bland's rule) for arbitrary cost
-//     matrices. It cross-validates the closed form in tests and supports
-//     non-scalar ground distances.
-//
-// Both operate on "signatures": parallel slices of positions and
-// non-negative weights. Distances are defined for equal total mass; the
-// package normalizes both signatures to unit mass, matching the paper's
+// A "signature" is a pair of parallel slices: positions and non-negative
+// weights. Distances are defined for equal total mass; the package
+// normalizes both signatures to unit mass, matching the paper's
 // normalized histograms.
 package emd
 
@@ -164,11 +160,4 @@ func distance1D(a, b signature) float64 {
 		started = true
 	}
 	return total
-}
-
-// DistanceHistograms returns the 1-D EMD between two histogram-shaped
-// inputs expressed as bin centers and masses. It is a convenience wrapper
-// over Distance1D.
-func DistanceHistograms(centers1, mass1, centers2, mass2 []float64) (float64, error) {
-	return Distance1D(centers1, mass1, centers2, mass2)
 }

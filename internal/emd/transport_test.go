@@ -1,5 +1,9 @@
 package emd
 
+// The general transportation-simplex solver and DistanceGeneral: the
+// oracle emd_test.go checks the 1-D closed form against. Nothing outside
+// this package's tests calls it, so it is not part of the build.
+
 import (
 	"errors"
 	"fmt"

@@ -31,11 +31,14 @@
 package plotters
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"strings"
 	"time"
 
-	"plotters/internal/argus"
 	"plotters/internal/baseline"
 	"plotters/internal/campaign"
 	"plotters/internal/checkpoint"
@@ -93,6 +96,35 @@ func ParseIP(s string) (IP, error) { return flow.ParseIP(s) }
 
 // ParseSubnet parses CIDR notation.
 func ParseSubnet(s string) (Subnet, error) { return flow.ParseSubnet(s) }
+
+// ParseSubnets parses a comma-separated CIDR list — the tools' -internal
+// flag — into the monitored-address predicate the pipeline takes. An
+// empty list is an error, not "every address".
+func ParseSubnets(csv string) (func(IP) bool, error) {
+	var subnets []Subnet
+	for _, s := range strings.Split(csv, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		sn, err := ParseSubnet(s)
+		if err != nil {
+			return nil, err
+		}
+		subnets = append(subnets, sn)
+	}
+	if len(subnets) == 0 {
+		return nil, fmt.Errorf("no internal subnets given")
+	}
+	return func(ip IP) bool {
+		for _, sn := range subnets {
+			if sn.Contains(ip) {
+				return true
+			}
+		}
+		return false
+	}, nil
+}
 
 // ExtractFeatures computes per-host behavioral features from records.
 func ExtractFeatures(records []Record, opts FeatureOptions) map[IP]*HostFeatures {
@@ -177,6 +209,47 @@ func DefaultCommunityConfig() CommunityConfig { return community.DefaultConfig()
 // NewCommunityDetector creates a mutual-contact community detector.
 func NewCommunityDetector(cfg CommunityConfig) (*CommunityDetector, error) {
 	return community.New(cfg)
+}
+
+// ParseDetectors parses a comma-separated detector list — the tools'
+// -detectors flag — into instances: the paper pipeline at cfg, the
+// community detector at community. The paper pipeline alone returns
+// nil, which every consumer (EngineConfig.Detectors, NewSuiteDetectors)
+// reads as its original single-detector path.
+func ParseDetectors(spec string, cfg Config, community CommunityConfig) ([]Detector, error) {
+	var out []Detector
+	seen := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("-detectors lists %q twice", name)
+		}
+		seen[name] = true
+		var det Detector
+		var err error
+		switch name {
+		case PaperDetectorName:
+			det, err = NewPaperDetector(cfg)
+		case CommunityDetectorName:
+			det, err = NewCommunityDetector(community)
+		default:
+			err = fmt.Errorf("unknown detector %q (have: %s, %s)", name, PaperDetectorName, CommunityDetectorName)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, det)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-detectors lists no detectors")
+	}
+	if len(out) == 1 && seen[PaperDetectorName] {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // UnionSuspects returns the hosts flagged by at least one detection.
@@ -429,26 +502,6 @@ func NewCampaignWorld(name string, scale CampaignScale) (CampaignWorld, error) {
 // report. The same configuration reproduces the same report bit for bit.
 func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) { return campaign.Run(cfg) }
 
-// Flow assembly from packet streams (the Argus substrate).
-type (
-	// Packet is one observed packet for flow assembly.
-	Packet = argus.Packet
-	// AssemblerConfig tunes packet-to-flow assembly.
-	AssemblerConfig = argus.Config
-	// Assembler groups a time-ordered packet stream into bi-directional
-	// flow records, Argus-style.
-	Assembler = argus.Assembler
-)
-
-// DefaultAssemblerConfig mirrors the paper's Argus deployment.
-func DefaultAssemblerConfig() AssemblerConfig { return argus.DefaultConfig() }
-
-// NewAssembler creates a packet-to-flow assembler; emit receives each
-// completed flow record.
-func NewAssembler(cfg AssemblerConfig, emit func(Record)) (*Assembler, error) {
-	return argus.New(cfg, emit)
-}
-
 // Baseline detectors (§II related work), for comparison with FindPlotters.
 type (
 	// TDGConfig tunes the traffic-dispersion-graph P2P identifier.
@@ -614,6 +667,45 @@ func NewTraceWriter(w io.Writer, format string) (TraceWriter, error) {
 		return nil, err
 	}
 	return f.NewWriter(w), nil
+}
+
+// ScanTraceFile streams the trace file at path, record by record — it
+// never sits in memory — through a reader metered by reg and the
+// content-hash sampler, calling fn for every kept record. It returns
+// how many records were kept and how many sampled out; an error from fn
+// stops the scan. fn's record is overwritten by the next one: copy it
+// to keep it.
+func ScanTraceFile(path, format string, reg *Metrics, sampler FlowSampler, fn func(*Record) error) (kept, sampledOut int, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	tr, err := NewTraceReader(f, format)
+	if err != nil {
+		return 0, 0, err
+	}
+	MeterTraceReader(tr, reg)
+	// One record for the whole scan: its address goes to fn, so declared
+	// inside the loop it would be a heap allocation per record.
+	var rec Record
+	for {
+		rec, err = tr.Next()
+		if errors.Is(err, io.EOF) {
+			return kept, sampledOut, nil
+		}
+		if err != nil {
+			return kept, sampledOut, err
+		}
+		if !sampler.Keep(&rec) {
+			sampledOut++
+			continue
+		}
+		kept++
+		if err := fn(&rec); err != nil {
+			return kept, sampledOut, err
+		}
+	}
 }
 
 // ReadAllTrace drains r into memory.

@@ -9,12 +9,15 @@
 package plotters_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"plotters"
 )
@@ -150,5 +153,35 @@ func TestCheckpointKillAndResumeGolden(t *testing.T) {
 			}
 		}
 		t.Logf("checkpoint artifacts copied to %s", out)
+	}
+}
+
+// TestRunLiveStopsOnCheckpointFailure: a periodic checkpoint that fails
+// must end the live run with that error, not leave the collector
+// ingesting without snapshots until the operator's Ctrl-C. The state
+// directory's snapshot temp path is pre-created as a directory, so
+// recovery cold-starts fine and the first checkpoint write fails.
+func TestRunLiveStopsOnCheckpointFailure(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "snapshot.pckp.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := plotters.LiveConfig{
+		Addr:            "127.0.0.1:0",
+		Engine:          plotters.EngineConfig{Window: time.Hour, Core: plotters.DefaultConfig(), StateDir: dir},
+		CheckpointEvery: 10 * time.Millisecond,
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := plotters.RunLive(context.Background(), cfg, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "snapshot.pckp.tmp") {
+			t.Fatalf("RunLive returned %v, want the checkpoint write error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunLive still collecting 10s after the first periodic checkpoint failed")
 	}
 }
