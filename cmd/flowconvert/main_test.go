@@ -23,7 +23,11 @@ func TestConvertRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plotters.WriteTrace(f, records); err != nil {
+	bw, err := plotters.NewTraceWriter(f, "binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plotters.WriteAllTrace(bw, records); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -58,7 +62,11 @@ func TestConvertRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	got, err := plotters.ReadTraceJSONL(back)
+	jr, err := plotters.NewTraceReader(back, "jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plotters.ReadAllTrace(jr)
 	if err != nil || len(got) != 1 || got[0].Src != 1 {
 		t.Errorf("round trip: %v, %v", got, err)
 	}

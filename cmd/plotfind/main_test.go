@@ -40,34 +40,20 @@ func TestReadTraceFormats(t *testing.T) {
 		State: plotters.StateEstablished,
 	}}
 	dir := t.TempDir()
-	for _, tc := range []struct {
-		format string
-		write  func(f *os.File) error
-	}{
-		{"binary", func(f *os.File) error { return plotters.WriteTrace(f, records) }},
-		{"csv", func(f *os.File) error { return plotters.WriteTraceCSV(f, records) }},
-		{"jsonl", func(f *os.File) error { return plotters.WriteTraceJSONL(f, records) }},
-	} {
-		path := filepath.Join(dir, "trace."+tc.format)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.write(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	for _, format := range []string{"binary", "csv", "jsonl"} {
+		path := filepath.Join(dir, "trace."+format)
+		writeTraceAs(t, path, format, records)
 		reg := plotters.NewMetrics()
 		var got batch
-		if _, err := feed(path, tc.format, reg, plotters.FlowSampler{}, &got); err != nil {
-			t.Fatalf("%s: %v", tc.format, err)
+		if _, err := feed(path, format, reg, plotters.FlowSampler{}, &got); err != nil {
+			t.Fatalf("%s: %v", format, err)
 		}
 		if len(got.records) != 1 || got.records[0].Src != 1 {
-			t.Errorf("%s: round trip failed", tc.format)
+			t.Errorf("%s: round trip failed", format)
 		}
 		snap := reg.TakeSnapshot()
-		if n := snap.Counters["flowio/"+tc.format+"/records"]; n != 1 {
-			t.Errorf("%s: records counter = %d, want 1", tc.format, n)
+		if n := snap.Counters["flowio/"+format+"/records"]; n != 1 {
+			t.Errorf("%s: records counter = %d, want 1", format, n)
 		}
 	}
 	if _, err := feed(filepath.Join(dir, "trace.binary"), "bogus", nil, plotters.FlowSampler{}, &batch{}); err == nil {
@@ -100,14 +86,7 @@ func TestRunReport(t *testing.T) {
 	}
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.bin")
-	f, err := os.Create(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plotters.WriteTrace(f, records); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	writeTraceAs(t, trace, "binary", records)
 
 	// The ensemble row runs the community detector over the feature
 	// source the paper run extracted: one extraction either way.

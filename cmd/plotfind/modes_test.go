@@ -69,17 +69,27 @@ func dayRecords(t *testing.T) []plotters.Record {
 func writeTrace(t *testing.T, records []plotters.Record) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "day.flows")
+	writeTraceAs(t, path, "binary", records)
+	return path
+}
+
+// writeTraceAs writes records to path in the named trace format.
+func writeTraceAs(t *testing.T, path, format string, records []plotters.Record) {
+	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plotters.WriteTrace(f, records); err != nil {
+	w, err := plotters.NewTraceWriter(f, format)
+	if err == nil {
+		err = plotters.WriteAllTrace(w, records)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path
 }
 
 // output is a run's stdout or stderr: written by whichever goroutine

@@ -19,7 +19,10 @@ import (
 	"sort"
 	"strings"
 
-	"plotters"
+	"plotters/internal/flow"
+	"plotters/internal/flowio"
+	"plotters/internal/synth/plotter"
+	"plotters/internal/synth/scenario"
 )
 
 func main() {
@@ -35,7 +38,7 @@ func run() error {
 		days    = flag.Int("days", 8, "number of campus days to synthesize")
 		seed    = flag.Int64("seed", 42, "master random seed")
 		campus  = flag.Int("campus", 360, "background campus hosts per day")
-		format  = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
+		format  = flag.String("format", "binary", "trace format: "+flowio.Names())
 		gnut    = flag.Int("gnutella", 10, "Gnutella Traders per day")
 		emule   = flag.Int("emule", 12, "eMule Traders per day")
 		torrent = flag.Int("bittorrent", 20, "BitTorrent Traders per day")
@@ -45,7 +48,7 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("-out is required")
 	}
-	tf, err := plotters.LookupTraceFormat(*format)
+	tf, err := flowio.Lookup(*format)
 	if err != nil {
 		return err
 	}
@@ -53,7 +56,7 @@ func run() error {
 		return fmt.Errorf("creating output dir: %w", err)
 	}
 
-	cfg := plotters.DefaultDatasetConfig(*seed)
+	cfg := scenario.DefaultDatasetConfig(*seed)
 	cfg.Days = *days
 	cfg.DayTemplate.CampusHosts = *campus
 	cfg.DayTemplate.Gnutella = *gnut
@@ -62,7 +65,7 @@ func run() error {
 
 	fmt.Fprintf(os.Stderr, "synthesizing %d days (%d campus hosts, %d traders/day) + honeynet traces...\n",
 		cfg.Days, *campus, *gnut+*emule+*torrent)
-	ds, err := plotters.GenerateDataset(cfg)
+	ds, err := scenario.GenerateDataset(cfg)
 	if err != nil {
 		return err
 	}
@@ -86,7 +89,7 @@ func run() error {
 	}
 	for _, tr := range []struct {
 		name  string
-		trace *plotters.BotTrace
+		trace *plotter.Trace
 	}{
 		{"storm", ds.Storm},
 		{"nugache", ds.Nugache},
@@ -111,12 +114,12 @@ func run() error {
 	return nil
 }
 
-func writeTrace(path string, records []plotters.Record, tf *plotters.TraceFormat) error {
+func writeTrace(path string, records []flow.Record, tf *flowio.Format) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("creating %s: %w", path, err)
 	}
-	if err := plotters.WriteAllTrace(tf.NewWriter(f), records); err != nil {
+	if err := flowio.WriteAll(tf.NewWriter(f), records); err != nil {
 		f.Close()
 		return fmt.Errorf("writing %s: %w", path, err)
 	}

@@ -7,20 +7,21 @@ import (
 	"testing"
 	"time"
 
-	"plotters"
+	"plotters/internal/flow"
+	"plotters/internal/flowio"
 )
 
 func TestWriteTrace(t *testing.T) {
 	start := time.Date(2007, time.November, 5, 9, 0, 0, 0, time.UTC)
-	records := []plotters.Record{{
-		Src: 1, Dst: 2, Proto: plotters.TCP,
+	records := []flow.Record{{
+		Src: 1, Dst: 2, Proto: flow.TCP,
 		Start: start, End: start.Add(time.Second),
 		SrcPkts: 1, DstPkts: 1, SrcBytes: 10, DstBytes: 10,
-		State: plotters.StateEstablished,
+		State: flow.StateEstablished,
 	}}
 	// Every row of the trace-format table, under the row's extension.
-	for _, name := range strings.Split(plotters.TraceFormatNames(), ", ") {
-		tf, err := plotters.LookupTraceFormat(name)
+	for _, name := range strings.Split(flowio.Names(), ", ") {
+		tf, err := flowio.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +33,7 @@ func TestWriteTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := plotters.ReadAllTrace(tf.NewReader(f))
+		got, err := flowio.ReadAll(tf.NewReader(f))
 		f.Close()
 		if err != nil || len(got) != 1 || got[0].Src != 1 {
 			t.Errorf("%s round trip: %v, %v", name, got, err)
@@ -42,7 +43,7 @@ func TestWriteTrace(t *testing.T) {
 			t.Errorf("%s: bad path accepted", name)
 		}
 	}
-	if _, err := plotters.LookupTraceFormat("bogus"); err == nil {
+	if _, err := flowio.Lookup("bogus"); err == nil {
 		t.Error("unknown format accepted")
 	}
 }

@@ -167,7 +167,11 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	detectors, err := buildDetectors(cfg.Pipeline)
+	// The campaign ensemble: the paper pipeline plus the community
+	// detector.
+	ccfg := community.DefaultConfig()
+	ccfg.Metrics = cfg.Pipeline.Metrics
+	detectors, err := eval.ParseDetectors(core.PaperName+","+community.Name, cfg.Pipeline, ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -193,22 +197,6 @@ func Run(cfg Config) (*Report, error) {
 		rep.Worlds = append(rep.Worlds, *wr)
 	}
 	return rep, nil
-}
-
-// buildDetectors constructs the campaign ensemble: the paper pipeline
-// plus the community detector.
-func buildDetectors(pipeline core.Config) ([]core.Detector, error) {
-	paper, err := core.NewPaperDetector(pipeline)
-	if err != nil {
-		return nil, err
-	}
-	ccfg := community.DefaultConfig()
-	ccfg.Metrics = pipeline.Metrics
-	comm, err := community.New(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	return []core.Detector{paper, comm}, nil
 }
 
 // runWorld sweeps one world.

@@ -308,17 +308,6 @@ func (m *Manager) checkpointLocked() error {
 	return nil
 }
 
-// StateAge returns how long ago the newest snapshot was taken (0 when
-// none has been).
-func (m *Manager) StateAge() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lastSnapAt.IsZero() {
-		return 0
-	}
-	return m.now().Sub(m.lastSnapAt)
-}
-
 func (m *Manager) observeAgeLocked() {
 	if m.lastSnapAt.IsZero() {
 		m.stateAge.Set(0)

@@ -15,14 +15,15 @@ import (
 	"plotters/internal/metrics"
 )
 
-// Defaults for Config's zero values.
+// Defaults for Config's zero values, and the fixed datagram buffer size.
 const (
 	// DefaultQueueSize bounds the packet queue between the socket
 	// reader and the decode workers.
 	DefaultQueueSize = 4096
-	// DefaultMaxPacketSize is the largest datagram accepted. NetFlow
-	// v5 packets are ≤1464 bytes; 9216 leaves headroom for
-	// jumbo-framed v9 exports.
+	// DefaultMaxPacketSize is the receive buffer per datagram — the
+	// largest datagram accepted; longer ones are truncated by the kernel
+	// and count as malformed. NetFlow v5 packets are ≤1464 bytes; 9216
+	// leaves headroom for jumbo-framed v9 exports.
 	DefaultMaxPacketSize = 9216
 	// DefaultBatch is the receive batch: how many datagrams one
 	// recvmmsg(2) call may drain on Linux. 1 falls back to single
@@ -46,19 +47,11 @@ type Config struct {
 	// the socket reader never blocks, so kernel-side loss stays
 	// visible in the exporter sequence numbers instead of compounding.
 	QueueSize int
-	// MaxPacketSize is the receive buffer per datagram (≤0: default).
-	// Longer datagrams are truncated by the kernel and will count as
-	// malformed.
-	MaxPacketSize int
 	// Batch is how many datagrams the socket reader may drain per
 	// receive call (≤0: DefaultBatch). On Linux, batches arrive via one
 	// recvmmsg(2) system call each; elsewhere the value only sizes the
 	// buffer ring and reads stay one datagram per call.
 	Batch int
-	// ReadBuffer, when positive, requests this socket receive buffer
-	// size (SO_RCVBUF) — the slack that absorbs packet bursts during a
-	// window-boundary detection. Best effort; the kernel may clamp it.
-	ReadBuffer int
 	// SampleN, when > 1, enables the deterministic flow-sampling stage:
 	// 1 in SampleN decoded records is kept (content-hash selection, see
 	// ingest.Sampler) and the rest are counted and discarded before the
@@ -158,9 +151,6 @@ func Listen(cfg Config) (*Collector, error) {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = DefaultQueueSize
 	}
-	if cfg.MaxPacketSize <= 0 {
-		cfg.MaxPacketSize = DefaultMaxPacketSize
-	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
 	}
@@ -172,11 +162,6 @@ func Listen(cfg Config) (*Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collector: %w", err)
 	}
-	if cfg.ReadBuffer > 0 {
-		// Best effort: a clamped buffer still works, just drops
-		// earlier under burst.
-		_ = conn.SetReadBuffer(cfg.ReadBuffer)
-	}
 	reg := cfg.Metrics
 	c := &Collector{
 		cfg:    cfg,
@@ -186,7 +171,7 @@ func Listen(cfg Config) (*Collector, error) {
 		// full queue + one receive batch + one per worker — so the
 		// reader always finds a free buffer and backpressure resolves
 		// as counted queue drops, never as a blocked socket.
-		ring:      ingest.NewRing(cfg.QueueSize+cfg.Batch+cfg.Workers, cfg.MaxPacketSize),
+		ring:      ingest.NewRing(cfg.QueueSize+cfg.Batch+cfg.Workers, DefaultMaxPacketSize),
 		queue:     make(chan *ingest.Buf, cfg.QueueSize),
 		sampler:   ingest.Sampler{N: cfg.SampleN, Seed: cfg.SampleSeed},
 		templates: NewTemplateCache(),

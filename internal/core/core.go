@@ -222,10 +222,6 @@ func (a *Analysis) Source() flow.FeatureSource { return a.src }
 // Features exposes the extracted per-host features.
 func (a *Analysis) Features() map[flow.IP]*flow.HostFeatures { return a.feats }
 
-// Window returns the observation bounds the features cover (zero if
-// the source did not declare them).
-func (a *Analysis) Window() flow.Window { return a.src.Window() }
-
 // Hosts returns every analyzed host.
 func (a *Analysis) Hosts() HostSet {
 	s := make(HostSet, len(a.feats))

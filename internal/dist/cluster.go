@@ -1,11 +1,9 @@
-package simnet
+package dist
 
 import (
-	"fmt"
 	"net"
 	"time"
 
-	"plotters/internal/dist"
 	"plotters/internal/engine"
 	"plotters/internal/flow"
 )
@@ -19,23 +17,22 @@ import (
 // reconnect) and doubles as executable documentation of how the pieces
 // wire together.
 type DistCluster struct {
-	Coordinator *dist.Coordinator
-	Workers     []*dist.ShardWorker
-	shards      int
+	Coordinator *Coordinator
+	Workers     []*ShardWorker
 }
 
 // NewDistCluster builds a coordinator plus cfg.Shards workers, each
 // dialing the coordinator through a fresh pipe per connection (so a
 // dropped connection reconnects exactly as TCP would). emit receives
 // every completed window's global result in ascending window order.
-func NewDistCluster(cfg dist.CoordinatorConfig, emit func(*engine.Result) error) (*DistCluster, error) {
-	coord, err := dist.NewCoordinator(cfg, emit)
+func NewDistCluster(cfg CoordinatorConfig, emit func(*engine.Result) error) (*DistCluster, error) {
+	coord, err := NewCoordinator(cfg, emit)
 	if err != nil {
 		return nil, err
 	}
-	c := &DistCluster{Coordinator: coord, shards: cfg.Shards}
+	c := &DistCluster{Coordinator: coord}
 	for i := 0; i < cfg.Shards; i++ {
-		w, err := dist.NewShardWorker(dist.WorkerConfig{
+		w, err := NewShardWorker(WorkerConfig{
 			Shard:  i,
 			Shards: cfg.Shards,
 			Engine: cfg.Engine,
@@ -58,7 +55,7 @@ func NewDistCluster(cfg dist.CoordinatorConfig, emit func(*engine.Result) error)
 // the record distribution a fronting load balancer (or per-shard
 // exporter assignment) performs in a real deployment.
 func (c *DistCluster) Add(r *flow.Record) error {
-	return c.Workers[flow.ShardOf(r.Src, c.shards)].Add(r)
+	return c.Workers[flow.ShardOf(r.Src, len(c.Workers))].Add(r)
 }
 
 // AdvanceTo punctuates every worker's stream: no record before t will
@@ -66,16 +63,6 @@ func (c *DistCluster) Add(r *flow.Record) error {
 func (c *DistCluster) AdvanceTo(t time.Time) error {
 	for _, w := range c.Workers {
 		if err := w.AdvanceTo(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush seals every worker's open partial window (end of feed).
-func (c *DistCluster) Flush() error {
-	for _, w := range c.Workers {
-		if err := w.Flush(); err != nil {
 			return err
 		}
 	}
@@ -95,8 +82,8 @@ func (c *DistCluster) Drain(timeout time.Duration) error {
 }
 
 // Close tears the cluster down: workers first, then the coordinator.
-// Pending windows are dropped; Flush + Drain + Coordinator.Flush first
-// for a clean end-of-feed shutdown.
+// Pending windows are dropped; AdvanceTo + Drain + Coordinator.Flush
+// first for a clean end-of-feed shutdown.
 func (c *DistCluster) Close() error {
 	var firstErr error
 	for _, w := range c.Workers {
@@ -108,9 +95,4 @@ func (c *DistCluster) Close() error {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// String summarizes the cluster shape.
-func (c *DistCluster) String() string {
-	return fmt.Sprintf("simnet cluster: %d shards + coordinator (pipe transport)", c.shards)
 }

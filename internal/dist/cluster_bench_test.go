@@ -1,11 +1,10 @@
-package simnet
+package dist
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"plotters/internal/dist"
 	"plotters/internal/engine"
 )
 
@@ -19,7 +18,7 @@ func BenchmarkDistClusterShards(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				windows := 0
-				cl, err := NewDistCluster(dist.CoordinatorConfig{Shards: shards, Engine: clusterEngineConfig()},
+				cl, err := NewDistCluster(CoordinatorConfig{Shards: shards, Engine: clusterEngineConfig()},
 					func(r *engine.Result) error { windows++; return nil })
 				if err != nil {
 					b.Fatal(err)

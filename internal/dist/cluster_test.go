@@ -1,4 +1,4 @@
-package simnet
+package dist
 
 import (
 	"math/rand"
@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"plotters/internal/core"
-	"plotters/internal/dist"
 	"plotters/internal/engine"
 	"plotters/internal/flow"
 )
@@ -145,7 +144,7 @@ func TestDistClusterMatchesSingleProcess(t *testing.T) {
 	}
 
 	var got []*engine.Result
-	cl, err := NewDistCluster(dist.CoordinatorConfig{Shards: 4, Engine: clusterEngineConfig()},
+	cl, err := NewDistCluster(CoordinatorConfig{Shards: 4, Engine: clusterEngineConfig()},
 		func(r *engine.Result) error { got = append(got, r); return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +184,7 @@ func TestDistClusterKillAndReconnect(t *testing.T) {
 	want := singleProcessRun(t, records)
 
 	var got []*engine.Result
-	cl, err := NewDistCluster(dist.CoordinatorConfig{Shards: 4, Engine: clusterEngineConfig()},
+	cl, err := NewDistCluster(CoordinatorConfig{Shards: 4, Engine: clusterEngineConfig()},
 		func(r *engine.Result) error { got = append(got, r); return nil })
 	if err != nil {
 		t.Fatal(err)

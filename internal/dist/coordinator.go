@@ -161,7 +161,7 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 
 // ServeConn speaks the shard protocol on one established connection
 // until it closes, exported so tests and alternative transports
-// (net.Pipe, the in-process simnet) can drive the coordinator without a
+// (net.Pipe, as DistCluster does) can drive the coordinator without a
 // TCP listener. A clean peer close returns nil; protocol violations —
 // wrong version, mismatched fingerprint, malformed frames — return the
 // descriptive error after closing the connection.

@@ -30,14 +30,16 @@ type WorkerConfig struct {
 	// Dial establishes a connection to the coordinator. Required; the
 	// TCP deployment uses net.Dial, tests use net.Pipe.
 	Dial func() (net.Conn, error)
-	// RedialWait paces reconnection attempts after a broken connection
-	// (default 50ms).
-	RedialWait time.Duration
-	// MaxDials bounds consecutive failed connection attempts before the
-	// worker gives up with the last dial error (default 20; the simnet
-	// kill tests rely on retrying through a coordinator restart).
-	MaxDials int
 }
+
+const (
+	// redialWait paces reconnection attempts after a broken connection.
+	redialWait = 50 * time.Millisecond
+	// maxDials bounds consecutive failed connection attempts before the
+	// worker gives up with the last dial error (the pipe-cluster kill
+	// tests rely on retrying through a coordinator restart).
+	maxDials = 20
+)
 
 // ShardWorker runs the shard-local phase continuously and streams the
 // results to the coordinator with at-least-once delivery: every frame
@@ -91,12 +93,6 @@ func NewShardWorker(cfg WorkerConfig) (*ShardWorker, error) {
 	}
 	if cfg.Engine.Origin.IsZero() {
 		return nil, fmt.Errorf("dist: worker needs an explicit Engine.Origin — shard and coordinator window indices align only against a shared origin")
-	}
-	if cfg.RedialWait <= 0 {
-		cfg.RedialWait = 50 * time.Millisecond
-	}
-	if cfg.MaxDials <= 0 {
-		cfg.MaxDials = 20
 	}
 
 	w := &ShardWorker{cfg: cfg, reg: cfg.Engine.Core.Metrics}
@@ -287,14 +283,14 @@ func (w *ShardWorker) flushOutbox() error {
 }
 
 // connectLocked dials the coordinator, sends the hello, and starts the
-// ack reader. Called with mu held; retries up to MaxDials times.
+// ack reader. Called with mu held; retries up to maxDials times.
 func (w *ShardWorker) connectLocked() error {
 	var lastErr error
-	for attempt := 0; attempt < w.cfg.MaxDials; attempt++ {
+	for attempt := 0; attempt < maxDials; attempt++ {
 		if attempt > 0 {
 			// Sleep without blocking Close/DropConnection callers.
 			w.mu.Unlock()
-			time.Sleep(w.cfg.RedialWait)
+			time.Sleep(redialWait)
 			w.mu.Lock()
 			if w.closed {
 				return fmt.Errorf("dist: worker shard %d is closed", w.cfg.Shard)
@@ -326,7 +322,7 @@ func (w *ShardWorker) connectLocked() error {
 		go w.readAcks(conn)
 		return nil
 	}
-	return fmt.Errorf("dist: worker shard %d: coordinator unreachable after %d attempts: %w", w.cfg.Shard, w.cfg.MaxDials, lastErr)
+	return fmt.Errorf("dist: worker shard %d: coordinator unreachable after %d attempts: %w", w.cfg.Shard, maxDials, lastErr)
 }
 
 // readAcks consumes coordinator acks on one connection, trimming the

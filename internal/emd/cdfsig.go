@@ -3,7 +3,7 @@ package emd
 // Coarsened-CDF signatures: a cheap, admissible lower bound on the 1-D
 // EMD used to prune the θ_hm pairwise matrix.
 //
-// Distance1D integrates |F_a − F_b| over the merged support. Partition
+// The exact distance integrates |F_a − F_b| over the merged support. Partition
 // [lo, hi] into G equal cells; for any cell C,
 //
 //	∫_C |F_a − F_b| dt  ≥  |∫_C F_a dt − ∫_C F_b dt|
@@ -68,7 +68,7 @@ func MeanSlack(bins int, maxAbs float64) float64 {
 
 // CDFSignature builds the coarsened-CDF signature of s over the grid of
 // `cells` equal cells spanning [lo, hi]. For the resulting pairwise
-// LowerBound to be admissible, [lo, hi] must cover the support of every
+// bound to be admissible, [lo, hi] must cover the support of every
 // signature that will be compared (use the global min/max over all
 // hosts' Support). A degenerate grid (hi <= lo or cells <= 0) yields a
 // zero-cell signature whose bound is 0 — always admissible, never
@@ -112,33 +112,15 @@ func (s *Signature) CDFSignature(lo, hi float64, cells int) *CDFSignature {
 	return &CDFSignature{vals: vals}
 }
 
-// LowerBound returns Σ_t |a_t − b_t|, an admissible lower bound on the
-// exact 1-D EMD between the two underlying signatures, provided both
-// coarse signatures were built over the same grid and that grid spans
-// both supports. Mismatched cell counts compare only the shared prefix,
-// which keeps the bound admissible (each dropped term is non-negative).
-func LowerBound(a, b *CDFSignature) float64 {
-	av, bv := a.vals, b.vals
-	if len(bv) < len(av) {
-		av, bv = bv, av
-	}
-	bv = bv[:len(av)]
-	var sum float64
-	for i, x := range av {
-		d := x - bv[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum
-}
-
-// LowerBoundAtLeast is LowerBound with an early exit for pruning: it
-// stops accumulating as soon as the partial sum exceeds stop. Every
-// prefix of the full sum is itself an admissible lower bound (each
-// dropped term is non-negative), so the returned value is always a true
-// lower bound on the exact EMD — just no tighter than stop requires.
+// LowerBoundAtLeast accumulates Σ_t |a_t − b_t| — an admissible lower
+// bound on the exact 1-D EMD between the two underlying signatures,
+// provided both coarse signatures were built over the same grid and that
+// grid spans both supports — and stops as soon as the partial sum
+// exceeds stop. Every prefix of the full sum is itself an admissible
+// lower bound (each dropped term is non-negative; mismatched cell counts
+// compare only the shared prefix for the same reason), so the returned
+// value is always a true lower bound on the exact EMD — just no tighter
+// than stop requires.
 // With a stop just above the pruning cut, far pairs exit after the few
 // cells where their CDFs first diverge, which matters when the exact
 // evaluation being avoided is only a small multiple of a full bound

@@ -7,6 +7,21 @@ import (
 	"testing/quick"
 )
 
+// LowerBound is the full scan Σ_t |a_t − b_t| the early-exit
+// LowerBoundAtLeast is checked against.
+func LowerBound(a, b *CDFSignature) float64 {
+	av, bv := a.vals, b.vals
+	if len(bv) < len(av) {
+		av, bv = bv, av
+	}
+	bv = bv[:len(av)]
+	var sum float64
+	for i, x := range av {
+		sum += math.Abs(x - bv[i])
+	}
+	return sum
+}
+
 // randSignature draws a small random signature from the quick generator's
 // source: positions in [0, 20), weights in (0, 1].
 func randSignature(t *testing.T, rng *rand.Rand) *Signature {

@@ -7,8 +7,8 @@
 // other at per-unit cost equal to the ground distance between bin
 // positions. Interstitial times are scalar, so the package ships the exact
 // O(m+n) closed form for one-dimensional signatures with |·| ground
-// distance — Distance1D, the integral of the absolute difference of the
-// two CDFs. The general transportation-simplex solver it is
+// distance — Signature.Distance, the integral of the absolute difference
+// of the two CDFs. The general transportation-simplex solver it is
 // cross-validated against lives in transport_test.go, as the tests'
 // oracle.
 //
@@ -28,31 +28,10 @@ import (
 // ErrEmptySignature is returned when a signature has no mass.
 var ErrEmptySignature = errors.New("emd: empty signature")
 
-// weightEps is the tolerance below which residual mass is considered zero.
-const weightEps = 1e-12
-
-// Distance1D returns the Earth Mover's Distance between two
-// one-dimensional signatures under the |a-b| ground distance. Weights are
-// normalized to unit total mass; they must be non-negative and sum to a
-// positive value. Positions need not be sorted.
-func Distance1D(pos1, w1, pos2, w2 []float64) (float64, error) {
-	s1, err := newSignature(pos1, w1)
-	if err != nil {
-		return 0, fmt.Errorf("emd: signature 1: %w", err)
-	}
-	s2, err := newSignature(pos2, w2)
-	if err != nil {
-		return 0, fmt.Errorf("emd: signature 2: %w", err)
-	}
-	return distance1D(s1, s2), nil
-}
-
 // Signature is a validated, sorted, unit-mass 1-D signature prepared for
-// repeated distance queries. Distance1D re-validates, re-sorts, and
-// re-normalizes both inputs on every call; when one distribution is
-// compared against many others — the θ_hm pairwise matrix compares each
-// host against every other — preparing each side once with NewSignature
-// removes that per-pair overhead and makes the comparison allocation-free.
+// repeated distance queries: the θ_hm pairwise matrix compares each host
+// against every other, so each side is validated, sorted and normalized
+// once and the per-pair comparison is allocation-free.
 type Signature struct {
 	sig signature
 }

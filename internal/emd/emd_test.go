@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// Distance1D is the one-shot form of the closed-form distance the tests
+// drive: validate and prepare both signatures, then compare.
+func Distance1D(pos1, w1, pos2, w2 []float64) (float64, error) {
+	s1, err := NewSignature(pos1, w1)
+	if err != nil {
+		return 0, err
+	}
+	s2, err := NewSignature(pos2, w2)
+	if err != nil {
+		return 0, err
+	}
+	return s1.Distance(s2), nil
+}
+
 func TestDistance1DKnownValues(t *testing.T) {
 	tests := []struct {
 		name               string

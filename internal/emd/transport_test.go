@@ -14,6 +14,9 @@ import (
 // total demand in Transport.
 const balanceTol = 1e-9
 
+// weightEps is the tolerance below which residual mass is considered zero.
+const weightEps = 1e-12
+
 // reducedCostTol is the optimality tolerance: a cell enters the basis only
 // if its reduced cost is below -reducedCostTol.
 const reducedCostTol = 1e-12

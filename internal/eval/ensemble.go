@@ -2,10 +2,53 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 
+	"plotters/internal/community"
 	"plotters/internal/core"
 	"plotters/internal/flow"
 )
+
+// ParseDetectors parses a comma-separated detector list — the tools'
+// -detectors flag — into instances: the paper pipeline at cfg, the
+// community detector at ccfg. The paper pipeline alone returns nil,
+// which every consumer (engine.Config.Detectors, NewSuiteDetectors)
+// reads as its original single-detector path.
+func ParseDetectors(spec string, cfg core.Config, ccfg community.Config) ([]core.Detector, error) {
+	var out []core.Detector
+	seen := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("-detectors lists %q twice", name)
+		}
+		seen[name] = true
+		var det core.Detector
+		var err error
+		switch name {
+		case core.PaperName:
+			det, err = core.NewPaperDetector(cfg)
+		case community.Name:
+			det, err = community.New(ccfg)
+		default:
+			err = fmt.Errorf("unknown detector %q (have: %s, %s)", name, core.PaperName, community.Name)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, det)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-detectors lists no detectors")
+	}
+	if len(out) == 1 && seen[core.PaperName] {
+		return nil, nil
+	}
+	return out, nil
+}
 
 // Ensemble combiners: set algebra over per-detector verdicts. The
 // detectors see the same window through different lenses — the paper

@@ -41,22 +41,20 @@ type DayEval struct {
 	// BotFlows counts the in-window bot flows carried per bot host.
 	BotFlows map[flow.IP]int
 
-	// detection caches the default-configuration pipeline outcome; the
-	// suite's windowed engine pre-populates it at window seal.
+	// detection caches the default-configuration pipeline outcome.
 	detection *core.Result
 	// detections caches every configured detector's verdict (the
-	// multi-detector framework); the suite populates it from the
-	// engine's per-window detections or the batch fallback.
+	// multi-detector framework); a multi-detector suite populates it
+	// when it builds the day.
 	detections []*core.Detection
-	// source keeps the day's feature set (contact sets included) so
-	// detectors beyond the paper pipeline can run over the batch path.
+	// source is the day's feature set (contact sets included), the input
+	// of every detector.
 	source *flow.FeatureSet
 }
 
 // Detect returns the day's full pipeline outcome at the suite
-// configuration, computing and caching it on first use. Days built by
-// the windowed engine arrive with the result already attached, so the
-// figures that each used to re-run the pipeline now share one run.
+// configuration, computing and caching it on first use, so the figures
+// share one run.
 func (d *DayEval) Detect() (*core.Result, error) {
 	if d.detection != nil {
 		return d.detection, nil
@@ -90,12 +88,8 @@ func (d *DayEval) Plotters() core.HostSet { return d.Storm.Union(d.Nugache) }
 
 // DetectWith runs the given detectors over the day's feature source and
 // returns their verdicts in detector order, without touching the day's
-// cached default-configuration results. Days built by Overlay always
-// carry a source; engine-built days that arrived without one refuse.
+// cached default-configuration results.
 func (d *DayEval) DetectWith(detectors []core.Detector) ([]*core.Detection, error) {
-	if d.source == nil {
-		return nil, fmt.Errorf("eval: day has no feature source attached")
-	}
 	out := make([]*core.Detection, 0, len(detectors))
 	for _, det := range detectors {
 		detection, err := det.Detect(d.source)
@@ -108,33 +102,9 @@ func (d *DayEval) DetectWith(detectors []core.Detector) ([]*core.Detection, erro
 }
 
 // Overlay builds a DayEval: assign the traces' bots to random active
-// hosts, merge, extract features, and label Traders from payloads —
-// the standalone batch path (the suite's engine path shares the overlay
-// and ground-truth step and gets its features from the windowed store).
+// hosts, merge, label Traders from payloads, and extract the day's
+// features in one batch pass.
 func Overlay(day *scenario.Day, storm, nugache overlay.Trace, seed int64, cfg core.Config) (*DayEval, error) {
-	d, err := overlayDay(day, storm, nugache, seed)
-	if err != nil {
-		return nil, err
-	}
-	t := cfg.Metrics.StartStage("pipeline/extract")
-	src := flow.ExtractFeatureSet(d.Records, flow.FeatureOptions{
-		Hosts:        synth.IsInternal,
-		NewPeerGrace: cfg.NewPeerGrace,
-	}, flow.Window{})
-	t.Stop()
-	cfg.Metrics.Counter("pipeline/records").Add(int64(len(d.Records)))
-	analysis, err := core.NewAnalysisFromSource(src, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("eval: analyzing day: %w", err)
-	}
-	d.Analysis = analysis
-	d.source = src
-	return d, nil
-}
-
-// overlayDay builds the overlaid records and ground-truth labels of one
-// day, leaving feature extraction to the caller.
-func overlayDay(day *scenario.Day, storm, nugache overlay.Trace, seed int64) (*DayEval, error) {
 	rng := rand.New(rand.NewSource(seed))
 	ov, err := overlay.Overlay(rng, day.Records, day.Window, synth.IsInternal, storm, nugache)
 	if err != nil {
@@ -165,6 +135,16 @@ func overlayDay(day *scenario.Day, storm, nugache overlay.Trace, seed int64) (*D
 		if !d.Storm[host] && !d.Nugache[host] {
 			d.Traders[host] = true
 		}
+	}
+	t := cfg.Metrics.StartStage("pipeline/extract")
+	d.source = flow.ExtractFeatureSet(d.Records, flow.FeatureOptions{
+		Hosts:        synth.IsInternal,
+		NewPeerGrace: cfg.NewPeerGrace,
+	}, flow.Window{})
+	t.Stop()
+	cfg.Metrics.Counter("pipeline/records").Add(int64(len(d.Records)))
+	if d.Analysis, err = core.NewAnalysisFromSource(d.source, cfg); err != nil {
+		return nil, fmt.Errorf("eval: analyzing day: %w", err)
 	}
 	return d, nil
 }

@@ -331,15 +331,20 @@ func TestFigure12Decay(t *testing.T) {
 
 func TestReduceDay(t *testing.T) {
 	_, suite := corpus(t)
-	r, err := suite.ReduceDay(0)
+	de, err := suite.Day(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Eligible == 0 || r.Kept.Total() == 0 {
-		t.Errorf("reduction empty: %+v", r)
+	red, err := de.Analysis.Reduce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := de.count(red.Kept).Total()
+	if red.Eligible == 0 || kept == 0 {
+		t.Errorf("reduction empty: %+v", red)
 	}
 	// Reduction keeps roughly half the eligible hosts.
-	frac := float64(r.Kept.Total()) / float64(r.Eligible)
+	frac := float64(kept) / float64(red.Eligible)
 	if frac < 0.3 || frac > 0.7 {
 		t.Errorf("reduction kept %.2f of hosts, want ≈0.5", frac)
 	}

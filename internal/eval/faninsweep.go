@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"plotters/internal/community"
-	"plotters/internal/core"
-	"plotters/internal/flow"
-	"plotters/internal/synth"
 )
 
 // FanInPoint is one operating point of the community-graph sweep: the
@@ -32,8 +29,8 @@ type FanInPoint struct {
 // precision (a higher bar keeps only strongly-overlapping pairs), while
 // MaxFanIn bounds both the popular-service noise and the pair-counting
 // cost. The base config supplies every other knob (community size and
-// density thresholds, IDF weighting); contact sets are extracted once
-// per day and shared across all grid points.
+// density thresholds, IDF weighting); every grid point reads the day's
+// one feature set.
 func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]FanInPoint, error) {
 	if len(minShared) == 0 || len(maxFanIn) == 0 {
 		return nil, fmt.Errorf("eval: fan-in sweep needs at least one value per axis")
@@ -49,7 +46,6 @@ func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]
 		if err != nil {
 			return nil, err
 		}
-		contacts := de.contactSets(s.cfg)
 		input := de.Analysis.Hosts()
 		truth := de.Plotters()
 		for p := range points {
@@ -61,7 +57,7 @@ func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]
 				return nil, fmt.Errorf("eval: fan-in sweep point (%d,%d): %w",
 					points[p].MinSharedContacts, points[p].MaxFanIn, err)
 			}
-			dn, err := det.Detect(flow.NewFeatureSet(nil, de.Analysis.Window()).WithContacts(contacts))
+			dn, err := det.Detect(de.source)
 			if err != nil {
 				return nil, fmt.Errorf("eval: fan-in sweep day %d point (%d,%d): %w",
 					i, points[p].MinSharedContacts, points[p].MaxFanIn, err)
@@ -73,17 +69,4 @@ func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]
 		}
 	}
 	return points, nil
-}
-
-// contactSets returns the day's per-host contacted-destination sets,
-// extracting (and caching) the feature set when the day was built by a
-// path that did not retain one.
-func (d *DayEval) contactSets(cfg core.Config) map[flow.IP][]flow.IP {
-	if d.source == nil {
-		d.source = flow.ExtractFeatureSet(d.Records, flow.FeatureOptions{
-			Hosts:        synth.IsInternal,
-			NewPeerGrace: cfg.NewPeerGrace,
-		}, flow.Window{})
-	}
-	return d.source.Contacts()
 }

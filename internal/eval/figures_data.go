@@ -315,27 +315,3 @@ func busiestTrader(records []flow.Record, want label.App) (flow.IP, error) {
 	}
 	return best, nil
 }
-
-// ReductionStats reports the §V-A data-reduction outcome on one day.
-type ReductionStats struct {
-	Threshold float64
-	Eligible  int
-	Kept      StageCounts
-}
-
-// ReduceDay runs only the initial reduction on day i (used by tooling).
-func (s *Suite) ReduceDay(i int) (*ReductionStats, error) {
-	de, err := s.Day(i)
-	if err != nil {
-		return nil, err
-	}
-	red, err := de.Analysis.Reduce()
-	if err != nil {
-		return nil, err
-	}
-	return &ReductionStats{
-		Threshold: red.Threshold,
-		Eligible:  red.Eligible,
-		Kept:      de.count(red.Kept),
-	}, nil
-}

@@ -378,7 +378,7 @@ func (s *Suite) Figure12(delays []time.Duration, maxDays int) ([]Fig12Point, err
 
 		var storm, nugache Rates
 		for i := 0; i < days; i++ {
-			de, err := s.jitteredDay(i, stormTrace, nugTrace)
+			de, err := s.overlaid(i, stormTrace, nugTrace)
 			if err != nil {
 				return nil, err
 			}

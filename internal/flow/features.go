@@ -3,8 +3,6 @@ package flow
 import (
 	"sort"
 	"time"
-
-	"plotters/internal/stats"
 )
 
 // DefaultNewPeerGrace is the warm-up period after a host's first activity
@@ -170,17 +168,6 @@ func (b *featureBuilder) sortedDests() []IP {
 	return dsts
 }
 
-// FeatureValues extracts one float feature from a host set in a
-// deterministic (host-address) order, for threshold/percentile math.
-func FeatureValues(feats map[IP]*HostFeatures, get func(*HostFeatures) float64) []float64 {
-	hosts := SortedHosts(feats)
-	vals := make([]float64, len(hosts))
-	for i, h := range hosts {
-		vals[i] = get(feats[h])
-	}
-	return vals
-}
-
 // SortedHosts returns the feature map's keys in ascending address order.
 func SortedHosts(feats map[IP]*HostFeatures) []IP {
 	hosts := make([]IP, 0, len(feats))
@@ -189,9 +176,4 @@ func SortedHosts(feats map[IP]*HostFeatures) []IP {
 	}
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 	return hosts
-}
-
-// MedianFeature returns the median of one feature across hosts.
-func MedianFeature(feats map[IP]*HostFeatures, get func(*HostFeatures) float64) (float64, error) {
-	return stats.Median(FeatureValues(feats, get))
 }

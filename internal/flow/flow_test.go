@@ -367,12 +367,4 @@ func TestFeatureValuesAndSortedHosts(t *testing.T) {
 	if hosts[0] != 1 || hosts[1] != 2 || hosts[2] != 3 {
 		t.Errorf("SortedHosts = %v", hosts)
 	}
-	vals := FeatureValues(feats, (*HostFeatures).AvgBytesPerFlow)
-	if vals[0] != 10 || vals[1] != 20 || vals[2] != 30 {
-		t.Errorf("FeatureValues = %v", vals)
-	}
-	med, err := MedianFeature(feats, (*HostFeatures).AvgBytesPerFlow)
-	if err != nil || med != 20 {
-		t.Errorf("MedianFeature = %v, %v", med, err)
-	}
 }

@@ -117,24 +117,6 @@ func (h *Histogram) Center(i int) float64 {
 	return h.Min + (float64(i)+0.5)*h.Width
 }
 
-// Centers returns the coordinates of every bin center.
-func (h *Histogram) Centers() []float64 {
-	cs := make([]float64, len(h.Mass))
-	for i := range cs {
-		cs[i] = h.Center(i)
-	}
-	return cs
-}
-
-// TotalMass returns the histogram's total mass (1 up to rounding).
-func (h *Histogram) TotalMass() float64 {
-	var t float64
-	for _, m := range h.Mass {
-		t += m
-	}
-	return t
-}
-
 // Signature converts the histogram to the sparse (position, weight) form
 // consumed by the EMD solver, dropping empty bins.
 func (h *Histogram) Signature() (positions, weights []float64) {
@@ -146,17 +128,6 @@ func (h *Histogram) Signature() (positions, weights []float64) {
 		weights = append(weights, m)
 	}
 	return positions, weights
-}
-
-// Mode returns the center of the heaviest bin (the first one on ties).
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, m := range h.Mass {
-		if m > h.Mass[best] {
-			best = i
-		}
-	}
-	return h.Center(best)
 }
 
 func (h *Histogram) String() string {

@@ -3,11 +3,19 @@ package histogram
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"plotters/internal/stats"
 )
+
+// totalMass sums the histogram's bins (1 up to rounding).
+func totalMass(h *Histogram) float64 {
+	var t float64
+	for _, m := range h.Mass {
+		t += m
+	}
+	return t
+}
 
 func TestFDBinWidthFormula(t *testing.T) {
 	// For 1..8, IQR (type-7) is Q3-Q1 = 6.25-2.75 = 3.5.
@@ -63,8 +71,8 @@ func TestBuildDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Bins() != 1 || h.Mode() != 3.5 {
-		t.Errorf("single-sample histogram = %v mode %v", h, h.Mode())
+	if h.Bins() != 1 || h.Center(0) != 3.5 {
+		t.Errorf("single-sample histogram = %v center %v", h, h.Center(0))
 	}
 }
 
@@ -115,8 +123,8 @@ func TestBuildMaxBinsCap(t *testing.T) {
 	if h.Bins() != 64 {
 		t.Errorf("bins = %d, want capped at 64", h.Bins())
 	}
-	if math.Abs(h.TotalMass()-1) > 1e-9 {
-		t.Errorf("mass = %v, want 1", h.TotalMass())
+	if math.Abs(totalMass(h)-1) > 1e-9 {
+		t.Errorf("mass = %v, want 1", totalMass(h))
 	}
 }
 
@@ -127,18 +135,16 @@ func TestBuildRightEdgeSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(h.TotalMass()-1) > 1e-9 {
-		t.Errorf("mass = %v, want 1", h.TotalMass())
+	if math.Abs(totalMass(h)-1) > 1e-9 {
+		t.Errorf("mass = %v, want 1", totalMass(h))
 	}
 }
 
 func TestCentersAndSignature(t *testing.T) {
 	h := &Histogram{Min: 10, Width: 2, Mass: []float64{0.5, 0, 0.5}, N: 2}
-	cs := h.Centers()
-	want := []float64{11, 13, 15}
-	for i, c := range cs {
-		if c != want[i] {
-			t.Errorf("Center(%d) = %v, want %v", i, c, want[i])
+	for i, want := range []float64{11, 13, 15} {
+		if c := h.Center(i); c != want {
+			t.Errorf("Center(%d) = %v, want %v", i, c, want)
 		}
 	}
 	pos, w := h.Signature()
@@ -147,13 +153,6 @@ func TestCentersAndSignature(t *testing.T) {
 	}
 	if h.String() == "" {
 		t.Error("String empty")
-	}
-}
-
-func TestMode(t *testing.T) {
-	h := &Histogram{Min: 0, Width: 1, Mass: []float64{0.2, 0.5, 0.3}, N: 10}
-	if got := h.Mode(); got != 1.5 {
-		t.Errorf("Mode = %v, want 1.5", got)
 	}
 }
 
@@ -175,7 +174,7 @@ func TestBuildPropertyMassConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if math.Abs(h.TotalMass()-1) > 1e-6 {
+		if math.Abs(totalMass(h)-1) > 1e-6 {
 			return false
 		}
 		for _, m := range h.Mass {
@@ -183,8 +182,8 @@ func TestBuildPropertyMassConservation(t *testing.T) {
 				return false
 			}
 		}
-		lo, _ := stats.Min(xs)
-		hi, _ := stats.Max(xs)
+		lo := slices.Min(xs)
+		hi := slices.Max(xs)
 		right := h.Min + float64(len(h.Mass))*h.Width
 		return h.Min <= lo && right >= hi-1e-9
 	}

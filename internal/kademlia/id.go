@@ -11,7 +11,6 @@ package kademlia
 import (
 	"crypto/md5"
 	"encoding/hex"
-	"fmt"
 	"math/bits"
 	"math/rand"
 )
@@ -72,16 +71,6 @@ func (id NodeID) Cmp(other NodeID) int {
 // distances with Less is the Kademlia closeness order.
 func (id NodeID) Less(other NodeID) bool { return id.Cmp(other) < 0 }
 
-// IsZero reports whether the identifier is all zeros.
-func (id NodeID) IsZero() bool {
-	for _, b := range id {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // CommonPrefixLen returns the number of leading bits id and other share —
 // equivalently, the index of the k-bucket other falls into from id's
 // perspective (IDBits when equal).
@@ -96,17 +85,3 @@ func (id NodeID) CommonPrefixLen(other NodeID) int {
 
 // String renders the identifier as hex.
 func (id NodeID) String() string { return hex.EncodeToString(id[:]) }
-
-// ParseID parses a 32-hex-digit identifier.
-func ParseID(s string) (NodeID, error) {
-	var id NodeID
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return id, fmt.Errorf("kademlia: invalid node id %q: %w", s, err)
-	}
-	if len(raw) != IDBytes {
-		return id, fmt.Errorf("kademlia: node id %q has %d bytes, want %d", s, len(raw), IDBytes)
-	}
-	copy(id[:], raw)
-	return id, nil
-}

@@ -34,20 +34,6 @@ type OverlayConfig struct {
 	Port uint16
 }
 
-// DefaultOverlayConfig returns a config sized for the evaluation: a few
-// thousand peers with churn matching P2P measurement studies.
-func DefaultOverlayConfig(start time.Time) OverlayConfig {
-	return OverlayConfig{
-		Nodes:         4000,
-		Start:         start,
-		Horizon:       10 * 24 * time.Hour,
-		MedianSession: 25 * time.Minute,
-		MedianOffline: 2 * time.Hour,
-		SessionSigma:  1.0,
-		Port:          7871,
-	}
-}
-
 // Overlay is the simulated external DHT population: every node has an
 // identifier, a public address, and a precomputed online/offline session
 // schedule over the simulation horizon. The overlay answers the two
@@ -164,15 +150,6 @@ func (o *Overlay) Size() int { return len(o.contacts) }
 // Contact returns the i-th node's contact info.
 func (o *Overlay) Contact(i int) Contact { return o.contacts[i] }
 
-// ByAddr resolves an overlay node by address.
-func (o *Overlay) ByAddr(addr flow.IP) (Contact, bool) {
-	i, ok := o.byAddr[addr]
-	if !ok {
-		return Contact{}, false
-	}
-	return o.contacts[i], true
-}
-
 // Online reports whether the node with the given id is reachable at t.
 func (o *Overlay) Online(id NodeID, t time.Time) bool {
 	i, ok := o.byID[id]
@@ -203,32 +180,19 @@ func (o *Overlay) SampleContacts(rng *rand.Rand, n int) []Contact {
 	return out
 }
 
-// ClosestOnline returns up to n overlay nodes closest to target (XOR
-// order) that are online at t.
-func (o *Overlay) ClosestOnline(target NodeID, t time.Time, n int) []Contact {
-	return o.closest(target, n, func(i int) bool { return o.onlineIdx(i, t) })
-}
-
 // ClosestAny returns up to n overlay nodes closest to target regardless
 // of their current reachability — the *stale* view a peer's routing table
 // actually holds, and what a FIND_NODE response realistically reports.
 // Querying stale contacts is where P2P networks' high failed-connection
 // rates come from (§V-A).
 func (o *Overlay) ClosestAny(target NodeID, n int) []Contact {
-	return o.closest(target, n, func(int) bool { return true })
-}
-
-func (o *Overlay) closest(target NodeID, n int, keep func(i int) bool) []Contact {
 	type cand struct {
 		c    Contact
 		dist NodeID
 	}
-	cands := make([]cand, 0, 64)
+	cands := make([]cand, len(o.contacts))
 	for i := range o.contacts {
-		if !keep(i) {
-			continue
-		}
-		cands = append(cands, cand{c: o.contacts[i], dist: o.contacts[i].ID.XOR(target)})
+		cands[i] = cand{c: o.contacts[i], dist: o.contacts[i].ID.XOR(target)}
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].dist.Less(cands[b].dist) })
 	if len(cands) > n {
@@ -239,16 +203,4 @@ func (o *Overlay) closest(target NodeID, n int, keep func(i int) bool) []Contact
 		out[i] = cands[i].c
 	}
 	return out
-}
-
-// OnlineCount returns the number of reachable nodes at t (used by tests
-// and capacity planning).
-func (o *Overlay) OnlineCount(t time.Time) int {
-	count := 0
-	for i := range o.contacts {
-		if o.onlineIdx(i, t) {
-			count++
-		}
-	}
-	return count
 }

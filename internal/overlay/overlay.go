@@ -50,30 +50,6 @@ func sortIPs(hosts []flow.IP) {
 // appear to run them.
 type Assignment map[flow.IP]flow.IP
 
-// Assign maps each bot to a distinct host drawn uniformly from
-// candidates. It fails if there are fewer candidates than bots.
-func Assign(rng *rand.Rand, bots []flow.IP, candidates []flow.IP) (Assignment, error) {
-	if len(candidates) < len(bots) {
-		return nil, fmt.Errorf("overlay: %d bots but only %d candidate hosts", len(bots), len(candidates))
-	}
-	perm := rng.Perm(len(candidates))
-	out := make(Assignment, len(bots))
-	for i, b := range bots {
-		out[b] = candidates[perm[i]]
-	}
-	return out, nil
-}
-
-// Targets returns the assigned internal hosts.
-func (a Assignment) Targets() []flow.IP {
-	out := make([]flow.IP, 0, len(a))
-	for _, h := range a {
-		out = append(out, h)
-	}
-	sortIPs(out)
-	return out
-}
-
 // Retime shifts records by whole days so the trace lands on day (the
 // trace's first record defines its origin day). The input is not
 // modified.

@@ -43,34 +43,6 @@ func TestActiveHosts(t *testing.T) {
 	}
 }
 
-func TestAssign(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	bots := []flow.IP{1, 2, 3}
-	candidates := []flow.IP{10, 11, 12, 13, 14}
-	a, err := Assign(rng, bots, candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 3 {
-		t.Fatalf("assignment = %v", a)
-	}
-	seen := make(map[flow.IP]bool)
-	for _, host := range a {
-		if seen[host] {
-			t.Fatal("two bots assigned to same host")
-		}
-		seen[host] = true
-	}
-	targets := a.Targets()
-	if len(targets) != 3 {
-		t.Errorf("targets = %v", targets)
-	}
-	// Not enough candidates.
-	if _, err := Assign(rng, bots, candidates[:2]); err == nil {
-		t.Error("expected error with too few candidates")
-	}
-}
-
 func TestRetime(t *testing.T) {
 	traceDay := time.Date(2007, time.November, 1, 3, 30, 0, 0, time.UTC)
 	records := []flow.Record{

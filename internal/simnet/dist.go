@@ -68,14 +68,3 @@ func Jitter(rng *rand.Rand, d time.Duration, frac float64) time.Duration {
 func Bernoulli(rng *rand.Rand, p float64) bool {
 	return rng.Float64() < p
 }
-
-// Zipf draws ranks in [0, n) with a Zipfian popularity skew s > 1;
-// popular destinations (rank 0) are drawn most often. It mirrors the
-// skewed popularity of web servers and of file-sharing content.
-func Zipf(rng *rand.Rand, s float64, n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	z := rand.NewZipf(rng, s, 1, n-1)
-	return z.Uint64()
-}

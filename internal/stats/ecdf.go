@@ -33,22 +33,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Inverse returns the smallest sample value v such that F(v) >= p, for
-// p in (0, 1]. Inverse(0) returns the sample minimum.
-func (e *ECDF) Inverse(p float64) float64 {
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	idx := int(p * float64(len(e.sorted)))
-	if idx >= len(e.sorted) {
-		idx = len(e.sorted) - 1
-	}
-	return e.sorted[idx]
-}
-
 // N returns the sample size.
 func (e *ECDF) N() int { return len(e.sorted) }
 

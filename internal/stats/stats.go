@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used throughout the
-// detection pipeline: quantiles, medians, inter-quartile ranges, empirical
-// CDFs, and running accumulators.
+// detection pipeline: quantiles, medians, inter-quartile ranges, and
+// empirical CDFs.
 //
 // The pipeline's thresholds are all percentiles of observed per-host
 // features (the paper sets τ_vol and τ_churn to percentiles of the host
@@ -33,18 +33,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return quantileSorted(sorted, q), nil
-}
-
-// QuantileSorted is like Quantile but requires xs to already be sorted
-// ascending, avoiding the copy and sort.
-func QuantileSorted(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile %v out of range [0,1]", q)
-	}
-	return quantileSorted(xs, q), nil
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
@@ -123,34 +111,6 @@ func StdDev(xs []float64) (float64, error) {
 		return 0, err
 	}
 	return math.Sqrt(v), nil
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
 }
 
 // Summary bundles the descriptive statistics of one sample.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -50,12 +51,6 @@ func TestQuantileErrors(t *testing.T) {
 			t.Errorf("Quantile(q=%v): expected error", q)
 		}
 	}
-	if _, err := QuantileSorted(nil, 0.5); err != ErrEmpty {
-		t.Errorf("QuantileSorted empty: got %v, want ErrEmpty", err)
-	}
-	if _, err := QuantileSorted([]float64{1}, 2); err == nil {
-		t.Error("QuantileSorted(q=2): expected error")
-	}
 }
 
 func TestQuantileDoesNotMutateInput(t *testing.T) {
@@ -81,8 +76,8 @@ func TestQuantilePropertyBoundsAndMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
+		lo := slices.Min(xs)
+		hi := slices.Max(xs)
 		va, err1 := Quantile(xs, a)
 		vb, err2 := Quantile(xs, b)
 		if err1 != nil || err2 != nil {
@@ -106,8 +101,8 @@ func TestIQRProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
+		lo := slices.Min(xs)
+		hi := slices.Max(xs)
 		return iqr >= -1e-12 && iqr <= hi-lo+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -163,18 +158,18 @@ func TestMeanVarianceStdDev(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if m, _ := Min(xs); m != -1 {
-		t.Errorf("Min = %v, want -1", m)
+	s, err := Summarize([]float64{3, -1, 7, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m, _ := Max(xs); m != 7 {
-		t.Errorf("Max = %v, want 7", m)
+	if s.Min != -1 {
+		t.Errorf("Min = %v, want -1", s.Min)
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err = %v", err)
+	if s.Max != 7 {
+		t.Errorf("Max = %v, want 7", s.Max)
 	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err = %v", err)
+	if _, err := Summarize(nil); err != ErrEmpty {
+		t.Errorf("Summarize(nil) err = %v", err)
 	}
 }
 
@@ -245,25 +240,6 @@ func TestECDF(t *testing.T) {
 	}
 }
 
-func TestECDFInverse(t *testing.T) {
-	e, err := NewECDF([]float64{10, 20, 30, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 10}, {-1, 10}, {0.25, 20}, {0.5, 30}, {0.99, 40}, {1, 40}, {2, 40},
-	}
-	for _, tt := range tests {
-		if got := e.Inverse(tt.p); got != tt.want {
-			t.Errorf("Inverse(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
-// Property: ECDF is monotone non-decreasing and At(max) == 1.
 func TestECDFPropertyMonotone(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {
 		xs := sanitize(raw)
@@ -277,7 +253,7 @@ func TestECDFPropertyMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		hi, _ := Max(xs)
+		hi := slices.Max(xs)
 		return e.At(a) <= e.At(b) && e.At(hi) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -322,110 +298,6 @@ func TestFormatCDF(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	var acc Accumulator
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*10 + 3
-		acc.Add(xs[i])
-	}
-	wantMean, _ := Mean(xs)
-	wantVar, _ := Variance(xs)
-	wantMin, _ := Min(xs)
-	wantMax, _ := Max(xs)
-	if !almostEqual(acc.Mean(), wantMean, 1e-9) {
-		t.Errorf("Mean = %v, want %v", acc.Mean(), wantMean)
-	}
-	if !almostEqual(acc.Variance(), wantVar, 1e-9) {
-		t.Errorf("Variance = %v, want %v", acc.Variance(), wantVar)
-	}
-	if acc.Min() != wantMin || acc.Max() != wantMax {
-		t.Errorf("Min/Max = %v/%v, want %v/%v", acc.Min(), acc.Max(), wantMin, wantMax)
-	}
-	if acc.N() != 500 {
-		t.Errorf("N = %d", acc.N())
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	if !almostEqual(acc.Sum(), sum, 1e-7) {
-		t.Errorf("Sum = %v, want %v", acc.Sum(), sum)
-	}
-}
-
-func TestAccumulatorZeroValue(t *testing.T) {
-	var acc Accumulator
-	if acc.N() != 0 || acc.Mean() != 0 || acc.Variance() != 0 || acc.StdDev() != 0 {
-		t.Errorf("zero accumulator not zero: %+v", acc)
-	}
-	acc.Add(5)
-	if acc.Variance() != 0 {
-		t.Errorf("variance of one sample = %v, want 0", acc.Variance())
-	}
-	if acc.Min() != 5 || acc.Max() != 5 {
-		t.Errorf("min/max after one add = %v/%v", acc.Min(), acc.Max())
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var all, left, right Accumulator
-	var xs []float64
-	for i := 0; i < 300; i++ {
-		x := rng.ExpFloat64() * 100
-		xs = append(xs, x)
-		all.Add(x)
-		if i < 120 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	merged := left
-	merged.Merge(&right)
-	if merged.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", merged.N(), all.N())
-	}
-	if !almostEqual(merged.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged Mean = %v, want %v", merged.Mean(), all.Mean())
-	}
-	if !almostEqual(merged.Variance(), all.Variance(), 1e-6) {
-		t.Errorf("merged Variance = %v, want %v", merged.Variance(), all.Variance())
-	}
-	if merged.Min() != all.Min() || merged.Max() != all.Max() {
-		t.Errorf("merged Min/Max mismatch")
-	}
-
-	// Merging into/from empty.
-	var empty Accumulator
-	cp := all
-	cp.Merge(&empty)
-	if cp.N() != all.N() || cp.Mean() != all.Mean() {
-		t.Error("merge with empty changed state")
-	}
-	var empty2 Accumulator
-	empty2.Merge(&all)
-	if empty2.N() != all.N() || empty2.Mean() != all.Mean() {
-		t.Error("merge into empty did not copy state")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Rate() != 0 {
-		t.Errorf("zero counter rate = %v", c.Rate())
-	}
-	c.Observe(true)
-	c.Observe(false)
-	c.Observe(true)
-	c.Observe(false)
-	if c.Hits() != 2 || c.Total() != 4 || c.Rate() != 0.5 {
-		t.Errorf("counter = %d/%d rate %v", c.Hits(), c.Total(), c.Rate())
-	}
-}
-
 func TestQuantileSortedAgreesWithQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 101)
@@ -437,9 +309,9 @@ func TestQuantileSortedAgreesWithQuantile(t *testing.T) {
 	sort.Float64s(sorted)
 	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
 		a, err1 := Quantile(xs, q)
-		b, err2 := QuantileSorted(sorted, q)
-		if err1 != nil || err2 != nil || a != b {
-			t.Errorf("q=%v: Quantile=%v QuantileSorted=%v", q, a, b)
+		b := quantileSorted(sorted, q)
+		if err1 != nil || a != b {
+			t.Errorf("q=%v: Quantile=%v quantileSorted=%v", q, a, b)
 		}
 	}
 }

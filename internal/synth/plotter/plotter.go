@@ -29,25 +29,6 @@ type Trace struct {
 	Bots    []flow.IP
 }
 
-// BotFlows returns the records grouped per bot address; inbound flows
-// (peer-initiated) count toward the destination bot.
-func (t *Trace) BotFlows() map[flow.IP][]flow.Record {
-	bots := make(map[flow.IP]bool, len(t.Bots))
-	for _, b := range t.Bots {
-		bots[b] = true
-	}
-	out := make(map[flow.IP][]flow.Record, len(t.Bots))
-	for _, r := range t.Records {
-		switch {
-		case bots[r.Src]:
-			out[r.Src] = append(out[r.Src], r)
-		case bots[r.Dst]:
-			out[r.Dst] = append(out[r.Dst], r)
-		}
-	}
-	return out
-}
-
 // newBotnetOverlay builds the external botnet peer population shared by
 // the bots of one trace. Bot peers churn like file-sharing peers do — the
 // infected population turns machines on and off — but the *bots we

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"time"
+
+	"plotters/internal/checkpoint"
 )
 
 // LiveConfig describes one live collection run for RunLive.
@@ -64,6 +67,15 @@ type LiveReport struct {
 // durability it was asked for.
 func RunLive(ctx context.Context, cfg LiveConfig, emit func(*WindowResult) error) (*LiveReport, error) {
 	cfg.Engine.DropLate = true
+	if cfg.Engine.StateDir != "" && cfg.Engine.Shards <= 0 {
+		// "One shard per CPU" must not bind a state directory to the CPU
+		// count of the host that wrote it: an unset count follows the
+		// snapshot's. A missing or unreadable snapshot is Recover's to
+		// report; an explicit, different count still fails there.
+		if snap, err := checkpoint.Read(filepath.Join(cfg.Engine.StateDir, checkpoint.SnapshotFile)); err == nil {
+			cfg.Engine.Shards = snap.Meta.Shards
+		}
+	}
 	eng, err := NewWindowedDetector(cfg.Engine, emit)
 	if err != nil {
 		return nil, err

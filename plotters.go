@@ -54,8 +54,6 @@ import (
 	"plotters/internal/ingest"
 	"plotters/internal/label"
 	"plotters/internal/metrics"
-	"plotters/internal/overlay"
-	"plotters/internal/simnet"
 	"plotters/internal/synth"
 	"plotters/internal/synth/plotter"
 	"plotters/internal/synth/scenario"
@@ -141,12 +139,6 @@ type (
 	Result = core.Result
 	// HostSet is a set of internal host addresses.
 	HostSet = core.HostSet
-	// Reduction is the initial data-reduction outcome.
-	Reduction = core.Reduction
-	// TestResult is a θ_vol / θ_churn outcome.
-	TestResult = core.TestResult
-	// HMResult is the θ_hm outcome with its clusters.
-	HMResult = core.HMResult
 	// HMCluster is one θ_hm cluster.
 	HMCluster = core.HMCluster
 )
@@ -180,14 +172,10 @@ type (
 	PaperDetector = core.PaperDetector
 	// CommunityConfig tunes the mutual-contact community detector.
 	CommunityConfig = community.Config
-	// CommunityGraphConfig tunes mutual-contact graph construction.
-	CommunityGraphConfig = community.GraphConfig
 	// CommunityDetector flags dense mutual-contact communities.
 	CommunityDetector = community.Detector
 	// CommunityReport is the community detector's per-window outcome.
 	CommunityReport = community.Report
-	// Community is one detected host group.
-	Community = community.Community
 )
 
 // Stable detector identifiers.
@@ -217,39 +205,7 @@ func NewCommunityDetector(cfg CommunityConfig) (*CommunityDetector, error) {
 // nil, which every consumer (EngineConfig.Detectors, NewSuiteDetectors)
 // reads as its original single-detector path.
 func ParseDetectors(spec string, cfg Config, community CommunityConfig) ([]Detector, error) {
-	var out []Detector
-	seen := map[string]bool{}
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("-detectors lists %q twice", name)
-		}
-		seen[name] = true
-		var det Detector
-		var err error
-		switch name {
-		case PaperDetectorName:
-			det, err = NewPaperDetector(cfg)
-		case CommunityDetectorName:
-			det, err = NewCommunityDetector(community)
-		default:
-			err = fmt.Errorf("unknown detector %q (have: %s, %s)", name, PaperDetectorName, CommunityDetectorName)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, det)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-detectors lists no detectors")
-	}
-	if len(out) == 1 && seen[PaperDetectorName] {
-		return nil, nil
-	}
-	return out, nil
+	return eval.ParseDetectors(spec, cfg, community)
 }
 
 // UnionSuspects returns the hosts flagged by at least one detection.
@@ -257,9 +213,6 @@ func UnionSuspects(detections []*Detection) HostSet { return eval.Union(detectio
 
 // IntersectSuspects returns the hosts flagged by every detection.
 func IntersectSuspects(detections []*Detection) HostSet { return eval.Intersection(detections) }
-
-// VoteSuspects returns the hosts flagged by at least k detections.
-func VoteSuspects(detections []*Detection, k int) HostSet { return eval.Vote(detections, k) }
 
 // Ground-truth labeling (§III payload rules).
 type (
@@ -346,20 +299,12 @@ func CollectionWindow(day time.Time) Window { return synth.CollectionWindow(day)
 
 // Overlay and evaluation.
 type (
-	// Trace pairs bot records with a scoring label for overlaying.
-	Trace = overlay.Trace
-	// Overlaid is the result of overlaying bot traces onto a day.
-	Overlaid = overlay.Overlaid
 	// Suite drives the full evaluation over a dataset.
 	Suite = eval.Suite
 	// DayEval is one overlaid day with ground truth.
 	DayEval = eval.DayEval
 	// Rates is a scored detection outcome.
 	Rates = eval.Rates
-	// EnsembleReport aggregates per-detector and combined scores.
-	EnsembleReport = eval.EnsembleReport
-	// EnsembleDay is one day's ensemble score breakdown.
-	EnsembleDay = eval.EnsembleDay
 )
 
 // NewSuite wraps a dataset for evaluation.
@@ -382,26 +327,6 @@ func OverlayDay(day *Day, ds *Dataset, seed int64, cfg Config) (*DayEval, error)
 // Score computes detection rates of kept relative to input, with truth
 // marking the Plotters.
 func Score(kept, input, truth HostSet) Rates { return eval.Score(kept, input, truth) }
-
-// Trace I/O.
-
-// ReadTrace decodes a binary flow trace.
-func ReadTrace(r io.Reader) ([]Record, error) { return flowio.ReadAllBinary(r) }
-
-// WriteTrace encodes records as a binary flow trace.
-func WriteTrace(w io.Writer, records []Record) error { return flowio.WriteAllBinary(w, records) }
-
-// ReadTraceCSV decodes a CSV flow trace.
-func ReadTraceCSV(r io.Reader) ([]Record, error) { return flowio.ReadCSV(r) }
-
-// WriteTraceCSV encodes records as CSV.
-func WriteTraceCSV(w io.Writer, records []Record) error { return flowio.WriteCSV(w, records) }
-
-// ReadTraceJSONL decodes a JSON Lines flow trace.
-func ReadTraceJSONL(r io.Reader) ([]Record, error) { return flowio.ReadJSONL(r) }
-
-// WriteTraceJSONL encodes records as JSON Lines.
-func WriteTraceJSONL(w io.Writer, records []Record) error { return flowio.WriteJSONL(w, records) }
 
 // Evasion analysis (§VI).
 
@@ -459,44 +384,21 @@ type (
 	CampaignConfig = campaign.Config
 	// CampaignReport is a campaign's full frontier outcome.
 	CampaignReport = campaign.Report
-	// CampaignWorldResult is one world's sweep outcome.
-	CampaignWorldResult = campaign.WorldResult
 	// CampaignFrontierPoint is one countermeasure × intensity grid point.
 	CampaignFrontierPoint = campaign.FrontierPoint
 	// CampaignScore is one detector's accumulated outcome at a point.
 	CampaignScore = campaign.Score
-	// Countermeasure is one parameterized bot-side evasion.
-	Countermeasure = campaign.Countermeasure
-	// CountermeasureCost is the machine-readable price of an evasion.
-	CountermeasureCost = campaign.Cost
-	// CountermeasureEnv is the world-derived countermeasure context.
-	CountermeasureEnv = campaign.Env
 	// CampaignScale sizes a campaign world's campus.
 	CampaignScale = campaign.Scale
-	// CampaignWorld is one named synthetic-world preset.
-	CampaignWorld = campaign.World
 )
 
 // Campaign world scales.
 const (
-	CampaignScaleTiny  = campaign.ScaleTiny
 	CampaignScaleSmall = campaign.ScaleSmall
-	CampaignScalePaper = campaign.ScalePaper
 )
 
 // DefaultCampaignConfig returns the standard sweep at the given seed.
 func DefaultCampaignConfig(seed int64) CampaignConfig { return campaign.DefaultConfig(seed) }
-
-// DefaultCountermeasures returns the §VI countermeasure set.
-func DefaultCountermeasures() []Countermeasure { return campaign.DefaultCountermeasures() }
-
-// CampaignWorldNames lists the synthetic-world presets.
-func CampaignWorldNames() []string { return campaign.WorldNames() }
-
-// NewCampaignWorld builds one world preset at the given scale.
-func NewCampaignWorld(name string, scale CampaignScale) (CampaignWorld, error) {
-	return campaign.NewWorld(name, scale)
-}
 
 // RunCampaign executes a red-team campaign and returns its frontier
 // report. The same configuration reproduces the same report bit for bit.
@@ -512,9 +414,6 @@ type (
 	PersistenceConfig = baseline.PersistenceConfig
 	// PersistenceResult is the persistence detector's outcome.
 	PersistenceResult = baseline.PersistenceResult
-	// DetectorOutcome is one detector's per-class rates from
-	// Suite.CompareBaselines.
-	DetectorOutcome = eval.DetectorOutcome
 )
 
 // DefaultTDGConfig returns the published TDG operating point.
@@ -551,27 +450,9 @@ func FindPlottersByApplication(records []Record, internal func(IP) bool, cfg Con
 	return core.FindPlottersByApplication(records, internal, cfg, grouper, minFlows)
 }
 
-// StreamExtractor re-exports incremental feature extraction for
-// deployments that cannot buffer a whole window.
-type StreamExtractor = flow.StreamExtractor
-
-// NewStreamExtractor creates an incremental per-host feature extractor
-// requiring start-ordered input.
-func NewStreamExtractor(opts FeatureOptions) *StreamExtractor {
-	return flow.NewStreamExtractor(opts)
-}
-
-// NewStreamExtractorSkew creates an incremental extractor tolerating
-// records up to maxSkew out of start order — the reordering a flow
-// monitor's end-of-flow reporting introduces.
-func NewStreamExtractorSkew(opts FeatureOptions, maxSkew time.Duration) *StreamExtractor {
-	return flow.NewStreamExtractorSkew(opts, maxSkew)
-}
-
 // Feature sources decouple feature accumulation from detection: the
 // pipeline consumes a FeatureSource, not raw records, so batch
-// extraction, the incremental extractor, and the engine's sharded store
-// are interchangeable.
+// extraction and the engine's sharded store are interchangeable.
 type (
 	// FeatureSource supplies one detection window's per-host features.
 	FeatureSource = flow.FeatureSource
@@ -586,18 +467,6 @@ type (
 // FeatureSource. A zero window derives the bounds from the records.
 func ExtractFeatureSet(records []Record, opts FeatureOptions, window Window) *FeatureSet {
 	return flow.ExtractFeatureSet(records, opts, window)
-}
-
-// NewAnalysisFromSource wraps already-accumulated features for
-// detection, skipping extraction.
-func NewAnalysisFromSource(src FeatureSource, cfg Config) (*Analysis, error) {
-	return core.NewAnalysisFromSource(src, cfg)
-}
-
-// NewShardedExtractor creates a sharded feature store (shards ≤ 0 means
-// one per CPU) requiring start-ordered input per shard.
-func NewShardedExtractor(opts FeatureOptions, shards int) *ShardedExtractor {
-	return flow.NewShardedExtractor(opts, shards)
 }
 
 // NewShardedExtractorSkew creates a sharded feature store tolerating
@@ -634,14 +503,7 @@ type (
 	TraceReader = flowio.Reader
 	// TraceWriter streams records to a trace.
 	TraceWriter = flowio.Writer
-	// TraceFormat is one row of the trace-format table: name, file
-	// extension, and the reader/writer constructors.
-	TraceFormat = flowio.Format
 )
-
-// LookupTraceFormat returns the table row called name; the error lists
-// every row, so tools report a mistyped -format the same way.
-func LookupTraceFormat(name string) (*TraceFormat, error) { return flowio.Lookup(name) }
 
 // TraceFormatNames lists the table's names, for flag help strings.
 func TraceFormatNames() string { return flowio.Names() }
@@ -685,7 +547,7 @@ func ScanTraceFile(path, format string, reg *Metrics, sampler FlowSampler, fn fu
 	if err != nil {
 		return 0, 0, err
 	}
-	MeterTraceReader(tr, reg)
+	flowio.MeterReader(tr, reg)
 	// One record for the whole scan: its address goes to fn, so declared
 	// inside the loop it would be a heap allocation per record.
 	var rec Record
@@ -721,7 +583,7 @@ func CopyTrace(w TraceWriter, r TraceReader) (int, error) {
 }
 
 // Observability. Attach a Metrics registry to Config.Metrics (and to
-// readers and stream extractors) to collect per-stage wall times,
+// ScanTraceFile) to collect per-stage wall times,
 // candidate-set sizes, and I/O volumes from a run; a nil registry keeps
 // every hot path instrument-free.
 type (
@@ -778,13 +640,6 @@ func PruneSummary(snap MetricsSnapshot) (PruneReport, bool) {
 	return r, true
 }
 
-// MeterTraceReader attaches reg's flowio counters (records decoded,
-// bytes consumed) to a reader returned by NewTraceReader. Readers from
-// other packages are returned untouched.
-func MeterTraceReader(r TraceReader, reg *Metrics) TraceReader {
-	return flowio.MeterReader(r, reg)
-}
-
 // Live collection: a UDP listener decodes NetFlow v5/v9, IPFIX, and
 // sFlow v5 export packets from border routers (or flowreplay) and
 // hands the records to a Handler — typically a WindowedDetector for
@@ -798,8 +653,6 @@ type (
 	CollectorConfig = collector.Config
 	// Collector ingests flow export packets from a UDP socket.
 	Collector = collector.Collector
-	// NetFlowV5Header is the decoded fixed header of one v5 packet.
-	NetFlowV5Header = collector.V5Header
 	// FlowSampler is the deterministic content-hash 1-in-N sampling
 	// stage: the same (N, Seed) keeps the same flow set no matter how
 	// the stream is split, merged, or reordered.
@@ -808,12 +661,6 @@ type (
 
 // ListenNetFlow binds the collector's UDP socket; drive it with Run.
 func ListenNetFlow(cfg CollectorConfig) (*Collector, error) { return collector.Listen(cfg) }
-
-// DecodeNetFlowV5 decodes one NetFlow v5 export packet, appending its
-// records to dst.
-func DecodeNetFlowV5(pkt []byte, dst []Record) (NetFlowV5Header, []Record, error) {
-	return collector.DecodeV5(pkt, dst)
-}
 
 // ExportProtocol is one row of the collector's export-protocol table.
 // Append encodes records as one datagram numbered seq; advance seq by
@@ -838,11 +685,6 @@ func ExportProtocolNames() string { return collector.ExportProtocolNames() }
 // Recover rebuilds the engine bit-identically — same window boundaries,
 // same verdicts. See internal/checkpoint and DESIGN.md §4e.
 type (
-	// Checkpoint is the decoded form of one snapshot file.
-	Checkpoint = checkpoint.Snapshot
-	// CheckpointMeta is a snapshot's provenance plus the engine
-	// configuration fingerprint it must be restored under.
-	CheckpointMeta = checkpoint.Meta
 	// CheckpointConfig shapes a CheckpointManager.
 	CheckpointConfig = checkpoint.Config
 	// CheckpointManager ties a WindowedDetector to its durable state:
@@ -850,13 +692,6 @@ type (
 	CheckpointManager = checkpoint.Manager
 	// CheckpointRecovery summarizes what recovery found on disk.
 	CheckpointRecovery = checkpoint.RecoveryInfo
-	// EngineState is a complete snapshot of a WindowedDetector's
-	// dynamic state (exported plumbing; most callers use the manager).
-	EngineState = engine.State
-	// ExporterSequenceState is the collector's per-exporter NetFlow
-	// sequence accounting, carried through snapshots so a restarted
-	// collector does not misreport resets and gaps.
-	ExporterSequenceState = collector.SequenceState
 )
 
 // File names a CheckpointManager uses inside its state directory.
@@ -873,21 +708,6 @@ func NewCheckpointManager(cfg CheckpointConfig, eng *WindowedDetector) (*Checkpo
 	return checkpoint.NewManager(cfg, eng)
 }
 
-// SaveCheckpoint writes a one-shot atomic snapshot of a detector (plus
-// optional exporter sequence state) to path — the manager-free path for
-// batch tools; live deployments use a CheckpointManager, whose WAL also
-// covers records snapshots miss.
-func SaveCheckpoint(path string, eng *WindowedDetector, exporters []ExporterSequenceState) (int64, error) {
-	meta := checkpoint.EngineMeta(eng)
-	meta.Created = time.Now()
-	return checkpoint.Write(path, &checkpoint.Snapshot{Meta: meta, Engine: eng.State(), Exporters: exporters})
-}
-
-// OpenCheckpoint reads and fully validates a snapshot file. Restore it
-// with Checkpoint.RestoreEngine on a fresh detector built with the
-// snapshotted configuration.
-func OpenCheckpoint(path string) (*Checkpoint, error) { return checkpoint.Read(path) }
-
 // Distributed detection: the pipeline split into a shard-local phase
 // (per-host feature reduction and θ_hm histogram sketches, computed by
 // N ShardWorker processes over disjoint host-hash slices) and a global
@@ -896,15 +716,8 @@ func OpenCheckpoint(path string) (*Checkpoint, error) { return checkpoint.Read(p
 // bit-identical to a single process: see DESIGN.md §5b and the
 // TestDistributedGolden equivalence suite.
 type (
-	// HostSummary is one host's complete shard-local reduction.
-	HostSummary = core.HostSummary
 	// ShardSummary is one shard's contribution to one detection window.
 	ShardSummary = core.ShardSummary
-	// LocalDetector adapts the shard-local phase to the Detector seam.
-	LocalDetector = core.LocalDetector
-	// DistributedDetector assembles per-shard window summaries into
-	// global detection results, sealing windows by shard watermark.
-	DistributedDetector = engine.DistributedDetector
 	// CoordinatorConfig shapes a distributed deployment's coordinator.
 	CoordinatorConfig = dist.CoordinatorConfig
 	// Coordinator accepts shard connections and runs the global phase.
@@ -914,18 +727,10 @@ type (
 	// ShardWorker runs the shard-local phase and streams summaries to
 	// the coordinator with at-least-once delivery.
 	ShardWorker = dist.ShardWorker
-	// ShardFingerprint pins the configuration knobs distributed
-	// bit-identity depends on; the connection handshake compares them.
-	ShardFingerprint = dist.Fingerprint
-	// ShardSeqState is one shard's transport sequence accounting.
-	ShardSeqState = dist.ShardSeq
 	// DistCluster is an in-process distributed deployment over pipe
 	// transports, for tests and experimentation.
-	DistCluster = simnet.DistCluster
+	DistCluster = dist.DistCluster
 )
-
-// LocalDetectorName identifies the shard-local phase detector.
-const LocalDetectorName = core.LocalName
 
 // ShardOf hashes an address onto one of n shards — the one shard
 // assignment every layer of the system agrees on.
@@ -949,25 +754,6 @@ func MergeShardSummaries(sums []*ShardSummary) (*ShardSummary, error) {
 	return core.MergeSummaries(sums)
 }
 
-// GlobalPass runs FindPlotters over one window's merged shard summaries,
-// bit-identical to FindPlotters over the merged population.
-func GlobalPass(sums []*ShardSummary, cfg Config) (*Result, error) {
-	return core.GlobalPass(sums, cfg)
-}
-
-// NewLocalDetector wraps the shard-local phase for one host-hash slice.
-func NewLocalDetector(cfg Config, shard, shards int) (*LocalDetector, error) {
-	return core.NewLocalDetector(cfg, shard, shards)
-}
-
-// NewDistributedDetector creates the coordinator-side window assembler
-// for a deployment of shards shard processes; cfg.Core and cfg.Detectors
-// configure detection over each merged window, and emit receives
-// completed windows in ascending order.
-func NewDistributedDetector(cfg EngineConfig, shards int, emit func(*WindowResult) error) (*DistributedDetector, error) {
-	return engine.NewDistributed(cfg, shards, emit)
-}
-
 // NewCoordinator creates a distributed deployment's coordinator; drive
 // it with Coordinator.Listen (TCP) or Coordinator.ServeConn (any
 // net.Conn transport).
@@ -983,23 +769,5 @@ func NewShardWorker(cfg ShardWorkerConfig) (*ShardWorker, error) {
 // NewDistCluster wires cfg.Shards workers to a coordinator over
 // in-process pipes — the whole distributed pipeline without sockets.
 func NewDistCluster(cfg CoordinatorConfig, emit func(*WindowResult) error) (*DistCluster, error) {
-	return simnet.NewDistCluster(cfg, emit)
-}
-
-// ShardFingerprintOf derives the configuration fingerprint of one shard
-// engine configuration in an N-shard deployment.
-func ShardFingerprintOf(cfg EngineConfig, shards int) ShardFingerprint {
-	return dist.FingerprintOf(cfg, shards)
-}
-
-// EncodeShardSummary serializes one window's summary in the versioned
-// wire layout (the payload of a summary frame).
-func EncodeShardSummary(index int, s *ShardSummary) []byte {
-	return dist.EncodeSummary(index, s)
-}
-
-// DecodeShardSummary parses a summary payload, returning its window
-// index. Unknown versions and truncations are descriptive hard errors.
-func DecodeShardSummary(data []byte) (int, *ShardSummary, error) {
-	return dist.DecodeSummary(data)
+	return dist.NewDistCluster(cfg, emit)
 }

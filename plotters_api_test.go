@@ -30,10 +30,18 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Round-trip the day through the binary codec.
 	var buf bytes.Buffer
-	if err := plotters.WriteTrace(&buf, ds.Days[0].Records); err != nil {
+	w, err := plotters.NewTraceWriter(&buf, "binary")
+	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := plotters.ReadTrace(&buf)
+	if err := plotters.WriteAllTrace(w, ds.Days[0].Records); err != nil {
+		t.Fatal(err)
+	}
+	r, err := plotters.NewTraceReader(&buf, "binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := plotters.ReadAllTrace(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,29 +50,41 @@ type collectorGolden struct {
 // scale), shared by the v5 golden and the IPFIX/sFlow format loopback.
 func corpusDay(t *testing.T) ([]plotters.Record, plotters.Window, plotters.Config) {
 	t.Helper()
-	cfg := plotters.DefaultDatasetConfig(42)
-	cfg.Days = 1
-	cfg.DayTemplate.CampusHosts = 100
-	cfg.DayTemplate.Gnutella = 3
-	cfg.DayTemplate.EMule = 3
-	cfg.DayTemplate.BitTorrent = 4
-	cfg.DayTemplate.PeerNetworkNodes = 800
-	cfg.Storm.Bots = 6
-	cfg.Storm.OverlayNodes = 500
-	cfg.Storm.SeedPeers = 50
-	cfg.Nugache.Bots = 15
-	cfg.Nugache.OverlayNodes = 400
-	ds, err := plotters.GenerateDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pipe := plotters.DefaultConfig()
 	pipe.MinInterstitialSamples = 20
-	day, err := plotters.OverlayDay(ds.Days[0], ds, 43, pipe)
-	if err != nil {
-		t.Fatal(err)
+	smallCorpus.once.Do(func() {
+		cfg := plotters.DefaultDatasetConfig(42)
+		cfg.Days = 1
+		cfg.DayTemplate.CampusHosts = 100
+		cfg.DayTemplate.Gnutella = 3
+		cfg.DayTemplate.EMule = 3
+		cfg.DayTemplate.BitTorrent = 4
+		cfg.DayTemplate.PeerNetworkNodes = 800
+		cfg.Storm.Bots = 6
+		cfg.Storm.OverlayNodes = 500
+		cfg.Storm.SeedPeers = 50
+		cfg.Nugache.Bots = 15
+		cfg.Nugache.OverlayNodes = 400
+		ds, err := plotters.GenerateDataset(cfg)
+		if err != nil {
+			smallCorpus.err = err
+			return
+		}
+		smallCorpus.window = ds.Days[0].Window
+		smallCorpus.day, smallCorpus.err = plotters.OverlayDay(ds.Days[0], ds, 43, pipe)
+	})
+	if smallCorpus.err != nil {
+		t.Fatal(smallCorpus.err)
 	}
-	return day.Records, ds.Days[0].Window, pipe
+	return smallCorpus.day.Records, smallCorpus.window, pipe
+}
+
+// smallCorpus caches corpusDay's synthesis; its callers only read it.
+var smallCorpus struct {
+	once   sync.Once
+	day    *plotters.DayEval
+	window plotters.Window
+	err    error
 }
 
 // collectorCorpus quantizes the corpus day through the NetFlow v5

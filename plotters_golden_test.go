@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"plotters"
@@ -51,16 +52,25 @@ type goldenResult struct {
 // d of a dataset is derived from cfg.Seed + d*7919 and the honeynet
 // traces from fixed seed offsets, so a Days=1 corpus reproduces day 0 of
 // the full eight-day evaluation bit for bit at an eighth of the
-// synthesis cost.
+// synthesis cost. It is synthesized once (~13s) and shared: the tests
+// only read it.
 func goldenDataset(t *testing.T) *plotters.Dataset {
 	t.Helper()
-	dsCfg := plotters.DefaultDatasetConfig(42)
-	dsCfg.Days = 1
-	ds, err := plotters.GenerateDataset(dsCfg)
-	if err != nil {
-		t.Fatal(err)
+	goldenCorpus.once.Do(func() {
+		dsCfg := plotters.DefaultDatasetConfig(42)
+		dsCfg.Days = 1
+		goldenCorpus.ds, goldenCorpus.err = plotters.GenerateDataset(dsCfg)
+	})
+	if goldenCorpus.err != nil {
+		t.Fatal(goldenCorpus.err)
 	}
-	return ds
+	return goldenCorpus.ds
+}
+
+var goldenCorpus struct {
+	once sync.Once
+	ds   *plotters.Dataset
+	err  error
 }
 
 // goldenDay overlays the corpus exactly as cmd/experiments does (suite

@@ -72,66 +72,3 @@ func TestWindowedDetectorMatchesGolden(t *testing.T) {
 		t.Error("windowed features differ from batch extraction")
 	}
 }
-
-// Over a multi-day corpus, the engine-backed suite must produce the
-// same per-day suspect sets as independent per-day batch runs — the
-// cmd/experiments equivalence: days stream through one engine, features
-// are never re-extracted, and nothing about the outcome moves.
-func TestSuiteEngineMatchesPerDayBatch(t *testing.T) {
-	// Scale the corpus down: the equivalence needs days, not scale.
-	cfg := plotters.DefaultDatasetConfig(42)
-	cfg.Days = 3
-	cfg.DayTemplate.CampusHosts = 100
-	cfg.DayTemplate.Gnutella = 3
-	cfg.DayTemplate.EMule = 3
-	cfg.DayTemplate.BitTorrent = 4
-	cfg.DayTemplate.PeerNetworkNodes = 800
-	cfg.Storm.Bots = 6
-	cfg.Storm.OverlayNodes = 500
-	cfg.Storm.SeedPeers = 50
-	cfg.Nugache.Bots = 15
-	cfg.Nugache.OverlayNodes = 400
-	ds, err := plotters.GenerateDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := plotters.DefaultConfig()
-	pipe.MinInterstitialSamples = 20
-
-	suite, err := plotters.NewSuite(ds, pipe, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < suite.Days(); i++ {
-		de, err := suite.Day(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engRes, err := de.Detect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Independent batch run over the same overlaid day (same seed
-		// derivation as the suite).
-		batchDay, err := plotters.OverlayDay(ds.Days[i], ds, 7+int64(i)*104729, pipe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchRes, err := batchDay.Analysis.FindPlotters()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(engRes.Suspects, batchRes.Suspects) {
-			t.Errorf("day %d: suspects differ:\nengine %v\nbatch  %v",
-				i, engRes.Suspects.Sorted(), batchRes.Suspects.Sorted())
-		}
-		if !reflect.DeepEqual(engRes.Reduction.Kept, batchRes.Reduction.Kept) ||
-			!reflect.DeepEqual(engRes.Volume.Kept, batchRes.Volume.Kept) ||
-			!reflect.DeepEqual(engRes.Churn.Kept, batchRes.Churn.Kept) {
-			t.Errorf("day %d: intermediate stages differ", i)
-		}
-		if !reflect.DeepEqual(de.Analysis.Features(), batchDay.Analysis.Features()) {
-			t.Errorf("day %d: features differ from batch extraction", i)
-		}
-	}
-}
