@@ -109,7 +109,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.inBatch, "ingest-batch", 0, "datagrams per recvmmsg batch on the -listen socket (0 = default, 1 = plain reads)")
 	fs.StringVar(&o.stateDir, "state-dir", "", "directory for crash-safe durable state (snapshot + write-ahead log); requires -listen. On start, any state found there is recovered")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint interval for -state-dir")
-	fs.IntVar(&o.walSync, "wal-sync-every", 256, "fsync the write-ahead log every N records (1 = every record: survives power loss, but gates ingest on fsync latency)")
+	fs.IntVar(&o.walSync, "wal-sync-every", 256, "write out and fsync the write-ahead log every N records: bounds what a kill or a power loss can lose of the records no emitted window or snapshot depends on yet (1 = nothing, but gates ingest on fsync latency)")
 	fs.StringVar(&o.role, "role", "", "distributed detection role: shard (reduce a trace locally, ship summaries) or coordinator (merge shard summaries, run the global phase); requires -window, -peers, -dist-shards")
 	fs.StringVar(&o.peers, "peers", "", "coordinator TCP address: what a shard dials, or what the coordinator binds (required with -role)")
 	fs.IntVar(&o.shardIdx, "shard", 0, "this worker's shard index in [0,dist-shards) for -role shard")

@@ -148,7 +148,7 @@ func runLive(addr string, window, skew time.Duration, internals, stateDir string
 			Core:     plotters.DefaultConfig(),
 		},
 		CheckpointEvery: time.Minute,
-		WALSyncEvery:    256, // batch fsyncs: don't gate UDP ingest on disk latency
+		WALSyncEvery:    256, // write + fsync per 256 records: don't gate UDP ingest on disk latency
 		Ready: func(bound net.Addr, recovered *plotters.CheckpointRecovery) {
 			if recovered != nil && (recovered.SnapshotLoaded || recovered.Replayed > 0) {
 				fmt.Printf("resumed from %s: snapshot loaded=%v, %d records replayed\n",

@@ -8,10 +8,11 @@
 //     metadata section that pins the configuration the state depends
 //     on. Snapshots commit atomically (write temp, fsync, rename).
 //   - a write-ahead log: every record appended to the engine is first
-//     framed into the WAL. Recovery restores the newest snapshot and
-//     replays the frames past it, so the rebuilt engine has seen the
-//     exact record sequence the dead one had — windows seal on the
-//     same boundaries with the same contents, bit for bit.
+//     framed into the WAL, which is written out before any window is
+//     sealed. Recovery restores the newest snapshot and replays the
+//     frames past it, so the rebuilt engine has seen every record the
+//     dead one built a window on — windows seal on the same boundaries
+//     with the same contents, bit for bit.
 //
 // The format is deliberately paranoid about its inputs: every section
 // carries a CRC32, every count is validated before allocation, and an

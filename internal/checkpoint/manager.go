@@ -30,10 +30,11 @@ type Config struct {
 	// negative disables the timer — checkpoints then happen only on
 	// explicit Checkpoint calls (e.g. on a signal).
 	Interval time.Duration
-	// SyncEvery batches WAL fsyncs: the log is fsynced every SyncEvery
-	// appends (<= 1 = every append, the safest and slowest setting).
-	// Records written but not yet fsynced survive a process kill —
-	// the page cache holds them — but not a host power loss.
+	// SyncEvery is the WAL's commit cadence: buffered frames are written
+	// and the log fsynced every SyncEvery appends (<= 1 = every append,
+	// the safest and slowest). Of the records accepted since the last
+	// emitted window or snapshot, a power loss can take up to SyncEvery
+	// and a process kill min(SyncEvery, ~900: one 64 KB buffer).
 	SyncEvery int
 	// Metrics instruments the manager ("checkpoint/..." names); nil
 	// disables instrumentation.
@@ -72,6 +73,12 @@ type RecoveryInfo struct {
 //	m.Flush(); m.Checkpoint()       // graceful shutdown
 //	m.Close()
 //
+// The log is written before visibility, not before the engine: Add only
+// buffers the record's frame; the buffer reaches the OS before any window
+// is sealed (the engine's BeforeSeal hook), before a snapshot is stamped,
+// and within a second (Run). All that is emitted or snapshotted is thus
+// reproducible from snapshot + log; Config.SyncEvery bounds the rest.
+//
 // Recovery replays records the dead process had already pushed past
 // its last snapshot, so windows those records sealed are emitted
 // again — at-least-once delivery across a crash. Consumers that must
@@ -97,6 +104,7 @@ type Manager struct {
 	snapSize   *metrics.Gauge
 	snapDur    *metrics.Histogram
 	walAppends *metrics.Counter
+	walWrites  *metrics.Counter
 	walBytes   *metrics.Counter
 	walSize    *metrics.Gauge
 	stateAge   *metrics.Gauge
@@ -133,6 +141,7 @@ func NewManager(cfg Config, eng *engine.WindowedDetector) (*Manager, error) {
 		snapSize:   reg.Gauge("checkpoint/snapshot_bytes"),
 		snapDur:    reg.Histogram("checkpoint/snapshot_duration"),
 		walAppends: reg.Counter("checkpoint/wal_appends"),
+		walWrites:  reg.Counter("checkpoint/wal_writes"),
 		walBytes:   reg.Counter("checkpoint/wal_bytes"),
 		walSize:    reg.Gauge("checkpoint/wal_size_bytes"),
 		stateAge:   reg.Gauge("checkpoint/state_age_seconds"),
@@ -206,6 +215,13 @@ func (m *Manager) Recover() (*RecoveryInfo, error) {
 			return nil, err
 		}
 	}
+	// Replay is over: flush ahead of every seal, account per write.
+	m.eng.BeforeSeal(wal.flush)
+	wal.wrote = func(n int) {
+		m.walWrites.Add(1)
+		m.walBytes.Add(int64(n))
+		m.walSize.Set(wal.Size())
+	}
 	if info.SnapshotLoaded || info.Replayed > 0 {
 		m.recoveries.Add(1)
 	}
@@ -224,21 +240,18 @@ func (m *Manager) AttachCollector(c *collector.Collector) {
 }
 
 // Add logs the record to the WAL, then feeds it to the engine — in
-// that order, so a crash after the engine saw a record can always
-// replay it.
+// that order, so if the record seals a window the flush ahead of that
+// seal carries the record itself.
 func (m *Manager) Add(rec *flow.Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.wal == nil {
 		return fmt.Errorf("checkpoint: Add before Recover")
 	}
-	before := m.wal.Size()
 	if _, err := m.wal.Append(rec); err != nil {
 		return err
 	}
 	m.walAppends.Add(1)
-	m.walBytes.Add(m.wal.Size() - before)
-	m.walSize.Set(m.wal.Size())
 	return m.eng.Add(rec)
 }
 
@@ -320,13 +333,14 @@ func (m *Manager) observeAgeLocked() {
 	m.stateAge.Set(int64(age / time.Second))
 }
 
-// Run checkpoints every Interval until ctx is canceled, keeping the
-// state-age gauge fresh in between. Returns the first checkpoint
-// error (a dead disk should be loud, not a silent loss of
-// durability). With Interval <= 0 it only maintains the gauge.
+// Run checkpoints every Interval (never, if <= 0) until ctx is canceled;
+// every second in between it hands the WAL's buffered frames to the OS,
+// bounding a quiet feed's tail in time as well as bytes, and refreshes
+// the state-age gauge. Returns the first checkpoint or WAL error (a dead
+// disk should be loud, not a silent loss of durability).
 func (m *Manager) Run(ctx context.Context) error {
-	ageTick := time.NewTicker(10 * time.Second)
-	defer ageTick.Stop()
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
 	var checkpointC <-chan time.Time
 	if m.interval > 0 {
 		t := time.NewTicker(m.interval)
@@ -337,10 +351,17 @@ func (m *Manager) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-ageTick.C:
+		case <-tick.C:
 			m.mu.Lock()
+			var err error
+			if m.wal != nil {
+				err = m.wal.flush()
+			}
 			m.observeAgeLocked()
 			m.mu.Unlock()
+			if err != nil {
+				return err
+			}
 		case <-checkpointC:
 			if err := m.Checkpoint(); err != nil {
 				return err
@@ -358,5 +379,6 @@ func (m *Manager) Close() error {
 	}
 	err := m.wal.Close()
 	m.wal = nil
+	m.eng.BeforeSeal(nil)
 	return err
 }

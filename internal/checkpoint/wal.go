@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
 	"plotters/internal/flow"
@@ -20,10 +21,10 @@ import (
 // baseSeq+1 and increment by one per frame; baseSeq is the last
 // sequence number already covered by a snapshot, rewritten when the
 // log rotates after a checkpoint. Recovery tolerates exactly one kind
-// of damage silently: a torn tail — a final frame the process did not
-// finish writing before dying, which is truncated away. Everything
-// else (bad CRC, out-of-order sequence, undecodable record) is an
-// error, because it means bytes that were once durable changed.
+// of damage silently: a torn tail — a write (of many frames) the process
+// did not finish before dying, truncated to the last whole frame.
+// Everything else (bad CRC, out-of-order sequence, undecodable record)
+// is an error, because it means bytes that were once durable changed.
 
 var walMagic = [4]byte{'P', 'W', 'A', 'L'}
 
@@ -32,6 +33,7 @@ const (
 	walHeaderSize  = 4 + 2 + 8 // magic, version, baseSeq
 	walFrameHeader = 4 + 8 + 4 // crc, seq, len
 	walMaxFrameLen = 4096      // far above any encoded record; larger lengths are torn/garbage
+	walBufSize     = 64 << 10  // frames gathered per write(2): ~900 payload-free records
 )
 
 // ErrNotWAL is returned when a file does not begin with the WAL magic.
@@ -124,23 +126,36 @@ func ReplayWALBytes(data []byte, fn func(seq uint64, rec *flow.Record) error) (R
 	return info, err
 }
 
-// WAL is an open write-ahead log. Not safe for concurrent use; the
-// Manager serializes access.
+// walFile is what the log needs of its file: *os.File, or a test's
+// stand-in that writes short or fails.
+type walFile interface {
+	io.WriteSeeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// WAL is an open write-ahead log. Appends are group-committed: frames
+// gather in a fixed buffer and reach the file in one write (see Append
+// for when). The first failed or short write is kept and returned by
+// every later call — nothing is ever framed after a hole. Not safe for
+// concurrent use; the Manager serializes access.
 type WAL struct {
-	f         *os.File
-	path      string
+	f         walFile
 	nextSeq   uint64
-	size      int64
+	size      int64 // header and every accepted frame, buffered ones included
 	syncEvery int
 	unsynced  int
-	buf       []byte
+	buf       []byte      // accepted frames not yet written; never grows past walBufSize
+	err       error       // the first write failure; sticky
+	wrote     func(n int) // told of every completed write (the Manager's accounting)
 }
 
 // OpenWAL opens (creating if absent) the log at path, replaying every
 // intact frame through replay before the log accepts appends. A torn
 // tail is truncated; CRC or sequence damage is a hard error. syncEvery
-// batches fsyncs: the file is synced every syncEvery appends (<= 1 =
-// every append).
+// is the commit cadence: buffered frames are written and the file
+// fsynced every syncEvery appends (<= 1 = every append).
 func OpenWAL(path string, syncEvery int, replay func(seq uint64, rec *flow.Record) error) (*WAL, ReplayInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -154,7 +169,7 @@ func OpenWAL(path string, syncEvery int, replay func(seq uint64, rec *flow.Recor
 	if err != nil {
 		return nil, info, fmt.Errorf("checkpoint: opening WAL: %w", err)
 	}
-	w := &WAL{f: f, path: path, nextSeq: info.LastSeq + 1, syncEvery: syncEvery}
+	w := &WAL{f: f, nextSeq: info.LastSeq + 1, syncEvery: syncEvery, buf: make([]byte, 0, walBufSize)}
 	if valid == 0 {
 		// Fresh file, or a creation the crash interrupted before the
 		// header was durable: start a clean log.
@@ -201,40 +216,65 @@ func (w *WAL) reset(baseSeq uint64) error {
 	return nil
 }
 
-// Append frames one record into the log and returns its sequence
-// number. The record hits the OS immediately and the disk according to
-// the sync policy.
+// Append frames one record into the log's buffer and returns its
+// sequence number. The frame reaches the OS with the next flush: when
+// the buffer fills or the sync policy comes due, and before Sync, Rotate
+// or Close return. Config.SyncEvery says what a kill can lose meanwhile.
 func (w *WAL) Append(rec *flow.Record) (uint64, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
 	if err := rec.Validate(); err != nil {
 		return 0, fmt.Errorf("checkpoint: refusing to log invalid record: %w", err)
 	}
 	seq := w.nextSeq
 	le := binary.LittleEndian
-	w.buf = w.buf[:0]
+	at := len(w.buf)
 	w.buf = append(w.buf, 0, 0, 0, 0) // crc placeholder
 	w.buf = le.AppendUint64(w.buf, seq)
 	w.buf = append(w.buf, 0, 0, 0, 0) // len placeholder
 	w.buf = flowio.AppendRecord(w.buf, rec)
-	le.PutUint32(w.buf[12:16], uint32(len(w.buf)-walFrameHeader))
-	le.PutUint32(w.buf[0:4], crc32.ChecksumIEEE(w.buf[4:]))
-	if _, err := w.f.Write(w.buf); err != nil {
-		return 0, fmt.Errorf("checkpoint: WAL append: %w", err)
-	}
+	frame := w.buf[at:]
+	le.PutUint32(frame[12:16], uint32(len(frame)-walFrameHeader))
+	le.PutUint32(frame[0:4], crc32.ChecksumIEEE(frame[4:]))
 	w.nextSeq++
-	w.size += int64(len(w.buf))
+	w.size += int64(len(frame))
 	w.unsynced++
 	if w.syncEvery <= 1 || w.unsynced >= w.syncEvery {
-		if err := w.Sync(); err != nil {
-			return 0, err
-		}
+		return seq, w.Sync()
+	}
+	if cap(w.buf)-len(w.buf) < walFrameHeader+walMaxFrameLen {
+		return seq, w.flush() // no room for another frame
 	}
 	return seq, nil
 }
 
-// Sync flushes appended frames to stable storage.
+// flush hands the buffered frames to the OS in one write. If it fails
+// or falls short the file may end mid-frame, so the log accepts nothing
+// more; reopening it truncates to the last whole frame.
+func (w *WAL) flush() error {
+	if w.err != nil || len(w.buf) == 0 {
+		return w.err
+	}
+	n, err := w.f.Write(w.buf)
+	if err == nil && n < len(w.buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		w.err = fmt.Errorf("checkpoint: WAL write failed, log closed to appends: %w", err)
+		return w.err
+	}
+	w.buf = w.buf[:0]
+	if w.wrote != nil {
+		w.wrote(n)
+	}
+	return nil
+}
+
+// Sync flushes buffered frames and forces them to stable storage.
 func (w *WAL) Sync() error {
-	if w.unsynced == 0 {
-		return nil
+	if err := w.flush(); err != nil || w.unsynced == 0 {
+		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: syncing WAL: %w", err)
@@ -250,6 +290,9 @@ func (w *WAL) Rotate(baseSeq uint64) error {
 		return fmt.Errorf("checkpoint: rotating WAL to base %d would drop %d frames no snapshot covers",
 			baseSeq, w.nextSeq-1-baseSeq)
 	}
+	if err := w.flush(); err != nil {
+		return err
+	}
 	if err := w.reset(baseSeq); err != nil {
 		return err
 	}
@@ -258,13 +301,13 @@ func (w *WAL) Rotate(baseSeq uint64) error {
 }
 
 // LastSeq returns the sequence number of the most recently appended
-// frame (or the base, when none have been appended).
+// frame, buffered or written (or the base, when there are none).
 func (w *WAL) LastSeq() uint64 { return w.nextSeq - 1 }
 
-// Size returns the log's current size in bytes.
+// Size returns the log's size in bytes, buffered frames included.
 func (w *WAL) Size() int64 { return w.size }
 
-// Close syncs and closes the log.
+// Close flushes, syncs and closes the log.
 func (w *WAL) Close() error {
 	if err := w.Sync(); err != nil {
 		w.f.Close()

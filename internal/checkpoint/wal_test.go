@@ -1,7 +1,10 @@
 package checkpoint_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +14,7 @@ import (
 
 	"plotters/internal/checkpoint"
 	"plotters/internal/flow"
+	"plotters/internal/flowio"
 )
 
 func walPath(t *testing.T) string {
@@ -255,5 +259,82 @@ func TestWALBadMagic(t *testing.T) {
 	}
 	if _, _, err := checkpoint.OpenWAL(path, 0, nil); err == nil {
 		t.Fatal("non-WAL file opened without error")
+	}
+}
+
+// testdata/wal_v1_pr25.log was written by the last commit whose Append
+// issued one write(2) per frame: the 78 records of synthStream(seed 26,
+// 10 min), synced every append, closed. Gathering frames into one
+// buffer changed when bytes reach the file, never which bytes: at any
+// sync cadence the closed log is that file exactly, which is also the
+// layout spelled out by hand below, and this build replays the old
+// build's log and carries on from it.
+func TestWALBytesUnchanged(t *testing.T) {
+	records := synthStream(rand.New(rand.NewSource(26)), baseTime(), 10*time.Minute)
+	parent, err := os.ReadFile("testdata/wal_v1_pr25.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	byHand := le.AppendUint64(append([]byte("PWAL"), 1, 0), 0) // magic, version 1, base seq 0
+	for i := range records {
+		payload := flowio.AppendRecord(nil, &records[i])
+		body := le.AppendUint64(nil, uint64(i+1)) // seq
+		body = le.AppendUint32(body, uint32(len(payload)))
+		body = append(body, payload...)
+		byHand = append(le.AppendUint32(byHand, crc32.ChecksumIEEE(body)), body...)
+	}
+	if !bytes.Equal(byHand, parent) {
+		t.Fatalf("the fixture (%d bytes) is not the documented layout (%d bytes)", len(parent), len(byHand))
+	}
+	for _, syncEvery := range []int{1, 7, 1 << 30} {
+		t.Run(fmt.Sprintf("sync%d", syncEvery), func(t *testing.T) {
+			path := walPath(t)
+			w, _, err := checkpoint.OpenWAL(path, syncEvery, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, w, records)
+			if got, want := w.Size(), int64(len(parent)); got != want {
+				t.Errorf("Size() = %d before Close, want %d: buffered frames count", got, want)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, parent) {
+				t.Fatalf("closed log (%d bytes) differs from the parent build's (%d bytes)", len(got), len(parent))
+			}
+		})
+	}
+
+	path := walPath(t)
+	if err := os.WriteFile(path, parent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []flow.Record
+	w, info, err := checkpoint.OpenWAL(path, 1<<30, func(_ uint64, rec *flow.Record) error {
+		replayed = append(replayed, *rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Torn || info.Frames != len(records) || info.LastSeq != uint64(len(records)) {
+		t.Fatalf("parent-written log scanned as %+v, want %d clean frames", info, len(records))
+	}
+	for i := range records {
+		if got, want := flowio.AppendRecord(nil, &replayed[i]), flowio.AppendRecord(nil, &records[i]); !bytes.Equal(got, want) {
+			t.Fatalf("frame %d replayed as %+v, want %+v", i, replayed[i], records[i])
+		}
+	}
+	if seq, err := w.Append(&records[0]); err != nil || seq != uint64(len(records)+1) {
+		t.Fatalf("append after the parent's frames: seq %d, err %v", seq, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -203,10 +203,6 @@ func Listen(cfg Config) (*Collector, error) {
 // Addr returns the bound socket address (useful with ":0").
 func (c *Collector) Addr() net.Addr { return c.conn.LocalAddr() }
 
-// Templates exposes the v9/IPFIX template cache (e.g. for a status
-// page).
-func (c *Collector) Templates() *TemplateCache { return c.templates }
-
 // Run pumps the socket until ctx is cancelled: the reader enqueues,
 // cfg.Workers decode, and the Handler receives records. On
 // cancellation the socket closes, queued packets drain through the

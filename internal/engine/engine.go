@@ -161,6 +161,7 @@ type Result struct {
 type WindowedDetector struct {
 	cfg       Config
 	emit      func(*Result) error
+	preSeal   func() error // nil, or the hook BeforeSeal registered
 	store     *flow.ShardedExtractor
 	detectors []core.Detector
 	paneDur   time.Duration
@@ -226,6 +227,12 @@ func (d *WindowedDetector) Store() *flow.ShardedExtractor { return d.store }
 // Validate already applied). Checkpointing uses it to fingerprint the
 // snapshot so a restore into a differently shaped engine fails loudly.
 func (d *WindowedDetector) Config() Config { return d.cfg }
+
+// BeforeSeal registers fn to run at the top of every pane seal — Add's,
+// AdvanceTo's or Flush's — before the pane is detached or any window it
+// completes is detected; its error aborts the seal and the call. The
+// checkpoint manager flushes its write-ahead log here (nil unregisters).
+func (d *WindowedDetector) BeforeSeal(fn func() error) { d.preSeal = fn }
 
 // Windows returns how many window results have been emitted.
 func (d *WindowedDetector) Windows() int { return d.emitted }
@@ -369,6 +376,11 @@ func (d *WindowedDetector) ringEmpty() bool {
 // its feature state shard by shard, advances the pane cursor, and — if
 // the pane completes a detection window — merges, detects, and emits.
 func (d *WindowedDetector) sealPane() error {
+	if d.preSeal != nil {
+		if err := d.preSeal(); err != nil {
+			return err
+		}
+	}
 	reg := d.cfg.Core.Metrics
 	w := flow.Window{From: d.paneStart(), To: d.paneEnd()}
 	t := reg.StartStage("engine/seal")

@@ -23,7 +23,6 @@ import (
 // record a single extractor would accept is never dropped.
 type ShardedExtractor struct {
 	shards []extractorShard
-	skew   time.Duration
 
 	hostsHW *metrics.Gauge // deepest any one shard got (builders)
 }
@@ -47,7 +46,7 @@ func NewShardedExtractorSkew(opts FeatureOptions, shards int, maxSkew time.Durat
 	if shards <= 0 {
 		shards = runtime.NumCPU()
 	}
-	se := &ShardedExtractor{shards: make([]extractorShard, shards), skew: maxSkew}
+	se := &ShardedExtractor{shards: make([]extractorShard, shards)}
 	for i := range se.shards {
 		se.shards[i].ex = NewStreamExtractorSkew(opts, maxSkew)
 	}
@@ -77,9 +76,6 @@ func (se *ShardedExtractor) shardOf(ip IP) *extractorShard {
 
 // Shards returns the shard count.
 func (se *ShardedExtractor) Shards() int { return len(se.shards) }
-
-// MaxSkew returns the configured reorder tolerance.
-func (se *ShardedExtractor) MaxSkew() time.Duration { return se.skew }
 
 // Metrics attaches reg's instruments to every shard: the shared
 // "stream/records" and "stream/skew_drops" counters (atomic, so shards

@@ -134,14 +134,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the total of all observed durations (0 for nil).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sumNS.Load())
-}
-
 // minUnset marks a Stage that has not observed anything yet; any real
 // duration ratchets the min below it.
 const minUnset = int64(^uint64(0) >> 1) // math.MaxInt64 without the import

@@ -18,17 +18,18 @@ type LiveConfig struct {
 	// Engine shapes the windowed detector the collector feeds. DropLate
 	// is forced on — a socket cannot replay the past, so a record beyond
 	// MaxSkew is a statistic, never an error. A non-empty StateDir makes
-	// the run crash-safe: every record is write-ahead logged before it
-	// reaches the engine and the full detection state is snapshotted
-	// every CheckpointEvery and once more on shutdown; state a previous
-	// (possibly killed) process left there is recovered first.
+	// the run crash-safe: every record is write-ahead logged before any
+	// window built on it is emitted and the full detection state is
+	// snapshotted every CheckpointEvery and once more on shutdown; state
+	// a previous (possibly killed) process left there is recovered first.
 	Engine EngineConfig
 	// Sampler keeps 1 flow in N inside the collector, ahead of the WAL.
 	Sampler FlowSampler
 	// Batch is the socket's recvmmsg batch size (0 = default).
 	Batch int
 	// CheckpointEvery is the periodic snapshot interval and WALSyncEvery
-	// the fsync cadence in records; both matter only with a StateDir.
+	// the log's write-and-fsync cadence in records (CheckpointConfig's
+	// SyncEvery: what a kill may lose); both matter only with a StateDir.
 	CheckpointEvery time.Duration
 	WALSyncEvery    int
 	// Metrics instruments the collector and the checkpoint manager; the

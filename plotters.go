@@ -680,7 +680,8 @@ func ExportProtocolNames() string { return collector.ExportProtocolNames() }
 
 // Durable state: checkpoint/restore for crash-safe continuous
 // detection. A CheckpointManager owns a snapshot file and a per-record
-// write-ahead log under EngineConfig.StateDir (or its own Dir);
+// write-ahead log (written out ahead of every emitted window) under
+// EngineConfig.StateDir (or its own Dir);
 // restarting a dead process with the same configuration and calling
 // Recover rebuilds the engine bit-identically — same window boundaries,
 // same verdicts. See internal/checkpoint and DESIGN.md §4e.
