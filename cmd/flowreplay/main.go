@@ -2,22 +2,22 @@
 // datagrams — a software exporter for exercising plotfind -listen (or
 // any flow collector) without router hardware.
 //
-// Records are read in trace order, packed into valid export packets
-// (up to -batch records each), and sent over UDP. -emit selects the
-// wire protocol: NetFlow v5 (default), IPFIX, or sFlow v5, so the same
-// trace can drive every decoder the collector registers. With
-// -speedup N the inter-packet gaps follow the records' start times
-// compressed N-fold (1 = faithful real time); -speedup 0 blasts the
-// trace as fast as the socket accepts, which is how you load-test a
-// collector's bounded queue. The exporter sequence numbers are
-// continuous — cumulative records for v5/IPFIX, a datagram counter for
-// sFlow, each protocol's native semantics — so a collector's
-// sequence-gap counters measure exactly what the network (or its own
-// drops) lost in transit.
+// Records are read in trace order and handed to the packet writer of the
+// -emit protocol — NetFlow v5 (default), IPFIX, or sFlow v5, so the same
+// trace can drive every decoder the collector registers — which packs
+// them 30 to an export packet and sends each packet as one UDP datagram.
+// With -speedup N each record is due at its start time compressed
+// N-fold (1 = faithful real time), so a packet leaves when its last
+// record is due; -speedup 0 blasts the trace as fast as the socket
+// accepts, which is how you load-test a collector's bounded queue. The
+// exporter sequence numbers are continuous — cumulative records for
+// v5/IPFIX, a datagram counter for sFlow, each protocol's native
+// semantics — so a collector's sequence-gap counters measure exactly
+// what the network (or its own drops) lost in transit.
 //
 // Usage:
 //
-//	flowreplay -to 127.0.0.1:2055 [-emit v5|ipfix|sflow] [-format binary|csv|jsonl|netflow|ipfix|sflow] [-speedup N] [-batch N] TRACE
+//	flowreplay -to 127.0.0.1:2055 [-emit v5|ipfix|sflow] [-format binary|csv|jsonl|netflow|ipfix|sflow] [-speedup N] TRACE
 package main
 
 import (
@@ -33,26 +33,47 @@ import (
 	"time"
 
 	"plotters"
+	"plotters/internal/flowio"
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "flowreplay:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// datagrams counts what the packet writer hands the socket: one Write
+// per export packet.
+type datagrams struct {
+	conn           io.Writer
+	packets, bytes int
+}
+
+func (d *datagrams) Write(p []byte) (int, error) {
+	n, err := d.conn.Write(p)
+	d.packets++
+	d.bytes += n
+	return n, err
+}
+
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("flowreplay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		to      = flag.String("to", "", "UDP address of the collector, e.g. 127.0.0.1:2055 (required)")
-		emit    = flag.String("emit", "v5", "export protocol for outgoing datagrams: "+plotters.ExportProtocolNames())
-		format  = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
-		speedup = flag.Float64("speedup", 0, "pace packets by record start times compressed this many times (1 = real time, 0 = no pacing)")
-		batch   = flag.Int("batch", 30, "records per export packet (1-30)")
+		to      = fs.String("to", "", "UDP address of the collector, e.g. 127.0.0.1:2055 (required)")
+		emit    = fs.String("emit", "v5", "export protocol for outgoing datagrams: "+plotters.ExportProtocolNames())
+		format  = fs.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
+		speedup = fs.Float64("speedup", 0, "pace records by their start times compressed this many times (1 = real time, 0 = no pacing)")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
 		return fmt.Errorf("expected exactly one trace file argument")
 	}
 	if *to == "" {
@@ -61,9 +82,6 @@ func run() error {
 	proto, err := plotters.LookupExportProtocol(*emit)
 	if err != nil {
 		return fmt.Errorf("-emit: %w", err)
-	}
-	if *batch < 1 || *batch > 30 {
-		return fmt.Errorf("-batch must be between 1 and 30 (v5 packets hold at most 30 records)")
 	}
 	if *speedup < 0 {
 		return fmt.Errorf("-speedup must be >= 0")
@@ -74,7 +92,7 @@ func run() error {
 		return err
 	}
 	defer conn.Close()
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -84,87 +102,51 @@ func run() error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	out := &datagrams{conn: conn}
+	pw := flowio.NewPacketWriter(out, proto)
 	var (
-		pkt        []byte
-		pending    []plotters.Record
-		seq        uint32
-		packets    int
 		records    int
-		sent       int64
 		traceStart time.Time
 		wallStart  = time.Now()
 	)
-	// send packs and transmits the pending batch as one datagram,
-	// sleeping first so the batch leaves at its start time's place on
-	// the compressed timeline.
-	send := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		if *speedup > 0 {
-			due := time.Duration(float64(pending[0].Start.Sub(traceStart)) / *speedup)
-			if d := due - time.Since(wallStart); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-		}
-		var err error
-		if pkt, err = proto.Append(pkt[:0], pending, seq); err != nil {
-			return err
-		}
-		if _, err := conn.Write(pkt); err != nil {
-			return err
-		}
-		seq += proto.SeqStep(len(pending))
-		packets++
-		records += len(pending)
-		sent += int64(len(pkt))
-		pending = pending[:0]
-		return nil
-	}
-
 	for ctx.Err() == nil {
 		rec, err := tr.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("after %d records: %w", records+len(pending), err)
+			return fmt.Errorf("after %d records: %w", records, err)
 		}
-		if records == 0 && len(pending) == 0 {
+		if records == 0 {
 			traceStart = rec.Start
 		}
-		pending = append(pending, rec)
-		if len(pending) == *batch {
-			if err := send(); err != nil {
-				return replayErr(err, ctx, records)
+		// Wait until the record is due on the compressed timeline.
+		if *speedup > 0 {
+			due := time.Duration(float64(rec.Start.Sub(traceStart)) / *speedup)
+			if d := due - time.Since(wallStart); d > 0 {
+				select {
+				case <-time.After(d):
+				case <-ctx.Done():
+				}
 			}
 		}
+		if ctx.Err() != nil {
+			break
+		}
+		if err := pw.Write(&rec); err != nil {
+			return err
+		}
+		records++
+	}
+	// Whatever was due has left, interrupted or not.
+	if err := pw.Flush(); err != nil {
+		return err
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "interrupted after %d records in %d packets\n", records, packets)
+		fmt.Fprintf(stderr, "interrupted after %d records in %d packets\n", records, out.packets)
 		return nil
 	}
-	if err := send(); err != nil {
-		return replayErr(err, ctx, records)
-	}
-	fmt.Fprintf(os.Stderr, "replayed %d records in %d packets (%d bytes) to %s in %s\n",
-		records, packets, sent, *to, time.Since(wallStart).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "replayed %d records in %d packets (%d bytes) to %s in %s\n",
+		records, out.packets, out.bytes, *to, time.Since(wallStart).Round(time.Millisecond))
 	return nil
-}
-
-// replayErr turns a cancellation surfaced through send into a clean
-// interrupted exit; real errors pass through.
-func replayErr(err error, ctx context.Context, records int) error {
-	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "interrupted after %d records\n", records)
-		return nil
-	}
-	return err
 }

@@ -94,9 +94,6 @@ func New(cfg Config) (*Detector, error) {
 // Name implements core.Detector.
 func (d *Detector) Name() string { return Name }
 
-// Config returns the detector's operating point.
-func (d *Detector) Config() Config { return d.cfg }
-
 // Detect implements core.Detector: build the mutual-contact graph from
 // the source's contact sets, propagate community labels, and flag the
 // communities that are both large and dense enough. The source must

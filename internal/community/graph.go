@@ -193,9 +193,6 @@ func (g *Graph) Hosts() int { return len(g.hosts) }
 // Edges returns the undirected edge count.
 func (g *Graph) Edges() int { return g.edges }
 
-// Host returns the address of vertex v.
-func (g *Graph) Host(v int) flow.IP { return g.hosts[v] }
-
 // Degree returns how many mutual-contact neighbors a host has (0 for
 // unknown hosts).
 func (g *Graph) Degree(h flow.IP) int {

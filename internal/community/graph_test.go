@@ -235,7 +235,7 @@ func TestGraphShardSplitProperty(t *testing.T) {
 			return false
 		}
 
-		sh := flow.NewShardedExtractor(flow.FeatureOptions{}, shards)
+		sh := flow.NewShardedExtractorSkew(flow.FeatureOptions{}, shards, 0)
 		for i := range records {
 			if err := sh.Add(&records[i]); err != nil {
 				return false

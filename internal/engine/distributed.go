@@ -80,13 +80,6 @@ func (d *DistributedDetector) Windows() int {
 	return d.emitted
 }
 
-// Pending returns how many windows are collected but not yet sealed.
-func (d *DistributedDetector) Pending() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pending)
-}
-
 // MaxSealed returns the highest sealed window index (-1 before any).
 func (d *DistributedDetector) MaxSealed() int {
 	d.mu.Lock()

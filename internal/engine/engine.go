@@ -238,7 +238,8 @@ func (d *WindowedDetector) BeforeSeal(fn func() error) { d.preSeal = fn }
 func (d *WindowedDetector) Windows() int { return d.emitted }
 
 // Dropped returns how many records were dropped for arriving beyond
-// MaxSkew, in either error mode.
+// MaxSkew, in either error mode — the one drop count ("engine/drops");
+// the store's "stream/skew_drops" sees only the pane-boundary share.
 func (d *WindowedDetector) Dropped() int { return d.dropped }
 
 func (d *WindowedDetector) paneStart() time.Time {
@@ -284,7 +285,12 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 			return err
 		}
 	}
-	if err := d.store.Add(r); err != nil {
+	// Lateness is judged here, against the one frontier, before the store
+	// sees the record: a shard's own watermark trails the frontier by
+	// however long its hosts were quiet, so judged there the verdict would
+	// depend on the shard count. The store's check still guards a pane
+	// boundary sealed by AdvanceTo.
+	if r.Start.UnixNano() < d.frontier.UnixNano()-int64(d.cfg.MaxSkew) || d.store.Add(r) != nil {
 		// The store rejects only late records, and with a static error:
 		// the text is built here, and only when somebody will read it.
 		d.dropped++

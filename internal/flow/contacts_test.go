@@ -71,7 +71,7 @@ func TestContactSourcesAgree(t *testing.T) {
 	records := strictlyOrderedRecords(rng, 800)
 	want := referenceContacts(records, nil)
 
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	for i := range records {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestContactSourcesAgree(t *testing.T) {
 		t.Errorf("pane FeatureSet contacts differ from batch")
 	}
 
-	sh := NewShardedExtractor(FeatureOptions{}, 8)
+	sh := NewShardedExtractorSkew(FeatureOptions{}, 8, 0)
 	for i := range records {
 		if err := sh.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestMergePanesContacts(t *testing.T) {
 	records := strictlyOrderedRecords(rng, 600)
 	want := referenceContacts(records, nil)
 
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	var panes []*Pane
 	start := records[0].Start
 	cut := start.Add(time.Hour)
@@ -136,7 +136,7 @@ func TestMergePanesContacts(t *testing.T) {
 	}
 
 	// Single populated pane + empty pane: fast path must attach too.
-	se2 := NewStreamExtractor(FeatureOptions{})
+	se2 := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	for i := range records {
 		if err := se2.Add(&records[i]); err != nil {
 			t.Fatal(err)

@@ -17,10 +17,13 @@ import (
 // Every record of one host lands in one shard (the shard key is the
 // initiator address), so per-host feature state is never split and a
 // merged snapshot is identical to what a single extractor fed the same
-// stream would produce. The only sharding-visible difference is skew
-// enforcement: each shard rejects late records against its own frontier
-// rather than the global one, which is strictly more permissive — a
-// record a single extractor would accept is never dropped.
+// stream would produce — for the records it accepts. Which records
+// those are is sharding-visible: each shard rejects late records
+// against its own released watermark, which trails the global one by as
+// long as the shard's hosts were quiet, so a record one extractor would
+// drop may be kept by a shard. A caller whose verdict must not depend on
+// the shard count judges lateness against the global frontier before
+// Add (engine.WindowedDetector does).
 type ShardedExtractor struct {
 	shards []extractorShard
 
@@ -33,15 +36,9 @@ type extractorShard struct {
 	_  [40]byte // keep adjacent shard locks off one cache line
 }
 
-// NewShardedExtractor creates a sharded store with the given shard
-// count (≤ 0 means one per CPU), requiring start-ordered input per
-// shard.
-func NewShardedExtractor(opts FeatureOptions, shards int) *ShardedExtractor {
-	return NewShardedExtractorSkew(opts, shards, 0)
-}
-
-// NewShardedExtractorSkew creates a sharded store tolerating records up
-// to maxSkew out of start order.
+// NewShardedExtractorSkew creates a sharded store with the given shard
+// count (≤ 0 means one per CPU), tolerating records up to maxSkew out of
+// start order per shard (0 = start-ordered input).
 func NewShardedExtractorSkew(opts FeatureOptions, shards int, maxSkew time.Duration) *ShardedExtractor {
 	if shards <= 0 {
 		shards = runtime.NumCPU()
@@ -81,7 +78,10 @@ func (se *ShardedExtractor) Shards() int { return len(se.shards) }
 // "stream/records" and "stream/skew_drops" counters (atomic, so shards
 // add into them concurrently), plus the "sharded/hosts_highwater" gauge
 // tracking the deepest any single shard's host table got — the load-
-// balance signal. A nil reg detaches. Returns se for chaining.
+// balance signal. Behind a WindowedDetector, stream/skew_drops counts
+// only what the store itself refused — records below a pane boundary
+// AdvanceTo sealed; the engine's "engine/drops" is every late record.
+// A nil reg detaches. Returns se for chaining.
 func (se *ShardedExtractor) Metrics(reg *metrics.Registry) *ShardedExtractor {
 	for i := range se.shards {
 		s := &se.shards[i]

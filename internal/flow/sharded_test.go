@@ -21,7 +21,7 @@ func TestShardedSnapshotPropertyMatchesBatch(t *testing.T) {
 		shards := 1 + int(shardRaw)%16
 
 		records := strictlyOrderedRecords(rng, n)
-		se := NewShardedExtractor(FeatureOptions{}, shards)
+		se := NewShardedExtractorSkew(FeatureOptions{}, shards, 0)
 		if se.Shards() != shards {
 			t.Logf("seed %d: shards = %d, want %d", seed, se.Shards(), shards)
 			return false
@@ -145,7 +145,7 @@ func TestMergePanesMatchesBatch(t *testing.T) {
 		end := records[len(records)-1].Start.Add(time.Nanosecond)
 
 		// Seal into hour panes.
-		se := NewStreamExtractor(FeatureOptions{})
+		se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 		var panes []*Pane
 		cut := start.Add(time.Hour)
 		for i := range records {
@@ -189,7 +189,7 @@ func TestMergePanesMatchesBatch(t *testing.T) {
 func TestMergePanesSinglePopulatedExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	records := strictlyOrderedRecords(rng, 300)
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	for i := range records {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -256,7 +256,7 @@ func TestReleaseBeforeSealsBoundary(t *testing.T) {
 func TestCarryFirstSeenAcrossPanes(t *testing.T) {
 	t0 := baseTime()
 	run := func(carry bool) int {
-		se := NewStreamExtractor(FeatureOptions{NewPeerGrace: time.Hour})
+		se := NewStreamExtractorSkew(FeatureOptions{NewPeerGrace: time.Hour}, 0)
 		se.CarryFirstSeen(carry)
 		r1 := mkRecord(1, 100, t0, 10, StateEstablished)
 		if err := se.Add(&r1); err != nil {
@@ -288,7 +288,7 @@ func TestCarryFirstSeenAcrossPanes(t *testing.T) {
 func TestShardedTakePaneRotates(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	records := strictlyOrderedRecords(rng, 400)
-	se := NewShardedExtractor(FeatureOptions{}, 8)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 8, 0)
 	for i := range records {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)

@@ -80,7 +80,7 @@ func TestStreamStateRestoreIsTransparent(t *testing.T) {
 func TestStreamStateIsDetached(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	records := randomOrderedRecords(rng, 100)
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	for i := 0; i < 50; i++ {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestStreamStateIsDetached(t *testing.T) {
 func TestStreamStateRestoreRejectsNonEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	records := randomOrderedRecords(rng, 10)
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	for i := range records {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestShardedStateRestoreIsTransparent(t *testing.T) {
 func TestPaneStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	records := randomOrderedRecords(rng, 300)
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	for i := 0; i < 150; i++ {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)

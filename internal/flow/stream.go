@@ -13,12 +13,11 @@ import (
 //
 // Feature semantics are defined over start-time order, but flow monitors
 // emit records at flow *end*, so a live feed arrives only approximately
-// start-ordered. Set FeatureOptions via NewStreamExtractor and a MaxSkew
-// via NewStreamExtractorSkew to buffer records in a small start-ordered
-// reorder buffer: a record is processed once the feed has advanced
-// MaxSkew past its start time, which tolerates exactly the reordering a
-// flow monitor's expiry timers introduce. With zero skew, records must
-// arrive strictly start-ordered.
+// start-ordered. A MaxSkew (NewStreamExtractorSkew) buffers records in a
+// small start-ordered reorder buffer: a record is processed once the
+// feed has advanced MaxSkew past its start time, which tolerates exactly
+// the reordering a flow monitor's expiry timers introduce. With zero
+// skew, records must arrive strictly start-ordered.
 type StreamExtractor struct {
 	opts     FeatureOptions
 	grace    time.Duration
@@ -39,14 +38,8 @@ type StreamExtractor struct {
 	hostCtr   *metrics.Gauge
 }
 
-// NewStreamExtractor creates an incremental extractor requiring
-// start-ordered input.
-func NewStreamExtractor(opts FeatureOptions) *StreamExtractor {
-	return NewStreamExtractorSkew(opts, 0)
-}
-
 // NewStreamExtractorSkew creates an incremental extractor tolerating
-// records up to maxSkew out of start order.
+// records up to maxSkew out of start order (0 = start-ordered input).
 func NewStreamExtractorSkew(opts FeatureOptions, maxSkew time.Duration) *StreamExtractor {
 	grace := opts.NewPeerGrace
 	if grace <= 0 {

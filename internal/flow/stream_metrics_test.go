@@ -64,7 +64,7 @@ func TestStreamExtractorMetrics(t *testing.T) {
 // Without a registry the extractor must work exactly as before.
 func TestStreamExtractorNilMetrics(t *testing.T) {
 	t0 := time.Date(2010, time.June, 21, 8, 0, 0, 0, time.UTC)
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	r := Record{
 		Src: MakeIP(128, 2, 0, 1), Dst: MakeIP(10, 0, 0, 9), SrcPort: 1, DstPort: 80,
 		Proto: TCP, State: StateEstablished, Start: t0, End: t0.Add(time.Second),

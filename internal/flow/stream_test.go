@@ -37,7 +37,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		records := randomOrderedRecords(rng, 500)
 		batch := ExtractFeatures(records, FeatureOptions{})
-		se := NewStreamExtractor(FeatureOptions{})
+		se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 		for i := range records {
 			if err := se.Add(&records[i]); err != nil {
 				t.Fatal(err)
@@ -63,7 +63,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 }
 
 func TestStreamRejectsOutOfOrder(t *testing.T) {
-	se := NewStreamExtractor(FeatureOptions{})
+	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 	r1 := mkRecord(1, 2, baseTime().Add(time.Minute), 10, StateEstablished)
 	r2 := mkRecord(1, 2, baseTime(), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {
@@ -80,7 +80,7 @@ func TestStreamRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestStreamHostFilter(t *testing.T) {
-	se := NewStreamExtractor(FeatureOptions{Hosts: func(ip IP) bool { return ip == 1 }})
+	se := NewStreamExtractorSkew(FeatureOptions{Hosts: func(ip IP) bool { return ip == 1 }}, 0)
 	r1 := mkRecord(1, 2, baseTime(), 10, StateEstablished)
 	r2 := mkRecord(9, 2, baseTime().Add(time.Second), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {
@@ -98,7 +98,7 @@ func TestStreamHostFilter(t *testing.T) {
 }
 
 func TestStreamGraceOverride(t *testing.T) {
-	se := NewStreamExtractor(FeatureOptions{NewPeerGrace: time.Minute})
+	se := NewStreamExtractorSkew(FeatureOptions{NewPeerGrace: time.Minute}, 0)
 	r1 := mkRecord(1, 100, baseTime(), 10, StateEstablished)
 	r2 := mkRecord(1, 101, baseTime().Add(5*time.Minute), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {
@@ -119,7 +119,7 @@ func BenchmarkStreamExtractor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		se := NewStreamExtractor(FeatureOptions{})
+		se := NewStreamExtractorSkew(FeatureOptions{}, 0)
 		for j := range records {
 			if err := se.Add(&records[j]); err != nil {
 				b.Fatal(err)

@@ -107,10 +107,10 @@ func TestBinaryRejectsInvalidRecord(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	records := sampleRecords()
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, records); err != nil {
+	if err := WriteAll(NewCSVWriter(&buf), records); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := ReadAll(NewCSVReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +121,19 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestCSVHeaderValidation(t *testing.T) {
 	in := "a,b,c,d,e,f,g,h,i,j,k,l,m\n"
-	if _, err := ReadCSV(strings.NewReader(in)); err == nil {
+	if _, err := ReadAll(NewCSVReader(strings.NewReader(in))); err == nil {
 		t.Error("wrong header accepted")
 	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
+	// An input without even a header ends the trace, but says so.
+	if _, err := NewCSVReader(strings.NewReader("")).Next(); err == nil || err == io.EOF || !strings.Contains(err.Error(), "empty CSV input") {
+		t.Errorf("empty input: %v, want a wrapped io.EOF naming the empty input", err)
 	}
 }
 
 func TestCSVBadFieldErrors(t *testing.T) {
 	records := sampleRecords()[:1]
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, records); err != nil {
+	if err := WriteAll(NewCSVWriter(&buf), records); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -163,7 +164,7 @@ func TestCSVBadFieldErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(corrupt(tt.col, tt.val))); err == nil {
+			if _, err := ReadAll(NewCSVReader(strings.NewReader(corrupt(tt.col, tt.val)))); err == nil {
 				t.Error("corrupt field accepted")
 			}
 		})
@@ -173,11 +174,11 @@ func TestCSVBadFieldErrors(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	records := sampleRecords()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, records); err != nil {
+	if err := WriteAll(NewJSONLWriter(&buf), records); err != nil {
 		t.Fatal(err)
 	}
 	encoded := buf.String()
-	got, err := ReadJSONL(&buf)
+	got, err := ReadAll(NewJSONLReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +193,17 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestJSONLEmpty(t *testing.T) {
-	got, err := ReadJSONL(strings.NewReader(""))
+	got, err := ReadAll(NewJSONLReader(strings.NewReader("")))
 	if err != nil || len(got) != 0 {
-		t.Errorf("ReadJSONL(empty) = %v, %v", got, err)
+		t.Errorf("ReadAll(empty JSONL) = %v, %v", got, err)
 	}
 }
 
 func TestJSONLMalformed(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
+	if _, err := ReadAll(NewJSONLReader(strings.NewReader("{not json"))); err == nil {
 		t.Error("malformed JSON accepted")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"src":"bogus"}` + "\n")); err == nil {
+	if _, err := ReadAll(NewJSONLReader(strings.NewReader(`{"src":"bogus"}` + "\n"))); err == nil {
 		t.Error("bad record accepted")
 	}
 }
@@ -242,21 +243,21 @@ func TestAllCodecsRoundTripProperty(t *testing.T) {
 		if err := WriteAllBinary(&bin, records); err != nil {
 			return false
 		}
-		if err := WriteCSV(&csvBuf, records); err != nil {
+		if err := WriteAll(NewCSVWriter(&csvBuf), records); err != nil {
 			return false
 		}
-		if err := WriteJSONL(&jsonBuf, records); err != nil {
+		if err := WriteAll(NewJSONLWriter(&jsonBuf), records); err != nil {
 			return false
 		}
 		b, err := ReadAllBinary(&bin)
 		if err != nil || !recordsEqual(b, records) {
 			return false
 		}
-		c, err := ReadCSV(&csvBuf)
+		c, err := ReadAll(NewCSVReader(&csvBuf))
 		if err != nil || !recordsEqual(c, records) {
 			return false
 		}
-		j, err := ReadJSONL(&jsonBuf)
+		j, err := ReadAll(NewJSONLReader(&jsonBuf))
 		if err != nil || !recordsEqual(j, records) {
 			return false
 		}
@@ -346,10 +347,10 @@ func BenchmarkBinaryRead(b *testing.B) {
 func TestStreamingReadersMatchBatch(t *testing.T) {
 	records := sampleRecords()
 	var csvBuf, jsonBuf bytes.Buffer
-	if err := WriteCSV(&csvBuf, records); err != nil {
+	if err := WriteAll(NewCSVWriter(&csvBuf), records); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSONL(&jsonBuf, records); err != nil {
+	if err := WriteAll(NewJSONLWriter(&jsonBuf), records); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -408,21 +409,21 @@ func TestCSVWriterEmptyFlushWritesHeader(t *testing.T) {
 	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadCSV(bytes.NewReader(buf.Bytes())); err != nil || len(got) != 0 {
+	if got, err := ReadAll(NewCSVReader(bytes.NewReader(buf.Bytes()))); err != nil || len(got) != 0 {
 		t.Errorf("empty CSV trace: %v, %v", got, err)
 	}
 }
 
 func TestCSVReaderEmptyInput(t *testing.T) {
-	// Streaming callers (Copy, the CLIs) read an input without even a
-	// header as a zero-record trace; a whole-trace ReadCSV refuses it.
+	// Every caller (ReadAll, Copy, the CLIs) reads an input without even
+	// a header as a zero-record trace.
 	if _, err := NewCSVReader(strings.NewReader("")).Next(); !errors.Is(err, io.EOF) {
 		t.Errorf("streaming empty CSV input: %v, want an error wrapping io.EOF", err)
 	}
 	if n, err := Copy(NewBinaryWriter(io.Discard), NewCSVReader(strings.NewReader(""))); n != 0 || err != nil {
 		t.Errorf("Copy of empty CSV input: %d records, %v", n, err)
 	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("ReadCSV accepted empty input")
+	if got, err := ReadAll(NewCSVReader(strings.NewReader(""))); len(got) != 0 || err != nil {
+		t.Errorf("ReadAll of empty CSV input: %v, %v", got, err)
 	}
 }

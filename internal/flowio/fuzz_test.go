@@ -128,7 +128,7 @@ func FuzzBinaryDecode(f *testing.F) {
 
 func FuzzCSVDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds(func(buf *bytes.Buffer) {
-		if err := WriteCSV(buf, sampleRecords()); err != nil {
+		if err := WriteAll(NewCSVWriter(buf), sampleRecords()); err != nil {
 			f.Fatal(err)
 		}
 	}) {
@@ -140,10 +140,10 @@ func FuzzCSVDecode(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteCSV(&out, records); err != nil {
+		if err := WriteAll(NewCSVWriter(&out), records); err != nil {
 			t.Fatalf("re-encoding validated records: %v", err)
 		}
-		again, err := ReadCSV(bytes.NewReader(out.Bytes()))
+		again, err := ReadAll(NewCSVReader(bytes.NewReader(out.Bytes())))
 		if err != nil {
 			t.Fatalf("re-decoding own encoding: %v", err)
 		}
@@ -155,7 +155,7 @@ func FuzzCSVDecode(f *testing.F) {
 
 func FuzzJSONLDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds(func(buf *bytes.Buffer) {
-		if err := WriteJSONL(buf, sampleRecords()); err != nil {
+		if err := WriteAll(NewJSONLWriter(buf), sampleRecords()); err != nil {
 			f.Fatal(err)
 		}
 	}) {
@@ -167,10 +167,10 @@ func FuzzJSONLDecode(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteJSONL(&out, records); err != nil {
+		if err := WriteAll(NewJSONLWriter(&out), records); err != nil {
 			t.Fatalf("re-encoding validated records: %v", err)
 		}
-		again, err := ReadJSONL(bytes.NewReader(out.Bytes()))
+		again, err := ReadAll(NewJSONLReader(bytes.NewReader(out.Bytes())))
 		if err != nil {
 			t.Fatalf("re-decoding own encoding: %v", err)
 		}

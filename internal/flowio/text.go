@@ -2,9 +2,7 @@ package flowio
 
 import (
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
@@ -35,21 +33,6 @@ func formatCSVRow(r *flow.Record, row []string) {
 	row[10] = strconv.FormatUint(r.SrcBytes, 10)
 	row[11] = strconv.FormatUint(r.DstBytes, 10)
 	row[12] = hex.EncodeToString(r.Payload)
-}
-
-// WriteCSV encodes records as CSV with a header row.
-func WriteCSV(w io.Writer, records []flow.Record) error { return WriteAll(NewCSVWriter(w), records) }
-
-// ReadCSV decodes a CSV trace written by WriteCSV.
-func ReadCSV(r io.Reader) ([]flow.Record, error) {
-	cr := NewCSVReader(r)
-	out, err := ReadAll(cr)
-	if err == nil && !cr.header {
-		// The streaming reader ends an input without a header on a wrapped
-		// io.EOF; a whole-trace read of nothing is an error.
-		return nil, errors.New("flowio: empty CSV input")
-	}
-	return out, err
 }
 
 func parseCSVRow(row []string) (flow.Record, error) {
@@ -146,14 +129,6 @@ func toJSONRecord(r *flow.Record) jsonRecord {
 		Payload: hex.EncodeToString(r.Payload),
 	}
 }
-
-// WriteJSONL encodes records as JSON Lines (one object per line).
-func WriteJSONL(w io.Writer, records []flow.Record) error {
-	return WriteAll(NewJSONLWriter(w), records)
-}
-
-// ReadJSONL decodes a JSON Lines trace written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]flow.Record, error) { return ReadAll(NewJSONLReader(r)) }
 
 func (jr *jsonRecord) toRecord() (flow.Record, error) {
 	row := []string{

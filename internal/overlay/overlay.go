@@ -9,6 +9,7 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"plotters/internal/flow"
@@ -34,16 +35,8 @@ func ActiveHosts(records []flow.Record, internal func(flow.IP) bool) []flow.IP {
 	}
 	// Deterministic order before shuffling so assignment depends only on
 	// the caller's RNG.
-	sortIPs(hosts)
+	slices.Sort(hosts)
 	return hosts
-}
-
-func sortIPs(hosts []flow.IP) {
-	for i := 1; i < len(hosts); i++ {
-		for j := i; j > 0 && hosts[j] < hosts[j-1]; j-- {
-			hosts[j], hosts[j-1] = hosts[j-1], hosts[j]
-		}
-	}
 }
 
 // Assignment maps bot trace addresses to the internal hosts that will

@@ -101,9 +101,6 @@ func New(cfg Config, sim *simnet.Simulator) (*Crawler, error) {
 	return c, nil
 }
 
-// Addr returns the crawler's internal address.
-func (c *Crawler) Addr() flow.IP { return c.cfg.Host }
-
 // Start bootstraps the routing table and schedules the walk and sync
 // loops across the window.
 func (c *Crawler) Start() {
