@@ -1,7 +1,8 @@
 package flow
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -79,25 +80,24 @@ func (h *HostFeatures) NewPeerFraction() float64 {
 }
 
 // featureBuilder accumulates one host's state during extraction: the
-// features plus one table entry per contacted destination.
+// features plus one table entry per contacted destination. firstSeen and
+// lastSeen are feats.FirstSeen and feats.LastSeen as Unix nanoseconds,
+// what observe compares against.
 type featureBuilder struct {
-	feats *HostFeatures
-	dests map[IP]destTimes
+	feats               *HostFeatures
+	dests               destTable
+	firstSeen, lastSeen int64
 }
 
-// destTimes is what a host remembers about one destination: its first
-// contact (peer de-duplication, the churn grace test) and its latest
-// flow start (the next interstitial gap), as Unix nanoseconds. Both live
-// in one entry because every record reads and writes both for the same
-// destination — one lookup and one store per record.
-type destTimes struct {
-	first, last int64
-}
-
-func newFeatureBuilder(host IP, firstSeen time.Time) *featureBuilder {
+// newFeatureBuilder starts a host's builder at firstSeen (Unix ns), the
+// start of the record about to be observed or an earlier carried anchor.
+// LastSeen starts there too; observe moves it to any later start.
+func newFeatureBuilder(host IP, firstSeen int64) *featureBuilder {
+	t := time.Unix(0, firstSeen).UTC()
 	return &featureBuilder{
-		feats: &HostFeatures{Host: host, FirstSeen: firstSeen},
-		dests: make(map[IP]destTimes),
+		feats:     &HostFeatures{Host: host, FirstSeen: t, LastSeen: t},
+		firstSeen: firstSeen,
+		lastSeen:  firstSeen,
 	}
 }
 
@@ -116,22 +116,36 @@ func extractBuilders(records []Record, opts FeatureOptions) map[IP]*featureBuild
 	if grace <= 0 {
 		grace = DefaultNewPeerGrace
 	}
-	ordered := make([]Record, len(records))
-	copy(ordered, records)
-	SortByStart(ordered)
+	// Sorting (start, index) keys, not the records, is the stable sort by
+	// start by construction, and leaves the records where they are.
+	type startKey struct {
+		start int64
+		i     int
+	}
+	keys := make([]startKey, len(records))
+	for i := range records {
+		keys[i] = startKey{records[i].Start.UnixNano(), i}
+	}
+	slices.SortFunc(keys, func(a, b startKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 
 	builders := make(map[IP]*featureBuilder)
-	for i := range ordered {
-		r := &ordered[i]
+	for _, k := range keys {
+		r := &records[k.i]
 		if opts.Hosts != nil && !opts.Hosts(r.Src) {
 			continue
 		}
-		b, ok := builders[r.Src]
+		c := compactOf(r)
+		b, ok := builders[c.src]
 		if !ok {
-			b = newFeatureBuilder(r.Src, r.Start)
-			builders[r.Src] = b
+			b = newFeatureBuilder(c.src, c.start)
+			builders[c.src] = b
 		}
-		b.observe(r, grace)
+		b.observe(&c, grace)
 	}
 	return builders
 }
@@ -160,11 +174,13 @@ func contactsOfBuilders(builders map[IP]*featureBuilder) map[IP][]IP {
 // sortedDests returns the host's contacted destinations in ascending
 // address order.
 func (b *featureBuilder) sortedDests() []IP {
-	dsts := make([]IP, 0, len(b.dests))
-	for dst := range b.dests {
-		dsts = append(dsts, dst)
+	dsts := make([]IP, 0, b.dests.n)
+	for _, s := range b.dests.slots {
+		if s.used {
+			dsts = append(dsts, s.dst)
+		}
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	slices.Sort(dsts)
 	return dsts
 }
 
@@ -174,6 +190,6 @@ func SortedHosts(feats map[IP]*HostFeatures) []IP {
 	for ip := range feats {
 		hosts = append(hosts, ip)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
 	return hosts
 }

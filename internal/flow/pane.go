@@ -99,14 +99,12 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 		for ip, b := range p.builders {
 			m, ok := merged[ip]
 			if !ok {
-				m = &featureBuilder{
-					feats: &HostFeatures{
-						Host:      ip,
-						FirstSeen: b.feats.FirstSeen,
-						LastSeen:  b.feats.LastSeen,
-					},
-					dests: make(map[IP]destTimes, len(b.dests)),
-				}
+				m = &featureBuilder{feats: &HostFeatures{
+					Host:      ip,
+					FirstSeen: b.feats.FirstSeen,
+					LastSeen:  b.feats.LastSeen,
+				}}
+				m.dests.reserve(b.dests.n)
 				merged[ip] = m
 			}
 			f := m.feats
@@ -124,13 +122,18 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 			// the earlier panes' last start to a destination and this
 			// pane's first contact with it is reconstructed here.
 			f.Interstitials = append(f.Interstitials, b.feats.Interstitials...)
-			for dst, d := range b.dests {
-				if cur, ok := m.dests[dst]; ok {
-					f.Interstitials = append(f.Interstitials, time.Duration(d.first-cur.last).Seconds())
-					d.first = min(d.first, cur.first)
-					d.last = max(d.last, cur.last)
+			for _, d := range b.dests.slots {
+				if !d.used {
+					continue
 				}
-				m.dests[dst] = d
+				cur, fresh := m.dests.upsert(d.dst)
+				if fresh {
+					cur.first, cur.last = d.first, d.last
+					continue
+				}
+				f.Interstitials = append(f.Interstitials, time.Duration(d.first-cur.last).Seconds())
+				cur.first = min(d.first, cur.first)
+				cur.last = max(d.last, cur.last)
 			}
 		}
 	}
@@ -139,11 +142,11 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 	contacts := make(map[IP][]IP, len(merged))
 	for ip, m := range merged {
 		f := m.feats
-		f.Peers = len(m.dests)
+		f.Peers = m.dests.n
 		f.NewPeers = 0
 		graceEnd := f.FirstSeen.Add(grace).UnixNano()
-		for _, d := range m.dests {
-			if d.first > graceEnd {
+		for _, d := range m.dests.slots {
+			if d.used && d.first > graceEnd {
 				f.NewPeers++
 			}
 		}

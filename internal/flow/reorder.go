@@ -19,19 +19,24 @@ import (
 // arrives for a bucket already taken into run (one nearly MaxSkew late)
 // is placed there by binary search.
 //
-// Records are 128 bytes and carry pointers (Payload, the Location inside
-// each time.Time), so they sit still in a slab, are processed in place
-// and then zeroed. A bucket is a list threaded through link, which runs
-// parallel to slab — as is the free list of vacated slots — so buckets
-// cost no memory beyond the ring of list heads, and what is sorted are
-// 24-byte keys that hold no pointers. Taking a bucket reads each of its
-// records' starts from the slab, which also pulls in, several at a time,
-// the cache lines process is about to need one by one.
+// Records sit still in a slab of compactRecords, 56 bytes without a
+// pointer each, and are processed in place: the garbage collector never
+// scans the slab and a vacated slot keeps nothing alive, so it is not
+// cleared. The one field that is a pointer, Payload, waits in payloads
+// under its slot; flow monitors export none, and that side table stays
+// nil until a buffered record carries one. A bucket is a list threaded
+// through link, which runs parallel to slab — as is the free list of
+// vacated slots — so buckets cost no memory beyond the ring of list
+// heads, and what is sorted are 24-byte keys. Taking a bucket reads
+// each of its records' starts from the slab, which also pulls in,
+// several at a time, the cache lines process is about to need one by
+// one.
 type reorderBuffer struct {
-	slab []Record   // buffered records; vacated slots are zero
-	link []slotLink // link[i] goes with slab[i]
-	free int32      // first vacated slab slot, noSlot if none
-	n    int        // records buffered
+	slab     []compactRecord // buffered records, vacated slots included
+	link     []slotLink      // link[i] goes with slab[i]
+	payloads [][]byte        // nil, or payloads[i] goes with slab[i]
+	free     int32           // first vacated slab slot, noSlot if none
+	n        int             // records buffered
 
 	run []reorderKey // every buffered key below bucket base, ascending from cur
 	cur int
@@ -93,13 +98,22 @@ func (b *reorderBuffer) push(r *Record, seq uint64) {
 	slot := b.free
 	if slot != noSlot {
 		b.free = b.link[slot].next
-		b.slab[slot] = *r
+		b.slab[slot] = compactOf(r)
 	} else {
 		slot = int32(len(b.slab))
-		b.slab = append(b.slab, *r)
+		b.slab = append(b.slab, compactOf(r))
 		b.link = append(b.link, slotLink{})
+		if b.payloads != nil {
+			b.payloads = append(b.payloads, nil)
+		}
 	}
-	start := r.Start.UnixNano()
+	if r.Payload != nil {
+		if b.payloads == nil {
+			b.payloads = make([][]byte, len(b.slab), cap(b.slab))
+		}
+		b.payloads[slot] = r.Payload
+	}
+	start := b.slab[slot].start
 	q := start >> b.shift
 	if b.n == 0 {
 		// Move the ring to the record, so that neither an idle gap nor a
@@ -159,7 +173,7 @@ func (b *reorderBuffer) takeBucket(i int) {
 // appendBucket appends the keys of the records listed from slot on.
 func (b *reorderBuffer) appendBucket(keys []reorderKey, slot int32) []reorderKey {
 	for ; slot != noSlot; slot = b.link[slot].next {
-		keys = append(keys, reorderKey{start: b.slab[slot].Start.UnixNano(), seq: b.link[slot].seq, slot: slot})
+		keys = append(keys, reorderKey{start: b.slab[slot].start, seq: b.link[slot].seq, slot: slot})
 	}
 	return keys
 }
@@ -167,7 +181,7 @@ func (b *reorderBuffer) appendBucket(keys []reorderKey, slot int32) []reorderKey
 // peek returns the earliest buffered record (by start, then arrival) if
 // it starts before bound, else nil. The record stays in the buffer, and
 // the pointer is good, until pop or the next push.
-func (b *reorderBuffer) peek(bound int64) *Record {
+func (b *reorderBuffer) peek(bound int64) *compactRecord {
 	if b.cur == len(b.run) && !b.refill(bound) {
 		return nil
 	}
@@ -199,15 +213,26 @@ func (b *reorderBuffer) refill(bound int64) bool {
 	return false
 }
 
-// pop removes the record peek just returned. Its slab slot is zeroed
-// before reuse so the buffer cannot keep the record's Payload alive.
+// pop removes the record peek just returned, and drops its Payload so
+// the buffer does not keep it alive.
 func (b *reorderBuffer) pop() {
 	slot := b.run[b.cur].slot
 	b.cur++
 	b.n--
-	b.slab[slot] = Record{}
+	if b.payloads != nil {
+		b.payloads[slot] = nil
+	}
 	b.link[slot].next = b.free
 	b.free = slot
+}
+
+// record rebuilds the Record buffered in slot.
+func (b *reorderBuffer) record(slot int32) Record {
+	var payload []byte
+	if b.payloads != nil {
+		payload = b.payloads[slot]
+	}
+	return b.slab[slot].record(payload)
 }
 
 // sorted lists every buffered key in (start, seq) order.

@@ -175,30 +175,92 @@ func TestReorderPushPopZeroAlloc(t *testing.T) {
 	}
 }
 
-// A vacated slot must not keep the departed record's Payload (or
-// anything else of it) reachable until the slot happens to be reused.
+// The buffer must not keep a departed record's Payload reachable: pop
+// drops it from the side table, which is empty once no buffered record
+// carries one — and is never made at all for a feed without payloads.
 func TestReorderPopReleasesPayload(t *testing.T) {
-	var b reorderBuffer
-	b.init(time.Minute)
-	for id := 1; id <= 5; id++ {
-		r := reorderRecord(id, baseTime().Add(time.Duration(5-id)*time.Second))
-		b.push(&r, uint64(id))
-	}
-	for n := b.len(); n > 0; n-- {
-		r := b.peek(math.MaxInt64)
-		if len(r.Payload) != 3 {
-			t.Fatalf("popped record lost its payload: %+v", r)
-		}
-		b.pop()
-		vacated := 0
-		for i := range b.slab {
-			if reflect.DeepEqual(b.slab[i], Record{}) {
-				vacated++
+	// Records 1–3 carry none, so the side table is made for a slab that
+	// already has slots; the second round reuses the vacated ones.
+	carries := func(id int) bool { return id > 3 && id%3 != 0 }
+	held := func(b *reorderBuffer) int {
+		n := 0
+		for _, p := range b.payloads {
+			if p != nil {
+				n++
 			}
 		}
-		if want := len(b.slab) - b.len(); vacated != want {
-			t.Fatalf("%d of %d slots zeroed with %d records buffered", vacated, len(b.slab), b.len())
+		return n
+	}
+	var b reorderBuffer
+	b.init(time.Minute)
+	for round := 0; round < 2; round++ {
+		for id := 1; id <= 8; id++ {
+			r := reorderRecord(id, baseTime().Add(time.Duration(round*10+8-id)*time.Second))
+			if !carries(id) {
+				r.Payload = nil
+			}
+			b.push(&r, uint64(id))
+			if id == 3 && round == 0 && b.payloads != nil {
+				t.Fatal("records without a payload made the side table")
+			}
 		}
+		for b.len() > 0 {
+			c := b.peek(math.MaxInt64)
+			departed, id := b.run[b.cur].slot, int(c.src)
+			want := reorderRecord(id, time.Unix(0, c.start).UTC())
+			if !carries(id) {
+				want.Payload = nil
+			}
+			if got := b.record(departed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("record %d came back altered:\n got %+v\nwant %+v", id, got, want)
+			}
+			b.pop()
+			if b.payloads[departed] != nil {
+				t.Fatalf("record %d popped, its payload still held in slot %d", id, departed)
+			}
+			carrying := 0
+			for _, k := range b.sorted() {
+				if carries(int(k.seq)) {
+					carrying++
+				}
+			}
+			if n := held(&b); n != carrying {
+				t.Fatalf("%d payloads held with %d buffered records carrying one", n, carrying)
+			}
+		}
+		if n := held(&b); n != 0 {
+			t.Fatalf("%d payloads held by an empty buffer", n)
+		}
+	}
+}
+
+// The slab must stay free of pointers: a field that brings one back
+// makes the garbage collector scan every buffered record again.
+func TestReorderSlabHoldsNoPointers(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if hasPointers(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return ty.Len() > 0 && hasPointers(ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+			reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+			return true
+		}
+		return false
+	}
+	elem := reflect.TypeOf(reorderBuffer{}.slab).Elem()
+	if hasPointers(elem) {
+		t.Errorf("reorder slab element %v holds a pointer", elem)
+	}
+	if hasPointers(reflect.TypeOf(reorderBuffer{}.link).Elem()) {
+		t.Error("reorder link element holds a pointer")
 	}
 }
 

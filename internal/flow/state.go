@@ -114,13 +114,12 @@ func stateOfBuilders(builders map[IP]*featureBuilder) []HostState {
 		b := builders[ip]
 		hs := HostState{Feats: *b.feats}
 		hs.Feats.Interstitials = append([]float64(nil), b.feats.Interstitials...)
-		if dsts := b.sortedDests(); len(dsts) > 0 {
-			hs.FirstContact = make([]HostTime, len(dsts))
-			hs.LastStart = make([]HostTime, len(dsts))
-			for j, dst := range dsts {
-				d := b.dests[dst]
-				hs.FirstContact[j] = HostTime{Host: dst, Time: time.Unix(0, d.first).UTC()}
-				hs.LastStart[j] = HostTime{Host: dst, Time: time.Unix(0, d.last).UTC()}
+		if dests := b.dests.sorted(); len(dests) > 0 {
+			hs.FirstContact = make([]HostTime, len(dests))
+			hs.LastStart = make([]HostTime, len(dests))
+			for j, d := range dests {
+				hs.FirstContact[j] = HostTime{Host: d.dst, Time: time.Unix(0, d.first).UTC()}
+				hs.LastStart[j] = HostTime{Host: d.dst, Time: time.Unix(0, d.last).UTC()}
 			}
 		}
 		out[i] = hs
@@ -135,22 +134,26 @@ func buildersFromState(hosts []HostState) map[IP]*featureBuilder {
 		hs := &hosts[i]
 		feats := hs.Feats
 		feats.Interstitials = append([]float64(nil), hs.Feats.Interstitials...)
-		b := &featureBuilder{feats: &feats, dests: make(map[IP]destTimes, len(hs.FirstContact))}
+		b := &featureBuilder{
+			feats:     &feats,
+			firstSeen: feats.FirstSeen.UnixNano(),
+			lastSeen:  feats.LastSeen.UnixNano(),
+		}
+		b.dests.reserve(len(hs.FirstContact))
 		for _, e := range hs.FirstContact {
-			ns := e.Time.UnixNano()
-			b.dests[e.Host] = destTimes{first: ns, last: ns}
+			d, _ := b.dests.upsert(e.Host)
+			d.first = e.Time.UnixNano()
+			d.last = d.first
 		}
 		// Every snapshot this package writes lists the same destinations
 		// in both tables; one named only here has no earlier contact on
 		// record, so its latest start stands in for it.
 		for _, e := range hs.LastStart {
-			ns := e.Time.UnixNano()
-			d, ok := b.dests[e.Host]
-			if !ok {
-				d.first = ns
+			d, fresh := b.dests.upsert(e.Host)
+			d.last = e.Time.UnixNano()
+			if fresh {
+				d.first = d.last
 			}
-			d.last = ns
-			b.dests[e.Host] = d
 		}
 		builders[hs.Feats.Host] = b
 	}
@@ -173,7 +176,7 @@ func (se *StreamExtractor) State() *StreamState {
 	if keys := se.pending.sorted(); len(keys) > 0 {
 		st.Pending = make([]PendingState, len(keys))
 		for i, k := range keys {
-			st.Pending[i] = PendingState{Rec: se.pending.slab[k.slot], Seq: k.seq}
+			st.Pending[i] = PendingState{Rec: se.pending.record(k.slot), Seq: k.seq}
 		}
 	}
 	return st

@@ -98,7 +98,8 @@ func (se *StreamExtractor) Add(r *Record) error {
 	}
 	if se.maxSkew == 0 {
 		se.released = r.Start
-		se.process(r)
+		c := compactOf(r)
+		se.process(&c)
 		return nil
 	}
 	se.seq++
@@ -121,11 +122,17 @@ func (se *StreamExtractor) Add(r *Record) error {
 // below bound, earliest first. A watermark that is itself releasable
 // (frontier − MaxSkew, the frontier at end of feed) passes watermark+1.
 func (se *StreamExtractor) release(bound int64) {
-	for r := se.pending.peek(bound); r != nil; r = se.pending.peek(bound) {
-		se.released = r.Start
-		se.process(r)
+	c := se.pending.peek(bound)
+	if c == nil {
+		return
+	}
+	var last int64
+	for ; c != nil; c = se.pending.peek(bound) {
+		last = c.start
+		se.process(c)
 		se.pending.pop()
 	}
+	se.released = time.Unix(0, last).UTC()
 }
 
 // Drain processes every buffered record (end of feed).
@@ -179,21 +186,21 @@ func (se *StreamExtractor) TakePane(w Window) *Pane {
 	return &Pane{builders: builders, window: w}
 }
 
-func (se *StreamExtractor) process(r *Record) {
-	if se.opts.Hosts != nil && !se.opts.Hosts(r.Src) {
+func (se *StreamExtractor) process(c *compactRecord) {
+	if se.opts.Hosts != nil && !se.opts.Hosts(c.src) {
 		return
 	}
-	b, ok := se.builders[r.Src]
+	b, ok := se.builders[c.src]
 	if !ok {
-		first := r.Start
-		if anchor, ok := se.anchors[r.Src]; ok && anchor.Before(first) {
-			first = anchor
+		first := c.start
+		if anchor, ok := se.anchors[c.src]; ok {
+			first = min(first, anchor.UnixNano())
 		}
-		b = newFeatureBuilder(r.Src, first)
-		se.builders[r.Src] = b
+		b = newFeatureBuilder(c.src, first)
+		se.builders[c.src] = b
 		se.hostCtr.Set(int64(len(se.builders)))
 	}
-	b.observe(r, se.grace)
+	b.observe(c, se.grace)
 }
 
 // Records returns how many records have been accepted (including ones
@@ -239,31 +246,31 @@ func (se *StreamExtractor) Window() Window {
 	return Window{From: se.first, To: se.frontier.Add(1)}
 }
 
-// observe folds one record into a host's builder. Shared by the batch
-// and streaming extractors so their semantics cannot drift.
-func (b *featureBuilder) observe(r *Record, grace time.Duration) {
+// observe folds one record into a host's builder: one probe of the
+// destination table, whose slot is read and updated in place. Shared by
+// the batch and streaming extractors so their semantics cannot drift.
+func (b *featureBuilder) observe(c *compactRecord, grace time.Duration) {
 	f := b.feats
 	f.Flows++
-	if r.Failed() {
+	if c.state == StateFailed {
 		f.FailedFlows++
 	} else {
 		f.SuccessfulFlows++
 	}
-	f.BytesUploaded += r.SrcBytes
-	if r.Start.After(f.LastSeen) {
-		f.LastSeen = r.Start
+	f.BytesUploaded += c.srcBytes
+	if c.start > b.lastSeen {
+		b.lastSeen = c.start
+		f.LastSeen = time.Unix(0, c.start).UTC()
 	}
-	start := r.Start.UnixNano()
-	d, seen := b.dests[r.Dst]
-	if seen {
-		f.Interstitials = append(f.Interstitials, time.Duration(start-d.last).Seconds())
-	} else {
-		d.first = start
+	d, fresh := b.dests.upsert(c.dst)
+	if fresh {
+		d.first = c.start
 		f.Peers++
-		if r.Start.Sub(f.FirstSeen) > grace {
+		if c.start-b.firstSeen > int64(grace) {
 			f.NewPeers++
 		}
+	} else {
+		f.Interstitials = append(f.Interstitials, time.Duration(c.start-d.last).Seconds())
 	}
-	d.last = start
-	b.dests[r.Dst] = d
+	d.last = c.start
 }
