@@ -167,6 +167,7 @@ func (o *options) validate() (mode, error) {
 		{(set["peers"] || set["dist-shards"]) && !dist, "-peers and -dist-shards require -role"},
 		{(set["shard"] || set["drain-timeout"]) && m != shardMode, "-shard and -drain-timeout require -role shard"},
 		{set["dist-timeout"] && m != coordMode, "-dist-timeout requires -role coordinator (it bounds the wait for lagging shards)"},
+		{o.distWait < 0, "-dist-timeout must be >= 0 (0 waits forever)"},
 		{live && o.window <= 0, "-listen requires -window (live detection is windowed)"},
 		{dist && o.window <= 0, "-role requires -window (distributed detection is windowed)"},
 		{dist && o.peers == "", "-role requires -peers (the coordinator's TCP address)"},
@@ -424,7 +425,7 @@ func runCoordinator(ctx context.Context, cfg plotters.CoordinatorConfig, addr st
 	if err := coord.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "\n%d windows detected\n", coord.Detector().Windows())
+	fmt.Fprintf(stdout, "\n%d windows detected\n", coord.Windows())
 	for _, ss := range coord.ShardSeqs() {
 		status := "never connected"
 		if ss.Seen {

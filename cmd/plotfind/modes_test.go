@@ -354,6 +354,7 @@ func TestRejectedFlags(t *testing.T) {
 		{"-shards 4 x", "-slide, -shards, -skew and -origin require -window"},
 		{"-dist-timeout 1s x", "-dist-timeout requires -role coordinator"},
 		{"-role shard -dist-timeout 1s " + dist + " x", "-dist-timeout requires -role coordinator"},
+		{"-role coordinator -dist-timeout -1s " + dist, "-dist-timeout must be >= 0"},
 		{"-drain-timeout 1s x", "-shard and -drain-timeout require -role shard"},
 		{"-role coordinator -drain-timeout 1s " + dist, "-shard and -drain-timeout require -role shard"},
 		{"-role coordinator -shard 1 " + dist, "-shard and -drain-timeout require -role shard"},

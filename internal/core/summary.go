@@ -253,43 +253,3 @@ func GlobalPass(sums []*ShardSummary, cfg Config) (*Result, error) {
 	}
 	return a.FindPlotters()
 }
-
-// LocalName is the shard-local phase's detector identifier.
-const LocalName = "localpass"
-
-// LocalDetector adapts LocalPass to the Detector seam so a shard's
-// windowed engine can drive it: each sealed window's Detection carries
-// the ShardSummary as Details (and no suspects — a shard alone cannot
-// threshold a population it only sees a hash-slice of).
-type LocalDetector struct {
-	cfg    Config
-	shard  int
-	shards int
-}
-
-// NewLocalDetector wraps the shard-local phase for the given host-hash
-// slice.
-func NewLocalDetector(cfg Config, shard, shards int) (*LocalDetector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("core: shards = %d must be >= 1", shards)
-	}
-	if shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("core: shard %d outside [0,%d)", shard, shards)
-	}
-	return &LocalDetector{cfg: cfg, shard: shard, shards: shards}, nil
-}
-
-// Name implements Detector.
-func (d *LocalDetector) Name() string { return LocalName }
-
-// Detect implements Detector.
-func (d *LocalDetector) Detect(src flow.FeatureSource) (*Detection, error) {
-	sum, err := LocalPass(src, d.cfg, d.shard, d.shards)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", d.Name(), err)
-	}
-	return &Detection{Detector: d.Name(), Suspects: HostSet{}, Details: sum}, nil
-}

@@ -163,7 +163,7 @@ func TestDistClusterMatchesSingleProcess(t *testing.T) {
 	}
 	compareRuns(t, got, want, "pipe cluster")
 
-	if n := cl.Coordinator.Detector().Windows(); n != 2 {
+	if n := cl.Coordinator.Windows(); n != 2 {
 		t.Errorf("coordinator emitted %d windows, want 2", n)
 	}
 	for _, ss := range cl.Coordinator.ShardSeqs() {

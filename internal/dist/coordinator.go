@@ -4,11 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
+	"plotters/internal/core"
 	"plotters/internal/engine"
+	"plotters/internal/flow"
 	"plotters/internal/metrics"
 	"plotters/internal/wire"
 )
@@ -30,44 +34,68 @@ type CoordinatorConfig struct {
 	// WindowTimeout, when positive, force-seals a window that has been
 	// waiting on missing shards for this long since its first summary
 	// arrived. The result carries an explicit Partial mark. Zero means
-	// wait forever (the deterministic-test and batch-replay mode).
+	// wait forever (the deterministic-test and batch-replay mode);
+	// negative is rejected.
 	WindowTimeout time.Duration
 }
 
-// Coordinator is the global-phase endpoint of a distributed deployment.
-// It speaks the shard protocol on any number of connections (one per
-// shard, re-established at will), feeds an engine.DistributedDetector,
-// and acks frames so workers can trim their resend buffers.
+// Coordinator is the global-phase endpoint of a distributed deployment
+// and the one owner of window assembly. It speaks the shard protocol on
+// any number of connections (one per shard, re-established at will) and
+// acks frames so workers can trim their resend buffers.
+//
+// FindPlotters thresholds on percentiles of the whole monitored
+// population, so a window is detected only once it is complete: every
+// shard has either sent its summary for it or advanced its watermark
+// past the window's end (proving the window empty there). The window's
+// summaries then merge once and the detectors run over the merge
+// (engine.RunWindow), emitting in ascending window order. A window still
+// missing shards WindowTimeout after its first summary, or at Flush, is
+// force-sealed with an explicit Partial mark.
+//
+// All state sits under one mutex, and emit runs under it: emit must not
+// call back into the coordinator.
 type Coordinator struct {
-	cfg CoordinatorConfig
-	det *engine.DistributedDetector
-	fp  Fingerprint
-	reg *metrics.Registry
+	cfg       CoordinatorConfig
+	fp        Fingerprint
+	reg       *metrics.Registry
+	detectors []core.Detector
+	emit      func(*engine.Result) error
 
-	mu       sync.Mutex
-	seqs     []shardSeq
-	conns    map[int]net.Conn // latest live connection per shard
-	arrivals map[int]time.Time
-	closed   bool
+	mu        sync.Mutex
+	shards    []shardState
+	pending   map[int]*pendingWindow
+	maxSealed int // highest sealed window index (-1 before any)
+	windows   int // results emitted
+	closed    bool
+	ln        net.Listener
 
-	lnMu sync.Mutex
-	ln   net.Listener
-	wg   sync.WaitGroup
-
-	stopTimeout chan struct{}
+	wg sync.WaitGroup
 }
 
-// shardSeq is the per-shard sequence accounting, the collector's
-// NetFlow discipline applied to summary streams: a forward jump is a
-// gap (frames lost in transit), a backward jump is a resend after
-// reconnect — counted, deduplicated downstream, never fatal.
-type shardSeq struct {
-	seen     bool
-	next     uint64 // next expected sequence number
-	gaps     uint64 // forward jumps observed
-	lost     uint64 // frames skipped by those jumps
-	dups     uint64 // frames at or behind an already-processed sequence
-	connects uint64 // hello handshakes accepted
+// shardState is what the coordinator knows of one shard: its live
+// connection, its watermark, and its sequence accounting — the
+// collector's NetFlow discipline applied to summary streams: a forward
+// jump is a gap (frames lost in transit), a backward jump is a resend
+// after reconnect — counted, deduplicated by (shard, window), never
+// fatal.
+type shardState struct {
+	conn      net.Conn  // latest live connection; nil between connections
+	watermark time.Time // no summary will come for a window ending at or before it
+	seen      bool
+	next      uint64 // next expected sequence number
+	gaps      uint64 // forward jumps observed
+	lost      uint64 // frames skipped by those jumps
+	dups      uint64 // frames at or behind an already-processed sequence
+	connects  uint64 // hello handshakes accepted
+}
+
+// pendingWindow is a window some shard has sent a summary for that has
+// not sealed yet.
+type pendingWindow struct {
+	window   flow.Window
+	sums     []*core.ShardSummary // by shard; nil until that shard's arrives
+	deadline *time.Timer          // the WindowTimeout force-seal; nil without one
 }
 
 // ShardSeq reports one shard's transport accounting.
@@ -82,46 +110,53 @@ type ShardSeq struct {
 
 // NewCoordinator creates a coordinator. emit receives every completed
 // window's result in ascending window order, called from whichever
-// connection goroutine completed the window.
+// connection goroutine (or timeout) completed the window.
 func NewCoordinator(cfg CoordinatorConfig, emit func(*engine.Result) error) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("dist: coordinator Shards = %d must be >= 1", cfg.Shards)
 	}
+	if cfg.WindowTimeout < 0 {
+		return nil, fmt.Errorf("dist: coordinator WindowTimeout = %v must be >= 0 (0 waits forever)", cfg.WindowTimeout)
+	}
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, err
 	}
-	det, err := engine.NewDistributed(cfg.Engine, cfg.Shards, emit)
+	detectors, err := cfg.Engine.ResolveDetectors()
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:         cfg,
-		det:         det,
-		fp:          FingerprintOf(cfg.Engine, cfg.Shards),
-		reg:         cfg.Engine.Core.Metrics,
-		seqs:        make([]shardSeq, cfg.Shards),
-		conns:       make(map[int]net.Conn),
-		arrivals:    make(map[int]time.Time),
-		stopTimeout: make(chan struct{}),
+		cfg:       cfg,
+		fp:        FingerprintOf(cfg.Engine, cfg.Shards),
+		reg:       cfg.Engine.Core.Metrics,
+		detectors: detectors,
+		shards:    make([]shardState, cfg.Shards),
+		pending:   make(map[int]*pendingWindow),
+		maxSealed: -1,
 	}
-	if cfg.WindowTimeout > 0 {
-		c.wg.Add(1)
-		go c.timeoutLoop()
+	c.emit = func(r *engine.Result) error {
+		c.windows++
+		if emit == nil {
+			return nil
+		}
+		return emit(r)
 	}
 	return c, nil
 }
 
-// Detector exposes the underlying window assembler (window counts,
-// pending state).
-func (c *Coordinator) Detector() *engine.DistributedDetector { return c.det }
+// Windows returns how many window results have been emitted.
+func (c *Coordinator) Windows() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.windows
+}
 
 // ShardSeqs reports the per-shard transport accounting.
 func (c *Coordinator) ShardSeqs() []ShardSeq {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]ShardSeq, len(c.seqs))
-	for i := range c.seqs {
-		s := &c.seqs[i]
+	out := make([]ShardSeq, len(c.shards))
+	for i, s := range c.shards {
 		out[i] = ShardSeq{Shard: i, Seen: s.seen, Gaps: s.gaps, Lost: s.lost, Dups: s.dups, Connects: s.connects}
 	}
 	return out
@@ -134,9 +169,9 @@ func (c *Coordinator) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: coordinator listen: %w", err)
 	}
-	c.lnMu.Lock()
+	c.mu.Lock()
 	c.ln = ln
-	c.lnMu.Unlock()
+	c.mu.Unlock()
 	c.wg.Add(1)
 	go c.acceptLoop(ln)
 	return ln.Addr(), nil
@@ -163,8 +198,8 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 // until it closes, exported so tests and alternative transports
 // (net.Pipe, as DistCluster does) can drive the coordinator without a
 // TCP listener. A clean peer close returns nil; protocol violations —
-// wrong version, mismatched fingerprint, malformed frames — return the
-// descriptive error after closing the connection.
+// wrong version, mismatched fingerprint, malformed or inconsistent
+// frames — return the descriptive error after closing the connection.
 func (c *Coordinator) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 
@@ -185,28 +220,11 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 	if err := h.FP.Check(c.fp); err != nil {
 		return err
 	}
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("dist: coordinator is closed")
+	if err := c.attach(h.Shard, conn); err != nil {
+		return err
 	}
-	if old := c.conns[h.Shard]; old != nil && old != conn {
-		old.Close() // the reconnecting worker's stale connection
-	}
-	c.conns[h.Shard] = conn
-	c.seqs[h.Shard].seen = true
-	c.seqs[h.Shard].connects++
-	c.mu.Unlock()
+	defer c.detach(h.Shard, conn)
 	c.reg.Counter("dist/connects").Add(1)
-
-	defer func() {
-		c.mu.Lock()
-		if c.conns[h.Shard] == conn {
-			delete(c.conns, h.Shard)
-		}
-		c.mu.Unlock()
-	}()
 
 	for {
 		id, payload, err := wire.ReadFrame(conn, maxFramePayload)
@@ -214,87 +232,100 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 			return nil
 		}
 		if err != nil {
-			if c.isClosed() || !c.isCurrent(h.Shard, conn) {
+			if c.stale(h.Shard, conn) {
 				return nil // shut down, or replaced by a reconnect
 			}
 			return fmt.Errorf("dist: coordinator: shard %d: %w", h.Shard, err)
 		}
-		if err := c.handleFrame(h.Shard, conn, id, payload); err != nil {
+		seq, err := c.handleFrame(h.Shard, id, payload)
+		if err != nil {
 			return err
+		}
+		var e wire.Encoder
+		e.U64(seq)
+		if err := wire.WriteFrame(conn, frameAck, e.Bytes()); err != nil {
+			// The worker will resend after reconnecting; losing an ack is
+			// the dup-accounting path, not a failure.
+			c.reg.Counter("dist/ack_errors").Add(1)
 		}
 	}
 }
 
-func (c *Coordinator) isClosed() bool {
+// attach makes conn the shard's live connection, closing the stale one
+// a reconnecting worker left behind.
+func (c *Coordinator) attach(shard int, conn net.Conn) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed
+	if c.closed {
+		return fmt.Errorf("dist: coordinator is closed")
+	}
+	s := &c.shards[shard]
+	if s.conn != nil && s.conn != conn {
+		s.conn.Close()
+	}
+	s.conn, s.seen = conn, true
+	s.connects++
+	return nil
 }
 
-func (c *Coordinator) isCurrent(shard int, conn net.Conn) bool {
+// detach forgets conn as the shard's live connection, unless a
+// reconnect has already replaced it.
+func (c *Coordinator) detach(shard int, conn net.Conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conns[shard] == conn
+	if c.shards[shard].conn == conn {
+		c.shards[shard].conn = nil
+	}
 }
 
-// handleFrame processes one sequenced frame from an authenticated
-// shard connection and acks it.
-func (c *Coordinator) handleFrame(shard int, conn net.Conn, id uint16, payload []byte) error {
+// stale reports whether a read error on conn is expected: the
+// coordinator shut down, or a reconnect replaced conn.
+func (c *Coordinator) stale(shard int, conn net.Conn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed || c.shards[shard].conn != conn
+}
+
+// handleFrame decodes and applies one sequenced frame from an
+// authenticated shard connection, returning the sequence number to ack.
+// Decoding runs outside the lock; an error leaves the windows untouched.
+func (c *Coordinator) handleFrame(shard int, id uint16, payload []byte) (uint64, error) {
 	d := wire.NewDecoder(payload)
 	seq := d.U64()
 	if err := d.Err(); err != nil {
-		return fmt.Errorf("dist: coordinator: shard %d: frame %d truncated before its sequence number", shard, id)
+		return 0, fmt.Errorf("dist: coordinator: shard %d: frame %d truncated before its sequence number", shard, id)
 	}
-	body := d.Rest()
-
 	c.account(shard, seq)
 	c.reg.Counter("dist/frames").Add(1)
 
 	switch id {
 	case frameSummary:
-		index, sum, err := DecodeSummary(body)
-		if err != nil {
-			return fmt.Errorf("dist: coordinator: shard %d seq %d: %w", shard, seq, err)
+		index, sum, err := DecodeSummary(d.Rest())
+		if err == nil {
+			err = c.offer(shard, index, sum)
 		}
-		c.noteArrival(index)
-		fresh, err := c.det.Offer(shard, index, sum)
 		if err != nil {
-			return fmt.Errorf("dist: coordinator: shard %d seq %d: %w", shard, seq, err)
-		}
-		if fresh {
-			c.reg.Counter("dist/summaries").Add(1)
-		} else {
-			c.reg.Counter("dist/summaries/dup").Add(1)
+			return 0, fmt.Errorf("dist: coordinator: shard %d seq %d: %w", shard, seq, err)
 		}
 	case frameWatermark:
-		t, err := decodeWatermark(body)
+		t, err := decodeWatermark(d.Rest())
+		if err == nil {
+			err = c.advance(shard, t)
+		}
 		if err != nil {
-			return fmt.Errorf("dist: coordinator: shard %d seq %d: %w", shard, seq, err)
+			return 0, fmt.Errorf("dist: coordinator: shard %d seq %d: %w", shard, seq, err)
 		}
-		if err := c.det.Watermark(shard, t); err != nil {
-			return fmt.Errorf("dist: coordinator: shard %d seq %d: %w", shard, seq, err)
-		}
-		c.reg.Counter("dist/watermarks").Add(1)
 	default:
-		return fmt.Errorf("dist: coordinator: shard %d sent unknown frame type %d — refusing to guess at its meaning", shard, id)
+		return 0, fmt.Errorf("dist: coordinator: shard %d sent unknown frame type %d — refusing to guess at its meaning", shard, id)
 	}
-	c.pruneArrivals()
-
-	var e wire.Encoder
-	e.U64(seq)
-	if err := wire.WriteFrame(conn, frameAck, e.Bytes()); err != nil {
-		// The worker will resend after reconnecting; losing an ack is
-		// the dup-accounting path, not a failure.
-		c.reg.Counter("dist/ack_errors").Add(1)
-	}
-	return nil
+	return seq, nil
 }
 
 // account applies the collector's sequence discipline to one frame.
 func (c *Coordinator) account(shard int, seq uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := &c.seqs[shard]
+	s := &c.shards[shard]
 	switch {
 	case seq > s.next:
 		s.gaps++
@@ -303,102 +334,171 @@ func (c *Coordinator) account(shard int, seq uint64) {
 		c.reg.Counter("dist/lost_frames").Add(int64(seq - s.next))
 		s.next = seq + 1
 	case seq < s.next:
-		s.dups++ // resend after reconnect; Offer dedups downstream
+		s.dups++ // resend after reconnect; offer dedups by (shard, window)
 		c.reg.Counter("dist/dup_frames").Add(1)
 	default:
 		s.next = seq + 1
 	}
 }
 
-// noteArrival records when a window's first summary arrived, the clock
-// the WindowTimeout force-seal runs against.
-func (c *Coordinator) noteArrival(index int) {
-	if c.cfg.WindowTimeout <= 0 {
-		return
-	}
+// offer folds one shard's summary for window index in, sealing every
+// window that completes. A summary already held for (shard, window), or
+// for a window already sealed, is a resend after reconnect: counted
+// under dist/summaries/dup, not an error. A summary inconsistent with
+// the deployment or with the other shards is refused before it changes
+// anything.
+func (c *Coordinator) offer(shard, index int, sum *core.ShardSummary) error {
 	c.mu.Lock()
-	if _, ok := c.arrivals[index]; !ok {
-		c.arrivals[index] = time.Now()
+	defer c.mu.Unlock()
+	if sum.Shards != c.cfg.Shards {
+		return fmt.Errorf("summary is of a %d-shard split but this coordinator runs %d shards", sum.Shards, c.cfg.Shards)
 	}
-	c.mu.Unlock()
+	if sum.Shard != shard {
+		return fmt.Errorf("summary claims shard %d but arrived on shard %d's connection", sum.Shard, shard)
+	}
+	pw := c.pending[index]
+	if pw != nil && (!pw.window.From.Equal(sum.Window.From) || !pw.window.To.Equal(sum.Window.To)) {
+		return fmt.Errorf("shard %d places window %d at [%v, %v) but other shards place it at [%v, %v) — window geometry disagrees",
+			shard, index, sum.Window.From, sum.Window.To, pw.window.From, pw.window.To)
+	}
+	// A complete summary for w proves the shard's frontier passed w's end.
+	if s := &c.shards[shard]; !sum.Partial && sum.Window.To.After(s.watermark) {
+		s.watermark = sum.Window.To
+	}
+	if index <= c.maxSealed || (pw != nil && pw.sums[shard] != nil) {
+		c.reg.Counter("dist/summaries/dup").Add(1)
+		return c.seal(math.MaxInt, false)
+	}
+	if pw == nil {
+		pw = &pendingWindow{window: sum.Window, sums: make([]*core.ShardSummary, c.cfg.Shards)}
+		if c.cfg.WindowTimeout > 0 {
+			pw.deadline = time.AfterFunc(c.cfg.WindowTimeout, func() { c.timeout(index) })
+		}
+		c.pending[index] = pw
+	}
+	pw.sums[shard] = sum
+	c.reg.Counter("dist/summaries").Add(1)
+	return c.seal(math.MaxInt, false)
 }
 
-// pruneArrivals drops timeout bookkeeping for windows that sealed.
-func (c *Coordinator) pruneArrivals() {
-	if c.cfg.WindowTimeout <= 0 {
-		return
-	}
-	sealed := c.det.MaxSealed()
+// advance applies a shard's watermark: it will produce no further
+// summary for any window ending at or before t (stream punctuation
+// forwarded from the shard's engine). Every window it completes seals.
+func (c *Coordinator) advance(shard int, t time.Time) error {
 	c.mu.Lock()
-	for idx := range c.arrivals {
-		if idx <= sealed {
-			delete(c.arrivals, idx)
-		}
+	defer c.mu.Unlock()
+	c.reg.Counter("dist/watermarks").Add(1)
+	if s := &c.shards[shard]; t.After(s.watermark) {
+		s.watermark = t
 	}
-	c.mu.Unlock()
+	return c.seal(math.MaxInt, false)
 }
 
-func (c *Coordinator) timeoutLoop() {
-	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.WindowTimeout / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stopTimeout:
-			return
-		case <-tick.C:
-		}
-		deadline := time.Now().Add(-c.cfg.WindowTimeout)
-		seal := -1
-		c.mu.Lock()
-		for idx, at := range c.arrivals {
-			if at.Before(deadline) && idx > seal {
-				seal = idx
-			}
-		}
-		c.mu.Unlock()
-		if seal < 0 {
-			continue
-		}
-		c.reg.Counter("dist/timeout_seals").Add(1)
-		if err := c.det.SealWindow(seal); err != nil {
-			c.reg.Counter("dist/seal_errors").Add(1)
-		}
-		c.pruneArrivals()
+// timeout is a pending window's WindowTimeout deadline: it force-seals
+// the window and every earlier one still pending.
+func (c *Coordinator) timeout(index int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.pending[index] == nil {
+		return // sealed while this deadline waited for the lock, or shut down
+	}
+	c.reg.Counter("dist/timeout_seals").Add(1)
+	if err := c.seal(index, true); err != nil {
+		c.reg.Counter("dist/seal_errors").Add(1)
 	}
 }
 
 // Flush force-seals every pending window (the shutdown path after all
 // shards have drained their feeds).
-func (c *Coordinator) Flush() error { return c.det.Flush() }
-
-// Close stops the listener, the timeout loop, and every live shard
-// connection, and waits for their goroutines. Pending windows are left
-// unsealed; call Flush first to force-emit them.
-func (c *Coordinator) Close() error {
+func (c *Coordinator) Flush() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	conns := make([]net.Conn, 0, len(c.conns))
-	for _, conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.seal(math.MaxInt, true)
+}
 
-	if c.cfg.WindowTimeout > 0 {
-		close(c.stopTimeout)
+// seal seals pending windows through index last in ascending order. It
+// stops at the first window the slowest shard's watermark has not passed
+// unless force is set. Called with mu held.
+func (c *Coordinator) seal(last int, force bool) error {
+	slowest := c.shards[0].watermark
+	for _, s := range c.shards[1:] {
+		if s.watermark.Before(slowest) {
+			slowest = s.watermark
+		}
 	}
-	c.lnMu.Lock()
+	order := make([]int, 0, len(c.pending))
+	for idx := range c.pending {
+		if idx <= last {
+			order = append(order, idx)
+		}
+	}
+	sort.Ints(order)
+	for _, idx := range order {
+		pw := c.pending[idx]
+		if !force && pw.window.To.After(slowest) {
+			return nil
+		}
+		if err := c.sealWindow(idx, pw); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sealWindow merges one pending window's summaries, runs the detectors
+// over the merge, and emits. The result is Partial if any summary is, or
+// if a shard that sent none has not proven the window empty on it.
+// Called with mu held.
+func (c *Coordinator) sealWindow(index int, pw *pendingWindow) error {
+	delete(c.pending, index)
+	if pw.deadline != nil {
+		pw.deadline.Stop()
+	}
+	c.maxSealed = index
+	partial := false
+	sums := make([]*core.ShardSummary, 0, len(pw.sums))
+	for shard, sum := range pw.sums {
+		if sum != nil {
+			sums = append(sums, sum)
+			partial = partial || sum.Partial
+		} else if pw.window.To.After(c.shards[shard].watermark) {
+			partial = true
+		}
+	}
+	merged, err := core.MergeSummaries(sums)
+	if err != nil {
+		return fmt.Errorf("window %d [%v, %v): %w", index, pw.window.From, pw.window.To, err)
+	}
+	return engine.RunWindow(c.reg, "engine/globalpass", c.detectors, merged.FeatureSet(),
+		&engine.Result{Window: pw.window, Index: index, Partial: partial}, c.emit)
+}
+
+// Close stops the listener, every window deadline and every live shard
+// connection, and waits for the connection goroutines. Pending windows
+// are left unsealed; call Flush first to force-emit them.
+func (c *Coordinator) Close() error {
+	c.shutdown()
+	c.wg.Wait()
+	return nil
+}
+
+// shutdown marks the coordinator closed, so a deadline that fires later
+// seals nothing, and closes what the connection goroutines block on.
+func (c *Coordinator) shutdown() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	for _, pw := range c.pending {
+		if pw.deadline != nil {
+			pw.deadline.Stop()
+		}
+	}
 	if c.ln != nil {
 		c.ln.Close()
 	}
-	c.lnMu.Unlock()
-	for _, conn := range conns {
-		conn.Close()
+	for _, s := range c.shards {
+		if s.conn != nil {
+			s.conn.Close()
+		}
 	}
-	c.wg.Wait()
-	return nil
 }

@@ -1,9 +1,11 @@
 // Package dist runs the detection pipeline across processes: N
 // ShardWorkers each own one host-hash slice of the monitored population
 // (feature extraction plus the shard-local phase, core.LocalPass) and
-// ship per-window ShardSummary frames over TCP to one Coordinator,
-// which merges them and runs the detectors over the merged summary
-// (engine.DistributedDetector) once every shard has reported.
+// ship per-window ShardSummary frames over TCP to one Coordinator, the
+// one owner of window assembly: once every shard has reported a window
+// (or its timeout force-seals it) the Coordinator merges the summaries
+// and runs the detectors over the merge with engine.RunWindow, the
+// single-process engine's own detection step.
 //
 // The wire format is the checkpoint package's codec, reused on purpose:
 // the same little-endian primitives (internal/wire), the same CRC-framed

@@ -107,11 +107,7 @@ func NewShardWorker(cfg WorkerConfig) (*ShardWorker, error) {
 		}
 		return flow.ShardOf(ip, cfg.Shards) == cfg.Shard
 	}
-	ld, err := core.NewLocalDetector(ecfg.Core, cfg.Shard, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	ecfg.Detectors = []core.Detector{ld}
+	ecfg.Detectors = []core.Detector{localpass{cfg: ecfg.Core, shard: cfg.Shard, shards: cfg.Shards}}
 	eng, err := engine.New(ecfg, w.emitWindow)
 	if err != nil {
 		return nil, err
@@ -119,6 +115,25 @@ func NewShardWorker(cfg WorkerConfig) (*ShardWorker, error) {
 	w.eng = eng
 	w.fp = FingerprintOf(cfg.Engine, cfg.Shards)
 	return w, nil
+}
+
+// localpass adapts core.LocalPass to the detector seam so the shard's
+// windowed engine drives it: each sealed window's Detection carries the
+// ShardSummary as Details and no suspects — a shard alone cannot
+// threshold a population it sees only a hash slice of.
+type localpass struct {
+	cfg           core.Config
+	shard, shards int
+}
+
+func (localpass) Name() string { return "localpass" }
+
+func (d localpass) Detect(src flow.FeatureSource) (*core.Detection, error) {
+	sum, err := core.LocalPass(src, d.cfg, d.shard, d.shards)
+	if err != nil {
+		return nil, fmt.Errorf("localpass: %w", err)
+	}
+	return &core.Detection{Detector: d.Name(), Suspects: core.HostSet{}, Details: sum}, nil
 }
 
 // Engine exposes the underlying windowed detector (window counts, the

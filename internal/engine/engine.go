@@ -110,9 +110,10 @@ func (c *Config) Validate() error {
 	return c.Core.Validate()
 }
 
-// detectors resolves the configured detector list: an empty list means
-// the paper pipeline alone, at Core.
-func (c *Config) detectors() ([]core.Detector, error) {
+// ResolveDetectors returns the detectors run over every window: the
+// configured list, or, when it is empty, the paper pipeline alone at
+// Core.
+func (c *Config) ResolveDetectors() ([]core.Detector, error) {
 	if len(c.Detectors) > 0 {
 		return c.Detectors, nil
 	}
@@ -150,7 +151,9 @@ type Result struct {
 	// Partial marks a window sealed by Flush before the feed reached
 	// its nominal end: the result covers only the traffic observed up
 	// to the flush frontier, so its verdicts are provisional (the
-	// shutdown report of a live deployment, not a completed window).
+	// shutdown report of a live deployment, not a completed window). A
+	// distributed coordinator sets it on a window it force-sealed before
+	// every shard had reported.
 	Partial bool
 }
 
@@ -201,7 +204,7 @@ func New(cfg Config, emit func(*Result) error) (*WindowedDetector, error) {
 		NewPeerGrace: cfg.Core.NewPeerGrace,
 	}, cfg.Shards, cfg.MaxSkew).Metrics(cfg.Core.Metrics)
 	store.CarryFirstSeen(cfg.CarryFirstSeen)
-	detectors, err := cfg.detectors()
+	detectors, err := cfg.ResolveDetectors()
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +217,15 @@ func New(cfg Config, emit func(*Result) error) (*WindowedDetector, error) {
 		records:   cfg.Core.Metrics.Counter("engine/records"),
 		drops:     cfg.Core.Metrics.Counter("engine/drops"),
 	}
-	d.emit = counted(&d.emitted, emit)
+	d.emit = func(r *Result) error {
+		// The count moves before the callback runs: the callback may
+		// snapshot the engine, and the count is part of the snapshot.
+		d.emitted++
+		if emit == nil {
+			return nil
+		}
+		return emit(r)
+	}
 	cfg.Core.Metrics.Gauge("engine/shards").Set(int64(store.Shards()))
 	return d, nil
 }
@@ -436,33 +447,22 @@ func (d *WindowedDetector) emitMerged(window flow.Window, index int) error {
 
 // detect runs the detectors over one sealed window and emits the result.
 func (d *WindowedDetector) detect(src *flow.FeatureSet, w flow.Window, index int) error {
-	return runWindow(d.cfg.Core.Metrics, "engine/detect", d.detectors, src, &Result{
+	return RunWindow(d.cfg.Core.Metrics, "engine/detect", d.detectors, src, &Result{
 		Window:  w,
 		Index:   index,
 		Partial: d.flushing && w.To.After(d.frontier),
 	}, d.emit)
 }
 
-// counted wraps an engine's emit callback so the window count moves
-// before the callback runs: the callback may snapshot the engine, and
-// the count is part of the snapshot. A nil emit only counts.
-func counted(n *int, emit func(*Result) error) func(*Result) error {
-	return func(r *Result) error {
-		*n++
-		if emit == nil {
-			return nil
-		}
-		return emit(r)
-	}
-}
-
-// runWindow is the one path from a sealed window to its verdicts, shared
-// by the single-process engine and the coordinator-side assembler: run
-// every detector over the window's feature source in order, fill res
-// (which arrives with its window, index and Partial mark set), report
-// the per-window instruments, and emit. stage names the enclosing timer;
-// each detector's time lands under stage/<detector>.
-func runWindow(reg *metrics.Registry, stage string, detectors []core.Detector, src flow.FeatureSource, res *Result, emit func(*Result) error) error {
+// RunWindow is the one path from a sealed window to its verdicts, shared
+// by WindowedDetector ("engine/detect") and the distributed coordinator
+// in internal/dist, which calls it once per window over the merged shard
+// summaries ("engine/globalpass"): run every detector over the window's
+// feature source in order, fill res (which arrives with its window,
+// index and Partial mark set), report the per-window instruments, and
+// emit. stage names the enclosing timer; each detector's time lands
+// under stage/<detector>.
+func RunWindow(reg *metrics.Registry, stage string, detectors []core.Detector, src flow.FeatureSource, res *Result, emit func(*Result) error) error {
 	feats := src.Features()
 	res.Hosts = len(feats)
 	for _, f := range feats {

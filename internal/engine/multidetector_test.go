@@ -154,72 +154,59 @@ func TestEngineCommunityMatchesBatch(t *testing.T) {
 	}
 }
 
-// Per-window instrumentation, the same set from both engines (runWindow
-// reports it): the stage and one child per detector, the window counters
-// and gauges, and one suspects gauge per detector.
+// Per-window instrumentation (RunWindow reports it): the stage and one
+// child per detector, the window counters and gauges, and one suspects
+// gauge per detector. internal/dist checks the same set at the
+// coordinator, under "engine/globalpass".
 func TestEnsembleEngineMetrics(t *testing.T) {
 	base := baseTime()
 	records := synthStream(rand.New(rand.NewSource(55)), base, 2*time.Hour)
 
-	for _, tc := range []struct {
-		name, stage string
-		run         func(t *testing.T, cfg Config) []*Result
-	}{
-		{"single-process", "engine/detect", func(t *testing.T, cfg Config) []*Result {
-			// Flush ends the feed inside the second window: one Partial.
-			return run(t, cfg, records)
-		}},
-		{"coordinator", "engine/globalpass", func(t *testing.T, cfg Config) []*Result {
-			sums := windowSummaries(t, records, base, 2, testConfig())
-			sums[1].Partial = true
-			return runDistributed(t, cfg, sums)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := metrics.New()
-			coreCfg := testConfig()
-			coreCfg.Metrics = reg
-			results := tc.run(t, Config{
-				Window: time.Hour, Origin: base, Shards: 2, Core: coreCfg,
-				Detectors: detectorPair(t, coreCfg),
-			})
-			windows := int64(len(results))
-			if windows != 2 {
-				t.Fatalf("emitted %d windows, want 2", windows)
+	t.Run("single-process", func(t *testing.T) {
+		reg := metrics.New()
+		coreCfg := testConfig()
+		coreCfg.Metrics = reg
+		// Flush ends the feed inside the second window: one Partial.
+		results := run(t, Config{
+			Window: time.Hour, Origin: base, Shards: 2, Core: coreCfg,
+			Detectors: detectorPair(t, coreCfg),
+		}, records)
+		windows := int64(len(results))
+		if windows != 2 {
+			t.Fatalf("emitted %d windows, want 2", windows)
+		}
+		for _, stage := range []string{
+			"engine/detect",
+			"engine/detect/" + core.PaperName,
+			"engine/detect/" + community.Name,
+			"community/build", "community/propagate", "community/score",
+		} {
+			if got := reg.Stage(stage).Count(); got != windows {
+				t.Errorf("stage %s ran %d times, want %d", stage, got, windows)
 			}
-			for _, stage := range []string{
-				tc.stage,
-				tc.stage + "/" + core.PaperName,
-				tc.stage + "/" + community.Name,
-				"community/build", "community/propagate", "community/score",
-			} {
-				if got := reg.Stage(stage).Count(); got != windows {
-					t.Errorf("stage %s ran %d times, want %d", stage, got, windows)
-				}
+		}
+		last := results[len(results)-1]
+		if !last.Partial || results[0].Partial {
+			t.Fatalf("Partial marks = %v, %v; want false, true", results[0].Partial, last.Partial)
+		}
+		for name, want := range map[string]int64{
+			"engine/windows":         windows,
+			"engine/windows/partial": 1,
+		} {
+			if got := reg.Counter(name).Value(); got != want {
+				t.Errorf("counter %s = %d, want %d", name, got, want)
 			}
-			last := results[len(results)-1]
-			if !last.Partial || results[0].Partial {
-				t.Fatalf("Partial marks = %v, %v; want false, true", results[0].Partial, last.Partial)
+		}
+		for name, want := range map[string]int{
+			"engine/window_index":               last.Index,
+			"engine/window_hosts":               last.Hosts,
+			"engine/window_suspects":            len(last.Detection.Suspects),
+			"engine/suspects/" + core.PaperName: len(last.Detections[0].Suspects),
+			"engine/suspects/" + community.Name: len(last.Detections[1].Suspects),
+		} {
+			if got := reg.Gauge(name).Value(); got != int64(want) {
+				t.Errorf("gauge %s = %d, want %d", name, got, want)
 			}
-			for name, want := range map[string]int64{
-				"engine/windows":         windows,
-				"engine/windows/partial": 1,
-			} {
-				if got := reg.Counter(name).Value(); got != want {
-					t.Errorf("counter %s = %d, want %d", name, got, want)
-				}
-			}
-			for name, want := range map[string]int{
-				"engine/window_index":               last.Index,
-				"engine/window_hosts":               last.Hosts,
-				"engine/window_suspects":            len(last.Detection.Suspects),
-				"engine/suspects/" + core.PaperName: len(last.Detections[0].Suspects),
-				"engine/suspects/" + community.Name: len(last.Detections[1].Suspects),
-			} {
-				if got := reg.Gauge(name).Value(); got != int64(want) {
-					t.Errorf("gauge %s = %d, want %d", name, got, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
