@@ -163,6 +163,8 @@ func (o *options) validate() (mode, error) {
 		{(set["checkpoint-every"] || set["wal-sync-every"]) && (!live || o.stateDir == ""), "-checkpoint-every and -wal-sync-every require -listen -state-dir"},
 		{set["ingest-batch"] && !live, "-ingest-batch requires -listen (it sizes the socket's recvmmsg batch)"},
 		{o.inBatch < 0, "-ingest-batch must be >= 0"},
+		{o.window < 0, "-window must be >= 0 (0 = one batch run)"},
+		{o.volPct < 0 || o.churnPct < 0 || o.hmPct < 0, "-vol-pct, -churn-pct and -hm-pct must be >= 0 (0 = default)"},
 		{(set["slide"] || set["shards"] || set["skew"] || set["origin"]) && m == batchMode, "-slide, -shards, -skew and -origin require -window"},
 		{(set["peers"] || set["dist-shards"]) && !dist, "-peers and -dist-shards require -role"},
 		{(set["shard"] || set["drain-timeout"]) && m != shardMode, "-shard and -drain-timeout require -role shard"},

@@ -364,6 +364,10 @@ func TestRejectedFlags(t *testing.T) {
 		{"-window 6h -checkpoint-every 1m x", "-checkpoint-every and -wal-sync-every require -listen -state-dir"},
 		{"-listen :0 -window 6h -wal-sync-every 1", "-checkpoint-every and -wal-sync-every require -listen -state-dir"},
 		{"-listen :0 -window 6h -ingest-batch -1", "-ingest-batch must be >= 0"},
+		{"-window -6h x", "-window must be >= 0"},
+		{"-vol-pct -1 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
+		{"-churn-pct -5 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
+		{"-window 6h -hm-pct -0.5 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
 		{"-listen :0", "-listen requires -window"},
 		{"-listen :0 -window 6h x", "-listen takes no trace file argument"},
 		{"-role coordinator " + dist + " x", "-role coordinator takes no trace file argument"},

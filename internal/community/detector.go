@@ -97,14 +97,10 @@ func (d *Detector) Name() string { return Name }
 // Detect implements core.Detector: build the mutual-contact graph from
 // the source's contact sets, propagate community labels, and flag the
 // communities that are both large and dense enough. The source must
-// track contact sets (every flow.FeatureSource implementation does;
-// ContactSource is the seam).
+// track contact sets (every window the engine and batch extraction seal
+// does).
 func (d *Detector) Detect(src flow.FeatureSource) (*core.Detection, error) {
-	cs, ok := src.(flow.ContactSource)
-	if !ok {
-		return nil, fmt.Errorf("community: feature source %T does not track contact sets", src)
-	}
-	contacts := cs.Contacts()
+	contacts := src.Contacts()
 	if contacts == nil {
 		return nil, fmt.Errorf("community: feature source %T has no contact sets attached", src)
 	}

@@ -110,15 +110,7 @@ func TestDetectorRejectsContactlessSource(t *testing.T) {
 	if _, err := det.Detect(flow.NewFeatureSet(nil, flow.Window{})); err == nil {
 		t.Error("nil-contact FeatureSet accepted")
 	}
-	if _, err := det.Detect(contactlessSource{}); err == nil {
-		t.Error("non-ContactSource accepted")
-	}
 }
-
-type contactlessSource struct{}
-
-func (contactlessSource) Features() map[flow.IP]*flow.HostFeatures { return nil }
-func (contactlessSource) Window() flow.Window                      { return flow.Window{} }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){

@@ -241,7 +241,8 @@ func TestGraphShardSplitProperty(t *testing.T) {
 				return false
 			}
 		}
-		g, err := BuildGraph(sh.Contacts(), cfg)
+		sh.Drain()
+		g, err := BuildGraph(sh.TakePane(batch.Window()).FeatureSet().Contacts(), cfg)
 		if err != nil {
 			return false
 		}

@@ -169,10 +169,10 @@ func (s HostSet) Sorted() []flow.IP {
 }
 
 // Analysis holds the per-host features of one detection window, shared
-// by all tests so the features are materialized once. It no longer
-// cares where the features came from: batch extraction over a record
-// slice, an incremental StreamExtractor, or the sharded store behind
-// the windowed engine all feed it through flow.FeatureSource.
+// by all tests so the features are materialized once. It does not care
+// how the window was sealed — batch extraction over a record slice, a
+// pane the windowed engine took from its store, or merged shard
+// summaries — only that it arrives as a flow.FeatureSource.
 type Analysis struct {
 	cfg      Config
 	src      flow.FeatureSource
@@ -208,11 +208,7 @@ func NewAnalysisFromSource(src flow.FeatureSource, cfg Config) (*Analysis, error
 	if src == nil {
 		return nil, fmt.Errorf("core: nil feature source")
 	}
-	a := &Analysis{cfg: cfg, src: src, feats: src.Features()}
-	if ss, ok := src.(flow.SketchSource); ok {
-		a.sketches = ss.Sketches()
-	}
-	return a, nil
+	return &Analysis{cfg: cfg, src: src, feats: src.Features(), sketches: src.Sketches()}, nil
 }
 
 // Source returns the feature source the analysis wraps, so further

@@ -118,11 +118,7 @@ func LocalPass(src flow.FeatureSource, cfg Config, shard, shards int) (*ShardSum
 	total := reg.StartStage("localpass")
 	defer total.Stop()
 
-	feats := src.Features()
-	var contacts map[flow.IP][]flow.IP
-	if cs, ok := src.(flow.ContactSource); ok {
-		contacts = cs.Contacts()
-	}
+	feats, contacts := src.Features(), src.Contacts()
 	sum := &ShardSummary{
 		Shard:       shard,
 		Shards:      shards,

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"errors"
 	"math/rand"
+	"net"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,4 +231,62 @@ func TestDistClusterKillAndReconnect(t *testing.T) {
 	if reconnected == 0 {
 		t.Error("no shard reconnected — the kill did not exercise the resend path")
 	}
+}
+
+// Drain outlasts a coordinator that refuses connections for longer than
+// one round of redials (maxDials × redialWait): it once returned the
+// dial error after that round, whatever its timeout.
+func TestDrainRedialsUntilDeadline(t *testing.T) {
+	records := clusterCorpus()
+	var out collector
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: 1, Engine: clusterEngineConfig()}, out.emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	var refuseUntil atomic.Int64 // Unix ns
+	w, err := NewShardWorker(WorkerConfig{Shards: 1, Engine: clusterEngineConfig(), Dial: func() (net.Conn, error) {
+		if time.Now().UnixNano() < refuseUntil.Load() {
+			return nil, errors.New("connection refused")
+		}
+		client, server := net.Pipe()
+		go coord.ServeConn(server)
+		return client, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	feedWindow := func(i int) error {
+		win := clusterWindow(i)
+		for j := range records {
+			if win.Contains(records[j].Start) {
+				if err := w.Add(&records[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return w.AdvanceTo(win.To)
+	}
+
+	if err := feedWindow(0); err != nil {
+		t.Fatal(err)
+	}
+	waitWindows(t, coord, 1)
+	refuseUntil.Store(time.Now().Add(time.Hour).UnixNano())
+	w.DropConnection()
+	if err := feedWindow(1); err == nil {
+		t.Fatal("window 1's summary was delivered to a coordinator refusing connections")
+	}
+	if w.Outstanding() == 0 {
+		t.Fatal("nothing left queued for Drain to deliver")
+	}
+	refuseUntil.Store(time.Now().Add(1500 * time.Millisecond).UnixNano())
+	if err := w.Drain(5 * time.Second); err != nil {
+		t.Fatalf("Drain(5s) over a 1.5 s refusal: %v", err)
+	}
+	if n := w.Outstanding(); n != 0 {
+		t.Errorf("%d frames unacknowledged after Drain", n)
+	}
+	waitWindows(t, coord, 2)
 }

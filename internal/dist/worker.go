@@ -172,24 +172,30 @@ func (w *ShardWorker) AdvanceTo(t time.Time) error {
 func (w *ShardWorker) Flush() error { return w.eng.Flush() }
 
 // Drain blocks until the coordinator has acknowledged every outstanding
-// frame, or the timeout elapses. Call after Flush, before exiting.
+// frame, or the timeout elapses. Call after Flush, before exiting. An
+// unreachable coordinator (one restarting, say) is redialed until the
+// deadline; a closed worker returns at once.
 func (w *ShardWorker) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
+	var err error
 	for {
 		w.mu.Lock()
-		n := len(w.outbox)
+		n, closed := len(w.outbox), w.closed
 		w.mu.Unlock()
-		if n == 0 {
+		switch {
+		case n == 0:
 			return nil
-		}
-		if time.Now().After(deadline) {
+		case closed:
+			return fmt.Errorf("dist: worker shard %d is closed", w.cfg.Shard)
+		case time.Now().After(deadline):
+			if err != nil {
+				return err
+			}
 			return fmt.Errorf("dist: worker shard %d: %d frames still unacknowledged after %v", w.cfg.Shard, n, timeout)
 		}
 		// Nudge delivery: the outbox drains via acks on the reader
 		// goroutine, but a broken connection needs a redial.
-		if err := w.flushOutbox(); err != nil {
-			return err
-		}
+		err = w.flushOutbox()
 		time.Sleep(5 * time.Millisecond)
 	}
 }

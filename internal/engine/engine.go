@@ -25,8 +25,9 @@ import (
 )
 
 // ErrLateRecord marks a record that arrived more than MaxSkew behind
-// the stream frontier and was dropped. Callers running over live feeds
-// typically count these and continue (errors.Is).
+// the stream frontier, or before an explicit Origin, and was dropped.
+// Callers running over live feeds typically count these and continue
+// (errors.Is).
 var ErrLateRecord = errors.New("engine: record beyond MaxSkew behind the frontier")
 
 // Config shapes a WindowedDetector.
@@ -42,7 +43,8 @@ type Config struct {
 	Slide time.Duration
 	// Origin aligns window boundaries: windows start at Origin + i*Slide
 	// (tumbling: Origin + i*Window). The zero value aligns the first
-	// window at the first record's start time.
+	// window at the first record's start time. A record that starts
+	// before an explicit Origin is dropped as late.
 	Origin time.Time
 	// Shards is the feature store's shard count (≤ 0 = one per CPU).
 	Shards int
@@ -230,8 +232,9 @@ func New(cfg Config, emit func(*Result) error) (*WindowedDetector, error) {
 	return d, nil
 }
 
-// Store exposes the underlying sharded feature store (live features of
-// the open window — e.g. for a metrics endpoint between boundaries).
+// Store exposes the underlying sharded feature store: its host and
+// buffered-record counts, Drain, and the state checkpointing persists.
+// Features leave it only as sealed windows.
 func (d *WindowedDetector) Store() *flow.ShardedExtractor { return d.store }
 
 // Config returns the configuration the detector was created with (with
@@ -249,8 +252,9 @@ func (d *WindowedDetector) BeforeSeal(fn func() error) { d.preSeal = fn }
 func (d *WindowedDetector) Windows() int { return d.emitted }
 
 // Dropped returns how many records were dropped for arriving beyond
-// MaxSkew, in either error mode — the one drop count ("engine/drops");
-// the store's "stream/skew_drops" sees only the pane-boundary share.
+// MaxSkew or before an explicit Origin, in either error mode — the one
+// drop count ("engine/drops"); the store's "stream/skew_drops" sees
+// only the pane-boundary share.
 func (d *WindowedDetector) Dropped() int { return d.dropped }
 
 func (d *WindowedDetector) paneStart() time.Time {
@@ -271,10 +275,14 @@ func (d *WindowedDetector) setPane(idx int) {
 
 // Add folds one record into the open window, sealing and detecting any
 // windows the record's start time proves complete first. Records more
-// than MaxSkew behind the frontier are dropped: with ErrLateRecord, or
-// silently counted when cfg.DropLate is set. Detection and emit errors
-// abort the call either way.
+// than MaxSkew behind the frontier, or before an explicit Origin, are
+// dropped: with ErrLateRecord, or silently counted when cfg.DropLate is
+// set. Detection and emit errors abort the call either way.
 func (d *WindowedDetector) Add(r *flow.Record) error {
+	if r.Start.Before(d.cfg.Origin) {
+		// No window holds it; it does not start the engine either.
+		return d.late(r)
+	}
 	if !d.started {
 		d.origin = d.cfg.Origin
 		if d.origin.IsZero() {
@@ -282,10 +290,6 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 		}
 		d.started = true
 		d.frontier = r.Start
-		if r.Start.Before(d.origin) {
-			d.setPane(0)
-			return fmt.Errorf("engine: record at %v precedes the window origin %v", r.Start, d.origin)
-		}
 		d.setPane(int(r.Start.Sub(d.origin) / d.paneDur))
 	}
 	if r.Start.After(d.frontier) {
@@ -302,18 +306,26 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 	// depend on the shard count. The store's check still guards a pane
 	// boundary sealed by AdvanceTo.
 	if r.Start.UnixNano() < d.frontier.UnixNano()-int64(d.cfg.MaxSkew) || d.store.Add(r) != nil {
-		// The store rejects only late records, and with a static error:
-		// the text is built here, and only when somebody will read it.
-		d.dropped++
-		d.drops.Add(1)
-		if d.cfg.DropLate {
-			return nil
-		}
-		return fmt.Errorf("%w: record at %v is more than %v behind the frontier %v",
-			ErrLateRecord, r.Start, d.cfg.MaxSkew, d.frontier)
+		return d.late(r)
 	}
 	d.records.Add(1)
 	return nil
+}
+
+// late counts one dropped record. The store rejects only late records,
+// and with a static error: the text is built here, and only when
+// somebody will read it.
+func (d *WindowedDetector) late(r *flow.Record) error {
+	d.dropped++
+	d.drops.Add(1)
+	if d.cfg.DropLate {
+		return nil
+	}
+	if r.Start.Before(d.cfg.Origin) {
+		return fmt.Errorf("%w: record at %v precedes the window origin %v", ErrLateRecord, r.Start, d.cfg.Origin)
+	}
+	return fmt.Errorf("%w: record at %v is more than %v behind the frontier %v",
+		ErrLateRecord, r.Start, d.cfg.MaxSkew, d.frontier)
 }
 
 // AdvanceTo declares that no record with a start time before t will

@@ -448,6 +448,40 @@ func TestLateRecordShardCountIndependent(t *testing.T) {
 	}
 }
 
+// A record before an explicit Origin lies in no window: it is late,
+// whether it comes first (it once broke the run with a non-late error)
+// or within MaxSkew of the frontier (it was once folded into window 0).
+func TestRecordBeforeOriginIsLate(t *testing.T) {
+	origin := baseTime()
+	for _, dropLate := range []bool{true, false} {
+		var results []*Result
+		d, err := New(Config{Window: time.Hour, Origin: origin, MaxSkew: 5 * time.Minute, DropLate: dropLate, Core: testConfig()},
+			func(r *Result) error { results = append(results, r); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []time.Duration{-time.Minute, time.Minute, -2 * time.Minute} {
+			rec := flow.Record{Src: 1, Dst: 100, Proto: flow.TCP, Start: origin.Add(at), End: origin.Add(at + time.Second), State: flow.StateEstablished}
+			err := d.Add(&rec)
+			switch {
+			case at > 0 && err != nil:
+				t.Fatalf("DropLate=%v: record at origin%+v: %v", dropLate, at, err)
+			case at < 0 && dropLate && err != nil:
+				t.Fatalf("DropLate: record at origin%+v: %v, want it counted", at, err)
+			case at < 0 && !dropLate && !errors.Is(err, ErrLateRecord):
+				t.Fatalf("record at origin%+v: err = %v, want ErrLateRecord", at, err)
+			}
+		}
+		if err := d.AdvanceTo(origin.Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		if d.Dropped() != 2 || len(results) != 1 || results[0].Index != 0 || results[0].Records != 1 {
+			t.Errorf("DropLate=%v: Dropped() = %d, %d windows (first %+v); want 2 drops and window 0 with 1 record",
+				dropLate, d.Dropped(), len(results), results)
+		}
+	}
+}
+
 // CarryFirstSeen keeps θ_churn grace anchors across window rotations.
 func TestEngineCarryFirstSeen(t *testing.T) {
 	base := baseTime()

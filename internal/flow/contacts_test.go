@@ -9,7 +9,7 @@ import (
 )
 
 // referenceContacts derives per-host contact sets straight from the
-// records — the definition every ContactSource implementation must
+// records — the definition every sealed window's contact sets must
 // reproduce.
 func referenceContacts(records []Record, hosts func(IP) bool) map[IP][]IP {
 	sets := make(map[IP]map[IP]bool)
@@ -64,39 +64,22 @@ func TestFeatureSetContactsNilWhenUnattached(t *testing.T) {
 	}
 }
 
-// Streaming, sealed-pane, and sharded contact views must all equal the
-// batch reference over the same records.
+// A window sealed from the store, on one shard or eight, must carry the
+// batch reference's contact sets over the same records.
 func TestContactSourcesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	records := strictlyOrderedRecords(rng, 800)
 	want := referenceContacts(records, nil)
-
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
-	for i := range records {
-		if err := se.Add(&records[i]); err != nil {
-			t.Fatal(err)
+	for _, shards := range []int{1, 8} {
+		se := NewShardedExtractorSkew(FeatureOptions{}, shards, 0)
+		for i := range records {
+			if err := se.Add(&records[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := se.Contacts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("stream contacts differ from batch")
-	}
-
-	pane := se.TakePane(se.Window())
-	if got := pane.Contacts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("pane contacts differ from batch")
-	}
-	if got := pane.FeatureSet().Contacts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("pane FeatureSet contacts differ from batch")
-	}
-
-	sh := NewShardedExtractorSkew(FeatureOptions{}, 8, 0)
-	for i := range records {
-		if err := sh.Add(&records[i]); err != nil {
-			t.Fatal(err)
+		if got := sealAll(se).Contacts(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: sealed contacts differ from batch", shards)
 		}
-	}
-	if got := sh.Contacts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded contacts differ from batch")
 	}
 }
 
@@ -110,7 +93,7 @@ func TestMergePanesContacts(t *testing.T) {
 	records := strictlyOrderedRecords(rng, 600)
 	want := referenceContacts(records, nil)
 
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 	var panes []*Pane
 	start := records[0].Start
 	cut := start.Add(time.Hour)
@@ -136,13 +119,13 @@ func TestMergePanesContacts(t *testing.T) {
 	}
 
 	// Single populated pane + empty pane: fast path must attach too.
-	se2 := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se2 := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 	for i := range records {
 		if err := se2.Add(&records[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w := se2.Window()
+	w := Window{From: records[0].Start, To: records[len(records)-1].Start.Add(1)}
 	single := se2.TakePane(w)
 	empty := &Pane{builders: map[IP]*featureBuilder{}, window: Window{From: w.To, To: w.To.Add(time.Hour)}}
 	if got := MergePanes(0, single, empty).Contacts(); !reflect.DeepEqual(got, want) {

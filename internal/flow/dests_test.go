@@ -129,16 +129,16 @@ func TestDestTableMatchesMap(t *testing.T) {
 				feats: &HostFeatures{Host: host, Flows: 1, FirstSeen: time.Unix(0, first).UTC(), LastSeen: time.Unix(0, now).UTC()},
 				dests: tbl,
 			}
-			se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+			se := newShardExtractor(FeatureOptions{}, 0)
 			se.builders[host] = b
-			restored := NewStreamExtractorSkew(FeatureOptions{}, 0)
+			restored := newShardExtractor(FeatureOptions{}, 0)
 			if err := restored.RestoreState(se.State()); err != nil {
 				t.Fatal(err)
 			}
 			checkDestTable(t, "through State/RestoreState", &restored.builders[host].dests, want)
 			pane := NewPaneFromState((&Pane{builders: map[IP]*featureBuilder{host: b}}).State())
 			checkDestTable(t, "through a pane's state", &pane.builders[host].dests, want)
-			if !reflect.DeepEqual(pane.Contacts(), map[IP][]IP{host: b.sortedDests()}) {
+			if !reflect.DeepEqual(pane.FeatureSet().Contacts(), map[IP][]IP{host: b.sortedDests()}) {
 				t.Fatal("the restored pane's contacts differ")
 			}
 		})

@@ -3,12 +3,12 @@ package flow
 import "time"
 
 // Pane is one sealed accumulation interval's raw per-host state: the
-// feature builders detached from a StreamExtractor at a pane boundary.
-// A tumbling detection window is a single pane; a sliding window is the
-// merge of its last Window/Slide panes. Panes keep the per-destination
-// first-contact/last-start tables alive so MergePanes can stitch
-// adjacent panes back together exactly (peer de-duplication and
-// cross-pane interstitial gaps included).
+// feature builders ShardedExtractor.TakePane detached at a pane
+// boundary. A tumbling detection window is a single pane; a sliding
+// window is the merge of its last Window/Slide panes. Panes keep the
+// per-destination first-contact/last-start tables alive so MergePanes
+// can stitch adjacent panes back together exactly (peer de-duplication
+// and cross-pane interstitial gaps included).
 type Pane struct {
 	builders map[IP]*featureBuilder
 	window   Window
@@ -20,31 +20,14 @@ func (p *Pane) Window() Window { return p.window }
 // Hosts returns the number of hosts the pane accumulated.
 func (p *Pane) Hosts() int { return len(p.builders) }
 
-// Features returns the pane's per-host features directly (no copy).
-// This is the tumbling fast path: a single-pane window's live features
-// are already exactly what batch extraction over the pane's records
-// would produce. The returned map and values alias the pane's state —
-// callers that will merge the pane into later windows must use
-// MergePanes instead.
-func (p *Pane) Features() map[IP]*HostFeatures {
-	out := make(map[IP]*HostFeatures, len(p.builders))
-	for ip, b := range p.builders {
-		out[ip] = b.feats
-	}
-	return out
-}
-
-// Contacts returns the pane's per-host contacted-destination sets in
-// ascending address order — the keys of the per-destination tables the
-// pane keeps alive for merging anyway, exposed for flow-graph detectors.
-func (p *Pane) Contacts() map[IP][]IP {
-	return contactsOfBuilders(p.builders)
-}
-
-// FeatureSet wraps the pane's features (contact sets included) as a
-// FeatureSource.
+// FeatureSet is the tumbling fast path: a single pane's features,
+// contact sets included, are already exactly what batch extraction over
+// the pane's records would produce. The features alias the pane's state
+// — a pane that later windows will merge goes through MergePanes
+// instead.
 func (p *Pane) FeatureSet() *FeatureSet {
-	return NewFeatureSet(p.Features(), p.window).WithContacts(p.Contacts())
+	return NewFeatureSet(featuresOfBuilders(p.builders), p.window).
+		WithContacts(contactsOfBuilders(p.builders))
 }
 
 // MergePanes recomputes the features a batch extraction over the panes'
@@ -87,9 +70,10 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 		}
 	}
 	if len(nonEmpty) == 1 {
-		// Single populated pane: its live features are already exact.
-		return NewFeatureSet(nonEmpty[0].Features(), window).
-			WithContacts(nonEmpty[0].Contacts())
+		// Single populated pane: its features are already exact.
+		fs := nonEmpty[0].FeatureSet()
+		fs.window = window
+		return fs
 	}
 
 	// Per merged host: the summed features and, per destination, the
@@ -154,21 +138,4 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 		contacts[ip] = m.sortedDests()
 	}
 	return NewFeatureSet(out, window).WithContacts(contacts)
-}
-
-// MergeFeatureMaps combines disjoint per-host feature maps (e.g. the
-// per-shard snapshots of a ShardedExtractor) into one. Hosts must not
-// repeat across maps; a repeated host keeps the last map's entry.
-func MergeFeatureMaps(maps ...map[IP]*HostFeatures) map[IP]*HostFeatures {
-	total := 0
-	for _, m := range maps {
-		total += len(m)
-	}
-	out := make(map[IP]*HostFeatures, total)
-	for _, m := range maps {
-		for ip, f := range m {
-			out[ip] = f
-		}
-	}
-	return out
 }

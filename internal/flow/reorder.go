@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// reorderBuffer holds the records a StreamExtractor has accepted but not
+// reorderBuffer holds the records a store shard has accepted but not
 // yet processed, and hands them back in (start time, arrival) order.
 //
 // It is a timing wheel, not a priority queue. The extractor only ever
@@ -149,7 +149,7 @@ func (b *reorderBuffer) insertRun(k reorderKey) {
 }
 
 // foldRing empties every bucket into the run. Only a record more than
-// the ring's span past base needs it, which a StreamExtractor never
+// the ring's span past base needs it, which a store shard's Add never
 // pushes; a snapshot restored under a smaller MaxSkew than it was taken
 // with can.
 func (b *reorderBuffer) foldRing() {

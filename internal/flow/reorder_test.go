@@ -44,7 +44,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 			processed = append(processed, ip)
 			return true
 		}}
-		se := NewStreamExtractorSkew(opts, maxSkew)
+		se := newShardExtractor(opts, maxSkew)
 
 		byID := map[IP]Record{}
 		var accepted []Record // arrival order
@@ -75,8 +75,8 @@ func TestReorderMatchesStableSort(t *testing.T) {
 				}) {
 					t.Fatalf("seed %d: Pending not sorted by (start, seq)", seed)
 				}
-				if len(st.Pending) != se.Pending() {
-					t.Fatalf("seed %d: snapshot lists %d pending, buffer holds %d", seed, len(st.Pending), se.Pending())
+				if len(st.Pending) != se.pending.len() {
+					t.Fatalf("seed %d: snapshot lists %d pending, buffer holds %d", seed, len(st.Pending), se.pending.len())
 				}
 				for _, p := range st.Pending {
 					if !reflect.DeepEqual(p.Rec, byID[p.Rec.Src]) {
@@ -84,7 +84,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 					}
 				}
 				restoredPending += len(st.Pending)
-				se = NewStreamExtractorSkew(opts, maxSkew)
+				se = newShardExtractor(opts, maxSkew)
 				if err := se.RestoreState(st); err != nil {
 					t.Fatal(err)
 				}
@@ -357,7 +357,7 @@ func (b *reorderHeap) down(i int) {
 	b.keys[i] = k
 }
 
-// heapStream is the reorder stage of StreamExtractor as it was over the
+// heapStream is the reorder stage of a store shard as it was over the
 // heap, statement for statement: push, then release up to frontier −
 // MaxSkew. processed logs the order records left in.
 type heapStream struct {
@@ -431,7 +431,7 @@ type reorderCoverage struct {
 	rejects, restored, sealed, intoRun, folded, deepest int
 }
 
-// runReorderScript feeds one script to a StreamExtractor and to
+// runReorderScript feeds one script to a store shard and to
 // heapStream, and fails on the first step where they differ in what was
 // accepted, the order records were processed in, how many are buffered,
 // the earliest buffered start, or the released watermark. script[0]
@@ -448,8 +448,9 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 		processed = append(processed, ip)
 		return true
 	}}
-	reg := metrics.New()
-	se := NewStreamExtractorSkew(opts, maxSkew).Metrics(reg)
+	highwater := metrics.New().Gauge("stream/pending_highwater")
+	se := newShardExtractor(opts, maxSkew)
+	se.pendingHW = highwater
 	ref := &heapStream{maxSkew: maxSkew}
 
 	clock := baseTime()
@@ -466,8 +467,8 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 				t.Fatalf("step %d (%s): position %d processed record %d, heap says %d", step, what, checked, processed[checked], ref.processed[checked])
 			}
 		}
-		if se.Pending() != ref.heap.len() {
-			t.Fatalf("step %d (%s): %d buffered, heap holds %d", step, what, se.Pending(), ref.heap.len())
+		if se.pending.len() != ref.heap.len() {
+			t.Fatalf("step %d (%s): %d buffered, heap holds %d", step, what, se.pending.len(), ref.heap.len())
 		}
 		if keys := se.pending.sorted(); len(keys) > 0 && keys[0].start != ref.heap.minStart() {
 			t.Fatalf("step %d (%s): earliest buffered start %d, heap says %d", step, what, keys[0].start, ref.heap.minStart())
@@ -498,7 +499,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 		if !accepted {
 			cov.rejects++
 		}
-		cov.deepest = max(cov.deepest, se.Pending())
+		cov.deepest = max(cov.deepest, se.pending.len())
 		check(step, "push")
 	}
 
@@ -521,12 +522,12 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 			at := clock.Add(signed * unit(256))
 			se.ReleaseBefore(at)
 			ref.releaseBefore(at)
-			cov.sealed += se.Pending()
+			cov.sealed += se.pending.len()
 			check(step, "ReleaseBefore")
 		case opRestore:
 			st := se.State()
-			if len(st.Pending) != se.Pending() {
-				t.Fatalf("step %d: snapshot lists %d pending, buffer holds %d", step, len(st.Pending), se.Pending())
+			if len(st.Pending) != se.pending.len() {
+				t.Fatalf("step %d: snapshot lists %d pending, buffer holds %d", step, len(st.Pending), se.pending.len())
 			}
 			for i := 1; i < len(st.Pending); i++ {
 				a, b := st.Pending[i-1], st.Pending[i]
@@ -541,7 +542,8 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 				shrunk = shrunk || next < maxSkew
 				maxSkew, ref.maxSkew = next, next
 			}
-			se = NewStreamExtractorSkew(opts, maxSkew).Metrics(reg)
+			se = newShardExtractor(opts, maxSkew)
+			se.pendingHW = highwater
 			if err := se.RestoreState(st); err != nil {
 				t.Fatal(err)
 			}
@@ -564,10 +566,10 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	se.Drain()
 	ref.release(ref.frontier.UnixNano() + 1)
 	check(len(ops)/2, "Drain")
-	if se.Pending() != 0 {
-		t.Fatalf("%d records left after Drain", se.Pending())
+	if se.pending.len() != 0 {
+		t.Fatalf("%d records left after Drain", se.pending.len())
 	}
-	if got := reg.TakeSnapshot().Gauges["stream/pending_highwater"]; got != int64(ref.highwater) {
+	if got := highwater.Value(); got != int64(ref.highwater) {
 		t.Fatalf("pending_highwater %d, heap's was %d", got, ref.highwater)
 	}
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"maps"
 	"runtime"
 	"sync"
 	"time"
@@ -8,31 +9,33 @@ import (
 	"plotters/internal/metrics"
 )
 
-// ShardedExtractor accumulates the same per-host features as
-// StreamExtractor, sharded by source-IP hash across N independently
-// locked sub-extractors so ingest scales across cores: concurrent Add
-// calls for hosts in different shards never contend, and a snapshot or
-// pane seal locks one shard at a time instead of pausing the world.
+// ShardedExtractor is the one feature store: it accumulates per-host
+// features incrementally, sharded by source-IP hash across N
+// independently locked extractors so ingest scales across cores —
+// concurrent Add calls for hosts in different shards never contend, and
+// a pane seal locks one shard at a time instead of pausing the world.
+// Features leave it only through TakePane, as a sealed window; the store
+// itself is never a FeatureSource.
 //
 // Every record of one host lands in one shard (the shard key is the
 // initiator address), so per-host feature state is never split and a
-// merged snapshot is identical to what a single extractor fed the same
-// stream would produce — for the records it accepts. Which records
-// those are is sharding-visible: each shard rejects late records
-// against its own released watermark, which trails the global one by as
-// long as the shard's hosts were quiet, so a record one extractor would
-// drop may be kept by a shard. A caller whose verdict must not depend on
-// the shard count judges lateness against the global frontier before
-// Add (engine.WindowedDetector does).
+// sealed pane is identical to what one shard fed the same stream would
+// produce — for the records it accepts. Which records those are is
+// sharding-visible: each shard rejects late records against its own
+// released watermark, which trails the global one by as long as the
+// shard's hosts were quiet, so a record one shard would drop may be kept
+// by another. A caller whose verdict must not depend on the shard count
+// judges lateness against the global frontier before Add
+// (engine.WindowedDetector does).
 type ShardedExtractor struct {
-	shards []extractorShard
+	shards []lockedShard
 
 	hostsHW *metrics.Gauge // deepest any one shard got (builders)
 }
 
-type extractorShard struct {
+type lockedShard struct {
 	mu sync.Mutex
-	ex *StreamExtractor
+	ex *shardExtractor
 	_  [40]byte // keep adjacent shard locks off one cache line
 }
 
@@ -43,9 +46,9 @@ func NewShardedExtractorSkew(opts FeatureOptions, shards int, maxSkew time.Durat
 	if shards <= 0 {
 		shards = runtime.NumCPU()
 	}
-	se := &ShardedExtractor{shards: make([]extractorShard, shards)}
+	se := &ShardedExtractor{shards: make([]lockedShard, shards)}
 	for i := range se.shards {
-		se.shards[i].ex = NewStreamExtractorSkew(opts, maxSkew)
+		se.shards[i].ex = newShardExtractor(opts, maxSkew)
 	}
 	return se
 }
@@ -67,8 +70,15 @@ func ShardOf(ip IP, n int) int {
 	return int(x % uint32(n))
 }
 
-func (se *ShardedExtractor) shardOf(ip IP) *extractorShard {
-	return &se.shards[ShardOf(ip, len(se.shards))]
+// each runs fn on every shard in turn, under that shard's lock — ingest
+// on the other shards proceeds meanwhile.
+func (se *ShardedExtractor) each(fn func(i int, ex *shardExtractor)) {
+	for i := range se.shards {
+		s := &se.shards[i]
+		s.mu.Lock()
+		fn(i, s.ex)
+		s.mu.Unlock()
+	}
 }
 
 // Shards returns the shard count.
@@ -76,42 +86,41 @@ func (se *ShardedExtractor) Shards() int { return len(se.shards) }
 
 // Metrics attaches reg's instruments to every shard: the shared
 // "stream/records" and "stream/skew_drops" counters (atomic, so shards
-// add into them concurrently), plus the "sharded/hosts_highwater" gauge
-// tracking the deepest any single shard's host table got — the load-
-// balance signal. Behind a WindowedDetector, stream/skew_drops counts
-// only what the store itself refused — records below a pane boundary
-// AdvanceTo sealed; the engine's "engine/drops" is every late record.
-// A nil reg detaches. Returns se for chaining.
+// add into them concurrently) and "stream/pending_highwater" gauge,
+// plus the "sharded/hosts_highwater" gauge tracking the deepest any
+// single shard's host table got — the load-balance signal. Behind a
+// WindowedDetector, stream/skew_drops counts only what the store itself
+// refused — records below a pane boundary AdvanceTo sealed; the
+// engine's "engine/drops" is every late record. A nil reg detaches.
+// Returns se for chaining.
 func (se *ShardedExtractor) Metrics(reg *metrics.Registry) *ShardedExtractor {
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		s.ex.recCtr = reg.Counter("stream/records")
-		s.ex.dropCtr = reg.Counter("stream/skew_drops")
-		s.ex.pendingHW = reg.Gauge("stream/pending_highwater")
-		// Per-shard host gauges would clobber one another; the high-water
-		// mark below carries the sharding signal instead.
-		s.ex.hostCtr = nil
-		s.mu.Unlock()
-	}
+	se.each(func(_ int, ex *shardExtractor) {
+		ex.recCtr = reg.Counter("stream/records")
+		ex.dropCtr = reg.Counter("stream/skew_drops")
+		ex.pendingHW = reg.Gauge("stream/pending_highwater")
+	})
 	se.hostsHW = reg.Gauge("sharded/hosts_highwater")
 	return se
 }
 
-// CarryFirstSeen enables or disables first-seen carrying across panes
-// on every shard (see StreamExtractor.CarryFirstSeen).
+// CarryFirstSeen enables (or, with false, disables) first-seen carrying
+// across panes: when a host reappears after TakePane, its new builder's
+// grace period stays anchored at the host's earliest activity ever seen,
+// matching what a batch extraction over the whole stream would anchor —
+// instead of restarting the θ_churn warm-up every window.
 func (se *ShardedExtractor) CarryFirstSeen(on bool) {
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		s.ex.CarryFirstSeen(on)
-		s.mu.Unlock()
-	}
+	se.each(func(_ int, ex *shardExtractor) {
+		if !on {
+			ex.anchors = nil
+		} else if ex.anchors == nil {
+			ex.anchors = make(map[IP]time.Time)
+		}
+	})
 }
 
 // Add folds one record into the owning shard. Safe for concurrent use.
 func (se *ShardedExtractor) Add(r *Record) error {
-	s := se.shardOf(r.Src)
+	s := &se.shards[ShardOf(r.Src, len(se.shards))]
 	s.mu.Lock()
 	before := len(s.ex.builders)
 	err := s.ex.Add(r)
@@ -127,151 +136,47 @@ func (se *ShardedExtractor) Add(r *Record) error {
 
 // Drain processes every buffered record on every shard (end of feed).
 func (se *ShardedExtractor) Drain() {
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		s.ex.Drain()
-		s.mu.Unlock()
-	}
+	se.each(func(_ int, ex *shardExtractor) { ex.Drain() })
 }
 
 // ReleaseBefore force-processes buffered records with start < t on
-// every shard and forbids later additions below t (see
-// StreamExtractor.ReleaseBefore).
+// every shard and then forbids additions below t: a later Add with
+// start < t is rejected as a skew drop. This is the window-sealing
+// primitive — the engine calls it at a pane boundary once the frontier
+// proves no conforming record below t can still arrive, so records at
+// or past t stay buffered for the next pane.
 func (se *ShardedExtractor) ReleaseBefore(t time.Time) {
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		s.ex.ReleaseBefore(t)
-		s.mu.Unlock()
-	}
+	se.each(func(_ int, ex *shardExtractor) { ex.ReleaseBefore(t) })
 }
 
-// TakePanes seals every shard's accumulated state for window w,
-// returning one pane per shard (some possibly empty). Shards are sealed
-// one at a time — ingest on other shards proceeds meanwhile. Call
-// ReleaseBefore(w.To) first.
-func (se *ShardedExtractor) TakePanes(w Window) []*Pane {
-	panes := make([]*Pane, len(se.shards))
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		panes[i] = s.ex.TakePane(w)
-		s.mu.Unlock()
-	}
-	return panes
-}
-
-// TakePane seals every shard for window w and merges the per-shard
-// panes into one (hosts never straddle shards, so the merge is a
-// disjoint map union).
+// TakePane seals every shard for window w, joining their builders into
+// one pane (hosts never straddle shards, so the join is a disjoint map
+// union), and resets the store for the next pane. Buffered records stay;
+// call ReleaseBefore(w.To) first.
 func (se *ShardedExtractor) TakePane(w Window) *Pane {
-	panes := se.TakePanes(w)
+	taken := make([]map[IP]*featureBuilder, len(se.shards))
 	hosts := 0
-	for _, p := range panes {
-		hosts += len(p.builders)
-	}
+	se.each(func(i int, ex *shardExtractor) {
+		taken[i] = ex.take()
+		hosts += len(taken[i])
+	})
 	builders := make(map[IP]*featureBuilder, hosts)
-	for _, p := range panes {
-		for ip, b := range p.builders {
-			builders[ip] = b
-		}
+	for _, m := range taken {
+		maps.Copy(builders, m)
 	}
 	return &Pane{builders: builders, window: w}
-}
-
-// Snapshot merges every shard's current per-host features into one map,
-// locking one shard at a time. The returned values are live views;
-// callers must not mutate them.
-func (se *ShardedExtractor) Snapshot() map[IP]*HostFeatures {
-	maps := make([]map[IP]*HostFeatures, len(se.shards))
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		maps[i] = s.ex.Snapshot()
-		s.mu.Unlock()
-	}
-	return MergeFeatureMaps(maps...)
-}
-
-// Features implements FeatureSource over the merged current state.
-func (se *ShardedExtractor) Features() map[IP]*HostFeatures { return se.Snapshot() }
-
-// Contacts implements ContactSource over the merged current state,
-// locking one shard at a time (hosts never straddle shards, so the
-// union is disjoint).
-func (se *ShardedExtractor) Contacts() map[IP][]IP {
-	out := make(map[IP][]IP)
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		shard := s.ex.Contacts()
-		s.mu.Unlock()
-		for ip, dsts := range shard {
-			out[ip] = dsts
-		}
-	}
-	return out
-}
-
-// Window implements FeatureSource: the union of the shards' processed
-// spans.
-func (se *ShardedExtractor) Window() Window {
-	var w Window
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		sw := s.ex.Window()
-		s.mu.Unlock()
-		if sw == (Window{}) {
-			continue
-		}
-		if w == (Window{}) {
-			w = sw
-			continue
-		}
-		if sw.From.Before(w.From) {
-			w.From = sw.From
-		}
-		if sw.To.After(w.To) {
-			w.To = sw.To
-		}
-	}
-	return w
-}
-
-// Records returns the total accepted record count across shards.
-func (se *ShardedExtractor) Records() int {
-	n := 0
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		n += s.ex.Records()
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Hosts returns the total distinct-initiator count across shards.
 func (se *ShardedExtractor) Hosts() int {
 	n := 0
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		n += s.ex.Hosts()
-		s.mu.Unlock()
-	}
+	se.each(func(_ int, ex *shardExtractor) { n += len(ex.builders) })
 	return n
 }
 
 // Pending returns the total buffered record count across shards.
 func (se *ShardedExtractor) Pending() int {
 	n := 0
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		n += s.ex.Pending()
-		s.mu.Unlock()
-	}
+	se.each(func(_ int, ex *shardExtractor) { n += ex.pending.len() })
 	return n
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -10,10 +11,36 @@ import (
 	"time"
 )
 
+// sealAll drains the store and seals everything it holds as one
+// window — the one way features leave it. The bounds play no part here.
+func sealAll(se *ShardedExtractor) *FeatureSet {
+	se.Drain()
+	return se.TakePane(Window{}).FeatureSet()
+}
+
+// batchDiff describes how a sealed window differs from batch extraction
+// over records: host by host, then the contact sets ("" when it does
+// not).
+func batchDiff(got *FeatureSet, records []Record, opts FeatureOptions) string {
+	want := ExtractFeatureSet(records, opts, Window{})
+	if len(got.Features()) != len(want.Features()) {
+		return fmt.Sprintf("host counts differ: %d sealed, %d batch", len(got.Features()), len(want.Features()))
+	}
+	for ip, bf := range want.Features() {
+		if !reflect.DeepEqual(bf, got.Features()[ip]) {
+			return fmt.Sprintf("host %v differs:\nbatch  %+v\nsealed %+v", ip, bf, got.Features()[ip])
+		}
+	}
+	if !reflect.DeepEqual(got.Contacts(), want.Contacts()) {
+		return "contact sets differ from batch"
+	}
+	return ""
+}
+
 // Property (the decoupling refactor's correctness contract): splitting
-// any record stream across ANY shard count yields a merged feature
-// snapshot identical to the batch extractor's. Hosts never straddle
-// shards, so no cross-shard state can exist to diverge.
+// any record stream across ANY shard count yields a sealed window
+// identical to the batch extractor's. Hosts never straddle shards, so
+// no cross-shard state can exist to diverge.
 func TestShardedSnapshotPropertyMatchesBatch(t *testing.T) {
 	prop := func(seed int64, sizeRaw uint16, shardRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -32,31 +59,15 @@ func TestShardedSnapshotPropertyMatchesBatch(t *testing.T) {
 				return false
 			}
 		}
-
-		batch := ExtractFeatures(records, FeatureOptions{})
-		merged := se.Snapshot()
-		if len(batch) != len(merged) {
-			t.Logf("seed %d (%d shards): host counts differ: %d vs %d",
-				seed, shards, len(batch), len(merged))
+		hosts := se.Hosts()
+		sealed := sealAll(se)
+		if diff := batchDiff(sealed, records, FeatureOptions{}); diff != "" {
+			t.Logf("seed %d (%d shards): %s", seed, shards, diff)
 			return false
 		}
-		for ip, bf := range batch {
-			if !reflect.DeepEqual(bf, merged[ip]) {
-				t.Logf("seed %d (%d shards): host %v differs:\nbatch   %+v\nsharded %+v",
-					seed, shards, ip, bf, merged[ip])
-				return false
-			}
-		}
-		if se.Records() != n || se.Hosts() != len(batch) {
-			t.Logf("seed %d: counters records=%d hosts=%d", seed, se.Records(), se.Hosts())
+		if hosts != sealed.Hosts() || se.Hosts() != 0 {
+			t.Logf("seed %d: %d hosts before the seal, %d sealed, %d after", seed, hosts, sealed.Hosts(), se.Hosts())
 			return false
-		}
-		w := se.Window()
-		for _, r := range records {
-			if !w.Contains(r.Start) {
-				t.Logf("seed %d: window %v misses record at %v", seed, w, r.Start)
-				return false
-			}
 		}
 		return true
 	}
@@ -95,16 +106,8 @@ func TestShardedConcurrentAddMatchesBatch(t *testing.T) {
 	if se.Pending() != 0 {
 		t.Fatalf("%d records still pending after drain", se.Pending())
 	}
-
-	batch := ExtractFeatures(records, FeatureOptions{})
-	merged := se.Snapshot()
-	if len(batch) != len(merged) {
-		t.Fatalf("host counts differ: %d vs %d", len(batch), len(merged))
-	}
-	for ip, bf := range batch {
-		if !reflect.DeepEqual(bf, merged[ip]) {
-			t.Fatalf("host %v differs:\nbatch   %+v\nsharded %+v", ip, bf, merged[ip])
-		}
+	if diff := batchDiff(sealAll(se), records, FeatureOptions{}); diff != "" {
+		t.Fatal(diff)
 	}
 }
 
@@ -145,7 +148,7 @@ func TestMergePanesMatchesBatch(t *testing.T) {
 		end := records[len(records)-1].Start.Add(time.Nanosecond)
 
 		// Seal into hour panes.
-		se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+		se := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 		var panes []*Pane
 		cut := start.Add(time.Hour)
 		for i := range records {
@@ -189,13 +192,13 @@ func TestMergePanesMatchesBatch(t *testing.T) {
 func TestMergePanesSinglePopulatedExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	records := strictlyOrderedRecords(rng, 300)
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 	for i := range records {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w := se.Window()
+	w := Window{From: records[0].Start, To: records[len(records)-1].Start.Add(1)}
 	pane := se.TakePane(w)
 	empty := &Pane{builders: map[IP]*featureBuilder{}, window: Window{From: w.To, To: w.To.Add(time.Hour)}}
 
@@ -214,7 +217,7 @@ func TestMergePanesSinglePopulatedExact(t *testing.T) {
 // then reject late arrivals below it, while records at or past it stay
 // buffered for the next pane.
 func TestReleaseBeforeSealsBoundary(t *testing.T) {
-	se := NewStreamExtractorSkew(FeatureOptions{}, 2*time.Hour)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, 2*time.Hour)
 	t0 := baseTime()
 	boundary := t0.Add(time.Hour)
 	early := mkRecord(1, 100, t0, 10, StateEstablished)
@@ -233,8 +236,8 @@ func TestReleaseBeforeSealsBoundary(t *testing.T) {
 		t.Fatalf("post-seal: hosts=%d pending=%d, want the early record processed and the late one held",
 			se.Hosts(), se.Pending())
 	}
-	if _, ok := se.Snapshot()[1]; !ok {
-		t.Fatal("early record's host missing after ReleaseBefore")
+	if _, ok := se.TakePane(Window{From: t0, To: boundary}).FeatureSet().Features()[1]; !ok {
+		t.Fatal("early record's host missing from the pane sealed at the boundary")
 	}
 
 	// A straggler below the sealed boundary must be rejected...
@@ -256,7 +259,7 @@ func TestReleaseBeforeSealsBoundary(t *testing.T) {
 func TestCarryFirstSeenAcrossPanes(t *testing.T) {
 	t0 := baseTime()
 	run := func(carry bool) int {
-		se := NewStreamExtractorSkew(FeatureOptions{NewPeerGrace: time.Hour}, 0)
+		se := NewShardedExtractorSkew(FeatureOptions{NewPeerGrace: time.Hour}, 1, 0)
 		se.CarryFirstSeen(carry)
 		r1 := mkRecord(1, 100, t0, 10, StateEstablished)
 		if err := se.Add(&r1); err != nil {
@@ -269,7 +272,7 @@ func TestCarryFirstSeenAcrossPanes(t *testing.T) {
 		if err := se.Add(&r2); err != nil {
 			t.Fatal(err)
 		}
-		f := se.Snapshot()[1]
+		f := sealAll(se).Features()[1]
 		if carry && !f.FirstSeen.Equal(t0) {
 			t.Errorf("carried FirstSeen = %v, want the original %v", f.FirstSeen, t0)
 		}
@@ -295,13 +298,13 @@ func TestShardedTakePaneRotates(t *testing.T) {
 		}
 	}
 	batch := ExtractFeatures(records, FeatureOptions{})
-	w := se.Window()
+	w := Window{From: records[0].Start, To: records[len(records)-1].Start.Add(1)}
 	pane := se.TakePane(w)
 	if pane.Hosts() != len(batch) {
 		t.Fatalf("pane hosts = %d, want %d", pane.Hosts(), len(batch))
 	}
-	if !reflect.DeepEqual(pane.Features(), batch) {
-		t.Error("sealed pane features differ from batch extraction")
+	if diff := batchDiff(pane.FeatureSet(), records, FeatureOptions{}); diff != "" {
+		t.Error(diff)
 	}
 	if se.Hosts() != 0 {
 		t.Errorf("store still tracks %d hosts after TakePane", se.Hosts())

@@ -45,7 +45,7 @@ type PendingState struct {
 	Seq uint64
 }
 
-// StreamState is a complete snapshot of one StreamExtractor's dynamic
+// StreamState is a complete snapshot of one store shard's dynamic
 // state. Slices are ordered deterministically (hosts and anchors by
 // address, pending by (start, seq)) so the same extractor state always
 // serializes to the same bytes.
@@ -163,7 +163,7 @@ func buildersFromState(hosts []HostState) map[IP]*featureBuilder {
 // State detaches a deep snapshot of the extractor's dynamic state.
 // Configuration (FeatureOptions, MaxSkew) is not included; restore into
 // an extractor constructed with the same configuration.
-func (se *StreamExtractor) State() *StreamState {
+func (se *shardExtractor) State() *StreamState {
 	st := &StreamState{
 		First:    se.first,
 		Frontier: se.frontier,
@@ -187,7 +187,7 @@ func (se *StreamExtractor) State() *StreamState {
 // added) with the same FeatureOptions and MaxSkew as the snapshotted
 // one; feature semantics would silently diverge otherwise, so a
 // non-empty extractor is rejected.
-func (se *StreamExtractor) RestoreState(st *StreamState) error {
+func (se *shardExtractor) RestoreState(st *StreamState) error {
 	if se.count != 0 || len(se.builders) != 0 || se.pending.len() != 0 {
 		return fmt.Errorf("flow: RestoreState on an extractor that already holds %d records", se.count)
 	}
@@ -203,21 +203,15 @@ func (se *StreamExtractor) RestoreState(st *StreamState) error {
 	for i := range st.Pending {
 		se.pending.push(&st.Pending[i].Rec, st.Pending[i].Seq)
 	}
-	se.hostCtr.Set(int64(len(se.builders)))
 	return nil
 }
 
 // State detaches a deep snapshot of every shard, locking one shard at a
-// time (a concurrent snapshot, like TakePanes — callers that need a
+// time (a concurrent snapshot, like TakePane — callers that need a
 // point-in-time-consistent image across shards must quiesce ingest).
 func (se *ShardedExtractor) State() *ShardedState {
 	st := &ShardedState{Shards: make([]StreamState, len(se.shards))}
-	for i := range se.shards {
-		s := &se.shards[i]
-		s.mu.Lock()
-		st.Shards[i] = *s.ex.State()
-		s.mu.Unlock()
-	}
+	se.each(func(i int, ex *shardExtractor) { st.Shards[i] = *ex.State() })
 	return st
 }
 
@@ -240,7 +234,6 @@ func (se *ShardedExtractor) RestoreState(st *ShardedState) error {
 			return fmt.Errorf("flow: shard %d: %w", i, err)
 		}
 		se.hostsHW.SetMax(int64(n)) // Add publishes growth only
-
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,10 +21,11 @@ func randomSkewedRecords(rng *rand.Rand, n int, skew time.Duration) []Record {
 	return out
 }
 
-// Snapshotting a stream extractor mid-stream and restoring into a fresh
-// one must be invisible: feeding the remainder to both the original and
-// the restored extractor yields identical features, counters, and
-// windows — the property the checkpoint subsystem is built on.
+// Snapshotting the store mid-stream and restoring into a fresh one must
+// be invisible: feeding the remainder to both the original and the
+// restored store yields identical state (counters, watermarks, carried
+// anchors) and identical sealed windows — the property the checkpoint
+// subsystem is built on.
 func TestStreamStateRestoreIsTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const skew = 10 * time.Minute
@@ -31,7 +33,7 @@ func TestStreamStateRestoreIsTransparent(t *testing.T) {
 		records := randomSkewedRecords(rng, 400, skew)
 		cut := 100 + rng.Intn(200)
 
-		orig := NewStreamExtractorSkew(FeatureOptions{}, skew)
+		orig := NewShardedExtractorSkew(FeatureOptions{}, 1, skew)
 		orig.CarryFirstSeen(true)
 		for i := 0; i < cut; i++ {
 			if err := orig.Add(&records[i]); err != nil {
@@ -43,35 +45,38 @@ func TestStreamStateRestoreIsTransparent(t *testing.T) {
 		orig.ReleaseBefore(mid)
 		orig.TakePane(Window{From: records[0].Start, To: mid})
 
-		st := orig.State()
-		restored := NewStreamExtractorSkew(FeatureOptions{}, skew)
+		restored := NewShardedExtractorSkew(FeatureOptions{}, 1, skew)
 		restored.CarryFirstSeen(true)
-		if err := restored.RestoreState(st); err != nil {
+		if err := restored.RestoreState(orig.State()); err != nil {
 			t.Fatal(err)
 		}
+		sameFeed(t, fmt.Sprintf("trial %d", trial), orig, restored, records[cut:])
+		if len(orig.State().Shards[0].Anchors) == 0 {
+			t.Fatalf("trial %d: no carried anchors to compare", trial)
+		}
+	}
+}
 
-		for i := cut; i < len(records); i++ {
-			errA := orig.Add(&records[i])
-			errB := restored.Add(&records[i])
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("trial %d: record %d: original err=%v, restored err=%v", trial, i, errA, errB)
-			}
+// sameFeed feeds records to two stores that must behave as one: every
+// record accepted or rejected alike, then the same state, and the same
+// window sealed from it.
+func sameFeed(t *testing.T, label string, a, b *ShardedExtractor, records []Record) {
+	t.Helper()
+	for i := range records {
+		errA := a.Add(&records[i])
+		errB := b.Add(&records[i])
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("%s: record %d: original err=%v, restored err=%v", label, i, errA, errB)
 		}
-		orig.Drain()
-		restored.Drain()
-
-		if !reflect.DeepEqual(orig.Snapshot(), restored.Snapshot()) {
-			t.Fatalf("trial %d: features diverged after restore", trial)
-		}
-		if orig.Records() != restored.Records() || orig.Hosts() != restored.Hosts() ||
-			orig.Pending() != restored.Pending() || orig.Window() != restored.Window() {
-			t.Fatalf("trial %d: counters diverged: records %d/%d hosts %d/%d pending %d/%d",
-				trial, orig.Records(), restored.Records(), orig.Hosts(), restored.Hosts(),
-				orig.Pending(), restored.Pending())
-		}
-		if !reflect.DeepEqual(orig.anchors, restored.anchors) {
-			t.Fatalf("trial %d: carried anchors diverged:\norig     %v\nrestored %v", trial, orig.anchors, restored.anchors)
-		}
+	}
+	a.Drain()
+	b.Drain()
+	if !reflect.DeepEqual(a.State(), b.State()) {
+		t.Fatalf("%s: state diverged after restore", label)
+	}
+	fa, fb := sealAll(a), sealAll(b)
+	if !reflect.DeepEqual(fa.Features(), fb.Features()) || !reflect.DeepEqual(fa.Contacts(), fb.Contacts()) {
+		t.Fatalf("%s: sealed features diverged after restore", label)
 	}
 }
 
@@ -80,7 +85,7 @@ func TestStreamStateRestoreIsTransparent(t *testing.T) {
 func TestStreamStateIsDetached(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	records := randomOrderedRecords(rng, 100)
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se := newShardExtractor(FeatureOptions{}, 0)
 	for i := 0; i < 50; i++ {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -103,7 +108,7 @@ func TestStreamStateIsDetached(t *testing.T) {
 func TestStreamStateRestoreRejectsNonEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	records := randomOrderedRecords(rng, 10)
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se := newShardExtractor(FeatureOptions{}, 0)
 	for i := range records {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -138,21 +143,7 @@ func TestShardedStateRestoreIsTransparent(t *testing.T) {
 	if err := restored.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	for i := cut; i < len(records); i++ {
-		errA := orig.Add(&records[i])
-		errB := restored.Add(&records[i])
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("record %d: original err=%v, restored err=%v", i, errA, errB)
-		}
-	}
-	orig.Drain()
-	restored.Drain()
-	if !reflect.DeepEqual(orig.Snapshot(), restored.Snapshot()) {
-		t.Fatal("sharded features diverged after restore")
-	}
-	if orig.Records() != restored.Records() || orig.Hosts() != restored.Hosts() || orig.Pending() != restored.Pending() {
-		t.Fatal("sharded counters diverged after restore")
-	}
+	sameFeed(t, "4 shards", orig, restored, records[cut:])
 }
 
 // A pane must survive the round trip through its serializable state,
@@ -160,7 +151,7 @@ func TestShardedStateRestoreIsTransparent(t *testing.T) {
 func TestPaneStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	records := randomOrderedRecords(rng, 300)
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 	for i := 0; i < 150; i++ {
 		if err := se.Add(&records[i]); err != nil {
 			t.Fatal(err)

@@ -7,8 +7,8 @@ import (
 	"plotters/internal/metrics"
 )
 
-// The extractor must report accepted records, skew rejects, the reorder
-// buffer's high-water mark, and the distinct hosts tracked.
+// The store must report accepted records, skew rejects, the reorder
+// buffer's high-water mark, and the most hosts one shard tracked.
 func TestStreamExtractorMetrics(t *testing.T) {
 	t0 := time.Date(2010, time.June, 21, 8, 0, 0, 0, time.UTC)
 	rec := func(src IP, at time.Duration) *Record {
@@ -21,7 +21,7 @@ func TestStreamExtractorMetrics(t *testing.T) {
 	}
 
 	reg := metrics.New()
-	se := NewStreamExtractorSkew(FeatureOptions{}, 10*time.Second).Metrics(reg)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, 10*time.Second).Metrics(reg)
 
 	// Three records inside the skew window buffer up (high water = 3),
 	// from two distinct hosts.
@@ -56,15 +56,15 @@ func TestStreamExtractorMetrics(t *testing.T) {
 	if got := snap.Gauges["stream/pending_highwater"]; got != 4 {
 		t.Errorf("stream/pending_highwater = %d, want 4", got)
 	}
-	if got := snap.Gauges["stream/hosts"]; got != int64(se.Hosts()) || got != 2 {
-		t.Errorf("stream/hosts = %d, want 2 (extractor says %d)", got, se.Hosts())
+	if got := snap.Gauges["sharded/hosts_highwater"]; got != int64(se.Hosts()) || got != 2 {
+		t.Errorf("sharded/hosts_highwater = %d, want 2 (store says %d)", got, se.Hosts())
 	}
 }
 
-// Without a registry the extractor must work exactly as before.
+// Without a registry the store must work exactly as before.
 func TestStreamExtractorNilMetrics(t *testing.T) {
 	t0 := time.Date(2010, time.June, 21, 8, 0, 0, 0, time.UTC)
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 	r := Record{
 		Src: MakeIP(128, 2, 0, 1), Dst: MakeIP(10, 0, 0, 9), SrcPort: 1, DstPort: 80,
 		Proto: TCP, State: StateEstablished, Start: t0, End: t0.Add(time.Second),
@@ -73,7 +73,7 @@ func TestStreamExtractorNilMetrics(t *testing.T) {
 	if err := se.Add(&r); err != nil {
 		t.Fatal(err)
 	}
-	if se.Hosts() != 1 || se.Records() != 1 {
-		t.Errorf("hosts=%d records=%d, want 1/1", se.Hosts(), se.Records())
+	if n := se.State().Shards[0].Count; se.Hosts() != 1 || n != 1 {
+		t.Errorf("hosts=%d records=%d, want 1/1", se.Hosts(), n)
 	}
 }

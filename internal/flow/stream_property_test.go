@@ -83,7 +83,7 @@ func checkTableEdgeCases(t *testing.T, feats map[IP]*HostFeatures) {
 }
 
 // Property: for ANY record stream and ANY reordering that displaces each
-// record's arrival by less than maxSkew, the streaming extractor with
+// record's arrival by less than maxSkew, the streaming store with
 // that MaxSkew reproduces the batch extractor exactly. Each record's
 // arrival key is its start plus a uniform [0, maxSkew) offset, so the
 // released watermark (frontier − maxSkew) always trails every unseen
@@ -101,7 +101,7 @@ func TestStreamShufflePropertyMatchesBatch(t *testing.T) {
 		}
 		sortKeyed(shuffled)
 
-		se := NewStreamExtractorSkew(FeatureOptions{}, maxSkew)
+		se := NewShardedExtractorSkew(FeatureOptions{}, 1, maxSkew)
 		for i := range shuffled {
 			if err := se.Add(&shuffled[i].rec); err != nil {
 				t.Logf("seed %d: record rejected: %v", seed, err)
@@ -114,23 +114,11 @@ func TestStreamShufflePropertyMatchesBatch(t *testing.T) {
 			return false
 		}
 
-		batchSet := ExtractFeatureSet(records, FeatureOptions{}, Window{})
-		batch := batchSet.Features()
-		stream := se.Snapshot()
-		checkTableEdgeCases(t, stream)
-		if !reflect.DeepEqual(batchSet.Contacts(), se.Contacts()) {
-			t.Logf("seed %d: contact sets differ from batch", seed)
+		sealed := sealAll(se)
+		checkTableEdgeCases(t, sealed.Features())
+		if diff := batchDiff(sealed, records, FeatureOptions{}); diff != "" {
+			t.Logf("seed %d: %s", seed, diff)
 			return false
-		}
-		if len(batch) != len(stream) {
-			t.Logf("seed %d: host counts differ: %d vs %d", seed, len(batch), len(stream))
-			return false
-		}
-		for ip, bf := range batch {
-			if !reflect.DeepEqual(bf, stream[ip]) {
-				t.Logf("seed %d: host %v differs:\nbatch  %+v\nstream %+v", seed, ip, bf, stream[ip])
-				return false
-			}
 		}
 		return true
 	}

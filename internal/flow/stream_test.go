@@ -2,7 +2,6 @@ package flow
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -31,40 +30,26 @@ func randomOrderedRecords(rng *rand.Rand, n int) []Record {
 	return out
 }
 
-// The streaming extractor must agree exactly with the batch extractor on
+// The streaming store must agree exactly with the batch extractor on
 // any time-ordered stream.
 func TestStreamMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 10; trial++ {
 		records := randomOrderedRecords(rng, 500)
-		batch := ExtractFeatures(records, FeatureOptions{})
-		se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+		se := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 		for i := range records {
 			if err := se.Add(&records[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		stream := se.Snapshot()
-		if len(batch) != len(stream) {
-			t.Fatalf("trial %d: host counts differ: %d vs %d", trial, len(batch), len(stream))
-		}
-		for ip, bf := range batch {
-			sf := stream[ip]
-			if sf == nil {
-				t.Fatalf("trial %d: host %v missing from stream", trial, ip)
-			}
-			if !reflect.DeepEqual(bf, sf) {
-				t.Fatalf("trial %d: host %v features differ:\nbatch  %+v\nstream %+v", trial, ip, bf, sf)
-			}
-		}
-		if se.Records() != 500 || se.Hosts() != len(stream) {
-			t.Errorf("counters: records=%d hosts=%d", se.Records(), se.Hosts())
+		if diff := batchDiff(sealAll(se), records, FeatureOptions{}); diff != "" {
+			t.Fatalf("trial %d: %s", trial, diff)
 		}
 	}
 }
 
 func TestStreamRejectsOutOfOrder(t *testing.T) {
-	se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, 0)
 	r1 := mkRecord(1, 2, baseTime().Add(time.Minute), 10, StateEstablished)
 	r2 := mkRecord(1, 2, baseTime(), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {
@@ -81,7 +66,7 @@ func TestStreamRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestStreamHostFilter(t *testing.T) {
-	se := NewStreamExtractorSkew(FeatureOptions{Hosts: func(ip IP) bool { return ip == 1 }}, 0)
+	se := NewShardedExtractorSkew(FeatureOptions{Hosts: func(ip IP) bool { return ip == 1 }}, 1, 0)
 	r1 := mkRecord(1, 2, baseTime(), 10, StateEstablished)
 	r2 := mkRecord(9, 2, baseTime().Add(time.Second), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {
@@ -93,13 +78,13 @@ func TestStreamHostFilter(t *testing.T) {
 	if se.Hosts() != 1 {
 		t.Errorf("hosts = %d, want 1 (filtered)", se.Hosts())
 	}
-	if se.Records() != 2 {
-		t.Errorf("records = %d, want 2 (filter does not drop the count)", se.Records())
+	if n := se.State().Shards[0].Count; n != 2 {
+		t.Errorf("records = %d, want 2 (filter does not drop the count)", n)
 	}
 }
 
 func TestStreamGraceOverride(t *testing.T) {
-	se := NewStreamExtractorSkew(FeatureOptions{NewPeerGrace: time.Minute}, 0)
+	se := NewShardedExtractorSkew(FeatureOptions{NewPeerGrace: time.Minute}, 1, 0)
 	r1 := mkRecord(1, 100, baseTime(), 10, StateEstablished)
 	r2 := mkRecord(1, 101, baseTime().Add(5*time.Minute), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {
@@ -108,7 +93,7 @@ func TestStreamGraceOverride(t *testing.T) {
 	if err := se.Add(&r2); err != nil {
 		t.Fatal(err)
 	}
-	f := se.Snapshot()[1]
+	f := sealAll(se).Features()[1]
 	if f.NewPeers != 1 {
 		t.Errorf("NewPeers = %d, want 1 with 1-minute grace", f.NewPeers)
 	}
@@ -120,7 +105,7 @@ func BenchmarkStreamExtractor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		se := NewStreamExtractorSkew(FeatureOptions{}, 0)
+		se := newShardExtractor(FeatureOptions{}, 0)
 		for j := range records {
 			if err := se.Add(&records[j]); err != nil {
 				b.Fatal(err)
@@ -132,7 +117,7 @@ func BenchmarkStreamExtractor(b *testing.B) {
 // BenchmarkStreamExtractorSkew is extraction as the live path runs it: a
 // day-shaped feed — 400 hosts, ~850 flows and ~180 peers each over six
 // hours — arriving up to 5 minutes out of start order, through a fresh
-// StreamExtractor at MaxSkew 5 m and a Drain. One op is the whole feed;
+// store shard at MaxSkew 5 m and a Drain. One op is the whole feed;
 // ns/record is the number to compare.
 func BenchmarkStreamExtractorSkew(b *testing.B) {
 	const (
@@ -160,7 +145,7 @@ func BenchmarkStreamExtractorSkew(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		se := NewStreamExtractorSkew(FeatureOptions{}, maxSkew)
+		se := newShardExtractor(FeatureOptions{}, maxSkew)
 		for j := range feed {
 			if err := se.Add(&feed[j].rec); err != nil {
 				b.Fatal(err)
@@ -185,7 +170,7 @@ func TestStreamSkewMatchesBatch(t *testing.T) {
 		}
 		sortKeyed(shuffled)
 
-		se := NewStreamExtractorSkew(FeatureOptions{}, 3*time.Minute)
+		se := NewShardedExtractorSkew(FeatureOptions{}, 1, 3*time.Minute)
 		for i := range shuffled {
 			if err := se.Add(&shuffled[i].rec); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -195,15 +180,8 @@ func TestStreamSkewMatchesBatch(t *testing.T) {
 		if se.Pending() != 0 {
 			t.Fatalf("trial %d: %d records still pending after drain", trial, se.Pending())
 		}
-		batch := ExtractFeatures(records, FeatureOptions{})
-		stream := se.Snapshot()
-		if len(batch) != len(stream) {
-			t.Fatalf("trial %d: host counts differ", trial)
-		}
-		for ip, bf := range batch {
-			if !reflect.DeepEqual(bf, stream[ip]) {
-				t.Fatalf("trial %d: host %v differs:\nbatch  %+v\nstream %+v", trial, ip, bf, stream[ip])
-			}
+		if diff := batchDiff(sealAll(se), records, FeatureOptions{}); diff != "" {
+			t.Fatalf("trial %d: %s", trial, diff)
 		}
 	}
 }
@@ -223,7 +201,7 @@ func sortKeyed(ks []keyedRecord) {
 }
 
 func TestStreamSkewRejectsTooLate(t *testing.T) {
-	se := NewStreamExtractorSkew(FeatureOptions{}, time.Minute)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 1, time.Minute)
 	r1 := mkRecord(1, 2, baseTime().Add(10*time.Minute), 10, StateEstablished)
 	r2 := mkRecord(1, 2, baseTime().Add(20*time.Minute), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {

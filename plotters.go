@@ -451,15 +451,18 @@ func FindPlottersByApplication(records []Record, internal func(IP) bool, cfg Con
 }
 
 // Feature sources decouple feature accumulation from detection: the
-// pipeline consumes a FeatureSource, not raw records, so batch
-// extraction and the engine's sharded store are interchangeable.
+// pipeline consumes a sealed window's FeatureSet, not raw records, so
+// batch extraction and a pane sealed from the engine's sharded store
+// reach a detector the same way.
 type (
-	// FeatureSource supplies one detection window's per-host features.
+	// FeatureSource supplies one sealed detection window's per-host
+	// features, contact sets and θ_hm signatures.
 	FeatureSource = flow.FeatureSource
-	// FeatureSet is an immutable FeatureSource.
+	// FeatureSet is the one FeatureSource.
 	FeatureSet = flow.FeatureSet
-	// ShardedExtractor accumulates features sharded by source address
-	// across independently locked sub-extractors, for concurrent ingest.
+	// ShardedExtractor is the feature store: it accumulates features
+	// sharded by source address across independently locked shards, for
+	// concurrent ingest, and hands them out only as sealed panes.
 	ShardedExtractor = flow.ShardedExtractor
 )
 
