@@ -37,10 +37,11 @@
 // last record and the tail window is flushed, marked [partial].
 //
 // Sink. One line per sealed window (suspects with -v), or the batch
-// run's stage table, suspects and θ_hm clusters; -detectors adds
-// per-detector and ensemble counts, and -metrics writes a JSON run
-// report with every stage's duration and survivor count, the collector's
-// counters and the final checkpoint (README, Observability).
+// run's stage table, suspects and θ_hm clusters when -detectors lists
+// the paper pipeline; several detectors, or one other than the paper
+// pipeline, add per-detector and ensemble counts. -metrics writes a JSON
+// run report with every stage's duration and survivor count, the
+// collector's counters and the final checkpoint (README, Observability).
 package main
 
 import (
@@ -495,56 +496,40 @@ func (b *batch) Add(r *plotters.Record) error {
 func (b *batch) AdvanceTo(time.Time) error { return nil }
 func (b *batch) Flush() error              { return nil }
 
-// detect runs FindPlotters over the collected records and prints the batch
-// sink: stage table, suspects, detector ensemble and θ_hm clusters.
+// detect extracts the collected records' features once, runs the listed
+// detectors over them and prints the batch sink: the paper pipeline's
+// stage table, suspects and θ_hm clusters when it is listed, and the
+// per-detector and ensemble counts when more than one detector is, or
+// the paper pipeline is not.
 func (b *batch) detect(w io.Writer, o *options, t tally, internal func(plotters.IP) bool, cfg plotters.Config, dets []plotters.Detector) error {
 	sampled := ""
 	if o.sampler.Enabled() {
 		sampled = fmt.Sprintf(" (1-in-%d sampling dropped %d)", o.sampler.N, t.sampledOut)
 	}
 	fmt.Fprintf(w, "loaded %d flow records from %s%s\n", len(b.records), o.trace, sampled)
-	res, err := plotters.FindPlotters(b.records, internal, cfg)
+	analysis, err := plotters.NewAnalysis(b.records, internal, cfg)
 	if err != nil {
 		return err
 	}
-
-	fmt.Fprintf(w, "\nstage           hosts  threshold\n")
-	fmt.Fprintf(w, "analyzed      %7d\n", len(res.Analysis.Hosts()))
-	fmt.Fprintf(w, "reduction     %7d  failed-rate > %.4f\n", len(res.Reduction.Kept), res.Reduction.Threshold)
-	fmt.Fprintf(w, "θ_vol         %7d  avg bytes/flow < %.1f\n", len(res.Volume.Kept), res.Volume.Threshold)
-	fmt.Fprintf(w, "θ_churn       %7d  new-IP fraction < %.4f\n", len(res.Churn.Kept), res.Churn.Threshold)
-	fmt.Fprintf(w, "θ_hm          %7d  cluster spread ≤ %.4f (%d clusters, %d hosts clustered, %d skipped)\n",
-		len(res.Suspects), res.HM.Threshold, len(res.HM.Clusters), res.HM.Clustered, res.HM.Skipped)
-	if cfg.Metrics != nil {
-		if pr, ok := plotters.PruneSummary(cfg.Metrics.TakeSnapshot()); ok {
-			fmt.Fprintf(w, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
-				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
-		}
-	}
-
-	if o.verbose {
-		for _, s := range []struct {
-			name string
-			set  plotters.HostSet
-		}{{"S (after reduction)", res.Reduction.Kept}, {"S_vol", res.Volume.Kept}, {"S_churn", res.Churn.Kept}} {
-			hosts := s.set.Sorted()
-			strs := make([]string, len(hosts))
-			for i, h := range hosts {
-				strs[i] = h.String()
-			}
-			fmt.Fprintf(w, "\n%s (%d): %s\n", s.name, len(hosts), strings.Join(strs, " "))
-		}
-	}
-
-	fmt.Fprintf(w, "\nsuspected plotters (%d):\n", len(res.Suspects))
-	printSuspects(w, res)
-
-	if dets != nil {
-		if err := printEnsemble(w, dets, res, o.verbose); err != nil {
+	detections := make([]*plotters.Detection, 0, len(dets))
+	var res *plotters.Result
+	for _, det := range dets {
+		dn, err := det.Detect(analysis.Source())
+		if err != nil {
 			return err
 		}
+		detections = append(detections, dn)
+		if dn.Paper != nil {
+			res = dn.Paper
+		}
 	}
-	if len(res.HM.Clusters) > 0 {
+	if res != nil {
+		printStages(w, res, cfg.Metrics, o.verbose)
+	}
+	if len(detections) > 1 || res == nil {
+		printEnsemble(w, detections, o.verbose)
+	}
+	if res != nil && len(res.HM.Clusters) > 0 {
 		fmt.Fprintf(w, "\nθ_hm clusters:\n")
 		clusters := append([]plotters.HMCluster(nil), res.HM.Clusters...)
 		sort.Slice(clusters, func(i, j int) bool { return clusters[i].Diameter < clusters[j].Diameter })
@@ -566,26 +551,43 @@ func (b *batch) detect(w io.Writer, o *options, t tally, internal func(plotters.
 	return nil
 }
 
-// printEnsemble runs the non-paper detectors of a batch run over the
-// feature source the paper run already extracted (its verdict res is
-// reused, not recomputed) and prints per-detector and ensemble counts.
-func printEnsemble(w io.Writer, dets []plotters.Detector, res *plotters.Result, verbose bool) error {
-	src := res.Analysis.Source()
-	detections := make([]*plotters.Detection, 0, len(dets))
-	for _, det := range dets {
-		if det.Name() == plotters.PaperDetectorName {
-			detections = append(detections, &plotters.Detection{
-				Detector: plotters.PaperDetectorName, Suspects: res.Suspects, Paper: res,
-			})
-			continue
+// printStages prints the paper pipeline's stage table, the per-stage host
+// sets with verbose, and the suspects.
+func printStages(w io.Writer, res *plotters.Result, reg *plotters.Metrics, verbose bool) {
+	fmt.Fprintf(w, "\nstage           hosts  threshold\n")
+	fmt.Fprintf(w, "analyzed      %7d\n", len(res.Analysis.Hosts()))
+	fmt.Fprintf(w, "reduction     %7d  failed-rate > %.4f\n", len(res.Reduction.Kept), res.Reduction.Threshold)
+	fmt.Fprintf(w, "θ_vol         %7d  avg bytes/flow < %.1f\n", len(res.Volume.Kept), res.Volume.Threshold)
+	fmt.Fprintf(w, "θ_churn       %7d  new-IP fraction < %.4f\n", len(res.Churn.Kept), res.Churn.Threshold)
+	fmt.Fprintf(w, "θ_hm          %7d  cluster spread ≤ %.4f (%d clusters, %d hosts clustered, %d skipped)\n",
+		len(res.Suspects), res.HM.Threshold, len(res.HM.Clusters), res.HM.Clustered, res.HM.Skipped)
+	if reg != nil {
+		if pr, ok := plotters.PruneSummary(reg.TakeSnapshot()); ok {
+			fmt.Fprintf(w, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
+				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
 		}
-		dn, err := det.Detect(src)
-		if err != nil {
-			return err
-		}
-		detections = append(detections, dn)
 	}
 
+	if verbose {
+		for _, s := range []struct {
+			name string
+			set  plotters.HostSet
+		}{{"S (after reduction)", res.Reduction.Kept}, {"S_vol", res.Volume.Kept}, {"S_churn", res.Churn.Kept}} {
+			hosts := s.set.Sorted()
+			strs := make([]string, len(hosts))
+			for i, h := range hosts {
+				strs[i] = h.String()
+			}
+			fmt.Fprintf(w, "\n%s (%d): %s\n", s.name, len(hosts), strings.Join(strs, " "))
+		}
+	}
+
+	fmt.Fprintf(w, "\nsuspected plotters (%d):\n", len(res.Suspects))
+	printSuspects(w, res)
+}
+
+// printEnsemble prints a batch run's per-detector and ensemble counts.
+func printEnsemble(w io.Writer, detections []*plotters.Detection, verbose bool) {
 	fmt.Fprintf(w, "\ndetector ensemble:\n")
 	for _, dn := range detections {
 		fmt.Fprintf(w, "  %-14s suspects=%d", dn.Detector, len(dn.Suspects))
@@ -602,7 +604,6 @@ func printEnsemble(w io.Writer, dets []plotters.Detector, res *plotters.Result, 
 	}
 	fmt.Fprintf(w, "  union=%d intersection=%d\n",
 		len(plotters.UnionSuspects(detections)), len(plotters.IntersectSuspects(detections)))
-	return nil
 }
 
 // runReport is the JSON document -metrics emits: trace metadata, the full

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -88,9 +89,9 @@ func TestRunReport(t *testing.T) {
 	trace := filepath.Join(dir, "trace.bin")
 	writeTraceAs(t, trace, "binary", records)
 
-	// The ensemble row runs the community detector over the feature
-	// source the paper run extracted: one extraction either way.
-	for _, detectors := range []string{"findplotters", "findplotters,community"} {
+	// Every row extracts once and runs exactly the listed detectors over
+	// that one feature set.
+	for _, detectors := range []string{"findplotters", "findplotters,community", "community"} {
 		t.Run(detectors, func(t *testing.T) { testRunReport(t, dir, trace, detectors, records) })
 	}
 }
@@ -98,7 +99,8 @@ func TestRunReport(t *testing.T) {
 func testRunReport(t *testing.T, dir, trace, detectors string, records []plotters.Record) {
 	report := filepath.Join(dir, "report.json")
 	args := []string{"-internal", "0.0.0.0/8", "-detectors", detectors, "-metrics", report, trace}
-	if err := run(context.Background(), args, io.Discard, io.Discard); err != nil {
+	var stdout bytes.Buffer
+	if err := run(context.Background(), args, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,24 +128,31 @@ func testRunReport(t *testing.T, dir, trace, detectors string, records []plotter
 			t.Errorf("stage %q has count %d", s.Name, s.Count)
 		}
 	}
-	want := []string{
-		"pipeline", "pipeline/extract", "pipeline/reduction", "pipeline/vol",
-		"pipeline/churn", "pipeline/hm",
-	}
+	want := []string{"pipeline/extract"}
 	if strings.Contains(detectors, "community") {
 		want = append(want, "community/build")
+	}
+	if strings.Contains(detectors, "findplotters") {
+		want = append(want, "pipeline", "pipeline/reduction", "pipeline/vol", "pipeline/churn", "pipeline/hm")
+		for _, gauge := range []string{
+			"pipeline/hosts/analyzed", "pipeline/hosts/reduction", "pipeline/hosts/vol",
+			"pipeline/hosts/churn", "pipeline/hosts/suspects",
+		} {
+			if _, ok := got.Metrics.Gauges[gauge]; !ok {
+				t.Errorf("gauge %q missing from report", gauge)
+			}
+		}
+	} else {
+		if stages["pipeline"] != 0 {
+			t.Errorf("the paper pipeline ran %d times, but -detectors %s leaves it out", stages["pipeline"], detectors)
+		}
+		if strings.Contains(stdout.String(), "θ_vol") {
+			t.Errorf("-detectors %s printed the paper pipeline's stage table:\n%s", detectors, stdout.String())
+		}
 	}
 	for _, name := range want {
 		if stages[name] != 1 {
 			t.Errorf("stage %q ran %d times, want once", name, stages[name])
-		}
-	}
-	for _, want := range []string{
-		"pipeline/hosts/analyzed", "pipeline/hosts/reduction", "pipeline/hosts/vol",
-		"pipeline/hosts/churn", "pipeline/hosts/suspects",
-	} {
-		if _, ok := got.Metrics.Gauges[want]; !ok {
-			t.Errorf("gauge %q missing from report", want)
 		}
 	}
 	if n := got.Metrics.Counters["flowio/binary/records"]; n != int64(len(records)) {

@@ -54,8 +54,9 @@ type Env struct {
 	// FreshPool supplies never-before-seen destinations for churn
 	// mimicry.
 	FreshPool []flow.IP
-	// VolTarget is the world's τ_vol estimate (bytes/flow) that volume
-	// padding pads toward.
+	// VolTarget is the world's τ_vol (bytes/flow): the paper pipeline's
+	// threshold on the baseline sweep's day 0, what volume padding pads
+	// toward.
 	VolTarget float64
 }
 

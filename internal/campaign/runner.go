@@ -128,7 +128,7 @@ type WorldResult struct {
 	Hosts   int `json:"hosts"`
 	// Roles counts day 0's enriched-world hosts by role.
 	Roles map[string]int `json:"roles,omitempty"`
-	// VolTarget is the τ_vol estimate (day 0) padding aims for.
+	// VolTarget is the baseline day 0's τ_vol, what padding aims for.
 	VolTarget float64 `json:"vol_target"`
 	// Baseline scores the untransformed overlay — the no-countermeasure
 	// row, comparable against the seed goldens.
@@ -227,17 +227,32 @@ func runWorld(cfg Config, w World, detectors []core.Detector, voteK int, progres
 	// Baseline: the untransformed overlay, same per-day seeds as the
 	// evaluation suite (suite seed = dataset seed + 1), so on the
 	// baseline world this row reproduces the seed goldens.
+	suite, err := eval.NewSuiteDetectors(ds, cfg.Pipeline, cfg.Seed+1, detectors)
+	if err != nil {
+		return nil, err
+	}
 	progress("world %s: baseline detection", w.Name)
-	baseline, day0, err := sweepPoint(cfg, ds, ds.Storm.Records, ds.Nugache.Records, detectors, voteK, true)
+	baseline, day0, err := sweepPoint(suite, ds, ds.Storm.Records, ds.Nugache.Records, detectors, voteK)
 	if err != nil {
 		return nil, err
 	}
 	wr.Baseline = baseline
-	wr.Day0Suspects = day0
+	detections, err := day0.Detections()
+	if err != nil {
+		return nil, err
+	}
+	wr.Day0Suspects = make(map[string][]string, len(detections))
+	for _, d := range detections {
+		wr.Day0Suspects[d.Detector] = hostStrings(d.Suspects)
+	}
 
 	// τ_vol from the baseline day-0 paper detection: what volume padding
 	// pads toward.
-	env := Env{FreshPool: freshPool(256), VolTarget: day0VolTarget(day0, ds, cfg)}
+	res, err := day0.Detect()
+	if err != nil {
+		return nil, err
+	}
+	env := Env{FreshPool: freshPool(256), VolTarget: res.Volume.Threshold}
 	wr.VolTarget = env.VolTarget
 
 	for _, cm := range cfg.Countermeasures {
@@ -257,7 +272,7 @@ func runWorld(cfg Config, w World, detectors []core.Detector, voteK int, progres
 			if err != nil {
 				return nil, fmt.Errorf("%s at %v: %w", cm.Name(), p, err)
 			}
-			scores, _, err := sweepPoint(cfg, ds, stormT, nugT, detectors, voteK, false)
+			scores, _, err := sweepPoint(suite, ds, stormT, nugT, detectors, voteK)
 			if err != nil {
 				return nil, fmt.Errorf("%s at %v: %w", cm.Name(), p, err)
 			}
@@ -274,11 +289,10 @@ func runWorld(cfg Config, w World, detectors []core.Detector, voteK int, progres
 }
 
 // sweepPoint overlays (possibly transformed) honeynet traces onto every
-// day of the dataset, runs the detector ensemble, and accumulates one
-// Score per detector plus the union/intersection/vote combiners.
-// withSuspects additionally captures each detector's sorted day-0
-// suspect list.
-func sweepPoint(cfg Config, ds *scenario.Dataset, stormRecs, nugRecs []flow.Record, detectors []core.Detector, voteK int, withSuspects bool) ([]Score, map[string][]string, error) {
+// day of the suite, runs the detector ensemble, and accumulates one Score
+// per detector plus the union/intersection/vote combiners. It returns day
+// 0 too, its detections run.
+func sweepPoint(suite *eval.Suite, ds *scenario.Dataset, stormRecs, nugRecs []flow.Record, detectors []core.Detector, voteK int) ([]Score, *eval.DayEval, error) {
 	scores := make([]Score, len(detectors)+3)
 	for i, det := range detectors {
 		scores[i].Name = det.Name()
@@ -287,69 +301,29 @@ func sweepPoint(cfg Config, ds *scenario.Dataset, stormRecs, nugRecs []flow.Reco
 	scores[len(detectors)+1].Name = "intersection"
 	scores[len(detectors)+2].Name = fmt.Sprintf("vote-%d", voteK)
 
-	var day0 map[string][]string
+	var day0 *eval.DayEval
 	storm := overlay.Trace{Label: eval.LabelStorm, Records: stormRecs, Bots: ds.Storm.Bots}
 	nugache := overlay.Trace{Label: eval.LabelNugache, Records: nugRecs, Bots: ds.Nugache.Bots}
-	for i, day := range ds.Days {
-		de, err := eval.Overlay(day, storm, nugache, overlaySeed(cfg.Seed, i), cfg.Pipeline)
+	err := suite.Sweep(storm, nugache, 0, detectors, func(i int, de *eval.DayEval) error {
+		detections, err := de.Detections()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		detections, err := de.DetectWith(detectors)
-		if err != nil {
-			return nil, nil, err
+		if i == 0 {
+			day0 = de
 		}
-		if withSuspects && i == 0 {
-			day0 = make(map[string][]string)
-			for _, d := range detections {
-				day0[d.Detector] = hostStrings(d.Suspects)
-			}
+		hosts := de.Analysis.Hosts()
+		for j, set := range eval.EnsembleSets(detections, voteK) {
+			t := de.Tally(set, hosts)
+			scores[j].Rates.Add(t.Overall())
+			scores[j].StormTP += t.Kept.Storm
+			scores[j].StormBots += t.Input.Storm
+			scores[j].NugacheTP += t.Kept.Nugache
+			scores[j].NugacheBots += t.Input.Nugache
 		}
-		input := de.Analysis.Hosts()
-		truth := de.Plotters()
-		kept := make([]core.HostSet, 0, len(scores))
-		for _, d := range detections {
-			kept = append(kept, d.Suspects)
-		}
-		kept = append(kept, eval.Union(detections), eval.Intersection(detections), eval.Vote(detections, voteK))
-		for j, k := range kept {
-			scores[j].Rates.Add(eval.Score(k, input, truth))
-			s := eval.Score(k, input, de.Storm)
-			scores[j].StormTP += s.TP
-			scores[j].StormBots += s.Plotters
-			n := eval.Score(k, input, de.Nugache)
-			scores[j].NugacheTP += n.TP
-			scores[j].NugacheBots += n.Plotters
-		}
-	}
-	return scores, day0, nil
-}
-
-// overlaySeed derives day i's overlay seed exactly as the evaluation
-// suite does (suite seed = dataset seed + 1), keeping the baseline row
-// comparable against the goldens.
-func overlaySeed(seed int64, day int) int64 { return seed + 1 + int64(day)*104729 }
-
-// day0VolTarget extracts the paper detector's τ_vol from the baseline
-// day-0 run; when the paper detector is absent it falls back to a
-// Trader-scale constant.
-func day0VolTarget(day0 map[string][]string, ds *scenario.Dataset, cfg Config) float64 {
-	// Re-deriving the threshold from the recorded suspects is not
-	// possible, so recompute the one detection we need. Day 0 at the
-	// baseline point was just produced by sweepPoint; recomputing here
-	// keeps sweepPoint's signature simple at the cost of one extra
-	// overlay on day 0.
-	storm := overlay.Trace{Label: eval.LabelStorm, Records: ds.Storm.Records, Bots: ds.Storm.Bots}
-	nugache := overlay.Trace{Label: eval.LabelNugache, Records: ds.Nugache.Records, Bots: ds.Nugache.Bots}
-	de, err := eval.Overlay(ds.Days[0], storm, nugache, overlaySeed(cfg.Seed, 0), cfg.Pipeline)
-	if err != nil {
-		return 100_000
-	}
-	res, err := de.Detect()
-	if err != nil {
-		return 100_000
-	}
-	return res.Volume.Threshold
+		return nil
+	})
+	return scores, day0, err
 }
 
 // freshPool fabricates n public decoy addresses (11.0.0.0/8, outside the

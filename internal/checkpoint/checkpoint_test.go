@@ -54,7 +54,7 @@ func TestSnapshotRestoreIsTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newTestEngine(t, nil)
+	eng := newTestEngine(t, "", nil)
 	if err := snap.RestoreEngine(eng); err != nil {
 		t.Fatal(err)
 	}

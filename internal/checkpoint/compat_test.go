@@ -130,7 +130,7 @@ func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
 			len(snap.Engine.Recent), pending, anchors, dests)
 	}
 
-	eng := newTestEngine(t, nil)
+	eng := newTestEngine(t, "", nil)
 	if err := snap.RestoreEngine(eng); err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,9 @@ const (
 	WALFile      = "wal.log"
 )
 
-// Config shapes a Manager.
+// Config shapes a Manager. The state directory (snapshot + WAL) is the
+// engine's Config.StateDir.
 type Config struct {
-	// Dir is the state directory (snapshot + WAL). Defaults to the
-	// engine's Config.StateDir; one of the two must be set.
-	Dir string
 	// Interval is the periodic checkpoint cadence for Run. Zero or
 	// negative disables the timer — checkpoints then happen only on
 	// explicit Checkpoint calls (e.g. on a signal).
@@ -115,12 +113,9 @@ type Manager struct {
 // NewManager creates the state directory (if needed) and binds a
 // manager to eng. Call Recover before feeding records.
 func NewManager(cfg Config, eng *engine.WindowedDetector) (*Manager, error) {
-	dir := cfg.Dir
+	dir := eng.Config().StateDir
 	if dir == "" {
-		dir = eng.Config().StateDir
-	}
-	if dir == "" {
-		return nil, fmt.Errorf("checkpoint: no state directory (set Config.Dir or the engine's StateDir)")
+		return nil, fmt.Errorf("checkpoint: no state directory (set the engine's StateDir)")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating state directory: %w", err)

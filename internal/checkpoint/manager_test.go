@@ -15,8 +15,8 @@ import (
 	"plotters/internal/metrics"
 )
 
-func managerConfig(dir string, reg *metrics.Registry) checkpoint.Config {
-	return checkpoint.Config{Dir: dir, Metrics: reg, Now: func() time.Time { return baseTime() }}
+func managerConfig(reg *metrics.Registry) checkpoint.Config {
+	return checkpoint.Config{Metrics: reg, Now: func() time.Time { return baseTime() }}
 }
 
 // mergeByIndex layers re-emitted windows (recovery's at-least-once
@@ -58,7 +58,7 @@ func TestManagerKillAndResume(t *testing.T) {
 	records := synthStream(rng, baseTime(), 4*time.Hour)
 
 	var want []windowKey
-	ref := newTestEngine(t, &want)
+	ref := newTestEngine(t, "", &want)
 	for i := range records {
 		if err := ref.Add(&records[i]); err != nil {
 			t.Fatal(err)
@@ -84,12 +84,12 @@ func TestManagerKillAndResume(t *testing.T) {
 // checkpoint after checkpointAt records, a kill after killAt.
 func killAndResume(t *testing.T, records []flow.Record, want []windowKey, checkpointAt, killAt, syncEvery int) {
 	dir := t.TempDir()
-	cfg := managerConfig(dir, nil)
+	cfg := managerConfig(nil)
 	cfg.SyncEvery = syncEvery
 
 	// First life: ingest to killAt, checkpoint partway through.
 	var before []windowKey
-	eng1 := newTestEngine(t, &before)
+	eng1 := newTestEngine(t, dir, &before)
 	m1, err := checkpoint.NewManager(cfg, eng1)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func killAndResume(t *testing.T, records []flow.Record, want []windowKey, checkp
 
 	// Second life: fresh engine, recover, finish the stream.
 	var after []windowKey
-	eng2 := newTestEngine(t, &after)
+	eng2 := newTestEngine(t, dir, &after)
 	m2, err := checkpoint.NewManager(cfg, eng2)
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +179,8 @@ func TestManagerRecoverTornWAL(t *testing.T) {
 	records := synthStream(rng, baseTime(), time.Hour)
 	dir := t.TempDir()
 
-	eng1 := newTestEngine(t, nil)
-	m1, err := checkpoint.NewManager(managerConfig(dir, nil), eng1)
+	eng1 := newTestEngine(t, dir, nil)
+	m1, err := checkpoint.NewManager(managerConfig(nil), eng1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +203,8 @@ func TestManagerRecoverTornWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng2 := newTestEngine(t, nil)
-	m2, err := checkpoint.NewManager(managerConfig(dir, nil), eng2)
+	eng2 := newTestEngine(t, dir, nil)
+	m2, err := checkpoint.NewManager(managerConfig(nil), eng2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,8 @@ func TestManagerRecoverConfigMismatch(t *testing.T) {
 	records := synthStream(rng, baseTime(), time.Hour)
 	dir := t.TempDir()
 
-	eng1 := newTestEngine(t, nil)
-	m1, err := checkpoint.NewManager(managerConfig(dir, nil), eng1)
+	eng1 := newTestEngine(t, dir, nil)
+	m1, err := checkpoint.NewManager(managerConfig(nil), eng1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +256,12 @@ func TestManagerRecoverConfigMismatch(t *testing.T) {
 
 	cfg := testEngineConfig()
 	cfg.CarryFirstSeen = false
+	cfg.StateDir = dir
 	eng2, err := engine.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := checkpoint.NewManager(managerConfig(dir, nil), eng2)
+	m2, err := checkpoint.NewManager(managerConfig(nil), eng2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +277,8 @@ func TestManagerRecoverConfigMismatch(t *testing.T) {
 // Ordering guards: ingest before recovery is a bug, as is recovering
 // twice.
 func TestManagerOrderingGuards(t *testing.T) {
-	eng := newTestEngine(t, nil)
-	m, err := checkpoint.NewManager(managerConfig(t.TempDir(), nil), eng)
+	eng := newTestEngine(t, t.TempDir(), nil)
+	m, err := checkpoint.NewManager(managerConfig(nil), eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +305,8 @@ func TestManagerMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	records := synthStream(rng, baseTime(), time.Hour)
 	reg := metrics.New()
-	eng := newTestEngine(t, nil)
-	cfg := managerConfig(t.TempDir(), reg)
+	eng := newTestEngine(t, t.TempDir(), nil)
+	cfg := managerConfig(reg)
 	cfg.SyncEvery = 256
 	m, err := checkpoint.NewManager(cfg, eng)
 	if err != nil {
@@ -368,6 +369,7 @@ func TestManagerLogsBeforeEveryEmit(t *testing.T) {
 			added, emits := 0, 0
 			ecfg := testEngineConfig()
 			ecfg.Slide = slide
+			ecfg.StateDir = dir
 			eng, err := engine.New(ecfg, func(res *engine.Result) error {
 				emits++
 				data, err := os.ReadFile(filepath.Join(dir, checkpoint.WALFile))
@@ -387,7 +389,7 @@ func TestManagerLogsBeforeEveryEmit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := managerConfig(dir, nil)
+			cfg := managerConfig(nil)
 			cfg.SyncEvery = 1 << 30
 			m, err := checkpoint.NewManager(cfg, eng)
 			if err != nil {

@@ -111,13 +111,17 @@ func collect(out *[]windowKey) func(*engine.Result) error {
 	}
 }
 
-func newTestEngine(t testing.TB, out *[]windowKey) *engine.WindowedDetector {
+// newTestEngine builds a testEngineConfig engine whose checkpoint state,
+// if any, lives in dir.
+func newTestEngine(t testing.TB, dir string, out *[]windowKey) *engine.WindowedDetector {
 	t.Helper()
 	var emit func(*engine.Result) error
 	if out != nil {
 		emit = collect(out)
 	}
-	eng, err := engine.New(testEngineConfig(), emit)
+	cfg := testEngineConfig()
+	cfg.StateDir = dir
+	eng, err := engine.New(cfg, emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func populatedSnapshot(t testing.TB) *checkpoint.Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	records := synthStream(rng, baseTime(), 2*time.Hour)
-	eng := newTestEngine(t, nil)
+	eng := newTestEngine(t, "", nil)
 	for i := range records {
 		if err := eng.Add(&records[i]); err != nil {
 			t.Fatal(err)

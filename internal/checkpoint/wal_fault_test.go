@@ -221,14 +221,14 @@ func TestWALFailedWriteIsSticky(t *testing.T) {
 func TestManagerSealAbortsOnFailedFlush(t *testing.T) {
 	errDisk := errors.New("injected: I/O error")
 	emitted := 0
-	eng, err := engine.New(engine.Config{Window: 5 * time.Minute, Core: core.DefaultConfig()}, func(*engine.Result) error {
+	eng, err := engine.New(engine.Config{Window: 5 * time.Minute, Core: core.DefaultConfig(), StateDir: t.TempDir()}, func(*engine.Result) error {
 		emitted++
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(Config{Dir: t.TempDir(), SyncEvery: 1 << 30}, eng)
+	m, err := NewManager(Config{SyncEvery: 1 << 30}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,93 +29,44 @@ type DetectorOutcome struct {
 // flag Traders and Plotters alike, persistence-based C&C detection
 // misses P2P bots, and only FindPlotters separates the two populations.
 func (s *Suite) CompareBaselines() ([]DetectorOutcome, error) {
-	type counts struct {
-		storm, nugache, trader, campus     int
-		stormN, nugacheN, traderN, campusN int
-	}
-	tally := map[string]*counts{}
 	names := []string{"findplotters", "tdg", "persistence", "failedconn"}
-	for _, n := range names {
-		tally[n] = &counts{}
-	}
-
+	tally := make([]Tally, len(names))
 	for i := 0; i < s.Days(); i++ {
 		de, err := s.Day(i)
 		if err != nil {
 			return nil, err
 		}
-		flagged := make(map[string]core.HostSet, len(names))
-
 		res, err := de.Detect()
 		if err != nil {
 			return nil, err
 		}
-		flagged["findplotters"] = res.Suspects
-
 		tdg, err := baseline.TDG(de.Records, synth.IsInternal, baseline.DefaultTDGConfig())
 		if err != nil {
 			return nil, err
 		}
-		flagged["tdg"] = core.HostSet(tdg.P2PHosts)
-
 		pers, err := baseline.Persistence(de.Records, de.Day.Window, synth.IsInternal, baseline.DefaultPersistenceConfig())
 		if err != nil {
 			return nil, err
 		}
-		flagged["persistence"] = core.HostSet(pers.Flagged)
-
 		failed, err := baseline.FailedConn(de.Records, synth.IsInternal, baseline.DefaultFailedConnConfig())
 		if err != nil {
 			return nil, err
 		}
-		flagged["failedconn"] = core.HostSet(failed)
-
-		for _, name := range names {
-			set := flagged[name]
-			c := tally[name]
-			for h := range de.Analysis.Hosts() {
-				hit := set[h]
-				switch de.classOf(h) {
-				case classStorm:
-					c.stormN++
-					if hit {
-						c.storm++
-					}
-				case classNugache:
-					c.nugacheN++
-					if hit {
-						c.nugache++
-					}
-				case classTrader:
-					c.traderN++
-					if hit {
-						c.trader++
-					}
-				default:
-					c.campusN++
-					if hit {
-						c.campus++
-					}
-				}
-			}
+		hosts := de.Analysis.Hosts()
+		for j, set := range []core.HostSet{res.Suspects, core.HostSet(tdg.P2PHosts), core.HostSet(pers.Flagged), core.HostSet(failed)} {
+			tally[j].Add(de.Tally(set, hosts))
 		}
 	}
 
-	rate := func(hit, n int) float64 {
-		if n == 0 {
-			return 0
-		}
-		return float64(hit) / float64(n)
-	}
 	out := make([]DetectorOutcome, 0, len(names))
-	for _, name := range names {
-		c := tally[name]
+	for j, name := range names {
+		t := tally[j]
 		out = append(out, DetectorOutcome{
 			Name:       name,
-			StormTPR:   rate(c.storm, c.stormN),
-			NugacheTPR: rate(c.nugache, c.nugacheN),
-			TraderRate: rate(c.trader, c.traderN),
-			CampusRate: rate(c.campus, c.campusN),
+			StormTPR:   t.Storm().TPR(),
+			NugacheTPR: t.Nugache().TPR(),
+			TraderRate: frac(t.Kept.Traders, t.Input.Traders),
+			CampusRate: frac(t.Kept.Others, t.Input.Others),
 		})
 	}
 	return out, nil

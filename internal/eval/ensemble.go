@@ -10,10 +10,8 @@ import (
 )
 
 // ParseDetectors parses a comma-separated detector list — the tools'
-// -detectors flag — into instances: the paper pipeline at cfg, the
-// community detector at ccfg. The paper pipeline alone returns nil,
-// which every consumer (engine.Config.Detectors, NewSuiteDetectors)
-// reads as its original single-detector path.
+// -detectors flag — into instances, in the order listed: the paper
+// pipeline at cfg, the community detector at ccfg.
 func ParseDetectors(spec string, cfg core.Config, ccfg community.Config) ([]core.Detector, error) {
 	var out []core.Detector
 	seen := map[string]bool{}
@@ -43,9 +41,6 @@ func ParseDetectors(spec string, cfg core.Config, ccfg community.Config) ([]core
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-detectors lists no detectors")
-	}
-	if len(out) == 1 && seen[core.PaperName] {
-		return nil, nil
 	}
 	return out, nil
 }
@@ -94,6 +89,17 @@ func Vote(detections []*core.Detection, k int) core.HostSet {
 	return out
 }
 
+// EnsembleSets returns the sets an ensemble is scored on: each
+// detection's suspects in detection order, then their union,
+// intersection and k-of-n vote.
+func EnsembleSets(detections []*core.Detection, k int) []core.HostSet {
+	sets := make([]core.HostSet, 0, len(detections)+3)
+	for _, d := range detections {
+		sets = append(sets, d.Suspects)
+	}
+	return append(sets, Union(detections), Intersection(detections), Vote(detections, k))
+}
+
 // EnsembleDay is one day's scores: each detector alone, then the
 // combiners.
 type EnsembleDay struct {
@@ -126,7 +132,14 @@ type EnsembleReport struct {
 // against the bot-carrying ground truth, over the full monitored host
 // population. voteK < 1 means a strict majority of the detectors.
 func (s *Suite) Ensemble(voteK int) (*EnsembleReport, error) {
-	rep := &EnsembleReport{VoteK: voteK}
+	n := len(s.detectors)
+	if voteK < 1 {
+		voteK = n/2 + 1
+	}
+	rep := &EnsembleReport{VoteK: voteK, PerDetector: make([]Rates, n)}
+	for _, d := range s.detectors {
+		rep.Detectors = append(rep.Detectors, d.Name())
+	}
 	for i := 0; i < s.Days(); i++ {
 		de, err := s.Day(i)
 		if err != nil {
@@ -136,32 +149,18 @@ func (s *Suite) Ensemble(voteK int) (*EnsembleReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rep.Detectors == nil {
-			for _, d := range detections {
-				rep.Detectors = append(rep.Detectors, d.Detector)
-			}
-			if rep.VoteK < 1 {
-				rep.VoteK = len(detections)/2 + 1
-			}
-			rep.PerDetector = make([]Rates, len(detections))
-		} else if len(detections) != len(rep.Detectors) {
-			return nil, fmt.Errorf("eval: day %d ran %d detectors, day 0 ran %d",
-				i, len(detections), len(rep.Detectors))
+		hosts := de.Analysis.Hosts()
+		r := make([]Rates, 0, n+3)
+		for _, set := range EnsembleSets(detections, voteK) {
+			r = append(r, de.Tally(set, hosts).Overall())
 		}
-		input := de.Analysis.Hosts()
-		truth := de.Plotters()
-		day := EnsembleDay{Day: i, PerDetector: make([]Rates, len(detections))}
-		for j, d := range detections {
-			day.PerDetector[j] = Score(d.Suspects, input, truth)
-			rep.PerDetector[j].Add(day.PerDetector[j])
+		for j := range rep.PerDetector {
+			rep.PerDetector[j].Add(r[j])
 		}
-		day.Union = Score(Union(detections), input, truth)
-		day.Intersection = Score(Intersection(detections), input, truth)
-		day.Vote = Score(Vote(detections, rep.VoteK), input, truth)
-		rep.Union.Add(day.Union)
-		rep.Intersection.Add(day.Intersection)
-		rep.Vote.Add(day.Vote)
-		rep.Days = append(rep.Days, day)
+		rep.Union.Add(r[n])
+		rep.Intersection.Add(r[n+1])
+		rep.Vote.Add(r[n+2])
+		rep.Days = append(rep.Days, EnsembleDay{Day: i, PerDetector: r[:n], Union: r[n], Intersection: r[n+1], Vote: r[n+2]})
 	}
 	return rep, nil
 }

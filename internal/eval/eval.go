@@ -22,13 +22,15 @@ const (
 	LabelNugache = "nugache"
 )
 
-// DayEval is one day's overlaid dataset with ground truth and analysis.
+// DayEval is one day's overlaid dataset with ground truth, analysis, and
+// the detector list it is scored with.
 type DayEval struct {
 	// Day is the underlying campus day.
 	Day *scenario.Day
 	// Records is the overlaid traffic (campus + Traders + bots).
 	Records []flow.Record
-	// Analysis holds per-host features over Records.
+	// Analysis holds per-host features over Records; its Source is the
+	// feature set every detector reads.
 	Analysis *core.Analysis
 	// Storm and Nugache are the internal hosts carrying each botnet's
 	// traffic.
@@ -41,82 +43,71 @@ type DayEval struct {
 	// BotFlows counts the in-window bot flows carried per bot host.
 	BotFlows map[flow.IP]int
 
-	// detection caches the default-configuration pipeline outcome.
-	detection *core.Result
-	// detections caches every configured detector's verdict (the
-	// multi-detector framework); a multi-detector suite populates it
-	// when it builds the day.
+	// detectors is the list the day is scored with; detections caches
+	// their verdicts, run once on first use.
+	detectors  []core.Detector
 	detections []*core.Detection
-	// source is the day's feature set (contact sets included), the input
-	// of every detector.
-	source *flow.FeatureSet
 }
 
-// Detect returns the day's full pipeline outcome at the suite
-// configuration, computing and caching it on first use, so the figures
-// share one run.
-func (d *DayEval) Detect() (*core.Result, error) {
-	if d.detection != nil {
-		return d.detection, nil
-	}
-	res, err := d.Analysis.FindPlotters()
-	if err != nil {
-		return nil, err
-	}
-	d.detection = res
-	return res, nil
-}
-
-// Detections returns every detector's verdict for the day. Days built
-// by a multi-detector suite arrive with the verdicts attached; a plain
-// day falls back to the paper pipeline alone, wrapped as a
-// single-element detection list.
+// Detections runs the day's detectors over its feature set on first use
+// and returns their verdicts in detector order, so the figures share one
+// run and data-only figures run none.
 func (d *DayEval) Detections() ([]*core.Detection, error) {
 	if d.detections != nil {
 		return d.detections, nil
 	}
-	res, err := d.Detect()
+	out := make([]*core.Detection, 0, len(d.detectors))
+	for _, det := range d.detectors {
+		dn, err := det.Detect(d.Analysis.Source())
+		if err != nil {
+			return nil, fmt.Errorf("eval: detector %s: %w", det.Name(), err)
+		}
+		out = append(out, dn)
+	}
+	d.detections = out
+	return out, nil
+}
+
+// Detect returns the paper pipeline's full stage-by-stage outcome from
+// the day's detections.
+func (d *DayEval) Detect() (*core.Result, error) {
+	detections, err := d.Detections()
 	if err != nil {
 		return nil, err
 	}
-	d.detections = []*core.Detection{{Detector: core.PaperName, Suspects: res.Suspects, Paper: res}}
-	return d.detections, nil
+	for _, dn := range detections {
+		if dn.Paper != nil {
+			return dn.Paper, nil
+		}
+	}
+	return nil, fmt.Errorf("eval: the day's detectors exclude the paper pipeline (%s)", core.PaperName)
 }
 
 // Plotters returns all bot-carrying hosts.
 func (d *DayEval) Plotters() core.HostSet { return d.Storm.Union(d.Nugache) }
 
-// DetectWith runs the given detectors over the day's feature source and
-// returns their verdicts in detector order, without touching the day's
-// cached default-configuration results.
-func (d *DayEval) DetectWith(detectors []core.Detector) ([]*core.Detection, error) {
-	out := make([]*core.Detection, 0, len(detectors))
-	for _, det := range detectors {
-		detection, err := det.Detect(d.source)
-		if err != nil {
-			return nil, fmt.Errorf("eval: detector %s: %w", det.Name(), err)
-		}
-		out = append(out, detection)
-	}
-	return out, nil
-}
-
 // Overlay builds a DayEval: assign the traces' bots to random active
 // hosts, merge, label Traders from payloads, and extract the day's
-// features in one batch pass.
+// features in one batch pass. The day is scored with the paper pipeline
+// at cfg.
 func Overlay(day *scenario.Day, storm, nugache overlay.Trace, seed int64, cfg core.Config) (*DayEval, error) {
+	paper, err := core.NewPaperDetector(cfg)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
 	ov, err := overlay.Overlay(rng, day.Records, day.Window, synth.IsInternal, storm, nugache)
 	if err != nil {
 		return nil, fmt.Errorf("eval: overlaying day: %w", err)
 	}
 	d := &DayEval{
-		Day:      day,
-		Records:  ov.Records,
-		Storm:    core.HostSet{},
-		Nugache:  core.HostSet{},
-		Traders:  core.HostSet{},
-		BotFlows: ov.BotFlows,
+		Day:       day,
+		Records:   ov.Records,
+		Storm:     core.HostSet{},
+		Nugache:   core.HostSet{},
+		Traders:   core.HostSet{},
+		BotFlows:  ov.BotFlows,
+		detectors: []core.Detector{paper},
 	}
 	for host, lbl := range ov.BotHosts {
 		switch lbl {
@@ -136,14 +127,7 @@ func Overlay(day *scenario.Day, storm, nugache overlay.Trace, seed int64, cfg co
 			d.Traders[host] = true
 		}
 	}
-	t := cfg.Metrics.StartStage("pipeline/extract")
-	d.source = flow.ExtractFeatureSet(d.Records, flow.FeatureOptions{
-		Hosts:        synth.IsInternal,
-		NewPeerGrace: cfg.NewPeerGrace,
-	}, flow.Window{})
-	t.Stop()
-	cfg.Metrics.Counter("pipeline/records").Add(int64(len(d.Records)))
-	if d.Analysis, err = core.NewAnalysisFromSource(d.source, cfg); err != nil {
+	if d.Analysis, err = core.NewAnalysis(d.Records, synth.IsInternal, cfg); err != nil {
 		return nil, fmt.Errorf("eval: analyzing day: %w", err)
 	}
 	return d, nil

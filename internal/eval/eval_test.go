@@ -339,7 +339,7 @@ func TestReduceDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := de.count(red.Kept).Total()
+	kept := len(red.Kept)
 	if red.Eligible == 0 || kept == 0 {
 		t.Errorf("reduction empty: %+v", red)
 	}

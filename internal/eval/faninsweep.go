@@ -46,8 +46,7 @@ func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]
 		if err != nil {
 			return nil, err
 		}
-		input := de.Analysis.Hosts()
-		truth := de.Plotters()
+		hosts := de.Analysis.Hosts()
 		for p := range points {
 			cfg := base
 			cfg.Graph.MinSharedContacts = points[p].MinSharedContacts
@@ -57,7 +56,7 @@ func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]
 				return nil, fmt.Errorf("eval: fan-in sweep point (%d,%d): %w",
 					points[p].MinSharedContacts, points[p].MaxFanIn, err)
 			}
-			dn, err := det.Detect(de.source)
+			dn, err := det.Detect(de.Analysis.Source())
 			if err != nil {
 				return nil, fmt.Errorf("eval: fan-in sweep day %d point (%d,%d): %w",
 					i, points[p].MinSharedContacts, points[p].MaxFanIn, err)
@@ -65,7 +64,7 @@ func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]
 			if rep, ok := dn.Details.(*community.Report); ok {
 				points[p].Edges += rep.GraphEdges
 			}
-			points[p].Rates.Add(Score(dn.Suspects, input, truth))
+			points[p].Rates.Add(de.Tally(dn.Suspects, hosts).Overall())
 		}
 	}
 	return points, nil

@@ -31,9 +31,7 @@ type ROCPoint struct {
 func (s *Suite) rocSweep(run func(de *DayEval, pct float64) (core.HostSet, core.HostSet, error)) ([]ROCPoint, error) {
 	points := make([]ROCPoint, 0, len(PercentileSweep))
 	for _, pct := range PercentileSweep {
-		var agg ROCPoint
-		agg.Percentile = pct
-		var fpAgg Rates
+		var t Tally
 		for i := 0; i < s.Days(); i++ {
 			de, err := s.Day(i)
 			if err != nil {
@@ -43,12 +41,9 @@ func (s *Suite) rocSweep(run func(de *DayEval, pct float64) (core.HostSet, core.
 			if err != nil {
 				return nil, err
 			}
-			agg.Storm.Add(Score(kept, input, de.Storm))
-			agg.Nugache.Add(Score(kept, input, de.Nugache))
-			fpAgg.Add(Score(kept, input, de.Plotters()))
+			t.Add(de.Tally(kept, input))
 		}
-		agg.FPR = fpAgg.FPR()
-		points = append(points, agg)
+		points = append(points, ROCPoint{Percentile: pct, Storm: t.Storm(), Nugache: t.Nugache(), FPR: t.Overall().FPR()})
 	}
 	return points, nil
 }
@@ -145,8 +140,7 @@ func (s *Suite) Figure9() (*Fig9Result, error) {
 	out := &Fig9Result{Days: s.Days()}
 	stageTotals := make([]StageCounts, 5)
 	stageNames := []string{"all-hosts", "reduction", "vol", "churn", "hm"}
-	var stormTotal, nugacheTotal, traderTotal, otherTotal int
-	var stormTP, nugacheTP, traderFP, otherFP int
+	var final Tally
 	for i := 0; i < s.Days(); i++ {
 		de, err := s.Day(i)
 		if err != nil {
@@ -156,41 +150,20 @@ func (s *Suite) Figure9() (*Fig9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		stageTotals[0].Add(de.count(de.Analysis.Hosts()))
-		stageTotals[1].Add(de.count(res.Reduction.Kept))
-		stageTotals[2].Add(de.count(res.Volume.Kept))
-		stageTotals[3].Add(de.count(res.Churn.Kept))
-		final := de.count(res.Suspects)
-		stageTotals[4].Add(final)
-
-		all := de.count(de.Analysis.Hosts())
-		stormTotal += all.Storm
-		nugacheTotal += all.Nugache
-		traderTotal += all.Traders
-		otherTotal += all.Others
-		stormTP += final.Storm
-		nugacheTP += final.Nugache
-		traderFP += final.Traders
-		otherFP += final.Others
+		hosts := de.Analysis.Hosts()
+		for j, set := range []core.HostSet{hosts, res.Reduction.Kept, res.Volume.Kept, res.Churn.Kept, res.Suspects} {
+			stageTotals[j].Add(de.Tally(set, hosts).Kept)
+		}
+		final.Add(de.Tally(res.Suspects, hosts))
 	}
 	for i, name := range stageNames {
 		out.Stages = append(out.Stages, StageResult{Name: name, Counts: stageTotals[i]})
 	}
-	if stormTotal > 0 {
-		out.StormTPR = float64(stormTP) / float64(stormTotal)
-	}
-	if nugacheTotal > 0 {
-		out.NugacheTPR = float64(nugacheTP) / float64(nugacheTotal)
-	}
-	if n := traderTotal + otherTotal; n > 0 {
-		out.FPRate = float64(traderFP+otherFP) / float64(n)
-	}
-	if traderTotal > 0 {
-		out.TradersRemaining = float64(traderFP) / float64(traderTotal)
-	}
-	if n := stageTotals[4].Total(); n > 0 {
-		out.TraderShareOfOutput = float64(traderFP) / float64(n)
-	}
+	out.StormTPR = final.Storm().TPR()
+	out.NugacheTPR = final.Nugache().TPR()
+	out.FPRate = final.Overall().FPR()
+	out.TradersRemaining = frac(final.Kept.Traders, final.Input.Traders)
+	out.TraderShareOfOutput = frac(final.Kept.Traders, final.Kept.Total())
 	return out, nil
 }
 
@@ -358,10 +331,6 @@ func (s *Suite) Figure12(delays []time.Duration, maxDays int) ([]Fig12Point, err
 	if len(delays) == 0 {
 		delays = DefaultJitterSweep
 	}
-	days := s.Days()
-	if maxDays > 0 && maxDays < days {
-		days = maxDays
-	}
 	out := make([]Fig12Point, 0, len(delays))
 	for di, d := range delays {
 		rng := rand.New(rand.NewSource(s.seed + int64(di)*31337))
@@ -376,21 +345,18 @@ func (s *Suite) Figure12(delays []time.Duration, maxDays int) ([]Fig12Point, err
 		stormTrace := overlay.Trace{Label: LabelStorm, Records: stormRecs, Bots: s.ds.Storm.Bots}
 		nugTrace := overlay.Trace{Label: LabelNugache, Records: nugRecs, Bots: s.ds.Nugache.Bots}
 
-		var storm, nugache Rates
-		for i := 0; i < days; i++ {
-			de, err := s.overlaid(i, stormTrace, nugTrace)
-			if err != nil {
-				return nil, err
-			}
+		var t Tally
+		err = s.Sweep(stormTrace, nugTrace, maxDays, nil, func(_ int, de *DayEval) error {
 			res, err := de.Detect()
-			if err != nil {
-				return nil, err
+			if err == nil {
+				t.Add(de.Tally(res.Suspects, de.Analysis.Hosts()))
 			}
-			all := de.Analysis.Hosts()
-			storm.Add(Score(res.Suspects, all, de.Storm))
-			nugache.Add(Score(res.Suspects, all, de.Nugache))
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, Fig12Point{Delay: d, StormTPR: storm.TPR(), NugacheTPR: nugache.TPR()})
+		out = append(out, Fig12Point{Delay: d, StormTPR: t.Storm().TPR(), NugacheTPR: t.Nugache().TPR()})
 	}
 	return out, nil
 }

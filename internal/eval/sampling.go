@@ -64,7 +64,7 @@ func (s *Suite) SamplingSweep(rates []uint64, seed uint64) ([]SamplingPoint, err
 		if err != nil {
 			return nil, err
 		}
-		input := de.Analysis.Hosts()
+		hosts := de.Analysis.Hosts()
 		for j, n := range rates {
 			sampler := ingest.Sampler{N: n, Seed: seed}
 			kept := make([]flow.Record, 0, len(de.Records))
@@ -88,9 +88,10 @@ func (s *Suite) SamplingSweep(rates []uint64, seed uint64) ([]SamplingPoint, err
 			if err != nil {
 				return nil, fmt.Errorf("eval: day %d at 1-in-%d sampling: %w", i, n, err)
 			}
-			points[j].Storm.Add(Score(res.Suspects, input, de.Storm))
-			points[j].Nugache.Add(Score(res.Suspects, input, de.Nugache))
-			points[j].Overall.Add(Score(res.Suspects, input, de.Plotters()))
+			t := de.Tally(res.Suspects, hosts)
+			points[j].Storm.Add(t.Storm())
+			points[j].Nugache.Add(t.Nugache())
+			points[j].Overall.Add(t.Overall())
 		}
 	}
 	return points, nil

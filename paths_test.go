@@ -803,11 +803,13 @@ func killResume(syncEvery int, seed int64) path {
 		}
 		defer os.RemoveAll(dir)
 		life := func(every int, rs *[]*plotters.WindowResult) (*plotters.WindowedDetector, *plotters.CheckpointManager, *plotters.CheckpointRecovery, error) {
-			eng, err := plotters.NewWindowedDetector(s.engine, collect(rs))
+			ecfg := s.engine
+			ecfg.StateDir = dir
+			eng, err := plotters.NewWindowedDetector(ecfg, collect(rs))
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			mgr, err := plotters.NewCheckpointManager(plotters.CheckpointConfig{Dir: dir, SyncEvery: every}, eng)
+			mgr, err := plotters.NewCheckpointManager(plotters.CheckpointConfig{SyncEvery: every}, eng)
 			if err != nil {
 				return nil, nil, nil, err
 			}

@@ -200,10 +200,9 @@ func NewCommunityDetector(cfg CommunityConfig) (*CommunityDetector, error) {
 }
 
 // ParseDetectors parses a comma-separated detector list — the tools'
-// -detectors flag — into instances: the paper pipeline at cfg, the
-// community detector at community. The paper pipeline alone returns
-// nil, which every consumer (EngineConfig.Detectors, NewSuiteDetectors)
-// reads as its original single-detector path.
+// -detectors flag — into instances, in the order listed: the paper
+// pipeline at cfg, the community detector at community. It never returns
+// an empty list without an error.
 func ParseDetectors(spec string, cfg Config, community CommunityConfig) ([]Detector, error) {
 	return eval.ParseDetectors(spec, cfg, community)
 }
@@ -312,9 +311,9 @@ func NewSuite(ds *Dataset, cfg Config, seed int64) (*Suite, error) {
 	return eval.NewSuite(ds, cfg, seed)
 }
 
-// NewSuiteDetectors wraps a dataset for evaluation with an explicit
-// detector list (must include a PaperDetector) run over every day; score
-// the ensemble with Suite.Ensemble.
+// NewSuiteDetectors wraps a dataset for evaluation with the detector
+// list run over every day (empty: the paper pipeline alone; otherwise it
+// must include a PaperDetector); score the ensemble with Suite.Ensemble.
 func NewSuiteDetectors(ds *Dataset, cfg Config, seed int64, detectors []Detector) (*Suite, error) {
 	return eval.NewSuiteDetectors(ds, cfg, seed, detectors)
 }
@@ -684,10 +683,10 @@ func ExportProtocolNames() string { return collector.ExportProtocolNames() }
 // Durable state: checkpoint/restore for crash-safe continuous
 // detection. A CheckpointManager owns a snapshot file and a per-record
 // write-ahead log (written out ahead of every emitted window) under
-// EngineConfig.StateDir (or its own Dir);
-// restarting a dead process with the same configuration and calling
-// Recover rebuilds the engine bit-identically — same window boundaries,
-// same verdicts. See internal/checkpoint and DESIGN.md §4e.
+// EngineConfig.StateDir; restarting a dead process with the same
+// configuration and calling Recover rebuilds the engine bit-identically —
+// same window boundaries, same verdicts. See internal/checkpoint and
+// DESIGN.md §4e.
 type (
 	// CheckpointConfig shapes a CheckpointManager.
 	CheckpointConfig = checkpoint.Config
