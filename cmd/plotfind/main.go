@@ -109,7 +109,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Uint64Var(&o.sampler.Seed, "sample-seed", 0, "seed for -sample's content fingerprint (same seed + same N = same kept flows)")
 	fs.IntVar(&o.inBatch, "ingest-batch", 0, "datagrams per recvmmsg batch on the -listen socket (0 = default, 1 = plain reads)")
 	fs.StringVar(&o.stateDir, "state-dir", "", "directory for crash-safe durable state (snapshot + write-ahead log); requires -listen. On start, any state found there is recovered")
-	fs.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint interval for -state-dir")
+	fs.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Minute, "periodic checkpoint interval for -state-dir (0 = checkpoint only at shutdown)")
 	fs.IntVar(&o.walSync, "wal-sync-every", 256, "write out and fsync the write-ahead log every N records: bounds what a kill or a power loss can lose of the records no emitted window or snapshot depends on yet (1 = nothing, but gates ingest on fsync latency)")
 	fs.StringVar(&o.role, "role", "", "distributed detection role: shard (reduce a trace locally, ship summaries) or coordinator (merge shard summaries, run the global phase); requires -window, -peers, -dist-shards")
 	fs.StringVar(&o.peers, "peers", "", "coordinator TCP address: what a shard dials, or what the coordinator binds (required with -role)")
@@ -164,6 +164,10 @@ func (o *options) validate() (mode, error) {
 		{(set["checkpoint-every"] || set["wal-sync-every"]) && (!live || o.stateDir == ""), "-checkpoint-every and -wal-sync-every require -listen -state-dir"},
 		{set["ingest-batch"] && !live, "-ingest-batch requires -listen (it sizes the socket's recvmmsg batch)"},
 		{o.inBatch < 0, "-ingest-batch must be >= 0"},
+		{o.shards < 0, "-shards must be >= 0 (0 = one per CPU)"},
+		{o.ckptEvery < 0, "-checkpoint-every must be >= 0 (0 = checkpoint only at shutdown)"},
+		{o.walSync < 1, "-wal-sync-every must be >= 1"},
+		{o.drainWait < 0, "-drain-timeout must be >= 0"},
 		{o.window < 0, "-window must be >= 0 (0 = one batch run)"},
 		{o.volPct < 0 || o.churnPct < 0 || o.hmPct < 0, "-vol-pct, -churn-pct and -hm-pct must be >= 0 (0 = default)"},
 		{(set["slide"] || set["shards"] || set["skew"] || set["origin"]) && m == batchMode, "-slide, -shards, -skew and -origin require -window"},

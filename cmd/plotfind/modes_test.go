@@ -364,6 +364,10 @@ func TestRejectedFlags(t *testing.T) {
 		{"-window 6h -checkpoint-every 1m x", "-checkpoint-every and -wal-sync-every require -listen -state-dir"},
 		{"-listen :0 -window 6h -wal-sync-every 1", "-checkpoint-every and -wal-sync-every require -listen -state-dir"},
 		{"-listen :0 -window 6h -ingest-batch -1", "-ingest-batch must be >= 0"},
+		{"-window 6h -shards -1 x", "-shards must be >= 0"},
+		{"-listen :0 -window 6h -state-dir D -checkpoint-every -1m", "-checkpoint-every must be >= 0"},
+		{"-listen :0 -window 6h -state-dir D -wal-sync-every 0", "-wal-sync-every must be >= 1"},
+		{"-role shard -drain-timeout -1s " + dist + " x", "-drain-timeout must be >= 0"},
 		{"-window -6h x", "-window must be >= 0"},
 		{"-vol-pct -1 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
 		{"-churn-pct -5 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},

@@ -1,14 +1,18 @@
 // Golden regression tests for the campaign subsystem: every synthetic
 // world's shape and seed-42 baseline detection outcome is pinned in
-// testdata/worlds_golden.json, and the baseline world's day-0 suspects
-// must reproduce the repo-level seed-42 pipeline goldens exactly.
+// testdata/worlds_golden.json, every world's synthesized day-0 bytes are
+// pinned by digest in testdata/world_digests.json, and the baseline
+// world's day-0 suspects must reproduce the repo-level seed-42 pipeline
+// goldens exactly.
 //
 // After an intentional behavior change, regenerate with:
 //
-//	go test ./internal/campaign -run TestWorldsGolden -update
+//	go test ./internal/campaign -run 'TestWorldsGolden|TestWorldTraceDigests' -update
 package campaign
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -19,6 +23,9 @@ import (
 
 	"plotters/internal/core"
 	"plotters/internal/eval"
+	"plotters/internal/flow"
+	"plotters/internal/flowio"
+	"plotters/internal/synth/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current results")
@@ -124,6 +131,78 @@ func TestWorldsGolden(t *testing.T) {
 	for name := range want {
 		if _, ok := got[name]; !ok {
 			t.Errorf("golden pins unknown world %s", name)
+		}
+	}
+}
+
+const worldDigestsPath = "testdata/world_digests.json"
+
+// traceDigest is the SHA-256 of records' flowio binary encoding.
+func traceDigest(t *testing.T, records []flow.Record) string {
+	t.Helper()
+	h := sha256.New()
+	if err := flowio.WriteAllBinary(h, records); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWorldTraceDigests pins the synthesized bytes behind the campaign:
+// each world's seed-42 tiny-scale day 0 and the tiny Storm and Nugache
+// honeynet traces, by digest. Record and host counts (TestWorldsGolden)
+// cannot see a generator change that moves bytes without moving a count;
+// this can.
+func TestWorldTraceDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("world synthesis takes seconds per world; skipped in -short mode")
+	}
+	got := map[string]string{}
+	for _, name := range WorldNames() {
+		w, err := NewWorld(name, ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The dataset runWorld synthesizes for day 0 at seed 42.
+		dcfg := scenario.DefaultDatasetConfig(42)
+		dcfg.Days = 1
+		dcfg.Storm.Bots, dcfg.Nugache.Bots = honeynetBots(ScaleTiny)
+		dcfg.DayTemplate = w.Template
+		ds, err := scenario.GenerateDataset(dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[name] = traceDigest(t, ds.Days[0].Records)
+		got["storm"] = traceDigest(t, ds.Storm.Records)
+		got["nugache"] = traceDigest(t, ds.Nugache.Records)
+	}
+
+	if *update {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(worldDigestsPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file rewritten: %s", worldDigestsPath)
+		return
+	}
+	raw, err := os.ReadFile(worldDigestsPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range got {
+		if want[name] != d {
+			t.Errorf("%s trace digest = %s, want %s", name, d, want[name])
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("digest file pins unknown trace %s", name)
 		}
 	}
 }

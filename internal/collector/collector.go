@@ -36,11 +36,11 @@ type Config struct {
 	// Addr is the UDP listen address, e.g. ":2055" (the conventional
 	// NetFlow port) or "127.0.0.1:0" (tests). Required.
 	Addr string
-	// Workers sizes the decode pool (≤0: one per CPU). Callers running
-	// a windowed detector usually pass core.Config.Parallelism. With
+	// Workers sizes the decode pool (≤0: one per CPU). RunLive, the path
+	// matrix and the benchmarks pass 1, so records arrive in order. With
 	// more than one worker, packets may be decoded — and their records
 	// delivered — slightly out of arrival order; size the engine's
-	// MaxSkew accordingly, or use one worker for strict ordering.
+	// MaxSkew accordingly.
 	Workers int
 	// QueueSize bounds the ingest queue (≤0: DefaultQueueSize). When
 	// the queue is full, packets are counted as dropped and discarded —

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -468,6 +469,95 @@ func TestPublishAndFindValue(t *testing.T) {
 	}
 	if len(missing.Attempts) == 0 {
 		t.Error("no attempts for missing key")
+	}
+}
+
+// walkWorld builds a seeded, mostly-online overlay with one published key
+// and a bootstrapped searcher. Every call returns an identical, independent
+// copy, so two walks can be run side by side from the same state.
+func walkWorld(t *testing.T) (*Overlay, *RoutingTable, *rand.Rand, LookupConfig, NodeID) {
+	t.Helper()
+	start := time.Date(2007, time.November, 5, 0, 0, 0, 0, time.UTC)
+	cfg := testOverlayConfig(start)
+	cfg.Nodes = 500
+	cfg.Horizon = 48 * time.Hour
+	cfg.MedianSession = 4 * time.Hour
+	cfg.MedianOffline = 20 * time.Minute
+	ov, err := NewOverlay(cfg, rand.New(rand.NewSource(61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg := DefaultLookupConfig()
+	lcfg.K = 20
+	lcfg.MaxQueries = 80
+	rng := rand.New(rand.NewSource(62))
+	at := time.Date(2007, time.November, 5, 12, 0, 0, 0, time.UTC)
+	pub := NewRoutingTable(RandomID(rng), 20)
+	Bootstrap(pub, ov, ov.SampleContacts(rng, 20), at, rng, lcfg)
+	key := KeyID("walk-key-1")
+	if IterativePublish(pub, ov, key, "v", at, rng, lcfg).Stored == 0 {
+		t.Fatal("publish stored on no nodes")
+	}
+	searcher := NewRoutingTable(RandomID(rng), 20)
+	Bootstrap(searcher, ov, ov.SampleContacts(rng, 20), at, rng, lcfg)
+	return ov, searcher, rng, lcfg, key
+}
+
+// FIND_VALUE is FIND_NODE's walk with an early stop: the same queries in
+// the same order, ending right after the first responder that holds the
+// key has been refreshed in the routing table.
+func TestFindValueWalksLikeFindNode(t *testing.T) {
+	at := time.Date(2007, time.November, 5, 12, 1, 0, 0, time.UTC)
+
+	// Nobody holds the key: the two walks are indistinguishable.
+	ovV, rtV, rngV, lcfg, _ := walkWorld(t)
+	ovN, rtN, rngN, _, _ := walkWorld(t)
+	missing := KeyID("never-published")
+	fv := IterativeFindValue(rtV, ovV, missing, at, rngV, lcfg)
+	fn := IterativeFindNode(rtN, ovN, missing, at, rngN, lcfg)
+	if fv.Found || len(fv.Attempts) == 0 {
+		t.Fatalf("missing key: found=%v after %d attempts", fv.Found, len(fv.Attempts))
+	}
+	if !reflect.DeepEqual(fv.Attempts, fn) {
+		t.Errorf("missing key: FindValue issued %d attempts, FindNode %d, or in another order", len(fv.Attempts), len(fn))
+	}
+	if !reflect.DeepEqual(rtV.Contacts(), rtN.Contacts()) {
+		t.Error("missing key: routing tables diverged")
+	}
+
+	// The key is published: FindValue's attempts are a prefix of
+	// FindNode's that ends at the first responder holding the value.
+	ovV, rtV, rngV, lcfg, key := walkWorld(t)
+	ovN, rtN, rngN, _, _ = walkWorld(t)
+	fv = IterativeFindValue(rtV, ovV, key, at, rngV, lcfg)
+	fn = IterativeFindNode(rtN, ovN, key, at, rngN, lcfg)
+	n := len(fv.Attempts)
+	if !fv.Found || fv.Value != "v" {
+		t.Fatalf("published key: found=%v value=%q", fv.Found, fv.Value)
+	}
+	if n < 2 || n >= len(fn) {
+		t.Fatalf("published key: FindValue stopped after %d of FindNode's %d attempts; the seeds no longer exercise an early stop", n, len(fn))
+	}
+	if !reflect.DeepEqual(fv.Attempts, fn[:n]) {
+		t.Error("published key: FindValue's attempts are not a prefix of FindNode's")
+	}
+	for i, a := range fv.Attempts {
+		_, holds := ovV.Value(a.Peer.ID, key)
+		if first := a.Responded && holds; first != (i == n-1) {
+			t.Errorf("attempt %d: responded=%v holds=%v; the walk must stop at the first responding holder", i, a.Responded, holds)
+		}
+	}
+
+	// The stop comes right after the holder's refresh: a FindNode walk cut
+	// one query short, plus that refresh, leaves the same routing table.
+	ovC, rtC, rngC, cut, _ := walkWorld(t)
+	cut.MaxQueries = n - 1
+	IterativeFindNode(rtC, ovC, key, at, rngC, cut)
+	holder := fv.Attempts[n-1].Peer
+	holder.LastSeen = at
+	rtC.Update(holder)
+	if !reflect.DeepEqual(rtV.Contacts(), rtC.Contacts()) {
+		t.Error("published key: FindValue's routing table is not FindNode's at the stop")
 	}
 }
 

@@ -2,7 +2,6 @@ package kademlia
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -45,6 +44,13 @@ func DefaultLookupConfig() LookupConfig {
 //
 // The returned attempts preserve query order.
 func IterativeFindNode(rt *RoutingTable, ov *Overlay, target NodeID, now time.Time, rng *rand.Rand, cfg LookupConfig) []Attempt {
+	return walk(rt, ov, target, now, rng, cfg, nil)
+}
+
+// walk is the iterative lookup behind FIND_NODE and FIND_VALUE. stop, if
+// non-nil, sees each responder right after rt refreshes it; returning true
+// ends the walk there, before the responder's closest-peer answer is read.
+func walk(rt *RoutingTable, ov *Overlay, target NodeID, now time.Time, rng *rand.Rand, cfg LookupConfig, stop func(responder Contact) bool) []Attempt {
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 3
 	}
@@ -55,52 +61,38 @@ func IterativeFindNode(rt *RoutingTable, ov *Overlay, target NodeID, now time.Ti
 		cfg.MaxQueries = 32
 	}
 
-	type candidate struct {
-		c       Contact
-		queried bool
-	}
-	seen := make(map[NodeID]bool)
-	var cands []candidate
+	// queried holds every candidate ever added: true once it was queried.
+	queried := make(map[NodeID]bool)
+	var cands []Contact
 	addCandidate := func(c Contact) {
-		if c.ID == rt.Self() || seen[c.ID] {
+		if _, known := queried[c.ID]; known || c.ID == rt.Self() {
 			return
 		}
-		seen[c.ID] = true
-		cands = append(cands, candidate{c: c})
+		queried[c.ID] = false
+		cands = append(cands, c)
 	}
 	for _, c := range rt.Closest(target, cfg.K) {
 		addCandidate(c)
 	}
 
-	sortCands := func() {
-		sort.Slice(cands, func(i, j int) bool {
-			return cands[i].c.ID.XOR(target).Less(cands[j].c.ID.XOR(target))
-		})
-	}
-
 	var attempts []Attempt
 	for len(attempts) < cfg.MaxQueries {
-		sortCands()
+		cands = byDistance(cands, target, len(cands))
 		// Collect the next α un-queried candidates among the k closest.
-		var batch []int
-		horizon := len(cands)
-		if horizon > cfg.K {
-			horizon = cfg.K
-		}
-		for i := 0; i < horizon && len(batch) < cfg.Alpha; i++ {
-			if !cands[i].queried {
-				batch = append(batch, i)
+		var batch []Contact
+		for i := 0; i < min(len(cands), cfg.K) && len(batch) < cfg.Alpha; i++ {
+			if !queried[cands[i].ID] {
+				batch = append(batch, cands[i])
 			}
 		}
 		if len(batch) == 0 {
 			break // the k closest are all queried: lookup converged
 		}
-		for _, i := range batch {
+		for _, peer := range batch {
 			if len(attempts) >= cfg.MaxQueries {
 				break
 			}
-			cands[i].queried = true
-			peer := cands[i].c
+			queried[peer.ID] = true
 			responded := ov.Online(peer.ID, now) && rng.Float64() >= cfg.LossRate
 			attempts = append(attempts, Attempt{Peer: peer, Responded: responded})
 			if !responded {
@@ -111,6 +103,9 @@ func IterativeFindNode(rt *RoutingTable, ov *Overlay, target NodeID, now time.Ti
 			refreshed := peer
 			refreshed.LastSeen = now
 			rt.Update(refreshed)
+			if stop != nil && stop(peer) {
+				return attempts
+			}
 			// The responder reports the k closest peers *it knows about*;
 			// that knowledge is stale, so some reported peers are already
 			// offline — exactly the churn that makes P2P hosts' failed

@@ -186,21 +186,5 @@ func (o *Overlay) SampleContacts(rng *rand.Rand, n int) []Contact {
 // Querying stale contacts is where P2P networks' high failed-connection
 // rates come from (§V-A).
 func (o *Overlay) ClosestAny(target NodeID, n int) []Contact {
-	type cand struct {
-		c    Contact
-		dist NodeID
-	}
-	cands := make([]cand, len(o.contacts))
-	for i := range o.contacts {
-		cands[i] = cand{c: o.contacts[i], dist: o.contacts[i].ID.XOR(target)}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].dist.Less(cands[b].dist) })
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]Contact, len(cands))
-	for i := range cands {
-		out[i] = cands[i].c
-	}
-	return out
+	return byDistance(o.contacts, target, n)
 }

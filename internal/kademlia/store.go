@@ -2,7 +2,6 @@ package kademlia
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -73,13 +72,7 @@ func IterativePublish(rt *RoutingTable, ov *Overlay, key NodeID, value string, n
 			responders = append(responders, a.Peer)
 		}
 	}
-	sort.Slice(responders, func(i, j int) bool {
-		return responders[i].ID.XOR(key).Less(responders[j].ID.XOR(key))
-	})
-	if len(responders) > cfg.K {
-		responders = responders[:cfg.K]
-	}
-	for _, c := range responders {
+	for _, c := range byDistance(responders, key, cfg.K) {
 		responded := ov.Online(c.ID, now) && rng.Float64() >= cfg.LossRate
 		result.Stores = append(result.Stores, Attempt{Peer: c, Responded: responded})
 		if responded {
@@ -100,80 +93,10 @@ type FindValueResult struct {
 // IterativeFindValue walks toward key like IterativeFindNode but stops as
 // soon as a queried node holds a binding for it.
 func IterativeFindValue(rt *RoutingTable, ov *Overlay, key NodeID, now time.Time, rng *rand.Rand, cfg LookupConfig) FindValueResult {
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 3
-	}
-	if cfg.K <= 0 {
-		cfg.K = DefaultK
-	}
-	if cfg.MaxQueries <= 0 {
-		cfg.MaxQueries = 32
-	}
-
 	var result FindValueResult
-	seen := make(map[NodeID]bool)
-	type candidate struct {
-		c       Contact
-		queried bool
-	}
-	var cands []candidate
-	add := func(c Contact) {
-		if c.ID == rt.Self() || seen[c.ID] {
-			return
-		}
-		seen[c.ID] = true
-		cands = append(cands, candidate{c: c})
-	}
-	for _, c := range rt.Closest(key, cfg.K) {
-		add(c)
-	}
-	for len(result.Attempts) < cfg.MaxQueries {
-		// Closest-first order.
-		for i := 1; i < len(cands); i++ {
-			for j := i; j > 0 && cands[j].c.ID.XOR(key).Less(cands[j-1].c.ID.XOR(key)); j-- {
-				cands[j], cands[j-1] = cands[j-1], cands[j]
-			}
-		}
-		batch := make([]int, 0, cfg.Alpha)
-		horizon := len(cands)
-		if horizon > cfg.K {
-			horizon = cfg.K
-		}
-		for i := 0; i < horizon && len(batch) < cfg.Alpha; i++ {
-			if !cands[i].queried {
-				batch = append(batch, i)
-			}
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, i := range batch {
-			if len(result.Attempts) >= cfg.MaxQueries {
-				break
-			}
-			cands[i].queried = true
-			peer := cands[i].c
-			responded := ov.Online(peer.ID, now) && rng.Float64() >= cfg.LossRate
-			result.Attempts = append(result.Attempts, Attempt{Peer: peer, Responded: responded})
-			if !responded {
-				rt.Remove(peer.ID)
-				continue
-			}
-			refreshed := peer
-			refreshed.LastSeen = now
-			rt.Update(refreshed)
-			if v, ok := ov.Value(peer.ID, key); ok {
-				result.Value = v
-				result.Found = true
-				return result
-			}
-			for _, learned := range ov.ClosestAny(key, cfg.K) {
-				if learned.ID != peer.ID {
-					add(learned)
-					rt.Update(learned)
-				}
-			}
-		}
-	}
+	result.Attempts = walk(rt, ov, key, now, rng, cfg, func(responder Contact) bool {
+		result.Value, result.Found = ov.Value(responder.ID, key)
+		return result.Found
+	})
 	return result
 }

@@ -120,14 +120,27 @@ func (rt *RoutingTable) Contains(id NodeID) bool {
 // Closest returns up to n stored contacts ordered by XOR distance to
 // target (closest first).
 func (rt *RoutingTable) Closest(target NodeID, n int) []Contact {
-	all := rt.Contacts()
-	sort.Slice(all, func(i, j int) bool {
-		return all[i].ID.XOR(target).Less(all[j].ID.XOR(target))
-	})
-	if len(all) > n {
-		all = all[:n]
+	return byDistance(rt.Contacts(), target, n)
+}
+
+// byDistance returns up to n of cs in a fresh slice, ordered by XOR
+// distance to target (closest first). Each distance is computed once; cs
+// itself is left untouched.
+func byDistance(cs []Contact, target NodeID, n int) []Contact {
+	type ranked struct {
+		c    Contact
+		dist NodeID
 	}
-	return all
+	rs := make([]ranked, len(cs))
+	for i, c := range cs {
+		rs[i] = ranked{c: c, dist: c.ID.XOR(target)}
+	}
+	sort.Slice(rs, func(a, b int) bool { return rs[a].dist.Less(rs[b].dist) })
+	out := make([]Contact, min(len(rs), n))
+	for i := range out {
+		out[i] = rs[i].c
+	}
+	return out
 }
 
 // Contacts returns every stored contact. The slice is freshly allocated.

@@ -124,29 +124,19 @@ func (c *Crawler) walkLoop() {
 	walks := 2 + c.rng.Intn(3)
 	for i := 0; i < walks; i++ {
 		attempts := kademlia.IterativeFindNode(c.rt, c.cfg.Network, kademlia.RandomID(c.rng), c.sim.Now(), c.rng, kademlia.DefaultLookupConfig())
-		c.emitAttempts(attempts, 0)
+		synth.EmitLookup(c.sim, c.rng, attempts, 30*time.Millisecond, 300*time.Millisecond, c.active, func(a kademlia.Attempt) synth.FlowSpec {
+			return synth.FlowSpec{
+				Src: c.cfg.Host, Dst: a.Peer.Addr,
+				SrcPort: crawlerDHTPort, DstPort: a.Peer.Port, Proto: flow.UDP,
+				Duration: 250 * time.Millisecond,
+				ReqBytes: uint64(simnet.LogNormalMedian(c.rng, 110, 0.2)),
+				RspBytes: uint64(simnet.LogNormalMedian(c.rng, 420, 0.4)),
+				Success:  a.Responded,
+				Payload:  []byte("d1:ad2:id20:crawlcrawlcrawlcrawl"),
+			}
+		})
 	}
 	c.sim.After(simnet.Jitter(c.rng, c.cfg.WalkInterval, 0.15), c.walkLoop)
-}
-
-// emitAttempts spaces one lookup's UDP queries out like a real walker.
-func (c *Crawler) emitAttempts(attempts []kademlia.Attempt, i int) {
-	if i >= len(attempts) || !c.active() {
-		return
-	}
-	a := attempts[i]
-	synth.EmitFlow(c.sim, synth.FlowSpec{
-		Src: c.cfg.Host, Dst: a.Peer.Addr,
-		SrcPort: crawlerDHTPort, DstPort: a.Peer.Port, Proto: flow.UDP,
-		Duration: 250 * time.Millisecond,
-		ReqBytes: uint64(simnet.LogNormalMedian(c.rng, 110, 0.2)),
-		RspBytes: uint64(simnet.LogNormalMedian(c.rng, 420, 0.4)),
-		Success:  a.Responded,
-		Payload:  []byte("d1:ad2:id20:crawlcrawlcrawlcrawl"),
-	})
-	c.sim.After(simnet.UniformDur(c.rng, 30*time.Millisecond, 300*time.Millisecond), func() {
-		c.emitAttempts(attempts, i+1)
-	})
 }
 
 // syncLoop pushes the latest crawl snapshot to each mirror — the

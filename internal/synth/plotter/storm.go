@@ -134,8 +134,7 @@ func (b *stormBot) start() {
 	bootDelay := simnet.UniformDur(b.rng, 0, 10*time.Minute)
 	b.sim.After(bootDelay, func() {
 		b.seeds = b.ov.SampleContacts(b.rng, b.cfg.SeedPeers)
-		attempts := kademlia.Bootstrap(b.rt, b.ov, b.seeds, b.sim.Now(), b.rng, b.lookupConfig())
-		b.emitAttempts(attempts, 0)
+		b.emitLookup(kademlia.Bootstrap(b.rt, b.ov, b.seeds, b.sim.Now(), b.rng, b.lookupConfig()))
 		b.sim.After(simnet.Jitter(b.rng, b.cfg.SearchPeriod, b.cfg.TimerJitter), b.search)
 		b.sim.After(simnet.Jitter(b.rng, b.cfg.KeepalivePeriod, b.cfg.TimerJitter), b.keepalive)
 	})
@@ -174,10 +173,9 @@ func (b *stormBot) search() {
 	b.searchCycle++
 	if b.searchCycle%4 == 0 {
 		pub := kademlia.IterativePublish(b.rt, b.ov, key, b.addr.String(), b.sim.Now(), b.rng, b.lookupConfig())
-		b.emitAttempts(append(pub.Lookup, pub.Stores...), 0)
+		b.emitLookup(append(pub.Lookup, pub.Stores...))
 	} else {
-		res := kademlia.IterativeFindValue(b.rt, b.ov, key, b.sim.Now(), b.rng, b.lookupConfig())
-		b.emitAttempts(res.Attempts, 0)
+		b.emitLookup(kademlia.IterativeFindValue(b.rt, b.ov, key, b.sim.Now(), b.rng, b.lookupConfig()).Attempts)
 	}
 	b.sim.After(simnet.Jitter(b.rng, b.cfg.SearchPeriod, b.cfg.TimerJitter), b.search)
 }
@@ -193,7 +191,7 @@ func (b *stormBot) keepalive() {
 		c := c
 		b.sim.After(time.Duration(i)*200*time.Millisecond, func() {
 			ok := b.ov.Online(c.ID, b.sim.Now()) && !simnet.Bernoulli(b.rng, 0.05)
-			b.emitControlFlow(c, ok)
+			synth.EmitFlow(b.sim, b.controlFlow(c, ok))
 			if !ok && simnet.Bernoulli(b.rng, 0.3) {
 				// Evict unresponsive contacts only after a few tries.
 				b.rt.Remove(c.ID)
@@ -203,7 +201,11 @@ func (b *stormBot) keepalive() {
 			// inbound Overnet traffic (P2P hosts serve as well as ask).
 			if ok && simnet.Bernoulli(b.rng, 0.25) {
 				b.sim.After(simnet.UniformDur(b.rng, time.Second, 30*time.Second), func() {
-					b.emitInboundFlow(c)
+					// The same exchange, reversed, with the peer's opcode.
+					in := b.controlFlow(c, true)
+					in.Src, in.Dst, in.SrcPort, in.DstPort = in.Dst, in.Src, in.DstPort, in.SrcPort
+					in.Payload[3] = 0x01
+					synth.EmitFlow(b.sim, in)
 				})
 			}
 		})
@@ -211,35 +213,17 @@ func (b *stormBot) keepalive() {
 	b.sim.After(simnet.Jitter(b.rng, b.cfg.KeepalivePeriod, b.cfg.TimerJitter), b.keepalive)
 }
 
-// emitInboundFlow records one peer-initiated Overnet exchange arriving at
-// the bot.
-func (b *stormBot) emitInboundFlow(peer kademlia.Contact) {
-	synth.EmitFlow(b.sim, synth.FlowSpec{
-		Src: peer.Addr, Dst: b.addr,
-		SrcPort: peer.Port, DstPort: stormPort, Proto: flow.UDP,
-		Duration: simnet.UniformDur(b.rng, 50*time.Millisecond, 600*time.Millisecond),
-		ReqBytes: uint64(simnet.LogNormalMedian(b.rng, b.cfg.MsgMedian, 0.35)),
-		RspBytes: uint64(simnet.LogNormalMedian(b.rng, b.cfg.MsgMedian*1.6, 0.4)),
-		Success:  true,
-		Payload:  []byte{0xe3, 0x0b, 0x00, 0x01},
+// emitLookup spaces a lookup's queries out the way the UDP client does.
+func (b *stormBot) emitLookup(attempts []kademlia.Attempt) {
+	synth.EmitLookup(b.sim, b.rng, attempts, 50*time.Millisecond, 400*time.Millisecond, nil, func(a kademlia.Attempt) synth.FlowSpec {
+		return b.controlFlow(a.Peer, a.Responded)
 	})
 }
 
-// emitAttempts spaces a lookup's queries out the way the UDP client does.
-func (b *stormBot) emitAttempts(attempts []kademlia.Attempt, i int) {
-	if i >= len(attempts) {
-		return
-	}
-	a := attempts[i]
-	b.emitControlFlow(a.Peer, a.Responded)
-	b.sim.After(simnet.UniformDur(b.rng, 50*time.Millisecond, 400*time.Millisecond), func() {
-		b.emitAttempts(attempts, i+1)
-	})
-}
-
-// emitControlFlow emits one tiny Overnet control exchange.
-func (b *stormBot) emitControlFlow(peer kademlia.Contact, ok bool) {
-	synth.EmitFlow(b.sim, synth.FlowSpec{
+// controlFlow builds one tiny Overnet control exchange from the bot to
+// peer.
+func (b *stormBot) controlFlow(peer kademlia.Contact, ok bool) synth.FlowSpec {
+	return synth.FlowSpec{
 		Src: b.addr, Dst: peer.Addr,
 		SrcPort: stormPort, DstPort: peer.Port, Proto: flow.UDP,
 		Duration: simnet.UniformDur(b.rng, 50*time.Millisecond, 600*time.Millisecond),
@@ -250,5 +234,5 @@ func (b *stormBot) emitControlFlow(peer kademlia.Contact, ok bool) {
 		// file-sharing signature (0xe3 followed by an opcode outside the
 		// eDonkey set, so ground-truth labeling does not match them).
 		Payload: []byte{0xe3, 0x0b, 0x00, 0x00},
-	})
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"plotters/internal/flow"
+	"plotters/internal/kademlia"
 	"plotters/internal/simnet"
 )
 
@@ -154,6 +155,21 @@ func EmitFlow(sim *simnet.Simulator, spec FlowSpec) {
 		DstBytes: dstBytes,
 		State:    state,
 		Payload:  payload,
+	})
+}
+
+// EmitLookup replays a DHT lookup as traffic: it emits flowOf(attempt) for
+// each attempt in query order, waiting a UniformDur(minGap, maxGap) gap
+// (drawn after the flow's own draws) between them, the way a UDP client
+// spaces its queries. It stops once active (nil means always) reports
+// false, checked before each attempt.
+func EmitLookup(sim *simnet.Simulator, rng *rand.Rand, attempts []kademlia.Attempt, minGap, maxGap time.Duration, active func() bool, flowOf func(kademlia.Attempt) FlowSpec) {
+	if len(attempts) == 0 || (active != nil && !active()) {
+		return
+	}
+	EmitFlow(sim, flowOf(attempts[0]))
+	sim.After(simnet.UniformDur(rng, minGap, maxGap), func() {
+		EmitLookup(sim, rng, attempts[1:], minGap, maxGap, active, flowOf)
 	})
 }
 

@@ -78,27 +78,18 @@ func (t *Trader) btDHTLookup() {
 		return
 	}
 	attempts := kademlia.IterativeFindNode(t.rt, t.cfg.Network, kademlia.RandomID(t.rng), t.sim.Now(), t.rng, kademlia.DefaultLookupConfig())
-	t.emitDHTAttempts(attempts, 0)
+	synth.EmitLookup(t.sim, t.rng, attempts, 50*time.Millisecond, 500*time.Millisecond, t.inSession, func(a kademlia.Attempt) synth.FlowSpec {
+		return synth.FlowSpec{
+			Src: t.cfg.Host, Dst: a.Peer.Addr,
+			SrcPort: btDHTPort, DstPort: a.Peer.Port, Proto: flow.UDP,
+			Duration: 250 * time.Millisecond,
+			ReqBytes: uint64(simnet.LogNormalMedian(t.rng, 110, 0.2)),
+			RspBytes: uint64(simnet.LogNormalMedian(t.rng, 400, 0.4)),
+			Success:  a.Responded,
+			Payload:  btDHTQuery,
+		}
+	})
 	t.sim.After(t.paced(simnet.UniformDur(t.rng, 3*time.Minute, 10*time.Minute)), t.btDHTLookup)
-}
-
-func (t *Trader) emitDHTAttempts(attempts []kademlia.Attempt, i int) {
-	if i >= len(attempts) || !t.inSession() {
-		return
-	}
-	a := attempts[i]
-	synth.EmitFlow(t.sim, synth.FlowSpec{
-		Src: t.cfg.Host, Dst: a.Peer.Addr,
-		SrcPort: btDHTPort, DstPort: a.Peer.Port, Proto: flow.UDP,
-		Duration: 250 * time.Millisecond,
-		ReqBytes: uint64(simnet.LogNormalMedian(t.rng, 110, 0.2)),
-		RspBytes: uint64(simnet.LogNormalMedian(t.rng, 400, 0.4)),
-		Success:  a.Responded,
-		Payload:  btDHTQuery,
-	})
-	t.sim.After(simnet.UniformDur(t.rng, 50*time.Millisecond, 500*time.Millisecond), func() {
-		t.emitDHTAttempts(attempts, i+1)
-	})
 }
 
 // btSwarmLoop trades pieces: connect to swarm peers (many are gone —

@@ -56,30 +56,21 @@ func (t *Trader) emuleKADLookup() {
 	}
 	target := kademlia.RandomID(t.rng)
 	attempts := kademlia.IterativeFindNode(t.rt, t.cfg.Network, target, t.sim.Now(), t.rng, kademlia.DefaultLookupConfig())
-	t.emitKADAttempts(attempts, 0)
+	// The client spaces the lookup's UDP queries a few hundred
+	// milliseconds apart.
+	synth.EmitLookup(t.sim, t.rng, attempts, 100*time.Millisecond, 700*time.Millisecond, t.inSession, func(a kademlia.Attempt) synth.FlowSpec {
+		return synth.FlowSpec{
+			Src: t.cfg.Host, Dst: a.Peer.Addr,
+			SrcPort: emuleKADPort, DstPort: a.Peer.Port, Proto: flow.UDP,
+			Duration: 300 * time.Millisecond,
+			ReqBytes: uint64(simnet.LogNormalMedian(t.rng, 70, 0.3)),
+			RspBytes: uint64(simnet.LogNormalMedian(t.rng, 350, 0.5)),
+			Success:  a.Responded,
+			Payload:  emuleKADReq(),
+		}
+	})
 	// Sources refresh every few minutes while downloads are queued.
 	t.sim.After(t.paced(simnet.UniformDur(t.rng, 2*time.Minute, 6*time.Minute)), t.emuleKADLookup)
-}
-
-// emitKADAttempts spaces the lookup's UDP queries a few hundred
-// milliseconds apart, as the real client does.
-func (t *Trader) emitKADAttempts(attempts []kademlia.Attempt, i int) {
-	if i >= len(attempts) || !t.inSession() {
-		return
-	}
-	a := attempts[i]
-	synth.EmitFlow(t.sim, synth.FlowSpec{
-		Src: t.cfg.Host, Dst: a.Peer.Addr,
-		SrcPort: emuleKADPort, DstPort: a.Peer.Port, Proto: flow.UDP,
-		Duration: 300 * time.Millisecond,
-		ReqBytes: uint64(simnet.LogNormalMedian(t.rng, 70, 0.3)),
-		RspBytes: uint64(simnet.LogNormalMedian(t.rng, 350, 0.5)),
-		Success:  a.Responded,
-		Payload:  emuleKADReq(),
-	})
-	t.sim.After(simnet.UniformDur(t.rng, 100*time.Millisecond, 700*time.Millisecond), func() {
-		t.emitKADAttempts(attempts, i+1)
-	})
 }
 
 // emuleTransferLoop exchanges file parts with source peers: downloads
