@@ -174,6 +174,10 @@ func (o *options) validate() (mode, error) {
 		{(set["peers"] || set["dist-shards"]) && !dist, "-peers and -dist-shards require -role"},
 		{(set["shard"] || set["drain-timeout"]) && m != shardMode, "-shard and -drain-timeout require -role shard"},
 		{set["dist-timeout"] && m != coordMode, "-dist-timeout requires -role coordinator (it bounds the wait for lagging shards)"},
+		{m == coordMode && (set["sample"] || set["sample-seed"] || set["format"] || set["internal"] || set["shards"]), "-sample, -sample-seed, -format, -internal and -shards shape record ingest, and -role coordinator reads no records"},
+		{m == shardMode && set["detectors"], "-detectors applies to -role coordinator (a shard ships summaries; detection runs at the coordinator)"},
+		{live && set["format"], "-format names a trace file's format (-listen decodes NetFlow v5/v9, IPFIX and sFlow as they arrive)"},
+		{o.sampler.N == 0, "-sample must be >= 1"},
 		{o.distWait < 0, "-dist-timeout must be >= 0 (0 waits forever)"},
 		{live && o.window <= 0, "-listen requires -window (live detection is windowed)"},
 		{dist && o.window <= 0, "-role requires -window (distributed detection is windowed)"},
@@ -595,7 +599,7 @@ func printEnsemble(w io.Writer, detections []*plotters.Detection, verbose bool) 
 	fmt.Fprintf(w, "\ndetector ensemble:\n")
 	for _, dn := range detections {
 		fmt.Fprintf(w, "  %-14s suspects=%d", dn.Detector, len(dn.Suspects))
-		if rep, ok := dn.Details.(*plotters.CommunityReport); ok {
+		if rep := dn.Community; rep != nil {
 			fmt.Fprintf(w, "  graph: hosts=%d edges=%d communities=%d flagged=%d",
 				rep.GraphHosts, rep.GraphEdges, len(rep.Communities), len(rep.Flagged))
 		}

@@ -358,6 +358,14 @@ func TestRejectedFlags(t *testing.T) {
 		{"-drain-timeout 1s x", "-shard and -drain-timeout require -role shard"},
 		{"-role coordinator -drain-timeout 1s " + dist, "-shard and -drain-timeout require -role shard"},
 		{"-role coordinator -shard 1 " + dist, "-shard and -drain-timeout require -role shard"},
+		{"-role coordinator -sample 2 " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
+		{"-role coordinator -sample-seed 7 " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
+		{"-role coordinator -format csv " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
+		{"-role coordinator -internal 10.0.0.0/8 " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
+		{"-role coordinator -shards 4 " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
+		{"-role shard -detectors community " + dist + " x", "-detectors applies to -role coordinator"},
+		{"-listen :0 -window 6h -format csv", "-format names a trace file's format"},
+		{"-sample 0 x", "-sample must be >= 1"},
 		{"-window 6h -peers :7055 x", "-peers and -dist-shards require -role"},
 		{"-window 6h -dist-shards 2 x", "-peers and -dist-shards require -role"},
 		{"-window 6h -ingest-batch 8 x", "-ingest-batch requires -listen"},

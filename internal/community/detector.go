@@ -65,18 +65,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Report is the detector's full per-window outcome, attached to the
-// emitted core.Detection as Details.
-type Report struct {
-	// GraphHosts and GraphEdges size the mutual-contact graph.
-	GraphHosts, GraphEdges int
-	// Communities holds every detected community, sorted by label.
-	Communities []Community
-	// Flagged holds the labels of the communities whose members were
-	// emitted as suspects, in ascending order.
-	Flagged []flow.IP
-}
-
 // Detector implements core.Detector with mutual-contact community
 // analysis.
 type Detector struct {
@@ -96,9 +84,9 @@ func (d *Detector) Name() string { return Name }
 
 // Detect implements core.Detector: build the mutual-contact graph from
 // the source's contact sets, propagate community labels, and flag the
-// communities that are both large and dense enough. The source must
-// track contact sets (every window the engine and batch extraction seal
-// does).
+// communities that are both large and dense enough, with the full
+// outcome attached as Detection.Community. The source must track
+// contact sets (every window the engine and batch extraction seal does).
 func (d *Detector) Detect(src flow.FeatureSource) (*core.Detection, error) {
 	contacts := src.Contacts()
 	if contacts == nil {
@@ -121,7 +109,7 @@ func (d *Detector) Detect(src flow.FeatureSource) (*core.Detection, error) {
 	reg.Gauge("community/communities").Set(int64(len(comms)))
 
 	t = reg.StartStage("community/score")
-	rep := &Report{GraphHosts: g.Hosts(), GraphEdges: g.Edges(), Communities: comms}
+	rep := &core.CommunityReport{GraphHosts: g.Hosts(), GraphEdges: g.Edges(), Communities: comms}
 	suspects := make(core.HostSet)
 	for i := range comms {
 		c := &comms[i]
@@ -138,8 +126,8 @@ func (d *Detector) Detect(src flow.FeatureSource) (*core.Detection, error) {
 	reg.Gauge("community/suspects").Set(int64(len(suspects)))
 
 	return &core.Detection{
-		Detector: d.Name(),
-		Suspects: suspects,
-		Details:  rep,
+		Detector:  d.Name(),
+		Suspects:  suspects,
+		Community: rep,
 	}, nil
 }

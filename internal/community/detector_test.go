@@ -65,9 +65,9 @@ func TestDetectorFlagsRendezvousCommunity(t *testing.T) {
 			t.Errorf("host %v missing from suspects", h)
 		}
 	}
-	rep, ok := d.Details.(*Report)
-	if !ok {
-		t.Fatalf("Details is %T, want *Report", d.Details)
+	rep := d.Community
+	if rep == nil || d.Paper != nil {
+		t.Fatalf("Community = %v, Paper = %v; want a community report alone", rep, d.Paper)
 	}
 	if rep.GraphHosts != 8 {
 		t.Errorf("GraphHosts = %d, want 8", rep.GraphHosts)

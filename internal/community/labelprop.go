@@ -1,42 +1,14 @@
 package community
 
-import "plotters/internal/flow"
+import (
+	"plotters/internal/core"
+	"plotters/internal/flow"
+)
 
 // DefaultMaxIterations bounds label-propagation sweeps. Propagation on
 // real graphs converges in a handful of sweeps; the cap only guards
 // against the oscillation pathological bipartite structures can sustain.
 const DefaultMaxIterations = 64
-
-// Community is one detected host group, canonically labeled by its
-// smallest member address.
-type Community struct {
-	// Label is the community's canonical identifier: the smallest member.
-	Label flow.IP
-	// Members lists the community's hosts in ascending address order.
-	Members []flow.IP
-	// InternalEdges counts edges with both endpoints in the community.
-	InternalEdges int
-	// SharedContacts sums the shared-contact weight of internal edges.
-	SharedContacts int
-}
-
-// AvgDegree returns the community's average internal degree — the
-// density signal the detector scores on. Singletons score 0.
-func (c *Community) AvgDegree() float64 {
-	if len(c.Members) == 0 {
-		return 0
-	}
-	return 2 * float64(c.InternalEdges) / float64(len(c.Members))
-}
-
-// AvgSharedContacts returns the mean shared-contact weight per internal
-// edge (0 for edgeless communities).
-func (c *Community) AvgSharedContacts() float64 {
-	if c.InternalEdges == 0 {
-		return 0
-	}
-	return float64(c.SharedContacts) / float64(c.InternalEdges)
-}
 
 // Propagate partitions the graph into communities by label propagation,
 // made fully deterministic: sweeps are sequential and asynchronous in
@@ -48,7 +20,7 @@ func (c *Community) AvgSharedContacts() float64 {
 //
 // maxIterations <= 0 means DefaultMaxIterations. Isolated vertices end
 // as singleton communities. The result is sorted by label.
-func Propagate(g *Graph, maxIterations int) []Community {
+func Propagate(g *Graph, maxIterations int) []core.Community {
 	if maxIterations <= 0 {
 		maxIterations = DefaultMaxIterations
 	}
@@ -93,9 +65,9 @@ func Propagate(g *Graph, maxIterations int) []Community {
 	for v := 0; v < n; v++ {
 		groups[labels[v]] = append(groups[labels[v]], int32(v))
 	}
-	out := make([]Community, 0, len(groups))
+	out := make([]core.Community, 0, len(groups))
 	for _, vs := range groups {
-		c := Community{Label: g.hosts[vs[0]], Members: make([]flow.IP, len(vs))}
+		c := core.Community{Label: g.hosts[vs[0]], Members: make([]flow.IP, len(vs))}
 		member := make(map[int32]bool, len(vs))
 		for i, v := range vs {
 			c.Members[i] = g.hosts[v]
@@ -117,7 +89,7 @@ func Propagate(g *Graph, maxIterations int) []Community {
 	return out
 }
 
-func sortCommunities(cs []Community) {
+func sortCommunities(cs []core.Community) {
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && cs[j].Label < cs[j-1].Label; j-- {
 			cs[j], cs[j-1] = cs[j-1], cs[j]

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"plotters/internal/core"
 	"plotters/internal/flow"
 )
 
@@ -47,7 +48,7 @@ func mkGraph(t *testing.T, hosts []uint32, edges [][3]uint32) *Graph {
 
 // members flattens communities to label -> sorted members for compact
 // expectations.
-func members(cs []Community) map[uint32][]uint32 {
+func members(cs []core.Community) map[uint32][]uint32 {
 	out := make(map[uint32][]uint32, len(cs))
 	for _, c := range cs {
 		ms := make([]uint32, len(c.Members))
@@ -145,7 +146,7 @@ func TestPropagateParallelCallsAgree(t *testing.T) {
 	ref := Propagate(g, 0)
 	for _, procs := range []int{1, 2, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(procs)
-		results := make([][]Community, 8)
+		results := make([][]core.Community, 8)
 		var wg sync.WaitGroup
 		for i := range results {
 			wg.Add(1)
@@ -181,7 +182,7 @@ func TestCommunityScores(t *testing.T) {
 	if c.AvgSharedContacts() != 4 {
 		t.Errorf("AvgSharedContacts() = %v, want 4", c.AvgSharedContacts())
 	}
-	var zero Community
+	var zero core.Community
 	if zero.AvgDegree() != 0 || zero.AvgSharedContacts() != 0 {
 		t.Error("zero community must score 0")
 	}

@@ -20,9 +20,51 @@ type Detection struct {
 	// Paper carries the full FindPlotters stage-by-stage outcome when
 	// the verdict came from the paper pipeline; nil otherwise.
 	Paper *Result
-	// Details carries a detector-specific report (for the community
-	// detector, its graph and community summary); may be nil.
-	Details any
+	// Community carries the mutual-contact graph and community summary
+	// when the verdict came from the community detector; nil otherwise.
+	Community *CommunityReport
+}
+
+// CommunityReport is the community detector's full per-window outcome.
+type CommunityReport struct {
+	// GraphHosts and GraphEdges size the mutual-contact graph.
+	GraphHosts, GraphEdges int
+	// Communities holds every detected community, sorted by label.
+	Communities []Community
+	// Flagged holds the labels of the communities whose members were
+	// emitted as suspects, in ascending order.
+	Flagged []flow.IP
+}
+
+// Community is one detected host group, canonically labeled by its
+// smallest member address.
+type Community struct {
+	// Label is the community's canonical identifier: the smallest member.
+	Label flow.IP
+	// Members lists the community's hosts in ascending address order.
+	Members []flow.IP
+	// InternalEdges counts edges with both endpoints in the community.
+	InternalEdges int
+	// SharedContacts sums the shared-contact weight of internal edges.
+	SharedContacts int
+}
+
+// AvgDegree returns the community's average internal degree — the
+// density signal the detector scores on. Singletons score 0.
+func (c *Community) AvgDegree() float64 {
+	if len(c.Members) == 0 {
+		return 0
+	}
+	return 2 * float64(c.InternalEdges) / float64(len(c.Members))
+}
+
+// AvgSharedContacts returns the mean shared-contact weight per internal
+// edge (0 for edgeless communities).
+func (c *Community) AvgSharedContacts() float64 {
+	if c.InternalEdges == 0 {
+		return 0
+	}
+	return float64(c.SharedContacts) / float64(c.InternalEdges)
 }
 
 // Detector is the seam every per-window detector implements. The paper

@@ -95,10 +95,10 @@ func NewShardWorker(cfg WorkerConfig) (*ShardWorker, error) {
 		return nil, fmt.Errorf("dist: worker needs an explicit Engine.Origin — shard and coordinator window indices align only against a shared origin")
 	}
 
-	w := &ShardWorker{cfg: cfg, reg: cfg.Engine.Core.Metrics}
+	w := &ShardWorker{cfg: cfg, reg: cfg.Engine.Core.Metrics, fp: FingerprintOf(cfg.Engine, cfg.Shards)}
 
-	// The shard's engine runs the local phase only, over the worker's
-	// hash slice of the monitored population.
+	// The shard's engine only seals windows, over the worker's hash slice
+	// of the monitored population; ship turns each into a summary.
 	ecfg := cfg.Engine
 	inner := ecfg.Internal
 	ecfg.Internal = func(ip flow.IP) bool {
@@ -107,47 +107,27 @@ func NewShardWorker(cfg WorkerConfig) (*ShardWorker, error) {
 		}
 		return flow.ShardOf(ip, cfg.Shards) == cfg.Shard
 	}
-	ecfg.Detectors = []core.Detector{localpass{cfg: ecfg.Core, shard: cfg.Shard, shards: cfg.Shards}}
-	eng, err := engine.New(ecfg, w.emitWindow)
-	if err != nil {
+	var err error
+	if w.eng, err = engine.NewSealer(ecfg, w.ship); err != nil {
 		return nil, err
 	}
-	w.eng = eng
-	w.fp = FingerprintOf(cfg.Engine, cfg.Shards)
 	return w, nil
 }
 
-// localpass adapts core.LocalPass to the detector seam so the shard's
-// windowed engine drives it: each sealed window's Detection carries the
-// ShardSummary as Details and no suspects — a shard alone cannot
-// threshold a population it sees only a hash slice of.
-type localpass struct {
-	cfg           core.Config
-	shard, shards int
-}
-
-func (localpass) Name() string { return "localpass" }
-
-func (d localpass) Detect(src flow.FeatureSource) (*core.Detection, error) {
-	sum, err := core.LocalPass(src, d.cfg, d.shard, d.shards)
-	if err != nil {
-		return nil, fmt.Errorf("localpass: %w", err)
-	}
-	return &core.Detection{Detector: d.Name(), Suspects: core.HostSet{}, Details: sum}, nil
-}
-
-// Engine exposes the underlying windowed detector (window counts, the
+// Engine exposes the underlying windowed engine (window counts, the
 // feature store, checkpoint integration).
 func (w *ShardWorker) Engine() *engine.WindowedDetector { return w.eng }
 
-// emitWindow receives each sealed window's local-phase result from the
-// engine and enqueues its summary for the coordinator.
-func (w *ShardWorker) emitWindow(res *engine.Result) error {
-	sum, ok := res.Detections[0].Details.(*core.ShardSummary)
-	if !ok {
-		return fmt.Errorf("dist: worker window %d carries no shard summary", res.Index)
+// ship runs the local phase over one sealed window and enqueues its summary
+// for the coordinator: a shard alone cannot detect over a hash slice.
+func (w *ShardWorker) ship(src *flow.FeatureSet, res *engine.Result) error {
+	t := w.reg.StartStage("engine/detect")
+	sum, err := core.LocalPass(src, w.cfg.Engine.Core, w.cfg.Shard, w.cfg.Shards)
+	t.Stop()
+	if err != nil {
+		return fmt.Errorf("dist: worker window %d [%v, %v): %w", res.Index, res.Window.From, res.Window.To, err)
 	}
-	sum.Partial = sum.Partial || res.Partial
+	sum.Partial = res.Partial
 	return w.send(frameSummary, EncodeSummary(res.Index, sum))
 }
 

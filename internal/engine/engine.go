@@ -164,13 +164,12 @@ type Result struct {
 // store underneath accepts concurrent Add, but window bookkeeping is
 // single-writer by design — one boundary decision per record).
 type WindowedDetector struct {
-	cfg       Config
-	emit      func(*Result) error
-	preSeal   func() error // nil, or the hook BeforeSeal registered
-	store     *flow.ShardedExtractor
-	detectors []core.Detector
-	paneDur   time.Duration
-	k         int // panes per window (1 = tumbling)
+	cfg     Config
+	step    func(*flow.FeatureSet, *Result) error // every sealed, non-empty window
+	preSeal func() error                          // nil, or the hook BeforeSeal registered
+	store   *flow.ShardedExtractor
+	paneDur time.Duration
+	k       int // panes per window (1 = tumbling)
 
 	started  bool
 	origin   time.Time
@@ -188,10 +187,37 @@ type WindowedDetector struct {
 	drops   *metrics.Counter // "engine/drops"
 }
 
-// New creates a windowed detector. emit receives each sealed window's
-// result in order; a non-nil error from emit aborts the triggering Add,
-// AdvanceTo, or Flush call.
+// New creates a windowed detector: a sealer whose step runs the detectors
+// (RunWindow, "engine/detect") and hands each result to emit, in order. A
+// non-nil error from emit aborts the triggering Add, AdvanceTo, or Flush.
 func New(cfg Config, emit func(*Result) error) (*WindowedDetector, error) {
+	d, err := NewSealer(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	detectors, err := cfg.ResolveDetectors()
+	if err != nil {
+		return nil, err
+	}
+	d.step = func(src *flow.FeatureSet, res *Result) error {
+		return RunWindow(cfg.Core.Metrics, "engine/detect", detectors, src, res, func(r *Result) error {
+			// The count moves before the callback runs: the callback may
+			// snapshot the engine, and the count is part of the snapshot.
+			d.emitted++
+			if emit == nil {
+				return nil
+			}
+			return emit(r)
+		})
+	}
+	return d, nil
+}
+
+// NewSealer creates a windowed engine that seals windows and detects
+// nothing: step receives each sealed window's features and a Result that
+// holds only its window, index and Partial mark (a distributed shard runs
+// its local phase there). A non-nil error from step aborts the call.
+func NewSealer(cfg Config, step func(*flow.FeatureSet, *Result) error) (*WindowedDetector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -206,27 +232,17 @@ func New(cfg Config, emit func(*Result) error) (*WindowedDetector, error) {
 		NewPeerGrace: cfg.Core.NewPeerGrace,
 	}, cfg.Shards, cfg.MaxSkew).Metrics(cfg.Core.Metrics)
 	store.CarryFirstSeen(cfg.CarryFirstSeen)
-	detectors, err := cfg.ResolveDetectors()
-	if err != nil {
-		return nil, err
-	}
 	d := &WindowedDetector{
-		cfg:       cfg,
-		store:     store,
-		detectors: detectors,
-		paneDur:   paneDur,
-		k:         k,
-		records:   cfg.Core.Metrics.Counter("engine/records"),
-		drops:     cfg.Core.Metrics.Counter("engine/drops"),
+		cfg:     cfg,
+		store:   store,
+		paneDur: paneDur,
+		k:       k,
+		records: cfg.Core.Metrics.Counter("engine/records"),
+		drops:   cfg.Core.Metrics.Counter("engine/drops"),
 	}
-	d.emit = func(r *Result) error {
-		// The count moves before the callback runs: the callback may
-		// snapshot the engine, and the count is part of the snapshot.
+	d.step = func(src *flow.FeatureSet, res *Result) error {
 		d.emitted++
-		if emit == nil {
-			return nil
-		}
-		return emit(r)
+		return step(src, res)
 	}
 	cfg.Core.Metrics.Gauge("engine/shards").Set(int64(store.Shards()))
 	return d, nil
@@ -248,7 +264,7 @@ func (d *WindowedDetector) Config() Config { return d.cfg }
 // checkpoint manager flushes its write-ahead log here (nil unregisters).
 func (d *WindowedDetector) BeforeSeal(fn func() error) { d.preSeal = fn }
 
-// Windows returns how many window results have been emitted.
+// Windows returns how many windows went to emit (New) or to step (NewSealer).
 func (d *WindowedDetector) Windows() int { return d.emitted }
 
 // Dropped returns how many records were dropped for arriving beyond
@@ -457,13 +473,13 @@ func (d *WindowedDetector) emitMerged(window flow.Window, index int) error {
 	return d.detect(src, window, index)
 }
 
-// detect runs the detectors over one sealed window and emits the result.
+// detect hands one sealed window to the per-window step.
 func (d *WindowedDetector) detect(src *flow.FeatureSet, w flow.Window, index int) error {
-	return RunWindow(d.cfg.Core.Metrics, "engine/detect", d.detectors, src, &Result{
+	return d.step(src, &Result{
 		Window:  w,
 		Index:   index,
 		Partial: d.flushing && w.To.After(d.frontier),
-	}, d.emit)
+	})
 }
 
 // RunWindow is the one path from a sealed window to its verdicts, shared

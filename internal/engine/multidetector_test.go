@@ -88,8 +88,9 @@ func TestEnsembleEnginePreservesPaperDetection(t *testing.T) {
 		if res.Detections[0].Paper != res.Detection {
 			t.Errorf("window %d: Detection not aliased to the paper detection", i)
 		}
-		if _, ok := res.Detections[1].Details.(*community.Report); !ok {
-			t.Errorf("window %d: community Details is %T", i, res.Detections[1].Details)
+		if res.Detections[1].Community == nil || res.Detections[0].Community != nil {
+			t.Errorf("window %d: community reports %v, %v; want only the second", i,
+				res.Detections[0].Community, res.Detections[1].Community)
 		}
 	}
 	// Default engine results also populate Detections (length 1).
@@ -142,7 +143,7 @@ func TestEngineCommunityMatchesBatch(t *testing.T) {
 					t.Errorf("%v: community suspects = %v, want %v", res.Window,
 						got.Suspects.Sorted(), want.Suspects.Sorted())
 				}
-				gr, wr := got.Details.(*community.Report), want.Details.(*community.Report)
+				gr, wr := got.Community, want.Community
 				if gr.GraphHosts != wr.GraphHosts || gr.GraphEdges != wr.GraphEdges ||
 					len(gr.Communities) != len(wr.Communities) {
 					t.Errorf("%v: graph summary %d/%d/%d, want %d/%d/%d", res.Window,

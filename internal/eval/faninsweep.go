@@ -61,9 +61,7 @@ func (s *Suite) FanInSweep(base community.Config, minShared, maxFanIn []int) ([]
 				return nil, fmt.Errorf("eval: fan-in sweep day %d point (%d,%d): %w",
 					i, points[p].MinSharedContacts, points[p].MaxFanIn, err)
 			}
-			if rep, ok := dn.Details.(*community.Report); ok {
-				points[p].Edges += rep.GraphEdges
-			}
+			points[p].Edges += dn.Community.GraphEdges
 			points[p].Rates.Add(de.Tally(dn.Suspects, hosts).Overall())
 		}
 	}

@@ -235,7 +235,7 @@ func outcomes(rs []*plotters.WindowResult, drops int) ([]outcome, error) {
 		}
 		for _, d := range r.Detections {
 			out[i].Detectors = append(out[i].Detectors, d.Detector)
-			if rep, ok := d.Details.(*plotters.CommunityReport); ok {
+			if rep := d.Community; rep != nil {
 				out[i].Community = &communityOutcome{rep.GraphHosts, rep.GraphEdges, len(rep.Communities), len(rep.Flagged),
 					hostStrings(d.Suspects), len(plotters.UnionSuspects(r.Detections)), len(plotters.IntersectSuspects(r.Detections))}
 			}

@@ -174,8 +174,8 @@ type (
 	CommunityConfig = community.Config
 	// CommunityDetector flags dense mutual-contact communities.
 	CommunityDetector = community.Detector
-	// CommunityReport is the community detector's per-window outcome.
-	CommunityReport = community.Report
+	// CommunityReport is the community verdict's Detection.Community.
+	CommunityReport = core.CommunityReport
 )
 
 // Stable detector identifiers.
