@@ -19,12 +19,12 @@ type RowFunc func(i int) (nbr []int32, dist []float64)
 //
 // +Inf is absorbing under the Lance–Williams average: d(A∪B, K) is finite
 // only when d(A,K) and d(B,K) both are, so the finite neighbours of A∪B
-// are exactly N(A) ∩ N(B). Each slot keeps its neighbours as a list
-// sorted by slot; a merge is a two-pointer intersection of two lists,
-// written back over the surviving slot's own (it is a subsequence), with
-// Agglomerate's arithmetic per common neighbour and a mirror update in
-// that neighbour's list. Lists only shrink, so the graph is copied once
-// into flat arrays and nothing is reallocated.
+// are exactly N(A) ∩ N(B). Each slot keeps (neighbour, pair id) entries
+// sorted by slot, and each pair's distance lives once, by id; a merge is
+// a two-pointer intersection of two lists, written back over the
+// surviving slot's own (it is a subsequence), with Agglomerate's
+// arithmetic per common neighbour written once for both lists. Lists
+// only shrink, so the graph is copied once into flat arrays.
 //
 // Selection is Agglomerate's — a per-row nearest-neighbour cache over
 // finite distances to higher slots, smallest row then smallest column on
@@ -43,9 +43,9 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 	}
 
 	// Working copy of the graph, both directions of every pair: slot i's
-	// list is nbr/val[start[i]:][:length[i]]. Filling rows in ascending i
-	// appends to every list in ascending order — a slot's lower
-	// neighbours while their rows are read, then its own row.
+	// list is nbr/pid[start[i]:][:length[i]], pval[id] a pair's distance.
+	// Filling rows in ascending i appends to every list in ascending
+	// order — lower neighbours while their rows are read, then its own.
 	start := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		rn, _ := row(i)
@@ -58,7 +58,8 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 		start[i+1] += start[i]
 	}
 	nbr := make([]int32, start[n])
-	val := make([]float64, start[n])
+	pid := make([]int32, start[n])
+	pval := make([]float64, 0, start[n]/2)
 	length := make([]int32, n)
 	for i := 0; i < n; i++ {
 		rn, rv := row(i)
@@ -68,11 +69,12 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 				return nil, fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
 			}
 			at := start[i] + int(length[i])
-			nbr[at], val[at] = j, v
+			nbr[at], pid[at] = j, int32(len(pval))
 			length[i]++
 			at = start[j] + int(length[j])
-			nbr[at], val[at] = int32(i), v
+			nbr[at], pid[at] = int32(i), int32(len(pval))
 			length[j]++
+			pval = append(pval, v)
 		}
 	}
 	active := make([]bool, n)
@@ -83,28 +85,28 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 		size[i] = 1
 		slotID[i] = i
 	}
-	list := func(i int) ([]int32, []float64) {
+	list := func(i int) ([]int32, []int32) {
 		lo := start[i]
 		hi := lo + int(length[i])
-		return nbr[lo:hi], val[lo:hi]
+		return nbr[lo:hi], pid[lo:hi]
 	}
 
 	// rowmin[i] / nn[i] as in Agglomerate: the smallest finite distance
 	// from slot i to an active slot above it, and the smallest such slot.
 	// A list may still name slots merged away since it was last
-	// rewritten, or hold +Inf for a neighbour lost to an intersection;
-	// neither wins the strict <. An inactive slot's rowmin is +Inf, so
-	// selection needs no activity test.
+	// rewritten, or a pair lost to +Inf by an intersection on the other
+	// side; neither wins the strict <. An inactive slot's rowmin is +Inf,
+	// so selection needs no activity test.
 	rowmin := make([]float64, n)
 	nn := make([]int, n)
 	recompute := func(i int) {
 		rowmin[i] = math.Inf(1)
 		nn[i] = -1
-		ln, lv := list(i)
+		ln, lp := list(i)
 		k, _ := slices.BinarySearch(ln, int32(i)+1)
 		for ; k < len(ln); k++ {
-			if j := int(ln[k]); active[j] && lv[k] < rowmin[i] {
-				rowmin[i] = lv[k]
+			if j, v := int(ln[k]), pval[lp[k]]; active[j] && v < rowmin[i] {
+				rowmin[i] = v
 				nn[i] = j
 			}
 		}
@@ -132,18 +134,18 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 
 		// Intersect slot bi's list with slot bj's, in place. Every
 		// neighbour k of bi sees its distance to bi change — to the
-		// average where bj reaches it too, else to +Inf — so its own entry
-		// for bi is rewritten and, for k < bi, its cache repaired by
-		// Agglomerate's rule.
+		// average where bj reaches it too, else to +Inf — in the one value
+		// both sides of the pair read, and, for k < bi, has its cache
+		// repaired by Agglomerate's rule.
 		active[bj] = false
 		rowmin[bj] = math.Inf(1)
 		ni, nj := float64(size[bi]), float64(size[bj])
-		an, av := list(bi)
-		bn, bv := list(bj)
+		an, ap := list(bi)
+		bn, bp := list(bj)
 		w, pb := 0, 0
 		for pa, k32 := range an {
-			k := int(k32)
-			va := av[pa]
+			k, id := int(k32), ap[pa]
+			va := pval[id]
 			if !active[k] || math.IsInf(va, 1) {
 				continue
 			}
@@ -152,13 +154,11 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 			}
 			upd := math.Inf(1)
 			if pb < len(bn) && bn[pb] == k32 {
-				upd = average(ni, va, nj, bv[pb])
+				upd = average(ni, va, nj, pval[bp[pb]])
 			}
-			kn, kv := list(k)
-			mirror, _ := slices.BinarySearch(kn, int32(bi))
-			kv[mirror] = upd
+			pval[id] = upd
 			if upd < math.Inf(1) {
-				an[w], av[w] = k32, upd
+				an[w], ap[w] = k32, id
 				w++
 			}
 			if k < bi {

@@ -143,6 +143,19 @@ func TestAgglomerateSparseMatchesDense(t *testing.T) {
 			}
 		}
 	}
+	// Slot 2 loses its pair with slot 0 to +Inf when 0 absorbs 1, keeps
+	// naming slot 4 after 3 absorbs it, and then survives its own merge
+	// with 3: its list still holds the dead slot and the +Inf pair, and
+	// the pair value it shares with 5 must come out as the dense average.
+	inf := math.Inf(1)
+	requireSparseEqualsDense(t, [][]float64{
+		{0, 1, 3, inf, inf, inf},
+		{1, 0, inf, inf, inf, inf},
+		{3, inf, 0, 4, 4, 5},
+		{inf, inf, 4, 0, 2, 6},
+		{inf, inf, 4, 2, 0, 6},
+		{inf, inf, 5, 6, 6, 0},
+	})
 }
 
 func FuzzAgglomerateSparse(f *testing.F) {

@@ -209,10 +209,13 @@ const hmPruneMinHosts = 768
 // (estimated on the calibration sample) from which even a wide θ_hm
 // stays dense: a graph holding a third of the pairs is not sparse. The
 // graph and the clusterer's lists cost 64 bytes a pair against the two
-// matrices' 16 a cell, and every kept pair pays the CDF bound on top of
-// its exact EMD. On the 1,600-host test corpus (2 vCPU) sparse ÷ dense
-// wall time was 0.33× with 7% of the pairs below the cut, 0.76× with 23%
-// and 1.72× with 53%; `detect-wide` sits at 8%.
+// matrices' 16 a cell, and where any signature is long every kept pair
+// pays the CDF bound on top of its exact EMD. On the 1,600-host test
+// corpus (2 vCPU) sparse ÷ dense wall time was 0.33× with 7% of the pairs
+// below the cut, 0.76× with 23% and 1.72× with 53%; `detect-wide` sits at
+// 8%. Those hosts' signatures are all short, and the ratios were measured
+// while every band pair still paid the bound, so they are an upper bound
+// on the sparse side's cost there today.
 const hmSparseMaxBelowCut = 1.0 / 3
 
 // hmGraph is the pairwise half of θ_hm from hmPruneMinHosts hosts up:
@@ -244,26 +247,30 @@ func exactEMD(sigs []*emd.Signature) distmatrix.DistFunc {
 // signature's mean, with the rounding slack of comparing two of them
 // against an exact distance; and the prefilter, the L1 distance of
 // coarsened-CDF signatures over one grid spanning every host's support,
-// at ~1/40th the cost of an exact evaluation.
+// nil where every signature is short enough that no pair can pay for it
+// (see hmBoundCells).
 func hmLowerBounds(sigs []*emd.Signature, cut float64) (key []float64, slack float64, bound distmatrix.BoundFunc) {
 	lo, hi := sigs[0].Support()
 	bins := 0
-	for _, s := range sigs {
+	key = make([]float64, len(sigs))
+	for i, s := range sigs {
 		slo, shi := s.Support()
 		lo, hi = min(lo, slo), max(hi, shi)
 		bins = max(bins, s.Len())
+		key[i] = s.Mean()
 	}
-	key = make([]float64, len(sigs))
+	slack = emd.MeanSlack(bins, max(math.Abs(lo), math.Abs(hi)))
+	if 2*bins <= hmBoundCells {
+		return key, slack, nil // no pair holds more positions than the bound scans
+	}
 	cdfs := make([]*emd.CDFSignature, len(sigs))
 	for i, s := range sigs {
-		key[i] = s.Mean()
 		cdfs[i] = s.CDFSignature(lo, hi, hmBoundCells)
 	}
 	// The early-exit stop sits just above the kernel's slack-adjusted
 	// threshold, so a capped scan that exits has provably cleared it.
 	stop := cut * (1 + 1e-6)
-	bound = func(i, j int) float64 { return emd.LowerBoundAtLeast(cdfs[i], cdfs[j], stop) }
-	return key, emd.MeanSlack(bins, max(math.Abs(lo), math.Abs(hi))), bound
+	return key, slack, func(i, j int) float64 { return emd.LowerBoundAtLeast(cdfs[i], cdfs[j], stop) }
 }
 
 // hmFromMatrix and hmFromGraph are the global half of θ_hm over the two
@@ -347,7 +354,10 @@ func hmClusters(hosts []flow.IP, agglomerate func() (*cluster.Dendrogram, error)
 
 // Pruning-engine tuning. The cell count trades prefilter cost against
 // bound tightness (64 cells over the log-time support resolves the
-// timer structure that separates bot families); the calibration
+// timer structure that separates bot families); a population whose
+// signatures all hold at most half that many positions gets no
+// prefilter, since the exact merge-scan of any pair of them covers no
+// more positions than the bound scans cells. The calibration
 // sample bounds the exhaustive mini-matrix auto-calibration pays — it
 // must stay large enough that the subsample resolves the population's
 // cluster structure (a too-sparse subsample merges across true cluster

@@ -68,8 +68,10 @@ func hmInputs(t testing.TB, src flow.FeatureSource, cfg Config) ([]flow.IP, []*e
 
 // wideCorpus is parallelCorpus's shape at production width: ten bot
 // families on distinct fixed timers (forty hosts each, every host with
-// its own small drift so in-family distances are positive) plus 1,200
-// human-like hosts with irregular gaps — 1,600 clusterable hosts, past
+// its own small drift so in-family distances are positive), 1,200
+// human-like hosts with irregular gaps, and forty long-tailed hosts whose
+// signatures hold more than hmBoundCells/2 positions, so that θ_hm's CDF
+// prefilter has pairs to bound — 1,640 clusterable hosts, past
 // hmPruneMinHosts, so HMTest takes the pruned fill.
 func wideCorpus() []flow.Record {
 	var records []flow.Record
@@ -87,6 +89,34 @@ func wideCorpus() []flow.Record {
 	for i := 0; i < 1200; i++ {
 		records = append(records, humanRecords(rng, addr, float64(5+i%37))...)
 		addr++
+	}
+	for i := 0; i < 40; i++ {
+		records = append(records, longTailRecords(rng, addr)...)
+		addr++
+	}
+	return records
+}
+
+// longTailRecords is one host with a long signature: 400 flows to one
+// server, about two thirds of them on a jittered 30 s timer and the rest
+// spread log-uniformly from one second to a few hours. The timer keeps
+// the interquartile range, and so the Freedman–Diaconis bins, narrow;
+// the spread fills a hundred or so of them.
+func longTailRecords(rng *rand.Rand, addr flow.IP) []flow.Record {
+	records := make([]flow.Record, 0, 400)
+	at := t0()
+	for j := 0; j < 400; j++ {
+		records = append(records, flow.Record{
+			Src: addr, Dst: 0x0E000000, SrcPort: 4000, DstPort: 80, Proto: flow.TCP,
+			Start: at, End: at.Add(time.Second),
+			SrcPkts: 1, DstPkts: 1, SrcBytes: 100, DstBytes: 10,
+			State: flow.StateEstablished,
+		})
+		gap := 30 + rng.Float64()
+		if rng.Float64() < 0.35 {
+			gap = math.Exp(rng.Float64() * 9)
+		}
+		at = at.Add(time.Duration(gap * float64(time.Second)))
 	}
 	return records
 }
@@ -203,6 +233,48 @@ func TestHMTestAutoCalibratedPruneMatchesExhaustive(t *testing.T) {
 		}
 		if overcut := snap.Gauges["pipeline/hm/overcut"]; overcut != 0 {
 			t.Errorf("parallelism=%d: overcut gauge = %d, want 0: calibrated cut must dominate every surviving diameter", par, overcut)
+		}
+	}
+}
+
+// TestHMTestShortSignaturesSkipPrefilter is the other side of the
+// prefilter's length rule. Where no two signatures hold more than
+// hmBoundCells positions between them, the exact EMD costs no more than
+// the bound that would skip it, so hmGraph builds no prefilter: every
+// pair in the mean-index band is evaluated exactly, none is pruned by the
+// bound, and the graph is still the gated oracle's. The population is
+// wideCorpus less its long-tailed hosts, which keep the prefilter busy
+// in TestHMTestAutoCalibratedPruneMatchesExhaustive.
+func TestHMTestShortSignaturesSkipPrefilter(t *testing.T) {
+	cfg := pruneCfg()
+	_, all, _ := hmInputs(t, wideSource(), cfg)
+	var sigs []*emd.Signature
+	for _, s := range all {
+		if s.Len() <= hmBoundCells/2 {
+			sigs = append(sigs, s)
+		}
+	}
+	if len(sigs) == len(all) || len(sigs) < hmPruneMinHosts {
+		t.Fatalf("%d of %d signatures are short: want some long ones, and at least %d short", len(sigs), len(all), hmPruneMinHosts)
+	}
+	cut, _, err := calibrateCut(sigs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := distmatrix.Compute(len(sigs), exactEMD(sigs), distmatrix.Options{Cut: cut})
+	for _, par := range []int{1, 0} {
+		reg := metrics.New()
+		run := cfg
+		run.Parallelism = par
+		run.Metrics = reg
+		if !graphIsGatedMatrix(t, hmGraph(sigs, cut, run), want) {
+			t.Errorf("parallelism=%d: graph diverged from the gated oracle at cut %v", par, cut)
+		}
+		c := reg.TakeSnapshot().Counters
+		band := c["distmatrix/pairs_total"] - c["distmatrix/pairs_pruned_index"]
+		if band == 0 || c["distmatrix/pairs"] != band || c["distmatrix/pairs_pruned_bound"] != 0 {
+			t.Errorf("parallelism=%d: pairs = %d, pairs_pruned_bound = %d, want every one of the band's %d pairs exact and none bounded",
+				par, c["distmatrix/pairs"], c["distmatrix/pairs_pruned_bound"], band)
 		}
 	}
 }
@@ -344,11 +416,12 @@ func TestHMTestGaugesFollowWindow(t *testing.T) {
 // n×n array — not the distance matrix, not the clusterer's working copy
 // (the dense path allocates both: 16·n² bytes). What one HMTest allocates
 // is proportional to the below-cut graph — at most 64 bytes a pair: 16
-// as found, 12 + 12 bucketed then stored, 24 in the clusterer's two-way
-// lists — plus per-host work and calibration's fixed 384-host
-// mini-matrix, which together must stay under half of one 8·n² matrix.
-// (This corpus is dense for a θ_hm population: 23% of its pairs are
-// below the calibrated cut, against 8% on the benchmark's campus.)
+// as found, 12 + 12 bucketed then stored, 24 in the clusterer (two
+// 8-byte list entries and the pair's one value) — plus per-host work and
+// calibration's fixed 384-host mini-matrix, which together must stay
+// under half of one 8·n² matrix. (This corpus is dense for a θ_hm
+// population: 20% of its pairs are below the calibrated cut, against 8%
+// on the benchmark's campus.)
 func TestHMTestWideAllocatesNoMatrix(t *testing.T) {
 	reg := metrics.New()
 	cfg := pruneCfg()

@@ -55,8 +55,9 @@ import (
 type DistFunc func(i, j int) float64
 
 // BoundFunc reports a lower bound on the distance between items i and j
-// (i < j): Bound(i, j) <= dist(i, j) up to float rounding. It must be
-// cheap relative to DistFunc and safe for concurrent calls.
+// (i < j): Bound(i, j) <= dist(i, j) up to float rounding, safe for
+// concurrent calls. Where it would cost as much as DistFunc on every
+// pair, pass nil.
 type BoundFunc func(i, j int) float64
 
 // Sentinel is the value of a pair whose distance exceeds the cut: what a

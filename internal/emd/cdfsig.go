@@ -18,9 +18,9 @@ package emd
 //
 // The payoff is shape: the per-host precomputation is O(m + G) once, and
 // the per-pair bound is an L1 distance between two fixed-length flat
-// float64 vectors — a branch-free loop the compiler keeps in registers,
-// 30–50× cheaper than an exact EMD evaluation over two ~hundred-bin
-// signatures.
+// float64 vectors, a branch-free loop. It can beat the exact merge-scan
+// only on a pair holding more than G positions between them, so θ_hm
+// builds none where every signature holds at most G/2.
 
 // CDFSignature is a host's coarsened-CDF signature over a shared grid:
 // vals[t] is the exact integral of the signature's CDF over grid cell t.
