@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"plotters"
@@ -20,37 +22,49 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "flowstat:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("flowstat", flag.ContinueOnError)
 	var (
-		format    = flag.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
-		internals = flag.String("internal", "", "comma-separated internal CIDRs (empty = all initiators)")
-		cdf       = flag.String("cdf", "", "dump a CDF: avgbytes, failrate, newip, or flows")
+		format    = fs.String("format", "binary", "trace format: "+plotters.TraceFormatNames())
+		internals = fs.String("internal", "", "comma-separated internal CIDRs (empty = all initiators)")
+		cdf       = fs.String("cdf", "", "dump a CDF: avgbytes, failrate, newip, or flows")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
 		return fmt.Errorf("expected exactly one trace file argument")
 	}
+	features := map[string]func(*plotters.HostFeatures) float64{
+		"avgbytes": (*plotters.HostFeatures).AvgBytesPerFlow,
+		"failrate": (*plotters.HostFeatures).FailedRate,
+		"newip":    (*plotters.HostFeatures).NewPeerFraction,
+		"flows":    func(f *plotters.HostFeatures) float64 { return float64(f.Flows) },
+	}
+	if _, ok := features[*cdf]; *cdf != "" && !ok {
+		return fmt.Errorf("unknown CDF feature %q (want avgbytes, failrate, newip, or flows)", *cdf)
+	}
+	var internal func(plotters.IP) bool
+	var err error
+	if *internals != "" {
+		if internal, err = plotters.ParseSubnets(*internals); err != nil {
+			return err
+		}
+	}
 	var records []plotters.Record
-	_, _, err := plotters.ScanTraceFile(flag.Arg(0), *format, nil, plotters.FlowSampler{}, func(rec *plotters.Record) error {
+	_, _, err = plotters.ScanTraceFile(fs.Arg(0), *format, nil, plotters.FlowSampler{}, func(rec *plotters.Record) error {
 		records = append(records, *rec)
 		return nil
 	})
 	if err != nil {
 		return err
-	}
-	var internal func(plotters.IP) bool
-	if *internals != "" {
-		internal, err = plotters.ParseSubnets(*internals)
-		if err != nil {
-			return err
-		}
 	}
 
 	var totalBytes uint64
@@ -61,61 +75,39 @@ func run() error {
 			failed++
 		}
 	}
-	fmt.Printf("records\t%d\nfailed\t%d (%.1f%%)\nbytes\t%d\n", len(records), failed,
+	fmt.Fprintf(stdout, "records\t%d\nfailed\t%d (%.1f%%)\nbytes\t%d\n", len(records), failed,
 		100*float64(failed)/float64(max(1, len(records))), totalBytes)
 	if len(records) > 0 {
-		fmt.Printf("span\t%s .. %s\n",
+		fmt.Fprintf(stdout, "span\t%s .. %s\n",
 			records[0].Start.Format("2006-01-02 15:04:05"),
 			records[len(records)-1].Start.Format("2006-01-02 15:04:05"))
 	}
 
 	feats := plotters.ExtractFeatures(records, plotters.FeatureOptions{Hosts: internal})
-	fmt.Printf("hosts\t%d\n\n", len(feats))
+	fmt.Fprintf(stdout, "hosts\t%d\n\n", len(feats))
 	if len(feats) == 0 {
 		return nil
 	}
 
-	features := map[string]func(*plotters.HostFeatures) float64{
-		"avgbytes": (*plotters.HostFeatures).AvgBytesPerFlow,
-		"failrate": (*plotters.HostFeatures).FailedRate,
-		"newip":    (*plotters.HostFeatures).NewPeerFraction,
-		"flows":    func(f *plotters.HostFeatures) float64 { return float64(f.Flows) },
-	}
-	order := []string{"avgbytes", "failrate", "newip", "flows"}
-	for _, name := range order {
-		vals := make([]float64, 0, len(feats))
+	values := make(map[string][]float64, len(features))
+	for _, name := range []string{"avgbytes", "failrate", "newip", "flows"} {
 		for _, f := range feats {
-			vals = append(vals, features[name](f))
+			values[name] = append(values[name], features[name](f))
 		}
-		sum, err := stats.Summarize(vals)
+		sum, err := stats.Summarize(values[name])
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s %s\n", name, sum)
+		fmt.Fprintf(stdout, "%-9s %s\n", name, sum)
 	}
 
 	if *cdf != "" {
-		get, ok := features[*cdf]
-		if !ok {
-			return fmt.Errorf("unknown CDF feature %q (want avgbytes, failrate, newip, or flows)", *cdf)
-		}
-		vals := make([]float64, 0, len(feats))
-		for _, f := range feats {
-			vals = append(vals, get(f))
-		}
-		ecdf, err := stats.NewECDF(vals)
+		ecdf, err := stats.NewECDF(values[*cdf])
 		if err != nil {
 			return err
 		}
-		fmt.Println()
-		fmt.Print(stats.FormatCDF(*cdf, ecdf.Sampled(100)))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, stats.FormatCDF(*cdf, ecdf.Sampled(100)))
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

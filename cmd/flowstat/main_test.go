@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"plotters"
@@ -24,8 +25,16 @@ func TestParseSubnets(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	if max(1, 2) != 2 || max(3, 2) != 3 {
-		t.Error("max wrong")
+// TestFlagsRejectedBeforeScan: a bad -cdf or -internal is refused
+// before the trace is opened, so a missing trace is never reached.
+func TestFlagsRejectedBeforeScan(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-cdf bogus missing.flows", "unknown CDF feature"},
+		{"-internal nope missing.flows", "flow: subnet"},
+	} {
+		var out strings.Builder
+		if err := run(strings.Fields(tc.args), &out); err == nil || !strings.HasPrefix(err.Error(), tc.want) || out.Len() != 0 {
+			t.Errorf("flowstat %s: got %v after %q, want %q", tc.args, err, out.String(), tc.want)
+		}
 	}
 }

@@ -178,6 +178,7 @@ func (o *options) validate() (mode, error) {
 		{m == shardMode && set["detectors"], "-detectors applies to -role coordinator (a shard ships summaries; detection runs at the coordinator)"},
 		{live && set["format"], "-format names a trace file's format (-listen decodes NetFlow v5/v9, IPFIX and sFlow as they arrive)"},
 		{o.sampler.N == 0, "-sample must be >= 1"},
+		{set["sample-seed"] && o.sampler.N == 1, "-sample-seed requires -sample > 1 (1-in-1 sampling keeps every flow)"},
 		{o.distWait < 0, "-dist-timeout must be >= 0 (0 waits forever)"},
 		{live && o.window <= 0, "-listen requires -window (live detection is windowed)"},
 		{dist && o.window <= 0, "-role requires -window (distributed detection is windowed)"},

@@ -366,6 +366,8 @@ func TestRejectedFlags(t *testing.T) {
 		{"-role shard -detectors community " + dist + " x", "-detectors applies to -role coordinator"},
 		{"-listen :0 -window 6h -format csv", "-format names a trace file's format"},
 		{"-sample 0 x", "-sample must be >= 1"},
+		{"-sample-seed 5 x", "-sample-seed requires -sample > 1"},
+		{"-window 6h -sample 1 -sample-seed 5 x", "-sample-seed requires -sample > 1"},
 		{"-window 6h -peers :7055 x", "-peers and -dist-shards require -role"},
 		{"-window 6h -dist-shards 2 x", "-peers and -dist-shards require -role"},
 		{"-window 6h -ingest-batch 8 x", "-ingest-batch requires -listen"},

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,44 +28,52 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "synthgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("synthgen", flag.ContinueOnError)
 	var (
-		outDir  = flag.String("out", "", "output directory (required)")
-		days    = flag.Int("days", 8, "number of campus days to synthesize")
-		seed    = flag.Int64("seed", 42, "master random seed")
-		campus  = flag.Int("campus", 360, "background campus hosts per day")
-		format  = flag.String("format", "binary", "trace format: "+flowio.Names())
-		gnut    = flag.Int("gnutella", 10, "Gnutella Traders per day")
-		emule   = flag.Int("emule", 12, "eMule Traders per day")
-		torrent = flag.Int("bittorrent", 20, "BitTorrent Traders per day")
+		outDir  = fs.String("out", "", "output directory (required)")
+		days    = fs.Int("days", 8, "number of campus days to synthesize")
+		seed    = fs.Int64("seed", 42, "master random seed")
+		campus  = fs.Int("campus", 360, "background campus hosts per day")
+		format  = fs.String("format", "binary", "trace format: "+flowio.Names())
+		gnut    = fs.Int("gnutella", 10, "Gnutella Traders per day")
+		emule   = fs.Int("emule", 12, "eMule Traders per day")
+		torrent = fs.Int("bittorrent", 20, "BitTorrent Traders per day")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *outDir == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("-out is required")
 	}
 	tf, err := flowio.Lookup(*format)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return fmt.Errorf("creating output dir: %w", err)
-	}
-
 	cfg := scenario.DefaultDatasetConfig(*seed)
 	cfg.Days = *days
 	cfg.DayTemplate.CampusHosts = *campus
 	cfg.DayTemplate.Gnutella = *gnut
 	cfg.DayTemplate.EMule = *emule
 	cfg.DayTemplate.BitTorrent = *torrent
+	if cfg.Days <= 0 {
+		return fmt.Errorf("-days must be positive, got %d", cfg.Days)
+	}
+	if err := cfg.DayTemplate.Validate(); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return fmt.Errorf("creating output dir: %w", err)
+	}
 
-	fmt.Fprintf(os.Stderr, "synthesizing %d days (%d campus hosts, %d traders/day) + honeynet traces...\n",
+	fmt.Fprintf(stderr, "synthesizing %d days (%d campus hosts, %d traders/day) + honeynet traces...\n",
 		cfg.Days, *campus, *gnut+*emule+*torrent)
 	ds, err := scenario.GenerateDataset(cfg)
 	if err != nil {
@@ -85,7 +95,7 @@ func run() error {
 		}
 		sort.Strings(traders)
 		fmt.Fprintf(&manifest, "day\t%d\ttraders\t%s\n", i, strings.Join(traders, ","))
-		fmt.Fprintf(os.Stderr, "  %s: %d records\n", name, len(day.Records))
+		fmt.Fprintf(stderr, "  %s: %d records\n", name, len(day.Records))
 	}
 	for _, tr := range []struct {
 		name  string
@@ -104,13 +114,13 @@ func run() error {
 		}
 		fmt.Fprintf(&manifest, "trace\t%s\tfile\t%s\trecords\t%d\tbots\t%s\n",
 			tr.name, name, len(tr.trace.Records), strings.Join(bots, ","))
-		fmt.Fprintf(os.Stderr, "  %s: %d records, %d bots\n", name, len(tr.trace.Records), len(tr.trace.Bots))
+		fmt.Fprintf(stderr, "  %s: %d records, %d bots\n", name, len(tr.trace.Records), len(tr.trace.Bots))
 	}
 	manifestPath := filepath.Join(*outDir, "manifest.txt")
 	if err := os.WriteFile(manifestPath, []byte(manifest.String()), 0o644); err != nil {
 		return fmt.Errorf("writing manifest: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", manifestPath)
+	fmt.Fprintf(stderr, "wrote %s\n", manifestPath)
 	return nil
 }
 

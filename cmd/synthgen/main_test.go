@@ -47,3 +47,21 @@ func TestWriteTrace(t *testing.T) {
 		t.Error("unknown format accepted")
 	}
 }
+
+// TestRejectedBeforeOutput: a bad shape is refused before the output
+// directory is created or any progress is printed.
+func TestRejectedBeforeOutput(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-days 0", "-days must be positive"},
+		{"-campus 0", "scenario: campus hosts must be positive"},
+		{"-emule -1", "scenario: trader counts must be non-negative"},
+	} {
+		dir := filepath.Join(t.TempDir(), "out")
+		var stderr strings.Builder
+		err := run(append(strings.Fields(tc.args), "-out", dir), &stderr)
+		_, statErr := os.Stat(dir)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || stderr.Len() != 0 || !os.IsNotExist(statErr) {
+			t.Errorf("synthgen %s: got %v after %q (stat %s: %v), want %q before any output", tc.args, err, stderr.String(), dir, statErr, tc.want)
+		}
+	}
+}

@@ -4,6 +4,8 @@
 // to end: flow records in the order a monitor reports them → sharded
 // feature accumulation → the full FindPlotters pipeline at every window
 // boundary, all without materializing the trace.
+// The detection is `plotfind -window`; the example stays for -serve
+// (/metrics and pprof over HTTP) until plotfind has a -serve of its own.
 package main
 
 import (
@@ -47,11 +49,12 @@ func run() error {
 		fmt.Printf("metrics at http://%s/metrics (Prometheus text; ?format=json for JSON), pprof at http://%s/debug/pprof/\n", addr, addr)
 	}
 
-	// The detection pipeline, scaled to a demo-sized population: the
-	// synthetic feed's hosts make far fewer contacts per window than a
-	// campus day, so θ_hm needs a lower sample floor.
+	// The detection pipeline, scaled to a demo-sized population: fewer
+	// contacts per window than a campus day need a lower θ_hm sample
+	// floor, and θ_churn needs a new-peer grace shorter than a window.
 	cfg := plotters.DefaultConfig()
 	cfg.MinInterstitialSamples = 20
+	cfg.NewPeerGrace = 10 * time.Minute
 	cfg.Metrics = reg
 
 	// The continuous engine: tumbling windows over the live feed. Flow

@@ -78,15 +78,15 @@ func NewWorld(name string, scale Scale) (World, error) {
 	switch strings.ToLower(name) {
 	case "baseline":
 	case "edonkey":
-		cfg.EDonkey = max2(2, cfg.EMule)
+		cfg.EDonkey = max(2, cfg.EMule)
 	case "cross-swarm":
-		cfg.CrossSwarm = max2(2, cfg.BitTorrent/2)
+		cfg.CrossSwarm = max(2, cfg.BitTorrent/2)
 		cfg.SwarmsPerPeer = 4
 	case "nat-campus":
-		cfg.NATGateways = max2(2, cfg.CampusHosts/60)
+		cfg.NATGateways = max(2, cfg.CampusHosts/60)
 		cfg.NATHostsBehind = 6
 	case "dht-crawler":
-		cfg.DHTCrawlers = max2(2, cfg.CampusHosts/120)
+		cfg.DHTCrawlers = max(2, cfg.CampusHosts/120)
 	case "diurnal-10x":
 		cfg.CampusHosts *= 10
 		cfg.Gnutella *= 10
@@ -130,11 +130,4 @@ func honeynetBots(scale Scale) (storm, nugache int) {
 		return 4, 16
 	}
 	return 13, 82
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
