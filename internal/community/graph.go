@@ -19,7 +19,7 @@ package community
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"plotters/internal/flow"
 )
@@ -74,117 +74,179 @@ func (c *GraphConfig) Validate() error {
 // MinSharedContacts members. Vertices are indexed by position in the
 // ascending host list, so all iteration is deterministic.
 type Graph struct {
-	hosts []flow.IP       // ascending
-	index map[flow.IP]int // host -> vertex
-	adj   [][]int32       // per-vertex neighbor lists, ascending
-	wts   [][]int32       // shared-contact count per neighbor, parallel to adj
+	hosts []flow.IP // ascending; a host's vertex is its position
+	adj   [][]int32 // per-vertex neighbor lists, ascending, over one array
+	wts   [][]int32 // shared-contact count per neighbor, parallel to adj
 	edges int
 }
 
 // BuildGraph constructs the mutual-contact graph from per-host contact
-// sets (each host's contacted destinations; order inside a set does not
-// matter). The construction is an inverted index pass — destination →
-// contacting hosts — followed by pair counting, so cost scales with the
-// overlap actually present, not with hosts².
+// sets (each host's contacted destinations, in any order; sets, so
+// repeats count once). It inverts the sets into one ascending posting
+// list per destination, then counts shared contacts row by row in a
+// dense accumulator: cost scales with the overlap present, not hosts².
 func BuildGraph(contacts map[flow.IP][]flow.IP, cfg GraphConfig) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		hosts: make([]flow.IP, 0, len(contacts)),
-		index: make(map[flow.IP]int, len(contacts)),
-	}
-	for h := range contacts {
+	g := &Graph{hosts: make([]flow.IP, 0, len(contacts))}
+	total := 0
+	for h, dsts := range contacts {
 		g.hosts = append(g.hosts, h)
+		total += len(dsts)
 	}
-	sort.Slice(g.hosts, func(i, j int) bool { return g.hosts[i] < g.hosts[j] })
-	for i, h := range g.hosts {
-		g.index[h] = i
-	}
+	slices.Sort(g.hosts)
+	n := len(g.hosts)
 
-	// Invert: destination -> ascending vertex list of contacting hosts.
-	inv := make(map[flow.IP][]int32)
-	for i, h := range g.hosts {
+	// Invert: (destination, vertex) keys emitted in vertex order and
+	// stably sorted by destination lay each destination's vertices out
+	// contiguously and ascending, a host's repeats adjacent.
+	keys := make([]uint64, 0, total)
+	for v, h := range g.hosts {
 		for _, dst := range contacts[h] {
-			inv[dst] = append(inv[dst], int32(i))
+			keys = append(keys, uint64(dst)<<32|uint64(v))
 		}
 	}
+	keys = sortByDst(keys)
 
-	// Count shared contacts per host pair. Destinations contacted by one
-	// host pair nothing; destinations above the fan-in cap are popular
-	// services, not rendezvous points. With IDFWeights a second
-	// accumulator sums each destination's rarity instead of 1, but the
-	// raw count still decides edge existence.
-	pairs := make(map[uint64]int32)
-	var idf map[uint64]int64
-	if cfg.IDFWeights {
-		idf = make(map[uint64]int64)
-	}
-	for _, hs := range inv {
-		if len(hs) < 2 || (cfg.MaxFanIn > 0 && len(hs) > cfg.MaxFanIn) {
+	// Postings: each destination's distinct vertices, dropped unless it
+	// pairs hosts (fan-in >= 2) and is no popular service (fan-in <=
+	// MaxFanIn). With IDFWeights each carries its rarity, summed in place
+	// of 1, but the raw count still decides edge existence.
+	post := make([]int32, 0, len(keys))
+	postOff := []int32{0}
+	var rarity []int64
+	for i := 0; i < len(keys); {
+		dst, start := keys[i]>>32, len(post)
+		for ; i < len(keys) && keys[i]>>32 == dst; i++ {
+			if v := int32(keys[i]); len(post) == start || post[len(post)-1] != v {
+				post = append(post, v)
+			}
+		}
+		fanIn := len(post) - start
+		if fanIn < 2 || (cfg.MaxFanIn > 0 && fanIn > cfg.MaxFanIn) {
+			post = post[:start]
 			continue
 		}
-		var rarity int64
+		postOff = append(postOff, int32(len(post)))
 		if cfg.IDFWeights {
-			rarity = int64(math.Round(math.Log(float64(len(g.hosts))/float64(len(hs))) * idfScale))
+			rarity = append(rarity, int64(math.Round(math.Log(float64(n)/float64(fanIn))*idfScale)))
 		}
-		sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-		for i := 0; i < len(hs); i++ {
-			for j := i + 1; j < len(hs); j++ {
-				key := uint64(hs[i])<<32 | uint64(hs[j])
-				pairs[key]++
-				if cfg.IDFWeights {
-					idf[key] += rarity
+	}
+
+	// Each vertex's memberships, grouped by vertex: its position in each
+	// posting it is in. Counting sort; order inside a group is free.
+	type membership struct{ at, p int32 }
+	memOff := make([]int32, n+1)
+	for _, v := range post {
+		memOff[v]++
+	}
+	for v := 1; v <= n; v++ {
+		memOff[v] += memOff[v-1]
+	}
+	mem := make([]membership, len(post))
+	for p := 0; p+1 < len(postOff); p++ {
+		for at := postOff[p]; at < postOff[p+1]; at++ {
+			memOff[post[at]]--
+			mem[memOff[post[at]]] = membership{at, int32(p)}
+		}
+	}
+
+	// Count row by row: vertex a meets every b after it in each of its
+	// postings. Each row's surviving edges, packed b<<32 | weight, are
+	// sorted, so edges come out in (a, b) order.
+	cnt := make([]int32, n)
+	var idf []int64
+	if cfg.IDFWeights {
+		idf = make([]int64, n)
+	}
+	var touched []int32
+	var edges []uint64
+	rowEnd := make([]int32, n)
+	deg := make([]int32, n)
+	for a := 0; a < n; a++ {
+		for _, m := range mem[memOff[a]:memOff[a+1]] {
+			for _, b := range post[m.at+1 : postOff[m.p+1]] {
+				if cnt[b] == 0 {
+					touched = append(touched, b)
+				}
+				cnt[b]++
+				if idf != nil {
+					idf[b] += rarity[m.p]
 				}
 			}
 		}
-	}
-
-	g.adj = make([][]int32, len(g.hosts))
-	g.wts = make([][]int32, len(g.hosts))
-	for key, n := range pairs {
-		if int(n) < cfg.MinSharedContacts {
-			continue
-		}
-		w := n
-		if cfg.IDFWeights {
-			// Keep the weight in fixed-point units — rounding to whole
-			// units would collapse most rarity distinctions — clamped to 1
-			// so a qualifying edge always carries a vote even when every
-			// shared destination is campus-wide popular (idf ≈ 0).
-			w = int32(idf[key])
-			if w < 1 {
-				w = 1
+		row := len(edges)
+		for _, b := range touched {
+			if int(cnt[b]) >= cfg.MinSharedContacts {
+				w := cnt[b]
+				if idf != nil {
+					// Fixed-point (whole units would collapse most rarity
+					// distinctions), clamped to 1 so a qualifying edge
+					// votes even when every shared destination is
+					// campus-wide popular (idf ≈ 0).
+					w = max(int32(idf[b]), 1)
+				}
+				edges = append(edges, uint64(b)<<32|uint64(w))
+				deg[a]++
+				deg[b]++
+			}
+			cnt[b] = 0
+			if idf != nil {
+				idf[b] = 0
 			}
 		}
-		a, b := int32(key>>32), int32(key&0xffffffff)
-		g.adj[a] = append(g.adj[a], b)
-		g.wts[a] = append(g.wts[a], w)
-		g.adj[b] = append(g.adj[b], a)
-		g.wts[b] = append(g.wts[b], w)
-		g.edges++
+		touched = touched[:0]
+		slices.Sort(edges[row:])
+		rowEnd[a] = int32(len(edges))
 	}
-	for v := range g.adj {
-		sortAdj(g.adj[v], g.wts[v])
+	g.edges = len(edges)
+
+	// Rows carved from one array: a vertex's smaller neighbors arrive
+	// from earlier rows, then its own row's larger ones, so rows ascend.
+	nbr, wt := make([]int32, 2*len(edges)), make([]int32, 2*len(edges))
+	g.adj, g.wts = make([][]int32, n), make([][]int32, n)
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v], g.wts[v] = nbr[:0:d], wt[:0:d]
+			nbr, wt = nbr[d:], wt[d:]
+		}
+	}
+	row := int32(0)
+	for a := range rowEnd {
+		for _, e := range edges[row:rowEnd[a]] {
+			b, w := int32(e>>32), int32(e)
+			g.adj[a], g.wts[a] = append(g.adj[a], b), append(g.wts[a], w)
+			g.adj[b], g.wts[b] = append(g.adj[b], int32(a)), append(g.wts[b], w)
+		}
+		row = rowEnd[a]
 	}
 	return g, nil
 }
 
-// sortAdj sorts a neighbor list ascending, keeping weights parallel.
-func sortAdj(adj, wts []int32) {
-	idx := make([]int, len(adj))
-	for i := range idx {
-		idx[i] = i
+// sortByDst stably sorts keys by their high 32 bits, the destination:
+// an LSD radix sort, one pass per byte, skipping a byte all keys share.
+func sortByDst(keys []uint64) []uint64 {
+	buf := make([]uint64, len(keys))
+	for shift := 32; shift < 64; shift += 8 {
+		var at [257]int
+		for _, k := range keys {
+			at[k>>shift&0xff+1]++
+		}
+		if len(keys) == 0 || at[keys[0]>>shift&0xff+1] == len(keys) {
+			continue
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		for _, k := range keys {
+			b := k >> shift & 0xff
+			buf[at[b]] = k
+			at[b]++
+		}
+		keys, buf = buf, keys
 	}
-	sort.Slice(idx, func(i, j int) bool { return adj[idx[i]] < adj[idx[j]] })
-	na := make([]int32, len(adj))
-	nw := make([]int32, len(wts))
-	for i, k := range idx {
-		na[i] = adj[k]
-		nw[i] = wts[k]
-	}
-	copy(adj, na)
-	copy(wts, nw)
+	return keys
 }
 
 // Hosts returns the vertex count.
@@ -196,29 +258,23 @@ func (g *Graph) Edges() int { return g.edges }
 // Degree returns how many mutual-contact neighbors a host has (0 for
 // unknown hosts).
 func (g *Graph) Degree(h flow.IP) int {
-	v, ok := g.index[h]
-	if !ok {
-		return 0
+	if v, ok := slices.BinarySearch(g.hosts, h); ok {
+		return len(g.adj[v])
 	}
-	return len(g.adj[v])
+	return 0
 }
 
 // Weight returns the edge weight between two hosts (0 if no edge): the
 // shared-contact count, or the rounded destination-rarity sum when the
 // graph was built with IDFWeights.
 func (g *Graph) Weight(a, b flow.IP) int {
-	va, ok := g.index[a]
-	if !ok {
+	va, aok := slices.BinarySearch(g.hosts, a)
+	vb, bok := slices.BinarySearch(g.hosts, b)
+	if !aok || !bok {
 		return 0
 	}
-	vb, ok := g.index[b]
-	if !ok {
-		return 0
-	}
-	for i, n := range g.adj[va] {
-		if n == int32(vb) {
-			return int(g.wts[va][i])
-		}
+	if i, ok := slices.BinarySearch(g.adj[va], int32(vb)); ok {
+		return int(g.wts[va][i])
 	}
 	return 0
 }

@@ -131,6 +131,27 @@ func TestBuildGraphIDFClampsToOne(t *testing.T) {
 	}
 }
 
+// Contact lists are sets: a destination repeated in one host's list
+// counts once, so it neither pairs the host with itself nor inflates
+// its shared contacts with another host.
+func TestBuildGraphRepeatsCountOnce(t *testing.T) {
+	contacts := map[flow.IP][]flow.IP{
+		ip(1): {ip(100), ip(100), ip(101), ip(101), ip(102), ip(102)},
+		ip(2): {ip(100), ip(200)},
+	}
+	g, err := BuildGraph(contacts, GraphConfig{MinSharedContacts: 2, MaxFanIn: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Edges() != 0 || g.Degree(ip(1)) != 0 || g.Weight(ip(1), ip(1)) != 0 || g.Weight(ip(1), ip(2)) != 0 {
+		t.Errorf("edges=%d Degree(1)=%d Weight(1,1)=%d Weight(1,2)=%d, want all 0: hosts 1 and 2 share one destination",
+			g.Edges(), g.Degree(ip(1)), g.Weight(ip(1), ip(1)), g.Weight(ip(1), ip(2)))
+	}
+	if cs := Propagate(g, 0); len(cs) != 2 {
+		t.Errorf("communities = %v, want hosts 1 and 2 apart", members(cs))
+	}
+}
+
 func TestBuildGraphValidates(t *testing.T) {
 	if _, err := BuildGraph(nil, GraphConfig{MinSharedContacts: 0}); err == nil {
 		t.Error("MinSharedContacts=0 accepted")

@@ -13,10 +13,11 @@ const DefaultMaxIterations = 64
 // Propagate partitions the graph into communities by label propagation,
 // made fully deterministic: sweeps are sequential and asynchronous in
 // ascending host-address order, each vertex adopts the label most
-// frequent among its neighbors (weighted by shared-contact count), and
-// ties break toward the smallest label. No randomness, no map-iteration
-// order, no goroutine interleaving — the same graph always yields the
-// same partition, which the golden and -race determinism tests pin.
+// frequent among its neighbors (weighted by shared-contact count, tallied
+// in a dense per-label array), and ties break toward the smallest label.
+// No randomness, no maps, no goroutine interleaving — the same graph
+// always yields the same partition, which the golden and -race
+// determinism tests pin.
 //
 // maxIterations <= 0 means DefaultMaxIterations. Isolated vertices end
 // as singleton communities. The result is sorted by label.
@@ -30,24 +31,32 @@ func Propagate(g *Graph, maxIterations int) []core.Community {
 		labels[v] = int32(v)
 	}
 
-	votes := make(map[int32]int64)
+	// Dense votes by label, reset through seen. The tie-break is a total
+	// order, so the winner does not depend on the order labels are seen.
+	votes := make([]int64, n)
+	var seen []int32
 	for iter := 0; iter < maxIterations; iter++ {
 		changed := false
 		for v := 0; v < n; v++ { // ascending host order: hosts is sorted
 			if len(g.adj[v]) == 0 {
 				continue
 			}
-			clear(votes)
 			for i, nb := range g.adj[v] {
-				votes[labels[nb]] += int64(g.wts[v][i])
+				l := labels[nb]
+				if votes[l] == 0 {
+					seen = append(seen, l)
+				}
+				votes[l] += int64(g.wts[v][i])
 			}
 			best := labels[v]
 			var bestN int64 = -1
-			for l, cnt := range votes {
-				if cnt > bestN || (cnt == bestN && l < best) {
+			for _, l := range seen {
+				if cnt := votes[l]; cnt > bestN || (cnt == bestN && l < best) {
 					best, bestN = l, cnt
 				}
+				votes[l] = 0
 			}
+			seen = seen[:0]
 			if best != labels[v] {
 				labels[v] = best
 				changed = true
@@ -58,41 +67,34 @@ func Propagate(g *Graph, maxIterations int) []core.Community {
 		}
 	}
 
-	// Canonicalize: group by final label, then relabel each group by its
-	// smallest member address (vertex order is address order, so the
-	// first member seen is the smallest).
-	groups := make(map[int32][]int32, n)
-	for v := 0; v < n; v++ {
-		groups[labels[v]] = append(groups[labels[v]], int32(v))
-	}
-	out := make([]core.Community, 0, len(groups))
-	for _, vs := range groups {
-		c := core.Community{Label: g.hosts[vs[0]], Members: make([]flow.IP, len(vs))}
-		member := make(map[int32]bool, len(vs))
-		for i, v := range vs {
-			c.Members[i] = g.hosts[v]
-			member[v] = true
+	// Canonicalize in one ascending scan: a label's first vertex is its
+	// smallest member, which names it, so communities come out sorted.
+	size := make([]int32, n) // per label
+	count := 0
+	for _, l := range labels {
+		if size[l] == 0 {
+			count++
 		}
-		for _, v := range vs {
-			for i, nb := range g.adj[v] {
-				if nb > v && member[nb] { // count each internal edge once
-					c.InternalEdges++
-					c.SharedContacts += int(g.wts[v][i])
-				}
+		size[l]++
+	}
+	at := make([]int32, n) // label -> index in out
+	backing := make([]flow.IP, n)
+	out := make([]core.Community, 0, count)
+	for v, l := range labels {
+		if size[l] > 0 {
+			at[l] = int32(len(out))
+			out = append(out, core.Community{Label: g.hosts[v], Members: backing[:0:size[l]]})
+			backing = backing[size[l]:]
+			size[l] = 0
+		}
+		c := &out[at[l]]
+		c.Members = append(c.Members, g.hosts[v])
+		for i, nb := range g.adj[v] {
+			if nb > int32(v) && labels[nb] == l { // count each internal edge once
+				c.InternalEdges++
+				c.SharedContacts += int(g.wts[v][i])
 			}
 		}
-		out = append(out, c)
 	}
-	// Map iteration above is unordered; sort by canonical label for a
-	// deterministic result.
-	sortCommunities(out)
 	return out
-}
-
-func sortCommunities(cs []core.Community) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Label < cs[j-1].Label; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }

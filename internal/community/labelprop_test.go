@@ -3,6 +3,7 @@ package community
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 // so tie configurations can be constructed exactly.
 func mkGraph(t *testing.T, hosts []uint32, edges [][3]uint32) *Graph {
 	t.Helper()
-	g := &Graph{index: make(map[flow.IP]int, len(hosts))}
+	g := &Graph{}
+	index := make(map[flow.IP]int, len(hosts))
 	for _, h := range hosts {
 		g.hosts = append(g.hosts, ip(h))
 	}
@@ -24,13 +26,13 @@ func mkGraph(t *testing.T, hosts []uint32, edges [][3]uint32) *Graph {
 		}
 	}
 	for i, h := range g.hosts {
-		g.index[h] = i
+		index[h] = i
 	}
 	g.adj = make([][]int32, len(g.hosts))
 	g.wts = make([][]int32, len(g.hosts))
 	for _, e := range edges {
-		a, aok := g.index[ip(e[0])]
-		b, bok := g.index[ip(e[1])]
+		a, aok := index[ip(e[0])]
+		b, bok := index[ip(e[1])]
 		if !aok || !bok || a == b {
 			t.Fatalf("mkGraph bad edge %v", e)
 		}
@@ -44,6 +46,23 @@ func mkGraph(t *testing.T, hosts []uint32, edges [][3]uint32) *Graph {
 		sortAdj(g.adj[v], g.wts[v])
 	}
 	return g
+}
+
+// sortAdj sorts a neighbor list ascending, keeping weights parallel.
+func sortAdj(adj, wts []int32) {
+	idx := make([]int, len(adj))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool { return adj[idx[i]] < adj[idx[j]] })
+	na := make([]int32, len(adj))
+	nw := make([]int32, len(wts))
+	for i, k := range idx {
+		na[i] = adj[k]
+		nw[i] = wts[k]
+	}
+	copy(adj, na)
+	copy(wts, nw)
 }
 
 // members flattens communities to label -> sorted members for compact

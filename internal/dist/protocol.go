@@ -303,6 +303,12 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 			h.Contacts = make([]flow.IP, nc)
 			for j := range h.Contacts {
 				h.Contacts[j] = flow.IP(d.U32())
+				// Contacts is a strictly ascending set, as LocalPass sends
+				// it; a repeat or an out-of-order entry is a buggy or
+				// hostile shard.
+				if j > 0 && h.Contacts[j] <= h.Contacts[j-1] {
+					d.Fail("host %v contact %d (%v) does not ascend from %v", h.Host, j, h.Contacts[j], h.Contacts[j-1])
+				}
 			}
 		}
 	}

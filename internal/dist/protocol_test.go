@@ -136,6 +136,26 @@ func TestSummaryTruncatedRejected(t *testing.T) {
 	}
 }
 
+// HostSummary.Contacts is a set sent strictly ascending: a frame whose
+// contacts repeat or fall out of order breaks that invariant, which only
+// a buggy or hostile shard does, and is malformed.
+func TestSummaryUnorderedContactsRejected(t *testing.T) {
+	for _, contacts := range [][]flow.IP{
+		{0x0a000002, 0x08080808},
+		{0x08080808, 0x08080808},
+		{0x08080808, 0x0a000002, 0x0a000002},
+	} {
+		s := testSummary()
+		s.Hosts[0].Contacts = contacts
+		_, _, err := DecodeSummary(EncodeSummary(0, s))
+		if err == nil {
+			t.Errorf("decoded a summary with contacts %v", contacts)
+		} else if !strings.Contains(err.Error(), "malformed") || !strings.Contains(err.Error(), "ascend") {
+			t.Errorf("error %q does not call contacts %v malformed", err, contacts)
+		}
+	}
+}
+
 // A bit flip anywhere in a framed summary must be caught by the frame
 // CRC before the payload is even parsed.
 func TestSummaryFrameBitFlipRejected(t *testing.T) {
