@@ -3,6 +3,7 @@ package community
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -157,6 +158,20 @@ func TestDenseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 40; i++ {
 		inputs = append(inputs, randomContacts(rng))
+	}
+	// The same inputs with each destination's low byte rotated to the
+	// top, so destinations spread over the whole address space, as live
+	// traffic has them, and many differ only in their top byte. Rotation
+	// is a bijection, so every overlap survives.
+	for _, contacts := range inputs[:len(inputs):len(inputs)] {
+		spread := make(map[flow.IP][]flow.IP, len(contacts))
+		for h, dsts := range contacts {
+			spread[h] = make([]flow.IP, 0, len(dsts))
+			for _, d := range dsts {
+				spread[h] = append(spread[h], flow.IP(bits.RotateLeft32(uint32(d), 24)))
+			}
+		}
+		inputs = append(inputs, spread)
 	}
 	for _, idf := range []bool{false, true} {
 		for _, fanIn := range []int{0, 3, 16} {
