@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		baselines = fs.Bool("baselines", false, "also compare against the §II baseline detectors (TDG, persistence, failed-connections)")
 		days      = fs.Int("days", 8, "evaluation days")
 		seed      = fs.Int64("seed", 42, "master random seed")
-		scale     = fs.String("scale", "paper", "dataset scale: small (fast) or paper")
+		scale     = fs.String("scale", "paper", "dataset scale: small (fast) or paper; tiny as well for -campaign -fig none")
 		parallel  = fs.Int("parallelism", 0, "worker count for the θ_hm distance matrix (0 = all CPUs, 1 = sequential)")
 		metricsTo = fs.String("metrics", "", "write cumulative pipeline stage timings to this file as JSON")
 		detectors = fs.String("detectors", "findplotters", "comma-separated detectors run per day: findplotters, community. More than one appends the ensemble precision/recall table")
@@ -98,13 +98,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// -fig none -campaign runs the campaign alone; anything else builds
+	// the evaluation corpus, which has only the small and paper scales.
+	corpus := !*camp || len(want) > 0 || *baselines || *fanin || *sampling
+	if corpus && *scale != "small" && *scale != "paper" {
+		return fmt.Errorf("-scale must be small or paper, not %q (tiny sizes only a -campaign -fig none run)", *scale)
+	}
 
 	if *camp {
 		if err := runCampaign(stdout, stderr, *seed, *days, *scale, *campWorld, *campGrid, *campOut, *voteK, *parallel); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
-		// -fig none -campaign runs the campaign alone.
-		if len(want) == 0 && !*baselines && !*fanin && !*sampling {
+		if !corpus {
 			return nil
 		}
 	}
@@ -178,17 +183,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
 				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
 		}
-		f, err := os.Create(*metricsTo)
+		raw, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snap); err != nil {
-			f.Close()
 			return fmt.Errorf("writing metrics: %w", err)
 		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*metricsTo, append(raw, '\n'), 0o666); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "pipeline metrics written to %s\n", *metricsTo)

@@ -73,7 +73,8 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 }
 
-// Bad figure and detector lists are refused before any corpus is built.
+// Bad figure lists, detector lists and scales are refused before any
+// corpus is built.
 func TestRunErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -84,6 +85,10 @@ func TestRunErrors(t *testing.T) {
 		{"no detectors", []string{"-detectors", ""}, "lists no detectors"},
 		{"unknown detector", []string{"-detectors", "findplotters,oracle"}, `unknown detector "oracle"`},
 		{"duplicated detector", []string{"-detectors", "community,community"}, `lists "community" twice`},
+		{"unknown scale", []string{"-days", "1", "-fig", "none", "-scale", "bogus"}, `-scale must be small or paper, not "bogus"`},
+		{"tiny figures", []string{"-days", "1", "-scale", "tiny", "-fig", "6"}, `-scale must be small or paper, not "tiny"`},
+		{"tiny campaign with figures", []string{"-days", "1", "-campaign", "-scale", "tiny", "-fig", "6"}, `-scale must be small or paper, not "tiny"`},
+		{"tiny campaign with a sweep", []string{"-days", "1", "-campaign", "-scale", "tiny", "-fig", "none", "-sampling"}, `-scale must be small or paper, not "tiny"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stderr bytes.Buffer

@@ -17,51 +17,63 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"plotters"
+	"plotters/internal/flowio"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "flowconvert:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run checks both formats and that OUT is not IN before it creates OUT:
+// creating it truncates whatever was there.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("flowconvert", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		from = flag.String("from", "binary", "input format: "+plotters.TraceFormatNames())
-		to   = flag.String("to", "csv", "output format: "+plotters.TraceFormatNames())
+		from = fs.String("from", "binary", "input format: "+flowio.Names())
+		to   = fs.String("to", "csv", "output format: "+flowio.Names())
 	)
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
 		return fmt.Errorf("expected IN and OUT arguments")
 	}
-	in, err := os.Open(flag.Arg(0))
+	src, err := flowio.Lookup(*from)
+	if err != nil {
+		return err
+	}
+	dst, err := flowio.Lookup(*to)
+	if err != nil {
+		return err
+	}
+	in, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	out, err := os.Create(flag.Arg(1))
+	inInfo, err := in.Stat()
 	if err != nil {
 		return err
 	}
-
-	reader, err := plotters.NewTraceReader(in, *from)
+	if outInfo, err := os.Stat(fs.Arg(1)); err == nil && os.SameFile(inInfo, outInfo) {
+		return fmt.Errorf("OUT %s is the same file as IN %s", fs.Arg(1), fs.Arg(0))
+	}
+	out, err := os.Create(fs.Arg(1))
 	if err != nil {
-		out.Close()
 		return err
 	}
-	writer, err := plotters.NewTraceWriter(out, *to)
-	if err != nil {
-		out.Close()
-		return err
-	}
-	n, err := plotters.CopyTrace(writer, reader)
+	n, err := flowio.Copy(dst.NewWriter(out), src.NewReader(in))
 	if err != nil {
 		out.Close()
 		return fmt.Errorf("after %d records: %w", n, err)
@@ -69,6 +81,6 @@ func run() error {
 	if err := out.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "converted %d records (%s -> %s)\n", n, *from, *to)
+	fmt.Fprintf(stderr, "converted %d records (%s -> %s)\n", n, *from, *to)
 	return nil
 }

@@ -42,6 +42,9 @@
 // pipeline, add per-detector and ensemble counts. -metrics writes a JSON
 // run report with every stage's duration and survivor count, the
 // collector's counters and the final checkpoint (README, Observability).
+// -serve, in any mode, serves the same registry live over HTTP while the
+// run lasts: /metrics (Prometheus text, JSON with ?format=json) and the
+// runtime profiler under /debug/pprof/.
 package main
 
 import (
@@ -53,6 +56,8 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
@@ -74,6 +79,7 @@ func main() {
 type options struct {
 	format, internals, metricsTo, detectors string
 	listen, stateDir, role, peers, origin   string
+	serve                                   string
 	verbose                                 bool
 	volPct, churnPct, hmPct                 float64
 	parallel, shards, inBatch, walSync      int
@@ -99,6 +105,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Float64Var(&o.hmPct, "hm-pct", 0, "override τ_hm percentile (0 = default)")
 	fs.IntVar(&o.parallel, "parallelism", 0, "worker count for the θ_hm distance matrix (0 = all CPUs, 1 = sequential)")
 	fs.StringVar(&o.metricsTo, "metrics", "", "write a JSON run report (stage timings, survivor counts, I/O volume) to this file")
+	fs.StringVar(&o.serve, "serve", "", "serve live metrics at /metrics (Prometheus text; ?format=json for JSON) and pprof at /debug/pprof/ over HTTP on this address (e.g. localhost:6060) while the run lasts")
 	fs.StringVar(&o.detectors, "detectors", "findplotters", "comma-separated detectors to run per window: findplotters, community. More than one prints per-detector and ensemble (union/intersection) suspect counts")
 	fs.DurationVar(&o.window, "window", 0, "run continuous windowed detection with this window length instead of one batch run")
 	fs.DurationVar(&o.slide, "slide", 0, "sliding-window step (0 = tumbling windows; requires -window, must divide it)")
@@ -251,7 +258,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	var reg *plotters.Metrics
-	if o.metricsTo != "" {
+	if o.metricsTo != "" || o.serve != "" {
 		reg = plotters.NewMetrics()
 	}
 	started := time.Now()
@@ -292,6 +299,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if engCfg.Origin, err = time.Parse(time.RFC3339, o.origin); err != nil {
 			return fmt.Errorf("-origin: %w", err)
 		}
+	}
+	if o.serve != "" {
+		stop, err := serve(o.serve, reg, stderr)
+		if err != nil {
+			return err
+		}
+		defer stop()
 	}
 	emit := windowPrinter(stdout, o.verbose)
 	if m == liveMode || m == coordMode { // the modes that run until told to stop
@@ -348,7 +362,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			err = b.detect(stdout, o, t, internal, cfg, dets)
 		}
 	}
-	if err != nil || reg == nil {
+	if err != nil || o.metricsTo == "" {
 		return err
 	}
 	if err := writeReport(o.metricsTo, source, srcFormat, t.records, time.Since(started), reg, ckpt); err != nil {
@@ -356,6 +370,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%srun report written to %s\n", sep, o.metricsTo)
 	return nil
+}
+
+// serve binds addr and serves reg at /metrics and the runtime profiler
+// under /debug/pprof/ until the returned stop is called, which closes
+// the listener and waits for the server to exit.
+func serve(addr string, reg *plotters.Metrics, stderr io.Writer) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-serve: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(stderr, "plotfind: -serve:", err)
+		}
+	}()
+	bound := ln.Addr()
+	fmt.Fprintf(stderr, "metrics at http://%s/metrics (Prometheus text; ?format=json for JSON), pprof at http://%s/debug/pprof/\n", bound, bound)
+	return func() {
+		srv.Close()
+		<-done
+	}, nil
 }
 
 // closing prints a streaming run's last line: what it read and sealed,

@@ -68,6 +68,21 @@ func TestReadTraceFormats(t *testing.T) {
 // The -metrics flag must produce a valid JSON run report carrying every
 // pipeline stage's duration and survivor-count gauges.
 func TestRunReport(t *testing.T) {
+	records := sixHosts()
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.bin")
+	writeTraceAs(t, trace, "binary", records)
+
+	// Every row extracts once and runs exactly the listed detectors over
+	// that one feature set.
+	for _, detectors := range []string{"findplotters", "findplotters,community", "community"} {
+		t.Run(detectors, func(t *testing.T) { testRunReport(t, dir, trace, detectors, records) })
+	}
+}
+
+// sixHosts is 20 minutes of six hosts, half their flows failed: a
+// trace small enough to run in every test, every mode.
+func sixHosts() []plotters.Record {
 	start := time.Date(2007, time.November, 5, 9, 0, 0, 0, time.UTC)
 	var records []plotters.Record
 	for host := 0; host < 6; host++ {
@@ -85,15 +100,7 @@ func TestRunReport(t *testing.T) {
 			})
 		}
 	}
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "trace.bin")
-	writeTraceAs(t, trace, "binary", records)
-
-	// Every row extracts once and runs exactly the listed detectors over
-	// that one feature set.
-	for _, detectors := range []string{"findplotters", "findplotters,community", "community"} {
-		t.Run(detectors, func(t *testing.T) { testRunReport(t, dir, trace, detectors, records) })
-	}
+	return records
 }
 
 func testRunReport(t *testing.T, dir, trace, detectors string, records []plotters.Record) {

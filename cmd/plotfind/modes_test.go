@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -333,6 +335,60 @@ func TestLateRecordCountedInEveryMode(t *testing.T) {
 	want, got := windowLine.FindAllString(single, -1), windowLine.FindAllString(coordinator, -1)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("window lines differ:\n -window     %q\n coordinator %q", want, got)
+	}
+}
+
+var serveLine = regexp.MustCompile(`metrics at http://(\S+)/metrics`)
+
+// TestServe: -serve exposes a live run's registry and the profiler while
+// the run lasts and is gone once run returns; a file run that serves
+// prints what it prints without.
+func TestServe(t *testing.T) {
+	stderr, stop := background(t, "-listen", "127.0.0.1:0", "-window", "1h", "-serve", "127.0.0.1:0")
+	addr := stderr.await(t, serveLine)
+	stderr.await(t, regexp.MustCompile(`sFlow on (\S+)`))
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, %v", path, resp.Status, err)
+		}
+		return body
+	}
+	if body := get("/metrics"); !bytes.Contains(body, []byte("plotters_collector_packets_total")) {
+		t.Errorf("/metrics has no collector packet counter:\n%s", body)
+	}
+	var snap plotters.MetricsSnapshot
+	if err := json.Unmarshal(get("/metrics?format=json"), &snap); err != nil {
+		t.Errorf("/metrics?format=json: %v", err)
+	} else if _, ok := snap.Counters["collector/packets"]; !ok {
+		t.Errorf("/metrics?format=json has no collector/packets counter: %+v", snap.Counters)
+	}
+	get("/debug/pprof/")
+	stop()
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Errorf("-serve still accepts on %s after run returned", addr)
+	}
+
+	trace := writeTrace(t, sixHosts())
+	windowed := []string{"-internal", "0.0.0.0/8", "-v", "-window", "10m", trace}
+	want := foreground(t, windowed...)
+	var stdout, served output
+	if err := run(context.Background(), append([]string{"-serve", "127.0.0.1:0"}, windowed...), &stdout, &served); err != nil {
+		t.Fatal(err)
+	}
+	if got := stdout.String(); got != want {
+		t.Errorf("-serve changed a -window run's output:\n got  %q\n want %q", got, want)
+	}
+	if conn, err := net.Dial("tcp", served.await(t, serveLine)); err == nil {
+		conn.Close()
+		t.Error("-serve still accepts after a file run returned")
 	}
 }
 

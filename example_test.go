@@ -2,8 +2,14 @@ package plotters_test
 
 import (
 	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"runtime"
 	"slices"
+	"sort"
 	"strings"
+	"testing"
 	"time"
 
 	"plotters"
@@ -224,6 +230,143 @@ func ExampleNewSuite() {
 	// day 2: failRate>0.130 bytes/flow<991 newIPs<0.624 spread<=0.763: 3/20 bots, 2 false positives
 	// 128.2.1.32       day 0 storm bot, day 1 storm bot
 	// 128.2.1.44       day 0 storm bot, day 1 nugache bot
+}
+
+// ExampleNewWindowedDetector is the high-volume deployment path. A
+// border carrying thousands of flows a second cannot buffer a day of
+// records, so the continuous engine folds each record into per-host
+// features as it arrives and runs the full pipeline at every window
+// boundary. Flow monitors report a flow when it ends, so the feed is
+// only roughly in start order; the engine tolerates a monitor's idle
+// timeout of reordering before it seals a window. The machine-timed
+// beacons stand out in every window: high failure rates carry them past
+// the reduction, tiny flows past θ_vol, and metronomic interstitials
+// cluster them tightly in θ_hm.
+func ExampleNewWindowedDetector() {
+	start := time.Date(2007, time.November, 5, 9, 0, 0, 0, time.UTC)
+	// The pipeline scaled to a demo-sized population: fewer contacts per
+	// window than a campus day need a lower θ_hm sample floor, and
+	// θ_churn needs a new-peer grace shorter than a window.
+	cfg := plotters.DefaultConfig()
+	cfg.MinInterstitialSamples = 20
+	cfg.NewPeerGrace = 10 * time.Minute
+	eng, err := plotters.NewWindowedDetector(plotters.EngineConfig{
+		Window:   30 * time.Minute,
+		Origin:   start,
+		MaxSkew:  10 * time.Minute,
+		Internal: plotters.IsInternal,
+		Core:     cfg,
+	}, func(res *plotters.WindowResult) error {
+		det := res.Detection
+		fmt.Printf("window %d %s: hosts=%d records=%d reduction=%d vol=%d churn=%d suspects=%d\n",
+			res.Index, res.Window, res.Hosts, res.Records,
+			len(det.Reduction.Kept), len(det.Volume.Kept), len(det.Churn.Kept), len(det.Suspects))
+		feats := det.Analysis.Features()
+		for _, h := range det.Suspects.Sorted() {
+			f := feats[h]
+			fmt.Printf("  %-11s flows=%d avgBytes/flow=%.1f failedRate=%.2f\n", h, f.Flows, f.AvgBytesPerFlow(), f.FailedRate())
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	feed := beaconFeed(start)
+	for i := range feed {
+		if err := eng.Add(&feed[i]); err != nil {
+			panic(err)
+		}
+	}
+	if err := eng.Flush(); err != nil {
+		panic(err)
+	}
+	// Output:
+	// window 0 [2007-11-05T09:00:00Z, 2007-11-05T09:30:00Z): hosts=33 records=2324 reduction=16 vol=8 churn=8 suspects=2
+	//   128.2.9.2   flows=60 avgBytes/flow=122.5 failedRate=0.58
+	//   128.2.9.3   flows=60 avgBytes/flow=137.5 failedRate=0.48
+	// window 1 [2007-11-05T09:30:00Z, 2007-11-05T10:00:00Z): hosts=33 records=2728 reduction=16 vol=8 churn=8 suspects=2
+	//   128.2.9.1   flows=60 avgBytes/flow=132.5 failedRate=0.52
+	//   128.2.9.3   flows=60 avgBytes/flow=150.0 failedRate=0.40
+	// window 2 [2007-11-05T10:00:00Z, 2007-11-05T10:30:00Z): hosts=33 records=2588 reduction=16 vol=8 churn=8 suspects=2
+	//   128.2.9.1   flows=60 avgBytes/flow=137.5 failedRate=0.48
+	//   128.2.9.3   flows=60 avgBytes/flow=147.5 failedRate=0.42
+	// window 3 [2007-11-05T10:30:00Z, 2007-11-05T11:00:00Z): hosts=33 records=2630 reduction=16 vol=8 churn=8 suspects=2
+	//   128.2.9.1   flows=60 avgBytes/flow=122.5 failedRate=0.58
+	//   128.2.9.3   flows=60 avgBytes/flow=135.0 failedRate=0.50
+}
+
+// TestExampleNewWindowedDetectorGOMAXPROCS: the example prints the same
+// windows and suspects however many goroutines run at once.
+func TestExampleNewWindowedDetectorGOMAXPROCS(t *testing.T) {
+	printed := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(chan string)
+		go func() {
+			b, _ := io.ReadAll(r) // ends when w closes
+			r.Close()
+			out <- string(b)
+		}()
+		stdout := os.Stdout
+		os.Stdout = w
+		defer func() { os.Stdout = stdout }()
+		ExampleNewWindowedDetector()
+		w.Close()
+		return <-out
+	}
+	one, two := printed(1), printed(2)
+	if !strings.Contains(one, "128.2.9.") || one != two {
+		t.Errorf("GOMAXPROCS 1 printed\n%s\nGOMAXPROCS 2 printed\n%s", one, two)
+	}
+}
+
+// beaconFeed is two hours of a seeded border feed in flow-end order, the
+// order a flow monitor reports in: 30 web browsers, whose occasional
+// unanswered server gives the reduction's median a realistic spread of
+// failure rates, and 3 bot-like hosts, 128.2.9.1–3, each beaconing to a
+// small peer set every 30 s with half the peers never answering.
+func beaconFeed(start time.Time) []plotters.Record {
+	rng := rand.New(rand.NewSource(31))
+	end := start.Add(2 * time.Hour)
+	var recs []plotters.Record
+	for h := 0; h < 30; h++ {
+		client, _ := plotters.ParseIP(fmt.Sprintf("128.2.8.%d", h+1))
+		port := uint16(40000)
+		for at := start.Add(time.Duration(rng.Intn(600)) * time.Second); at.Before(end); at = at.Add(time.Duration(float64(time.Second) * (2 + rng.ExpFloat64()*20))) {
+			server, _ := plotters.ParseIP(fmt.Sprintf("66.35.%d.%d", rng.Intn(200)+1, rng.Intn(250)+1))
+			port++
+			rec := plotters.Record{Src: client, Dst: server, SrcPort: port, DstPort: 80, Proto: plotters.TCP,
+				Start: at, End: at, SrcPkts: 1, SrcBytes: 60, State: plotters.StateFailed}
+			if rng.Intn(12) != 0 {
+				rec.End = at.Add(90 * time.Millisecond)
+				rec.SrcPkts, rec.SrcBytes = 2, uint64(60+400+rng.Intn(800))
+				rec.DstPkts, rec.DstBytes = 2, uint64(60+2000+rng.Intn(20000))
+				rec.State = plotters.StateEstablished
+				rec.Payload = []byte("GET /")
+			}
+			recs = append(recs, rec)
+		}
+	}
+	for h := 0; h < 3; h++ {
+		bot, _ := plotters.ParseIP(fmt.Sprintf("128.2.9.%d", h+1))
+		for at := start.Add(time.Duration(rng.Intn(30)) * time.Second); at.Before(end); at = at.Add(30 * time.Second) {
+			peer, _ := plotters.ParseIP(fmt.Sprintf("199.7.%d.%d", h+1, rng.Intn(6)+1))
+			rec := plotters.Record{Src: bot, Dst: peer, SrcPort: uint16(50000 + rng.Intn(1000)), DstPort: 8, Proto: plotters.TCP,
+				Start: at, End: at, SrcPkts: 1, SrcBytes: 60, State: plotters.StateFailed}
+			if rng.Intn(2) == 0 {
+				rec.End = at.Add(30 * time.Millisecond)
+				rec.SrcPkts, rec.SrcBytes = 2, 60+150
+				rec.DstPkts, rec.DstBytes = 1, 60
+				rec.State = plotters.StateEstablished
+			}
+			recs = append(recs, rec)
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].End.Before(recs[j].End) })
+	return recs
 }
 
 // truth names a host's ground-truth role on one evaluated day.

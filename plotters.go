@@ -578,12 +578,6 @@ func ReadAllTrace(r TraceReader) ([]Record, error) { return flowio.ReadAll(r) }
 // WriteAllTrace encodes records to w and flushes.
 func WriteAllTrace(w TraceWriter, records []Record) error { return flowio.WriteAll(w, records) }
 
-// CopyTrace streams all records from r to w (format conversion without
-// buffering), returning the record count.
-func CopyTrace(w TraceWriter, r TraceReader) (int, error) {
-	return flowio.Copy(w, r)
-}
-
 // Observability. Attach a Metrics registry to Config.Metrics (and to
 // ScanTraceFile) to collect per-stage wall times,
 // candidate-set sizes, and I/O volumes from a run; a nil registry keeps
