@@ -128,6 +128,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if len(want) == 0 && !*baselines && !*fanin && !*sampling && len(dets) < 2 {
+		return errors.New("nothing to run: -fig none needs -campaign, -baselines, -sampling, -fanin-sweep or a second detector")
+	}
 	cfg := plotters.DefaultDatasetConfig(*seed)
 	cfg.Days = *days
 	if *scale == "small" {

@@ -88,6 +88,7 @@ func TestRunErrors(t *testing.T) {
 		{"unknown scale", []string{"-days", "1", "-fig", "none", "-scale", "bogus"}, `-scale must be small or paper, not "bogus"`},
 		{"tiny figures", []string{"-days", "1", "-scale", "tiny", "-fig", "6"}, `-scale must be small or paper, not "tiny"`},
 		{"tiny campaign with figures", []string{"-days", "1", "-campaign", "-scale", "tiny", "-fig", "6"}, `-scale must be small or paper, not "tiny"`},
+		{"nothing to run", []string{"-days", "1", "-scale", "small", "-fig", "none"}, "nothing to run"},
 		{"tiny campaign with a sweep", []string{"-days", "1", "-campaign", "-scale", "tiny", "-fig", "none", "-sampling"}, `-scale must be small or paper, not "tiny"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-emit: %w", err)
 	}
-	if *speedup < 0 {
+	if !(*speedup >= 0) { // NaN too: it fails the > 0 pacing test
 		return fmt.Errorf("-speedup must be >= 0")
 	}
 

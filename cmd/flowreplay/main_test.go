@@ -122,6 +122,7 @@ func TestRejectedFlags(t *testing.T) {
 		{[]string{path}, "-to is required"},
 		{[]string{"-to", "127.0.0.1:9", "-emit", "v9", path}, "-emit"},
 		{[]string{"-to", "127.0.0.1:9", "-speedup", "-1", path}, "-speedup"},
+		{[]string{"-to", "127.0.0.1:9", "-speedup", "NaN", path}, "-speedup"},
 		{[]string{"-to", "127.0.0.1:9", "-format", "pcap", path}, "unknown trace format"},
 		{[]string{"-to", "127.0.0.1:9", "-batch", "10", path}, "-batch"},
 	} {

@@ -176,7 +176,7 @@ func (o *options) validate() (mode, error) {
 		{o.walSync < 1, "-wal-sync-every must be >= 1"},
 		{o.drainWait < 0, "-drain-timeout must be >= 0"},
 		{o.window < 0, "-window must be >= 0 (0 = one batch run)"},
-		{o.volPct < 0 || o.churnPct < 0 || o.hmPct < 0, "-vol-pct, -churn-pct and -hm-pct must be >= 0 (0 = default)"},
+		{!(o.volPct >= 0 && o.churnPct >= 0 && o.hmPct >= 0), "-vol-pct, -churn-pct and -hm-pct must be >= 0 (0 = default)"},
 		{(set["slide"] || set["shards"] || set["skew"] || set["origin"]) && m == batchMode, "-slide, -shards, -skew and -origin require -window"},
 		{(set["peers"] || set["dist-shards"]) && !dist, "-peers and -dist-shards require -role"},
 		{(set["shard"] || set["drain-timeout"]) && m != shardMode, "-shard and -drain-timeout require -role shard"},

@@ -438,6 +438,8 @@ func TestRejectedFlags(t *testing.T) {
 		{"-vol-pct -1 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
 		{"-churn-pct -5 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
 		{"-window 6h -hm-pct -0.5 x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
+		{"-vol-pct NaN -hm-pct NaN x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
+		{"-churn-pct NaN x", "-vol-pct, -churn-pct and -hm-pct must be >= 0"},
 		{"-listen :0", "-listen requires -window"},
 		{"-listen :0 -window 6h x", "-listen takes no trace file argument"},
 		{"-role coordinator " + dist + " x", "-role coordinator takes no trace file argument"},

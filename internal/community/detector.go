@@ -59,7 +59,7 @@ func (c *Config) Validate() error {
 	if c.MinCommunitySize < 1 {
 		return fmt.Errorf("community: MinCommunitySize = %d must be >= 1", c.MinCommunitySize)
 	}
-	if c.MinAvgDegree < 0 {
+	if !(c.MinAvgDegree >= 0) { // NaN too: it fails every comparison
 		return fmt.Errorf("community: MinAvgDegree = %v must be >= 0", c.MinAvgDegree)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package community
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -119,6 +120,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MaxIterations = -1 },
 		func(c *Config) { c.MinCommunitySize = 0 },
 		func(c *Config) { c.MinAvgDegree = -0.5 },
+		func(c *Config) { c.MinAvgDegree = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

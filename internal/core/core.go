@@ -94,7 +94,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Each range is checked as
+// !(in range), so NaN, which fails every comparison, is out of range.
 func (c *Config) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -104,11 +105,11 @@ func (c *Config) Validate() error {
 		{"ChurnPercentile", c.ChurnPercentile},
 		{"HMPercentile", c.HMPercentile},
 	} {
-		if p.v < 0 || p.v > 100 {
+		if !(p.v >= 0 && p.v <= 100) {
 			return fmt.Errorf("core: %s = %v outside [0,100]", p.name, p.v)
 		}
 	}
-	if c.CutFraction < 0 || c.CutFraction >= 1 {
+	if !(c.CutFraction >= 0 && c.CutFraction < 1) {
 		return fmt.Errorf("core: CutFraction = %v outside [0,1)", c.CutFraction)
 	}
 	if c.MinInterstitialSamples < 2 {

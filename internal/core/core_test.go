@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -32,6 +33,10 @@ func TestConfigValidate(t *testing.T) {
 		{"cut fraction one", func(c *Config) { c.CutFraction = 1 }},
 		{"min samples", func(c *Config) { c.MinInterstitialSamples = 1 }},
 		{"grace", func(c *Config) { c.NewPeerGrace = 0 }},
+		{"vol percentile NaN", func(c *Config) { c.VolPercentile = math.NaN() }},
+		{"churn percentile NaN", func(c *Config) { c.ChurnPercentile = math.NaN() }},
+		{"hm percentile NaN", func(c *Config) { c.HMPercentile = math.NaN() }},
+		{"cut fraction NaN", func(c *Config) { c.CutFraction = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

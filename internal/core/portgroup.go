@@ -15,16 +15,17 @@ import (
 // with its own features, so a bot's control traffic is tested in
 // isolation from the file-sharing bulk on the same machine.
 
-// PortGrouper maps a flow to an application group label. Flows mapping to
-// the same (initiator, group) are analyzed together.
-type PortGrouper func(r *flow.Record) string
+// minGroupFlows is the fewest flows a (host, group) pair needs to be
+// analyzed; sparser groups are left out (too little evidence either way).
+const minGroupFlows = 20
 
-// DefaultPortGrouper buckets by well-known application ports: the
-// conventional file-sharing ports, web, mail, DNS/NTP infrastructure, and
-// a catch-all for everything else (bucketed by exact destination port for
-// unprivileged ports, so unknown P2P protocols on a fixed port still
-// group together).
-func DefaultPortGrouper(r *flow.Record) string {
+// defaultPortGrouper maps a flow to its application group by well-known
+// ports: the conventional file-sharing ports, web, mail, DNS/NTP
+// infrastructure, and a catch-all for everything else (bucketed by exact
+// destination port for unprivileged ports, so unknown P2P protocols on a
+// fixed port still group together). Flows mapping to the same
+// (initiator, group) are analyzed together.
+func defaultPortGrouper(r *flow.Record) string {
 	switch r.DstPort {
 	case 80, 443, 8080:
 		return "web"
@@ -45,8 +46,8 @@ func DefaultPortGrouper(r *flow.Record) string {
 	return "other"
 }
 
-// VirtualHost identifies one (host, application group) analysis unit.
-type VirtualHost struct {
+// virtualHost identifies one (host, application group) analysis unit.
+type virtualHost struct {
 	Host  flow.IP
 	Group string
 }
@@ -59,13 +60,10 @@ type PortGroupResult struct {
 	// Suspects maps each flagged real host to the application groups
 	// whose traffic tripped the detector.
 	Suspects map[flow.IP][]string
-	// Mapping resolves the synthetic virtual addresses back to
-	// (host, group) pairs.
-	Mapping map[flow.IP]VirtualHost
 }
 
 // FindPlottersByApplication runs FindPlotters over per-application
-// virtual hosts: each internal host's flows are split by the grouper, a
+// virtual hosts: each internal host's flows are split by port group, a
 // synthetic source address is minted per (host, group), and the standard
 // pipeline runs over the rewritten records. A bot whose control channel
 // shares a machine with a heavy file-sharer is then judged on its own
@@ -76,33 +74,24 @@ type PortGroupResult struct {
 // square, so this variant leans hardest on the parallel distance-matrix
 // engine; cfg.Parallelism applies to the virtual-host matrix exactly as
 // it does to the plain pipeline.
-//
-// grouper defaults to DefaultPortGrouper. Groups with fewer than
-// minFlows flows are left out (too little evidence either way).
-func FindPlottersByApplication(records []flow.Record, internal func(flow.IP) bool, cfg Config, grouper PortGrouper, minFlows int) (*PortGroupResult, error) {
+func FindPlottersByApplication(records []flow.Record, internal func(flow.IP) bool, cfg Config) (*PortGroupResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if grouper == nil {
-		grouper = DefaultPortGrouper
-	}
-	if minFlows < 1 {
-		minFlows = 1
 	}
 
 	// First pass: count flows per (host, group) to allocate virtual
 	// addresses only for groups with enough traffic.
-	counts := make(map[VirtualHost]int)
+	counts := make(map[virtualHost]int)
 	for i := range records {
 		r := &records[i]
 		if internal != nil && !internal(r.Src) {
 			continue
 		}
-		counts[VirtualHost{Host: r.Src, Group: grouper(r)}]++
+		counts[virtualHost{Host: r.Src, Group: defaultPortGrouper(r)}]++
 	}
-	keys := make([]VirtualHost, 0, len(counts))
+	keys := make([]virtualHost, 0, len(counts))
 	for vh, n := range counts {
-		if n >= minFlows {
+		if n >= minGroupFlows {
 			keys = append(keys, vh)
 		}
 	}
@@ -113,13 +102,13 @@ func FindPlottersByApplication(records []flow.Record, internal func(flow.IP) boo
 		return keys[i].Group < keys[j].Group
 	})
 	if len(keys) == 0 {
-		return nil, fmt.Errorf("core: no (host, group) pairs with >= %d flows", minFlows)
+		return nil, fmt.Errorf("core: no (host, group) pairs with >= %d flows", minGroupFlows)
 	}
 
 	// Mint synthetic addresses in a reserved range (0.x.y.z is never a
 	// real initiator).
-	toVirtual := make(map[VirtualHost]flow.IP, len(keys))
-	mapping := make(map[flow.IP]VirtualHost, len(keys))
+	toVirtual := make(map[virtualHost]flow.IP, len(keys))
+	mapping := make(map[flow.IP]virtualHost, len(keys))
 	kept := 0
 	for i, vh := range keys {
 		addr := flow.IP(uint32(i) + 1)
@@ -129,15 +118,15 @@ func FindPlottersByApplication(records []flow.Record, internal func(flow.IP) boo
 	}
 
 	// Second pass: rewrite sources to virtual addresses. The first pass
-	// already counted exactly how many flows survive the minFlows filter,
-	// so size the rewrite buffer to that.
+	// already counted exactly how many flows survive the minGroupFlows
+	// floor, so size the rewrite buffer to that.
 	rewritten := make([]flow.Record, 0, kept)
 	for i := range records {
 		r := records[i]
 		if internal != nil && !internal(r.Src) {
 			continue
 		}
-		vh := VirtualHost{Host: r.Src, Group: grouper(&r)}
+		vh := virtualHost{Host: r.Src, Group: defaultPortGrouper(&r)}
 		addr, ok := toVirtual[vh]
 		if !ok {
 			continue
@@ -150,7 +139,7 @@ func FindPlottersByApplication(records []flow.Record, internal func(flow.IP) boo
 	if err != nil {
 		return nil, err
 	}
-	out := &PortGroupResult{Result: res, Suspects: make(map[flow.IP][]string), Mapping: mapping}
+	out := &PortGroupResult{Result: res, Suspects: make(map[flow.IP][]string)}
 	for addr := range res.Suspects {
 		vh := mapping[addr]
 		out.Suspects[vh.Host] = append(out.Suspects[vh.Host], vh.Group)

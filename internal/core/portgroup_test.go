@@ -19,7 +19,7 @@ func TestDefaultPortGrouper(t *testing.T) {
 	}
 	for _, tt := range tests {
 		r := &flow.Record{DstPort: tt.port}
-		if got := DefaultPortGrouper(r); got != tt.want {
+		if got := defaultPortGrouper(r); got != tt.want {
 			t.Errorf("port %d -> %q, want %q", tt.port, got, tt.want)
 		}
 	}
@@ -112,7 +112,7 @@ func TestFindPlottersByApplication(t *testing.T) {
 	cfg.CutFraction = 0.3
 	cfg.VolPercentile = 70
 	cfg.ChurnPercentile = 70
-	res, err := FindPlottersByApplication(records, nil, cfg, nil, 20)
+	res, err := FindPlottersByApplication(records, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,13 @@ func TestFindPlottersByApplication(t *testing.T) {
 	if !found {
 		t.Errorf("bot port group not identified: %v", groups)
 	}
-	// The mapping must resolve every virtual suspect.
-	for addr := range res.Result.Suspects {
-		if _, ok := res.Mapping[addr]; !ok {
-			t.Errorf("unmapped virtual host %v", addr)
-		}
+	// Every virtual suspect must resolve to one (host, group).
+	resolved := 0
+	for _, groups := range res.Suspects {
+		resolved += len(groups)
+	}
+	if resolved != len(res.Result.Suspects) {
+		t.Errorf("%d of %d virtual suspects resolved to a (host, group)", resolved, len(res.Result.Suspects))
 	}
 }
 
@@ -150,32 +152,36 @@ func ExtractFeaturesForTest(records []flow.Record, host flow.IP) float64 {
 
 func TestFindPlottersByApplicationValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := FindPlottersByApplication(nil, nil, cfg, nil, 5); err == nil {
+	if _, err := FindPlottersByApplication(nil, nil, cfg); err == nil {
 		t.Error("empty records accepted")
 	}
 	bad := cfg
 	bad.CutFraction = -1
 	h := mkHost{addr: 1, flows: 50, bytes: 10, peers: 2, period: time.Second}
-	if _, err := FindPlottersByApplication(h.records(), nil, bad, nil, 5); err == nil {
+	if _, err := FindPlottersByApplication(h.records(), nil, bad); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
 
 func TestFindPlottersByApplicationMinFlows(t *testing.T) {
-	// Hosts with fewer than minFlows flows per group are excluded.
+	// A (host, group) pair needs minGroupFlows flows to be analyzed: the
+	// hosts at and above the floor each become one virtual host, the one
+	// just below it none.
 	h1 := mkHost{addr: 1, flows: 100, failEach: 2, bytes: 50, peers: 3, period: 20 * time.Second}
 	h2 := mkHost{addr: 2, flows: 100, failEach: 2, bytes: 50, peers: 3, period: 20 * time.Second}
-	sparse := mkHost{addr: 3, flows: 5, bytes: 50, peers: 2, period: time.Second}
-	records := append(append(h1.records(), h2.records()...), sparse.records()...)
+	edge := mkHost{addr: 3, flows: minGroupFlows, bytes: 50, peers: 2, period: time.Second}
+	sparse := mkHost{addr: 4, flows: minGroupFlows - 1, bytes: 50, peers: 2, period: time.Second}
+	var records []flow.Record
+	for _, h := range []mkHost{h1, h2, edge, sparse} {
+		records = append(records, h.records()...)
+	}
 	cfg := DefaultConfig()
 	cfg.MinInterstitialSamples = 10
-	res, err := FindPlottersByApplication(records, nil, cfg, nil, 50)
+	res, err := FindPlottersByApplication(records, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for addr, vh := range res.Mapping {
-		if vh.Host == 3 {
-			t.Errorf("sparse host got virtual address %v", addr)
-		}
+	if got := len(res.Result.Analysis.Hosts()); got != 3 {
+		t.Errorf("%d virtual hosts, want 3 (the %d-flow host is below the floor)", got, minGroupFlows-1)
 	}
 }

@@ -34,12 +34,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
 
-	"plotters/internal/baseline"
 	"plotters/internal/campaign"
 	"plotters/internal/checkpoint"
 	"plotters/internal/collector"
@@ -55,7 +53,6 @@ import (
 	"plotters/internal/label"
 	"plotters/internal/metrics"
 	"plotters/internal/synth"
-	"plotters/internal/synth/plotter"
 	"plotters/internal/synth/scenario"
 )
 
@@ -178,13 +175,8 @@ type (
 	CommunityReport = core.CommunityReport
 )
 
-// Stable detector identifiers.
-const (
-	// PaperDetectorName identifies the FindPlotters pipeline.
-	PaperDetectorName = core.PaperName
-	// CommunityDetectorName identifies the community detector.
-	CommunityDetectorName = community.Name
-)
+// PaperDetectorName identifies the FindPlotters pipeline.
+const PaperDetectorName = core.PaperName
 
 // NewPaperDetector wraps the paper pipeline at the given operating
 // point.
@@ -213,32 +205,11 @@ func UnionSuspects(detections []*Detection) HostSet { return eval.Union(detectio
 // IntersectSuspects returns the hosts flagged by every detection.
 func IntersectSuspects(detections []*Detection) HostSet { return eval.Intersection(detections) }
 
-// Ground-truth labeling (§III payload rules).
-type (
-	// App identifies a recognized file-sharing application.
-	App = label.App
-	// HostLabel is one host's ground-truth evidence.
-	HostLabel = label.HostLabel
-)
-
-// Recognized file-sharing applications.
-const (
-	AppUnknown    = label.AppUnknown
-	AppGnutella   = label.AppGnutella
-	AppEMule      = label.AppEMule
-	AppBitTorrent = label.AppBitTorrent
-)
-
 // LabelTraders returns the hosts whose flows carry file-sharing protocol
 // signatures (§III), used only for scoring — the detection pipeline never
 // reads payloads.
 func LabelTraders(records []Record, internal func(IP) bool) map[IP]bool {
 	return label.Traders(records, internal)
-}
-
-// LabelHosts returns detailed per-host labeling evidence.
-func LabelHosts(records []Record, internal func(IP) bool) map[IP]*HostLabel {
-	return label.LabelHosts(records, internal)
 }
 
 // Traffic synthesis.
@@ -251,12 +222,6 @@ type (
 	DatasetConfig = scenario.DatasetConfig
 	// Dataset is the full corpus: days plus the two honeynet traces.
 	Dataset = scenario.Dataset
-	// StormConfig shapes a Storm honeynet trace.
-	StormConfig = plotter.StormConfig
-	// NugacheConfig shapes a Nugache honeynet trace.
-	NugacheConfig = plotter.NugacheConfig
-	// BotTrace is a generated honeynet trace.
-	BotTrace = plotter.Trace
 )
 
 // DefaultDayConfig returns the evaluation's per-day shape.
@@ -276,16 +241,6 @@ func GenerateDay(cfg DayConfig) (*Day, error) { return scenario.GenerateDay(cfg)
 // GenerateDataset synthesizes the full corpus.
 func GenerateDataset(cfg DatasetConfig) (*Dataset, error) {
 	return scenario.GenerateDataset(cfg)
-}
-
-// GenerateStorm synthesizes a 24-hour Storm honeynet trace.
-func GenerateStorm(cfg StormConfig, seed int64) (*BotTrace, error) {
-	return plotter.GenerateStorm(cfg, seed)
-}
-
-// GenerateNugache synthesizes a 24-hour Nugache honeynet trace.
-func GenerateNugache(cfg NugacheConfig, seed int64) (*BotTrace, error) {
-	return plotter.GenerateNugache(cfg, seed)
 }
 
 // IsInternal reports whether ip belongs to the simulated campus network
@@ -335,19 +290,6 @@ func InflateVolume(records []Record, factor float64) ([]Record, error) {
 	return evasion.InflateVolume(records, factor)
 }
 
-// InflateChurn rewrites repeat contacts to fresh addresses so the host
-// appears to churn through new peers, the θ_churn evasion.
-func InflateChurn(records []Record, factor float64, freshPool []IP, rng *rand.Rand) ([]Record, error) {
-	return evasion.InflateChurn(records, factor, freshPool, rng)
-}
-
-// JitterRepeatContacts shifts every repeat-contact connection by a
-// uniform ±d delay — the paper's θ_hm evasion simulation. Larger d
-// degrades detection but slows the botnet's command responsiveness.
-func JitterRepeatContacts(records []Record, d time.Duration, rng *rand.Rand) ([]Record, error) {
-	return evasion.JitterRepeatContacts(records, d, rng)
-}
-
 // RequiredVolumeFactor returns the multiplicative flow-size increase a
 // host needs to clear the volume threshold (Figure 11(a)).
 func RequiredVolumeFactor(avgBytesPerFlow, threshold float64) float64 {
@@ -358,20 +300,6 @@ func RequiredVolumeFactor(avgBytesPerFlow, threshold float64) float64 {
 // count to lift its new-IP fraction to target (Figure 11(b)).
 func RequiredChurnFactor(newPeers, totalPeers int, target float64) float64 {
 	return evasion.RequiredChurnFactor(newPeers, totalPeers, target)
-}
-
-// PadFlows adds pad junk bytes to every successful flow — the additive
-// θ_vol evasion.
-func PadFlows(records []Record, pad uint64) []Record {
-	return evasion.PadFlows(records, pad)
-}
-
-// SlowStartContacts delays each (src, dst) pair's first contact — and
-// every later flow of the pair with it — by a per-pair uniform delay in
-// [0, d], rationing peer rendezvous to flatten the new-destination rate
-// θ_churn keys on.
-func SlowStartContacts(records []Record, d time.Duration, rng *rand.Rand) ([]Record, error) {
-	return evasion.SlowStartContacts(records, d, rng)
 }
 
 // Red-team campaigns: parameterized countermeasures composed over the
@@ -391,11 +319,6 @@ type (
 	CampaignScale = campaign.Scale
 )
 
-// Campaign world scales.
-const (
-	CampaignScaleSmall = campaign.ScaleSmall
-)
-
 // DefaultCampaignConfig returns the standard sweep at the given seed.
 func DefaultCampaignConfig(seed int64) CampaignConfig { return campaign.DefaultConfig(seed) }
 
@@ -403,50 +326,16 @@ func DefaultCampaignConfig(seed int64) CampaignConfig { return campaign.DefaultC
 // report. The same configuration reproduces the same report bit for bit.
 func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) { return campaign.Run(cfg) }
 
-// Baseline detectors (§II related work), for comparison with FindPlotters.
-type (
-	// TDGConfig tunes the traffic-dispersion-graph P2P identifier.
-	TDGConfig = baseline.TDGConfig
-	// TDGResult is the TDG detector's outcome.
-	TDGResult = baseline.TDGResult
-	// PersistenceConfig tunes the persistent-connection C&C detector.
-	PersistenceConfig = baseline.PersistenceConfig
-	// PersistenceResult is the persistence detector's outcome.
-	PersistenceResult = baseline.PersistenceResult
-)
-
-// DefaultTDGConfig returns the published TDG operating point.
-func DefaultTDGConfig() TDGConfig { return baseline.DefaultTDGConfig() }
-
-// TDG runs the per-port traffic-dispersion-graph P2P identifier.
-func TDG(records []Record, internal func(IP) bool, cfg TDGConfig) (*TDGResult, error) {
-	return baseline.TDG(records, internal, cfg)
-}
-
-// DefaultPersistenceConfig returns the published persistence operating
-// point.
-func DefaultPersistenceConfig() PersistenceConfig { return baseline.DefaultPersistenceConfig() }
-
-// PersistenceDetect runs the persistent-connection C&C detector.
-func PersistenceDetect(records []Record, window Window, internal func(IP) bool, cfg PersistenceConfig) (*PersistenceResult, error) {
-	return baseline.Persistence(records, window, internal, cfg)
-}
-
-// Per-application analysis (the paper's §VI extension).
-type (
-	// PortGrouper maps a flow to an application group.
-	PortGrouper = core.PortGrouper
-	// PortGroupResult is the per-application pipeline outcome.
-	PortGroupResult = core.PortGroupResult
-	// VirtualHost is one (host, application group) analysis unit.
-	VirtualHost = core.VirtualHost
-)
+// PortGroupResult is the per-application pipeline outcome (the paper's
+// §VI extension).
+type PortGroupResult = core.PortGroupResult
 
 // FindPlottersByApplication splits each host's traffic by application
 // port group and runs the pipeline per group, exposing Plotters hiding
-// behind a Trader on the same machine.
-func FindPlottersByApplication(records []Record, internal func(IP) bool, cfg Config, grouper PortGrouper, minFlows int) (*PortGroupResult, error) {
-	return core.FindPlottersByApplication(records, internal, cfg, grouper, minFlows)
+// behind a Trader on the same machine. A group needs 20 flows to be
+// analyzed.
+func FindPlottersByApplication(records []Record, internal func(IP) bool, cfg Config) (*PortGroupResult, error) {
+	return core.FindPlottersByApplication(records, internal, cfg)
 }
 
 // Feature sources decouple feature accumulation from detection: the
