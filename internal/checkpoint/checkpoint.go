@@ -40,7 +40,11 @@ import (
 // is bumped on any layout change.
 var snapshotMagic = [4]byte{'P', 'C', 'K', 'P'}
 
-const snapshotVersion = 1
+// snapshotVersion is the layout Encode writes. Version 1, which Decode
+// still reads, differs only in the store's pending records: each shard
+// carried an arrival counter, and each pending record went whole, with
+// its arrival number. Version 2 keeps the fields the features read.
+const snapshotVersion = 2
 
 // Section ids. New sections get new ids; readers reject ids they do not
 // know rather than skip them, because every section written today is
@@ -57,8 +61,9 @@ const (
 const (
 	minHostTime    = 4 + 9               // address + flagged time
 	minHostState   = 4 + 6*8 + 2*9 + 3*4 // host, six counters, two times, three counts
-	minStreamState = 3*9 + 8 + 8 + 3*4   // three times, count, seq, three counts
-	minPending     = 55 + 8              // record header + seq
+	minStreamState = 3*9 + 8 + 3*4       // three times, count, three counts
+	minPending     = 2*4 + 9 + 8 + 1     // two addresses, start, bytes, failed
+	minPendingV1   = 55 + 8              // record header + arrival number
 	minExporter    = 2 + 2 + 2*(1+4)     // name len, engine, two seen/next pairs
 )
 
@@ -163,8 +168,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	if d.Err() != nil {
 		return nil, fmt.Errorf("checkpoint: snapshot truncated before version field")
 	}
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("checkpoint: snapshot version %d is not supported by this build (understands up to %d) — refusing to guess at its layout",
+	if version < 1 || version > snapshotVersion {
+		return nil, fmt.Errorf("checkpoint: snapshot version %d is not supported by this build (understands 1 to %d) — refusing to guess at its layout",
 			version, snapshotVersion)
 	}
 	snap := &Snapshot{}
@@ -189,7 +194,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		case secMeta:
 			snap.Meta = decodeMeta(sd)
 		case secEngine:
-			snap.Engine = decodeEngineState(sd)
+			snap.Engine = decodeEngineState(sd, version)
 		case secExporters:
 			snap.Exporters = decodeExporters(sd)
 		default:
@@ -317,7 +322,7 @@ func encodeEngineState(st *engine.State) []byte {
 	return e.Bytes()
 }
 
-func decodeEngineState(d *wire.Decoder) *engine.State {
+func decodeEngineState(d *wire.Decoder, version uint16) *engine.State {
 	st := &engine.State{
 		Started:  d.Bool(),
 		Origin:   d.Time(),
@@ -329,7 +334,7 @@ func decodeEngineState(d *wire.Decoder) *engine.State {
 	shards := d.Count(minStreamState)
 	store := &flow.ShardedState{Shards: make([]flow.StreamState, shards)}
 	for i := range store.Shards {
-		decodeStreamState(d, &store.Shards[i])
+		decodeStreamState(d, &store.Shards[i], version)
 		if d.Err() != nil {
 			return st
 		}
@@ -355,41 +360,81 @@ func encodeStreamState(e *wire.Encoder, st *flow.StreamState) {
 	e.Time(st.Frontier)
 	e.Time(st.Released)
 	e.I64(int64(st.Count))
-	e.U64(st.Seq)
 	encodeHostList(e, st.Hosts)
 	encodeHostTimes(e, st.Anchors)
 	e.U32(uint32(len(st.Pending)))
-	for i := range st.Pending {
-		e.Splice(func(b []byte) []byte { return flowio.AppendRecord(b, &st.Pending[i].Rec) })
-		e.U64(st.Pending[i].Seq)
+	for _, p := range st.Pending {
+		e.U32(uint32(p.Src))
+		e.U32(uint32(p.Dst))
+		e.Time(p.Start)
+		e.U64(p.SrcBytes)
+		e.Bool(p.Failed)
 	}
 }
 
-func decodeStreamState(d *wire.Decoder, st *flow.StreamState) {
+func decodeStreamState(d *wire.Decoder, st *flow.StreamState, version uint16) {
 	st.First = d.Time()
 	st.Frontier = d.Time()
 	st.Released = d.Time()
 	st.Count = int(d.I64())
-	st.Seq = d.U64()
+	if version == 1 {
+		d.U64() // the arrival counter
+	}
 	st.Hosts = decodeHostList(d)
 	st.Anchors = decodeHostTimes(d)
-	pending := d.Count(minPending)
-	if d.Err() != nil || pending == 0 {
-		return
+	if version == 1 {
+		st.Pending = decodePendingV1(d)
+	} else {
+		st.Pending = decodePending(d)
 	}
-	st.Pending = make([]flow.PendingState, pending)
-	for i := range st.Pending {
+}
+
+func decodePending(d *wire.Decoder) []flow.PendingState {
+	n := d.Count(minPending)
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	out := make([]flow.PendingState, n)
+	for i := range out {
+		out[i] = flow.PendingState{
+			Src:      flow.IP(d.U32()),
+			Dst:      flow.IP(d.U32()),
+			Start:    d.Time(),
+			SrcBytes: d.U64(),
+			Failed:   d.Bool(),
+		}
+	}
+	return out
+}
+
+// decodePendingV1 reads a version 1 pending list — whole records, each
+// followed by its arrival number, in (start, arrival) order — and keeps
+// the fields the features read, in the same order.
+func decodePendingV1(d *wire.Decoder) []flow.PendingState {
+	n := d.Count(minPendingV1)
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	out := make([]flow.PendingState, n)
+	for i := range out {
 		if d.Err() != nil {
-			return
+			return out
 		}
 		rec, used, err := flowio.DecodeRecord(d.Rest())
 		if err != nil {
 			d.Fail("checkpoint: pending record %d: %v", i, err)
-			return
+			return out
 		}
 		d.Take(used)
-		st.Pending[i] = flow.PendingState{Rec: rec, Seq: d.U64()}
+		d.U64() // the arrival number
+		out[i] = flow.PendingState{
+			Src: rec.Src, Dst: rec.Dst,
+			Start:    rec.Start,
+			SrcBytes: rec.SrcBytes,
+			Failed:   rec.Failed(),
+		}
 	}
+	return out
 }
 
 func encodeHostList(e *wire.Encoder, hosts []flow.HostState) {

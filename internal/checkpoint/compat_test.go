@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"plotters/internal/checkpoint"
+	"plotters/internal/engine"
+	"plotters/internal/flow"
+	"plotters/internal/flowio"
 )
 
 // appendSection frames a payload the way the encoder does — for
@@ -41,10 +47,10 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 		{
 			name: "future container version",
 			data: mutate(func(b []byte) []byte {
-				binary.LittleEndian.PutUint16(b[4:6], 2)
+				binary.LittleEndian.PutUint16(b[4:6], 3)
 				return b
 			}),
-			wantErr: "version 2",
+			wantErr: "version 3",
 		},
 		{
 			name: "unknown trailing section",
@@ -98,16 +104,19 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 	}
 }
 
-// testdata/snapshot_v1_pr18.bin was written by the commit before the
-// feature layer merged each host's two per-destination maps into one
-// table and replaced the reorder heap with keys over a record slab: 454
-// records of synthStream(seed 18, 50 min) through testEngineConfig(), so
-// two sealed panes, buffered records and carried anchors are all in it.
-// The in-memory layout changed; the bytes must not. Restoring the old
-// build's snapshot into this build's engine and snapshotting again has
-// to give back the file exactly — which proves the merged table
+// testdata/snapshot_v1_pr18.bin is a version 1 snapshot, written by
+// the commit before the feature layer merged each host's two
+// per-destination maps into one table and replaced the reorder heap
+// with keys over a record slab: 454 records of synthStream(seed 18,
+// 50 min) through testEngineConfig(), so two sealed panes, pending
+// records and carried anchors are all in it. Version 2 changed only the
+// pending records. Restoring the old build's snapshot into this build's
+// engine and snapshotting again has to give back the file exactly,
+// except for the version field and each shard's pending section — and
+// that must list the file's pending records in the same order, cut down
+// to the fields the features read. That proves the merged table
 // re-exports both address-sorted lists, and every time in them, as the
-// old maps did.
+// old maps did, and that the pending lists lose no record.
 func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
 	data, err := os.ReadFile("testdata/snapshot_v1_pr18.bin")
 	if err != nil {
@@ -142,7 +151,126 @@ func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, data) {
-		t.Fatalf("re-encoded snapshot differs from the parent build's (%d vs %d bytes)", len(again), len(data))
+	oldVersion, oldKept, oldPending, err := checkpoint.SplitPending(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newVersion, newKept, newPending, err := checkpoint.SplitPending(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldVersion != 1 || newVersion != 2 {
+		t.Fatalf("versions %d → %d, want 1 → 2", oldVersion, newVersion)
+	}
+	if !bytes.Equal(newKept, oldKept) {
+		t.Fatalf("outside the pending sections, the re-encoded snapshot differs from the parent build's (%d vs %d bytes)", len(newKept), len(oldKept))
+	}
+	if len(newPending) != len(oldPending) {
+		t.Fatalf("%d shards' pending sections, the parent build wrote %d", len(newPending), len(oldPending))
+	}
+	for i := range oldPending {
+		want := pendingV1(t, oldPending[i])
+		if got := pendingV2(t, newPending[i]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d: pending section lists\n%+v\nwant the parent's records, cut down, in order:\n%+v", i, got, want)
+		}
+	}
+}
+
+// pendingV1 reads a version 1 pending list — whole records, each with an
+// arrival number — and cuts each record down to what the features read.
+func pendingV1(t *testing.T, b []byte) []flow.PendingState {
+	t.Helper()
+	n := binary.LittleEndian.Uint32(b)
+	b = b[4:]
+	var out []flow.PendingState
+	for range n {
+		rec, used, err := flowio.DecodeRecord(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = b[used+8:]
+		out = append(out, flow.PendingState{
+			Src: rec.Src, Dst: rec.Dst, Start: rec.Start, SrcBytes: rec.SrcBytes, Failed: rec.Failed(),
+		})
+	}
+	if len(b) != 0 {
+		t.Fatalf("%d bytes after the version 1 pending list", len(b))
+	}
+	return out
+}
+
+// pendingV2 reads a version 2 pending list: per entry the initiator and
+// destination (u32 each), the start (zero flag, Unix ns), the bytes
+// uploaded (u64) and the failed flag.
+func pendingV2(t *testing.T, b []byte) []flow.PendingState {
+	t.Helper()
+	le := binary.LittleEndian
+	n := le.Uint32(b)
+	b = b[4:]
+	var out []flow.PendingState
+	for range n {
+		if len(b) < 26 || b[8] != 1 || b[25] > 1 {
+			t.Fatalf("malformed version 2 pending entry % x", b[:min(len(b), 26)])
+		}
+		out = append(out, flow.PendingState{
+			Src: flow.IP(le.Uint32(b)), Dst: flow.IP(le.Uint32(b[4:])),
+			Start:    time.Unix(0, int64(le.Uint64(b[9:]))).UTC(),
+			SrcBytes: le.Uint64(b[17:]),
+			Failed:   b[25] == 1,
+		})
+		b = b[26:]
+	}
+	if len(b) != 0 {
+		t.Fatalf("%d bytes after the version 2 pending list", len(b))
+	}
+	return out
+}
+
+// An engine restored from the version 1 fixture must carry on exactly
+// as the engine that wrote it would have: fed the stream the fixture
+// was cut from, then a further 40 minutes, one engine emits the same
+// windows after the fixture's point as the restored one does.
+func TestSnapshotV1ResumesLikeAnUnbrokenRun(t *testing.T) {
+	const cut = 454 // the records the fixture holds: synthStream(seed 18, 50 min)
+	records := synthStream(rand.New(rand.NewSource(18)), baseTime(), 50*time.Minute)
+	if len(records) != cut {
+		t.Fatalf("synthStream(seed 18, 50 min) has %d records, the fixture holds %d", len(records), cut)
+	}
+	records = append(records, synthStream(rand.New(rand.NewSource(19)), baseTime().Add(50*time.Minute), 40*time.Minute)...)
+	feed := func(eng *engine.WindowedDetector, records []flow.Record) {
+		t.Helper()
+		for i := range records {
+			if err := eng.Add(&records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var want, got []windowKey
+	whole := newTestEngine(t, "", &want)
+	feed(whole, records[:cut])
+	before := len(want)
+	feed(whole, records[cut:])
+	if err := whole.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := checkpoint.Read("testdata/snapshot_v1_pr18.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Meta.WALSeq != cut {
+		t.Fatalf("the fixture covers %d records, want %d", snap.Meta.WALSeq, cut)
+	}
+	resumed := newTestEngine(t, "", &got)
+	if err := snap.RestoreEngine(resumed); err != nil {
+		t.Fatal(err)
+	}
+	feed(resumed, records[cut:])
+	if err := resumed.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 2 || !reflect.DeepEqual(got, want[before:]) {
+		t.Fatalf("resumed run emitted\n%+v\nthe unbroken run, after the fixture's point:\n%+v", got, want[before:])
 	}
 }

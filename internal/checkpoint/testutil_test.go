@@ -17,7 +17,7 @@ func baseTime() time.Time {
 }
 
 // testEngineConfig exercises every checkpointing-relevant engine
-// feature: sliding windows (pane ring), skew (reorder buffers), sharding,
+// feature: sliding windows (pane ring), skew (pending lists), sharding,
 // and carried first-seen anchors.
 func testEngineConfig() engine.Config {
 	cc := core.DefaultConfig()
@@ -36,7 +36,7 @@ func testEngineConfig() engine.Config {
 // synthStream builds a start-ordered stream over [base, base+span): a
 // few periodic machine hosts (plotter-shaped) and a crowd of randomized
 // human hosts, with mild reordering inside the skew tolerance so
-// snapshots catch records in the reorder buffers.
+// snapshots catch records on the pending lists.
 func synthStream(rng *rand.Rand, base time.Time, span time.Duration) []flow.Record {
 	var out []flow.Record
 	add := func(src, dst flow.IP, at time.Time, bytes uint64, state flow.ConnState) {
@@ -69,7 +69,7 @@ func synthStream(rng *rand.Rand, base time.Time, span time.Duration) []flow.Reco
 	}
 	flow.SortByStart(out)
 	// Mild reordering within the skew tolerance: swap neighbors whose
-	// starts are close, so the extractors' reorder buffers are non-empty
+	// starts are close, so the extractors' pending lists are non-empty
 	// when a snapshot lands.
 	for i := len(out) - 2; i >= 0; i-- {
 		if rng.Intn(3) == 0 && out[i+1].Start.Sub(out[i].Start) < 30*time.Second {

@@ -176,6 +176,7 @@ type WindowedDetector struct {
 	paneIdx  int       // index of the open pane since origin; set through setPane
 	sealAt   int64     // the open pane's end + MaxSkew, Unix ns: a frontier there ends it
 	frontier time.Time // latest start time seen (or AdvanceTo watermark)
+	accepted time.Time // latest start the store accepted
 	recent   []*flow.Pane
 	emitted  int
 	dropped  int
@@ -324,6 +325,9 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 	if r.Start.UnixNano() < d.frontier.UnixNano()-int64(d.cfg.MaxSkew) || d.store.Add(r) != nil {
 		return d.late(r)
 	}
+	if r.Start.After(d.accepted) {
+		d.accepted = r.Start
+	}
 	d.records.Add(1)
 	return nil
 }
@@ -373,7 +377,7 @@ func (d *WindowedDetector) Flush() error {
 	if err := d.advance(d.frontier); err != nil {
 		return err
 	}
-	if d.store.Hosts() == 0 && d.store.Pending() == 0 {
+	if d.storeIdle() {
 		return nil
 	}
 	return d.sealPane()
@@ -404,8 +408,15 @@ func (d *WindowedDetector) advance(watermark time.Time) error {
 	return nil
 }
 
+// storeIdle reports whether the open pane holds nothing: no host folded
+// into it, nothing pending, and — with a skew — no record accepted at or
+// past its start. The store drops a record from an unmonitored initiator
+// on arrival and keeps nothing of it, but the pane it reached is not
+// idle: Flush seals it and emits the sliding window it ends, and advance
+// does not skip it.
 func (d *WindowedDetector) storeIdle() bool {
-	return d.store.Hosts() == 0 && d.store.Pending() == 0
+	return d.store.Hosts() == 0 && d.store.Pending() == 0 &&
+		(d.cfg.MaxSkew == 0 || d.accepted.Before(d.paneStart()))
 }
 
 func (d *WindowedDetector) ringEmpty() bool {

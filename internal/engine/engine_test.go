@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -478,6 +479,55 @@ func TestRecordBeforeOriginIsLate(t *testing.T) {
 		if d.Dropped() != 2 || len(results) != 1 || results[0].Index != 0 || results[0].Records != 1 {
 			t.Errorf("DropLate=%v: Dropped() = %d, %d windows (first %+v); want 2 drops and window 0 with 1 record",
 				dropLate, d.Dropped(), len(results), results)
+		}
+	}
+}
+
+// A pane that only unmonitored initiators reached is still sealed at
+// Flush, as one holding a monitored host's record is: the sliding window
+// it ends holds the earlier panes' hosts and is emitted, Partial. That
+// holds across a snapshot too, though the store keeps nothing of such
+// records.
+func TestFlushSealsPaneOnlyUnmonitoredReached(t *testing.T) {
+	origin := baseTime()
+	for _, restore := range []bool{false, true} {
+		var got []string
+		emit := func(r *Result) error {
+			got = append(got, fmt.Sprintf("%v partial=%v hosts=%d", r.Window, r.Partial, r.Hosts))
+			return nil
+		}
+		cfg := Config{Window: time.Hour, Slide: 20 * time.Minute, Origin: origin, MaxSkew: time.Minute,
+			Internal: func(ip flow.IP) bool { return ip < 100 }, Core: testConfig()}
+		d, err := New(cfg, emit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add := func(src flow.IP, at time.Duration) {
+			r := flow.Record{Src: src, Dst: 500, Proto: flow.TCP, State: flow.StateEstablished,
+				Start: origin.Add(at), End: origin.Add(at + time.Second)}
+			if err := d.Add(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for m := 0; m < 70; m++ {
+			add(1, time.Duration(m)*time.Minute)
+		}
+		add(200, 85*time.Minute) // the pane [80m, 100m) sees only this one
+		if restore {
+			st := d.State()
+			if d, err = New(cfg, emit); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		last := fmt.Sprintf("%v partial=true hosts=1", flow.Window{From: origin.Add(40 * time.Minute), To: origin.Add(100 * time.Minute)})
+		if len(got) != 3 || got[2] != last {
+			t.Errorf("restore=%v: emitted %q, want three windows, the last %q", restore, got, last)
 		}
 	}
 }

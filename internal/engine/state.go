@@ -72,6 +72,11 @@ func (d *WindowedDetector) RestoreState(st *State) error {
 	d.started = st.Started
 	d.origin = st.Origin
 	d.frontier = st.Frontier
+	for _, sh := range st.Store.Shards {
+		if sh.Frontier.After(d.accepted) {
+			d.accepted = sh.Frontier // a shard's frontier is the latest start it accepted
+		}
+	}
 	d.setPane(st.PaneIdx)
 	d.emitted = st.Emitted
 	d.dropped = st.Dropped

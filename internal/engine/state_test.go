@@ -52,7 +52,7 @@ func collectSummaries(out *[]windowSummary) func(*Result) error {
 }
 
 // resumeConfig exercises the checkpointing-relevant engine features:
-// skew (reorder buffers), sharding, and carried first-seen anchors.
+// skew (pending lists), sharding, and carried first-seen anchors.
 func resumeConfig(window, slide time.Duration) Config {
 	return Config{
 		Window:         window,

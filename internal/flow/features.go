@@ -140,10 +140,10 @@ func extractBuilders(records []Record, opts FeatureOptions) map[IP]*featureBuild
 			continue
 		}
 		c := compactOf(r)
-		b, ok := builders[c.src]
+		b, ok := builders[r.Src]
 		if !ok {
-			b = newFeatureBuilder(c.src, c.start)
-			builders[c.src] = b
+			b = newFeatureBuilder(r.Src, c.start)
+			builders[r.Src] = b
 		}
 		b.observe(&c, grace)
 	}

@@ -1,0 +1,110 @@
+package flow
+
+// pendingLists holds the records a store shard has accepted but not yet
+// folded, in one list per monitored host.
+//
+// The features that depend on order — θ_hm's gaps between consecutive
+// flows to one destination, θ_churn's first contacts after the host's
+// grace period — depend only on each host's own order. So the shard
+// does not restore one global start order. It keeps every host's
+// pending records in (start, arrival) order and folds a host's oldest
+// ones once the feed is MaxSkew past them.
+//
+// A host's list is threaded through a slab of 32-byte entries, and so is
+// the free list of vacated slots: once the slab has grown to the feed's
+// depth, filing and folding allocate nothing. An entry carries only
+// what observe reads and holds no pointer: the garbage collector never
+// scans the slab, and a vacated slot keeps nothing alive. Filing a
+// record walks back from the list's tail past the entries that start
+// later, so it costs as many steps as the record arrived out of order
+// within its own host.
+type pendingLists struct {
+	slab   []pendingEntry
+	free   int32 // first vacated slab slot, noEntry if none
+	n      int   // entries filed
+	queues []hostQueue
+	index  map[IP]int32 // host -> its queue
+}
+
+// pendingEntry is one filed record and its list links.
+type pendingEntry struct {
+	compactRecord
+	prev, next int32 // neighbours on the host's list; next also chains the free list
+}
+
+// hostQueue is one monitored host's list, oldest first.
+type hostQueue struct {
+	head, tail int32 // oldest and newest entry, noEntry when empty
+	host       IP
+	// b is the host's builder in the open pane, nil until the pane's
+	// first fold for the host: a fold looks the builder up once a pane,
+	// not once a record.
+	b *featureBuilder
+}
+
+const noEntry = int32(-1)
+
+func newPendingLists() pendingLists {
+	return pendingLists{free: noEntry, index: make(map[IP]int32)}
+}
+
+// queue returns host's queue, making an empty one the first time. The
+// pointer is good until the next new host.
+func (p *pendingLists) queue(host IP) *hostQueue {
+	i, ok := p.index[host]
+	if !ok {
+		i = int32(len(p.queues))
+		p.index[host] = i
+		p.queues = append(p.queues, hostQueue{head: noEntry, tail: noEntry, host: host})
+	}
+	return &p.queues[i]
+}
+
+// file puts c on q after every entry that starts no later than c does.
+func (p *pendingLists) file(q *hostQueue, c compactRecord) {
+	slot := p.free
+	if slot != noEntry {
+		p.free = p.slab[slot].next
+	} else {
+		slot = int32(len(p.slab))
+		p.slab = append(p.slab, pendingEntry{})
+	}
+	p.n++
+	after := q.tail
+	for after != noEntry && p.slab[after].start > c.start {
+		after = p.slab[after].prev
+	}
+	e := &p.slab[slot]
+	e.compactRecord, e.prev = c, after
+	if after == noEntry {
+		e.next, q.head = q.head, slot
+	} else {
+		e.next, p.slab[after].next = p.slab[after].next, slot
+	}
+	if e.next == noEntry {
+		q.tail = slot
+	} else {
+		p.slab[e.next].prev = slot
+	}
+}
+
+// ready reports whether q's oldest entry starts before bound (Unix ns).
+func (p *pendingLists) ready(q *hostQueue, bound int64) bool {
+	return q.head != noEntry && p.slab[q.head].start < bound
+}
+
+// pop unlinks q's oldest entry and vacates its slot. The returned
+// pointer is good until the next file.
+func (p *pendingLists) pop(q *hostQueue) *compactRecord {
+	slot := q.head
+	e := &p.slab[slot]
+	q.head = e.next
+	if q.head == noEntry {
+		q.tail = noEntry
+	} else {
+		p.slab[q.head].prev = noEntry
+	}
+	e.next, p.free = p.free, slot
+	p.n--
+	return &e.compactRecord
+}

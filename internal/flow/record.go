@@ -102,45 +102,20 @@ type Record struct {
 // Failed reports whether the connection attempt failed.
 func (r *Record) Failed() bool { return r.State == StateFailed }
 
-// compactRecord is a Record as the extractors hold it: the fields
-// flowio.AppendRecord encodes, with times as Unix nanoseconds and
-// without the Payload. That is 56 bytes and no pointer, so a slab of
-// them is never scanned by the garbage collector and never has to be
-// cleared to let go of anything.
+// compactRecord is a Record cut down to what observe reads: the start
+// as Unix nanoseconds, the bytes uploaded, the destination and the
+// outcome. That is 24 bytes and no pointer, so the store's slab of
+// pending entries is never scanned by the garbage collector and never
+// has to be cleared to let go of anything.
 type compactRecord struct {
-	start, end         int64
-	srcBytes, dstBytes uint64
-	src, dst           IP
-	srcPkts, dstPkts   uint32
-	srcPort, dstPort   uint16
-	proto              Proto
-	state              ConnState
+	start    int64
+	srcBytes uint64
+	dst      IP
+	state    ConnState
 }
 
 func compactOf(r *Record) compactRecord {
-	return compactRecord{
-		start: r.Start.UnixNano(), end: r.End.UnixNano(),
-		srcBytes: r.SrcBytes, dstBytes: r.DstBytes,
-		src: r.Src, dst: r.Dst,
-		srcPkts: r.SrcPkts, dstPkts: r.DstPkts,
-		srcPort: r.SrcPort, dstPort: r.DstPort,
-		proto: r.Proto, state: r.State,
-	}
-}
-
-// record rebuilds the Record around payload, with UTC wall-clock times —
-// what decoding the record's trace or snapshot encoding yields.
-func (c *compactRecord) record(payload []byte) Record {
-	return Record{
-		Src: c.src, Dst: c.dst,
-		SrcPort: c.srcPort, DstPort: c.dstPort,
-		Proto: c.proto,
-		Start: time.Unix(0, c.start).UTC(), End: time.Unix(0, c.end).UTC(),
-		SrcPkts: c.srcPkts, DstPkts: c.dstPkts,
-		SrcBytes: c.srcBytes, DstBytes: c.dstBytes,
-		State:   c.state,
-		Payload: payload,
-	}
+	return compactRecord{start: r.Start.UnixNano(), srcBytes: r.SrcBytes, dst: r.Dst, state: r.State}
 }
 
 // Fingerprint returns a 64-bit content hash of the record under the

@@ -22,15 +22,14 @@ import (
 // sealed pane is identical to what one shard fed the same stream would
 // produce — for the records it accepts. Which records those are is
 // sharding-visible: each shard rejects late records against its own
-// released watermark, which trails the global one by as long as the
-// shard's hosts were quiet, so a record one shard would drop may be kept
-// by another. A caller whose verdict must not depend on the shard count
-// judges lateness against the global frontier before Add
+// released mark, the latest start it has folded, which trails the
+// frontier by MaxSkew at least and by as long as the shard's hosts were
+// quiet, so a record one shard would drop may be kept by another. A
+// caller whose verdict must not depend on the shard count judges
+// lateness against the global frontier before Add
 // (engine.WindowedDetector does).
 type ShardedExtractor struct {
 	shards []lockedShard
-
-	hostsHW *metrics.Gauge // deepest any one shard got (builders)
 }
 
 type lockedShard struct {
@@ -86,8 +85,9 @@ func (se *ShardedExtractor) Shards() int { return len(se.shards) }
 
 // Metrics attaches reg's instruments to every shard: the shared
 // "stream/records" and "stream/skew_drops" counters (atomic, so shards
-// add into them concurrently) and "stream/pending_highwater" gauge,
-// plus the "sharded/hosts_highwater" gauge tracking the deepest any
+// add into them concurrently), the "stream/pending_highwater" gauge
+// (the most entries one shard held pending for its monitored hosts),
+// and the "sharded/hosts_highwater" gauge tracking the deepest any
 // single shard's host table got — the load-balance signal. Behind a
 // WindowedDetector, stream/skew_drops counts only what the store itself
 // refused — records below a pane boundary AdvanceTo sealed; the
@@ -98,8 +98,8 @@ func (se *ShardedExtractor) Metrics(reg *metrics.Registry) *ShardedExtractor {
 		ex.recCtr = reg.Counter("stream/records")
 		ex.dropCtr = reg.Counter("stream/skew_drops")
 		ex.pendingHW = reg.Gauge("stream/pending_highwater")
+		ex.hostsHW = reg.Gauge("sharded/hosts_highwater")
 	})
-	se.hostsHW = reg.Gauge("sharded/hosts_highwater")
 	return se
 }
 
@@ -122,36 +122,29 @@ func (se *ShardedExtractor) CarryFirstSeen(on bool) {
 func (se *ShardedExtractor) Add(r *Record) error {
 	s := &se.shards[ShardOf(r.Src, len(se.shards))]
 	s.mu.Lock()
-	before := len(s.ex.builders)
 	err := s.ex.Add(r)
-	n := len(s.ex.builders)
 	s.mu.Unlock()
-	// The gauge is one cache line every shard's caller shares: touch it
-	// only when this shard's host table actually grew.
-	if n > before {
-		se.hostsHW.SetMax(int64(n))
-	}
 	return err
 }
 
-// Drain processes every buffered record on every shard (end of feed).
+// Drain folds every pending entry on every shard (end of feed).
 func (se *ShardedExtractor) Drain() {
 	se.each(func(_ int, ex *shardExtractor) { ex.Drain() })
 }
 
-// ReleaseBefore force-processes buffered records with start < t on
+// ReleaseBefore force-folds pending entries with start < t on
 // every shard and then forbids additions below t: a later Add with
 // start < t is rejected as a skew drop. This is the window-sealing
 // primitive — the engine calls it at a pane boundary once the frontier
 // proves no conforming record below t can still arrive, so records at
-// or past t stay buffered for the next pane.
+// or past t stay pending for the next pane.
 func (se *ShardedExtractor) ReleaseBefore(t time.Time) {
 	se.each(func(_ int, ex *shardExtractor) { ex.ReleaseBefore(t) })
 }
 
 // TakePane seals every shard for window w, joining their builders into
 // one pane (hosts never straddle shards, so the join is a disjoint map
-// union), and resets the store for the next pane. Buffered records stay;
+// union), and resets the store for the next pane. Pending entries stay;
 // call ReleaseBefore(w.To) first.
 func (se *ShardedExtractor) TakePane(w Window) *Pane {
 	taken := make([]map[IP]*featureBuilder, len(se.shards))
@@ -174,9 +167,10 @@ func (se *ShardedExtractor) Hosts() int {
 	return n
 }
 
-// Pending returns the total buffered record count across shards.
+// Pending returns the total count of entries still pending across
+// shards.
 func (se *ShardedExtractor) Pending() int {
 	n := 0
-	se.each(func(_ int, ex *shardExtractor) { n += ex.pending.len() })
+	se.each(func(_ int, ex *shardExtractor) { n += ex.pending.n })
 	return n
 }

@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -12,9 +14,9 @@ import (
 // bit-identically after a crash. The types are the format, not a mirror
 // of the accumulation structures: a host's one per-destination table
 // leaves as two address-sorted lists (FirstContact, LastStart) and the
-// reorder buffer's keys and slab as one (start, seq)-sorted Pending list,
-// so how the extractor lays state out in memory can change without the
-// snapshot bytes changing. State() detaches a deep copy, RestoreState()
+// per-host pending lists as one start-sorted Pending list, so how the
+// extractor lays state out in memory can change without the snapshot
+// bytes changing. State() detaches a deep copy, RestoreState()
 // rebuilds the originals inside a freshly constructed extractor.
 // Configuration (FeatureOptions, shard count, skew) is never part of the
 // state — the restoring caller constructs the extractor with the same
@@ -38,23 +40,24 @@ type HostState struct {
 	LastStart    []HostTime // destination -> latest flow start, ascending by Host
 }
 
-// PendingState is one record held in the reorder buffer, with the
-// arrival sequence number that keeps same-start ties in arrival order.
+// PendingState is one record on its host's pending list, cut down to
+// the fields the features read.
 type PendingState struct {
-	Rec Record
-	Seq uint64
+	Src, Dst IP
+	Start    time.Time
+	SrcBytes uint64
+	Failed   bool
 }
 
 // StreamState is a complete snapshot of one store shard's dynamic
 // state. Slices are ordered deterministically (hosts and anchors by
-// address, pending by (start, seq)) so the same extractor state always
-// serializes to the same bytes.
+// address, pending by start, then host, then arrival) so the same
+// extractor state always serializes to the same bytes.
 type StreamState struct {
 	First    time.Time
 	Frontier time.Time
 	Released time.Time
 	Count    int
-	Seq      uint64
 	Hosts    []HostState
 	Anchors  []HostTime // carried first-seen anchors (empty when off)
 	Pending  []PendingState
@@ -169,16 +172,31 @@ func (se *shardExtractor) State() *StreamState {
 		Frontier: se.frontier,
 		Released: se.released,
 		Count:    se.count,
-		Seq:      se.seq,
 		Hosts:    stateOfBuilders(se.builders),
 		Anchors:  hostTimesFromMap(se.anchors),
 	}
-	if keys := se.pending.sorted(); len(keys) > 0 {
-		st.Pending = make([]PendingState, len(keys))
-		for i, k := range keys {
-			st.Pending[i] = PendingState{Rec: se.pending.record(k.slot), Seq: k.seq}
+	if se.pending.n == 0 {
+		return st
+	}
+	st.Pending = make([]PendingState, 0, se.pending.n)
+	for _, q := range se.pending.queues {
+		for slot := q.head; slot != noEntry; slot = se.pending.slab[slot].next {
+			c := &se.pending.slab[slot].compactRecord
+			st.Pending = append(st.Pending, PendingState{
+				Src: q.host, Dst: c.dst,
+				Start:    time.Unix(0, c.start).UTC(),
+				SrcBytes: c.srcBytes,
+				Failed:   c.state == StateFailed,
+			})
 		}
 	}
+	// Stable: a host's entries with equal starts keep their list order.
+	slices.SortStableFunc(st.Pending, func(a, b PendingState) int {
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Src, b.Src)
+	})
 	return st
 }
 
@@ -188,20 +206,29 @@ func (se *shardExtractor) State() *StreamState {
 // one; feature semantics would silently diverge otherwise, so a
 // non-empty extractor is rejected.
 func (se *shardExtractor) RestoreState(st *StreamState) error {
-	if se.count != 0 || len(se.builders) != 0 || se.pending.len() != 0 {
+	if se.count != 0 || len(se.builders) != 0 || se.pending.n != 0 {
 		return fmt.Errorf("flow: RestoreState on an extractor that already holds %d records", se.count)
 	}
 	se.first = st.First
 	se.frontier = st.Frontier
 	se.released = st.Released
 	se.count = st.Count
-	se.seq = st.Seq
 	se.builders = buildersFromState(st.Hosts)
+	se.hostsHW.SetMax(int64(len(se.builders)))
 	if se.anchors != nil && len(st.Anchors) > 0 {
 		se.anchors = hostTimesToMap(st.Anchors)
 	}
-	for i := range st.Pending {
-		se.pending.push(&st.Pending[i].Rec, st.Pending[i].Seq)
+	for _, p := range st.Pending {
+		if se.opts.Hosts != nil && !se.opts.Hosts(p.Src) {
+			continue // an older build held unmonitored records too
+		}
+		state := StateEstablished
+		if p.Failed {
+			state = StateFailed
+		}
+		se.pending.file(se.pending.queue(p.Src), compactRecord{
+			start: p.Start.UnixNano(), srcBytes: p.SrcBytes, dst: p.Dst, state: state,
+		})
 	}
 	return nil
 }
@@ -228,12 +255,10 @@ func (se *ShardedExtractor) RestoreState(st *ShardedState) error {
 		s := &se.shards[i]
 		s.mu.Lock()
 		err := s.ex.RestoreState(&st.Shards[i])
-		n := len(s.ex.builders)
 		s.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("flow: shard %d: %w", i, err)
 		}
-		se.hostsHW.SetMax(int64(n)) // Add publishes growth only
 	}
 	return nil
 }

@@ -12,30 +12,32 @@ import (
 // a time — the shape a deployment at a busy border needs, where the
 // day's records never sit in memory at once.
 //
-// Feature semantics are defined over start-time order, but flow monitors
-// emit records at flow *end*, so a live feed arrives only approximately
-// start-ordered. A MaxSkew buffers records in a small start-ordered
-// reorder buffer: a record is processed once the feed has advanced
-// MaxSkew past its start time, which tolerates exactly the reordering a
-// flow monitor's expiry timers introduce. With zero skew, records must
-// arrive strictly start-ordered.
+// Feature semantics are defined over each host's start-time order, but
+// flow monitors emit records at flow *end*, so a live feed arrives only
+// approximately start-ordered. With a MaxSkew, a monitored host's record
+// waits on the host's pending list (pendingLists) until the feed has
+// advanced MaxSkew past its start, which tolerates exactly the
+// reordering a flow monitor's expiry timers introduce. A host's ready
+// records are folded on its next record, in a sweep every time the
+// watermark crosses a multiple of MaxSkew/4, and by ReleaseBefore and
+// Drain. With zero skew, records must arrive strictly start-ordered.
 type shardExtractor struct {
 	opts     FeatureOptions
 	grace    time.Duration
 	maxSkew  time.Duration
 	builders map[IP]*featureBuilder
 	anchors  map[IP]time.Time // host -> carried first-seen (nil = off)
-	pending  reorderBuffer
+	pending  pendingLists
 	first    time.Time // earliest start time seen
 	frontier time.Time // latest start time seen
-	released time.Time // start time up to which records were processed
+	released time.Time // latest start folded, or the last ReleaseBefore bound
 	count    int
-	seq      uint64
 
 	// Instrumentation (nil-safe no-ops until ShardedExtractor.Metrics).
 	recCtr    *metrics.Counter
 	dropCtr   *metrics.Counter
 	pendingHW *metrics.Gauge
+	hostsHW   *metrics.Gauge
 }
 
 // newShardExtractor creates an incremental extractor tolerating records
@@ -45,17 +47,13 @@ func newShardExtractor(opts FeatureOptions, maxSkew time.Duration) *shardExtract
 	if grace <= 0 {
 		grace = DefaultNewPeerGrace
 	}
-	if maxSkew < 0 {
-		maxSkew = 0
-	}
-	se := &shardExtractor{
+	return &shardExtractor{
 		opts:     opts,
 		grace:    grace,
-		maxSkew:  maxSkew,
+		maxSkew:  max(maxSkew, 0),
 		builders: make(map[IP]*featureBuilder),
+		pending:  newPendingLists(),
 	}
-	se.pending.init(maxSkew)
-	return se
 }
 
 // errLate is what Add returns for every record behind the released
@@ -66,7 +64,10 @@ func newShardExtractor(opts FeatureOptions, maxSkew time.Duration) *shardExtract
 var errLate = errors.New("flow: record is more than MaxSkew behind the stream frontier")
 
 // Add folds one record into the running features. Records may arrive up
-// to MaxSkew out of start-time order; older records are rejected.
+// to MaxSkew out of start-time order; a record that starts before the
+// latest start already folded, or before a ReleaseBefore bound, is
+// rejected. Records from initiators opts.Hosts excludes are counted and
+// dropped.
 func (se *shardExtractor) Add(r *Record) error {
 	if r.Start.Before(se.released) {
 		se.dropCtr.Add(1)
@@ -77,76 +78,119 @@ func (se *shardExtractor) Add(r *Record) error {
 	if se.count == 1 || r.Start.Before(se.first) {
 		se.first = r.Start
 	}
-	advanced := r.Start.After(se.frontier)
-	if advanced {
+	before := se.watermark()
+	if r.Start.After(se.frontier) {
 		se.frontier = r.Start
 	}
 	if se.maxSkew == 0 {
 		se.released = r.Start
-		c := compactOf(r)
-		se.process(&c)
+	}
+	if se.opts.Hosts != nil && !se.opts.Hosts(r.Src) {
 		return nil
 	}
-	se.seq++
-	se.pendingHW.SetMax(int64(se.pending.len()) + 1)
-	bound := se.frontier.UnixNano() - int64(se.maxSkew) + 1
-	if advanced {
-		// r is at the new frontier, past bound, so releasing first is the
-		// same order — and keeps what is buffered within MaxSkew, the
-		// span the reorder buffer's buckets are sized for.
-		se.release(bound)
-		se.pending.push(r, se.seq)
+	q := se.pending.queue(r.Src)
+	c := compactOf(r)
+	if se.maxSkew == 0 {
+		se.builder(q, c.start).observe(&c, se.grace)
+		return nil
+	}
+	se.pendingHW.SetMax(int64(se.pending.n) + 1)
+	se.pending.file(q, c)
+	bound := se.watermark()
+	// Sweeping on a grid of the watermark, not every so often since the
+	// last sweep, makes when entries fold a function of the feed alone:
+	// a store restored from a snapshot folds, and so rejects, exactly
+	// what the store that took the snapshot would have.
+	if every := max(int64(se.maxSkew)/4, 1); bound/every != before/every {
+		se.sweep(bound)
 	} else {
-		se.pending.push(r, se.seq)
-		se.release(bound)
+		se.fold(q, bound)
 	}
 	return nil
 }
 
-// release processes buffered records with start times (Unix ns) strictly
-// below bound, earliest first. A watermark that is itself releasable
-// (frontier − MaxSkew, the frontier at end of feed) passes watermark+1.
-func (se *shardExtractor) release(bound int64) {
-	c := se.pending.peek(bound)
-	if c == nil {
+// watermark is the release bound the frontier sets: entries that start
+// before it (Unix ns) are MaxSkew behind the frontier or further.
+func (se *shardExtractor) watermark() int64 {
+	return se.frontier.UnixNano() - int64(se.maxSkew) + 1
+}
+
+// fold observes q's entries that start before bound, oldest first.
+func (se *shardExtractor) fold(q *hostQueue, bound int64) {
+	if !se.pending.ready(q, bound) {
 		return
 	}
+	b := se.builder(q, se.pending.slab[q.head].start)
 	var last int64
-	for ; c != nil; c = se.pending.peek(bound) {
+	for se.pending.ready(q, bound) {
+		c := se.pending.pop(q)
 		last = c.start
-		se.process(c)
-		se.pending.pop()
+		b.observe(c, se.grace)
 	}
-	se.released = time.Unix(0, last).UTC()
+	if last > se.released.UnixNano() {
+		se.released = time.Unix(0, last).UTC()
+	}
 }
 
-// Drain processes every buffered record (end of feed).
+// sweep folds every host's entries that start before bound.
+func (se *shardExtractor) sweep(bound int64) {
+	for i := range se.pending.queues {
+		se.fold(&se.pending.queues[i], bound)
+	}
+}
+
+// builder returns q's host's builder in the open pane, starting one at
+// first (Unix ns) — or at the host's carried anchor, if earlier — when
+// the pane has none.
+func (se *shardExtractor) builder(q *hostQueue, first int64) *featureBuilder {
+	if q.b != nil {
+		return q.b
+	}
+	b, ok := se.builders[q.host]
+	if !ok {
+		if anchor, ok := se.anchors[q.host]; ok {
+			first = min(first, anchor.UnixNano())
+		}
+		b = newFeatureBuilder(q.host, first)
+		se.builders[q.host] = b
+		// The gauge is one cache line every shard's caller shares: touch
+		// it only when this shard's host table grows.
+		se.hostsHW.SetMax(int64(len(se.builders)))
+	}
+	q.b = b
+	return b
+}
+
+// Drain folds every pending entry (end of feed).
 func (se *shardExtractor) Drain() {
-	se.release(se.frontier.UnixNano() + 1)
+	se.sweep(se.frontier.UnixNano() + 1)
 }
 
-// ReleaseBefore force-processes every buffered record with a start time
+// ReleaseBefore force-folds every pending entry with a start time
 // strictly before t and then forbids records earlier than t: subsequent
 // Add calls with start < t are rejected as skew drops. This is the
 // window-sealing primitive — the engine calls it at a pane boundary once
 // the stream frontier proves no conforming record below t can still
-// arrive, so records at or past t stay buffered for the next pane.
+// arrive, so records at or past t stay pending for the next pane.
 func (se *shardExtractor) ReleaseBefore(t time.Time) {
-	se.release(t.UnixNano())
+	se.sweep(t.UnixNano())
 	if t.After(se.released) {
 		se.released = t
 	}
 }
 
 // take detaches the accumulated builders and resets the extractor for
-// the next pane. Buffered (pending) records are untouched — call
-// ReleaseBefore at the pane's end first so everything belonging to the
-// pane has been processed. When first-seen carrying is enabled, each
-// detached host's earliest activity is remembered and re-anchors the
-// host's grace period in later panes.
+// the next pane. Pending entries are untouched — call ReleaseBefore at
+// the pane's end first so everything belonging to the pane has been
+// folded. When first-seen carrying is enabled, each detached host's
+// earliest activity is remembered and re-anchors the host's grace
+// period in later panes.
 func (se *shardExtractor) take() map[IP]*featureBuilder {
 	builders := se.builders
 	se.builders = make(map[IP]*featureBuilder)
+	for i := range se.pending.queues {
+		se.pending.queues[i].b = nil
+	}
 	if se.anchors != nil {
 		for ip, b := range builders {
 			if cur, ok := se.anchors[ip]; !ok || b.feats.FirstSeen.Before(cur) {
@@ -155,22 +199,6 @@ func (se *shardExtractor) take() map[IP]*featureBuilder {
 		}
 	}
 	return builders
-}
-
-func (se *shardExtractor) process(c *compactRecord) {
-	if se.opts.Hosts != nil && !se.opts.Hosts(c.src) {
-		return
-	}
-	b, ok := se.builders[c.src]
-	if !ok {
-		first := c.start
-		if anchor, ok := se.anchors[c.src]; ok {
-			first = min(first, anchor.UnixNano())
-		}
-		b = newFeatureBuilder(c.src, first)
-		se.builders[c.src] = b
-	}
-	b.observe(c, se.grace)
 }
 
 // observe folds one record into a host's builder: one probe of the

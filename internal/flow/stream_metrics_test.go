@@ -77,3 +77,38 @@ func TestStreamExtractorNilMetrics(t *testing.T) {
 		t.Errorf("hosts=%d records=%d, want 1/1", se.Hosts(), n)
 	}
 }
+
+// A host whose first records are folded by ReleaseBefore or Drain, not
+// by an Add, still counts toward sharded/hosts_highwater: the gauge is
+// published wherever a builder is made.
+func TestHostsHighwaterCountsReleasedHosts(t *testing.T) {
+	t0 := time.Date(2010, time.June, 21, 8, 0, 0, 0, time.UTC)
+	rec := func(src IP, at time.Duration) *Record {
+		return &Record{
+			Src: src, Dst: MakeIP(10, 0, 0, 9), Proto: TCP, State: StateEstablished,
+			Start: t0.Add(at), End: t0.Add(at + time.Second),
+		}
+	}
+	for _, seal := range []string{"ReleaseBefore", "Drain"} {
+		reg := metrics.New()
+		se := NewShardedExtractorSkew(FeatureOptions{}, 1, 10*time.Second).Metrics(reg)
+		for _, r := range []*Record{rec(MakeIP(128, 2, 0, 1), time.Second), rec(MakeIP(128, 2, 0, 2), 2*time.Second)} {
+			if err := se.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if seal == "Drain" {
+			se.Drain()
+		} else {
+			se.ReleaseBefore(t0.Add(5 * time.Second))
+		}
+		gauge := reg.Gauge("sharded/hosts_highwater")
+		if se.Hosts() != 2 || gauge.Value() != 2 {
+			t.Errorf("after %s: %d hosts, sharded/hosts_highwater = %d, want 2 and 2", seal, se.Hosts(), gauge.Value())
+		}
+		se.TakePane(Window{From: t0, To: t0.Add(5 * time.Second)})
+		if gauge.Value() != 2 {
+			t.Errorf("after %s and TakePane: sharded/hosts_highwater = %d, want 2", seal, gauge.Value())
+		}
+	}
+}

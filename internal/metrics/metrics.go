@@ -71,7 +71,7 @@ func (g *Gauge) Add(delta int64) {
 }
 
 // SetMax raises the gauge to v if v exceeds the current value — the
-// high-water-mark update (e.g. a reorder buffer's deepest point).
+// high-water-mark update (e.g. the most entries a queue held).
 // No-op on a nil receiver.
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
