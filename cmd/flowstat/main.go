@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"plotters"
 	"plotters/internal/stats"
@@ -78,9 +79,12 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "records\t%d\nfailed\t%d (%.1f%%)\nbytes\t%d\n", len(records), failed,
 		100*float64(failed)/float64(max(1, len(records))), totalBytes)
 	if len(records) > 0 {
+		// Exporters write a flow when it ends: the earliest and latest
+		// starts can sit anywhere in the trace.
+		byStart := func(a, b plotters.Record) int { return a.Start.Compare(b.Start) }
 		fmt.Fprintf(stdout, "span\t%s .. %s\n",
-			records[0].Start.Format("2006-01-02 15:04:05"),
-			records[len(records)-1].Start.Format("2006-01-02 15:04:05"))
+			slices.MinFunc(records, byStart).Start.Format("2006-01-02 15:04:05"),
+			slices.MaxFunc(records, byStart).Start.Format("2006-01-02 15:04:05"))
 	}
 
 	feats := plotters.ExtractFeatures(records, plotters.FeatureOptions{Hosts: internal})

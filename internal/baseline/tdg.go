@@ -170,14 +170,8 @@ func tdgOnePort(records []flow.Record, internal func(flow.IP) bool, cfg TDGConfi
 		edgeCount[find(e.a)]++
 	}
 
-	roots := make([]flow.IP, 0, len(members))
-	for root := range members {
-		roots = append(roots, root)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-
 	result := &TDGResult{P2PHosts: make(map[flow.IP]bool)}
-	for _, root := range roots {
+	for _, root := range flow.SortedHosts(members) {
 		nodes := members[root]
 		if len(nodes) < cfg.MinComponentSize {
 			continue

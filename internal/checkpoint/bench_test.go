@@ -41,7 +41,6 @@ func syntheticState(hosts int) *engine.State {
 	}
 	for s := range st.Store.Shards {
 		sh := &st.Store.Shards[s]
-		sh.First = base
 		sh.Frontier = st.Frontier
 		sh.Released = base
 	}
@@ -51,19 +50,16 @@ func syntheticState(hosts int) *engine.State {
 		peers := 8 + rng.Intn(32)
 		hs := flow.HostState{
 			Feats: flow.HostFeatures{
-				Host:            ip,
-				Flows:           peers * 3,
-				SuccessfulFlows: peers * 2,
-				FailedFlows:     peers,
-				BytesUploaded:   uint64(rng.Intn(1 << 24)),
-				Peers:           peers,
-				NewPeers:        peers / 4,
-				FirstSeen:       first,
-				LastSeen:        first.Add(time.Hour),
-				Interstitials:   make([]float64, 24),
+				Host:          ip,
+				Flows:         peers * 3,
+				FailedFlows:   peers,
+				BytesUploaded: uint64(rng.Intn(1 << 24)),
+				Peers:         peers,
+				NewPeers:      peers / 4,
+				FirstSeen:     first,
+				Interstitials: make([]float64, 24),
 			},
-			FirstContact: make([]flow.HostTime, peers),
-			LastStart:    make([]flow.HostTime, peers),
+			Dests: make([]flow.DestTimes, peers),
 		}
 		for i := range hs.Feats.Interstitials {
 			hs.Feats.Interstitials[i] = rng.Float64() * 300
@@ -71,12 +67,10 @@ func syntheticState(hosts int) *engine.State {
 		for i := 0; i < peers; i++ {
 			dst := flow.IP(0xc0000000 + uint32(h*64+i))
 			at := first.Add(time.Duration(i) * time.Minute)
-			hs.FirstContact[i] = flow.HostTime{Host: dst, Time: at}
-			hs.LastStart[i] = flow.HostTime{Host: dst, Time: at.Add(30 * time.Minute)}
+			hs.Dests[i] = flow.DestTimes{Dst: dst, First: at, Last: at.Add(30 * time.Minute)}
 		}
 		sh := &st.Store.Shards[int(ip)%benchShards]
 		sh.Hosts = append(sh.Hosts, hs)
-		sh.Count += hs.Feats.Flows
 	}
 	return st
 }

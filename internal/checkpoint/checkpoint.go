@@ -40,11 +40,14 @@ import (
 // is bumped on any layout change.
 var snapshotMagic = [4]byte{'P', 'C', 'K', 'P'}
 
-// snapshotVersion is the layout Encode writes. Version 1, which Decode
-// still reads, differs only in the store's pending records: each shard
-// carried an arrival counter, and each pending record went whole, with
-// its arrival number. Version 2 keeps the fields the features read.
-const snapshotVersion = 2
+// snapshotVersion is the layout Encode writes; Decode reads versions 1
+// and 2 too. Version 2 also carried each shard's earliest start and
+// record count, and each host's successful flows, peer count, last-seen
+// time and destinations as two lists (first contacts, latest starts)
+// where version 3 has one. Version 1 differs from version 2 only in the
+// store's pending records: each shard carried an arrival counter, and
+// each pending record went whole, with its arrival number.
+const snapshotVersion = 3
 
 // Section ids. New sections get new ids; readers reject ids they do not
 // know rather than skip them, because every section written today is
@@ -59,12 +62,13 @@ const (
 // Minimum encoded sizes, used to bound allocations when decoding
 // element counts (see decoder.count).
 const (
-	minHostTime    = 4 + 9               // address + flagged time
-	minHostState   = 4 + 6*8 + 2*9 + 3*4 // host, six counters, two times, three counts
-	minStreamState = 3*9 + 8 + 3*4       // three times, count, three counts
-	minPending     = 2*4 + 9 + 8 + 1     // two addresses, start, bytes, failed
-	minPendingV1   = 55 + 8              // record header + arrival number
-	minExporter    = 2 + 2 + 2*(1+4)     // name len, engine, two seen/next pairs
+	minHostTime    = 4 + 9             // address + flagged time
+	minDest        = 4 + 2*9           // address + two flagged times
+	minHostState   = 4 + 4*8 + 9 + 2*4 // host, four counters, first seen, two counts (version 3, the smallest)
+	minStreamState = 2*9 + 3*4         // two times, three counts
+	minPending     = 2*4 + 9 + 8 + 1   // two addresses, start, bytes, failed
+	minPendingV1   = 55 + 8            // record header + arrival number
+	minExporter    = 2 + 2 + 2*(1+4)   // name len, engine, two seen/next pairs
 )
 
 // ErrNotSnapshot is returned when a file does not begin with the
@@ -248,11 +252,21 @@ func Write(path string, s *Snapshot) (int64, error) {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("checkpoint: committing snapshot: %w", err)
 	}
-	if df, err := os.Open(dir); err == nil {
-		df.Sync()
-		df.Close()
+	if err := syncDir(dir); err != nil {
+		return 0, fmt.Errorf("checkpoint: syncing snapshot directory: %w", err)
 	}
 	return int64(len(data)), nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable. A
+// variable so tests can make it fail.
+var syncDir = func(dir string) error {
+	df, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer df.Close() // opened only to sync
+	return df.Sync()
 }
 
 // Read loads and decodes the snapshot at path.
@@ -349,17 +363,15 @@ func decodeEngineState(d *wire.Decoder, version uint16) *engine.State {
 		ps := &flow.PaneState{}
 		ps.Window.From = d.Time()
 		ps.Window.To = d.Time()
-		ps.Hosts = decodeHostList(d)
+		ps.Hosts = decodeHostList(d, version)
 		st.Recent = append(st.Recent, ps)
 	}
 	return st
 }
 
 func encodeStreamState(e *wire.Encoder, st *flow.StreamState) {
-	e.Time(st.First)
 	e.Time(st.Frontier)
 	e.Time(st.Released)
-	e.I64(int64(st.Count))
 	encodeHostList(e, st.Hosts)
 	encodeHostTimes(e, st.Anchors)
 	e.U32(uint32(len(st.Pending)))
@@ -373,14 +385,18 @@ func encodeStreamState(e *wire.Encoder, st *flow.StreamState) {
 }
 
 func decodeStreamState(d *wire.Decoder, st *flow.StreamState, version uint16) {
-	st.First = d.Time()
+	if version < 3 {
+		d.Time() // the earliest start
+	}
 	st.Frontier = d.Time()
 	st.Released = d.Time()
-	st.Count = int(d.I64())
+	if version < 3 {
+		d.I64() // the record count
+	}
 	if version == 1 {
 		d.U64() // the arrival counter
 	}
-	st.Hosts = decodeHostList(d)
+	st.Hosts = decodeHostList(d, version)
 	st.Anchors = decodeHostTimes(d)
 	if version == 1 {
 		st.Pending = decodePendingV1(d)
@@ -444,23 +460,27 @@ func encodeHostList(e *wire.Encoder, hosts []flow.HostState) {
 		f := &h.Feats
 		e.U32(uint32(f.Host))
 		e.I64(int64(f.Flows))
-		e.I64(int64(f.SuccessfulFlows))
 		e.I64(int64(f.FailedFlows))
 		e.U64(f.BytesUploaded)
-		e.I64(int64(f.Peers))
 		e.I64(int64(f.NewPeers))
 		e.Time(f.FirstSeen)
-		e.Time(f.LastSeen)
 		e.U32(uint32(len(f.Interstitials)))
 		for _, v := range f.Interstitials {
 			e.F64(v)
 		}
-		encodeHostTimes(e, h.FirstContact)
-		encodeHostTimes(e, h.LastStart)
+		e.U32(uint32(len(h.Dests)))
+		for _, dt := range h.Dests {
+			e.U32(uint32(dt.Dst))
+			e.Time(dt.First)
+			e.Time(dt.Last)
+		}
 	}
 }
 
-func decodeHostList(d *wire.Decoder) []flow.HostState {
+// decodeHostList reads a host list. Versions 1 and 2 also carried each
+// host's successful flows (its flows less its failed ones), peer count
+// (its destination count) and last-seen time.
+func decodeHostList(d *wire.Decoder, version uint16) []flow.HostState {
 	n := d.Count(minHostState)
 	if d.Err() != nil || n == 0 {
 		return nil
@@ -471,24 +491,57 @@ func decodeHostList(d *wire.Decoder) []flow.HostState {
 		f := &h.Feats
 		f.Host = flow.IP(d.U32())
 		f.Flows = int(d.I64())
-		f.SuccessfulFlows = int(d.I64())
+		if version < 3 {
+			d.I64() // successful flows
+		}
 		f.FailedFlows = int(d.I64())
 		f.BytesUploaded = d.U64()
-		f.Peers = int(d.I64())
+		if version < 3 {
+			d.I64() // peers
+		}
 		f.NewPeers = int(d.I64())
 		f.FirstSeen = d.Time()
-		f.LastSeen = d.Time()
+		if version < 3 {
+			d.Time() // last seen
+		}
 		if k := d.Count(8); k > 0 {
 			f.Interstitials = make([]float64, k)
 			for j := range f.Interstitials {
 				f.Interstitials[j] = d.F64()
 			}
 		}
-		h.FirstContact = decodeHostTimes(d)
-		h.LastStart = decodeHostTimes(d)
+		if version < 3 {
+			h.Dests = decodeDestListsV2(d)
+		} else if k := d.Count(minDest); k > 0 {
+			h.Dests = make([]flow.DestTimes, k)
+			for j := range h.Dests {
+				h.Dests[j] = flow.DestTimes{Dst: flow.IP(d.U32()), First: d.Time(), Last: d.Time()}
+			}
+		}
+		f.Peers = len(h.Dests)
 		if d.Err() != nil {
 			return out
 		}
+	}
+	return out
+}
+
+// decodeDestListsV2 zips a version 1 or 2 host's first-contact and
+// latest-start lists, which name the same destinations, into one.
+func decodeDestListsV2(d *wire.Decoder) []flow.DestTimes {
+	first, last := decodeHostTimes(d), decodeHostTimes(d)
+	if len(first) != len(last) {
+		d.Fail("%d first contacts but %d latest starts", len(first), len(last))
+	}
+	if d.Err() != nil || len(first) == 0 {
+		return nil
+	}
+	out := make([]flow.DestTimes, len(first))
+	for i, fc := range first {
+		if fc.Host != last[i].Host {
+			d.Fail("destination lists disagree at entry %d: %v vs %v", i, fc.Host, last[i].Host)
+		}
+		out[i] = flow.DestTimes{Dst: fc.Host, First: fc.Time, Last: last[i].Time}
 	}
 	return out
 }

@@ -14,7 +14,6 @@ import (
 	"plotters/internal/checkpoint"
 	"plotters/internal/engine"
 	"plotters/internal/flow"
-	"plotters/internal/flowio"
 )
 
 // appendSection frames a payload the way the encoder does — for
@@ -47,10 +46,10 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 		{
 			name: "future container version",
 			data: mutate(func(b []byte) []byte {
-				binary.LittleEndian.PutUint16(b[4:6], 3)
+				binary.LittleEndian.PutUint16(b[4:6], 4)
 				return b
 			}),
-			wantErr: "version 3",
+			wantErr: "version 4",
 		},
 		{
 			name: "unknown trailing section",
@@ -104,133 +103,115 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 	}
 }
 
-// testdata/snapshot_v1_pr18.bin is a version 1 snapshot, written by
-// the commit before the feature layer merged each host's two
-// per-destination maps into one table and replaced the reorder heap
-// with keys over a record slab: 454 records of synthStream(seed 18,
-// 50 min) through testEngineConfig(), so two sealed panes, pending
-// records and carried anchors are all in it. Version 2 changed only the
-// pending records. Restoring the old build's snapshot into this build's
-// engine and snapshotting again has to give back the file exactly,
-// except for the version field and each shard's pending section — and
-// that must list the file's pending records in the same order, cut down
-// to the fields the features read. That proves the merged table
-// re-exports both address-sorted lists, and every time in them, as the
-// old maps did, and that the pending lists lose no record.
-func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
-	data, err := os.ReadFile("testdata/snapshot_v1_pr18.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending, anchors, dests := 0, 0, 0
-	for _, sh := range snap.Engine.Store.Shards {
-		pending += len(sh.Pending)
-		anchors += len(sh.Anchors)
-		for _, h := range sh.Hosts {
-			dests += len(h.FirstContact)
-		}
-	}
-	if len(snap.Engine.Recent) == 0 || pending == 0 || anchors == 0 || dests == 0 {
-		t.Fatalf("fixture is too thin to prove anything: %d sealed panes, %d pending, %d anchors, %d open-pane destinations",
-			len(snap.Engine.Recent), pending, anchors, dests)
-	}
-
-	eng := newTestEngine(t, "", nil)
-	if err := snap.RestoreEngine(eng); err != nil {
-		t.Fatal(err)
-	}
-	again, err := checkpoint.Encode(&checkpoint.Snapshot{
-		Meta:      snap.Meta,
-		Engine:    eng.State(),
-		Exporters: snap.Exporters,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldVersion, oldKept, oldPending, err := checkpoint.SplitPending(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newVersion, newKept, newPending, err := checkpoint.SplitPending(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldVersion != 1 || newVersion != 2 {
-		t.Fatalf("versions %d → %d, want 1 → 2", oldVersion, newVersion)
-	}
-	if !bytes.Equal(newKept, oldKept) {
-		t.Fatalf("outside the pending sections, the re-encoded snapshot differs from the parent build's (%d vs %d bytes)", len(newKept), len(oldKept))
-	}
-	if len(newPending) != len(oldPending) {
-		t.Fatalf("%d shards' pending sections, the parent build wrote %d", len(newPending), len(oldPending))
-	}
-	for i := range oldPending {
-		want := pendingV1(t, oldPending[i])
-		if got := pendingV2(t, newPending[i]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d: pending section lists\n%+v\nwant the parent's records, cut down, in order:\n%+v", i, got, want)
-		}
-	}
+// The snapshots earlier builds wrote, each of synthStream(seed 18,
+// 50 min) — 454 records — through testEngineConfig(), so two sealed
+// panes, pending records and carried anchors are all in them.
+// snapshot_v1_pr18.bin was written by the commit before the feature
+// layer merged each host's two per-destination maps into one table and
+// replaced the reorder heap with keys over a record slab;
+// snapshot_v2_pr42.bin by the commit before version 3 carried each fact
+// once.
+var oldSnapshots = []struct {
+	file    string
+	version uint16
+}{
+	{"testdata/snapshot_v1_pr18.bin", 1},
+	{"testdata/snapshot_v2_pr42.bin", 2},
 }
 
-// pendingV1 reads a version 1 pending list — whole records, each with an
-// arrival number — and cuts each record down to what the features read.
-func pendingV1(t *testing.T, b []byte) []flow.PendingState {
-	t.Helper()
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	var out []flow.PendingState
-	for range n {
-		rec, used, err := flowio.DecodeRecord(b)
+// Restoring an older build's snapshot into this build's engine and
+// snapshotting again has to re-export every field version 3 keeps
+// exactly: decoding the result gives back the old file's decoded state,
+// pending records in the same order included, and the bytes equal a
+// direct re-encoding of it. Left out, because version 3 drops them, are
+// each shard's earliest start and record count (and version 1's arrival
+// counter and numbers), and each host's last-seen time, successful
+// flows and peer count, which version 3 derives from the flows less the
+// failed flows and from the destination list's length. Each file must
+// also decode to the state this build's engine holds after the same
+// records, which the decoder cannot fake: that proves the two old
+// destination lists are zipped into one with every time in place.
+func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
+	records := synthStream(rand.New(rand.NewSource(18)), baseTime(), 50*time.Minute)
+	fresh := newTestEngine(t, "", nil)
+	for i := range records {
+		if err := fresh.Add(&records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fx := range oldSnapshots {
+		data, err := os.ReadFile(fx.file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b = b[used+8:]
-		out = append(out, flow.PendingState{
-			Src: rec.Src, Dst: rec.Dst, Start: rec.Start, SrcBytes: rec.SrcBytes, Failed: rec.Failed(),
-		})
-	}
-	if len(b) != 0 {
-		t.Fatalf("%d bytes after the version 1 pending list", len(b))
-	}
-	return out
-}
-
-// pendingV2 reads a version 2 pending list: per entry the initiator and
-// destination (u32 each), the start (zero flag, Unix ns), the bytes
-// uploaded (u64) and the failed flag.
-func pendingV2(t *testing.T, b []byte) []flow.PendingState {
-	t.Helper()
-	le := binary.LittleEndian
-	n := le.Uint32(b)
-	b = b[4:]
-	var out []flow.PendingState
-	for range n {
-		if len(b) < 26 || b[8] != 1 || b[25] > 1 {
-			t.Fatalf("malformed version 2 pending entry % x", b[:min(len(b), 26)])
+		if v := binary.LittleEndian.Uint16(data[4:]); v != fx.version {
+			t.Fatalf("%s is version %d, want %d", fx.file, v, fx.version)
 		}
-		out = append(out, flow.PendingState{
-			Src: flow.IP(le.Uint32(b)), Dst: flow.IP(le.Uint32(b[4:])),
-			Start:    time.Unix(0, int64(le.Uint64(b[9:]))).UTC(),
-			SrcBytes: le.Uint64(b[17:]),
-			Failed:   b[25] == 1,
+		snap, err := checkpoint.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.file, err)
+		}
+		if !reflect.DeepEqual(snap.Engine, fresh.State()) {
+			t.Fatalf("%s decodes to a different state than this build's engine holds after the same %d records", fx.file, len(records))
+		}
+		pending, anchors, dests := 0, 0, 0
+		for _, sh := range snap.Engine.Store.Shards {
+			pending += len(sh.Pending)
+			anchors += len(sh.Anchors)
+			for _, h := range sh.Hosts {
+				dests += len(h.Dests)
+			}
+		}
+		if len(snap.Engine.Recent) == 0 || pending == 0 || anchors == 0 || dests == 0 {
+			t.Fatalf("%s is too thin to prove anything: %d sealed panes, %d pending, %d anchors, %d open-pane destinations",
+				fx.file, len(snap.Engine.Recent), pending, anchors, dests)
+		}
+
+		eng := newTestEngine(t, "", nil)
+		if err := snap.RestoreEngine(eng); err != nil {
+			t.Fatal(err)
+		}
+		again, err := checkpoint.Encode(&checkpoint.Snapshot{
+			Meta:      snap.Meta,
+			Engine:    eng.State(),
+			Exporters: snap.Exporters,
 		})
-		b = b[26:]
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint16(again[4:]); v != 3 {
+			t.Fatalf("re-encoded as version %d, want 3", v)
+		}
+		direct, err := checkpoint.Encode(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, direct) {
+			t.Fatalf("%s: restored and re-encoded, the snapshot differs from the file's state encoded directly (%d vs %d bytes)", fx.file, len(again), len(direct))
+		}
+		back, err := checkpoint.Decode(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, snap) {
+			t.Fatalf("%s: the re-encoded snapshot decodes to a different state", fx.file)
+		}
 	}
-	if len(b) != 0 {
-		t.Fatalf("%d bytes after the version 2 pending list", len(b))
-	}
-	return out
 }
 
-// An engine restored from the version 1 fixture must carry on exactly
-// as the engine that wrote it would have: fed the stream the fixture
-// was cut from, then a further 40 minutes, one engine emits the same
-// windows after the fixture's point as the restored one does.
+// An engine restored from an older build's snapshot must carry on
+// exactly as the engine that wrote it would have: fed the stream the
+// fixture was cut from, then a further 40 minutes, one engine emits the
+// same windows after the fixture's point as the restored one does.
 func TestSnapshotV1ResumesLikeAnUnbrokenRun(t *testing.T) {
+	resumesLikeAnUnbrokenRun(t, oldSnapshots[0].file)
+}
+
+func TestSnapshotV2ResumesLikeAnUnbrokenRun(t *testing.T) {
+	resumesLikeAnUnbrokenRun(t, oldSnapshots[1].file)
+}
+
+func resumesLikeAnUnbrokenRun(t *testing.T, file string) {
 	const cut = 454 // the records the fixture holds: synthStream(seed 18, 50 min)
 	records := synthStream(rand.New(rand.NewSource(18)), baseTime(), 50*time.Minute)
 	if len(records) != cut {
@@ -255,7 +236,7 @@ func TestSnapshotV1ResumesLikeAnUnbrokenRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := checkpoint.Read("testdata/snapshot_v1_pr18.bin")
+	snap, err := checkpoint.Read(file)
 	if err != nil {
 		t.Fatal(err)
 	}

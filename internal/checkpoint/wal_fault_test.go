@@ -268,3 +268,41 @@ func TestManagerSealAbortsOnFailedFlush(t *testing.T) {
 		t.Errorf("%d writes reached the file, want only the one that failed", f.writes)
 	}
 }
+
+// A snapshot is committed only once its directory is synced: until
+// then a crash can undo the rename. So a failed directory sync fails
+// Write, and the manager's Checkpoint with it.
+func TestSnapshotCommitFailsWhenDirectorySyncFails(t *testing.T) {
+	errDisk := errors.New("injected: directory fsync failed")
+	var synced []string
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return errDisk
+	}
+
+	dir := t.TempDir()
+	eng, err := engine.New(engine.Config{Window: 5 * time.Minute, Core: core.DefaultConfig(), StateDir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), SnapshotFile)
+	if _, err := Write(path, &Snapshot{Meta: EngineMeta(eng), Engine: eng.State()}); !errors.Is(err, errDisk) {
+		t.Fatalf("Write returned %v, want the failed directory sync", err)
+	}
+	if len(synced) != 1 || synced[0] != filepath.Dir(path) {
+		t.Fatalf("synced %q, want the snapshot's directory", synced)
+	}
+
+	m, err := NewManager(Config{}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Checkpoint(); !errors.Is(err, errDisk) {
+		t.Fatalf("Checkpoint returned %v, want the failed directory sync", err)
+	}
+}

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"plotters/internal/flow"
@@ -160,14 +159,7 @@ func (s HostSet) Intersect(t HostSet) HostSet {
 }
 
 // Sorted returns the members in ascending address order.
-func (s HostSet) Sorted() []flow.IP {
-	hosts := make([]flow.IP, 0, len(s))
-	for h := range s {
-		hosts = append(hosts, h)
-	}
-	slices.Sort(hosts)
-	return hosts
-}
+func (s HostSet) Sorted() []flow.IP { return flow.SortedHosts(s) }
 
 // Analysis holds the per-host features of one detection window, shared
 // by all tests so the features are materialized once. It does not care

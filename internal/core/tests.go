@@ -27,7 +27,7 @@ type Reduction struct {
 func (a *Analysis) Reduce() (Reduction, error) {
 	eligible := make(HostSet)
 	for h, f := range a.feats {
-		if f.SuccessfulFlows > 0 {
+		if f.SuccessfulFlows() > 0 {
 			eligible[h] = true
 		}
 	}

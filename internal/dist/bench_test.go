@@ -24,13 +24,11 @@ func benchSummary(n int) *core.ShardSummary {
 		h := &sum.Hosts[i]
 		h.Host = flow.IP(0x0a000000 + uint32(i))
 		h.Flows = 100 + i
-		h.SuccessfulFlows = 90 + i
 		h.FailedFlows = 10
 		h.BytesUploaded = uint64(1000 * (i + 1))
 		h.Peers = 20
 		h.NewPeers = 5
 		h.FirstSeen = time.Unix(int64(i), 0).UTC()
-		h.LastSeen = time.Unix(int64(3000+i), 0).UTC()
 		h.InterstitialCount = 200
 		if i%3 == 0 {
 			h.SketchPositions = make([]float64, 40)

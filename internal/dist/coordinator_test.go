@@ -2,6 +2,7 @@ package dist
 
 import (
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -339,6 +340,36 @@ func TestCoordinatorEngineMetrics(t *testing.T) {
 	} {
 		if got := reg.Gauge(name).Value(); got != int64(want) {
 			t.Errorf("gauge %s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// Frames numbered 0, 2, then 1 are one gap that loses one frame, and
+// then that frame as a duplicate: the collector's sequence discipline,
+// with no resequencing.
+func TestCoordinatorSequenceGap(t *testing.T) {
+	reg := metrics.New()
+	ecfg := clusterEngineConfig()
+	ecfg.Core.Metrics = reg
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: 2, Engine: ecfg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	f := dialFake(t, coord, 1)
+	for _, seq := range []uint64{0, 2, 1} {
+		f.seq = seq
+		f.mustSend(frameWatermark, encodeWatermark(clusterT0))
+	}
+	want := []ShardSeq{{Shard: 0}, {Shard: 1, Seen: true, Gaps: 1, Lost: 1, Dups: 1, Connects: 1}}
+	if got := coord.ShardSeqs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ShardSeqs = %+v, want %+v", got, want)
+	}
+	snap := reg.TakeSnapshot()
+	for name, want := range map[string]int64{"dist/gaps": 1, "dist/lost_frames": 1, "dist/dup_frames": 1, "dist/frames": 3} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -36,8 +36,10 @@ import (
 const WireVersion = 1
 
 // SummaryVersion versions the ShardSummary payload layout inside
-// summary frames, independently of the outer protocol.
-const SummaryVersion = 1
+// summary frames, independently of the outer protocol. Version 2 drops
+// version 1's successful-flow count (flows less failed flows) and
+// last-seen time.
+const SummaryVersion = 2
 
 // Frame types.
 const (
@@ -62,7 +64,7 @@ const maxHelloPayload = 4 << 10
 
 // minHostSummary is the smallest encoded HostSummary (empty sketch and
 // contact list), used to validate host counts before allocation.
-const minHostSummary = 4 + 3*8 + 8 + 2*8 + 2*9 + 8 + 4 + 4
+const minHostSummary = 4 + 2*8 + 8 + 2*8 + 9 + 8 + 4 + 4
 
 // Fingerprint pins every configuration knob the distributed split's
 // bit-identity depends on: the window geometry the shards seal by and
@@ -232,13 +234,11 @@ func EncodeSummary(index int, s *core.ShardSummary) []byte {
 		h := &s.Hosts[i]
 		e.U32(uint32(h.Host))
 		e.I64(int64(h.Flows))
-		e.I64(int64(h.SuccessfulFlows))
 		e.I64(int64(h.FailedFlows))
 		e.U64(h.BytesUploaded)
 		e.I64(int64(h.Peers))
 		e.I64(int64(h.NewPeers))
 		e.Time(h.FirstSeen)
-		e.Time(h.LastSeen)
 		e.I64(int64(h.InterstitialCount))
 		e.U32(uint32(len(h.SketchPositions)))
 		for j := range h.SketchPositions {
@@ -283,13 +283,14 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 		h := &s.Hosts[i]
 		h.Host = flow.IP(d.U32())
 		h.Flows = int(d.I64())
-		h.SuccessfulFlows = int(d.I64())
 		h.FailedFlows = int(d.I64())
+		if h.FailedFlows < 0 || h.FailedFlows > h.Flows {
+			d.Fail("host %v claims %d failed of %d flows", h.Host, h.FailedFlows, h.Flows)
+		}
 		h.BytesUploaded = d.U64()
 		h.Peers = int(d.I64())
 		h.NewPeers = int(d.I64())
 		h.FirstSeen = d.Time()
-		h.LastSeen = d.Time()
 		h.InterstitialCount = int(d.I64())
 		if bins := d.Count(16); bins > 0 {
 			h.SketchPositions = make([]float64, bins)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -30,15 +31,13 @@ func testSummary() *core.ShardSummary {
 		Hosts: []core.HostSummary{
 			{
 				HostFeatures: flow.HostFeatures{
-					Host:            0x0a000001,
-					Flows:           12,
-					SuccessfulFlows: 9,
-					FailedFlows:     3,
-					BytesUploaded:   48213,
-					Peers:           7,
-					NewPeers:        2,
-					FirstSeen:       time.Unix(1030, 500).UTC(),
-					LastSeen:        time.Unix(4400, 0).UTC(),
+					Host:          0x0a000001,
+					Flows:         12,
+					FailedFlows:   3,
+					BytesUploaded: 48213,
+					Peers:         7,
+					NewPeers:      2,
+					FirstSeen:     time.Unix(1030, 500).UTC(),
 				},
 				InterstitialCount: 240,
 				SketchPositions:   []float64{0.5, 1.25, 3.75},
@@ -51,7 +50,6 @@ func testSummary() *core.ShardSummary {
 					Flows:       3,
 					FailedFlows: 3,
 					FirstSeen:   time.Unix(2000, 0).UTC(),
-					LastSeen:    time.Unix(2100, 0).UTC(),
 				},
 				InterstitialCount: 2,
 			},
@@ -79,10 +77,10 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 	for i := range want.Hosts {
 		w, g := want.Hosts[i], got.Hosts[i]
-		if g.Host != w.Host || g.Flows != w.Flows || g.SuccessfulFlows != w.SuccessfulFlows ||
+		if g.Host != w.Host || g.Flows != w.Flows ||
 			g.FailedFlows != w.FailedFlows || g.BytesUploaded != w.BytesUploaded ||
 			g.Peers != w.Peers || g.NewPeers != w.NewPeers ||
-			!g.FirstSeen.Equal(w.FirstSeen) || !g.LastSeen.Equal(w.LastSeen) ||
+			!g.FirstSeen.Equal(w.FirstSeen) ||
 			g.InterstitialCount != w.InterstitialCount {
 			t.Errorf("host %d scalar mismatch:\ngot  %+v\nwant %+v", i, g, w)
 		}
@@ -103,19 +101,35 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 }
 
-// A summary from a future format version must be refused by name, not
-// misparsed.
+// A summary from an earlier or a future format version must be refused
+// by name, not misparsed.
 func TestSummaryCrossVersionRejected(t *testing.T) {
-	payload := EncodeSummary(0, testSummary())
-	var e wire.Encoder
-	e.U16(SummaryVersion + 41) // splice a future version over the real one
-	copy(payload[:2], e.Bytes())
-	_, _, err := DecodeSummary(payload)
-	if err == nil {
-		t.Fatal("decoded a summary claiming a future format version")
+	for _, version := range []uint16{1, 42} {
+		payload := EncodeSummary(0, testSummary())
+		var e wire.Encoder
+		e.U16(version) // splice another version over the real one
+		copy(payload[:2], e.Bytes())
+		_, _, err := DecodeSummary(payload)
+		if err == nil {
+			t.Fatalf("decoded a summary claiming format version %d", version)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("version %d ", version)) || !strings.Contains(err.Error(), "not supported") {
+			t.Fatalf("error %q does not name the offending version", err)
+		}
 	}
-	if !strings.Contains(err.Error(), "version 42") || !strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("error %q does not name the offending version", err)
+}
+
+// A host's successful flows are its flows less its failed ones, so a
+// summary claiming more failed flows than flows, or fewer than none,
+// is malformed.
+func TestSummaryFailedBeyondFlowsRejected(t *testing.T) {
+	for _, failed := range []int{13, -1} {
+		s := testSummary()
+		s.Hosts[0].FailedFlows = failed
+		_, _, err := DecodeSummary(EncodeSummary(0, s))
+		if err == nil || !strings.Contains(err.Error(), "malformed") || !strings.Contains(err.Error(), "failed of 12 flows") {
+			t.Errorf("%d failed of 12 flows: error %v", failed, err)
+		}
 	}
 }
 

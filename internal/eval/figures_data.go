@@ -42,7 +42,7 @@ func (s *Suite) featureCDFs(get func(*flow.HostFeatures) float64, onlySuccessful
 
 	var cmuVals, traderVals []float64
 	for host, f := range feats {
-		if onlySuccessful && f.SuccessfulFlows == 0 {
+		if onlySuccessful && f.SuccessfulFlows() == 0 {
 			continue
 		}
 		if traders[host] {
@@ -58,7 +58,7 @@ func (s *Suite) featureCDFs(get func(*flow.HostFeatures) float64, onlySuccessful
 		// feature map; only the bots themselves belong in the CDF.
 		for _, bot := range bots {
 			f := feats[bot]
-			if f == nil || (onlySuccessful && f.SuccessfulFlows == 0) {
+			if f == nil || (onlySuccessful && f.SuccessfulFlows() == 0) {
 				continue
 			}
 			vals = append(vals, get(f))

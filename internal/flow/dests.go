@@ -1,10 +1,6 @@
 package flow
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // destTable is one host's per-destination table: for every destination
 // the host contacted, its first contact (peer de-duplication, the churn
@@ -101,16 +97,4 @@ func (t *destTable) resize(size int) {
 			*t.claim(e.dst) = *e
 		}
 	}
-}
-
-// sorted copies the used slots out in ascending address order.
-func (t *destTable) sorted() []destSlot {
-	out := make([]destSlot, 0, t.n)
-	for _, s := range t.slots {
-		if s.used {
-			out = append(out, s)
-		}
-	}
-	slices.SortFunc(out, func(a, b destSlot) int { return cmp.Compare(a.dst, b.dst) })
-	return out
 }

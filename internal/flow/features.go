@@ -29,8 +29,6 @@ type HostFeatures struct {
 
 	// Flows counts initiated flows.
 	Flows int
-	// SuccessfulFlows counts initiated flows that established.
-	SuccessfulFlows int
 	// FailedFlows counts initiated flows that failed.
 	FailedFlows int
 
@@ -43,15 +41,19 @@ type HostFeatures struct {
 	// first NewPeerGrace of activity.
 	NewPeers int
 
-	// FirstSeen and LastSeen bound the host's initiated activity.
+	// FirstSeen is the start of the host's earliest initiated flow: the
+	// anchor of the new-peer grace period.
 	FirstSeen time.Time
-	LastSeen  time.Time
 
 	// Interstitials holds, pooled across all destinations, the gaps (in
 	// seconds) between consecutive flow starts from this host to the same
 	// destination IP — the θ_hm sample v(s).
 	Interstitials []float64
 }
+
+// SuccessfulFlows returns how many initiated flows established: every
+// flow that did not fail.
+func (h *HostFeatures) SuccessfulFlows() int { return h.Flows - h.FailedFlows }
 
 // AvgBytesPerFlow returns the paper's volume feature: mean bytes uploaded
 // per initiated flow.
@@ -80,24 +82,20 @@ func (h *HostFeatures) NewPeerFraction() float64 {
 }
 
 // featureBuilder accumulates one host's state during extraction: the
-// features plus one table entry per contacted destination. firstSeen and
-// lastSeen are feats.FirstSeen and feats.LastSeen as Unix nanoseconds,
-// what observe compares against.
+// features plus one table entry per contacted destination. firstSeen is
+// feats.FirstSeen as Unix nanoseconds, what observe compares against.
 type featureBuilder struct {
-	feats               *HostFeatures
-	dests               destTable
-	firstSeen, lastSeen int64
+	feats     *HostFeatures
+	dests     destTable
+	firstSeen int64
 }
 
 // newFeatureBuilder starts a host's builder at firstSeen (Unix ns), the
 // start of the record about to be observed or an earlier carried anchor.
-// LastSeen starts there too; observe moves it to any later start.
 func newFeatureBuilder(host IP, firstSeen int64) *featureBuilder {
-	t := time.Unix(0, firstSeen).UTC()
 	return &featureBuilder{
-		feats:     &HostFeatures{Host: host, FirstSeen: t, LastSeen: t},
+		feats:     &HostFeatures{Host: host, FirstSeen: time.Unix(0, firstSeen).UTC()},
 		firstSeen: firstSeen,
-		lastSeen:  firstSeen,
 	}
 }
 
@@ -184,10 +182,10 @@ func (b *featureBuilder) sortedDests() []IP {
 	return dsts
 }
 
-// SortedHosts returns the feature map's keys in ascending address order.
-func SortedHosts(feats map[IP]*HostFeatures) []IP {
-	hosts := make([]IP, 0, len(feats))
-	for ip := range feats {
+// SortedHosts returns a per-host map's keys in ascending address order.
+func SortedHosts[V any](m map[IP]V) []IP {
+	hosts := make([]IP, 0, len(m))
+	for ip := range m {
 		hosts = append(hosts, ip)
 	}
 	slices.Sort(hosts)

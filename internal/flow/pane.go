@@ -83,24 +83,16 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 		for ip, b := range p.builders {
 			m, ok := merged[ip]
 			if !ok {
-				m = &featureBuilder{feats: &HostFeatures{
-					Host:      ip,
-					FirstSeen: b.feats.FirstSeen,
-					LastSeen:  b.feats.LastSeen,
-				}}
+				m = &featureBuilder{feats: &HostFeatures{Host: ip, FirstSeen: b.feats.FirstSeen}}
 				m.dests.reserve(b.dests.n)
 				merged[ip] = m
 			}
 			f := m.feats
 			f.Flows += b.feats.Flows
-			f.SuccessfulFlows += b.feats.SuccessfulFlows
 			f.FailedFlows += b.feats.FailedFlows
 			f.BytesUploaded += b.feats.BytesUploaded
 			if b.feats.FirstSeen.Before(f.FirstSeen) {
 				f.FirstSeen = b.feats.FirstSeen
-			}
-			if b.feats.LastSeen.After(f.LastSeen) {
-				f.LastSeen = b.feats.LastSeen
 			}
 			// Pane-internal gaps survive as-is; the boundary gap between
 			// the earlier panes' last start to a destination and this

@@ -125,10 +125,9 @@ func sortedGaps(f *HostFeatures) []float64 {
 // for interstitial ordering.
 func featuresEqualModGapOrder(a, b *HostFeatures) bool {
 	if a.Host != b.Host || a.Flows != b.Flows ||
-		a.SuccessfulFlows != b.SuccessfulFlows || a.FailedFlows != b.FailedFlows ||
-		a.BytesUploaded != b.BytesUploaded ||
+		a.FailedFlows != b.FailedFlows || a.BytesUploaded != b.BytesUploaded ||
 		a.Peers != b.Peers || a.NewPeers != b.NewPeers ||
-		!a.FirstSeen.Equal(b.FirstSeen) || !a.LastSeen.Equal(b.LastSeen) {
+		!a.FirstSeen.Equal(b.FirstSeen) {
 		return false
 	}
 	return reflect.DeepEqual(sortedGaps(a), sortedGaps(b))

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -12,32 +11,38 @@ import (
 // plain-data snapshots of the incremental extractors' internal state, so
 // internal/checkpoint can persist a live deployment and restore it
 // bit-identically after a crash. The types are the format, not a mirror
-// of the accumulation structures: a host's one per-destination table
-// leaves as two address-sorted lists (FirstContact, LastStart) and the
-// per-host pending lists as one start-sorted Pending list, so how the
-// extractor lays state out in memory can change without the snapshot
-// bytes changing. State() detaches a deep copy, RestoreState()
-// rebuilds the originals inside a freshly constructed extractor.
-// Configuration (FeatureOptions, shard count, skew) is never part of the
-// state — the restoring caller constructs the extractor with the same
-// configuration, and the checkpoint layer pins that equality in its
-// metadata.
+// of the accumulation structures: a host's per-destination table leaves
+// as one address-sorted Dests list and the per-host pending lists as one
+// start-sorted Pending list, so how the extractor lays state out in
+// memory can change without the snapshot bytes changing. State()
+// detaches a deep copy, RestoreState() rebuilds the originals inside a
+// freshly constructed extractor. Configuration (FeatureOptions, shard
+// count, skew) is never part of the state — the restoring caller
+// constructs the extractor with the same configuration, and the
+// checkpoint layer pins that equality in its metadata.
 
-// HostTime pairs an address with a timestamp — one entry of a
-// per-destination first-contact or last-start table, or one first-seen
+// HostTime pairs an address with a timestamp: one carried first-seen
 // anchor.
 type HostTime struct {
 	Host IP
 	Time time.Time
 }
 
+// DestTimes is one entry of a host's per-destination table: a
+// destination, the host's first contact with it and its latest flow
+// start to it.
+type DestTimes struct {
+	Dst         IP
+	First, Last time.Time
+}
+
 // HostState is one host's accumulated feature-builder state: the
-// features themselves plus the per-destination tables that let later
+// features themselves plus the per-destination table that lets later
 // records extend them (peer de-duplication and interstitial gaps).
+// Feats.Peers is len(Dests).
 type HostState struct {
-	Feats        HostFeatures
-	FirstContact []HostTime // destination -> first contact, ascending by Host
-	LastStart    []HostTime // destination -> latest flow start, ascending by Host
+	Feats HostFeatures
+	Dests []DestTimes // ascending by Dst
 }
 
 // PendingState is one record on its host's pending list, cut down to
@@ -54,10 +59,8 @@ type PendingState struct {
 // address, pending by start, then host, then arrival) so the same
 // extractor state always serializes to the same bytes.
 type StreamState struct {
-	First    time.Time
 	Frontier time.Time
 	Released time.Time
-	Count    int
 	Hosts    []HostState
 	Anchors  []HostTime // carried first-seen anchors (empty when off)
 	Pending  []PendingState
@@ -80,14 +83,10 @@ type PaneState struct {
 
 // hostTimesFromMap flattens a map into address-sorted HostTime pairs.
 func hostTimesFromMap(m map[IP]time.Time) []HostTime {
-	if len(m) == 0 {
-		return nil
+	var out []HostTime
+	for _, ip := range SortedHosts(m) {
+		out = append(out, HostTime{Host: ip, Time: m[ip]})
 	}
-	out := make([]HostTime, 0, len(m))
-	for ip, t := range m {
-		out = append(out, HostTime{Host: ip, Time: t})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
 }
 
@@ -107,25 +106,18 @@ func stateOfBuilders(builders map[IP]*featureBuilder) []HostState {
 	if len(builders) == 0 {
 		return nil
 	}
-	hosts := make([]IP, 0, len(builders))
-	for ip := range builders {
-		hosts = append(hosts, ip)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	out := make([]HostState, len(hosts))
-	for i, ip := range hosts {
+	out := make([]HostState, 0, len(builders))
+	for _, ip := range SortedHosts(builders) {
 		b := builders[ip]
 		hs := HostState{Feats: *b.feats}
 		hs.Feats.Interstitials = append([]float64(nil), b.feats.Interstitials...)
-		if dests := b.dests.sorted(); len(dests) > 0 {
-			hs.FirstContact = make([]HostTime, len(dests))
-			hs.LastStart = make([]HostTime, len(dests))
-			for j, d := range dests {
-				hs.FirstContact[j] = HostTime{Host: d.dst, Time: time.Unix(0, d.first).UTC()}
-				hs.LastStart[j] = HostTime{Host: d.dst, Time: time.Unix(0, d.last).UTC()}
+		for _, d := range b.dests.slots {
+			if d.used {
+				hs.Dests = append(hs.Dests, DestTimes{Dst: d.dst, First: time.Unix(0, d.first).UTC(), Last: time.Unix(0, d.last).UTC()})
 			}
 		}
-		out[i] = hs
+		slices.SortFunc(hs.Dests, func(a, b DestTimes) int { return cmp.Compare(a.Dst, b.Dst) })
+		out = append(out, hs)
 	}
 	return out
 }
@@ -137,26 +129,11 @@ func buildersFromState(hosts []HostState) map[IP]*featureBuilder {
 		hs := &hosts[i]
 		feats := hs.Feats
 		feats.Interstitials = append([]float64(nil), hs.Feats.Interstitials...)
-		b := &featureBuilder{
-			feats:     &feats,
-			firstSeen: feats.FirstSeen.UnixNano(),
-			lastSeen:  feats.LastSeen.UnixNano(),
-		}
-		b.dests.reserve(len(hs.FirstContact))
-		for _, e := range hs.FirstContact {
-			d, _ := b.dests.upsert(e.Host)
-			d.first = e.Time.UnixNano()
-			d.last = d.first
-		}
-		// Every snapshot this package writes lists the same destinations
-		// in both tables; one named only here has no earlier contact on
-		// record, so its latest start stands in for it.
-		for _, e := range hs.LastStart {
-			d, fresh := b.dests.upsert(e.Host)
-			d.last = e.Time.UnixNano()
-			if fresh {
-				d.first = d.last
-			}
+		b := &featureBuilder{feats: &feats, firstSeen: feats.FirstSeen.UnixNano()}
+		b.dests.reserve(len(hs.Dests))
+		for _, e := range hs.Dests {
+			d, _ := b.dests.upsert(e.Dst)
+			d.first, d.last = e.First.UnixNano(), e.Last.UnixNano()
 		}
 		builders[hs.Feats.Host] = b
 	}
@@ -168,10 +145,8 @@ func buildersFromState(hosts []HostState) map[IP]*featureBuilder {
 // an extractor constructed with the same configuration.
 func (se *shardExtractor) State() *StreamState {
 	st := &StreamState{
-		First:    se.first,
 		Frontier: se.frontier,
 		Released: se.released,
-		Count:    se.count,
 		Hosts:    stateOfBuilders(se.builders),
 		Anchors:  hostTimesFromMap(se.anchors),
 	}
@@ -203,16 +178,15 @@ func (se *shardExtractor) State() *StreamState {
 // RestoreState replaces the extractor's dynamic state with a previously
 // snapshotted one. The extractor must be freshly constructed (no records
 // added) with the same FeatureOptions and MaxSkew as the snapshotted
-// one; feature semantics would silently diverge otherwise, so a
-// non-empty extractor is rejected.
+// one; feature semantics would silently diverge otherwise, so an
+// extractor that has taken a record (which moves its frontier) is
+// rejected.
 func (se *shardExtractor) RestoreState(st *StreamState) error {
-	if se.count != 0 || len(se.builders) != 0 || se.pending.n != 0 {
-		return fmt.Errorf("flow: RestoreState on an extractor that already holds %d records", se.count)
+	if !se.frontier.IsZero() || len(se.builders) != 0 || se.pending.n != 0 {
+		return fmt.Errorf("flow: RestoreState on an extractor that has already taken records (frontier %v)", se.frontier)
 	}
-	se.first = st.First
 	se.frontier = st.Frontier
 	se.released = st.Released
-	se.count = st.Count
 	se.builders = buildersFromState(st.Hosts)
 	se.hostsHW.SetMax(int64(len(se.builders)))
 	if se.anchors != nil && len(st.Anchors) > 0 {

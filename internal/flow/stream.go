@@ -28,10 +28,8 @@ type shardExtractor struct {
 	builders map[IP]*featureBuilder
 	anchors  map[IP]time.Time // host -> carried first-seen (nil = off)
 	pending  pendingLists
-	first    time.Time // earliest start time seen
 	frontier time.Time // latest start time seen
 	released time.Time // latest start folded, or the last ReleaseBefore bound
-	count    int
 
 	// Instrumentation (nil-safe no-ops until ShardedExtractor.Metrics).
 	recCtr    *metrics.Counter
@@ -73,11 +71,7 @@ func (se *shardExtractor) Add(r *Record) error {
 		se.dropCtr.Add(1)
 		return errLate
 	}
-	se.count++
 	se.recCtr.Add(1)
-	if se.count == 1 || r.Start.Before(se.first) {
-		se.first = r.Start
-	}
 	before := se.watermark()
 	if r.Start.After(se.frontier) {
 		se.frontier = r.Start
@@ -209,14 +203,8 @@ func (b *featureBuilder) observe(c *compactRecord, grace time.Duration) {
 	f.Flows++
 	if c.state == StateFailed {
 		f.FailedFlows++
-	} else {
-		f.SuccessfulFlows++
 	}
 	f.BytesUploaded += c.srcBytes
-	if c.start > b.lastSeen {
-		b.lastSeen = c.start
-		f.LastSeen = time.Unix(0, c.start).UTC()
-	}
 	d, fresh := b.dests.upsert(c.dst)
 	if fresh {
 		d.first = c.start

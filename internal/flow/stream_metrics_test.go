@@ -73,8 +73,11 @@ func TestStreamExtractorNilMetrics(t *testing.T) {
 	if err := se.Add(&r); err != nil {
 		t.Fatal(err)
 	}
-	if n := se.State().Shards[0].Count; se.Hosts() != 1 || n != 1 {
-		t.Errorf("hosts=%d records=%d, want 1/1", se.Hosts(), n)
+	if se.Hosts() != 1 {
+		t.Errorf("hosts = %d, want 1", se.Hosts())
+	}
+	if f := sealAll(se).Features()[r.Src]; f == nil || f.Flows != 1 {
+		t.Errorf("sealed pane holds %+v, want the one flow", f)
 	}
 }
 

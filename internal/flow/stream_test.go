@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"plotters/internal/metrics"
 )
 
 // randomOrderedRecords builds a time-ordered random record stream.
@@ -66,7 +68,8 @@ func TestStreamRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestStreamHostFilter(t *testing.T) {
-	se := NewShardedExtractorSkew(FeatureOptions{Hosts: func(ip IP) bool { return ip == 1 }}, 1, 0)
+	reg := metrics.New()
+	se := NewShardedExtractorSkew(FeatureOptions{Hosts: func(ip IP) bool { return ip == 1 }}, 1, 0).Metrics(reg)
 	r1 := mkRecord(1, 2, baseTime(), 10, StateEstablished)
 	r2 := mkRecord(9, 2, baseTime().Add(time.Second), 10, StateEstablished)
 	if err := se.Add(&r1); err != nil {
@@ -78,7 +81,7 @@ func TestStreamHostFilter(t *testing.T) {
 	if se.Hosts() != 1 {
 		t.Errorf("hosts = %d, want 1 (filtered)", se.Hosts())
 	}
-	if n := se.State().Shards[0].Count; n != 2 {
+	if n := reg.TakeSnapshot().Counters["stream/records"]; n != 2 {
 		t.Errorf("records = %d, want 2 (filter does not drop the count)", n)
 	}
 }
@@ -226,8 +229,8 @@ func TestStreamSkewRejectsTooLate(t *testing.T) {
 	}
 }
 
-// Feature accounting invariants over arbitrary record streams: flow
-// counts partition into successes and failures, every flow beyond a
+// Feature accounting invariants over arbitrary record streams: failed
+// flows are a share of all flows, every flow beyond a
 // destination's first contributes exactly one interstitial sample, and
 // new peers never exceed total peers.
 func TestFeatureInvariantsProperty(t *testing.T) {
@@ -238,16 +241,13 @@ func TestFeatureInvariantsProperty(t *testing.T) {
 		totalFlows := 0
 		for _, hf := range feats {
 			totalFlows += hf.Flows
-			if hf.Flows != hf.SuccessfulFlows+hf.FailedFlows {
+			if hf.FailedFlows < 0 || hf.FailedFlows > hf.Flows {
 				return false
 			}
 			if len(hf.Interstitials) != hf.Flows-hf.Peers {
 				return false
 			}
 			if hf.NewPeers > hf.Peers || hf.NewPeers < 0 {
-				return false
-			}
-			if hf.LastSeen.Before(hf.FirstSeen) {
 				return false
 			}
 			for _, gap := range hf.Interstitials {

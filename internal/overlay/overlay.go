@@ -9,7 +9,6 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"plotters/internal/flow"
@@ -29,14 +28,9 @@ func ActiveHosts(records []flow.Record, internal func(flow.IP) bool) []flow.IP {
 		}
 		seen[r.Src] = true
 	}
-	hosts := make([]flow.IP, 0, len(seen))
-	for h := range seen {
-		hosts = append(hosts, h)
-	}
 	// Deterministic order before shuffling so assignment depends only on
 	// the caller's RNG.
-	slices.Sort(hosts)
-	return hosts
+	return flow.SortedHosts(seen)
 }
 
 // Assignment maps bot trace addresses to the internal hosts that will
