@@ -66,11 +66,13 @@ type Config struct {
 	// traffic is invisible; the log axis weighs relative timing
 	// differences. Kept as an option for ablation studies.
 	RawTimeScale bool
-	// Parallelism bounds the worker pool used for θ_hm's pairwise EMD
-	// distance matrix — the pipeline's dominant cost at scale. 0 means
-	// one worker per CPU; 1 forces fully sequential execution (useful
-	// for reproducible benchmarking and debugging). The detection output
-	// is identical at every setting; only wall-clock time changes.
+	// Parallelism bounds the worker pools of θ_hm's pairwise EMD
+	// distance matrix — the pipeline's dominant cost at scale — and of
+	// per-host sketch building, both in θ_hm and in a shard's LocalPass.
+	// 0 means one worker per CPU; 1 forces fully sequential execution
+	// (useful for reproducible benchmarking and debugging). The
+	// detection output is identical at every setting; only wall-clock
+	// time changes.
 	Parallelism int
 	// Metrics, when non-nil, receives per-stage wall times, candidate-set
 	// sizes, and distance-matrix worker statistics from every pipeline

@@ -13,19 +13,6 @@ import (
 	"plotters/internal/stats"
 )
 
-// logScale maps interstitial seconds onto a logarithmic axis (log1p, so
-// zero gaps stay finite). Timer structure is multiplicative — a 2-minute
-// keepalive versus a 10-second gossip timer — so comparing distributions
-// on the log axis lets EMD measure relative timing differences instead of
-// being swamped by the absolute size of heavy-tail gaps.
-func logScale(samples []float64) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = math.Log1p(s)
-	}
-	return out
-}
-
 // HMCluster is one cluster of hosts with similar interstitial-time
 // distributions.
 type HMCluster struct {
@@ -113,10 +100,10 @@ func (a *Analysis) hmSignatures(s HostSet) (hosts []flow.IP, sigs []*emd.Signatu
 	}
 	skipped = len(s) - len(hosts)
 	sketches := make([]flow.Sketch, len(hosts))
-	err = eachHost(len(hosts), a.cfg.Parallelism, func(i int) (err error) {
+	err = eachHost(len(hosts), a.cfg.Parallelism, func(buf *sketchBuf, i int) (err error) {
 		if a.sketches != nil {
 			sketches[i] = a.sketches[hosts[i]]
-		} else if sketches[i], err = hmSketch(a.feats[hosts[i]].Interstitials, a.cfg); err != nil {
+		} else if sketches[i], err = hmSketch(a.feats[hosts[i]].Interstitials, a.cfg, buf); err != nil {
 			return fmt.Errorf("core: histogram for %v: %w", hosts[i], err)
 		}
 		return nil
@@ -137,7 +124,7 @@ func (a *Analysis) hmSignatures(s HostSet) (hosts []flow.IP, sigs []*emd.Signatu
 	t = reg.StartStage("pipeline/hm/signatures")
 	defer t.Stop()
 	sigs = make([]*emd.Signature, len(hosts))
-	err = eachHost(len(hosts), a.cfg.Parallelism, func(i int) (err error) {
+	err = eachHost(len(hosts), a.cfg.Parallelism, func(_ *sketchBuf, i int) (err error) {
 		if sigs[i], err = emd.NewSignature(sketches[i].Positions, sketches[i].Weights); err != nil {
 			return fmt.Errorf("core: EMD signature for %v: %w", hosts[i], err)
 		}
@@ -149,11 +136,12 @@ func (a *Analysis) hmSignatures(s HostSet) (hosts []flow.IP, sigs []*emd.Signatu
 	return hosts, sigs, skipped, nil
 }
 
-// eachHost runs fn(i) for every i in [0, n) on a pool sized like the
-// pairwise fill's and returns the error of the smallest failing i: hosts
-// are in address order, so that is what a sequential loop stopping at its
-// first failure reports. Each fn writes only its own position.
-func eachHost(n, parallelism int, fn func(i int) error) error {
+// eachHost runs fn(buf, i) for every i in [0, n) on a pool sized like
+// the pairwise fill's and returns the error of the smallest failing i:
+// hosts are in address order, so that is what a sequential loop stopping
+// at its first failure reports. Each fn writes only its own position;
+// buf is its worker's own scratch, dropped when eachHost returns.
+func eachHost(n, parallelism int, fn func(buf *sketchBuf, i int) error) error {
 	workers := distmatrix.Options{Parallelism: parallelism}.Workers(n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -161,8 +149,9 @@ func eachHost(n, parallelism int, fn func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			var buf sketchBuf
 			for i := w; i < n; i += workers {
-				errs[i] = fn(i)
+				errs[i] = fn(&buf, i)
 			}
 		}()
 	}
@@ -175,21 +164,36 @@ func eachHost(n, parallelism int, fn func(i int) error) error {
 	return nil
 }
 
+// sketchBuf is one worker's scratch for hmSketch: the working copy of a
+// host's samples, which selection reorders, and the bin masses.
+type sketchBuf struct{ samples, mass []float64 }
+
 // hmSketch builds one host's interstitial-time histogram at the
 // configured scale and resolution and returns its signature — the
 // per-host sketch that is all θ_hm ever looks at. It is deliberately a
 // pure function of one host's samples and the config, which is what lets
 // the shard-local phase (LocalPass) precompute it far from the
-// coordinator that clusters.
-func hmSketch(interstitials []float64, cfg Config) (flow.Sketch, error) {
-	samples := interstitials
+// coordinator that clusters. It works in buf and leaves interstitials as
+// they are (in LocalPass they share their array with the sealed pane);
+// the signature's two slices are all it allocates once buf has grown.
+//
+// The default scale is logarithmic (log1p, so zero gaps stay finite).
+// Timer structure is multiplicative — a 2-minute keepalive versus a
+// 10-second gossip timer — so comparing distributions on the log axis
+// lets EMD measure relative timing differences instead of being swamped
+// by the absolute size of heavy-tail gaps.
+func hmSketch(interstitials []float64, cfg Config, buf *sketchBuf) (flow.Sketch, error) {
+	buf.samples = append(buf.samples[:0], interstitials...)
 	if !cfg.RawTimeScale {
-		samples = logScale(samples)
+		for i, s := range buf.samples {
+			buf.samples[i] = math.Log1p(s)
+		}
 	}
-	hist, err := histogram.Build(samples, cfg.MaxHistogramBins)
+	hist, err := histogram.BuildInPlace(buf.samples, buf.mass, cfg.MaxHistogramBins)
 	if err != nil {
 		return flow.Sketch{}, err
 	}
+	buf.mass = hist.Mass
 	pos, w := hist.Signature()
 	return flow.Sketch{Positions: pos, Weights: w}, nil
 }

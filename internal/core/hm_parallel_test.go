@@ -1,12 +1,15 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"plotters/internal/flow"
+	"plotters/internal/histogram"
 )
 
 // parallelCorpus synthesizes a population large enough to clear the
@@ -115,6 +118,59 @@ func TestFindPlottersParallelMatchesSequential(t *testing.T) {
 	}
 	if seq.HM.Threshold != par.HM.Threshold {
 		t.Errorf("τ_hm diverged: %v vs %v", seq.HM.Threshold, par.HM.Threshold)
+	}
+}
+
+// hmSketch works in its worker's buffer: whatever the buffer last held,
+// the sketch equals the histogram package's own signature of the scaled
+// samples; once the buffer has grown, the signature's two slices are all
+// it allocates; and the samples it is given are never reordered.
+func TestHMSketchInBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	short, long := make([]float64, 40), make([]float64, 2000)
+	for _, xs := range [][]float64{short, long} {
+		for i := range xs {
+			xs[i] = rng.ExpFloat64() * 30
+		}
+	}
+	orig := slices.Clone(short)
+	for _, raw := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.RawTimeScale = raw
+		scaled := slices.Clone(short)
+		if !raw {
+			for i, s := range scaled {
+				scaled[i] = math.Log1p(s)
+			}
+		}
+		h, err := histogram.Build(scaled, cfg.MaxHistogramBins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, w := h.Signature()
+		want := flow.Sketch{Positions: pos, Weights: w}
+
+		var buf sketchBuf
+		for _, xs := range [][]float64{long, short} {
+			if _, err := hmSketch(xs, cfg, &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got flow.Sketch
+		allocs := testing.AllocsPerRun(20, func() {
+			if got, err = hmSketch(short, cfg, &buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("raw=%v: sketch %v, want %v", raw, got, want)
+		}
+		if allocs != 2 {
+			t.Errorf("raw=%v: %v allocations per sketch, want 2 (positions and weights)", raw, allocs)
+		}
+	}
+	if !slices.Equal(short, orig) {
+		t.Error("hmSketch reordered its samples")
 	}
 }
 

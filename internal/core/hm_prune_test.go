@@ -469,7 +469,7 @@ func TestEachHostFirstErrorByPosition(t *testing.T) {
 	const n = 500
 	for _, par := range []int{1, 0, 7} {
 		ran := make([]bool, n)
-		err := eachHost(n, par, func(i int) error {
+		err := eachHost(n, par, func(_ *sketchBuf, i int) error {
 			ran[i] = true
 			if i%97 == 41 {
 				return fmt.Errorf("position %d", i)
@@ -485,7 +485,7 @@ func TestEachHostFirstErrorByPosition(t *testing.T) {
 			}
 		}
 	}
-	if err := eachHost(0, 4, func(int) error { return fmt.Errorf("ran") }); err != nil {
+	if err := eachHost(0, 4, func(*sketchBuf, int) error { return fmt.Errorf("ran") }); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
 }

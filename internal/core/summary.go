@@ -96,7 +96,10 @@ type ShardSummary struct {
 
 // LocalPass runs the shard-local phase over one sealed window's feature
 // source: per-host feature reduction to the scalar vector, the θ_hm
-// sketch for hosts with enough samples, and contact-list capture.
+// sketch for hosts with enough samples, and contact-list capture, one
+// host at a time on Config.Parallelism workers. The summary and the
+// error (the lowest-addressed failing host's) are the same at every
+// setting.
 // shard/shards name the host-hash slice the source is expected to hold
 // (0/1 for the whole population); a host that hashes elsewhere is a
 // routing bug and a hard error, because a silently misplaced host would
@@ -119,25 +122,27 @@ func LocalPass(src flow.FeatureSource, cfg Config, shard, shards int) (*ShardSum
 	defer total.Stop()
 
 	feats, contacts := src.Features(), src.Contacts()
+	hosts := flow.SortedHosts(feats)
 	sum := &ShardSummary{
 		Shard:       shard,
 		Shards:      shards,
 		Window:      src.Window(),
 		HasContacts: contacts != nil,
-		Hosts:       make([]HostSummary, 0, len(feats)),
+		Hosts:       make([]HostSummary, len(hosts)),
 	}
-	hosts := flow.SortedHosts(feats)
 	t := total.Child("sketches")
-	for _, h := range hosts {
+	err := eachHost(len(hosts), cfg.Parallelism, func(buf *sketchBuf, i int) error {
+		h := hosts[i]
 		if got := flow.ShardOf(h, shards); got != shard {
-			return nil, fmt.Errorf("core: local pass: host %v hashes to shard %d but this source claims shard %d/%d", h, got, shard, shards)
+			return fmt.Errorf("core: local pass: host %v hashes to shard %d but this source claims shard %d/%d", h, got, shard, shards)
 		}
-		hs := HostSummary{HostFeatures: *feats[h]}
+		hs := &sum.Hosts[i]
+		hs.HostFeatures = *feats[h]
 		hs.InterstitialCount = len(hs.Interstitials)
 		if hs.InterstitialCount >= cfg.MinInterstitialSamples {
-			sk, err := hmSketch(hs.Interstitials, cfg)
+			sk, err := hmSketch(hs.Interstitials, cfg, buf)
 			if err != nil {
-				return nil, fmt.Errorf("core: local pass: histogram for %v: %w", h, err)
+				return fmt.Errorf("core: local pass: histogram for %v: %w", h, err)
 			}
 			hs.SketchPositions, hs.SketchWeights = sk.Positions, sk.Weights
 		}
@@ -146,9 +151,12 @@ func LocalPass(src flow.FeatureSource, cfg Config, shard, shards int) (*ShardSum
 			hs.Contacts = append([]flow.IP(nil), cset...)
 			slices.Sort(hs.Contacts)
 		}
-		sum.Hosts = append(sum.Hosts, hs)
-	}
+		return nil
+	})
 	t.Stop()
+	if err != nil {
+		return nil, err
+	}
 	reg.Gauge("localpass/hosts").Set(int64(len(sum.Hosts)))
 	return sum, nil
 }

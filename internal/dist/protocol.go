@@ -22,6 +22,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"plotters/internal/core"
@@ -296,8 +297,19 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 			h.SketchPositions = make([]float64, bins)
 			h.SketchWeights = make([]float64, bins)
 			for j := 0; j < bins; j++ {
-				h.SketchPositions[j] = d.F64()
-				h.SketchWeights[j] = d.F64()
+				pos, w := d.F64(), d.F64()
+				h.SketchPositions[j], h.SketchWeights[j] = pos, w
+				// A sketch is the non-empty bins of a histogram, as
+				// LocalPass sends it: finite centers, ascending, each with
+				// positive finite mass. Anything else would fail θ_hm's
+				// signature check at the coordinator, after the window's
+				// other frames were taken.
+				if math.IsNaN(pos) || math.IsInf(pos, 0) || j > 0 && pos <= h.SketchPositions[j-1] {
+					d.Fail("host %v sketch position %d (%v) is not finite and ascending", h.Host, j, pos)
+				}
+				if !(w > 0) || math.IsInf(w, 0) {
+					d.Fail("host %v sketch weight %d (%v) is not finite and positive", h.Host, j, w)
+				}
 			}
 		}
 		if nc := d.Count(4); nc > 0 {

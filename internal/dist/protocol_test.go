@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -166,6 +167,36 @@ func TestSummaryUnorderedContactsRejected(t *testing.T) {
 			t.Errorf("decoded a summary with contacts %v", contacts)
 		} else if !strings.Contains(err.Error(), "malformed") || !strings.Contains(err.Error(), "ascend") {
 			t.Errorf("error %q does not call contacts %v malformed", err, contacts)
+		}
+	}
+}
+
+// A sketch is the non-empty bins of a histogram: finite positions,
+// strictly ascending, and finite positive weights. A frame breaking that
+// would pass the wire and fail θ_hm's signature check at the coordinator
+// after the window's other frames were consumed, so it is malformed.
+func TestSummaryInvalidSketchRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		positions, weights []float64
+		want               string
+	}{
+		{[]float64{0.5, 1.25, 3.75}, []float64{10, nan, 10}, "weight 1"},
+		{[]float64{3.75, 1.25, 0.5}, []float64{10, 220, 10}, "position 1"},
+		{[]float64{0.5, 0.5, 3.75}, []float64{10, 220, 10}, "position 1"},
+		{[]float64{0.5, 1.25, inf}, []float64{10, 220, 10}, "position 2"},
+		{[]float64{nan, 1.25, 3.75}, []float64{10, 220, 10}, "position 0"},
+		{[]float64{0.5, 1.25, 3.75}, []float64{0, 220, 10}, "weight 0"},
+		{[]float64{0.5, 1.25, 3.75}, []float64{10, -220, 10}, "weight 1"},
+		{[]float64{0.5, 1.25, 3.75}, []float64{10, 220, inf}, "weight 2"},
+	} {
+		s := testSummary()
+		s.Hosts[0].SketchPositions, s.Hosts[0].SketchWeights = tc.positions, tc.weights
+		_, _, err := DecodeSummary(EncodeSummary(0, s))
+		if err == nil {
+			t.Errorf("decoded a summary with sketch %v / %v", tc.positions, tc.weights)
+		} else if !strings.Contains(err.Error(), "malformed") || !strings.Contains(err.Error(), "sketch "+tc.want) {
+			t.Errorf("error %q does not call sketch %s of %v / %v malformed", err, tc.want, tc.positions, tc.weights)
 		}
 	}
 }
