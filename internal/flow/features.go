@@ -84,10 +84,14 @@ func (h *HostFeatures) NewPeerFraction() float64 {
 // featureBuilder accumulates one host's state during extraction: the
 // features plus one table entry per contacted destination. firstSeen is
 // feats.FirstSeen as Unix nanoseconds, what observe compares against.
+// gapCap is the capacity observe gives Interstitials at the host's
+// first gap (0: let append size it); the store sets it from the host's
+// last pane.
 type featureBuilder struct {
 	feats     *HostFeatures
 	dests     destTable
 	firstSeen int64
+	gapCap    int
 }
 
 // newFeatureBuilder starts a host's builder at firstSeen (Unix ns), the

@@ -102,7 +102,8 @@ func TestSubnet(t *testing.T) {
 }
 
 func TestParseSubnetErrors(t *testing.T) {
-	for _, in := range []string{"128.2.0.0", "128.2.0.0/33", "128.2.0.0/-1", "x/16", "1.2.3.4/z"} {
+	for _, in := range []string{"128.2.0.0", "128.2.0.0/33", "128.2.0.0/-1", "x/16", "1.2.3.4/z",
+		"128.2.0.0/-0", "128.2.0.0/+8", "128.2.0.0/ 8", "128.2.0.0/", "128.2.0.0/008"} {
 		if _, err := ParseSubnet(in); err == nil {
 			t.Errorf("ParseSubnet(%q): expected error", in)
 		}

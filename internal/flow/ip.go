@@ -55,7 +55,9 @@ type Subnet struct {
 	Bits int // prefix length, 0..32
 }
 
-// ParseSubnet parses "a.b.c.d/len" CIDR notation.
+// ParseSubnet parses "a.b.c.d/len" CIDR notation. The length is one or
+// two ASCII digits: no sign or space, so "/-0" cannot slip through as
+// a /0 that covers every address.
 func ParseSubnet(s string) (Subnet, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
@@ -65,12 +67,13 @@ func ParseSubnet(s string) (Subnet, error) {
 	if err != nil {
 		return Subnet{}, err
 	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
+	digits := s[slash+1:]
+	bits, err := strconv.ParseUint(digits, 10, 8)
+	if err != nil || len(digits) > 2 || bits > 32 {
 		return Subnet{}, fmt.Errorf("flow: invalid prefix length in %q", s)
 	}
-	sn := Subnet{Base: base, Bits: bits}
-	return Subnet{Base: base & sn.mask(), Bits: bits}, nil
+	sn := Subnet{Base: base, Bits: int(bits)}
+	return Subnet{Base: base & sn.mask(), Bits: sn.Bits}, nil
 }
 
 // MustParseSubnet is ParseSubnet for known-good literals; it panics on

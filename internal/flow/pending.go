@@ -18,12 +18,22 @@ package flow
 // record walks back from the list's tail past the entries that start
 // later, so it costs as many steps as the record arrived out of order
 // within its own host.
+//
+// A host's queue outlives the pane: it is made on the host's first
+// record and never removed, and it remembers the size of the host's
+// last sealed pane, so the host's next builder starts at that size.
+// The active list names the queues that may hold entries, so a sweep
+// visits the hosts with something pending, not every host the shard has
+// seen.
 type pendingLists struct {
 	slab   []pendingEntry
 	free   int32 // first vacated slab slot, noEntry if none
 	n      int   // entries filed
 	queues []hostQueue
 	index  map[IP]int32 // host -> its queue
+	// active lists every queue that holds entries, once each, and may
+	// list queues a fold has since emptied: sweep drops those.
+	active []int32
 }
 
 // pendingEntry is one filed record and its list links.
@@ -32,14 +42,20 @@ type pendingEntry struct {
 	prev, next int32 // neighbours on the host's list; next also chains the free list
 }
 
-// hostQueue is one monitored host's list, oldest first.
+// hostQueue is one monitored host's list, oldest first, and what the
+// host's next builder needs to know.
 type hostQueue struct {
 	head, tail int32 // oldest and newest entry, noEntry when empty
 	host       IP
+	listed     bool // on the active list
 	// b is the host's builder in the open pane, nil until the pane's
-	// first fold for the host: a fold looks the builder up once a pane,
-	// not once a record.
+	// first fold for the host or a restore: a fold looks the builder up
+	// once a pane, not once a record, and take finds every builder here.
 	b *featureBuilder
+	// dests and gaps are the host's destination and interstitial counts
+	// in its last sealed pane (zero before one): the capacity its next
+	// builder's table and gap slice start at.
+	dests, gaps uint32
 }
 
 const noEntry = int32(-1)
@@ -48,20 +64,32 @@ func newPendingLists() pendingLists {
 	return pendingLists{free: noEntry, index: make(map[IP]int32)}
 }
 
-// queue returns host's queue, making an empty one the first time. The
-// pointer is good until the next new host.
-func (p *pendingLists) queue(host IP) *hostQueue {
-	i, ok := p.index[host]
-	if !ok {
-		i = int32(len(p.queues))
-		p.index[host] = i
-		p.queues = append(p.queues, hostQueue{head: noEntry, tail: noEntry, host: host})
+// queue returns the index of host's queue, making an empty one the
+// first time.
+func (p *pendingLists) queue(host IP) int32 {
+	if i, ok := p.index[host]; ok {
+		return i
 	}
-	return &p.queues[i]
+	return p.add(host)
 }
 
-// file puts c on q after every entry that starts no later than c does.
-func (p *pendingLists) file(q *hostQueue, c compactRecord) {
+// add makes an empty queue for host, which has none, and returns its
+// index.
+func (p *pendingLists) add(host IP) int32 {
+	i := int32(len(p.queues))
+	p.index[host] = i
+	p.queues = append(p.queues, hostQueue{head: noEntry, tail: noEntry, host: host})
+	return i
+}
+
+// file puts c on queue i after every entry that starts no later than c
+// does, and lists the queue as active if it was not.
+func (p *pendingLists) file(i int32, c compactRecord) {
+	q := &p.queues[i]
+	if !q.listed {
+		q.listed = true
+		p.active = append(p.active, i)
+	}
 	slot := p.free
 	if slot != noEntry {
 		p.free = p.slab[slot].next

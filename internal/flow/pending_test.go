@@ -26,11 +26,33 @@ func reorderRecord(id, hosts int, start time.Time) Record {
 
 // checkLists verifies a shard's pending lists: every host's list is
 // linked both ways and in start order, the lists and the free list
-// account for every slab slot, and the entry count is right.
-func checkLists(t testing.TB, p *pendingLists) {
+// account for every slab slot, and the entry count is right. The active
+// list names valid queues, each once and flagged as listed, and every
+// queue with entries is on it; right after a sweep (swept), none on it
+// is empty.
+func checkLists(t testing.TB, p *pendingLists, swept bool) {
 	t.Helper()
+	onList := make(map[int32]bool, len(p.active))
+	for _, i := range p.active {
+		if i < 0 || int(i) >= len(p.queues) {
+			t.Fatalf("active list names queue %d of %d", i, len(p.queues))
+		}
+		if onList[i] {
+			t.Fatalf("host %v is on the active list twice", p.queues[i].host)
+		}
+		onList[i] = true
+		if swept && p.queues[i].head == noEntry {
+			t.Fatalf("host %v is on the active list with nothing pending after a sweep", p.queues[i].host)
+		}
+	}
 	filed := 0
-	for _, q := range p.queues {
+	for i, q := range p.queues {
+		if q.listed != onList[int32(i)] {
+			t.Fatalf("host %v: listed = %v, on the active list = %v", q.host, q.listed, onList[int32(i)])
+		}
+		if q.head != noEntry && !q.listed {
+			t.Fatalf("host %v has entries and is not on the active list", q.host)
+		}
 		prev := noEntry
 		for slot := q.head; slot != noEntry; slot = p.slab[slot].next {
 			e := &p.slab[slot]
@@ -91,6 +113,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 			}
 			pane, sealed = rest, maxTime(sealed, at)
 			panes++
+			checkLists(t, &se.pending, true)
 		}
 		clock := baseTime()
 		for id := 1; id <= 400; id++ {
@@ -122,9 +145,10 @@ func TestReorderMatchesStableSort(t *testing.T) {
 			default:
 				rejects++
 			}
-			checkLists(t, &se.pending)
+			checkLists(t, &se.pending, false)
 		}
 		se.Drain()
+		checkLists(t, &se.pending, true)
 		if want := ExtractFeatures(pane, FeatureOptions{}); !reflect.DeepEqual(featuresOfBuilders(se.builders), want) {
 			t.Fatalf("seed %d: drained features differ from the batch over the last pane's %d records", seed, len(pane))
 		}
@@ -161,8 +185,9 @@ func warmPendingLists(n int) (p *pendingLists, step func() (folded int)) {
 		c.start += int64(i/n*n) * int64(time.Second)
 		i++
 		frontier = max(frontier, c.start)
-		q := p.queue(r.Src)
-		p.file(q, c)
+		qi := p.queue(r.Src)
+		p.file(qi, c)
+		q := &p.queues[qi]
 		for p.ready(q, frontier-maxSkew+1) {
 			p.pop(q)
 			folded++
@@ -423,27 +448,41 @@ const (
 // easy to miss.
 type reorderCoverage struct {
 	rejects, storeOnly, restored, sealed, walked, deepest int
+	// sparse counts steps at which a shard of 1,000 or more hosts had
+	// under a tenth of them on its active list.
+	sparse int
 }
 
 // unmonitored is the host the scripts' Hosts predicate excludes: its
 // records count, and are dropped.
 const unmonitored = IP(4)
 
+// A script whose first byte is wideScript or more feeds records from
+// wideHosts hosts.
+const (
+	wideScript = 240
+	wideHosts  = 1024
+)
+
 // runReorderScript feeds one script to a store shard and to heapStream.
 // script[0] picks MaxSkew (modulo len(reorderSkews)) and how many hosts
-// the records come from (1–5, the quotient); the rest is (operation,
-// argument) byte pairs. At every step it checks that the store accepts
-// every record the heap does — a record only the store would take is
-// MaxSkew behind the frontier, so the engine never hands it over, and
-// it is fed to neither — and that the pending lists are sound. Every
-// seal, and the final Drain, must leave the same features, Interstitials
-// in the same order, and the same contact sets as the heap's.
+// the records come from (1–5, the quotient; wideHosts from wideScript
+// up); the rest is (operation, argument) byte pairs. At every step it
+// checks that the store accepts every record the heap does — a record
+// only the store would take is MaxSkew behind the frontier, so the
+// engine never hands it over, and it is fed to neither — and that the
+// pending lists are sound. Every seal, and the final Drain, must leave
+// the same features, Interstitials in the same order, and the same
+// contact sets as the heap's.
 func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	if len(script) == 0 {
 		return
 	}
 	maxSkew := reorderSkews[int(script[0])%len(reorderSkews)]
 	hosts := 1 + int(script[0])/len(reorderSkews)%5
+	if script[0] >= wideScript {
+		hosts = wideHosts
+	}
 	unit := func(div int64) time.Duration { return time.Duration(max(1, int64(maxSkew)/div)) }
 
 	opts := FeatureOptions{Hosts: func(ip IP) bool { return ip != unmonitored }}
@@ -507,8 +546,11 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 			cov.rejects++
 		}
 		cov.deepest = max(cov.deepest, se.pending.n)
+		if n := len(se.pending.queues); n >= 1000 && 10*len(se.pending.active) < n {
+			cov.sparse++
+		}
 		raiseMark()
-		checkLists(t, &se.pending)
+		checkLists(t, &se.pending, false)
 	}
 
 	ops := script[1:]
@@ -536,7 +578,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 				t.Fatalf("step %d: carried anchors differ from the heap's", step)
 			}
 			cov.sealed += len(got)
-			checkLists(t, &se.pending)
+			checkLists(t, &se.pending, true)
 		case opRestore:
 			st := se.State()
 			if len(st.Pending) != se.pending.n {
@@ -560,7 +602,8 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 			}
 			cov.restored += len(st.Pending)
 			raiseMark()
-			checkLists(t, &se.pending)
+			// A restore lists only the queues it files on.
+			checkLists(t, &se.pending, true)
 		case opJumpYears:
 			to := clock.AddDate(int(int8(arg)), 0, 0)
 			if y := to.Year(); y > 1700 && y < 2200 { // UnixNano's range
@@ -574,6 +617,31 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	if se.pending.n != 0 {
 		t.Fatalf("%d entries left after Drain", se.pending.n)
 	}
+	checkLists(t, &se.pending, true)
+}
+
+// wideIdleScript is a shard of wideHosts hosts at MaxSkew 5 m, most of
+// them idle: one record from each host, an idle stretch that sweeps
+// them all out, then a few records at a time with a sweep between each
+// group, a seal and a restore, so that several sweeps pass over a
+// thousand queues of which only a handful hold anything.
+func wideIdleScript() []byte {
+	script := []byte{wideScript + 4} // reorderSkews[4]: 5 minutes
+	for range wideHosts + 40 {
+		script = append(script, opPushFine, 9, opTick, 3)
+	}
+	script = append(script, opIdle, 40)
+	for round := range 12 {
+		script = append(script,
+			opPushNear, 0, opPushFine, byte(60*round), opPushWide, byte(20*round), opIdle, 4)
+		switch round {
+		case 5:
+			script = append(script, opSeal, 0x80)
+		case 8:
+			script = append(script, opRestore, 4)
+		}
+	}
+	return script
 }
 
 // reorderScripts are the cases the store could plausibly get wrong,
@@ -631,6 +699,7 @@ var reorderScripts = map[string][]byte{
 		opPushWide, 100, opPushFine, 3, opPushWide, 127, opRestore, 2, opPushNear, 1, opPushWide, 127},
 	"one-nanosecond buckets": {1,
 		opPushNear, 0, opPushNear, 1, opPushNear, 1, opPushNear, 0, opTick, 1, opPushNear, 2, opPushNear, 120, opPushNear, 119},
+	"a thousand hosts, most idle across sweeps": wideIdleScript(),
 }
 
 // The store's per-host pending lists against the heap it replaced, step
@@ -666,7 +735,7 @@ func TestReorderWheelMatchesHeap(t *testing.T) {
 			t.Fatalf("script %d: %v", i, script)
 		}
 	}
-	if cov.rejects == 0 || cov.storeOnly == 0 || cov.restored == 0 || cov.sealed == 0 || cov.walked == 0 || cov.deepest < 128 {
+	if cov.rejects == 0 || cov.storeOnly == 0 || cov.restored == 0 || cov.sealed == 0 || cov.walked == 0 || cov.deepest < 128 || cov.sparse == 0 {
 		t.Errorf("weak run: %+v", cov)
 	}
 	t.Logf("coverage: %+v", cov)

@@ -154,7 +154,8 @@ func (se *shardExtractor) State() *StreamState {
 		return st
 	}
 	st.Pending = make([]PendingState, 0, se.pending.n)
-	for _, q := range se.pending.queues {
+	for _, i := range se.pending.active {
+		q := &se.pending.queues[i]
 		for slot := q.head; slot != noEntry; slot = se.pending.slab[slot].next {
 			c := &se.pending.slab[slot].compactRecord
 			st.Pending = append(st.Pending, PendingState{
@@ -188,6 +189,12 @@ func (se *shardExtractor) RestoreState(st *StreamState) error {
 	se.frontier = st.Frontier
 	se.released = st.Released
 	se.builders = buildersFromState(st.Hosts)
+	// Every builder of the open pane hangs off its host's queue, where
+	// take finds it. Its host is monitored, so the queue may exist.
+	for i := range st.Hosts {
+		host := st.Hosts[i].Feats.Host
+		se.pending.queues[se.pending.queue(host)].b = se.builders[host]
+	}
 	se.hostsHW.SetMax(int64(len(se.builders)))
 	if se.anchors != nil && len(st.Anchors) > 0 {
 		se.anchors = hostTimesToMap(st.Anchors)

@@ -18,9 +18,16 @@ import (
 // waits on the host's pending list (pendingLists) until the feed has
 // advanced MaxSkew past its start, which tolerates exactly the
 // reordering a flow monitor's expiry timers introduce. A host's ready
-// records are folded on its next record, in a sweep every time the
-// watermark crosses a multiple of MaxSkew/4, and by ReleaseBefore and
-// Drain. With zero skew, records must arrive strictly start-ordered.
+// records are folded on its next record, in a sweep of the hosts with
+// pending records every time the watermark crosses a multiple of
+// MaxSkew/4, and by ReleaseBefore and Drain. With zero skew, records
+// must arrive strictly start-ordered.
+//
+// A host's queue outlives the pane. It spares a known host the
+// monitored test (FeatureOptions.Hosts runs once per monitored host,
+// and once per record of an unmonitored one), and it carries the size
+// of the host's last pane, so the host's next builder does not grow its
+// destination table and gap slice from empty every pane.
 type shardExtractor struct {
 	opts     FeatureOptions
 	grace    time.Duration
@@ -79,17 +86,22 @@ func (se *shardExtractor) Add(r *Record) error {
 	if se.maxSkew == 0 {
 		se.released = r.Start
 	}
-	if se.opts.Hosts != nil && !se.opts.Hosts(r.Src) {
-		return nil
+	// Queues exist only for monitored hosts, so a host that has one
+	// passed the test already.
+	i, known := se.pending.index[r.Src]
+	if !known {
+		if se.opts.Hosts != nil && !se.opts.Hosts(r.Src) {
+			return nil
+		}
+		i = se.pending.add(r.Src)
 	}
-	q := se.pending.queue(r.Src)
 	c := compactOf(r)
 	if se.maxSkew == 0 {
-		se.builder(q, c.start).observe(&c, se.grace)
+		se.builder(&se.pending.queues[i], c.start).observe(&c, se.grace)
 		return nil
 	}
 	se.pendingHW.SetMax(int64(se.pending.n) + 1)
-	se.pending.file(q, c)
+	se.pending.file(i, c)
 	bound := se.watermark()
 	// Sweeping on a grid of the watermark, not every so often since the
 	// last sweep, makes when entries fold a function of the feed alone:
@@ -98,7 +110,7 @@ func (se *shardExtractor) Add(r *Record) error {
 	if every := max(int64(se.maxSkew)/4, 1); bound/every != before/every {
 		se.sweep(bound)
 	} else {
-		se.fold(q, bound)
+		se.fold(&se.pending.queues[i], bound)
 	}
 	return nil
 }
@@ -126,16 +138,27 @@ func (se *shardExtractor) fold(q *hostQueue, bound int64) {
 	}
 }
 
-// sweep folds every host's entries that start before bound.
+// sweep folds every host's entries that start before bound: it visits
+// the active queues and drops each one it empties from the list.
 func (se *shardExtractor) sweep(bound int64) {
-	for i := range se.pending.queues {
-		se.fold(&se.pending.queues[i], bound)
+	p := &se.pending
+	kept := p.active[:0]
+	for _, i := range p.active {
+		q := &p.queues[i]
+		se.fold(q, bound)
+		if q.head == noEntry {
+			q.listed = false
+		} else {
+			kept = append(kept, i)
+		}
 	}
+	p.active = kept
 }
 
 // builder returns q's host's builder in the open pane, starting one at
 // first (Unix ns) — or at the host's carried anchor, if earlier — when
-// the pane has none.
+// the pane has none. A new builder's table starts at the size of the
+// host's last pane, and its gap slice will.
 func (se *shardExtractor) builder(q *hostQueue, first int64) *featureBuilder {
 	if q.b != nil {
 		return q.b
@@ -146,6 +169,8 @@ func (se *shardExtractor) builder(q *hostQueue, first int64) *featureBuilder {
 			first = min(first, anchor.UnixNano())
 		}
 		b = newFeatureBuilder(q.host, first)
+		b.dests.reserve(int(q.dests))
+		b.gapCap = int(q.gaps)
 		se.builders[q.host] = b
 		// The gauge is one cache line every shard's caller shares: touch
 		// it only when this shard's host table grows.
@@ -176,14 +201,19 @@ func (se *shardExtractor) ReleaseBefore(t time.Time) {
 // take detaches the accumulated builders and resets the extractor for
 // the next pane. Pending entries are untouched — call ReleaseBefore at
 // the pane's end first so everything belonging to the pane has been
-// folded. When first-seen carrying is enabled, each detached host's
-// earliest activity is remembered and re-anchors the host's grace
-// period in later panes.
+// folded. Each detached host's queue records the builder's size for
+// the host's next pane, and the next pane's map starts at this one's
+// host count. When first-seen carrying is enabled, each detached
+// host's earliest activity is remembered and re-anchors the host's
+// grace period in later panes.
 func (se *shardExtractor) take() map[IP]*featureBuilder {
 	builders := se.builders
-	se.builders = make(map[IP]*featureBuilder)
+	se.builders = make(map[IP]*featureBuilder, len(builders))
 	for i := range se.pending.queues {
-		se.pending.queues[i].b = nil
+		if q := &se.pending.queues[i]; q.b != nil {
+			q.dests, q.gaps = uint32(q.b.dests.n), uint32(len(q.b.feats.Interstitials))
+			q.b = nil
+		}
 	}
 	if se.anchors != nil {
 		for ip, b := range builders {
@@ -213,6 +243,9 @@ func (b *featureBuilder) observe(c *compactRecord, grace time.Duration) {
 			f.NewPeers++
 		}
 	} else {
+		if f.Interstitials == nil && b.gapCap > 0 {
+			f.Interstitials = make([]float64, 0, b.gapCap)
+		}
 		f.Interstitials = append(f.Interstitials, time.Duration(c.start-d.last).Seconds())
 	}
 	d.last = c.start

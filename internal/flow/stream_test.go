@@ -123,28 +123,8 @@ func BenchmarkStreamExtractor(b *testing.B) {
 // store shard at MaxSkew 5 m and a Drain. One op is the whole feed;
 // ns/record is the number to compare.
 func BenchmarkStreamExtractorSkew(b *testing.B) {
-	const (
-		hosts   = 400
-		day     = 6 * time.Hour
-		maxSkew = 5 * time.Minute
-	)
-	rng := rand.New(rand.NewSource(47))
-	var feed []keyedRecord
-	for h := 0; h < hosts; h++ {
-		src := IP(0x80020000 + h)
-		peers := 20 + rng.Intn(320)
-		for n := 100 + rng.Intn(1500); n > 0; n-- {
-			start := baseTime().Add(time.Duration(rng.Int63n(int64(day)))).Truncate(time.Millisecond)
-			state := StateEstablished
-			if rng.Intn(5) == 0 {
-				state = StateFailed
-			}
-			r := mkRecord(src, IP(0x0A000000+h<<10+rng.Intn(peers)), start, uint64(40+rng.Intn(4000)), state)
-			// A monitor exports a flow when it ends: within MaxSkew.
-			feed = append(feed, keyedRecord{rec: r, key: start.Add(time.Duration(rng.Int63n(int64(maxSkew))))})
-		}
-	}
-	slices.SortFunc(feed, func(a, b keyedRecord) int { return a.key.Compare(b.key) })
+	const maxSkew = 5 * time.Minute
+	feed := dayFeed(400, 6*time.Hour, maxSkew, dayHostShape)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -157,6 +137,36 @@ func BenchmarkStreamExtractorSkew(b *testing.B) {
 		se.Drain()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(feed)), "ns/record")
+}
+
+// dayHostShape is a host of the day-shaped feed: 20–339 peers and
+// 100–1,599 flows.
+func dayHostShape(rng *rand.Rand) (peers, flows int) {
+	return 20 + rng.Intn(320), 100 + rng.Intn(1500)
+}
+
+// dayFeed builds a seeded feed of hosts initiators, each with the peers
+// and flows shape draws, starting uniformly over span and arriving in
+// export order: each record up to maxSkew after its start, as a monitor
+// exports a flow when it ends.
+func dayFeed(hosts int, span, maxSkew time.Duration, shape func(*rand.Rand) (peers, flows int)) []keyedRecord {
+	rng := rand.New(rand.NewSource(47))
+	var feed []keyedRecord
+	for h := 0; h < hosts; h++ {
+		src := IP(0x80020000 + h)
+		peers, flows := shape(rng)
+		for n := flows; n > 0; n-- {
+			start := baseTime().Add(time.Duration(rng.Int63n(int64(span)))).Truncate(time.Millisecond)
+			state := StateEstablished
+			if rng.Intn(5) == 0 {
+				state = StateFailed
+			}
+			r := mkRecord(src, IP(0x0A000000+h<<10+rng.Intn(peers)), start, uint64(40+rng.Intn(4000)), state)
+			feed = append(feed, keyedRecord{rec: r, key: start.Add(time.Duration(rng.Int63n(int64(maxSkew))))})
+		}
+	}
+	slices.SortFunc(feed, func(a, b keyedRecord) int { return a.key.Compare(b.key) })
+	return feed
 }
 
 // A stream shuffled within a bounded skew must, with a matching MaxSkew
