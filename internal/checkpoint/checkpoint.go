@@ -41,13 +41,17 @@ import (
 var snapshotMagic = [4]byte{'P', 'C', 'K', 'P'}
 
 // snapshotVersion is the layout Encode writes; Decode reads versions 1
-// and 2 too. Version 2 also carried each shard's earliest start and
-// record count, and each host's successful flows, peer count, last-seen
-// time and destinations as two lists (first contacts, latest starts)
-// where version 3 has one. Version 1 differs from version 2 only in the
-// store's pending records: each shard carried an arrival counter, and
-// each pending record went whole, with its arrival number.
-const snapshotVersion = 3
+// to 3 too. Versions 1 to 3 also carried a carry-first-seen flag in the
+// meta and a list of carried first-seen anchors per shard; this build
+// restarts θ_churn's grace period in every window, so Decode refuses a
+// snapshot whose flag is set or whose lists are not empty. Version 2
+// also carried each shard's earliest start and record count, and each
+// host's successful flows, peer count, last-seen time and destinations
+// as two lists (first contacts, latest starts) where version 3 has one.
+// Version 1 differs from version 2 only in the store's pending records:
+// each shard carried an arrival counter, and each pending record went
+// whole, with its arrival number.
+const snapshotVersion = 4
 
 // Section ids. New sections get new ids; readers reject ids they do not
 // know rather than skip them, because every section written today is
@@ -62,10 +66,10 @@ const (
 // Minimum encoded sizes, used to bound allocations when decoding
 // element counts (see decoder.count).
 const (
-	minHostTime    = 4 + 9             // address + flagged time
+	minAddrTime    = 4 + 9             // address + flagged time (versions 1 to 3)
 	minDest        = 4 + 2*9           // address + two flagged times
-	minHostState   = 4 + 4*8 + 9 + 2*4 // host, four counters, first seen, two counts (version 3, the smallest)
-	minStreamState = 2*9 + 3*4         // two times, three counts
+	minHostState   = 4 + 4*8 + 9 + 2*4 // host, four counters, first seen, two counts (version 3 on, the smallest)
+	minStreamState = 2*9 + 2*4         // two times, two counts (version 4, the smallest)
 	minPending     = 2*4 + 9 + 8 + 1   // two addresses, start, bytes, failed
 	minPendingV1   = 55 + 8            // record header + arrival number
 	minExporter    = 2 + 2 + 2*(1+4)   // name len, engine, two seen/next pairs
@@ -77,8 +81,8 @@ var ErrNotSnapshot = errors.New("checkpoint: not a checkpoint snapshot (bad magi
 
 // Meta pins everything a snapshot's state silently depends on: when and
 // at which WAL position it was taken, and the configuration fingerprint
-// (window geometry, skew, shard count, churn grace, feature flags) that
-// must match the restoring engine. Restoring under a different
+// (window geometry, skew, shard count, churn grace, late-record policy)
+// that must match the restoring engine. Restoring under a different
 // configuration would not fail loudly on its own — features would just
 // accumulate differently — so RestoreEngine checks every field.
 type Meta struct {
@@ -196,7 +200,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		sd := wire.NewDecoder(payload)
 		switch id {
 		case secMeta:
-			snap.Meta = decodeMeta(sd)
+			snap.Meta = decodeMeta(sd, version)
 		case secEngine:
 			snap.Engine = decodeEngineState(sd, version)
 		case secExporters:
@@ -289,25 +293,31 @@ func encodeMeta(m Meta) []byte {
 	e.Dur(m.MaxSkew)
 	e.Dur(m.Grace)
 	e.U32(uint32(m.Shards))
-	e.Bool(m.CarryFirstSeen)
 	e.Bool(m.DropLate)
 	return e.Bytes()
 }
 
-func decodeMeta(d *wire.Decoder) Meta {
-	return Meta{
+// noCarry is why Decode refuses a version 1 to 3 snapshot taken with
+// first-seen carrying on.
+const noCarry = "this build restarts θ_churn's grace period in every window"
+
+func decodeMeta(d *wire.Decoder, version uint16) Meta {
+	m := Meta{
 		Created: d.Time(),
 		WALSeq:  d.U64(),
 		Geometry: engine.Geometry{
-			Window:         d.Dur(),
-			Slide:          d.Dur(),
-			MaxSkew:        d.Dur(),
-			Grace:          d.Dur(),
-			Shards:         int(d.U32()),
-			CarryFirstSeen: d.Bool(),
+			Window:  d.Dur(),
+			Slide:   d.Dur(),
+			MaxSkew: d.Dur(),
+			Grace:   d.Dur(),
+			Shards:  int(d.U32()),
 		},
-		DropLate: d.Bool(),
 	}
+	if version < 4 && d.Bool() {
+		d.Fail("snapshot taken with carry-first-seen on: %s", noCarry)
+	}
+	m.DropLate = d.Bool()
+	return m
 }
 
 func encodeEngineState(st *engine.State) []byte {
@@ -373,7 +383,6 @@ func encodeStreamState(e *wire.Encoder, st *flow.StreamState) {
 	e.Time(st.Frontier)
 	e.Time(st.Released)
 	encodeHostList(e, st.Hosts)
-	encodeHostTimes(e, st.Anchors)
 	e.U32(uint32(len(st.Pending)))
 	for _, p := range st.Pending {
 		e.U32(uint32(p.Src))
@@ -397,7 +406,11 @@ func decodeStreamState(d *wire.Decoder, st *flow.StreamState, version uint16) {
 		d.U64() // the arrival counter
 	}
 	st.Hosts = decodeHostList(d, version)
-	st.Anchors = decodeHostTimes(d)
+	if version < 4 {
+		if n := d.Count(minAddrTime); n > 0 {
+			d.Fail("shard holds %d carry-first-seen anchors: %s", n, noCarry)
+		}
+	}
 	if version == 1 {
 		st.Pending = decodePendingV1(d)
 	} else {
@@ -529,7 +542,7 @@ func decodeHostList(d *wire.Decoder, version uint16) []flow.HostState {
 // decodeDestListsV2 zips a version 1 or 2 host's first-contact and
 // latest-start lists, which name the same destinations, into one.
 func decodeDestListsV2(d *wire.Decoder) []flow.DestTimes {
-	first, last := decodeHostTimes(d), decodeHostTimes(d)
+	first, last := decodeDestTimesV2(d), decodeDestTimesV2(d)
 	if len(first) != len(last) {
 		d.Fail("%d first contacts but %d latest starts", len(first), len(last))
 	}
@@ -538,30 +551,28 @@ func decodeDestListsV2(d *wire.Decoder) []flow.DestTimes {
 	}
 	out := make([]flow.DestTimes, len(first))
 	for i, fc := range first {
-		if fc.Host != last[i].Host {
-			d.Fail("destination lists disagree at entry %d: %v vs %v", i, fc.Host, last[i].Host)
+		if fc.dst != last[i].dst {
+			d.Fail("destination lists disagree at entry %d: %v vs %v", i, fc.dst, last[i].dst)
 		}
-		out[i] = flow.DestTimes{Dst: fc.Host, First: fc.Time, Last: last[i].Time}
+		out[i] = flow.DestTimes{Dst: fc.dst, First: fc.at, Last: last[i].at}
 	}
 	return out
 }
 
-func encodeHostTimes(e *wire.Encoder, hts []flow.HostTime) {
-	e.U32(uint32(len(hts)))
-	for _, ht := range hts {
-		e.U32(uint32(ht.Host))
-		e.Time(ht.Time)
-	}
+// destTimeV2 is one entry of a version 1 or 2 destination list.
+type destTimeV2 struct {
+	dst flow.IP
+	at  time.Time
 }
 
-func decodeHostTimes(d *wire.Decoder) []flow.HostTime {
-	n := d.Count(minHostTime)
+func decodeDestTimesV2(d *wire.Decoder) []destTimeV2 {
+	n := d.Count(minAddrTime)
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
-	out := make([]flow.HostTime, n)
+	out := make([]destTimeV2, n)
 	for i := range out {
-		out[i] = flow.HostTime{Host: flow.IP(d.U32()), Time: d.Time()}
+		out[i] = destTimeV2{dst: flow.IP(d.U32()), at: d.Time()}
 	}
 	return out
 }

@@ -46,10 +46,10 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 		{
 			name: "future container version",
 			data: mutate(func(b []byte) []byte {
-				binary.LittleEndian.PutUint16(b[4:6], 4)
+				binary.LittleEndian.PutUint16(b[4:6], 5)
 				return b
 			}),
-			wantErr: "version 4",
+			wantErr: "version 5",
 		},
 		{
 			name: "unknown trailing section",
@@ -105,29 +105,31 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 
 // The snapshots earlier builds wrote, each of synthStream(seed 18,
 // 50 min) — 454 records — through testEngineConfig(), so two sealed
-// panes, pending records and carried anchors are all in them.
-// snapshot_v1_pr18.bin was written by the commit before the feature
-// layer merged each host's two per-destination maps into one table and
-// replaced the reorder heap with keys over a record slab;
-// snapshot_v2_pr42.bin by the commit before version 3 carried each fact
-// once.
+// panes and pending records are in them. snapshot_v1_pr18.bin was
+// written by the commit before the feature layer merged each host's two
+// per-destination maps into one table and replaced the reorder heap
+// with keys over a record slab; snapshot_v2_pr42.bin by the commit
+// before version 3 carried each fact once; snapshot_v3_pr45.bin by the
+// commit before version 4 dropped first-seen carrying.
 var oldSnapshots = []struct {
 	file    string
 	version uint16
 }{
 	{"testdata/snapshot_v1_pr18.bin", 1},
 	{"testdata/snapshot_v2_pr42.bin", 2},
+	{"testdata/snapshot_v3_pr45.bin", 3},
 }
 
 // Restoring an older build's snapshot into this build's engine and
 // snapshotting again has to re-export every field version 3 keeps
 // exactly: decoding the result gives back the old file's decoded state,
 // pending records in the same order included, and the bytes equal a
-// direct re-encoding of it. Left out, because version 3 drops them, are
-// each shard's earliest start and record count (and version 1's arrival
-// counter and numbers), and each host's last-seen time, successful
-// flows and peer count, which version 3 derives from the flows less the
-// failed flows and from the destination list's length. Each file must
+// direct re-encoding of it. Left out, because version 4 drops them, are
+// the carry-first-seen flag and anchor lists (off and empty in every
+// file), each shard's earliest start and record count (and version 1's
+// arrival counter and numbers), and each host's last-seen time,
+// successful flows and peer count, which version 3 on derives from the
+// flows less the failed flows and from the destination list's length. Each file must
 // also decode to the state this build's engine holds after the same
 // records, which the decoder cannot fake: that proves the two old
 // destination lists are zipped into one with every time in place.
@@ -154,17 +156,16 @@ func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
 		if !reflect.DeepEqual(snap.Engine, fresh.State()) {
 			t.Fatalf("%s decodes to a different state than this build's engine holds after the same %d records", fx.file, len(records))
 		}
-		pending, anchors, dests := 0, 0, 0
+		pending, dests := 0, 0
 		for _, sh := range snap.Engine.Store.Shards {
 			pending += len(sh.Pending)
-			anchors += len(sh.Anchors)
 			for _, h := range sh.Hosts {
 				dests += len(h.Dests)
 			}
 		}
-		if len(snap.Engine.Recent) == 0 || pending == 0 || anchors == 0 || dests == 0 {
-			t.Fatalf("%s is too thin to prove anything: %d sealed panes, %d pending, %d anchors, %d open-pane destinations",
-				fx.file, len(snap.Engine.Recent), pending, anchors, dests)
+		if len(snap.Engine.Recent) == 0 || pending == 0 || dests == 0 {
+			t.Fatalf("%s is too thin to prove anything: %d sealed panes, %d pending, %d open-pane destinations",
+				fx.file, len(snap.Engine.Recent), pending, dests)
 		}
 
 		eng := newTestEngine(t, "", nil)
@@ -179,8 +180,8 @@ func TestSnapshotFromParentRestoresAndReencodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := binary.LittleEndian.Uint16(again[4:]); v != 3 {
-			t.Fatalf("re-encoded as version %d, want 3", v)
+		if v := binary.LittleEndian.Uint16(again[4:]); v != 4 {
+			t.Fatalf("re-encoded as version %d, want 4", v)
 		}
 		direct, err := checkpoint.Encode(snap)
 		if err != nil {
@@ -209,6 +210,10 @@ func TestSnapshotV1ResumesLikeAnUnbrokenRun(t *testing.T) {
 
 func TestSnapshotV2ResumesLikeAnUnbrokenRun(t *testing.T) {
 	resumesLikeAnUnbrokenRun(t, oldSnapshots[1].file)
+}
+
+func TestSnapshotV3ResumesLikeAnUnbrokenRun(t *testing.T) {
+	resumesLikeAnUnbrokenRun(t, oldSnapshots[2].file)
 }
 
 func resumesLikeAnUnbrokenRun(t *testing.T, file string) {
@@ -253,5 +258,46 @@ func resumesLikeAnUnbrokenRun(t *testing.T, file string) {
 	}
 	if len(got) < 2 || !reflect.DeepEqual(got, want[before:]) {
 		t.Fatalf("resumed run emitted\n%+v\nthe unbroken run, after the fixture's point:\n%+v", got, want[before:])
+	}
+}
+
+// snapshot_v2_carry_pr42.bin is the v2 fixture's 454 records written by
+// the same commit with carry-first-seen on: its meta sets the flag and
+// its shards hold the hosts' carried anchors. This build restarts the
+// grace period every window, so it has nowhere to restore them to and
+// must refuse the file by name — through the flag, and through the
+// anchor lists alone when the flag is cleared.
+func TestSnapshotCarryingFirstSeenRefused(t *testing.T) {
+	carried, err := os.ReadFile("testdata/snapshot_v2_carry_pr42.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The meta section's payload follows magic, version and its frame
+	// header; the flag is its byte after Created, WALSeq, four
+	// durations and the shard count.
+	const metaAt, flagAt = 12, 9 + 8 + 4*8 + 4
+	if n := binary.LittleEndian.Uint32(carried[8:12]); n != flagAt+2 || carried[metaAt+flagAt] != 1 {
+		t.Fatalf("meta section is %d bytes, flag byte %d: not a version 2 meta with the flag set", n, carried[metaAt+flagAt])
+	}
+	cleared := append([]byte(nil), carried...)
+	cleared[metaAt+flagAt] = 0
+	meta := cleared[metaAt : metaAt+flagAt+2]
+	binary.LittleEndian.PutUint32(cleared[metaAt+len(meta):], crc32.ChecksumIEEE(meta))
+
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"flag set", carried, "snapshot taken with carry-first-seen on"},
+		{"anchors only", cleared, "carry-first-seen anchors"},
+	} {
+		snap, err := checkpoint.Decode(tc.data)
+		if err == nil {
+			t.Fatalf("%s: decoded a snapshot carrying first-seen anchors (%d shards)", tc.name, len(snap.Engine.Store.Shards))
+		}
+		if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

@@ -255,7 +255,7 @@ func TestManagerRecoverConfigMismatch(t *testing.T) {
 	}
 
 	cfg := testEngineConfig()
-	cfg.CarryFirstSeen = false
+	cfg.MaxSkew = 3 * time.Minute
 	cfg.StateDir = dir
 	eng2, err := engine.New(cfg, nil)
 	if err != nil {
@@ -269,7 +269,7 @@ func TestManagerRecoverConfigMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("recovery under a different configuration did not fail")
 	}
-	if !strings.Contains(err.Error(), "carry-first-seen") {
+	if !strings.Contains(err.Error(), "max-skew") {
 		t.Fatalf("mismatch error %q does not name the knob", err)
 	}
 }

@@ -17,19 +17,18 @@ func baseTime() time.Time {
 }
 
 // testEngineConfig exercises every checkpointing-relevant engine
-// feature: sliding windows (pane ring), skew (pending lists), sharding,
-// and carried first-seen anchors.
+// feature: sliding windows (pane ring), skew (pending lists) and
+// sharding.
 func testEngineConfig() engine.Config {
 	cc := core.DefaultConfig()
 	cc.MinInterstitialSamples = 4
 	return engine.Config{
-		Window:         time.Hour,
-		Slide:          20 * time.Minute,
-		Shards:         3,
-		MaxSkew:        2 * time.Minute,
-		DropLate:       true,
-		CarryFirstSeen: true,
-		Core:           cc,
+		Window:   time.Hour,
+		Slide:    20 * time.Minute,
+		Shards:   3,
+		MaxSkew:  2 * time.Minute,
+		DropLate: true,
+		Core:     cc,
 	}
 }
 
@@ -129,8 +128,8 @@ func newTestEngine(t testing.TB, dir string, out *[]windowKey) *engine.WindowedD
 }
 
 // populatedSnapshot runs a stream partway into an engine and snapshots
-// it, returning a state-rich Snapshot (pending records, anchors, pane
-// ring, exporter entries all non-empty).
+// it, returning a state-rich Snapshot (pending records, pane ring,
+// exporter entries all non-empty).
 func populatedSnapshot(t testing.TB) *checkpoint.Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))

@@ -32,7 +32,7 @@ const (
 	walVersion     = 1
 	walHeaderSize  = 4 + 2 + 8 // magic, version, baseSeq
 	walFrameHeader = 4 + 8 + 4 // crc, seq, len
-	walMaxFrameLen = 4096      // far above any encoded record; larger lengths are torn/garbage
+	walMaxFrameLen = 4096      // far above any encoded record; a complete frame header declaring more is corrupt
 	walBufSize     = 64 << 10  // frames gathered per write(2): ~900 payload-free records
 )
 
@@ -87,7 +87,13 @@ func scanWAL(data []byte, fn func(seq uint64, rec *flow.Record) error) (ReplayIn
 		crc := le.Uint32(rest[0:4])
 		seq := le.Uint64(rest[4:12])
 		n := int(le.Uint32(rest[12:16]))
-		if n > walMaxFrameLen || len(rest) < walFrameHeader+n {
+		// A torn write loses the tail of what it wrote; it never changes
+		// a header it completed. So an over-long length is corruption,
+		// and only a frame running past the end of the file is torn.
+		if n > walMaxFrameLen {
+			return info, valid, fmt.Errorf("checkpoint: WAL frame after seq %d declares %d bytes, over the %d-byte limit — the log is corrupt", info.LastSeq, n, walMaxFrameLen)
+		}
+		if len(rest) < walFrameHeader+n {
 			info.Torn = true
 			return info, valid, nil
 		}

@@ -181,6 +181,48 @@ func TestWALDetectsCorruption(t *testing.T) {
 	}
 }
 
+// A bit flip in a committed frame's length field is corruption too, not
+// a torn tail: a torn write never changes a header it completed. Read as
+// torn, one flipped bit in frame 2's length would replay frame 1 and
+// truncate every frame after it.
+func TestWALCorruptFrameLengthIsAnError(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	records := synthStream(rng, baseTime(), 20*time.Minute)
+	path := walPath(t)
+	w, _, err := checkpoint.OpenWAL(path, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, records)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const walHeader, frameHeader = 14, 16
+	first := frameHeader + int(binary.LittleEndian.Uint32(data[walHeader+12:]))
+	data[walHeader+first+12+2] ^= 0x01 // the third byte of frame 2's length
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := checkpoint.OpenWAL(path, 0, nil)
+	if err == nil {
+		t.Fatalf("WAL with a corrupt frame length opened as %+v, %d of %d frames", info, info.Frames, len(records))
+	}
+	if !strings.Contains(err.Error(), "after seq 1 ") {
+		t.Fatalf("error %q does not name the last good seq, 1", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatalf("the refused log was rewritten: %d bytes, was %d", len(after), len(data))
+	}
+}
+
 // Rotation after a snapshot empties the log and continues the sequence
 // numbering; rotating past frames no snapshot covers is refused.
 func TestWALRotate(t *testing.T) {

@@ -33,8 +33,9 @@ import (
 
 // WireVersion is the shard→coordinator protocol version, bumped on any
 // frame-layout change. Both ends refuse a peer speaking another
-// version.
-const WireVersion = 1
+// version. Version 2 drops from the hello's fingerprint version 1's
+// flag for keeping θ_churn's grace period across windows.
+const WireVersion = 2
 
 // SummaryVersion versions the ShardSummary payload layout inside
 // summary frames, independently of the outer protocol. Version 2 drops
@@ -68,8 +69,9 @@ const maxHelloPayload = 4 << 10
 const minHostSummary = 4 + 2*8 + 8 + 2*8 + 9 + 8 + 4 + 4
 
 // Fingerprint pins every configuration knob the distributed split's
-// bit-identity depends on: the window geometry the shards seal by and
-// the detection operating point both phases compute with. A worker and
+// bit-identity depends on: the window geometry the shards seal by
+// (window, slide, skew, grace and shard count, then the origin) and the
+// detection operating point both phases compute with. A worker and
 // coordinator with different fingerprints would not fail on their own —
 // percentiles would just come out quietly different — so the hello
 // handshake compares every field and refuses the connection on the
@@ -146,7 +148,6 @@ func (f Fingerprint) encode(e *wire.Encoder) {
 	e.Time(f.Origin)
 	e.Dur(f.MaxSkew)
 	e.Dur(f.Grace)
-	e.Bool(f.CarryFirstSeen)
 	e.U32(uint32(f.Shards))
 	e.F64(f.VolPercentile)
 	e.F64(f.ChurnPercentile)
@@ -165,7 +166,6 @@ func decodeFingerprint(d *wire.Decoder) Fingerprint {
 	f.Origin = d.Time()
 	f.MaxSkew = d.Dur()
 	f.Grace = d.Dur()
-	f.CarryFirstSeen = d.Bool()
 	f.Shards = int(d.U32())
 	f.VolPercentile = d.F64()
 	f.ChurnPercentile = d.F64()

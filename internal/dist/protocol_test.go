@@ -242,16 +242,18 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// A worker speaking another protocol version is refused with both
-// versions named.
+// A worker speaking another protocol version, older or newer, is
+// refused with both versions named.
 func TestHelloVersionMismatchRejected(t *testing.T) {
-	h := hello{Version: WireVersion + 1, Shard: 0, FP: FingerprintOf(testEngineConfig(), 1)}
-	_, err := decodeHello(encodeHello(h))
-	if err == nil {
-		t.Fatal("accepted a hello from a future protocol version")
-	}
-	if !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "speaks 1") {
-		t.Fatalf("error %q does not name both versions", err)
+	for _, v := range []uint16{WireVersion - 1, WireVersion + 1} {
+		h := hello{Version: v, Shard: 0, FP: FingerprintOf(testEngineConfig(), 1)}
+		_, err := decodeHello(encodeHello(h))
+		if err == nil {
+			t.Fatalf("accepted a hello from protocol version %d", v)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), fmt.Sprintf("speaks %d", WireVersion)) {
+			t.Fatalf("error %q does not name both versions", err)
+		}
 	}
 }
 

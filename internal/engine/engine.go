@@ -61,13 +61,6 @@ type Config struct {
 	// record and the caller decides (the batch-replay behavior, where a
 	// late record means the trace is broken).
 	DropLate bool
-	// CarryFirstSeen keeps each host's first-seen time across window
-	// rotations, so the θ_churn new-peer grace period stays anchored at
-	// the host's earliest observed activity — the behavior a batch
-	// extraction over the whole stream would have — instead of
-	// restarting every window. Off, every window is self-contained
-	// (the paper's independent per-day windows).
-	CarryFirstSeen bool
 	// Internal selects monitored initiator addresses (nil = all).
 	Internal func(flow.IP) bool
 	// StateDir, when set, names the directory where a checkpoint
@@ -232,7 +225,6 @@ func NewSealer(cfg Config, step func(*flow.FeatureSet, *Result) error) (*Windowe
 		Hosts:        cfg.Internal,
 		NewPeerGrace: cfg.Core.NewPeerGrace,
 	}, cfg.Shards, cfg.MaxSkew).Metrics(cfg.Core.Metrics)
-	store.CarryFirstSeen(cfg.CarryFirstSeen)
 	d := &WindowedDetector{
 		cfg:     cfg,
 		store:   store,

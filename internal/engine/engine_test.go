@@ -532,54 +532,48 @@ func TestFlushSealsPaneOnlyUnmonitoredReached(t *testing.T) {
 	}
 }
 
-// CarryFirstSeen keeps θ_churn grace anchors across window rotations.
-func TestEngineCarryFirstSeen(t *testing.T) {
+// θ_churn's grace period restarts in every window: a host that comes
+// back two windows later, past its first window's grace, contacts a
+// fresh peer inside its new window's warm-up, so the peer is not new.
+func TestEngineGraceRestartsEachWindow(t *testing.T) {
 	base := baseTime()
-	cfg := testConfig()
-	run := func(carry bool) int {
-		var results []*Result
-		d, err := New(Config{
-			Window:         time.Hour,
-			Origin:         base,
-			CarryFirstSeen: carry,
-			Core:           cfg,
-		}, func(r *Result) error { results = append(results, r); return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		mk := func(dst flow.IP, at time.Time) flow.Record {
-			return flow.Record{
-				Src: 1, Dst: dst, SrcPort: 4000, DstPort: 80, Proto: flow.TCP,
-				Start: at, End: at.Add(time.Second),
-				SrcPkts: 1, DstPkts: 1, SrcBytes: 10, DstBytes: 10,
-				State: flow.StateEstablished,
-			}
-		}
-		r1 := mk(100, base)
-		r2 := mk(101, base.Add(2*time.Hour).Add(time.Minute))
-		if err := d.Add(&r1); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Add(&r2); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != 2 {
-			t.Fatalf("results = %d, want 2 (empty middle window skipped)", len(results))
-		}
-		f := results[1].Detection.Analysis.Features()[1]
-		if f == nil {
-			t.Fatal("host 1 missing from second window")
-		}
-		return f.NewPeers
+	var results []*Result
+	d, err := New(Config{
+		Window: time.Hour,
+		Origin: base,
+		Core:   testConfig(),
+	}, func(r *Result) error { results = append(results, r); return nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := run(true); got != 1 {
-		t.Errorf("carry on: NewPeers = %d, want 1", got)
+	mk := func(dst flow.IP, at time.Time) flow.Record {
+		return flow.Record{
+			Src: 1, Dst: dst, SrcPort: 4000, DstPort: 80, Proto: flow.TCP,
+			Start: at, End: at.Add(time.Second),
+			SrcPkts: 1, DstPkts: 1, SrcBytes: 10, DstBytes: 10,
+			State: flow.StateEstablished,
+		}
 	}
-	if got := run(false); got != 0 {
-		t.Errorf("carry off: NewPeers = %d, want 0", got)
+	r1 := mk(100, base)
+	r2 := mk(101, base.Add(2*time.Hour).Add(time.Minute))
+	if err := d.Add(&r1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Add(&r2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("results = %d, want 2 (empty middle window skipped)", len(results))
+	}
+	f := results[1].Detection.Analysis.Features()[1]
+	if f == nil {
+		t.Fatal("host 1 missing from second window")
+	}
+	if f.NewPeers != 0 {
+		t.Errorf("NewPeers = %d, want 0 (warm-up restarted)", f.NewPeers)
 	}
 }
 

@@ -20,8 +20,7 @@ type Geometry struct {
 	Grace time.Duration
 	// Shards is a resolved count (never 0): the feature store's shards
 	// for a snapshot, the deployment's worker processes for a handshake.
-	Shards         int
-	CarryFirstSeen bool
+	Shards int
 }
 
 // Geometry derives c's geometry at the given resolved shard count.
@@ -31,12 +30,11 @@ func (c Config) Geometry(shards int) Geometry {
 		grace = flow.DefaultNewPeerGrace
 	}
 	return Geometry{
-		Window:         c.Window,
-		Slide:          c.Slide,
-		MaxSkew:        c.MaxSkew,
-		Grace:          grace,
-		Shards:         shards,
-		CarryFirstSeen: c.CarryFirstSeen,
+		Window:  c.Window,
+		Slide:   c.Slide,
+		MaxSkew: c.MaxSkew,
+		Grace:   grace,
+		Shards:  shards,
 	}
 }
 
@@ -52,7 +50,6 @@ func (g Geometry) Mismatch(other Geometry) (knob string, mine, theirs any) {
 		{"max-skew", g.MaxSkew, other.MaxSkew},
 		{"new-peer grace", g.Grace, other.Grace},
 		{"shard count", g.Shards, other.Shards},
-		{"carry-first-seen", g.CarryFirstSeen, other.CarryFirstSeen},
 	} {
 		if k.a != k.b {
 			return k.name, k.a, k.b

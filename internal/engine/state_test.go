@@ -52,16 +52,15 @@ func collectSummaries(out *[]windowSummary) func(*Result) error {
 }
 
 // resumeConfig exercises the checkpointing-relevant engine features:
-// skew (pending lists), sharding, and carried first-seen anchors.
+// skew (pending lists) and sharding.
 func resumeConfig(window, slide time.Duration) Config {
 	return Config{
-		Window:         window,
-		Slide:          slide,
-		Shards:         3,
-		MaxSkew:        2 * time.Minute,
-		DropLate:       true,
-		CarryFirstSeen: true,
-		Core:           testConfig(),
+		Window:   window,
+		Slide:    slide,
+		Shards:   3,
+		MaxSkew:  2 * time.Minute,
+		DropLate: true,
+		Core:     testConfig(),
 	}
 }
 

@@ -95,7 +95,7 @@ type featureBuilder struct {
 }
 
 // newFeatureBuilder starts a host's builder at firstSeen (Unix ns), the
-// start of the record about to be observed or an earlier carried anchor.
+// start of the record about to be observed.
 func newFeatureBuilder(host IP, firstSeen int64) *featureBuilder {
 	return &featureBuilder{
 		feats:     &HostFeatures{Host: host, FirstSeen: time.Unix(0, firstSeen).UTC()},

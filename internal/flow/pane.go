@@ -34,7 +34,7 @@ func (p *Pane) FeatureSet() *FeatureSet {
 // combined records would produce, without the records. Counters sum;
 // per-destination first contacts de-duplicate across panes (a peer
 // re-contacted in a later pane is not counted again); the new-peer grace
-// period re-anchors at the host's earliest activity across the merged
+// period runs from the host's earliest activity across the merged
 // panes; and cross-pane interstitial gaps (last start to a destination
 // in one pane → first start to it in a later pane) are restored, so the
 // merged Interstitials hold exactly the multiset of consecutive

@@ -358,7 +358,6 @@ type heapStream struct {
 	frontier, released time.Time
 	seq                uint64
 	builders           map[IP]*featureBuilder
-	anchors            map[IP]time.Time
 }
 
 func (h *heapStream) add(r *Record) (accepted bool) {
@@ -394,11 +393,7 @@ func (h *heapStream) observe(r *Record) {
 	c := compactOf(r)
 	b, ok := h.builders[r.Src]
 	if !ok {
-		first := c.start
-		if anchor, ok := h.anchors[r.Src]; ok {
-			first = min(first, anchor.UnixNano())
-		}
-		b = newFeatureBuilder(r.Src, first)
+		b = newFeatureBuilder(r.Src, c.start)
 		h.builders[r.Src] = b
 	}
 	b.observe(&c, DefaultNewPeerGrace)
@@ -414,11 +409,6 @@ func (h *heapStream) releaseBefore(t time.Time) {
 func (h *heapStream) take() map[IP]*featureBuilder {
 	builders := h.builders
 	h.builders = make(map[IP]*featureBuilder)
-	for ip, b := range builders {
-		if cur, ok := h.anchors[ip]; !ok || b.feats.FirstSeen.Before(cur) {
-			h.anchors[ip] = b.feats.FirstSeen
-		}
-	}
 	return builders
 }
 
@@ -486,14 +476,9 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	unit := func(div int64) time.Duration { return time.Duration(max(1, int64(maxSkew)/div)) }
 
 	opts := FeatureOptions{Hosts: func(ip IP) bool { return ip != unmonitored }}
-	fresh := func() *shardExtractor {
-		se := newShardExtractor(opts, maxSkew)
-		se.anchors = make(map[IP]time.Time)
-		return se
-	}
+	fresh := func() *shardExtractor { return newShardExtractor(opts, maxSkew) }
 	se := fresh()
-	ref := &heapStream{maxSkew: maxSkew, hosts: opts.Hosts,
-		builders: make(map[IP]*featureBuilder), anchors: make(map[IP]time.Time)}
+	ref := &heapStream{maxSkew: maxSkew, hosts: opts.Hosts, builders: make(map[IP]*featureBuilder)}
 
 	clock := baseTime()
 	id := 0
@@ -574,9 +559,6 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 			ref.releaseBefore(at)
 			got, want := se.take(), ref.take()
 			sameBuilders(step, "seal", got, want)
-			if !reflect.DeepEqual(se.anchors, ref.anchors) {
-				t.Fatalf("step %d: carried anchors differ from the heap's", step)
-			}
 			cov.sealed += len(got)
 			checkLists(t, &se.pending, true)
 		case opRestore:

@@ -103,21 +103,6 @@ func (se *ShardedExtractor) Metrics(reg *metrics.Registry) *ShardedExtractor {
 	return se
 }
 
-// CarryFirstSeen enables (or, with false, disables) first-seen carrying
-// across panes: when a host reappears after TakePane, its new builder's
-// grace period stays anchored at the host's earliest activity ever seen,
-// matching what a batch extraction over the whole stream would anchor —
-// instead of restarting the θ_churn warm-up every window.
-func (se *ShardedExtractor) CarryFirstSeen(on bool) {
-	se.each(func(_ int, ex *shardExtractor) {
-		if !on {
-			ex.anchors = nil
-		} else if ex.anchors == nil {
-			ex.anchors = make(map[IP]time.Time)
-		}
-	})
-}
-
 // Add folds one record into the owning shard. Safe for concurrent use.
 func (se *ShardedExtractor) Add(r *Record) error {
 	s := &se.shards[ShardOf(r.Src, len(se.shards))]

@@ -251,37 +251,29 @@ func TestReleaseBeforeSealsBoundary(t *testing.T) {
 	}
 }
 
-// With first-seen carrying on, a host reappearing in a later pane keeps
-// its grace anchor from its earliest activity — contacts beyond the
-// original grace window count as new peers. Off, each pane restarts the
-// warm-up and the same contact is grace-exempt.
-func TestCarryFirstSeenAcrossPanes(t *testing.T) {
+// A host reappearing in a later pane starts its grace period over at its
+// first activity in that pane: a fresh contact past the first pane's
+// grace is still grace-exempt, because the warm-up restarted.
+func TestGraceRestartsEachPane(t *testing.T) {
 	t0 := baseTime()
-	run := func(carry bool) int {
-		se := NewShardedExtractorSkew(FeatureOptions{NewPeerGrace: time.Hour}, 1, 0)
-		se.CarryFirstSeen(carry)
-		r1 := mkRecord(1, 100, t0, 10, StateEstablished)
-		if err := se.Add(&r1); err != nil {
-			t.Fatal(err)
-		}
-		se.TakePane(Window{From: t0, To: t0.Add(time.Hour)})
+	se := NewShardedExtractorSkew(FeatureOptions{NewPeerGrace: time.Hour}, 1, 0)
+	r1 := mkRecord(1, 100, t0, 10, StateEstablished)
+	if err := se.Add(&r1); err != nil {
+		t.Fatal(err)
+	}
+	se.TakePane(Window{From: t0, To: t0.Add(time.Hour)})
 
-		// Reappears two hours later with a fresh destination.
-		r2 := mkRecord(1, 101, t0.Add(2*time.Hour), 10, StateEstablished)
-		if err := se.Add(&r2); err != nil {
-			t.Fatal(err)
-		}
-		f := sealAll(se).Features()[1]
-		if carry && !f.FirstSeen.Equal(t0) {
-			t.Errorf("carried FirstSeen = %v, want the original %v", f.FirstSeen, t0)
-		}
-		return f.NewPeers
+	// Reappears two hours later with a fresh destination.
+	r2 := mkRecord(1, 101, t0.Add(2*time.Hour), 10, StateEstablished)
+	if err := se.Add(&r2); err != nil {
+		t.Fatal(err)
 	}
-	if got := run(true); got != 1 {
-		t.Errorf("carry on: NewPeers = %d, want 1 (grace anchored at first pane)", got)
+	f := sealAll(se).Features()[1]
+	if !f.FirstSeen.Equal(r2.Start) {
+		t.Errorf("FirstSeen = %v, want the second pane's first activity %v", f.FirstSeen, r2.Start)
 	}
-	if got := run(false); got != 0 {
-		t.Errorf("carry off: NewPeers = %d, want 0 (warm-up restarted)", got)
+	if f.NewPeers != 0 {
+		t.Errorf("NewPeers = %d, want 0 (warm-up restarted)", f.NewPeers)
 	}
 }
 

@@ -21,13 +21,6 @@ import (
 // constructs the extractor with the same configuration, and the
 // checkpoint layer pins that equality in its metadata.
 
-// HostTime pairs an address with a timestamp: one carried first-seen
-// anchor.
-type HostTime struct {
-	Host IP
-	Time time.Time
-}
-
 // DestTimes is one entry of a host's per-destination table: a
 // destination, the host's first contact with it and its latest flow
 // start to it.
@@ -55,14 +48,13 @@ type PendingState struct {
 }
 
 // StreamState is a complete snapshot of one store shard's dynamic
-// state. Slices are ordered deterministically (hosts and anchors by
-// address, pending by start, then host, then arrival) so the same
+// state. Slices are ordered deterministically (hosts by address,
+// pending by start, then host, then arrival) so the same
 // extractor state always serializes to the same bytes.
 type StreamState struct {
 	Frontier time.Time
 	Released time.Time
 	Hosts    []HostState
-	Anchors  []HostTime // carried first-seen anchors (empty when off)
 	Pending  []PendingState
 }
 
@@ -79,24 +71,6 @@ type ShardedState struct {
 type PaneState struct {
 	Window Window
 	Hosts  []HostState
-}
-
-// hostTimesFromMap flattens a map into address-sorted HostTime pairs.
-func hostTimesFromMap(m map[IP]time.Time) []HostTime {
-	var out []HostTime
-	for _, ip := range SortedHosts(m) {
-		out = append(out, HostTime{Host: ip, Time: m[ip]})
-	}
-	return out
-}
-
-// hostTimesToMap rebuilds the map form (first-seen anchors).
-func hostTimesToMap(entries []HostTime) map[IP]time.Time {
-	m := make(map[IP]time.Time, len(entries))
-	for _, e := range entries {
-		m[e.Host] = e.Time
-	}
-	return m
 }
 
 // stateOfBuilders snapshots a builder map as address-sorted HostStates,
@@ -148,7 +122,6 @@ func (se *shardExtractor) State() *StreamState {
 		Frontier: se.frontier,
 		Released: se.released,
 		Hosts:    stateOfBuilders(se.builders),
-		Anchors:  hostTimesFromMap(se.anchors),
 	}
 	if se.pending.n == 0 {
 		return st
@@ -196,9 +169,6 @@ func (se *shardExtractor) RestoreState(st *StreamState) error {
 		se.pending.queues[se.pending.queue(host)].b = se.builders[host]
 	}
 	se.hostsHW.SetMax(int64(len(se.builders)))
-	if se.anchors != nil && len(st.Anchors) > 0 {
-		se.anchors = hostTimesToMap(st.Anchors)
-	}
 	for _, p := range st.Pending {
 		if se.opts.Hosts != nil && !se.opts.Hosts(p.Src) {
 			continue // an older build held unmonitored records too

@@ -33,7 +33,6 @@ type shardExtractor struct {
 	grace    time.Duration
 	maxSkew  time.Duration
 	builders map[IP]*featureBuilder
-	anchors  map[IP]time.Time // host -> carried first-seen (nil = off)
 	pending  pendingLists
 	frontier time.Time // latest start time seen
 	released time.Time // latest start folded, or the last ReleaseBefore bound
@@ -156,8 +155,8 @@ func (se *shardExtractor) sweep(bound int64) {
 }
 
 // builder returns q's host's builder in the open pane, starting one at
-// first (Unix ns) — or at the host's carried anchor, if earlier — when
-// the pane has none. A new builder's table starts at the size of the
+// first (Unix ns) when the pane has none: the host's grace period
+// restarts at its first activity in every pane. A new builder's table starts at the size of the
 // host's last pane, and its gap slice will.
 func (se *shardExtractor) builder(q *hostQueue, first int64) *featureBuilder {
 	if q.b != nil {
@@ -165,9 +164,6 @@ func (se *shardExtractor) builder(q *hostQueue, first int64) *featureBuilder {
 	}
 	b, ok := se.builders[q.host]
 	if !ok {
-		if anchor, ok := se.anchors[q.host]; ok {
-			first = min(first, anchor.UnixNano())
-		}
 		b = newFeatureBuilder(q.host, first)
 		b.dests.reserve(int(q.dests))
 		b.gapCap = int(q.gaps)
@@ -203,9 +199,7 @@ func (se *shardExtractor) ReleaseBefore(t time.Time) {
 // the pane's end first so everything belonging to the pane has been
 // folded. Each detached host's queue records the builder's size for
 // the host's next pane, and the next pane's map starts at this one's
-// host count. When first-seen carrying is enabled, each detached
-// host's earliest activity is remembered and re-anchors the host's
-// grace period in later panes.
+// host count.
 func (se *shardExtractor) take() map[IP]*featureBuilder {
 	builders := se.builders
 	se.builders = make(map[IP]*featureBuilder, len(builders))
@@ -213,13 +207,6 @@ func (se *shardExtractor) take() map[IP]*featureBuilder {
 		if q := &se.pending.queues[i]; q.b != nil {
 			q.dests, q.gaps = uint32(q.b.dests.n), uint32(len(q.b.feats.Interstitials))
 			q.b = nil
-		}
-	}
-	if se.anchors != nil {
-		for ip, b := range builders {
-			if cur, ok := se.anchors[ip]; !ok || b.feats.FirstSeen.Before(cur) {
-				se.anchors[ip] = b.feats.FirstSeen
-			}
 		}
 	}
 	return builders
