@@ -97,10 +97,9 @@ type Manager struct {
 	lastSnapSeq uint64    // WAL seq covered by the newest on-disk snapshot
 	lastSnapAt  time.Time // when that snapshot was taken
 
-	snapshots  *metrics.Counter
+	snapshot   *metrics.Stage
 	snapBytes  *metrics.Counter
 	snapSize   *metrics.Gauge
-	snapDur    *metrics.Histogram
 	walAppends *metrics.Counter
 	walWrites  *metrics.Counter
 	walBytes   *metrics.Counter
@@ -131,10 +130,9 @@ func NewManager(cfg Config, eng *engine.WindowedDetector) (*Manager, error) {
 		syncEvery:  cfg.SyncEvery,
 		now:        now,
 		eng:        eng,
-		snapshots:  reg.Counter("checkpoint/snapshots"),
+		snapshot:   reg.Stage("checkpoint/snapshot"),
 		snapBytes:  reg.Counter("checkpoint/snapshot_bytes_total"),
 		snapSize:   reg.Gauge("checkpoint/snapshot_bytes"),
-		snapDur:    reg.Histogram("checkpoint/snapshot_duration"),
 		walAppends: reg.Counter("checkpoint/wal_appends"),
 		walWrites:  reg.Counter("checkpoint/wal_writes"),
 		walBytes:   reg.Counter("checkpoint/wal_bytes"),
@@ -307,10 +305,9 @@ func (m *Manager) checkpointLocked() error {
 	}
 	m.lastSnapSeq = meta.WALSeq
 	m.lastSnapAt = meta.Created
-	m.snapshots.Add(1)
 	m.snapBytes.Add(n)
 	m.snapSize.Set(n)
-	m.snapDur.Observe(time.Since(start))
+	m.snapshot.Observe(time.Since(start))
 	m.walSize.Set(m.wal.Size())
 	m.observeAgeLocked()
 	return nil

@@ -157,8 +157,8 @@ type Options struct {
 	Parallelism int
 	// Metrics, when non-nil, receives under "distmatrix/": the pairs
 	// counter (exact evaluations), the workers gauge, the worker_busy
-	// histogram (each worker's busy wall time; its spread is load
-	// imbalance) and, for a gated fill, pairs_gated (evaluated, found
+	// stage (each worker's busy wall time, one observation per worker;
+	// the gap between its min and max is load imbalance) and, for a gated fill, pairs_gated (evaluated, found
 	// above the cut). ComputeSparse adds pairs_total (n·(n−1)/2),
 	// pairs_pruned_index (outside the key band, never touched) and
 	// pairs_pruned_bound (discarded by the prefilter): pairs_total =
@@ -402,7 +402,7 @@ func (f *fill) flush(st *tally, start time.Time) {
 		return
 	}
 	f.reg.Counter("distmatrix/pairs").Add(st.exact)
-	f.reg.Histogram("distmatrix/worker_busy").Observe(time.Since(start))
+	f.reg.Stage("distmatrix/worker_busy").Observe(time.Since(start))
 	if f.gated {
 		f.reg.Counter("distmatrix/pairs_gated").Add(st.gated)
 	}

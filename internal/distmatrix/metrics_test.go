@@ -32,11 +32,11 @@ func TestComputeMetrics(t *testing.T) {
 			if got := snap.Gauges["distmatrix/workers"]; got != tc.wantWorkers {
 				t.Errorf("workers = %d, want %d", got, tc.wantWorkers)
 			}
-			if len(snap.Histograms) != 1 || snap.Histograms[0].Name != "distmatrix/worker_busy" {
-				t.Fatalf("histograms = %+v", snap.Histograms)
+			if len(snap.Stages) != 1 || snap.Stages[0].Name != "distmatrix/worker_busy" {
+				t.Fatalf("stages = %+v", snap.Stages)
 			}
 			// One busy-time observation per worker (inline counts as one).
-			if got := snap.Histograms[0].Count; got != tc.wantWorkers {
+			if got := snap.Stages[0].Count; got != tc.wantWorkers {
 				t.Errorf("worker_busy observations = %d, want %d", got, tc.wantWorkers)
 			}
 		})

@@ -246,9 +246,9 @@ func TestPrunedStatsAccounting(t *testing.T) {
 	if got := snap.Gauges["distmatrix/workers"]; got != 3 {
 		t.Errorf("workers = %d, want 3", got)
 	}
-	// One busy-time observation per pool worker, and no other histogram.
-	if len(snap.Histograms) != 1 || snap.Histograms[0].Name != "distmatrix/worker_busy" || snap.Histograms[0].Count != 3 {
-		t.Errorf("histograms = %+v, want worker_busy with 3 observations", snap.Histograms)
+	// One busy-time observation per pool worker, and no other stage.
+	if len(snap.Stages) != 1 || snap.Stages[0].Name != "distmatrix/worker_busy" || snap.Stages[0].Count != 3 {
+		t.Errorf("stages = %+v, want worker_busy with 3 observations", snap.Stages)
 	}
 }
 

@@ -25,10 +25,11 @@ import (
 )
 
 // ErrLateRecord marks a record that arrived more than MaxSkew behind
-// the stream frontier, or before an explicit Origin, and was dropped.
+// the stream frontier, before an explicit Origin, or before the open
+// pane (its pane was sealed or skipped), and was dropped.
 // Callers running over live feeds typically count these and continue
 // (errors.Is).
-var ErrLateRecord = errors.New("engine: record beyond MaxSkew behind the frontier")
+var ErrLateRecord = errors.New("engine: late record")
 
 // Config shapes a WindowedDetector.
 type Config struct {
@@ -284,9 +285,10 @@ func (d *WindowedDetector) setPane(idx int) {
 
 // Add folds one record into the open window, sealing and detecting any
 // windows the record's start time proves complete first. Records more
-// than MaxSkew behind the frontier, or before an explicit Origin, are
-// dropped: with ErrLateRecord, or silently counted when cfg.DropLate is
-// set. Detection and emit errors abort the call either way.
+// than MaxSkew behind the frontier, before an explicit Origin, or before
+// the open pane are dropped: with ErrLateRecord, or silently counted
+// when cfg.DropLate is set. Detection and emit errors abort the call
+// either way.
 func (d *WindowedDetector) Add(r *flow.Record) error {
 	if r.Start.Before(d.cfg.Origin) {
 		// No window holds it; it does not start the engine either.
@@ -300,6 +302,10 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 		d.started = true
 		d.frontier = r.Start
 		d.setPane(int(r.Start.Sub(d.origin) / d.paneDur))
+		if !d.cfg.Origin.IsZero() {
+			// The panes before the first record's are empty and closed.
+			d.store.ReleaseBefore(d.paneStart())
+		}
 	}
 	if r.Start.After(d.frontier) {
 		d.frontier = r.Start
@@ -312,8 +318,9 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 	// Lateness is judged here, against the one frontier, before the store
 	// sees the record: a shard's own watermark trails the frontier by
 	// however long its hosts were quiet, so judged there the verdict would
-	// depend on the shard count. The store's check still guards a pane
-	// boundary sealed by AdvanceTo.
+	// depend on the shard count. The store's check still guards the open
+	// pane's start, which AdvanceTo or an explicit Origin can put within
+	// MaxSkew of the frontier.
 	if r.Start.UnixNano() < d.frontier.UnixNano()-int64(d.cfg.MaxSkew) || d.store.Add(r) != nil {
 		return d.late(r)
 	}
@@ -335,6 +342,11 @@ func (d *WindowedDetector) late(r *flow.Record) error {
 	}
 	if r.Start.Before(d.cfg.Origin) {
 		return fmt.Errorf("%w: record at %v precedes the window origin %v", ErrLateRecord, r.Start, d.cfg.Origin)
+	}
+	if r.Start.UnixNano() >= d.frontier.UnixNano()-int64(d.cfg.MaxSkew) {
+		// Within MaxSkew: the store refused it below the open pane.
+		return fmt.Errorf("%w: record at %v precedes the sealed pane boundary %v",
+			ErrLateRecord, r.Start, d.paneStart())
 	}
 	return fmt.Errorf("%w: record at %v is more than %v behind the frontier %v",
 		ErrLateRecord, r.Start, d.cfg.MaxSkew, d.frontier)
@@ -388,6 +400,7 @@ func (d *WindowedDetector) advance(watermark time.Time) error {
 			if idx > d.paneIdx {
 				d.setPane(idx)
 				d.recent = d.recent[:0]
+				d.store.ReleaseBefore(d.paneStart()) // idle: folds nothing
 			}
 			if d.paneEnd().After(watermark) {
 				return nil
@@ -435,7 +448,6 @@ func (d *WindowedDetector) sealPane() error {
 	d.store.ReleaseBefore(w.To)
 	pane := d.store.TakePane(w)
 	t.Stop()
-	reg.Counter("engine/panes").Add(1)
 	sealedIdx := d.paneIdx
 	d.setPane(sealedIdx + 1)
 

@@ -414,6 +414,77 @@ func TestLateRecordRejectPath(t *testing.T) {
 				t.Errorf("error %q does not name %q", err, want)
 			}
 		}
+		// Within MaxSkew of the frontier but below a pane boundary
+		// AdvanceTo sealed: the error names the boundary, not the skew.
+		boundary := base.Add(2 * time.Hour)
+		if err := d.AdvanceTo(boundary); err != nil {
+			t.Fatal(err)
+		}
+		behind := mk(boundary.Add(-time.Second))
+		err = d.Add(&behind)
+		if !errors.Is(err, ErrLateRecord) {
+			t.Fatalf("err = %v, want ErrLateRecord", err)
+		}
+		if !strings.Contains(err.Error(), behind.Start.String()) || !strings.Contains(err.Error(), "pane boundary "+boundary.String()) ||
+			strings.Contains(err.Error(), "more than") {
+			t.Errorf("error %q does not name the record and the pane boundary %v alone", err, boundary)
+		}
+	}
+}
+
+// A record below the open pane's start is late even when it is within
+// MaxSkew of the frontier: the store's bound follows the open pane
+// wherever the engine moves it, also past a silent stretch AdvanceTo
+// skipped and to the first pane under an explicit Origin. Both records
+// were once folded into the open pane, a window that does not hold them.
+func TestRecordBeforeOpenPaneIsLate(t *testing.T) {
+	base := baseTime()
+	for _, tc := range []struct {
+		name    string
+		maxSkew time.Duration
+		advance time.Duration // AdvanceTo(base+advance) after the first record; 0 = none
+		feed    []time.Duration
+		late    time.Duration
+		want    []string // emitted windows, "index:records"
+	}{
+		{"skipped panes", 2 * time.Hour, 10*time.Hour + 30*time.Minute,
+			[]time.Duration{10 * time.Minute, 10*time.Hour + 15*time.Minute}, 9 * time.Hour, []string{"0:1", "10:1"}},
+		{"first pane past the origin", time.Hour, 0,
+			[]time.Duration{5*time.Hour + 10*time.Minute}, 4*time.Hour + 40*time.Minute, []string{"5:1"}},
+	} {
+		var got []string
+		d, err := New(Config{Window: time.Hour, Origin: base, MaxSkew: tc.maxSkew, Core: testConfig()},
+			func(r *Result) error { got = append(got, fmt.Sprintf("%d:%d", r.Index, r.Records)); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		add := func(at time.Duration) error {
+			r := flow.Record{Src: 1, Dst: 100, Proto: flow.TCP, State: flow.StateEstablished,
+				Start: base.Add(at), End: base.Add(at + time.Second)}
+			return d.Add(&r)
+		}
+		if err := add(tc.feed[0]); err != nil {
+			t.Fatal(err)
+		}
+		if tc.advance > 0 {
+			if err := d.AdvanceTo(base.Add(tc.advance)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := add(tc.late); !errors.Is(err, ErrLateRecord) {
+			t.Errorf("%s: record at base+%v: err = %v, want ErrLateRecord", tc.name, tc.late, err)
+		}
+		for _, at := range tc.feed[1:] {
+			if err := add(at); err != nil {
+				t.Fatalf("%s: record at base+%v: %v", tc.name, at, err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: emitted %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -487,7 +558,8 @@ func TestRecordBeforeOriginIsLate(t *testing.T) {
 // Flush, as one holding a monitored host's record is: the sliding window
 // it ends holds the earlier panes' hosts and is emitted, Partial. That
 // holds across a snapshot too, though the store keeps nothing of such
-// records.
+// records. The record counts in "engine/records" all the same: it
+// reached the engine in time.
 func TestFlushSealsPaneOnlyUnmonitoredReached(t *testing.T) {
 	origin := baseTime()
 	for _, restore := range []bool{false, true} {
@@ -496,8 +568,10 @@ func TestFlushSealsPaneOnlyUnmonitoredReached(t *testing.T) {
 			got = append(got, fmt.Sprintf("%v partial=%v hosts=%d", r.Window, r.Partial, r.Hosts))
 			return nil
 		}
+		coreCfg := testConfig()
+		coreCfg.Metrics = metrics.New()
 		cfg := Config{Window: time.Hour, Slide: 20 * time.Minute, Origin: origin, MaxSkew: time.Minute,
-			Internal: func(ip flow.IP) bool { return ip < 100 }, Core: testConfig()}
+			Internal: func(ip flow.IP) bool { return ip < 100 }, Core: coreCfg}
 		d, err := New(cfg, emit)
 		if err != nil {
 			t.Fatal(err)
@@ -528,6 +602,9 @@ func TestFlushSealsPaneOnlyUnmonitoredReached(t *testing.T) {
 		last := fmt.Sprintf("%v partial=true hosts=1", flow.Window{From: origin.Add(40 * time.Minute), To: origin.Add(100 * time.Minute)})
 		if len(got) != 3 || got[2] != last {
 			t.Errorf("restore=%v: emitted %q, want three windows, the last %q", restore, got, last)
+		}
+		if n := coreCfg.Metrics.Counter("engine/records").Value(); n != 71 {
+			t.Errorf("restore=%v: engine/records = %d, want 71 (the filter does not drop the count)", restore, n)
 		}
 	}
 }

@@ -84,18 +84,17 @@ func (se *ShardedExtractor) each(fn func(i int, ex *shardExtractor)) {
 func (se *ShardedExtractor) Shards() int { return len(se.shards) }
 
 // Metrics attaches reg's instruments to every shard: the shared
-// "stream/records" and "stream/skew_drops" counters (atomic, so shards
-// add into them concurrently), the "stream/pending_highwater" gauge
-// (the most entries one shard held pending for its monitored hosts),
-// and the "sharded/hosts_highwater" gauge tracking the deepest any
-// single shard's host table got — the load-balance signal. Behind a
+// "stream/skew_drops" counter (atomic, so shards add into it
+// concurrently), the "stream/pending_highwater" gauge (the most entries
+// one shard held pending for its monitored hosts), and the
+// "sharded/hosts_highwater" gauge tracking the deepest any single
+// shard's host table got — the load-balance signal. Behind a
 // WindowedDetector, stream/skew_drops counts only what the store itself
-// refused — records below a pane boundary AdvanceTo sealed; the
-// engine's "engine/drops" is every late record. A nil reg detaches.
-// Returns se for chaining.
+// refused — records within MaxSkew of the frontier but below the open
+// pane's start; the engine's "engine/drops" is every late record. A nil
+// reg detaches. Returns se for chaining.
 func (se *ShardedExtractor) Metrics(reg *metrics.Registry) *ShardedExtractor {
 	se.each(func(_ int, ex *shardExtractor) {
-		ex.recCtr = reg.Counter("stream/records")
 		ex.dropCtr = reg.Counter("stream/skew_drops")
 		ex.pendingHW = reg.Gauge("stream/pending_highwater")
 		ex.hostsHW = reg.Gauge("sharded/hosts_highwater")

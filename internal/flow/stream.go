@@ -38,7 +38,6 @@ type shardExtractor struct {
 	released time.Time // latest start folded, or the last ReleaseBefore bound
 
 	// Instrumentation (nil-safe no-ops until ShardedExtractor.Metrics).
-	recCtr    *metrics.Counter
 	dropCtr   *metrics.Counter
 	pendingHW *metrics.Gauge
 	hostsHW   *metrics.Gauge
@@ -77,7 +76,6 @@ func (se *shardExtractor) Add(r *Record) error {
 		se.dropCtr.Add(1)
 		return errLate
 	}
-	se.recCtr.Add(1)
 	before := se.watermark()
 	if r.Start.After(se.frontier) {
 		se.frontier = r.Start

@@ -1,7 +1,9 @@
 // Package metrics is the pipeline's instrumentation layer: named atomic
-// counters, gauges, duration histograms, and nestable stage timers,
-// collected in a Registry whose point-in-time Snapshot serializes to
-// JSON and to Prometheus/expvar-style text.
+// counters, gauges, and stages — the one duration instrument: how many
+// times something ran and its total, min and max duration, fed by
+// nestable stage timers or by Stage.Observe — collected in a Registry
+// whose point-in-time Snapshot serializes to JSON and to
+// Prometheus/expvar-style text.
 //
 // The package is built for a hot detection path at a busy border:
 //
@@ -10,7 +12,7 @@
 //     immediately — instrumented code needs no "is monitoring on?"
 //     branches of its own, and the disabled cost is one nil check.
 //   - Recording is allocation-free: Counter.Add, Gauge.Set/SetMax,
-//     Histogram.Observe, and StageTimer.Stop touch only atomics.
+//     Stage.Observe, and StageTimer.Stop touch only atomics.
 //     Instruments are meant to be looked up once (outside loops) and
 //     used many times.
 //   - Everything is safe for concurrent use; distmatrix workers hammer
@@ -22,7 +24,6 @@
 package metrics
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,13 +64,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta. No-op on a nil receiver.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark update (e.g. the most entries a queue held).
 // No-op on a nil receiver.
@@ -91,47 +85,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// histogramBuckets is the fixed bucket count of a duration histogram.
-// Bucket i counts observations with ceil(d in µs) in [2^(i-1), 2^i)
-// (bucket 0 holds sub-microsecond observations), so 40 buckets span
-// 1 µs .. ~6.4 days — wider than any stage this pipeline times.
-const histogramBuckets = 40
-
-// Histogram accumulates a distribution of durations in exponential
-// (power-of-two microsecond) buckets. The zero value is ready to use; a
-// nil Histogram discards all updates.
-type Histogram struct {
-	count   atomic.Int64
-	sumNS   atomic.Int64
-	buckets [histogramBuckets]atomic.Int64
-}
-
-// Observe records one duration. Negative durations clamp to zero.
-// No-op on a nil receiver.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	i := bits.Len64(uint64(d.Microseconds()))
-	if i >= histogramBuckets {
-		i = histogramBuckets - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-// Count returns how many durations were observed (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // minUnset marks a Stage that has not observed anything yet; any real
@@ -232,20 +185,18 @@ func (t StageTimer) Child(name string) StageTimer {
 // no-op sink: all lookups return nil instruments and StartStage returns
 // a no-op timer.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	stages     map[string]*Stage
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	stages   map[string]*Stage
 }
 
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		stages:     make(map[string]*Stage),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		stages:   make(map[string]*Stage),
 	}
 }
 
@@ -279,22 +230,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named duration histogram, creating it on first
-// use. Returns nil (a no-op histogram) on a nil registry.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
 }
 
 // Stage returns the named stage accumulator, creating it on first use.

@@ -17,8 +17,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Counter("c").Add(5)
 	r.Gauge("g").Set(7)
 	r.Gauge("g").SetMax(9)
-	r.Gauge("g").Add(1)
-	r.Histogram("h").Observe(time.Second)
 	r.Stage("s").Observe(time.Second)
 	timer := r.StartStage("x")
 	if d := timer.Stop(); d != 0 {
@@ -31,7 +29,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Errorf("nil counter value = %d", v)
 	}
 	snap := r.TakeSnapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Stages)+len(snap.Histograms) != 0 {
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Stages) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", snap)
 	}
 	var buf bytes.Buffer
@@ -63,10 +61,6 @@ func TestCounterGauge(t *testing.T) {
 	g.SetMax(12)
 	if g.Value() != 12 {
 		t.Errorf("SetMax did not raise gauge: %d", g.Value())
-	}
-	g.Add(-2)
-	if g.Value() != 10 {
-		t.Errorf("Add(-2) = %d, want 10", g.Value())
 	}
 }
 
@@ -120,44 +114,12 @@ func TestStageTimerNesting(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := New()
-	h := r.Histogram("busy")
-	h.Observe(500 * time.Nanosecond) // bucket 0
-	h.Observe(3 * time.Microsecond)
-	h.Observe(time.Second)
-	h.Observe(-time.Second) // clamps to 0
-	if h.Count() != 4 {
-		t.Errorf("count = %d", h.Count())
-	}
-	snap := r.TakeSnapshot()
-	if len(snap.Histograms) != 1 {
-		t.Fatalf("histograms = %+v", snap.Histograms)
-	}
-	hs := snap.Histograms[0]
-	if hs.Count != 4 {
-		t.Errorf("snapshot count = %d", hs.Count)
-	}
-	// Buckets must be cumulative and end at the full count.
-	last := int64(0)
-	for _, b := range hs.Buckets {
-		if b.Count < last {
-			t.Errorf("buckets not cumulative: %+v", hs.Buckets)
-		}
-		last = b.Count
-	}
-	if last != 4 {
-		t.Errorf("final cumulative bucket = %d, want 4", last)
-	}
-}
-
 // Concurrent hammering under -race: one counter, one high-water gauge,
-// one histogram, one stage from many goroutines.
+// one stage from many goroutines.
 func TestConcurrentUpdates(t *testing.T) {
 	r := New()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h")
 	s := r.Stage("s")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -168,7 +130,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Add(1)
 				g.SetMax(int64(w*per + i))
-				h.Observe(time.Duration(i) * time.Microsecond)
 				s.Observe(time.Duration(i+1) * time.Microsecond)
 			}
 		}(w)
@@ -180,8 +141,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if g.Value() != workers*per-1 {
 		t.Errorf("gauge high-water = %d, want %d", g.Value(), workers*per-1)
 	}
-	if h.Count() != workers*per || s.Count() != workers*per {
-		t.Errorf("hist count = %d, stage count = %d", h.Count(), s.Count())
+	if s.Count() != workers*per {
+		t.Errorf("stage count = %d, want %d", s.Count(), workers*per)
 	}
 	snap := r.TakeSnapshot()
 	if snap.Stages[0].MinSeconds != 1e-6 {
@@ -194,7 +155,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("flowio/binary/records").Add(42)
 	r.Gauge("pipeline/hosts/analyzed").Set(360)
 	r.Stage("pipeline/hm").Observe(123 * time.Millisecond)
-	r.Histogram("distmatrix/worker_busy").Observe(5 * time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := r.TakeSnapshot().WriteJSON(&buf); err != nil {
@@ -213,9 +173,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if len(back.Stages) != 1 || back.Stages[0].Name != "pipeline/hm" || back.Stages[0].Count != 1 {
 		t.Errorf("stages lost in round trip: %+v", back.Stages)
 	}
-	if len(back.Histograms) != 1 || back.Histograms[0].Count != 1 {
-		t.Errorf("histograms lost in round trip: %+v", back.Histograms)
-	}
 }
 
 func TestWriteText(t *testing.T) {
@@ -223,7 +180,7 @@ func TestWriteText(t *testing.T) {
 	r.Counter("flowio/binary/records").Add(7)
 	r.Gauge("stream/pending_highwater").Set(12)
 	r.Stage("pipeline/hm/matrix").Observe(time.Millisecond)
-	r.Histogram("distmatrix/worker_busy").Observe(time.Millisecond)
+	r.Stage("pipeline/hm/matrix").Observe(-time.Second) // clamps to 0
 	var buf bytes.Buffer
 	if err := r.TakeSnapshot().WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -233,9 +190,9 @@ func TestWriteText(t *testing.T) {
 		"plotters_flowio_binary_records_total 7",
 		"plotters_stream_pending_highwater 12",
 		"plotters_pipeline_hm_matrix_seconds_total",
-		"plotters_pipeline_hm_matrix_count 1",
-		"plotters_distmatrix_worker_busy_bucket{le=\"+Inf\"} 1",
-		"plotters_distmatrix_worker_busy_count 1",
+		"plotters_pipeline_hm_matrix_count 2",
+		"plotters_pipeline_hm_matrix_min_seconds 0\n",
+		"plotters_pipeline_hm_matrix_max_seconds 0.001\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text exposition missing %q:\n%s", want, out)
@@ -283,12 +240,10 @@ func TestHotPathAllocationFree(t *testing.T) {
 	r := New()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h")
 	s := r.Stage("s")
 	for name, fn := range map[string]func(){
 		"counter": func() { c.Add(1) },
 		"gauge":   func() { g.SetMax(3) },
-		"hist":    func() { h.Observe(time.Microsecond) },
 		"stage":   func() { s.Observe(time.Microsecond) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

@@ -11,13 +11,12 @@ import (
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
 // shaped for serialization: counters and gauges as name→value maps,
-// stages and histograms as name-sorted lists. A Snapshot of a nil
-// registry is empty but valid.
+// stages as a name-sorted list. A Snapshot of a nil registry is empty
+// but valid.
 type Snapshot struct {
-	Counters   map[string]int64    `json:"counters,omitempty"`
-	Gauges     map[string]int64    `json:"gauges,omitempty"`
-	Stages     []StageSnapshot     `json:"stages,omitempty"`
-	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
+	Counters map[string]int64 `json:"counters,omitempty"`
+	Gauges   map[string]int64 `json:"gauges,omitempty"`
+	Stages   []StageSnapshot  `json:"stages,omitempty"`
 }
 
 // StageSnapshot is one stage's accumulated timing.
@@ -28,23 +27,6 @@ type StageSnapshot struct {
 	MeanSeconds  float64 `json:"mean_seconds"`
 	MinSeconds   float64 `json:"min_seconds"`
 	MaxSeconds   float64 `json:"max_seconds"`
-}
-
-// HistogramBucket is one cumulative histogram bucket: Count
-// observations were at most LESeconds.
-type HistogramBucket struct {
-	LESeconds float64 `json:"le_seconds"`
-	Count     int64   `json:"count"`
-}
-
-// HistogramSnapshot is one duration histogram's state. Buckets are
-// cumulative (Prometheus-style) and trailing all-inclusive buckets are
-// trimmed.
-type HistogramSnapshot struct {
-	Name       string            `json:"name"`
-	Count      int64             `json:"count"`
-	SumSeconds float64           `json:"sum_seconds"`
-	Buckets    []HistogramBucket `json:"buckets,omitempty"`
 }
 
 // TakeSnapshot copies the registry's current state. Safe to call while
@@ -63,10 +45,6 @@ func (r *Registry) TakeSnapshot() Snapshot {
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		hists[k] = v
 	}
 	stages := make(map[string]*Stage, len(r.stages))
 	for k, v := range r.stages {
@@ -103,29 +81,6 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		}
 		snap.Stages = append(snap.Stages, ss)
 	}
-	for _, name := range sortedKeys(hists) {
-		h := hists[name]
-		hs := HistogramSnapshot{
-			Name:       name,
-			Count:      h.count.Load(),
-			SumSeconds: time.Duration(h.sumNS.Load()).Seconds(),
-		}
-		cum := int64(0)
-		for i := 0; i < histogramBuckets; i++ {
-			n := h.buckets[i].Load()
-			if n == 0 {
-				continue
-			}
-			cum += n
-			// Bucket i holds observations up to 2^i µs.
-			le := time.Duration(int64(1)<<uint(i)) * time.Microsecond
-			hs.Buckets = append(hs.Buckets, HistogramBucket{
-				LESeconds: le.Seconds(),
-				Count:     cum,
-			})
-		}
-		snap.Histograms = append(snap.Histograms, hs)
-	}
 	return snap
 }
 
@@ -154,9 +109,8 @@ func metricName(name string) string {
 
 // WriteText writes the snapshot in Prometheus/expvar-style text
 // exposition: one "name value" line per sample, counters suffixed
-// _total, stages expanded into _seconds_total/_count/_min/_max, and
-// histograms into cumulative _bucket{le="..."} lines plus _sum and
-// _count.
+// _total, stages expanded into _seconds_total/_count/_min_seconds/
+// _max_seconds.
 func (s Snapshot) WriteText(w io.Writer) error {
 	var b strings.Builder
 	for _, name := range sortedKeys(s.Counters) {
@@ -171,15 +125,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		fmt.Fprintf(&b, "%s_count %d\n", m, st.Count)
 		fmt.Fprintf(&b, "%s_min_seconds %g\n", m, st.MinSeconds)
 		fmt.Fprintf(&b, "%s_max_seconds %g\n", m, st.MaxSeconds)
-	}
-	for _, h := range s.Histograms {
-		m := metricName(h.Name)
-		for _, bk := range h.Buckets {
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", m, fmt.Sprintf("%g", bk.LESeconds), bk.Count)
-		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", m, h.Count)
-		fmt.Fprintf(&b, "%s_sum %g\n", m, h.SumSeconds)
-		fmt.Fprintf(&b, "%s_count %d\n", m, h.Count)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
