@@ -106,8 +106,8 @@ func TestRunDeterminism(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed produced different reports:\nrun 1: %s\nrun 2: %s", a, b)
 	}
-	// CI exports the verified report as a build artifact (mirroring the
-	// recovery job's checkpoint export) so a frontier regression leaves
+	// CI exports the verified report as a build artifact (beside the
+	// kill-and-resume test's checkpoint) so a frontier regression leaves
 	// a concrete JSON to diff against the previous run's.
 	if dir := os.Getenv("CAMPAIGN_ARTIFACT_DIR"); dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

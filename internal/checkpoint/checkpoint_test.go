@@ -2,9 +2,14 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"plotters/internal/checkpoint"
 	"plotters/internal/engine"
@@ -163,20 +168,64 @@ func TestSnapshotDecodeGarbage(t *testing.T) {
 }
 
 // A snapshot from a mismatched configuration must refuse to restore,
-// naming the offending knob.
+// naming the offending knob; one from an equal engine must restore and
+// seal the windows the snapshotted engine would have.
 func TestSnapshotRestoreConfigMismatch(t *testing.T) {
-	snap := populatedSnapshot(t)
-	cfg := testEngineConfig()
-	cfg.Shards = 5
-	eng, err := engine.New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = snap.RestoreEngine(eng)
-	if err == nil {
-		t.Fatal("restore into a 5-shard engine did not fail")
-	}
-	if want := "shard count"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Fatalf("mismatch error %q does not name %q", err, want)
+	// tumbling windows from an explicit origin, fed into the second
+	// window by the snapshot.
+	tumbling := testEngineConfig()
+	tumbling.Slide = 0
+	tumbling.Origin = baseTime()
+	for _, c := range []struct {
+		name    string
+		snap    engine.Config
+		restore func(*engine.Config)
+		want    string // the knob the refusal names; "" = restores
+	}{
+		{"shards", testEngineConfig(), func(c *engine.Config) { c.Shards = 5 }, "shard count"},
+		{"origin", tumbling, func(c *engine.Config) { c.Origin = c.Origin.Add(30 * time.Minute) }, "origin"},
+		{"slide equal to window", tumbling, func(c *engine.Config) { c.Slide = c.Window }, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var want, got []windowKey
+			eng, err := engine.New(c.snap, collect(&want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			records := synthStream(rand.New(rand.NewSource(42)), baseTime(), 63*time.Minute)
+			for i := range records {
+				if err := eng.Add(&records[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := &checkpoint.Snapshot{Meta: checkpoint.EngineMeta(eng), Engine: eng.State()}
+			sealed := len(want)
+
+			cfg := c.snap
+			c.restore(&cfg)
+			restored, err := engine.New(cfg, collect(&got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = snap.RestoreEngine(restored)
+			if c.want != "" {
+				if err == nil {
+					t.Fatalf("restore under a different %s did not fail", c.want)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("mismatch error %q does not name %q", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restore into an equal engine failed: %v", err)
+			}
+			if err := errors.Join(eng.Flush(), restored.Flush()); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 || !reflect.DeepEqual(got, want[sealed:]) {
+				t.Fatalf("restored engine sealed %v, the snapshotted one %v", got, want[sealed:])
+			}
+		})
 	}
 }

@@ -269,11 +269,19 @@ func TestFingerprintMismatchNamesKnob(t *testing.T) {
 		{func(f *Fingerprint) { f.VolPercentile = 60 }, "vol percentile"},
 		{func(f *Fingerprint) { f.MinInterstitialSamples = 10 }, "min interstitial samples"},
 		{func(f *Fingerprint) { f.RawTimeScale = true }, "raw-time-scale"},
+		// Slide == Window builds the same tumbling engine as Slide 0.
+		{func(f *Fingerprint) { f.Slide = f.Window }, ""},
 	}
 	for _, c := range cases {
 		peer := base
 		c.mutate(&peer)
 		err := peer.Check(base)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("fingerprints of equal engines rejected: %v", err)
+			}
+			continue
+		}
 		if err == nil {
 			t.Errorf("fingerprint differing in %q passed Check", c.want)
 			continue

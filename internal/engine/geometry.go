@@ -38,15 +38,25 @@ func (c Config) Geometry(shards int) Geometry {
 	}
 }
 
+// pane is the resolved slide: Window for tumbling windows, which Slide
+// 0 and Slide == Window both build.
+func (g Geometry) pane() time.Duration {
+	if g.Slide > 0 && g.Slide < g.Window {
+		return g.Slide
+	}
+	return g.Window
+}
+
 // Mismatch names the first knob on which g and other differ, with g's
-// value and then other's; knob is "" when they are equal.
+// value and then other's; knob is "" when they are equal. The slide is
+// compared resolved, so Slide 0 and Slide == Window match.
 func (g Geometry) Mismatch(other Geometry) (knob string, mine, theirs any) {
 	for _, k := range []struct {
 		name string
 		a, b any
 	}{
 		{"window", g.Window, other.Window},
-		{"slide", g.Slide, other.Slide},
+		{"slide", g.pane(), other.pane()},
 		{"max-skew", g.MaxSkew, other.MaxSkew},
 		{"new-peer grace", g.Grace, other.Grace},
 		{"shard count", g.Shards, other.Shards},

@@ -54,10 +54,15 @@ func (d *WindowedDetector) State() *State {
 // a snapshot. The detector must have been built with the same Config as
 // the snapshotted one (window geometry, skew, shard count, grace —
 // internal/checkpoint verifies this from its metadata) and must not
-// have ingested any records yet.
+// have ingested any records yet. A started snapshot's windows are
+// aligned to its origin, so an explicit Origin must equal it.
 func (d *WindowedDetector) RestoreState(st *State) error {
 	if d.started {
 		return fmt.Errorf("engine: RestoreState on a detector that has already started")
+	}
+	if st.Started && !d.cfg.Origin.IsZero() && !st.Origin.Equal(d.cfg.Origin) {
+		return fmt.Errorf("engine: snapshot was taken with origin %v but this engine is configured with %v — restore requires the snapshotted configuration",
+			st.Origin, d.cfg.Origin)
 	}
 	if len(st.Recent) > d.k {
 		return fmt.Errorf("engine: snapshot carries %d trailing panes, window/slide geometry allows %d",
