@@ -182,7 +182,7 @@ func (o *options) validate() (mode, error) {
 		{(set["shard"] || set["drain-timeout"]) && m != shardMode, "-shard and -drain-timeout require -role shard"},
 		{set["dist-timeout"] && m != coordMode, "-dist-timeout requires -role coordinator (it bounds the wait for lagging shards)"},
 		{m == coordMode && (set["sample"] || set["sample-seed"] || set["format"] || set["internal"] || set["shards"]), "-sample, -sample-seed, -format, -internal and -shards shape record ingest, and -role coordinator reads no records"},
-		{m == shardMode && set["detectors"], "-detectors applies to -role coordinator (a shard ships summaries; detection runs at the coordinator)"},
+		{m == shardMode && (set["detectors"] || set["vol-pct"] || set["churn-pct"] || set["hm-pct"]), "-detectors, -vol-pct, -churn-pct and -hm-pct apply to -role coordinator (a shard ships summaries; detection and its percentiles run at the coordinator)"},
 		{live && set["format"], "-format names a trace file's format (-listen decodes NetFlow v5/v9, IPFIX and sFlow as they arrive)"},
 		{o.sampler.N == 0, "-sample must be >= 1"},
 		{set["sample-seed"] && o.sampler.N == 1, "-sample-seed requires -sample > 1 (1-in-1 sampling keeps every flow)"},

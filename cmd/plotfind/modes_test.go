@@ -419,7 +419,10 @@ func TestRejectedFlags(t *testing.T) {
 		{"-role coordinator -format csv " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
 		{"-role coordinator -internal 10.0.0.0/8 " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
 		{"-role coordinator -shards 4 " + dist, "-sample, -sample-seed, -format, -internal and -shards shape record ingest"},
-		{"-role shard -detectors community " + dist + " x", "-detectors applies to -role coordinator"},
+		{"-role shard -detectors community " + dist + " x", "-detectors, -vol-pct, -churn-pct and -hm-pct apply to -role coordinator"},
+		{"-role shard -vol-pct 60 " + dist + " x", "-detectors, -vol-pct, -churn-pct and -hm-pct apply to -role coordinator"},
+		{"-role shard -churn-pct 60 " + dist + " x", "-detectors, -vol-pct, -churn-pct and -hm-pct apply to -role coordinator"},
+		{"-role shard -hm-pct 40 " + dist + " x", "-detectors, -vol-pct, -churn-pct and -hm-pct apply to -role coordinator"},
 		{"-listen :0 -window 6h -format csv", "-format names a trace file's format"},
 		{"-sample 0 x", "-sample must be >= 1"},
 		{"-sample-seed 5 x", "-sample-seed requires -sample > 1"},

@@ -330,25 +330,30 @@ func TestManagerMetrics(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	appends := reg.Counter("checkpoint/wal_appends").Value()
+	snap := reg.TakeSnapshot()
+	appends := snap.Counters["checkpoint/wal_appends"]
 	if appends != int64(len(records)+1) {
 		t.Errorf("wal_appends = %d, want %d", appends, len(records)+1)
 	}
 	// A write per sync, per sealed pane, at the checkpoint and on Close:
 	// a handful for these ~600 records, never one each.
-	if writes := reg.Counter("checkpoint/wal_writes").Value(); writes < 2 || writes*20 > appends {
+	if writes := snap.Counters["checkpoint/wal_writes"]; writes < 2 || writes*20 > appends {
 		t.Errorf("wal_writes = %d for %d appends, want a few dozen times fewer", writes, appends)
 	}
-	if got, want := reg.Counter("checkpoint/wal_bytes").Value(), appends*71; got != want {
+	if got, want := snap.Counters["checkpoint/wal_bytes"], appends*71; got != want {
 		t.Errorf("wal_bytes = %d, want %d (every frame written once)", got, want)
 	}
-	if got := reg.Gauge("checkpoint/wal_size_bytes").Value(); got != 14+71 {
+	if got := snap.Gauges["checkpoint/wal_size_bytes"]; got != 14+71 {
 		t.Errorf("wal_size_bytes = %d, want the header and the one frame since the rotation", got)
 	}
-	if got := reg.Stage("checkpoint/snapshot").Count(); got != 1 {
+	ran := map[string]int64{} // stage → times run
+	for _, s := range snap.Stages {
+		ran[s.Name] = s.Count
+	}
+	if got := ran["checkpoint/snapshot"]; got != 1 {
 		t.Errorf("checkpoint/snapshot ran %d times, want 1", got)
 	}
-	if reg.Gauge("checkpoint/snapshot_bytes").Value() == 0 {
+	if snap.Gauges["checkpoint/snapshot_bytes"] == 0 {
 		t.Error("snapshot_bytes gauge not set")
 	}
 }

@@ -73,7 +73,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func (tc *testCollector) counter(name string) int64 { return tc.reg.Counter(name).Value() }
+func (tc *testCollector) counter(name string) int64 { return tc.reg.TakeSnapshot().Counters[name] }
 
 func TestCollectorUDPLoopback(t *testing.T) {
 	tc := startCollector(t, nil)
@@ -172,7 +172,7 @@ func TestCollectorSequenceStateSurvivesRestart(t *testing.T) {
 	// the first post-recovery packet starts at flow 12.
 	second := startCollector(t, nil)
 	second.RestoreSequenceStates(states)
-	if n := second.reg.Gauge("collector/exporters").Value(); n != 1 {
+	if n := second.reg.TakeSnapshot().Gauges["collector/exporters"]; n != 1 {
 		t.Errorf("restored exporters gauge = %d, want 1", n)
 	}
 	second.Inject(pkt(t, 12), "router-1")
@@ -239,10 +239,10 @@ func TestCollectorQueueOverflowDropsNotBlocks(t *testing.T) {
 
 	// The drops are synchronous — no waiting, and the reader path never
 	// blocked even with the worker parked.
-	if n := reg.Counter("collector/packets/dropped").Value(); n != 2 {
+	if n := reg.TakeSnapshot().Counters["collector/packets/dropped"]; n != 2 {
 		t.Errorf("dropped = %d, want 2", n)
 	}
-	if hw := reg.Gauge("collector/queue/high_water").Value(); hw != 1 {
+	if hw := reg.TakeSnapshot().Gauges["collector/queue/high_water"]; hw != 1 {
 		t.Errorf("queue high-water = %d, want 1", hw)
 	}
 
@@ -325,7 +325,7 @@ func TestCollectorInjectAfterShutdownDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Inject(pkt, "e")
-	if n := reg.Counter("collector/packets/dropped").Value(); n != 1 {
+	if n := reg.TakeSnapshot().Counters["collector/packets/dropped"]; n != 1 {
 		t.Errorf("post-shutdown dropped = %d, want 1", n)
 	}
 }

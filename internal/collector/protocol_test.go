@@ -125,7 +125,7 @@ func TestProtocolSequenceAccounting(t *testing.T) {
 						t.Errorf("%s: %s = %d, want %d", when, c.name, got, c.want)
 					}
 				}
-				if got := tc.reg.Gauge("collector/exporters").Value(); got != exporters {
+				if got := tc.reg.TakeSnapshot().Gauges["collector/exporters"]; got != exporters {
 					t.Errorf("%s: exporters = %d, want %d", when, got, exporters)
 				}
 			}

@@ -77,7 +77,8 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 			// exporter's accounting entry, and verify the decode works at
 			// all.
 			decoded := func() int64 {
-				return reg.Counter("collector/records").Value() + reg.Counter("collector/records/sampled_out").Value()
+				snap := reg.TakeSnapshot()
+				return snap.Counters["collector/records"] + snap.Counters["collector/records/sampled_out"]
 			}
 			if w := warm[p.Name]; w != nil {
 				process(w)

@@ -86,17 +86,22 @@ func TestDetectorFlagsRendezvousCommunity(t *testing.T) {
 		"community/graph_edges": 6,
 		"community/suspects":    4,
 	}
+	snap := reg.TakeSnapshot()
 	for name, want := range snapshot {
-		if got := reg.Gauge(name).Value(); got != want {
+		if got := snap.Gauges[name]; got != want {
 			t.Errorf("gauge %s = %d, want %d", name, got, want)
 		}
 	}
-	if reg.Gauge("community/communities").Value() == 0 {
+	if snap.Gauges["community/communities"] == 0 {
 		t.Error("gauge community/communities not set")
 	}
+	ran := map[string]int64{} // stage → times run
+	for _, s := range snap.Stages {
+		ran[s.Name] = s.Count
+	}
 	for _, stage := range []string{"community/build", "community/propagate", "community/score"} {
-		if reg.Stage(stage).Count() != 1 {
-			t.Errorf("stage %s ran %d times, want 1", stage, reg.Stage(stage).Count())
+		if ran[stage] != 1 {
+			t.Errorf("stage %s ran %d times, want 1", stage, ran[stage])
 		}
 	}
 }

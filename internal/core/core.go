@@ -49,8 +49,6 @@ type Config struct {
 	// interstitial time observations a host needs to participate in
 	// θ_hm clustering.
 	MinInterstitialSamples int
-	// MaxHistogramBins caps histogram resolution (see package histogram).
-	MaxHistogramBins int
 	// NewPeerGrace is the churn feature's warm-up period (paper: the
 	// host's first hour of activity).
 	NewPeerGrace time.Duration
@@ -90,7 +88,6 @@ func DefaultConfig() Config {
 		HMPercentile:           30,
 		CutFraction:            0.15,
 		MinInterstitialSamples: 100,
-		MaxHistogramBins:       256,
 		NewPeerGrace:           time.Hour,
 	}
 }

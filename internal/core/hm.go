@@ -168,12 +168,19 @@ func eachHost(n, parallelism int, fn func(buf *sketchBuf, i int) error) error {
 // host's samples, which selection reorders, and the bin masses.
 type sketchBuf struct{ samples, mass []float64 }
 
+// HMSketch is θ_hm's sketch of one host's interstitial times: the
+// centers, on cfg's time axis, and masses of its histogram's non-empty
+// bins.
+func HMSketch(interstitials []float64, cfg Config) (flow.Sketch, error) {
+	return hmSketch(interstitials, cfg, &sketchBuf{})
+}
+
 // hmSketch builds one host's interstitial-time histogram at the
-// configured scale and resolution and returns its signature — the
-// per-host sketch that is all θ_hm ever looks at. It is deliberately a
-// pure function of one host's samples and the config, which is what lets
-// the shard-local phase (LocalPass) precompute it far from the
-// coordinator that clusters. It works in buf and leaves interstitials as
+// configured scale and returns its signature — the per-host sketch that
+// is all θ_hm ever looks at. It is deliberately a pure function of one
+// host's samples and the config, which is what lets the shard-local
+// phase (LocalPass) precompute it far from the coordinator that
+// clusters. It works in buf and leaves interstitials as
 // they are (in LocalPass they share their array with the sealed pane);
 // the signature's two slices are all it allocates once buf has grown.
 //
@@ -189,7 +196,7 @@ func hmSketch(interstitials []float64, cfg Config, buf *sketchBuf) (flow.Sketch,
 			buf.samples[i] = math.Log1p(s)
 		}
 	}
-	hist, err := histogram.BuildInPlace(buf.samples, buf.mass, cfg.MaxHistogramBins)
+	hist, err := histogram.BuildInPlace(buf.samples, buf.mass)
 	if err != nil {
 		return flow.Sketch{}, err
 	}

@@ -143,7 +143,7 @@ func TestHMSketchInBuffer(t *testing.T) {
 				scaled[i] = math.Log1p(s)
 			}
 		}
-		h, err := histogram.Build(scaled, cfg.MaxHistogramBins)
+		h, err := histogram.Build(scaled)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -85,11 +86,11 @@ func clusterEngineConfig() engine.Config {
 }
 
 // singleProcessRun is the reference: the same stream through one
-// WindowedDetector.
-func singleProcessRun(t *testing.T, records []flow.Record) []*engine.Result {
+// WindowedDetector at cfg.
+func singleProcessRun(t *testing.T, cfg engine.Config, records []flow.Record) []*engine.Result {
 	t.Helper()
 	var results []*engine.Result
-	eng, err := engine.New(clusterEngineConfig(), func(r *engine.Result) error {
+	eng, err := engine.New(cfg, func(r *engine.Result) error {
 		results = append(results, r)
 		return nil
 	})
@@ -138,7 +139,7 @@ func compareRuns(t *testing.T, got, want []*engine.Result, label string) {
 // bit for bit, across multiple windows.
 func TestDistClusterMatchesSingleProcess(t *testing.T) {
 	records := clusterCorpus()
-	want := singleProcessRun(t, records)
+	want := singleProcessRun(t, clusterEngineConfig(), records)
 	if len(want) != 2 {
 		t.Fatalf("reference run emitted %d windows, want 2", len(want))
 	}
@@ -179,12 +180,90 @@ func TestDistClusterMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// The percentiles, the cut fraction and the diameter statistic are the
+// coordinator's alone: a coordinator retuned away from every default
+// accepts shards left at the defaults, and each window it emits is a
+// single-process run at its own configuration.
+func TestDistClusterRetunedCoordinator(t *testing.T) {
+	records := clusterCorpus()
+	shardCfg := clusterEngineConfig()
+	shardCfg.Core = core.DefaultConfig()
+	shardCfg.Core.MinInterstitialSamples = clusterEngineConfig().Core.MinInterstitialSamples
+	coordCfg := shardCfg
+	coordCfg.Core.VolPercentile = 70
+	coordCfg.Core.ChurnPercentile = 60
+	coordCfg.Core.HMPercentile = 40
+	coordCfg.Core.CutFraction = 0.3
+	coordCfg.Core.MaxDiameter = true
+	want := singleProcessRun(t, coordCfg, records)
+	if len(want) != 2 || len(want[0].Detection.Suspects) == 0 {
+		t.Fatalf("reference run emitted %d windows, the first with no suspects — corpus does not exercise the pipeline", len(want))
+	}
+	if def := singleProcessRun(t, shardCfg, records); def[0].Detection.Volume.Threshold == want[0].Detection.Volume.Threshold {
+		t.Fatal("the retuned coordinator's τ_vol equals the default's — the test cannot tell whose percentiles ran")
+	}
+
+	const shards = 3
+	var out collector
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: shards, Engine: coordCfg}, out.emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	refused := make(chan error, 1)
+	fail := func(err error) {
+		t.Helper()
+		select {
+		case r := <-refused:
+			t.Fatalf("the coordinator refused a default-configured shard: %v", r)
+		case <-time.After(time.Second):
+			t.Fatal(err)
+		}
+	}
+	workers := make([]*ShardWorker, shards)
+	for i := range workers {
+		w, err := NewShardWorker(WorkerConfig{Shard: i, Shards: shards, Engine: shardCfg, Dial: func() (net.Conn, error) {
+			client, server := net.Pipe()
+			go func() {
+				if err := coord.ServeConn(server); err != nil {
+					select {
+					case refused <- err:
+					default:
+					}
+				}
+			}()
+			return client, nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers[i] = w
+	}
+	for i := range records {
+		if err := workers[flow.ShardOf(records[i].Src, shards)].Add(&records[i]); err != nil {
+			fail(err)
+		}
+	}
+	for _, w := range workers {
+		if err := w.AdvanceTo(clusterT0.Add(2 * time.Hour)); err != nil {
+			fail(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); coord.Windows() < len(want); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			fail(fmt.Errorf("coordinator emitted %d windows, want %d", coord.Windows(), len(want)))
+		}
+	}
+	compareRuns(t, out.get(), want, "retuned coordinator")
+}
+
 // Killing shard connections mid-run must change nothing about the
 // output: the workers reconnect, resend their unacknowledged frames,
 // and the coordinator deduplicates.
 func TestDistClusterKillAndReconnect(t *testing.T) {
 	records := clusterCorpus()
-	want := singleProcessRun(t, records)
+	want := singleProcessRun(t, clusterEngineConfig(), records)
 
 	var got []*engine.Result
 	cl, err := NewDistCluster(CoordinatorConfig{Shards: 4, Engine: clusterEngineConfig()},

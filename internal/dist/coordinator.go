@@ -25,11 +25,12 @@ type CoordinatorConfig struct {
 	// to Shards-1 must eventually connect for windows to seal without a
 	// timeout. Required.
 	Shards int
-	// Engine is the window geometry and detection configuration every
-	// shard must match (the hello handshake compares fingerprints).
-	// Engine.Core and Engine.Detectors configure detection over each
-	// merged window; Engine.Internal/Shards/StateDir/DropLate are
-	// shard-side concerns and ignored here.
+	// Engine is the window geometry and detection configuration. Every
+	// shard must match what a Fingerprint pins (the hello handshake
+	// compares them); the rest of Engine.Core and Engine.Detectors
+	// configure detection over each merged window, here alone.
+	// Engine.Internal/Shards/StateDir/DropLate are shard-side concerns
+	// and ignored here.
 	Engine engine.Config
 	// WindowTimeout, when positive, force-seals a window that has been
 	// waiting on missing shards for this long since its first summary

@@ -171,7 +171,7 @@ func TestCoordinatorTimeoutForceSeal(t *testing.T) {
 			if len(got) != 1 || got[0].Index != 0 || !got[0].Partial || got[0].Hosts != want {
 				t.Fatalf("force-sealed %d results, first %+v; want window 0, Partial, %d hosts", len(got), got[0], want)
 			}
-			if n := reg.Counter("dist/timeout_seals").Value(); n != 1 {
+			if n := reg.TakeSnapshot().Counters["dist/timeout_seals"]; n != 1 {
 				t.Errorf("dist/timeout_seals = %d, want 1", n)
 			}
 
@@ -179,7 +179,7 @@ func TestCoordinatorTimeoutForceSeal(t *testing.T) {
 			if n := len(out.get()); n != 1 || cl.Coordinator.Windows() != 1 {
 				t.Errorf("the straggler's summary re-emitted window 0: %d results", n)
 			}
-			if n := reg.Counter("dist/summaries/dup").Value(); n != 1 {
+			if n := reg.TakeSnapshot().Counters["dist/summaries/dup"]; n != 1 {
 				t.Errorf("dist/summaries/dup = %d, want 1", n)
 			}
 		})
@@ -309,13 +309,18 @@ func TestCoordinatorEngineMetrics(t *testing.T) {
 	if windows != 2 {
 		t.Fatalf("emitted %d windows, want 2", windows)
 	}
+	snap := reg.TakeSnapshot()
+	ran := map[string]int64{} // stage → times run
+	for _, s := range snap.Stages {
+		ran[s.Name] = s.Count
+	}
 	for _, stage := range []string{
 		"engine/globalpass",
 		"engine/globalpass/" + core.PaperName,
 		"engine/globalpass/" + community.Name,
 		"community/build", "community/propagate", "community/score",
 	} {
-		if got := reg.Stage(stage).Count(); got != windows {
+		if got := ran[stage]; got != windows {
 			t.Errorf("stage %s ran %d times, want %d", stage, got, windows)
 		}
 	}
@@ -327,7 +332,7 @@ func TestCoordinatorEngineMetrics(t *testing.T) {
 		"engine/windows":         windows,
 		"engine/windows/partial": 1,
 	} {
-		if got := reg.Counter(name).Value(); got != want {
+		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
 	}
@@ -338,7 +343,7 @@ func TestCoordinatorEngineMetrics(t *testing.T) {
 		"engine/suspects/" + core.PaperName: len(last.Detections[0].Suspects),
 		"engine/suspects/" + community.Name: len(last.Detections[1].Suspects),
 	} {
-		if got := reg.Gauge(name).Value(); got != int64(want) {
+		if got := snap.Gauges[name]; got != int64(want) {
 			t.Errorf("gauge %s = %d, want %d", name, got, want)
 		}
 	}

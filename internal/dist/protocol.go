@@ -28,14 +28,17 @@ import (
 	"plotters/internal/core"
 	"plotters/internal/engine"
 	"plotters/internal/flow"
+	"plotters/internal/histogram"
 	"plotters/internal/wire"
 )
 
 // WireVersion is the shard→coordinator protocol version, bumped on any
 // frame-layout change. Both ends refuse a peer speaking another
 // version. Version 2 drops from the hello's fingerprint version 1's
-// flag for keeping θ_churn's grace period across windows.
-const WireVersion = 2
+// flag for keeping θ_churn's grace period across windows; version 3
+// drops the coordinator's operating point (the three percentiles, the
+// cut fraction and the diameter statistic) and the histogram bin cap.
+const WireVersion = 3
 
 // SummaryVersion versions the ShardSummary payload layout inside
 // summary frames, independently of the outer protocol. Version 2 drops
@@ -52,13 +55,13 @@ const (
 )
 
 // maxFramePayload bounds a frame before allocation. A summary's
-// dominant cost is its sketches: ≤ MaxHistogramBins (256) non-empty
+// dominant cost is its sketches: ≤ histogram.MaxBins (256) non-empty
 // bins × 16 bytes ≈ 4 KiB per clusterable host, so 256 MiB covers tens
 // of thousands of hosts per shard-window with room to spare.
 const maxFramePayload = 256 << 20
 
 // maxHelloPayload bounds the first frame of a connection, read before
-// the peer has proven anything: a hello is about 110 bytes, and
+// the peer has proven anything: a hello is 64 bytes, and
 // wire.ReadFrame allocates the declared length before reading it, so
 // the summary-sized limit here would let six bytes from anyone who can
 // reach the listener pin maxFramePayload of memory per connection.
@@ -68,27 +71,24 @@ const maxHelloPayload = 4 << 10
 // contact list), used to validate host counts before allocation.
 const minHostSummary = 4 + 2*8 + 8 + 2*8 + 9 + 8 + 4 + 4
 
-// Fingerprint pins every configuration knob the distributed split's
-// bit-identity depends on: the window geometry the shards seal by
-// (window, slide, skew, grace and shard count, then the origin) and the
-// detection operating point both phases compute with. A worker and
-// coordinator with different fingerprints would not fail on their own —
-// percentiles would just come out quietly different — so the hello
-// handshake compares every field and refuses the connection on the
-// first mismatch. Knobs that provably cannot change the output
-// (Parallelism, DropLate, metrics) are deliberately excluded.
+// Fingerprint pins the configuration a shard computes with, the knobs
+// the distributed split's bit-identity depends on at both ends: the
+// window geometry the shards seal by (window, slide, skew, grace and
+// shard count, then the origin) and the two θ_hm knobs core.LocalPass
+// reads, the sample floor and the time axis its sketches are built on.
+// A worker and coordinator that differ in one would not fail on their
+// own — windows or sketches would just come out quietly different — so
+// the hello handshake compares every field and refuses the connection
+// on the first mismatch. The percentiles, the cut fraction and the
+// diameter statistic are the coordinator's alone (a shard never reads
+// them), and knobs that provably cannot change the output (Parallelism,
+// DropLate, metrics) are excluded too.
 type Fingerprint struct {
 	// Geometry.Shards is the deployment's worker-process count.
 	engine.Geometry
 	Origin time.Time
 
-	VolPercentile          float64
-	ChurnPercentile        float64
-	HMPercentile           float64
-	CutFraction            float64
 	MinInterstitialSamples int
-	MaxHistogramBins       int
-	MaxDiameter            bool
 	RawTimeScale           bool
 }
 
@@ -98,20 +98,14 @@ func FingerprintOf(cfg engine.Config, shards int) Fingerprint {
 	return Fingerprint{
 		Geometry:               cfg.Geometry(shards),
 		Origin:                 cfg.Origin,
-		VolPercentile:          cfg.Core.VolPercentile,
-		ChurnPercentile:        cfg.Core.ChurnPercentile,
-		HMPercentile:           cfg.Core.HMPercentile,
-		CutFraction:            cfg.Core.CutFraction,
 		MinInterstitialSamples: cfg.Core.MinInterstitialSamples,
-		MaxHistogramBins:       cfg.Core.MaxHistogramBins,
-		MaxDiameter:            cfg.Core.MaxDiameter,
 		RawTimeScale:           cfg.Core.RawTimeScale,
 	}
 }
 
 // Check compares a worker's fingerprint against the coordinator's,
 // naming the first mismatched knob: the shared geometry first, then the
-// origin and the detection operating point.
+// origin and the θ_hm knobs.
 func (f Fingerprint) Check(cur Fingerprint) error {
 	knob, peer, mine := f.Geometry.Mismatch(cur.Geometry)
 	for _, m := range []struct {
@@ -119,13 +113,7 @@ func (f Fingerprint) Check(cur Fingerprint) error {
 		a, b any
 	}{
 		{"origin", f.Origin.UnixNano(), cur.Origin.UnixNano()},
-		{"vol percentile", f.VolPercentile, cur.VolPercentile},
-		{"churn percentile", f.ChurnPercentile, cur.ChurnPercentile},
-		{"hm percentile", f.HMPercentile, cur.HMPercentile},
-		{"cut fraction", f.CutFraction, cur.CutFraction},
 		{"min interstitial samples", f.MinInterstitialSamples, cur.MinInterstitialSamples},
-		{"max histogram bins", f.MaxHistogramBins, cur.MaxHistogramBins},
-		{"max-diameter", f.MaxDiameter, cur.MaxDiameter},
 		{"raw-time-scale", f.RawTimeScale, cur.RawTimeScale},
 	} {
 		if knob != "" {
@@ -136,7 +124,7 @@ func (f Fingerprint) Check(cur Fingerprint) error {
 		}
 	}
 	if knob != "" {
-		return fmt.Errorf("dist: configuration fingerprint mismatch: peer runs with %s %v but this end is configured with %v — distributed detection requires identical configuration on every node",
+		return fmt.Errorf("dist: configuration fingerprint mismatch: peer runs with %s %v but this end is configured with %v — every node of a distributed deployment must seal the same windows and build the same θ_hm sketches",
 			knob, peer, mine)
 	}
 	return nil
@@ -149,13 +137,7 @@ func (f Fingerprint) encode(e *wire.Encoder) {
 	e.Dur(f.MaxSkew)
 	e.Dur(f.Grace)
 	e.U32(uint32(f.Shards))
-	e.F64(f.VolPercentile)
-	e.F64(f.ChurnPercentile)
-	e.F64(f.HMPercentile)
-	e.F64(f.CutFraction)
 	e.U32(uint32(f.MinInterstitialSamples))
-	e.U32(uint32(f.MaxHistogramBins))
-	e.Bool(f.MaxDiameter)
 	e.Bool(f.RawTimeScale)
 }
 
@@ -167,13 +149,7 @@ func decodeFingerprint(d *wire.Decoder) Fingerprint {
 	f.MaxSkew = d.Dur()
 	f.Grace = d.Dur()
 	f.Shards = int(d.U32())
-	f.VolPercentile = d.F64()
-	f.ChurnPercentile = d.F64()
-	f.HMPercentile = d.F64()
-	f.CutFraction = d.F64()
 	f.MinInterstitialSamples = int(d.U32())
-	f.MaxHistogramBins = int(d.U32())
-	f.MaxDiameter = d.Bool()
 	f.RawTimeScale = d.Bool()
 	return f
 }
@@ -293,7 +269,11 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 		h.NewPeers = int(d.I64())
 		h.FirstSeen = d.Time()
 		h.InterstitialCount = int(d.I64())
-		if bins := d.Count(16); bins > 0 {
+		// LocalPass sends a histogram's non-empty bins, so a longer
+		// sketch is no correct shard's.
+		if bins := d.Count(16); bins > histogram.MaxBins {
+			d.Fail("host %v sketch has %d bins, more than the %d a histogram holds", h.Host, bins, histogram.MaxBins)
+		} else if bins > 0 {
 			h.SketchPositions = make([]float64, bins)
 			h.SketchWeights = make([]float64, bins)
 			for j := 0; j < bins; j++ {

@@ -12,6 +12,7 @@ import (
 	"plotters/internal/core"
 	"plotters/internal/engine"
 	"plotters/internal/flow"
+	"plotters/internal/histogram"
 	"plotters/internal/wire"
 )
 
@@ -201,6 +202,29 @@ func TestSummaryInvalidSketchRejected(t *testing.T) {
 	}
 }
 
+// A sketch is a histogram's non-empty bins, so one longer than
+// histogram.MaxBins is no correct shard's, however well ordered.
+func TestSummaryOversizedSketchRejected(t *testing.T) {
+	for _, bins := range []int{histogram.MaxBins, histogram.MaxBins + 1} {
+		s := testSummary()
+		h := &s.Hosts[0]
+		h.SketchPositions, h.SketchWeights = make([]float64, bins), make([]float64, bins)
+		for j := range h.SketchPositions {
+			h.SketchPositions[j], h.SketchWeights[j] = float64(j), 1
+		}
+		_, got, err := DecodeSummary(EncodeSummary(0, s))
+		if bins <= histogram.MaxBins {
+			if err != nil || len(got.Hosts[0].SketchPositions) != bins {
+				t.Errorf("a %d-bin sketch was refused: %v", bins, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "malformed") || !strings.Contains(err.Error(), fmt.Sprintf("%d bins", bins)) {
+			t.Errorf("a %d-bin sketch: error %v, want it called malformed", bins, err)
+		}
+	}
+}
+
 // A bit flip anywhere in a framed summary must be caught by the frame
 // CRC before the payload is even parsed.
 func TestSummaryFrameBitFlipRejected(t *testing.T) {
@@ -230,7 +254,11 @@ func TestHelloRoundTrip(t *testing.T) {
 		Resume:  99,
 		FP:      FingerprintOf(testEngineConfig(), 4),
 	}
-	got, err := decodeHello(encodeHello(want))
+	data := encodeHello(want)
+	if len(data) != 64 {
+		t.Errorf("hello is %d bytes; maxHelloPayload's comment says 64", len(data))
+	}
+	got, err := decodeHello(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +294,7 @@ func TestFingerprintMismatchNamesKnob(t *testing.T) {
 	}{
 		{func(f *Fingerprint) { f.Window = 2 * time.Hour }, "window"},
 		{func(f *Fingerprint) { f.Shards = 8 }, "shard count"},
-		{func(f *Fingerprint) { f.VolPercentile = 60 }, "vol percentile"},
+		{func(f *Fingerprint) { f.Origin = f.Origin.Add(time.Minute) }, "origin"},
 		{func(f *Fingerprint) { f.MinInterstitialSamples = 10 }, "min interstitial samples"},
 		{func(f *Fingerprint) { f.RawTimeScale = true }, "raw-time-scale"},
 		// Slide == Window builds the same tumbling engine as Slide 0.
@@ -306,7 +334,7 @@ func TestServeConnRefusesMismatchedConfig(t *testing.T) {
 	defer coord.Close()
 
 	other := testEngineConfig()
-	other.Core.HMPercentile = 70
+	other.Core.MinInterstitialSamples = 30
 
 	client, server := net.Pipe()
 	errc := make(chan error, 1)
@@ -320,7 +348,7 @@ func TestServeConnRefusesMismatchedConfig(t *testing.T) {
 	if err == nil {
 		t.Fatal("coordinator served a connection with a mismatched fingerprint")
 	}
-	if !strings.Contains(err.Error(), "fingerprint mismatch") || !strings.Contains(err.Error(), "hm percentile") {
+	if !strings.Contains(err.Error(), "fingerprint mismatch") || !strings.Contains(err.Error(), "min interstitial samples") {
 		t.Fatalf("error %q does not describe the mismatch", err)
 	}
 }

@@ -21,11 +21,12 @@ type WorkerConfig struct {
 	Shard  int
 	Shards int
 	// Engine is the window geometry and detection configuration, which
-	// must match the coordinator's (the hello handshake enforces it).
-	// Engine.Origin must be set: shard and coordinator window indices
-	// align only against a shared explicit origin, never a first-record
-	// time one shard observes and another does not. Engine.Detectors is
-	// ignored — a shard runs exactly the local phase.
+	// must match the coordinator's in what a Fingerprint pins (the hello
+	// handshake enforces it). Engine.Origin must be set: shard and
+	// coordinator window indices align only against a shared explicit
+	// origin, never a first-record time one shard observes and another
+	// does not. Engine.Detectors, the percentiles, the cut fraction and
+	// MaxDiameter are ignored — a shard runs exactly the local phase.
 	Engine engine.Config
 	// Dial establishes a connection to the coordinator. Required; the
 	// TCP deployment uses net.Dial, tests use net.Pipe.

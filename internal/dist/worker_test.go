@@ -47,7 +47,8 @@ func TestShardWorkerInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shipped := reg.Counter("dist/summaries").Value()
+	snap := reg.TakeSnapshot()
+	shipped := snap.Counters["dist/summaries"]
 	if shipped != 6 {
 		t.Fatalf("the coordinator took %d summaries, want 3 windows × 2 shards", shipped)
 	}
@@ -56,8 +57,12 @@ func TestShardWorkerInstruments(t *testing.T) {
 			t.Errorf("shard %d: Windows() = %d, want the 3 summaries it shipped", i, n)
 		}
 	}
+	ran := map[string]int64{} // stage → times run
+	for _, s := range snap.Stages {
+		ran[s.Name] = s.Count
+	}
 	for _, stage := range []string{"engine/detect", "localpass"} {
-		if n := reg.Stage(stage).Count(); n != shipped {
+		if n := ran[stage]; n != shipped {
 			t.Errorf("stage %s ran %d times, want once per summary (%d)", stage, n, shipped)
 		}
 	}
@@ -65,19 +70,16 @@ func TestShardWorkerInstruments(t *testing.T) {
 	if len(results) != 3 || results[0].Partial || results[1].Partial || !results[2].Partial {
 		t.Fatalf("%d results; want 3 with only the last Partial", len(results))
 	}
-	if n := reg.Counter("engine/windows").Value(); n != 3 {
+	if n := snap.Counters["engine/windows"]; n != 3 {
 		t.Errorf("engine/windows = %d, want the coordinator's 3", n)
 	}
-	if n := reg.Counter("engine/windows/partial").Value(); n != 1 {
+	if n := snap.Counters["engine/windows/partial"]; n != 1 {
 		t.Errorf("engine/windows/partial = %d, want the coordinator's 1", n)
 	}
-	snap := reg.TakeSnapshot()
 	if _, ok := snap.Gauges["engine/suspects/localpass"]; ok {
 		t.Error("engine/suspects/localpass reported: a shard has no verdict")
 	}
-	for _, s := range snap.Stages {
-		if s.Name == "engine/detect/localpass" {
-			t.Error("engine/detect/localpass reported: it timed the localpass stage twice")
-		}
+	if _, ok := ran["engine/detect/localpass"]; ok {
+		t.Error("engine/detect/localpass reported: it timed the localpass stage twice")
 	}
 }

@@ -338,14 +338,14 @@ func TestDropLateModeCountsNotErrors(t *testing.T) {
 	if d.Dropped() != 3 {
 		t.Errorf("Dropped() = %d, want 3", d.Dropped())
 	}
-	if n := coreCfg.Metrics.Counter("engine/drops").Value(); n != 3 {
+	if n := coreCfg.Metrics.TakeSnapshot().Counters["engine/drops"]; n != 3 {
 		t.Errorf("engine/drops = %d, want 3", n)
 	}
 	r := mk(base.Add(62 * time.Minute))
 	if err := d.Add(&r); err != nil {
 		t.Errorf("on-time record after drops: %v", err)
 	}
-	if n := coreCfg.Metrics.Counter("engine/records").Value(); n != 3 {
+	if n := coreCfg.Metrics.TakeSnapshot().Counters["engine/records"]; n != 3 {
 		t.Errorf("engine/records = %d, want 3 (drops must not count as ingested)", n)
 	}
 }
@@ -395,12 +395,12 @@ func TestLateRecordRejectPath(t *testing.T) {
 				t.Errorf("DropLate: a rejected Add allocates %v times, want 0", avg)
 			}
 			// AllocsPerRun calls once to warm up, then 100 times.
-			if n := coreCfg.Metrics.Counter("engine/drops").Value(); n != 101 || d.Dropped() != 101 {
+			if n := coreCfg.Metrics.TakeSnapshot().Counters["engine/drops"]; n != 101 || d.Dropped() != 101 {
 				t.Errorf("engine/drops = %d, Dropped() = %d, want 101 each", n, d.Dropped())
 			}
 			// The engine judges lateness against its frontier before the
 			// store sees the record, so the store refuses none of them.
-			if n := coreCfg.Metrics.Counter("stream/skew_drops").Value(); n != 0 {
+			if n := coreCfg.Metrics.TakeSnapshot().Counters["stream/skew_drops"]; n != 0 {
 				t.Errorf("stream/skew_drops = %d, want 0 (the engine rejects first)", n)
 			}
 			continue
@@ -603,7 +603,7 @@ func TestFlushSealsPaneOnlyUnmonitoredReached(t *testing.T) {
 		if len(got) != 3 || got[2] != last {
 			t.Errorf("restore=%v: emitted %q, want three windows, the last %q", restore, got, last)
 		}
-		if n := coreCfg.Metrics.Counter("engine/records").Value(); n != 71 {
+		if n := coreCfg.Metrics.TakeSnapshot().Counters["engine/records"]; n != 71 {
 			t.Errorf("restore=%v: engine/records = %d, want 71 (the filter does not drop the count)", restore, n)
 		}
 	}

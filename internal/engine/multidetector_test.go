@@ -176,13 +176,18 @@ func TestEnsembleEngineMetrics(t *testing.T) {
 		if windows != 2 {
 			t.Fatalf("emitted %d windows, want 2", windows)
 		}
+		snap := reg.TakeSnapshot()
+		ran := map[string]int64{} // stage → times run
+		for _, s := range snap.Stages {
+			ran[s.Name] = s.Count
+		}
 		for _, stage := range []string{
 			"engine/detect",
 			"engine/detect/" + core.PaperName,
 			"engine/detect/" + community.Name,
 			"community/build", "community/propagate", "community/score",
 		} {
-			if got := reg.Stage(stage).Count(); got != windows {
+			if got := ran[stage]; got != windows {
 				t.Errorf("stage %s ran %d times, want %d", stage, got, windows)
 			}
 		}
@@ -194,7 +199,7 @@ func TestEnsembleEngineMetrics(t *testing.T) {
 			"engine/windows":         windows,
 			"engine/windows/partial": 1,
 		} {
-			if got := reg.Counter(name).Value(); got != want {
+			if got := snap.Counters[name]; got != want {
 				t.Errorf("counter %s = %d, want %d", name, got, want)
 			}
 		}
@@ -205,7 +210,7 @@ func TestEnsembleEngineMetrics(t *testing.T) {
 			"engine/suspects/" + core.PaperName: len(last.Detections[0].Suspects),
 			"engine/suspects/" + community.Name: len(last.Detections[1].Suspects),
 		} {
-			if got := reg.Gauge(name).Value(); got != int64(want) {
+			if got := snap.Gauges[name]; got != int64(want) {
 				t.Errorf("gauge %s = %d, want %d", name, got, want)
 			}
 		}

@@ -1,11 +1,15 @@
 package eval
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"plotters/internal/core"
+	"plotters/internal/flow"
+	"plotters/internal/histogram"
 	"plotters/internal/stats"
 	"plotters/internal/synth/scenario"
 )
@@ -200,6 +204,46 @@ func TestFigure3(t *testing.T) {
 	for _, want := range []string{"storm", "nugache", "bittorrent", "gnutella"} {
 		if !names[want] {
 			t.Errorf("missing panel %s", want)
+		}
+	}
+}
+
+// Figure 3 plots θ_hm's own histogram of a host, on θ_hm's time axis:
+// log-axis bins de-logged by default, and the raw histogram's bins, in
+// seconds, under RawTimeScale.
+func TestFigure3FollowsTimeAxis(t *testing.T) {
+	ds, _ := corpus(t)
+	for _, raw := range []bool{false, true} {
+		cfg := core.DefaultConfig()
+		cfg.RawTimeScale = raw
+		suite, err := NewSuite(ds, cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		panels, err := suite.Figure3()
+		if err != nil {
+			t.Fatal(err)
+		}
+		storm := panels[0]
+		feats := flow.ExtractFeatures(ds.Days[0].Window.Filter(ds.Storm.Records), flow.FeatureOptions{NewPeerGrace: cfg.NewPeerGrace})
+		samples := slices.Clone(feats[ds.Storm.Bots[0]].Interstitials)
+		if !raw {
+			for i, v := range samples {
+				samples[i] = math.Log1p(v)
+			}
+		}
+		h, err := histogram.Build(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		centers, mass := h.Signature()
+		if !raw {
+			for i, c := range centers {
+				centers[i] = math.Expm1(c)
+			}
+		}
+		if storm.Name != "storm" || !slices.Equal(storm.BinSeconds, centers) || !slices.Equal(storm.Mass, mass) {
+			t.Errorf("RawTimeScale %v: %s panel bins %v, want θ_hm's %v", raw, storm.Name, storm.BinSeconds, centers)
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"math"
 	"time"
 
+	"plotters/internal/core"
 	"plotters/internal/flow"
-	"plotters/internal/histogram"
 	"plotters/internal/label"
 	"plotters/internal/stats"
 	"plotters/internal/synth"
@@ -225,23 +225,18 @@ func (s *Suite) Figure3() ([]Fig3Host, error) {
 		if f == nil || len(f.Interstitials) < 2 {
 			return fmt.Errorf("eval: host %v has too few interstitial samples for Figure 3", host)
 		}
-		samples := make([]float64, len(f.Interstitials))
-		for i, v := range f.Interstitials {
-			samples[i] = math.Log1p(v)
-		}
-		hist, err := histogram.Build(samples, s.cfg.MaxHistogramBins)
+		sketch, err := core.HMSketch(f.Interstitials, s.cfg)
 		if err != nil {
 			return err
 		}
-		panel := Fig3Host{Name: name, Samples: len(samples)}
-		for i, m := range hist.Mass {
-			if m == 0 {
-				continue
+		if !s.cfg.RawTimeScale {
+			for i, p := range sketch.Positions {
+				sketch.Positions[i] = math.Expm1(p)
 			}
-			panel.BinSeconds = append(panel.BinSeconds, math.Expm1(hist.Center(i)))
-			panel.Mass = append(panel.Mass, m)
 		}
-		panels = append(panels, panel)
+		panels = append(panels, Fig3Host{
+			Name: name, BinSeconds: sketch.Positions, Mass: sketch.Weights, Samples: len(f.Interstitials),
+		})
 		return nil
 	}
 

@@ -18,12 +18,12 @@ import (
 	"slices"
 )
 
-// DefaultMaxBins caps the number of bins in a histogram. Interstitial
-// times can span seconds to hours, so an unbounded FD binning of a wide,
-// tight-IQR sample could produce millions of bins; the cap bounds both
-// memory and the EMD computation downstream. 512 bins at FD width covers
-// every sample in our evaluation without truncation.
-const DefaultMaxBins = 512
+// MaxBins caps the number of bins in a histogram, and so the length of
+// every θ_hm sketch a shard sends. Interstitial times can span seconds
+// to hours, so an unbounded FD binning of a wide, tight-IQR sample could
+// produce millions of bins; the cap bounds both memory and the EMD
+// computation downstream.
+const MaxBins = 256
 
 // ErrNoSamples is returned when a histogram is requested for an empty
 // sample.
@@ -61,12 +61,11 @@ func fdWidth(work []float64) float64 {
 }
 
 // Build constructs a normalized histogram of samples using the
-// Freedman–Diaconis bin width, capped at maxBins bins (DefaultMaxBins if
-// maxBins <= 0). Samples must be finite; non-finite values are an error,
-// and so is a range wider than the largest float64. The sample is not
-// modified.
-func Build(samples []float64, maxBins int) (*Histogram, error) {
-	h, err := BuildInPlace(slices.Clone(samples), nil, maxBins)
+// Freedman–Diaconis bin width, capped at MaxBins bins. Samples must be
+// finite; non-finite values are an error, and so is a range wider than
+// the largest float64. The sample is not modified.
+func Build(samples []float64) (*Histogram, error) {
+	h, err := BuildInPlace(slices.Clone(samples), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -79,13 +78,10 @@ func Build(samples []float64, maxBins int) (*Histogram, error) {
 // that passes the previous result's Mass back in allocates nothing. It
 // takes three passes and no sort: one for the range, selection for the
 // two quartiles, one to bin.
-func BuildInPlace(work, mass []float64, maxBins int) (Histogram, error) {
+func BuildInPlace(work, mass []float64) (Histogram, error) {
 	n := len(work)
 	if n == 0 {
 		return Histogram{}, ErrNoSamples
-	}
-	if maxBins <= 0 {
-		maxBins = DefaultMaxBins
 	}
 	lo, hi := work[0], work[0]
 	for _, s := range work {
@@ -107,8 +103,8 @@ func BuildInPlace(work, mass []float64, maxBins int) (Histogram, error) {
 	}
 	// The ratio is compared as a float64: past the int range its
 	// conversion is undefined.
-	bins := maxBins
-	if r := math.Ceil(span / width); r > float64(maxBins) {
+	bins := MaxBins
+	if r := math.Ceil(span / width); r > MaxBins {
 		width = span / float64(bins)
 	} else {
 		bins = max(int(r), 1)

@@ -37,14 +37,14 @@ func TestFDBinWidthErrors(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if _, err := Build(nil, 0); err != ErrNoSamples {
+	if _, err := Build(nil); err != ErrNoSamples {
 		t.Errorf("Build(nil) err = %v, want ErrNoSamples", err)
 	}
 }
 
 func TestBuildNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := Build([]float64{1, bad}, 0); err == nil {
+		if _, err := Build([]float64{1, bad}); err == nil {
 			t.Errorf("Build with %v: expected error", bad)
 		}
 	}
@@ -52,7 +52,7 @@ func TestBuildNonFinite(t *testing.T) {
 
 func TestBuildDegenerate(t *testing.T) {
 	// All-equal sample: IQR = 0 → single bin with all mass.
-	h, err := Build([]float64{5, 5, 5, 5}, 0)
+	h, err := Build([]float64{5, 5, 5, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBuildDegenerate(t *testing.T) {
 	}
 
 	// Single sample is also degenerate.
-	h, err = Build([]float64{3}, 0)
+	h, err = Build([]float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestBuildZeroIQRWideRange(t *testing.T) {
 	// IQR is 0 but the range is not: mass collapses to one bin by the
 	// documented fallback.
 	xs := []float64{0, 1, 1, 1, 1, 1, 1, 9}
-	h, err := Build(xs, 0)
+	h, err := Build(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBuildBinCount(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Float64() * 100
 	}
-	h, err := Build(xs, 0)
+	h, err := Build(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +116,12 @@ func TestBuildMaxBinsCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		xs = append(xs, 1e6*float64(i+1)) // stretch the range
 	}
-	h, err := Build(xs, 64)
+	h, err := Build(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Bins() != 64 {
-		t.Errorf("bins = %d, want capped at 64", h.Bins())
+	if h.Bins() != MaxBins {
+		t.Errorf("bins = %d, want capped at %d", h.Bins(), MaxBins)
 	}
 	if math.Abs(totalMass(h)-1) > 1e-9 {
 		t.Errorf("mass = %v, want 1", totalMass(h))
@@ -131,7 +131,7 @@ func TestBuildMaxBinsCap(t *testing.T) {
 func TestBuildRightEdgeSample(t *testing.T) {
 	// The maximum sample must land in the last bin, not overflow.
 	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	h, err := Build(xs, 0)
+	h, err := Build(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBuildPropertyMassConservation(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		h, err := Build(xs, 0)
+		h, err := Build(xs)
 		if err != nil {
 			return false
 		}
@@ -207,8 +207,8 @@ func TestBuildPropertyShiftInvariance(t *testing.T) {
 		for i, x := range xs {
 			shifted[i] = x + shift
 		}
-		h1, err1 := Build(xs, 0)
-		h2, err2 := Build(shifted, 0)
+		h1, err1 := Build(xs)
+		h2, err2 := Build(shifted)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -234,7 +234,7 @@ func BenchmarkBuild1k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(xs, 0); err != nil {
+		if _, err := Build(xs); err != nil {
 			b.Fatal(err)
 		}
 	}

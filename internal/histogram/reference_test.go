@@ -19,12 +19,9 @@ import (
 // (stats.IQR), and binning in sorted order. It carries Build's guards
 // against bin counts beyond the int range and ranges beyond float64, so
 // the two are comparable on every sample.
-func refBuild(samples []float64, maxBins int) (*Histogram, error) {
+func refBuild(samples []float64) (*Histogram, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
-	}
-	if maxBins <= 0 {
-		maxBins = DefaultMaxBins
 	}
 	for _, s := range samples {
 		if math.IsNaN(s) || math.IsInf(s, 0) {
@@ -48,8 +45,8 @@ func refBuild(samples []float64, maxBins int) (*Histogram, error) {
 		return &Histogram{Min: lo, Width: 1, Mass: []float64{1}, N: len(sorted)}, nil
 	}
 	ratio := math.Ceil(span / width)
-	bins := maxBins
-	if ratio > float64(maxBins) {
+	bins := MaxBins
+	if ratio > MaxBins {
 		width = span / float64(bins)
 	} else {
 		bins = max(int(ratio), 1)
@@ -68,16 +65,16 @@ func refBuild(samples []float64, maxBins int) (*Histogram, error) {
 
 // sameBuild reports whether Build and refBuild agree on xs: equal
 // histograms, or both an error. Build must also leave xs as it was.
-func sameBuild(t *testing.T, xs []float64, maxBins int) {
+func sameBuild(t *testing.T, xs []float64) {
 	t.Helper()
 	before := append([]float64(nil), xs...)
-	got, err := Build(xs, maxBins)
-	want, refErr := refBuild(xs, maxBins)
+	got, err := Build(xs)
+	want, refErr := refBuild(xs)
 	if (err != nil) != (refErr != nil) {
-		t.Fatalf("Build(%v, %d): err = %v, reference err = %v", xs, maxBins, err, refErr)
+		t.Fatalf("Build(%v): err = %v, reference err = %v", xs, err, refErr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Build(%v, %d) = %v %v, reference %v %v", xs, maxBins, got, got.Mass, want, want.Mass)
+		t.Fatalf("Build(%v) = %v %v, reference %v %v", xs, got, got.Mass, want, want.Mass)
 	}
 	if !slices.EqualFunc(xs, before, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 		t.Fatalf("Build reordered its input: %v, was %v", xs, before)
@@ -122,13 +119,12 @@ func randomSample(rng *rand.Rand, kind int) []float64 {
 }
 
 // Differential property: over 12,000 random samples of every shape
-// above, and every cap from one bin up, Build equals the sort-based
-// reference bit for bit and never reorders its input.
+// above, Build equals the sort-based reference bit for bit and never
+// reorders its input.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 12000; trial++ {
-		maxBins := []int{0, 1, 2, 7, 64}[trial%5]
-		sameBuild(t, randomSample(rng, trial%7), maxBins)
+		sameBuild(t, randomSample(rng, trial%7))
 	}
 }
 
@@ -145,15 +141,15 @@ func TestBuildHugeBinRatio(t *testing.T) {
 		gaps = append(gaps, 0, 1e-9)
 	}
 	for _, xs := range [][]float64{append(denormals, 1e308), append(gaps, 1e9)} {
-		h, err := Build(xs, 0)
+		h, err := Build(xs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Bins() != DefaultMaxBins || math.Abs(totalMass(h)-1) > 1e-9 {
-			t.Errorf("bins = %d, mass = %v; want %d bins holding all the mass", h.Bins(), totalMass(h), DefaultMaxBins)
+		if h.Bins() != MaxBins || math.Abs(totalMass(h)-1) > 1e-9 {
+			t.Errorf("bins = %d, mass = %v; want %d bins holding all the mass", h.Bins(), totalMass(h), MaxBins)
 		}
 	}
-	if _, err := Build([]float64{-1e308, 0, 1e308}, 0); err == nil {
+	if _, err := Build([]float64{-1e308, 0, 1e308}); err == nil {
 		t.Error("a range wider than a float64 was accepted")
 	}
 }
@@ -194,17 +190,17 @@ func TestSelectKWorstCase(t *testing.T) {
 	}
 }
 
-// FuzzBuild is the differential target: over arbitrary samples and caps,
-// Build equals the sort-based reference or both fail. A leading byte
+// FuzzBuild is the differential target: over arbitrary samples, Build
+// equals the sort-based reference or both fail. A leading byte
 // with its low bit set reads the rest one byte per sample (heavy ties);
 // otherwise as little-endian float64s.
 func FuzzBuild(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 1, 1, 2, 9}, 0)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, 3)
-	f.Add(binary.LittleEndian.AppendUint64([]byte{0}, math.Float64bits(math.NaN())), 0)
-	f.Add(binary.LittleEndian.AppendUint64([]byte{0}, math.Float64bits(1e308)), 0)
-	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64([]byte{0}, 1), math.Float64bits(1e308)), 1)
-	f.Fuzz(func(t *testing.T, raw []byte, maxBins int) {
+	f.Add([]byte{1, 0, 0, 0, 1, 1, 2, 9})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(binary.LittleEndian.AppendUint64([]byte{0}, math.Float64bits(math.NaN())))
+	f.Add(binary.LittleEndian.AppendUint64([]byte{0}, math.Float64bits(1e308)))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64([]byte{0}, 1), math.Float64bits(1e308)))
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 {
 			return
 		}
@@ -218,6 +214,6 @@ func FuzzBuild(f *testing.F) {
 				xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
 			}
 		}
-		sameBuild(t, xs, maxBins%1024)
+		sameBuild(t, xs)
 	})
 }

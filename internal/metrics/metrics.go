@@ -2,8 +2,8 @@
 // counters, gauges, and stages — the one duration instrument: how many
 // times something ran and its total, min and max duration, fed by
 // nestable stage timers or by Stage.Observe — collected in a Registry
-// whose point-in-time Snapshot serializes to JSON and to
-// Prometheus/expvar-style text.
+// whose point-in-time Snapshot, the one way to read them, serializes to
+// JSON and to Prometheus/expvar-style text.
 //
 // The package is built for a hot detection path at a busy border:
 //
@@ -43,14 +43,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is an instantaneous atomic value. The zero value is ready to
 // use; a nil Gauge discards all updates.
 type Gauge struct {
@@ -77,14 +69,6 @@ func (g *Gauge) SetMax(v int64) {
 			return
 		}
 	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // minUnset marks a Stage that has not observed anything yet; any real
@@ -132,22 +116,6 @@ func (s *Stage) Observe(d time.Duration) {
 		}
 	}
 	s.count.Add(1)
-}
-
-// Count returns how many times the stage ran (0 for nil).
-func (s *Stage) Count() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.count.Load()
-}
-
-// Total returns the accumulated stage duration (0 for nil).
-func (s *Stage) Total() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.total.Load())
 }
 
 // StageTimer times one run of a named stage. It is a value type — no

@@ -25,8 +25,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if d := timer.Child("y").Stop(); d != 0 {
 		t.Errorf("no-op child timer returned %v", d)
 	}
-	if v := r.Counter("c").Value(); v != 0 {
-		t.Errorf("nil counter value = %d", v)
+	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Stage("s") != nil {
+		t.Error("nil registry handed out a non-nil instrument")
 	}
 	snap := r.TakeSnapshot()
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Stages) != 0 {
@@ -46,8 +46,8 @@ func TestCounterGauge(t *testing.T) {
 	c := r.Counter("flows")
 	c.Add(3)
 	c.Add(4)
-	if c.Value() != 7 {
-		t.Errorf("counter = %d, want 7", c.Value())
+	if v := r.TakeSnapshot().Counters["flows"]; v != 7 {
+		t.Errorf("counter = %d, want 7", v)
 	}
 	if r.Counter("flows") != c {
 		t.Error("same name returned a different counter")
@@ -55,12 +55,12 @@ func TestCounterGauge(t *testing.T) {
 	g := r.Gauge("depth")
 	g.Set(10)
 	g.SetMax(5) // lower: must not move
-	if g.Value() != 10 {
-		t.Errorf("SetMax lowered gauge to %d", g.Value())
+	if v := r.TakeSnapshot().Gauges["depth"]; v != 10 {
+		t.Errorf("SetMax lowered gauge to %d", v)
 	}
 	g.SetMax(12)
-	if g.Value() != 12 {
-		t.Errorf("SetMax did not raise gauge: %d", g.Value())
+	if v := r.TakeSnapshot().Gauges["depth"]; v != 12 {
+		t.Errorf("SetMax did not raise gauge: %d", v)
 	}
 }
 
@@ -70,12 +70,6 @@ func TestStageStats(t *testing.T) {
 	s.Observe(10 * time.Millisecond)
 	s.Observe(30 * time.Millisecond)
 	s.Observe(20 * time.Millisecond)
-	if s.Count() != 3 {
-		t.Errorf("count = %d", s.Count())
-	}
-	if s.Total() != 60*time.Millisecond {
-		t.Errorf("total = %v", s.Total())
-	}
 	snap := r.TakeSnapshot()
 	if len(snap.Stages) != 1 {
 		t.Fatalf("stages = %+v", snap.Stages)
@@ -83,6 +77,9 @@ func TestStageStats(t *testing.T) {
 	st := snap.Stages[0]
 	if st.Name != "hm" || st.Count != 3 {
 		t.Errorf("stage snapshot = %+v", st)
+	}
+	if st.TotalSeconds != 0.06 {
+		t.Errorf("total = %v, want 0.06", st.TotalSeconds)
 	}
 	if st.MinSeconds != 0.01 || st.MaxSeconds != 0.03 {
 		t.Errorf("min/max = %v/%v, want 0.01/0.03", st.MinSeconds, st.MaxSeconds)
@@ -135,16 +132,16 @@ func TestConcurrentUpdates(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Value() != workers*per {
-		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
-	}
-	if g.Value() != workers*per-1 {
-		t.Errorf("gauge high-water = %d, want %d", g.Value(), workers*per-1)
-	}
-	if s.Count() != workers*per {
-		t.Errorf("stage count = %d, want %d", s.Count(), workers*per)
-	}
 	snap := r.TakeSnapshot()
+	if v := snap.Counters["c"]; v != workers*per {
+		t.Errorf("counter = %d, want %d", v, workers*per)
+	}
+	if v := snap.Gauges["g"]; v != workers*per-1 {
+		t.Errorf("gauge high-water = %d, want %d", v, workers*per-1)
+	}
+	if n := snap.Stages[0].Count; n != workers*per {
+		t.Errorf("stage count = %d, want %d", n, workers*per)
+	}
 	if snap.Stages[0].MinSeconds != 1e-6 {
 		t.Errorf("stage min = %v, want 1µs", snap.Stages[0].MinSeconds)
 	}

@@ -56,13 +56,13 @@ func (r *Registry) TakeSnapshot() Snapshot {
 	if len(counters) > 0 {
 		snap.Counters = make(map[string]int64, len(counters))
 		for name, c := range counters {
-			snap.Counters[name] = c.Value()
+			snap.Counters[name] = c.v.Load()
 		}
 	}
 	if len(gauges) > 0 {
 		snap.Gauges = make(map[string]int64, len(gauges))
 		for name, g := range gauges {
-			snap.Gauges[name] = g.Value()
+			snap.Gauges[name] = g.v.Load()
 		}
 	}
 	for _, name := range sortedKeys(stages) {
