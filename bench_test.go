@@ -344,8 +344,7 @@ func BenchmarkHMTest(b *testing.B) {
 // exhaustive fill at n=16384 would evaluate 134M exact EMDs). Alongside pairs/s it reports the engine's own accounting:
 // exact-frac is the fraction of pairs that paid an exact EMD
 // evaluation (the ≤0.10 acceptance ratio at n=4096, calibration
-// included), pruned-frac the fraction skipped by the mean index and the
-// CDF prefilter.
+// included), pruned-frac the fraction skipped by the mean index.
 func BenchmarkHMTestPrunedLarge(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d/par-pruned", n), func(b *testing.B) {
@@ -375,8 +374,7 @@ func BenchmarkHMTestPrunedLarge(b *testing.B) {
 			if total > 0 {
 				exact := float64(snap.Counters["distmatrix/pairs"] +
 					snap.Counters["pipeline/hm/calibration_pairs"])
-				pruned := float64(snap.Counters["distmatrix/pairs_pruned_index"] +
-					snap.Counters["distmatrix/pairs_pruned_bound"])
+				pruned := float64(snap.Counters["distmatrix/pairs_pruned_index"])
 				b.ReportMetric(exact/total, "exact-frac")
 				b.ReportMetric(pruned/total, "pruned-frac")
 			}

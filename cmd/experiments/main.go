@@ -183,8 +183,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if reg != nil {
 		snap := reg.TakeSnapshot()
 		if pr, ok := plotters.PruneSummary(snap); ok {
-			fmt.Fprintf(stderr, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
-				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
+			fmt.Fprintln(stderr, pr)
 		}
 		raw, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {

@@ -617,8 +617,7 @@ func printStages(w io.Writer, res *plotters.Result, reg *plotters.Metrics, verbo
 		len(res.Suspects), res.HM.Threshold, len(res.HM.Clusters), res.HM.Clustered, res.HM.Skipped)
 	if reg != nil {
 		if pr, ok := plotters.PruneSummary(reg.TakeSnapshot()); ok {
-			fmt.Fprintf(w, "θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, bound pruned %d, gated %d)\n",
-				pr.Exact, pr.PairsTotal, pr.Calibration, 100*pr.ExactFraction, pr.PrunedIndex, pr.PrunedBound, pr.Gated)
+			fmt.Fprintln(w, pr)
 		}
 	}
 

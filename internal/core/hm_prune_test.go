@@ -70,8 +70,8 @@ func hmInputs(t testing.TB, src flow.FeatureSource, cfg Config) ([]flow.IP, []*e
 // families on distinct fixed timers (forty hosts each, every host with
 // its own small drift so in-family distances are positive), 1,200
 // human-like hosts with irregular gaps, and forty long-tailed hosts whose
-// signatures hold more than hmBoundCells/2 positions, so that θ_hm's CDF
-// prefilter has pairs to bound — 1,640 clusterable hosts, past
+// signatures hold a hundred or so positions, so that the exact EMDs are
+// not all short merge-scans — 1,640 clusterable hosts, past
 // hmPruneMinHosts, so HMTest takes the pruned fill.
 func wideCorpus() []flow.Record {
 	var records []flow.Record
@@ -157,7 +157,7 @@ func graphIsGatedMatrix(t *testing.T, g *distmatrix.Graph, want *distmatrix.Matr
 // TestHMTestPruneEquivalenceRandomCuts is the gated-matrix invariant
 // over real EMD signatures: for random cut thresholds — spanning "gates
 // nothing" through "gates everything" — the sparse graph exactly as
-// HMTest builds it (mean index + CDF prefilter, inline and pooled) is
+// HMTest builds it (mean index, inline and pooled) is
 // pair for pair and value for value the finite part of the matrix that
 // computes every exact distance and only then applies the sentinel.
 func TestHMTestPruneEquivalenceRandomCuts(t *testing.T) {
@@ -191,7 +191,8 @@ func TestHMTestPruneEquivalenceRandomCuts(t *testing.T) {
 // graph and the clusterer over it reproduce the plain exhaustive oracle —
 // same merges, same diameters, same τ_hm, same Kept set — at every worker
 // count, while the kernel's counters show pairs were actually skipped and
-// account for every one of them.
+// account for every one of them: every pair in the mean-index band is
+// evaluated exactly, and every other pair is pruned by the index.
 func TestHMTestAutoCalibratedPruneMatchesExhaustive(t *testing.T) {
 	cfg := pruneCfg()
 	src := wideSource()
@@ -220,61 +221,19 @@ func TestHMTestAutoCalibratedPruneMatchesExhaustive(t *testing.T) {
 		t.Logf("parallelism=%d: %d hosts, %d clusters, %d kept; %d of %d pairs evaluated exactly",
 			par, got.Clustered, len(got.Clusters), len(got.Kept), snap.Counters["distmatrix/pairs"], snap.Counters["distmatrix/pairs_total"])
 		c := snap.Counters
-		if c["distmatrix/pairs_pruned_index"] == 0 || c["distmatrix/pairs_pruned_bound"] == 0 {
-			t.Errorf("parallelism=%d: a layer pruned nothing on a multi-family corpus of %d hosts: %v", par, len(hosts), c)
+		if c["distmatrix/pairs_pruned_index"] == 0 {
+			t.Errorf("parallelism=%d: the index pruned nothing on a multi-family corpus of %d hosts: %v", par, len(hosts), c)
 		}
 		n := int64(len(hosts))
 		if total := c["distmatrix/pairs_total"]; total != n*(n-1)/2 ||
-			total != c["distmatrix/pairs"]+c["distmatrix/pairs_pruned_index"]+c["distmatrix/pairs_pruned_bound"] {
-			t.Errorf("parallelism=%d: pairs_total = %d, want %d = pairs + pruned_index + pruned_bound (%v)", par, total, n*(n-1)/2, c)
+			total != c["distmatrix/pairs"]+c["distmatrix/pairs_pruned_index"] {
+			t.Errorf("parallelism=%d: pairs_total = %d, want %d = pairs + pruned_index (%v)", par, total, n*(n-1)/2, c)
 		}
 		if gauge := snap.Gauges["pipeline/hm/cut_microemd"]; gauge <= 0 {
 			t.Errorf("parallelism=%d: cut_microemd gauge = %d, want > 0 (calibrated cut recorded)", par, gauge)
 		}
 		if overcut := snap.Gauges["pipeline/hm/overcut"]; overcut != 0 {
 			t.Errorf("parallelism=%d: overcut gauge = %d, want 0: calibrated cut must dominate every surviving diameter", par, overcut)
-		}
-	}
-}
-
-// TestHMTestShortSignaturesSkipPrefilter is the other side of the
-// prefilter's length rule. Where no two signatures hold more than
-// hmBoundCells positions between them, the exact EMD costs no more than
-// the bound that would skip it, so hmGraph builds no prefilter: every
-// pair in the mean-index band is evaluated exactly, none is pruned by the
-// bound, and the graph is still the gated oracle's. The population is
-// wideCorpus less its long-tailed hosts, which keep the prefilter busy
-// in TestHMTestAutoCalibratedPruneMatchesExhaustive.
-func TestHMTestShortSignaturesSkipPrefilter(t *testing.T) {
-	cfg := pruneCfg()
-	_, all, _ := hmInputs(t, wideSource(), cfg)
-	var sigs []*emd.Signature
-	for _, s := range all {
-		if s.Len() <= hmBoundCells/2 {
-			sigs = append(sigs, s)
-		}
-	}
-	if len(sigs) == len(all) || len(sigs) < hmPruneMinHosts {
-		t.Fatalf("%d of %d signatures are short: want some long ones, and at least %d short", len(sigs), len(all), hmPruneMinHosts)
-	}
-	cut, _, err := calibrateCut(sigs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := distmatrix.Compute(len(sigs), exactEMD(sigs), distmatrix.Options{Cut: cut})
-	for _, par := range []int{1, 0} {
-		reg := metrics.New()
-		run := cfg
-		run.Parallelism = par
-		run.Metrics = reg
-		if !graphIsGatedMatrix(t, hmGraph(sigs, cut, run), want) {
-			t.Errorf("parallelism=%d: graph diverged from the gated oracle at cut %v", par, cut)
-		}
-		c := reg.TakeSnapshot().Counters
-		band := c["distmatrix/pairs_total"] - c["distmatrix/pairs_pruned_index"]
-		if band == 0 || c["distmatrix/pairs"] != band || c["distmatrix/pairs_pruned_bound"] != 0 {
-			t.Errorf("parallelism=%d: pairs = %d, pairs_pruned_bound = %d, want every one of the band's %d pairs exact and none bounded",
-				par, c["distmatrix/pairs"], c["distmatrix/pairs_pruned_bound"], band)
 		}
 	}
 }
@@ -539,4 +498,31 @@ func TestCalibrateCutSubsample(t *testing.T) {
 	if cut != hmCutSafety || below != 1 {
 		t.Errorf("degenerate calibration: cut = %v, below-cut share = %v, want %v and 1", cut, below, hmCutSafety)
 	}
+}
+
+// BenchmarkHMTestWide times HMTest over wideSource's 1,640 hosts, the
+// pruned fill with long signatures in the mix: ms/op is one whole θ_hm
+// (calibration, fill, clustering), exact-frac the share of pairs that
+// paid an exact EMD, calibration included.
+func BenchmarkHMTestWide(b *testing.B) {
+	reg := metrics.New()
+	cfg := pruneCfg()
+	cfg.Metrics = reg
+	a, err := NewAnalysisFromSource(wideSource(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := a.Hosts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.HMTest(hosts, 50); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	c := reg.TakeSnapshot().Counters
+	if total := c["distmatrix/pairs_total"]; total > 0 {
+		b.ReportMetric(float64(c["distmatrix/pairs"]+c["pipeline/hm/calibration_pairs"])/float64(total), "exact-frac")
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"plotters/internal/core"
 	"plotters/internal/engine"
 	"plotters/internal/flow"
+	"plotters/internal/metrics"
 )
 
 var clusterT0 = time.Date(2009, 10, 6, 9, 0, 0, 0, time.UTC)
@@ -368,4 +370,46 @@ func TestDrainRedialsUntilDeadline(t *testing.T) {
 		t.Errorf("%d frames unacknowledged after Drain", n)
 	}
 	waitWindows(t, coord, 2)
+}
+
+// A shard whose configuration the coordinator refuses learns why and
+// stops: the refusal names the knob, reaches Drain at once instead of
+// after its timeout, and the worker never redials.
+func TestDistClusterRefusedShardStops(t *testing.T) {
+	records := clusterCorpus()
+	cfg := clusterEngineConfig()
+	reg := metrics.New()
+	cfg.Core.Metrics = reg
+	cl, err := NewDistCluster(CoordinatorConfig{Shards: 2, Engine: clusterEngineConfig()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cfg.Core.MinInterstitialSamples++
+	odd, err := NewShardWorker(WorkerConfig{Shard: 1, Shards: 2, Engine: cfg, Dial: func() (net.Conn, error) {
+		client, server := net.Pipe()
+		go cl.Coordinator.ServeConn(server)
+		return client, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Workers[1].Close()
+	cl.Workers[1] = odd
+
+	for i := range records {
+		cl.Add(&records[i]) // the odd shard's refusal may surface here already
+	}
+	cl.AdvanceTo(clusterT0.Add(2 * time.Hour))
+	start := time.Now()
+	err = cl.Drain(5 * time.Second)
+	if err == nil || !strings.Contains(err.Error(), "min interstitial samples") {
+		t.Fatalf("Drain = %v, want the coordinator's refusal naming min interstitial samples", err)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Errorf("Drain took %v to report the refusal", waited)
+	}
+	if n := reg.TakeSnapshot().Counters["dist/worker/connects"]; n != 1 {
+		t.Errorf("dist/worker/connects = %d, want 1: a refused worker must not redial", n)
+	}
 }

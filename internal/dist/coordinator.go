@@ -201,6 +201,8 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 // TCP listener. A clean peer close returns nil; protocol violations —
 // wrong version, mismatched fingerprint, malformed or inconsistent
 // frames — return the descriptive error after closing the connection.
+// A refused hello is also answered with a refusal frame carrying that
+// error, so the worker stops redialing and can say why.
 func (c *Coordinator) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 
@@ -212,13 +214,17 @@ func (c *Coordinator) ServeConn(conn net.Conn) error {
 		return fmt.Errorf("dist: coordinator: connection opened with frame type %d, want hello (%d)", id, frameHello)
 	}
 	h, err := decodeHello(payload)
+	if err == nil && (h.Shard < 0 || h.Shard >= c.cfg.Shards) {
+		err = fmt.Errorf("dist: coordinator: hello claims shard %d but this deployment runs shards [0,%d)", h.Shard, c.cfg.Shards)
+	}
+	if err == nil {
+		err = h.FP.Check(c.fp)
+	}
 	if err != nil {
-		return err
-	}
-	if h.Shard < 0 || h.Shard >= c.cfg.Shards {
-		return fmt.Errorf("dist: coordinator: hello claims shard %d but this deployment runs shards [0,%d)", h.Shard, c.cfg.Shards)
-	}
-	if err := h.FP.Check(c.fp); err != nil {
+		// Best effort: a worker that never reads the reason still sees
+		// the connection close.
+		conn.SetWriteDeadline(time.Now().Add(refuseTimeout))
+		wire.WriteFrame(conn, frameRefuse, []byte(err.Error()))
 		return err
 	}
 	if err := c.attach(h.Shard, conn); err != nil {

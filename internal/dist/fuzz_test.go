@@ -36,7 +36,7 @@ func FuzzDecodeSummary(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	valid := encodeHello(hello{Version: WireVersion, Shard: 3, Resume: 17, FP: FingerprintOf(testEngineConfig(), 4)})
+	valid := encodeHello(hello{Version: WireVersion, Shard: 3, FP: FingerprintOf(testEngineConfig(), 4)})
 	f.Add(valid)
 	f.Add(valid[:9])
 	f.Add([]byte{9, 9})

@@ -37,8 +37,10 @@ import (
 // version. Version 2 drops from the hello's fingerprint version 1's
 // flag for keeping θ_churn's grace period across windows; version 3
 // drops the coordinator's operating point (the three percentiles, the
-// cut fraction and the diameter statistic) and the histogram bin cap.
-const WireVersion = 3
+// cut fraction and the diameter statistic) and the histogram bin cap;
+// version 4 drops the hello's resume sequence number, which no end read,
+// and adds the coordinator's refusal frame.
+const WireVersion = 4
 
 // SummaryVersion versions the ShardSummary payload layout inside
 // summary frames, independently of the outer protocol. Version 2 drops
@@ -52,6 +54,7 @@ const (
 	frameSummary   = 2 // worker → coordinator, one window's ShardSummary
 	frameWatermark = 3 // worker → coordinator, stream punctuation
 	frameAck       = 4 // coordinator → worker, cumulative sequence ack
+	frameRefuse    = 5 // coordinator → worker, why the hello was refused; the connection closes after it
 )
 
 // maxFramePayload bounds a frame before allocation. A summary's
@@ -61,11 +64,15 @@ const (
 const maxFramePayload = 256 << 20
 
 // maxHelloPayload bounds the first frame of a connection, read before
-// the peer has proven anything: a hello is 64 bytes, and
+// the peer has proven anything: a hello is 56 bytes, and
 // wire.ReadFrame allocates the declared length before reading it, so
 // the summary-sized limit here would let six bytes from anyone who can
 // reach the listener pin maxFramePayload of memory per connection.
 const maxHelloPayload = 4 << 10
+
+// refuseTimeout bounds the coordinator's write of a refusal frame: a
+// peer that does not read must not hold the connection open.
+const refuseTimeout = time.Second
 
 // minHostSummary is the smallest encoded HostSummary (empty sketch and
 // contact list), used to validate host counts before allocation.
@@ -158,7 +165,6 @@ func decodeFingerprint(d *wire.Decoder) Fingerprint {
 type hello struct {
 	Version uint16
 	Shard   int
-	Resume  uint64 // first sequence number this connection will (re)send
 	FP      Fingerprint
 }
 
@@ -166,7 +172,6 @@ func encodeHello(h hello) []byte {
 	var e wire.Encoder
 	e.U16(h.Version)
 	e.U32(uint32(h.Shard))
-	e.U64(h.Resume)
 	h.FP.encode(&e)
 	return e.Bytes()
 }
@@ -176,7 +181,6 @@ func decodeHello(data []byte) (hello, error) {
 	h := hello{
 		Version: d.U16(),
 		Shard:   int(d.U32()),
-		Resume:  d.U64(),
 	}
 	// The version gates everything after it: a future hello may carry a
 	// longer fingerprint, so mismatches must be reported before the

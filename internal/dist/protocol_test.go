@@ -251,18 +251,17 @@ func TestHelloRoundTrip(t *testing.T) {
 	want := hello{
 		Version: WireVersion,
 		Shard:   3,
-		Resume:  99,
 		FP:      FingerprintOf(testEngineConfig(), 4),
 	}
 	data := encodeHello(want)
-	if len(data) != 64 {
-		t.Errorf("hello is %d bytes; maxHelloPayload's comment says 64", len(data))
+	if len(data) != 56 {
+		t.Errorf("hello is %d bytes; maxHelloPayload's comment says 56", len(data))
 	}
 	got, err := decodeHello(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != want.Version || got.Shard != want.Shard || got.Resume != want.Resume {
+	if got.Version != want.Version || got.Shard != want.Shard {
 		t.Fatalf("hello header mismatch: %+v", got)
 	}
 	if err := got.FP.Check(want.FP); err != nil {
@@ -325,7 +324,7 @@ func TestFingerprintMismatchNamesKnob(t *testing.T) {
 
 // End-to-end handshake refusal: a coordinator serving a connection whose
 // hello carries a different configuration must return the descriptive
-// mismatch error.
+// mismatch error, and send it to the worker in a refusal frame.
 func TestServeConnRefusesMismatchedConfig(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{Shards: 2, Engine: testEngineConfig()}, nil)
 	if err != nil {
@@ -343,6 +342,7 @@ func TestServeConnRefusesMismatchedConfig(t *testing.T) {
 	if err := wire.WriteFrame(client, frameHello, hb); err != nil {
 		t.Fatal(err)
 	}
+	reason := readRefusal(t, client)
 	err = <-errc
 	client.Close()
 	if err == nil {
@@ -351,6 +351,20 @@ func TestServeConnRefusesMismatchedConfig(t *testing.T) {
 	if !strings.Contains(err.Error(), "fingerprint mismatch") || !strings.Contains(err.Error(), "min interstitial samples") {
 		t.Fatalf("error %q does not describe the mismatch", err)
 	}
+	if reason != err.Error() {
+		t.Fatalf("refusal frame says %q, ServeConn returned %q", reason, err)
+	}
+}
+
+// readRefusal reads the one frame a refusing coordinator sends and
+// returns its text.
+func readRefusal(t *testing.T, conn net.Conn) string {
+	t.Helper()
+	id, payload, err := wire.ReadFrame(conn, 1<<16)
+	if err != nil || id != frameRefuse {
+		t.Fatalf("want a refusal frame (%d), got frame %d, err %v", frameRefuse, id, err)
+	}
+	return string(payload)
 }
 
 // A hello claiming a shard outside the deployment is refused.
@@ -368,10 +382,11 @@ func TestServeConnRefusesOutOfRangeShard(t *testing.T) {
 	if err := wire.WriteFrame(client, frameHello, hb); err != nil {
 		t.Fatal(err)
 	}
+	reason := readRefusal(t, client)
 	err = <-errc
 	client.Close()
-	if err == nil || !strings.Contains(err.Error(), "shard 5") {
-		t.Fatalf("out-of-range shard not refused by name: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "shard 5") || reason != err.Error() {
+		t.Fatalf("out-of-range shard not refused by name: %v (refusal frame %q)", err, reason)
 	}
 }
 

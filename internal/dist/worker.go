@@ -70,6 +70,12 @@ type ShardWorker struct {
 	sent      uint64 // sequence numbers < sent are written to conn
 	connected bool   // a hello has ever been accepted by a transport write
 	closed    bool
+	// refused is the coordinator's refusal of this worker's hello. It is
+	// final: a configuration mismatch does not heal by redialing, so
+	// every later send, AdvanceTo and Drain returns it.
+	refused error
+	// reading is closed when the current connection's ack reader exits.
+	reading chan struct{}
 
 	sendMu sync.Mutex
 }
@@ -161,11 +167,13 @@ func (w *ShardWorker) Drain(timeout time.Duration) error {
 	var err error
 	for {
 		w.mu.Lock()
-		n, closed := len(w.outbox), w.closed
+		n, closed, refused := len(w.outbox), w.closed, w.refused
 		w.mu.Unlock()
 		switch {
 		case n == 0:
 			return nil
+		case refused != nil:
+			return refused
 		case closed:
 			return fmt.Errorf("dist: worker shard %d is closed", w.cfg.Shard)
 		case time.Now().After(deadline):
@@ -234,7 +242,8 @@ func (w *ShardWorker) send(typ uint16, payload []byte) error {
 // connection, dialing (and replaying the whole outbox) if none is live.
 // A write failure marks the connection dead and returns nil — the next
 // call redials and the frames are still in the outbox; delivery is
-// eventually consistent, not per-call guaranteed.
+// eventually consistent, not per-call guaranteed — unless the
+// coordinator refused the hello, which is returned instead.
 func (w *ShardWorker) flushOutbox() error {
 	w.sendMu.Lock()
 	defer w.sendMu.Unlock()
@@ -244,13 +253,17 @@ func (w *ShardWorker) flushOutbox() error {
 			w.mu.Unlock()
 			return fmt.Errorf("dist: worker shard %d is closed", w.cfg.Shard)
 		}
+		if w.refused != nil {
+			w.mu.Unlock()
+			return w.refused
+		}
 		if w.conn == nil {
 			if err := w.connectLocked(); err != nil {
 				w.mu.Unlock()
 				return err
 			}
 		}
-		conn := w.conn
+		conn, reading := w.conn, w.reading
 		var batch []outFrame
 		for _, f := range w.outbox {
 			if f.seq >= w.sent {
@@ -264,13 +277,20 @@ func (w *ShardWorker) flushOutbox() error {
 		for _, f := range batch {
 			if err := wire.WriteFrame(conn, f.typ, seqPayload(f.seq, f.payload)); err != nil {
 				w.reg.Counter("dist/worker/write_errors").Add(1)
+				// A refusing coordinator writes its reason before it
+				// closes: let the reader take it before deciding.
+				select {
+				case <-reading:
+				case <-time.After(redialWait):
+				}
 				conn.Close()
 				w.mu.Lock()
 				if w.conn == conn {
 					w.conn = nil
 				}
+				refused := w.refused
 				w.mu.Unlock()
-				return nil // frames stay queued; next call redials
+				return refused // nil: frames stay queued; next call redials
 			}
 			w.reg.Counter("dist/worker/frames").Add(1)
 			w.mu.Lock()
@@ -306,7 +326,6 @@ func (w *ShardWorker) connectLocked() error {
 		hb := encodeHello(hello{
 			Version: WireVersion,
 			Shard:   w.cfg.Shard,
-			Resume:  w.acked,
 			FP:      w.fp,
 		})
 		if err := wire.WriteFrame(conn, frameHello, hb); err != nil {
@@ -321,23 +340,30 @@ func (w *ShardWorker) connectLocked() error {
 			w.reg.Counter("dist/worker/reconnects").Add(1)
 		}
 		w.connected = true
-		go w.readAcks(conn)
+		w.reading = make(chan struct{})
+		go w.readAcks(conn, w.reading)
 		return nil
 	}
 	return fmt.Errorf("dist: worker shard %d: coordinator unreachable after %d attempts: %w", w.cfg.Shard, maxDials, lastErr)
 }
 
 // readAcks consumes coordinator acks on one connection, trimming the
-// outbox, until the connection breaks.
-func (w *ShardWorker) readAcks(conn net.Conn) {
+// outbox, until the connection breaks or the coordinator refuses the
+// hello, and then closes done.
+func (w *ShardWorker) readAcks(conn net.Conn, done chan<- struct{}) {
+	defer close(done)
 	for {
 		id, payload, err := wire.ReadFrame(conn, 1<<16)
-		if err != nil {
+		if err != nil || id == frameRefuse {
 			w.mu.Lock()
 			if w.conn == conn {
 				w.conn = nil
 			}
+			if err == nil {
+				w.refused = fmt.Errorf("dist: coordinator refused shard %d: %s", w.cfg.Shard, payload)
+			}
 			w.mu.Unlock()
+			conn.Close()
 			return
 		}
 		if id != frameAck {

@@ -14,15 +14,13 @@
 // worker pool bounded by runtime.NumCPU; a single worker runs the same
 // loop inline, as inputs below DefaultSequentialCutoff always do.
 //
-// The sparse fill prunes in three layers, cheapest first:
+// The sparse fill prunes in two layers, cheapest first:
 //
 //  1. index — items are sorted once by an admissible 1-D key
 //     (|key_i − key_j| ≤ dist(i, j); for θ_hm the signature mean), and
 //     each item sweeps only the items whose key lies within the cut of
 //     its own. Pairs outside that band are never touched.
-//  2. prefilter — a BoundFunc (for θ_hm the coarsened-CDF L1 distance
-//     from internal/emd) discards band pairs provably above the cut.
-//  3. exact evaluation — survivors get the real DistFunc call; values
+//  2. exact evaluation — band pairs get the real DistFunc call; values
 //     above the cut are dropped (the gate).
 //
 // The invariant the equivalence tests pin: the graph holds exactly the
@@ -53,12 +51,6 @@ import (
 // DistFunc reports the distance between items i and j (i < j). It must
 // be safe for concurrent calls from multiple goroutines.
 type DistFunc func(i, j int) float64
-
-// BoundFunc reports a lower bound on the distance between items i and j
-// (i < j): Bound(i, j) <= dist(i, j) up to float rounding, safe for
-// concurrent calls. Where it would cost as much as DistFunc on every
-// pair, pass nil.
-type BoundFunc func(i, j int) float64
 
 // Sentinel is the value of a pair whose distance exceeds the cut: what a
 // gated Matrix stores and a Graph reports for a pair it does not hold.
@@ -159,11 +151,10 @@ type Options struct {
 	// counter (exact evaluations), the workers gauge, the worker_busy
 	// stage (each worker's busy wall time, one observation per worker;
 	// the gap between its min and max is load imbalance) and, for a gated fill, pairs_gated (evaluated, found
-	// above the cut). ComputeSparse adds pairs_total (n·(n−1)/2),
-	// pairs_pruned_index (outside the key band, never touched) and
-	// pairs_pruned_bound (discarded by the prefilter): pairs_total =
-	// pairs + pairs_pruned_index + pairs_pruned_bound. Recorded once per
-	// worker, never per pair.
+	// above the cut). ComputeSparse adds pairs_total (n·(n−1)/2) and
+	// pairs_pruned_index (outside the key band, never touched):
+	// pairs_total = pairs + pairs_pruned_index. Recorded once per worker,
+	// never per pair.
 	Metrics *metrics.Registry
 
 	// Cut is the gate. Compute with a positive Cut stores every pair
@@ -173,8 +164,8 @@ type Options struct {
 	Cut float64
 }
 
-// boundSlack is the relative margin added to Cut before comparing lower
-// bounds against it: a bound computed by a different float summation than
+// boundSlack is the relative margin added to Cut before comparing key
+// distances against it: a key computed by a different float summation than
 // the exact distance can exceed it by a few ulps on near-equal pairs, and
 // a false prune there would break the gated invariant. The exact value's
 // own gate comparison uses Cut unmodified.
@@ -228,8 +219,8 @@ func Compute(n int, dist DistFunc, opts Options) *Matrix {
 // (see the package comment). key is the index layer's coordinate:
 // |key[i] − key[j]| <= dist(i, j) + slack must hold for every pair, slack
 // being the caller's absolute bound on the rounding between the two
-// computations. bound, when non-nil, is the prefilter.
-func ComputeSparse(key []float64, slack float64, bound BoundFunc, dist DistFunc, opts Options) *Graph {
+// computations.
+func ComputeSparse(key []float64, slack float64, dist DistFunc, opts Options) *Graph {
 	n := len(key)
 	if n < 2 {
 		return &Graph{start: make([]int, n+1)}
@@ -244,8 +235,7 @@ func ComputeSparse(key []float64, slack float64, bound BoundFunc, dist DistFunc,
 	sort.Slice(order, func(a, b int) bool { return key[order[a]] < key[order[b]] })
 	// end[p] is one past the last sweep position whose key is within the
 	// widened cut of position p's; keys ascend, so it never moves back.
-	threshold := opts.Cut * (1 + boundSlack)
-	width := threshold + slack
+	width := opts.Cut*(1+boundSlack) + slack
 	end := make([]int32, n)
 	band := 0
 	for p, e := 0, 0; p < n; p++ {
@@ -264,10 +254,6 @@ func ComputeSparse(key []float64, slack float64, bound BoundFunc, dist DistFunc,
 			lo, hi := i, int(o)
 			if hi < lo {
 				lo, hi = hi, lo
-			}
-			if bound != nil && bound(lo, hi) > threshold {
-				st.prunedBound++
-				continue
 			}
 			st.exact++
 			if v := dist(lo, hi); v <= opts.Cut {
@@ -319,7 +305,7 @@ const edgeChunk = 1 << 15
 // tally is one worker's local counts and found pairs, flushed once at
 // worker exit so the per-pair loops carry no metrics calls and no locks.
 type tally struct {
-	exact, prunedBound, gated int64
+	exact, gated int64
 
 	found [][]edge
 }
@@ -405,9 +391,6 @@ func (f *fill) flush(st *tally, start time.Time) {
 	f.reg.Stage("distmatrix/worker_busy").Observe(time.Since(start))
 	if f.gated {
 		f.reg.Counter("distmatrix/pairs_gated").Add(st.gated)
-	}
-	if f.end != nil {
-		f.reg.Counter("distmatrix/pairs_pruned_bound").Add(st.prunedBound)
 	}
 }
 

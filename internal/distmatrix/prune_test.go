@@ -11,9 +11,7 @@ import (
 )
 
 // lineMetric is a 1-D point set: dist(i,j) = |x_i − x_j|. The coordinate
-// itself is an index key equal to the exact distance, and coarse-rounded
-// coordinates give an admissible lower bound the same way the
-// coarsened-CDF signatures do for EMD.
+// itself is an index key equal to the exact distance.
 type lineMetric struct {
 	x []float64
 }
@@ -28,20 +26,6 @@ func randLineMetric(rng *rand.Rand, n int) *lineMetric {
 
 func (l *lineMetric) dist(i, j int) float64 {
 	return math.Abs(l.x[i] - l.x[j])
-}
-
-// bound rounds both coordinates to a 0.5 grid: the rounded distance can
-// overshoot the true one by at most 0.5, so subtracting 0.5 is
-// admissible (clamped at zero) while still pruning far pairs.
-func (l *lineMetric) bound(i, j int) float64 {
-	const cell = 0.5
-	a := math.Round(l.x[i]/cell) * cell
-	b := math.Round(l.x[j]/cell) * cell
-	lb := math.Abs(a-b) - cell
-	if lb < 0 {
-		return 0
-	}
-	return lb
 }
 
 // looseKey is an admissible key that is far from tight: half the
@@ -119,32 +103,27 @@ func graphMatchesGated(g *Graph, want *Matrix) error {
 	return nil
 }
 
-// sparseModes are the index/prefilter combinations every sparse
-// equivalence test runs: the key equal to the exact distance, a loose
-// one, and a useless one (always 0: the band is every pair), each with
-// and without the prefilter.
+// sparseModes are the index keys every sparse equivalence test runs: the
+// key equal to the exact distance, a loose one, and a useless one (always
+// 0: the band is every pair).
 func sparseModes(l *lineMetric) []struct {
-	name  string
-	key   []float64
-	bound BoundFunc
+	name string
+	key  []float64
 } {
 	return []struct {
-		name  string
-		key   []float64
-		bound BoundFunc
+		name string
+		key  []float64
 	}{
-		{"exact key", l.x, nil},
-		{"exact key + bound", l.x, l.bound},
-		{"loose key + bound", l.looseKey(), l.bound},
-		{"useless key", make([]float64, len(l.x)), nil},
-		{"useless key + bound", make([]float64, len(l.x)), l.bound},
+		{"exact key", l.x},
+		{"loose key", l.looseKey()},
+		{"useless key", make([]float64, len(l.x))},
 	}
 }
 
 // TestKernelMatchesNaiveLoop: the one worker loop, at every worker
 // count, fills exactly what the naive double loop does — the whole
 // matrix for Compute with and without the gate, its finite cells for
-// ComputeSparse under every combination of layers. n clears
+// ComputeSparse under every index key. n clears
 // DefaultSequentialCutoff so the pool really runs for workers > 1.
 func TestKernelMatchesNaiveLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -160,7 +139,7 @@ func TestKernelMatchesNaiveLoop(t *testing.T) {
 				}
 			}
 			for _, mode := range sparseModes(l) {
-				g := ComputeSparse(mode.key, 0, mode.bound, l.dist, Options{Parallelism: workers, Cut: cut})
+				g := ComputeSparse(mode.key, 0, l.dist, Options{Parallelism: workers, Cut: cut})
 				if err := graphMatchesGated(g, gated); err != nil {
 					t.Errorf("n=%d %s workers=%d: %v", n, mode.name, workers, err)
 				}
@@ -171,10 +150,9 @@ func TestKernelMatchesNaiveLoop(t *testing.T) {
 
 // TestPrunedMatrixMatchesGatedExhaustive pins the kernel's central
 // invariant: for random metrics and random cuts — from "nothing finite"
-// to "everything finite" — the sparse graph, under any combination of
-// index key and prefilter, inline and pooled, is pair for pair and value
-// for value the finite part of the exhaustive matrix with the same cut
-// applied after the fact.
+// to "everything finite" — the sparse graph, under any index key, inline
+// and pooled, is pair for pair and value for value the finite part of the
+// exhaustive matrix with the same cut applied after the fact.
 func TestPrunedMatrixMatchesGatedExhaustive(t *testing.T) {
 	property := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -186,7 +164,7 @@ func TestPrunedMatrixMatchesGatedExhaustive(t *testing.T) {
 		want := Compute(n, l.dist, Options{Parallelism: 1, Cut: cut})
 		for _, par := range []int{1, 0, 4} {
 			for _, mode := range sparseModes(l) {
-				g := ComputeSparse(mode.key, 0, mode.bound, l.dist, Options{Parallelism: par, Cut: cut})
+				g := ComputeSparse(mode.key, 0, l.dist, Options{Parallelism: par, Cut: cut})
 				if err := graphMatchesGated(g, want); err != nil {
 					t.Logf("seed=%d n=%d cut=%v %s parallelism=%d: %v", seed, n, cut, mode.name, par, err)
 					return false
@@ -202,7 +180,7 @@ func TestPrunedMatrixMatchesGatedExhaustive(t *testing.T) {
 
 // pruneCounters reads the layer tallies a sparse fill reported.
 type pruneCounters struct {
-	total, prunedIndex, prunedBound, exact, gated int64
+	total, prunedIndex, exact, gated int64
 }
 
 func readCounters(reg *metrics.Registry) pruneCounters {
@@ -210,31 +188,30 @@ func readCounters(reg *metrics.Registry) pruneCounters {
 	return pruneCounters{
 		total:       c["distmatrix/pairs_total"],
 		prunedIndex: c["distmatrix/pairs_pruned_index"],
-		prunedBound: c["distmatrix/pairs_pruned_bound"],
 		exact:       c["distmatrix/pairs"],
 		gated:       c["distmatrix/pairs_gated"],
 	}
 }
 
 // TestPrunedStatsAccounting: every pair is counted exactly once across
-// the layers, both layers actually skip work on a spread-out input, and
+// the layers, the index actually skips work on a spread-out input, and
 // what survives the gate is what the graph holds.
 func TestPrunedStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 120
 	l := randLineMetric(rng, n)
 	reg := metrics.New()
-	g := ComputeSparse(l.looseKey(), 0, l.bound, l.dist, Options{Parallelism: 3, Cut: 5, Metrics: reg})
+	g := ComputeSparse(l.looseKey(), 0, l.dist, Options{Parallelism: 3, Cut: 5, Metrics: reg})
 	st := readCounters(reg)
 	total := int64(n * (n - 1) / 2)
 	if st.total != total {
 		t.Errorf("pairs_total = %d, want %d", st.total, total)
 	}
-	if got := st.exact + st.prunedIndex + st.prunedBound; got != total {
-		t.Errorf("pairs+pruned_index+pruned_bound = %d, want %d (%+v)", got, total, st)
+	if got := st.exact + st.prunedIndex; got != total {
+		t.Errorf("pairs+pruned_index = %d, want %d (%+v)", got, total, st)
 	}
-	if st.prunedIndex == 0 || st.prunedBound == 0 {
-		t.Errorf("a layer pruned nothing on a spread-out input: %+v", st)
+	if st.prunedIndex == 0 {
+		t.Errorf("the index pruned nothing on a spread-out input: %+v", st)
 	}
 	if st.exact >= total/2 {
 		t.Errorf("pairs = %d of %d: pruning ineffective", st.exact, total)
@@ -257,7 +234,7 @@ func TestPrunedStatsAccounting(t *testing.T) {
 func TestPrunedSentinelPlacement(t *testing.T) {
 	l := &lineMetric{x: []float64{0, 1, 2, 50, 51, 103}}
 	n := len(l.x)
-	g := ComputeSparse(l.x, 0, l.bound, l.dist, Options{Parallelism: 1, Cut: 10})
+	g := ComputeSparse(l.x, 0, l.dist, Options{Parallelism: 1, Cut: 10})
 	for i := 0; i < n; i++ {
 		if g.At(i, i) != 0 {
 			t.Errorf("diagonal (%d,%d) = %v", i, i, g.At(i, i))
@@ -279,25 +256,24 @@ func TestPrunedSentinelPlacement(t *testing.T) {
 	}
 }
 
-// TestPrunedAdversarialBound: a useless key and bound (always 0), and a
-// key and bound equal to the exact distance — so that every band and
-// prefilter decision sits exactly on the cut for pairs at the cut — keep
-// the graph correct: layers may only skip pairs the cut proves
-// irrelevant. The cut is itself one of the distances.
-func TestPrunedAdversarialBound(t *testing.T) {
+// TestPrunedAdversarialKey: a useless key (always 0), and a key equal to
+// the exact distance — so that every band decision sits exactly on the
+// cut for pairs at the cut — keep the graph correct: the index may only
+// skip pairs the cut proves irrelevant. The cut is itself one of the
+// distances.
+func TestPrunedAdversarialKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 40
 	l := randLineMetric(rng, n)
 	cut := l.dist(3, 17)
 	want := naiveMatrix(n, l.dist, cut)
-	zero := func(i, j int) float64 { return 0 }
 	for _, par := range []int{1, 0} {
 		for name, g := range map[string]*Graph{
-			"zero":  ComputeSparse(make([]float64, n), 0, zero, l.dist, Options{Parallelism: par, Cut: cut}),
-			"exact": ComputeSparse(l.x, 0, l.dist, l.dist, Options{Parallelism: par, Cut: cut}),
+			"zero":  ComputeSparse(make([]float64, n), 0, l.dist, Options{Parallelism: par, Cut: cut}),
+			"exact": ComputeSparse(l.x, 0, l.dist, Options{Parallelism: par, Cut: cut}),
 		} {
 			if err := graphMatchesGated(g, want); err != nil {
-				t.Errorf("%s key and bound, parallelism %d: %v", name, par, err)
+				t.Errorf("%s key, parallelism %d: %v", name, par, err)
 			}
 		}
 	}
@@ -307,7 +283,7 @@ func TestPrunedAdversarialBound(t *testing.T) {
 // the right size.
 func TestComputeSparseDegenerate(t *testing.T) {
 	for n := 0; n < 2; n++ {
-		g := ComputeSparse(make([]float64, n), 0, nil, nil, Options{Cut: 1})
+		g := ComputeSparse(make([]float64, n), 0, nil, Options{Cut: 1})
 		if g.N() != n || g.Pairs() != 0 {
 			t.Errorf("n=%d: N() = %d, Pairs() = %d", n, g.N(), g.Pairs())
 		}
@@ -320,7 +296,7 @@ func ExampleOptions_pruned() {
 	x := []float64{0, 1, 2, 3, 4, 100, 101, 102, 103, 104}
 	l := &lineMetric{x: x}
 	reg := metrics.New()
-	g := ComputeSparse(x, 0, l.bound, l.dist, Options{Parallelism: 1, Cut: 5, Metrics: reg})
+	g := ComputeSparse(x, 0, l.dist, Options{Parallelism: 1, Cut: 5, Metrics: reg})
 	st := readCounters(reg)
 	fmt.Printf("within: %v  across: sentinel=%v  exact evals: %d of %d\n",
 		g.At(0, 4), IsSentinel(g.At(0, 9)), st.exact, st.total)

@@ -487,10 +487,9 @@ func NewMetrics() *Metrics { return metrics.New() }
 // PruneReport summarizes the θ_hm pruning kernel's pair accounting from
 // an instrumented run wide enough to engage it (θ_hm prunes on its own
 // from about a thousand clusterable hosts up): how many of the
-// n·(n−1)/2 candidate pairs were skipped by each pruning layer — never
-// touched because the mean index put them outside the cut's band, or
-// discarded by the CDF bound — versus evaluated exactly (PairsTotal =
-// Exact + PrunedIndex + PrunedBound). Calibration counts the exact evaluations the
+// n·(n−1)/2 candidate pairs were never touched because the mean index
+// put them outside the cut's band, versus evaluated exactly (PairsTotal =
+// Exact + PrunedIndex). Calibration counts the exact evaluations the
 // auto-calibration mini-matrix paid on top of the main matrix.
 // ExactFraction is the run's headline economy — the share of pairs that
 // paid an exact EMD evaluation, calibration included.
@@ -498,7 +497,6 @@ type PruneReport struct {
 	PairsTotal    int64   `json:"pairs_total"`
 	Exact         int64   `json:"exact"`
 	PrunedIndex   int64   `json:"pruned_index"`
-	PrunedBound   int64   `json:"pruned_bound"`
 	Gated         int64   `json:"gated"`
 	Calibration   int64   `json:"calibration,omitempty"`
 	ExactFraction float64 `json:"exact_fraction"`
@@ -517,12 +515,17 @@ func PruneSummary(snap MetricsSnapshot) (PruneReport, bool) {
 		PairsTotal:  total,
 		Exact:       snap.Counters["distmatrix/pairs"],
 		PrunedIndex: snap.Counters["distmatrix/pairs_pruned_index"],
-		PrunedBound: snap.Counters["distmatrix/pairs_pruned_bound"],
 		Gated:       snap.Counters["distmatrix/pairs_gated"],
 		Calibration: snap.Counters["pipeline/hm/calibration_pairs"],
 	}
 	r.ExactFraction = float64(r.Exact+r.Calibration) / float64(total)
 	return r, true
+}
+
+// String is the report as one line of a run's summary.
+func (r PruneReport) String() string {
+	return fmt.Sprintf("θ_hm pruning: %d of %d pairs evaluated exactly, +%d calibration (%.1f%%; index pruned %d, gated %d)",
+		r.Exact, r.PairsTotal, r.Calibration, 100*r.ExactFraction, r.PrunedIndex, r.Gated)
 }
 
 // Live collection: a UDP listener decodes NetFlow v5/v9, IPFIX, and
