@@ -341,10 +341,11 @@ func BenchmarkHMTest(b *testing.B) {
 // BenchmarkHMTestPrunedLarge runs θ_hm at the scales where pruning is
 // the difference between feasible and not — n ∈ {4096, 16384}
 // clusterable hosts, far past the width where HMTest starts pruning (an
-// exhaustive fill at n=16384 would evaluate 134M exact EMDs). Alongside pairs/s it reports the engine's own accounting:
-// exact-frac is the fraction of pairs that paid an exact EMD
-// evaluation (the ≤0.10 acceptance ratio at n=4096, calibration
-// included), pruned-frac the fraction skipped by the mean index.
+// exhaustive fill at n=16384 would evaluate 134M exact EMDs). Alongside
+// pairs/s and B/op it reports the engine's own accounting: exact-frac
+// is the fraction of pairs that paid an exact EMD evaluation (the ≤0.10
+// acceptance ratio at n=4096, calibration included), pruned-frac the
+// fraction skipped by the mean index.
 func BenchmarkHMTestPrunedLarge(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d/par-pruned", n), func(b *testing.B) {
@@ -358,6 +359,7 @@ func BenchmarkHMTestPrunedLarge(b *testing.B) {
 				b.Fatal(err)
 			}
 			hosts := a.Hosts()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := a.HMTest(hosts, cfg.HMPercentile)

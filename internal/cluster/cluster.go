@@ -8,10 +8,11 @@
 //
 // There are two builders of the same Dendrogram. Agglomerate reads every
 // pairwise distance into a working n×n matrix: the small-population path
-// and the oracle. AgglomerateSparse works from the neighbour graph of the
-// finite pairs alone — at campus width nine pairs in ten are the +Inf
-// sentinel — and reproduces Agglomerate's merges bit for bit. Cutting and
-// the spread statistics only see the Dendrogram and a DistFunc.
+// and the oracle. AgglomerateSparse works from distmatrix's band-indexed
+// neighbour graph of the finite pairs alone — at campus width nine pairs
+// in ten are the +Inf sentinel — and reproduces Agglomerate's merges bit
+// for bit. Cutting and the spread statistics only see the Dendrogram and
+// a DistFunc.
 package cluster
 
 import (

@@ -1,16 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-)
 
-// RowFunc returns item i's finite neighbours above i — each pair is
-// listed once, by its smaller item — in ascending order, and the
-// distances to them, as two parallel slices. A pair no row lists is at
-// distance +Inf, the above-cut sentinel of DistFunc.
-type RowFunc func(i int) (nbr []int32, dist []float64)
+	"plotters/internal/distmatrix"
+)
 
 // AgglomerateSparse is Agglomerate over a neighbour graph: the dendrogram
 // Agglomerate builds from the same distances with +Inf for every pair the
@@ -24,7 +21,8 @@ type RowFunc func(i int) (nbr []int32, dist []float64)
 // a two-pointer intersection of two lists, written back over the
 // surviving slot's own (it is a subsequence), with Agglomerate's
 // arithmetic per common neighbour written once for both lists. Lists
-// only shrink, so the graph is copied once into flat arrays.
+// only shrink, so they are built once, into flat arrays, straight from
+// the graph's band.
 //
 // Selection is Agglomerate's — a per-row nearest-neighbour cache over
 // finite distances to higher slots, smallest row then smallest column on
@@ -33,7 +31,8 @@ type RowFunc func(i int) (nbr []int32, dist []float64)
 // finite pair is left every distance is +Inf for good; Agglomerate then
 // links the two smallest active slots at each step, which is a chain
 // through the active slots in ascending order, emitted here directly.
-func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
+func AgglomerateSparse(g *distmatrix.Graph) (*Dendrogram, error) {
+	n := g.N()
 	if n <= 0 {
 		return nil, ErrNoItems
 	}
@@ -42,39 +41,47 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 		return d, nil
 	}
 
-	// Working copy of the graph, both directions of every pair: slot i's
-	// list is nbr/pid[start[i]:][:length[i]], pval[id] a pair's distance.
-	// Filling rows in ascending i appends to every list in ascending
-	// order — lower neighbours while their rows are read, then its own.
+	// Working lists, both directions of every finite pair: slot i's list
+	// is lists[start[i]:][:length[i]], and a pair's id is its slot in
+	// the graph's band, so pval, the values merges rewrite, is one copy
+	// of the graph's. Appending each item x, in ascending order, to the
+	// lists of its band partners — the positions above its own, and the
+	// contiguous run below whose bands reach it — leaves every list
+	// ascending.
 	start := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		rn, _ := row(i)
-		start[i+1] += len(rn)
-		for _, j := range rn {
-			start[j+1]++
+	for p, e := range g.End {
+		for k, v := range g.Val[g.Off[p]:][:int(e)-p-1] {
+			if v < 0 || math.IsNaN(v) {
+				i, j := g.Order[p], g.Order[p+1+k]
+				return nil, fmt.Errorf("cluster: invalid distance %v between %d and %d", v, min(i, j), max(i, j))
+			}
+			if !math.IsInf(v, 1) {
+				start[g.Order[p]+1]++
+				start[g.Order[p+1+k]+1]++
+			}
 		}
 	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
-	nbr := make([]int32, start[n])
-	pid := make([]int32, start[n])
-	pval := make([]float64, 0, start[n]/2)
+	lists := make([]entry, start[n])
+	pval := slices.Clone(g.Val)
 	length := make([]int32, n)
-	for i := 0; i < n; i++ {
-		rn, rv := row(i)
-		for k, j := range rn {
-			v := rv[k]
-			if v < 0 || math.IsNaN(v) {
-				return nil, fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
-			}
-			at := start[i] + int(length[i])
-			nbr[at], pid[at] = j, int32(len(pval))
-			length[i]++
-			at = start[j] + int(length[j])
-			nbr[at], pid[at] = int32(i), int32(len(pval))
-			length[j]++
-			pval = append(pval, v)
+	link := func(x, q, id int) {
+		if !math.IsInf(pval[id], 1) {
+			y := g.Order[q]
+			lists[start[y]+int(length[y])] = entry{int32(x), int32(id)}
+			length[y]++
+		}
+	}
+	for x := 0; x < n; x++ {
+		p := int(g.Pos[x])
+		lo, _ := slices.BinarySearch(g.End[:p], int32(p+1))
+		for r := lo; r < p; r++ {
+			link(x, r, g.Off[r]+p-r-1)
+		}
+		for q := p + 1; q < int(g.End[p]); q++ {
+			link(x, q, g.Off[p]+q-p-1)
 		}
 	}
 	active := make([]bool, n)
@@ -85,10 +92,8 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 		size[i] = 1
 		slotID[i] = i
 	}
-	list := func(i int) ([]int32, []int32) {
-		lo := start[i]
-		hi := lo + int(length[i])
-		return nbr[lo:hi], pid[lo:hi]
+	list := func(i int) []entry {
+		return lists[start[i]:][:length[i]]
 	}
 
 	// rowmin[i] / nn[i] as in Agglomerate: the smallest finite distance
@@ -102,10 +107,10 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 	recompute := func(i int) {
 		rowmin[i] = math.Inf(1)
 		nn[i] = -1
-		ln, lp := list(i)
-		k, _ := slices.BinarySearch(ln, int32(i)+1)
-		for ; k < len(ln); k++ {
-			if j, v := int(ln[k]), pval[lp[k]]; active[j] && v < rowmin[i] {
+		l := list(i)
+		k, _ := slices.BinarySearchFunc(l, int32(i)+1, func(e entry, j int32) int { return cmp.Compare(e.nbr, j) })
+		for _, e := range l[k:] {
+			if j, v := int(e.nbr), pval[e.id]; active[j] && v < rowmin[i] {
 				rowmin[i] = v
 				nn[i] = j
 			}
@@ -140,25 +145,24 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 		active[bj] = false
 		rowmin[bj] = math.Inf(1)
 		ni, nj := float64(size[bi]), float64(size[bj])
-		an, ap := list(bi)
-		bn, bp := list(bj)
+		a, b := list(bi), list(bj)
 		w, pb := 0, 0
-		for pa, k32 := range an {
-			k, id := int(k32), ap[pa]
-			va := pval[id]
+		for _, e := range a {
+			k := int(e.nbr)
+			va := pval[e.id]
 			if !active[k] || math.IsInf(va, 1) {
 				continue
 			}
-			for pb < len(bn) && bn[pb] < k32 {
+			for pb < len(b) && b[pb].nbr < e.nbr {
 				pb++
 			}
 			upd := math.Inf(1)
-			if pb < len(bn) && bn[pb] == k32 {
-				upd = average(ni, va, nj, pval[bp[pb]])
+			if pb < len(b) && b[pb].nbr == e.nbr {
+				upd = average(ni, va, nj, pval[b[pb].id])
 			}
-			pval[id] = upd
+			pval[e.id] = upd
 			if upd < math.Inf(1) {
-				an[w], ap[w] = k32, id
+				a[w] = e
 				w++
 			}
 			if k < bi {
@@ -172,8 +176,8 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 		}
 		length[bi] = int32(w)
 		// Rows below bj that pointed at it lost their minimum.
-		for _, k32 := range bn {
-			if k := int(k32); k < bj && k != bi && active[k] && nn[k] == bj {
+		for _, e := range b {
+			if k := int(e.nbr); k < bj && k != bi && active[k] && nn[k] == bj {
 				recompute(k)
 			}
 		}
@@ -198,6 +202,10 @@ func AgglomerateSparse(n int, row RowFunc) (*Dendrogram, error) {
 	}
 	return d, nil
 }
+
+// entry is one side of a finite pair in a slot's list: the neighbour
+// slot, and the pair's id, which indexes its current distance.
+type entry struct{ nbr, id int32 }
 
 // average is the Lance–Williams average-linkage update, shared by both
 // clusterers so they round identically.

@@ -5,23 +5,34 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"plotters/internal/distmatrix"
 )
 
-// rowsOf is the neighbour-graph view of a dense matrix: row i lists the
-// j > i with a finite m[i][j], ascending.
-func rowsOf(m [][]float64) RowFunc {
+// bandOf is the band-layout graph of a dense matrix: the items in a
+// shuffled key order, each position's band the shortest that reaches
+// every later position it is not at +Inf from and never ends before the
+// band above it, and +Inf in the band's other slots — the shape
+// distmatrix.ComputeSparse fills, with gaps inside the band.
+func bandOf(m [][]float64) *distmatrix.Graph {
 	n := len(m)
-	nbr := make([][]int32, n)
-	dist := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !math.IsInf(m[i][j], 1) {
-				nbr[i] = append(nbr[i], int32(j))
-				dist[i] = append(dist[i], m[i][j])
+	g := &distmatrix.Graph{Order: make([]int32, n), Pos: make([]int32, n), End: make([]int32, n), Off: make([]int, n)}
+	for p, i := range rand.New(rand.NewSource(int64(n))).Perm(n) {
+		g.Order[p], g.Pos[i] = int32(i), int32(p)
+	}
+	for p, e := 0, 0; p < n; p++ {
+		e = max(e, p+1)
+		for q := e; q < n; q++ {
+			if !math.IsInf(m[g.Order[p]][g.Order[q]], 1) {
+				e = q + 1
 			}
 		}
+		g.End[p], g.Off[p] = int32(e), len(g.Val)
+		for q := p + 1; q < e; q++ {
+			g.Val = append(g.Val, m[g.Order[p]][g.Order[q]])
+		}
 	}
-	return func(i int) ([]int32, []float64) { return nbr[i], dist[i] }
+	return g
 }
 
 // checkSparseMatchesDense draws one random graph and requires
@@ -76,7 +87,7 @@ func requireSparseEqualsDense(t *testing.T, m [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AgglomerateSparse(n, rowsOf(m))
+	got, err := AgglomerateSparse(bandOf(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +132,7 @@ func TestAgglomerateSparseRoundedAverageBeatsCachedMinimum(t *testing.T) {
 		}
 	}
 	requireSparseEqualsDense(t, m)
-	d, err := AgglomerateSparse(n, rowsOf(m))
+	d, err := AgglomerateSparse(bandOf(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,16 +178,16 @@ func FuzzAgglomerateSparse(f *testing.F) {
 }
 
 func TestAgglomerateSparseErrors(t *testing.T) {
-	if _, err := AgglomerateSparse(0, nil); err != ErrNoItems {
+	if _, err := AgglomerateSparse(bandOf(nil)); err != ErrNoItems {
 		t.Errorf("n=0 err = %v, want ErrNoItems", err)
 	}
-	d, err := AgglomerateSparse(1, nil)
+	d, err := AgglomerateSparse(bandOf([][]float64{{0}}))
 	if err != nil || d.Leaves() != 1 || len(d.Merges()) != 0 {
 		t.Errorf("single item: %+v, %v", d, err)
 	}
 	for _, bad := range []float64{-1, math.NaN()} {
 		m := [][]float64{{0, bad}, {bad, 0}}
-		if _, err := AgglomerateSparse(2, rowsOf(m)); err == nil {
+		if _, err := AgglomerateSparse(bandOf(m)); err == nil {
 			t.Errorf("distance %v: expected error", bad)
 		}
 	}

@@ -219,7 +219,7 @@ const hmPruneMinHosts = 768
 // hmSparseMaxBelowCut is the share of pairs at or below the calibrated cut
 // (estimated on the calibration sample) from which even a wide θ_hm
 // stays dense: a graph holding a third of the pairs is not sparse. The
-// graph and the clusterer's lists cost 64 bytes a pair against the two
+// graph and the clusterer's lists cost 32 bytes a pair against the two
 // matrices' 16 a cell. On the 1,600-host test corpus (2 vCPU) sparse ÷
 // dense wall time was 0.33× with 7% of the pairs below the cut, 0.76×
 // with 23% and 1.72× with 53%; `detect-wide` sits at 8%.
@@ -275,7 +275,7 @@ func hmFromMatrix(hosts []flow.IP, dist *distmatrix.Matrix, skipped int, pct flo
 
 func hmFromGraph(hosts []flow.IP, g *distmatrix.Graph, skipped int, pct float64, cfg Config) (HMResult, error) {
 	return hmClusters(hosts, func() (*cluster.Dendrogram, error) {
-		return cluster.AgglomerateSparse(len(hosts), g.Row)
+		return cluster.AgglomerateSparse(g)
 	}, g.At, skipped, pct, cfg)
 }
 

@@ -4,11 +4,11 @@
 //
 // There are two outputs and one worker loop. Compute fills a dense n×n
 // Matrix: the small-population path, and the oracle every equivalence
-// test compares against. ComputeSparse emits only the pairs at or below a
-// cut, as a CSR neighbour Graph, and never allocates or visits n² of
-// anything: it is what θ_hm runs at campus width, where fewer than a
-// tenth of the pairs are below the clustering cut and the rest would be
-// the sentinel anyway.
+// test compares against. ComputeSparse builds the neighbour Graph of the
+// pairs at or below a cut, writing each pair of a key band once, in
+// place, and never allocates or visits n² of anything: it is what θ_hm
+// runs at campus width, where fewer than a tenth of the pairs are below
+// the clustering cut and the rest would be the sentinel anyway.
 //
 // Both hand blocks of consecutive rows, balanced by pair count, to a
 // worker pool bounded by runtime.NumCPU; a single worker runs the same
@@ -21,14 +21,14 @@
 //     each item sweeps only the items whose key lies within the cut of
 //     its own. Pairs outside that band are never touched.
 //  2. exact evaluation — band pairs get the real DistFunc call; values
-//     above the cut are dropped (the gate).
+//     above the cut are stored as Sentinel (the gate).
 //
 // The invariant the equivalence tests pin: the graph holds exactly the
 // finite cells of Compute(n, dist, Options{Cut}). Every stored value
-// comes from dist(i, j) alone and rows are sorted by neighbour, so the
-// result is bit-identical at every worker count by construction; the
-// layers decide how many exact evaluations are spent producing it, never
-// what it contains.
+// comes from dist(i, j) alone, in the slot its two sweep positions fix,
+// so the result is bit-identical at every worker count by construction;
+// the layers decide how many exact evaluations are spent producing it,
+// never what it contains.
 //
 // Neither fill has an error path or takes a context, on purpose: a
 // DistFunc compares two already-validated items (clustering rejects NaN
@@ -39,7 +39,6 @@ package distmatrix
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,28 +96,38 @@ func (m *Matrix) DistFunc() func(i, j int) float64 {
 	return m.At
 }
 
-// Graph is the neighbour graph of the pairs at or below a cut, in CSR
-// form: three flat arrays, no slice per item. Each pair is stored once,
-// in the row of its smaller item; row i lists item i's neighbours j > i
-// in ascending order with their exact distances. A Graph is read-only
-// once built.
+// Graph is the neighbour graph of the pairs at or below a cut, in band
+// layout: items sorted by their index key, each sweep position's band
+// partners in one contiguous run of a flat value array, and every pair
+// the band holds stored once, in the slot its positions fix. A Graph is
+// read-only once built; its fields are exported for the clusterer,
+// which builds its own lists from them.
 type Graph struct {
-	start []int     // row i is nbr/dist[start[i]:start[i+1]]
-	nbr   []int32   // neighbour indices, ascending within a row
-	dist  []float64 // parallel to nbr
+	// Order lists the items in ascending key order; Pos is its inverse.
+	Order, Pos []int32
+	// End[p] is one past the last band partner of sweep position p:
+	// p's partners are the positions p+1 … End[p]−1. It never decreases.
+	End []int32
+	// Off[p] is where position p's band starts in Val.
+	Off []int
+	// Val[Off[p]+q−p−1] is the distance of the pair at positions
+	// (p, q), or Sentinel where it is above the cut.
+	Val []float64
 }
 
 // N returns the number of items.
-func (g *Graph) N() int { return len(g.start) - 1 }
+func (g *Graph) N() int { return len(g.Pos) }
 
-// Pairs returns the number of pairs the graph holds.
-func (g *Graph) Pairs() int { return len(g.nbr) }
-
-// Row returns item i's neighbours above i, ascending, and their
-// distances. The slices alias the graph; callers must not modify them.
-func (g *Graph) Row(i int) ([]int32, []float64) {
-	lo, hi := g.start[i], g.start[i+1]
-	return g.nbr[lo:hi], g.dist[lo:hi]
+// Pairs returns the number of pairs the graph holds: the band pairs at
+// or below the cut.
+func (g *Graph) Pairs() int {
+	k := 0
+	for _, v := range g.Val {
+		if !IsSentinel(v) {
+			k++
+		}
+	}
+	return k
 }
 
 // At returns the distance between items i and j: the stored value for a
@@ -128,14 +137,14 @@ func (g *Graph) At(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	if j < i {
-		i, j = j, i
+	p, q := int(g.Pos[i]), int(g.Pos[j])
+	if q < p {
+		p, q = q, p
 	}
-	nbr, dist := g.Row(i)
-	if k, ok := slices.BinarySearch(nbr, int32(j)); ok {
-		return dist[k]
+	if q >= int(g.End[p]) {
+		return Sentinel
 	}
-	return Sentinel
+	return g.Val[g.Off[p]+q-p-1]
 }
 
 // Options tunes Compute and ComputeSparse. The zero value asks for full
@@ -215,59 +224,60 @@ func Compute(n int, dist DistFunc, opts Options) *Matrix {
 }
 
 // ComputeSparse builds the neighbour graph of the pairs with
-// dist(i, j) <= opts.Cut over len(key) items without visiting the rest
-// (see the package comment). key is the index layer's coordinate:
-// |key[i] − key[j]| <= dist(i, j) + slack must hold for every pair, slack
-// being the caller's absolute bound on the rounding between the two
-// computations.
+// dist(i, j) <= opts.Cut over len(key) items without visiting the pairs
+// outside the key band (see the package comment). key is the index
+// layer's coordinate: |key[i] − key[j]| <= dist(i, j) + slack must hold
+// for every pair, slack being the caller's absolute bound on the
+// rounding between the two computations.
 func ComputeSparse(key []float64, slack float64, dist DistFunc, opts Options) *Graph {
 	n := len(key)
-	if n < 2 {
-		return &Graph{start: make([]int, n+1)}
-	}
 	// Sweep order: ascending key. Ties need no rule — the band is a set,
-	// and the graph's rows are sorted by item index whatever order the
-	// sweep found them in.
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	// and a pair's value depends only on its two items.
+	g := &Graph{Order: make([]int32, n), Pos: make([]int32, n), End: make([]int32, n), Off: make([]int, n)}
+	for i := range g.Order {
+		g.Order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return key[order[a]] < key[order[b]] })
-	// end[p] is one past the last sweep position whose key is within the
+	sort.Slice(g.Order, func(a, b int) bool { return key[g.Order[a]] < key[g.Order[b]] })
+	// End[p] is one past the last sweep position whose key is within the
 	// widened cut of position p's; keys ascend, so it never moves back.
 	width := opts.Cut*(1+boundSlack) + slack
-	end := make([]int32, n)
 	band := 0
 	for p, e := 0, 0; p < n; p++ {
+		g.Pos[g.Order[p]] = int32(p)
 		e = max(e, p+1)
-		for e < n && key[order[e]]-key[order[p]] <= width {
+		for e < n && key[g.Order[e]]-key[g.Order[p]] <= width {
 			e++
 		}
-		end[p] = int32(e)
+		g.End[p], g.Off[p] = int32(e), band
 		band += e - p - 1
 	}
+	g.Val = make([]float64, band)
 
-	f := &fill{n: n, reg: opts.Metrics, gated: true, end: end}
+	// Each position writes only its own band slots, so the graph is the
+	// same at every worker count.
+	f := &fill{n: n, reg: opts.Metrics, gated: true, end: g.End}
 	f.row = func(p int, st *tally) {
-		i := int(order[p])
-		for _, o := range order[p+1 : end[p]] {
+		i := int(g.Order[p])
+		val := g.Val[g.Off[p]:]
+		for k, o := range g.Order[p+1 : g.End[p]] {
 			lo, hi := i, int(o)
 			if hi < lo {
 				lo, hi = hi, lo
 			}
-			st.exact++
 			if v := dist(lo, hi); v <= opts.Cut {
-				st.add(edge{int32(lo), int32(hi), v})
+				val[k] = v
 			} else {
+				val[k] = Sentinel
 				st.gated++
 			}
 		}
+		st.exact += int64(g.End[p]) - int64(p) - 1
 	}
 	total := int64(n) * int64(n-1) / 2
 	f.reg.Counter("distmatrix/pairs_total").Add(total)
 	f.reg.Counter("distmatrix/pairs_pruned_index").Add(total - int64(band))
 	f.run(opts.Workers(n), band)
-	return f.graph()
+	return g
 }
 
 // fill holds the shared state of one fill.
@@ -286,37 +296,12 @@ type fill struct {
 	blockPairs int
 	// gated marks a fill with a cut, which reports pairs_gated.
 	gated bool
-	// found collects each worker's below-cut pairs on the sparse fill.
-	mu    sync.Mutex
-	found [][]edge
 }
 
-// edge is one below-cut pair (a < b) and its exact distance.
-type edge struct {
-	a, b int32
-	d    float64
-}
-
-// edgeChunk is the capacity of one block of a worker's found list. Fixed
-// blocks rather than one growing slice: append's growth would copy — and
-// allocate — several times the final size.
-const edgeChunk = 1 << 15
-
-// tally is one worker's local counts and found pairs, flushed once at
-// worker exit so the per-pair loops carry no metrics calls and no locks.
+// tally is one worker's local counts, flushed once at worker exit so the
+// per-pair loops carry no metrics calls and no locks.
 type tally struct {
 	exact, gated int64
-
-	found [][]edge
-}
-
-func (st *tally) add(e edge) {
-	k := len(st.found) - 1
-	if k < 0 || len(st.found[k]) == cap(st.found[k]) {
-		st.found = append(st.found, make([]edge, 0, edgeChunk))
-		k++
-	}
-	st.found[k] = append(st.found[k], e)
 }
 
 // run executes the fill over pairs pairs on a pool of the given size.
@@ -376,14 +361,9 @@ func (f *fill) work() {
 	}
 }
 
-// flush publishes one worker's tallies — one batch of counter adds plus a
-// busy-time observation — and hands over the pairs it found.
+// flush publishes one worker's tallies: one batch of counter adds plus a
+// busy-time observation.
 func (f *fill) flush(st *tally, start time.Time) {
-	if st.found != nil {
-		f.mu.Lock()
-		f.found = append(f.found, st.found...)
-		f.mu.Unlock()
-	}
 	if f.reg == nil {
 		return
 	}
@@ -392,46 +372,4 @@ func (f *fill) flush(st *tally, start time.Time) {
 	if f.gated {
 		f.reg.Counter("distmatrix/pairs_gated").Add(st.gated)
 	}
-}
-
-// graph assembles the workers' found pairs into the CSR graph. The pairs
-// arrive in whatever order the pool produced them; two counting passes
-// make the result canonical without a comparison sort. The first buckets
-// every pair under its larger item; the second walks those buckets in
-// ascending order and appends each pair to the row of its smaller item,
-// which therefore fills in ascending neighbour order.
-func (f *fill) graph() *Graph {
-	n := f.n
-	byHi, start := make([]int, n+1), make([]int, n+1)
-	for _, chunk := range f.found {
-		for _, e := range chunk {
-			byHi[e.b+1]++
-			start[e.a+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		byHi[i+1] += byHi[i]
-		start[i+1] += start[i]
-	}
-	pairs := start[n]
-	next := make([]int, n)
-	copy(next, byHi)
-	lo, d := make([]int32, pairs), make([]float64, pairs)
-	for _, chunk := range f.found {
-		for _, e := range chunk {
-			lo[next[e.b]], d[next[e.b]] = e.a, e.d
-			next[e.b]++
-		}
-	}
-	f.found = nil
-	g := &Graph{start: start, nbr: make([]int32, pairs), dist: make([]float64, pairs)}
-	copy(next, start)
-	for j := 0; j < n; j++ {
-		for k := byHi[j]; k < byHi[j+1]; k++ {
-			i := lo[k]
-			g.nbr[next[i]], g.dist[next[i]] = int32(j), d[k]
-			next[i]++
-		}
-	}
-	return g
 }

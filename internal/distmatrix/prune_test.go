@@ -67,34 +67,40 @@ func matricesEqual(a, b *Matrix) (int, int, bool) {
 }
 
 // graphMatchesGated reports the first way g fails to be exactly the
-// finite cells of the gated matrix want: the same pairs (no more, no
-// fewer), each once in its smaller item's row, ascending, with the same
-// value, and At agreeing with the matrix in every cell.
+// finite cells of the gated matrix want: a well-formed band layout, At
+// agreeing with the matrix in every cell — both orders and the diagonal
+// — and Pairs counting the finite cells, no more and no fewer.
 func graphMatchesGated(g *Graph, want *Matrix) error {
 	n := want.N()
-	if g.N() != n {
+	if g.N() != n || len(g.Order) != n || len(g.End) != n || len(g.Off) != n {
 		return fmt.Errorf("graph has %d items, want %d", g.N(), n)
+	}
+	band := 0
+	for p, i := range g.Order {
+		if g.Pos[i] != int32(p) {
+			return fmt.Errorf("Pos[%d] = %d, want %d", i, g.Pos[i], p)
+		}
+		if e := int(g.End[p]); e <= p && p < n-1 || e > n || p > 0 && g.End[p] < g.End[p-1] {
+			return fmt.Errorf("End[%d] = %d: not a band (End = %v)", p, e, g.End)
+		}
+		if g.Off[p] != band {
+			return fmt.Errorf("Off[%d] = %d, want %d", p, g.Off[p], band)
+		}
+		band += max(int(g.End[p])-p-1, 0)
+	}
+	if len(g.Val) != band {
+		return fmt.Errorf("len(Val) = %d, want the band's %d", len(g.Val), band)
 	}
 	finite := 0
 	for i := 0; i < n; i++ {
-		nbr, dist := g.Row(i)
-		k := 0
 		for j := 0; j < n; j++ {
 			w := want.At(i, j)
 			if got := g.At(i, j); got != w {
 				return fmt.Errorf("At(%d,%d) = %v, want %v", i, j, got, w)
 			}
-			if j <= i || IsSentinel(w) {
-				continue
+			if j > i && !IsSentinel(w) {
+				finite++
 			}
-			finite++
-			if k >= len(nbr) || int(nbr[k]) != j || dist[k] != w {
-				return fmt.Errorf("row %d entry %d: got %v, want neighbour %d at %v", i, k, nbr[min(k, len(nbr)):], j, w)
-			}
-			k++
-		}
-		if k != len(nbr) {
-			return fmt.Errorf("row %d holds %d entries past the %d finite cells: %v", i, len(nbr)-k, k, nbr[k:])
 		}
 	}
 	if g.Pairs() != finite {
@@ -131,7 +137,7 @@ func TestKernelMatchesNaiveLoop(t *testing.T) {
 		l := randLineMetric(rng, n)
 		const cut = 12.5
 		gated := naiveMatrix(n, l.dist, cut)
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range []int{1, 2, 3, 4, 8} {
 			for _, c := range []float64{0, cut} {
 				got := Compute(n, l.dist, Options{Parallelism: workers, Cut: c})
 				if i, j, ok := matricesEqual(got, naiveMatrix(n, l.dist, c)); !ok {
@@ -274,6 +280,47 @@ func TestPrunedAdversarialKey(t *testing.T) {
 		} {
 			if err := graphMatchesGated(g, want); err != nil {
 				t.Errorf("%s key, parallelism %d: %v", name, par, err)
+			}
+		}
+	}
+}
+
+// TestSparseBandEdgeAndGate pins the two decisions the fill makes on
+// its own: a pair whose key gap equals the widened cut exactly is inside
+// the band (evaluated, here found above the cut), one just past it is
+// not; and a loose key's band pairs above the cut are evaluated, then
+// stored as Sentinel. Both graphs match the gated matrix at every worker
+// count, and the counters say which pairs each layer decided.
+func TestSparseBandEdgeAndGate(t *testing.T) {
+	const cut = 1.0
+	w := cut * (1 + boundSlack)
+	edge := &lineMetric{x: []float64{0, w, 2 * w, -math.Nextafter(w, 2)}}
+	if edge.x[2]-edge.x[1] != w || edge.x[0]-edge.x[3] <= w {
+		t.Fatal("edge fixture lost its exact gaps")
+	}
+	gate := &lineMetric{x: []float64{0, 0.5, 1, 1.5, 2, 2.5, 9}}
+	for _, c := range []struct {
+		name        string
+		l           *lineMetric
+		key         []float64
+		band, gated int64
+	}{
+		// Pairs (0,1), (1,2): gap w each, so in the band and gated;
+		// (3,0) is one ulp wider and never evaluated.
+		{"band edge", edge, edge.x, 2, 2},
+		// Half the coordinate: the band reaches 2·cut, and the pairs
+		// 1.5 or 2 apart (3 + 2 of them) are evaluated and gated.
+		{"gate inside band", gate, gate.looseKey(), 14, 5},
+	} {
+		want := naiveMatrix(len(c.l.x), c.l.dist, cut)
+		for _, workers := range []int{1, 2, 3} {
+			reg := metrics.New()
+			g := ComputeSparse(c.key, 0, c.l.dist, Options{Parallelism: workers, Cut: cut, Metrics: reg})
+			if err := graphMatchesGated(g, want); err != nil {
+				t.Errorf("%s, workers=%d: %v", c.name, workers, err)
+			}
+			if st := readCounters(reg); st.exact != c.band || st.gated != c.gated {
+				t.Errorf("%s, workers=%d: %d evaluated, %d gated; want %d and %d", c.name, workers, st.exact, st.gated, c.band, c.gated)
 			}
 		}
 	}

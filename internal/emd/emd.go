@@ -103,40 +103,39 @@ func newSignature(pos, w []float64) (signature, error) {
 
 // distance1D integrates |CDF1(t) − CDF2(t)| dt across the merged support.
 // For unit-mass 1-D distributions this equals the optimal transport cost.
+// newSignature coalesces duplicate positions, so each side advances at
+// most once per tick; the first term is |0 − 0|·tick, which adds +0.
 func distance1D(a, b signature) float64 {
-	var (
-		total    float64
-		cdfA     float64
-		cdfB     float64
-		i, j     int
-		prevTick float64
-		started  bool
-	)
-	for i < len(a.pos) || j < len(b.pos) {
-		var tick float64
-		switch {
-		case i >= len(a.pos):
-			tick = b.pos[j]
-		case j >= len(b.pos):
-			tick = a.pos[i]
-		case a.pos[i] <= b.pos[j]:
-			tick = a.pos[i]
-		default:
-			tick = b.pos[j]
+	var total, cdfA, cdfB, prev float64
+	i, j := 0, 0
+	for i < len(a.pos) && j < len(b.pos) {
+		x, y := a.pos[i], b.pos[j]
+		tick := y
+		if x <= y {
+			tick = x
 		}
-		if started {
-			total += math.Abs(cdfA-cdfB) * (tick - prevTick)
-		}
-		for i < len(a.pos) && a.pos[i] == tick {
+		total += math.Abs(cdfA-cdfB) * (tick - prev)
+		if x == tick {
 			cdfA += a.w[i]
 			i++
 		}
-		for j < len(b.pos) && b.pos[j] == tick {
+		if y == tick {
 			cdfB += b.w[j]
 			j++
 		}
-		prevTick = tick
-		started = true
+		prev = tick
+	}
+	// One side is exhausted: the other's remaining positions are the
+	// ticks.
+	for ; i < len(a.pos); i++ {
+		total += math.Abs(cdfA-cdfB) * (a.pos[i] - prev)
+		cdfA += a.w[i]
+		prev = a.pos[i]
+	}
+	for ; j < len(b.pos); j++ {
+		total += math.Abs(cdfA-cdfB) * (b.pos[j] - prev)
+		cdfB += b.w[j]
+		prev = b.pos[j]
 	}
 	return total
 }
