@@ -127,8 +127,41 @@ func TestMergePanesContacts(t *testing.T) {
 	}
 	w := Window{From: records[0].Start, To: records[len(records)-1].Start.Add(1)}
 	single := se2.TakePane(w)
-	empty := &Pane{builders: map[IP]*featureBuilder{}, window: Window{From: w.To, To: w.To.Add(time.Hour)}}
+	empty := &Pane{window: Window{From: w.To, To: w.To.Add(time.Hour)}}
 	if got := MergePanes(0, single, empty).Contacts(); !reflect.DeepEqual(got, want) {
 		t.Errorf("single-pane merge contacts differ from batch")
+	}
+}
+
+// A sealed pane's contact sets share one array, and so do the
+// features' Interstitials: appending to one host's slice leaves every
+// other host's unchanged.
+func TestPaneSlicesDoNotOverlap(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	records := strictlyOrderedRecords(rng, 600)
+	se := NewShardedExtractorSkew(FeatureOptions{}, 2, 0)
+	for i := range records {
+		if err := se.Add(&records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := sealAll(se)
+	if fs.Hosts() < 2 {
+		t.Fatalf("weak run: %d hosts", fs.Hosts())
+	}
+	wantContacts := referenceContacts(records, nil)
+	wantFeats := ExtractFeatures(records, FeatureOptions{})
+	for host := range fs.Features() {
+		_ = append(fs.Contacts()[host], 0xFFFFFFFF)
+		f := fs.Features()[host]
+		_ = append(f.Interstitials, -1)
+		for ip, c := range fs.Contacts() {
+			if !reflect.DeepEqual(c, wantContacts[ip]) {
+				t.Fatalf("appending to %v's contacts changed %v's", host, ip)
+			}
+			if !reflect.DeepEqual(fs.Features()[ip], wantFeats[ip]) {
+				t.Fatalf("appending to %v's gaps changed %v's features", host, ip)
+			}
+		}
 	}
 }

@@ -118,19 +118,28 @@ func TestDestTableMatchesMap(t *testing.T) {
 
 			host := IP(7)
 			b := &featureBuilder{
-				feats: &HostFeatures{Host: host, Flows: 1, FirstSeen: time.Unix(0, first).UTC()},
+				feats: &HostFeatures{Host: host, Flows: 1, Peers: tbl.n, FirstSeen: time.Unix(0, first).UTC()},
 				dests: tbl,
 			}
 			se := newShardExtractor(FeatureOptions{}, 0)
-			se.builders[host] = b
+			se.pending.queues[se.pending.queue(host)].b, se.hosts = b, 1
 			restored := newShardExtractor(FeatureOptions{}, 0)
 			if err := restored.RestoreState(se.State()); err != nil {
 				t.Fatal(err)
 			}
-			checkDestTable(t, "through State/RestoreState", &restored.builders[host].dests, want)
-			pane := NewPaneFromState((&Pane{builders: map[IP]*featureBuilder{host: b}}).State())
-			checkDestTable(t, "through a pane's state", &pane.builders[host].dests, want)
-			if !reflect.DeepEqual(pane.FeatureSet().Contacts(), map[IP][]IP{host: b.sortedDests()}) {
+			checkDestTable(t, "through State/RestoreState", &restored.pending.queues[restored.pending.index[host]].b.dests, want)
+			pane := NewPaneFromState((&Pane{shards: []paneShard{se.take()}}).State())
+			pane.each(func(f *HostFeatures, dsts []IP, spans []span) {
+				if !slices.Equal(dsts, SortedHosts(want)) {
+					t.Fatalf("through a pane's state: host %v's run is not the table in address order", f.Host)
+				}
+				for j, dst := range dsts {
+					if w := want[dst]; spans[j] != (span{w.first, w.last}) {
+						t.Fatalf("through a pane's state: %v has %+v, map has %+v", dst, spans[j], w)
+					}
+				}
+			})
+			if !reflect.DeepEqual(pane.FeatureSet().Contacts(), map[IP][]IP{host: SortedHosts(want)}) {
 				t.Fatal("the restored pane's contacts differ")
 			}
 		})

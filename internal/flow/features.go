@@ -84,9 +84,9 @@ func (h *HostFeatures) NewPeerFraction() float64 {
 // featureBuilder accumulates one host's state during extraction: the
 // features plus one table entry per contacted destination. firstSeen is
 // feats.FirstSeen as Unix nanoseconds, what observe compares against.
-// gapCap is the capacity observe gives Interstitials at the host's
-// first gap (0: let append size it); the store sets it from the host's
-// last pane.
+// gapCap is the capacity observe gives a nil Interstitials at the
+// host's first gap (0: let append size it). The store keeps a host's
+// builder from pane to pane (take), and sets gapCap from the last one.
 type featureBuilder struct {
 	feats     *HostFeatures
 	dests     destTable

@@ -1,33 +1,103 @@
 package flow
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
-// Pane is one sealed accumulation interval's raw per-host state: the
-// feature builders ShardedExtractor.TakePane detached at a pane
-// boundary. A tumbling detection window is a single pane; a sliding
-// window is the merge of its last Window/Slide panes. Panes keep the
-// per-destination first-contact/last-start tables alive so MergePanes
-// can stitch adjacent panes back together exactly (peer de-duplication
-// and cross-pane interstitial gaps included).
+// Pane is one sealed accumulation interval's raw per-host state. A
+// tumbling detection window is a single pane; a sliding window is the
+// merge of its last Window/Slide panes. Panes keep every host's
+// per-destination first contacts and latest starts so MergePanes can
+// stitch adjacent panes back together exactly (peer de-duplication and
+// cross-pane interstitial gaps included). It shares nothing with the
+// store, whose builders go on to the next pane.
 type Pane struct {
-	builders map[IP]*featureBuilder
-	window   Window
+	shards []paneShard
+	window Window
+}
+
+// paneShard is one store shard's hosts in a pane, in exact-size arrays:
+// their features, and one address-sorted run per host of its
+// destinations with their spans, host i's run the feats[i].Peers entries
+// after host i−1's. The hosts' Interstitials share one array (nil for a
+// host with no gap, as batch extraction has it).
+type paneShard struct {
+	feats []HostFeatures
+	dsts  []IP
+	spans []span
+}
+
+// span is a destination's first contact and latest start, Unix ns.
+type span struct{ first, last int64 }
+
+// sealBuilders copies builders into a paneShard.
+func sealBuilders(bs []*featureBuilder) paneShard {
+	dests, gaps := 0, 0
+	for _, b := range bs {
+		dests, gaps = dests+b.dests.n, gaps+len(b.feats.Interstitials)
+	}
+	s := paneShard{make([]HostFeatures, 0, len(bs)), make([]IP, 0, dests), make([]span, 0, dests)}
+	g := make([]float64, 0, gaps)
+	for _, b := range bs {
+		s.feats = append(s.feats, *b.feats)
+		s.feats[len(s.feats)-1].Interstitials = nil
+		if at := len(g); len(b.feats.Interstitials) > 0 {
+			g = append(g, b.feats.Interstitials...)
+			s.feats[len(s.feats)-1].Interstitials = g[at:len(g):len(g)]
+		}
+		at := len(s.dsts)
+		for i := range b.dests.slots {
+			if d := &b.dests.slots[i]; d.used {
+				s.dsts = append(s.dsts, d.dst)
+			}
+		}
+		slices.Sort(s.dsts[at:])
+		for _, dst := range s.dsts[at:] {
+			d, _ := b.dests.upsert(dst) // present: a lookup
+			s.spans = append(s.spans, span{d.first, d.last})
+		}
+	}
+	return s
 }
 
 // Window returns the interval the pane covers.
 func (p *Pane) Window() Window { return p.window }
 
 // Hosts returns the number of hosts the pane accumulated.
-func (p *Pane) Hosts() int { return len(p.builders) }
+func (p *Pane) Hosts() (n int) {
+	for _, s := range p.shards {
+		n += len(s.feats)
+	}
+	return n
+}
+
+// each calls fn for every host of the pane with its destination run,
+// which has no room to grow: appending to it never reaches a neighbour.
+func (p *Pane) each(fn func(f *HostFeatures, dsts []IP, spans []span)) {
+	for _, s := range p.shards {
+		at := 0
+		for i := range s.feats {
+			end := at + s.feats[i].Peers
+			fn(&s.feats[i], s.dsts[at:end:end], s.spans[at:end:end])
+			at = end
+		}
+	}
+}
 
 // FeatureSet is the tumbling fast path: a single pane's features,
 // contact sets included, are already exactly what batch extraction over
-// the pane's records would produce. The features alias the pane's state
-// — a pane that later windows will merge goes through MergePanes
-// instead.
+// the pane's records would produce. The features and contacts alias the
+// pane's arrays — a pane that later windows will merge goes through
+// MergePanes instead.
 func (p *Pane) FeatureSet() *FeatureSet {
-	return NewFeatureSet(featuresOfBuilders(p.builders), p.window).
-		WithContacts(contactsOfBuilders(p.builders))
+	n := p.Hosts()
+	feats := make(map[IP]*HostFeatures, n)
+	contacts := make(map[IP][]IP, n)
+	p.each(func(f *HostFeatures, dsts []IP, _ []span) {
+		feats[f.Host], contacts[f.Host] = f, dsts
+	})
+	return NewFeatureSet(feats, p.window).WithContacts(contacts)
 }
 
 // MergePanes recomputes the features a batch extraction over the panes'
@@ -65,7 +135,7 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 				window.To = p.window.To
 			}
 		}
-		if len(p.builders) > 0 {
+		if p.Hosts() > 0 {
 			nonEmpty = append(nonEmpty, p)
 		}
 	}
@@ -80,38 +150,34 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 	// earliest first contact and the latest start across the panes so far.
 	merged := make(map[IP]*featureBuilder)
 	for _, p := range nonEmpty {
-		for ip, b := range p.builders {
-			m, ok := merged[ip]
+		p.each(func(pf *HostFeatures, dsts []IP, spans []span) {
+			m, ok := merged[pf.Host]
 			if !ok {
-				m = &featureBuilder{feats: &HostFeatures{Host: ip, FirstSeen: b.feats.FirstSeen}}
-				m.dests.reserve(b.dests.n)
-				merged[ip] = m
+				m = &featureBuilder{feats: &HostFeatures{Host: pf.Host, FirstSeen: pf.FirstSeen}}
+				m.dests.reserve(len(dsts))
+				merged[pf.Host] = m
 			}
 			f := m.feats
-			f.Flows += b.feats.Flows
-			f.FailedFlows += b.feats.FailedFlows
-			f.BytesUploaded += b.feats.BytesUploaded
-			if b.feats.FirstSeen.Before(f.FirstSeen) {
-				f.FirstSeen = b.feats.FirstSeen
+			f.Flows += pf.Flows
+			f.FailedFlows += pf.FailedFlows
+			f.BytesUploaded += pf.BytesUploaded
+			if pf.FirstSeen.Before(f.FirstSeen) {
+				f.FirstSeen = pf.FirstSeen
 			}
 			// Pane-internal gaps survive as-is; the boundary gap between
 			// the earlier panes' last start to a destination and this
 			// pane's first contact with it is reconstructed here.
-			f.Interstitials = append(f.Interstitials, b.feats.Interstitials...)
-			for _, d := range b.dests.slots {
-				if !d.used {
-					continue
-				}
-				cur, fresh := m.dests.upsert(d.dst)
+			f.Interstitials = append(f.Interstitials, pf.Interstitials...)
+			for j, dst := range dsts {
+				cur, fresh := m.dests.upsert(dst)
 				if fresh {
-					cur.first, cur.last = d.first, d.last
+					cur.first, cur.last = spans[j].first, spans[j].last
 					continue
 				}
-				f.Interstitials = append(f.Interstitials, time.Duration(d.first-cur.last).Seconds())
-				cur.first = min(d.first, cur.first)
-				cur.last = max(d.last, cur.last)
+				f.Interstitials = append(f.Interstitials, time.Duration(spans[j].first-cur.last).Seconds())
+				cur.first, cur.last = min(spans[j].first, cur.first), max(spans[j].last, cur.last)
 			}
-		}
+		})
 	}
 
 	out := make(map[IP]*HostFeatures, len(merged))

@@ -20,8 +20,8 @@ package flow
 // within its own host.
 //
 // A host's queue outlives the pane: it is made on the host's first
-// record and never removed, and it remembers the size of the host's
-// last sealed pane, so the host's next builder starts at that size.
+// record and never removed. It holds the host's builder while the host
+// has records in every pane, and the size of the host's last pane.
 // The active list names the queues that may hold entries, so a sweep
 // visits the hosts with something pending, not every host the shard has
 // seen.
@@ -42,19 +42,18 @@ type pendingEntry struct {
 	prev, next int32 // neighbours on the host's list; next also chains the free list
 }
 
-// hostQueue is one monitored host's list, oldest first, and what the
-// host's next builder needs to know.
+// hostQueue is one monitored host's list, oldest first, its builder,
+// and what the builder's next pane needs to know.
 type hostQueue struct {
 	head, tail int32 // oldest and newest entry, noEntry when empty
 	host       IP
 	listed     bool // on the active list
-	// b is the host's builder in the open pane, nil until the pane's
-	// first fold for the host or a restore: a fold looks the builder up
-	// once a pane, not once a record, and take finds every builder here.
+	// b is the host's builder, holding records of the open pane when its
+	// Flows is non-zero: take resets it, or drops it if it holds none.
 	b *featureBuilder
 	// dests and gaps are the host's destination and interstitial counts
-	// in its last sealed pane (zero before one): the capacity its next
-	// builder's table and gap slice start at.
+	// in its last sealed pane (zero before one): the capacity a table or
+	// gap slice the builder lacks starts at.
 	dests, gaps uint32
 }
 

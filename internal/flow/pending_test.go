@@ -107,7 +107,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 					rest = append(rest, r)
 				}
 			}
-			got := featuresOfBuilders(se.take())
+			got := paneOf(se.take()).Features()
 			if want := ExtractFeatures(in, FeatureOptions{}); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: pane sealed at %v differs from the batch over its %d records", seed, at, len(in))
 			}
@@ -149,7 +149,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 		}
 		se.Drain()
 		checkLists(t, &se.pending, true)
-		if want := ExtractFeatures(pane, FeatureOptions{}); !reflect.DeepEqual(featuresOfBuilders(se.builders), want) {
+		if want := ExtractFeatures(pane, FeatureOptions{}); !reflect.DeepEqual(paneOf(se.sealed()).Features(), want) {
 			t.Fatalf("seed %d: drained features differ from the batch over the last pane's %d records", seed, len(pane))
 		}
 	}
@@ -487,17 +487,17 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	// past it. It is the cut itself unless a restore changed MaxSkew.
 	var mark time.Time
 	raiseMark := func() { mark = maxTime(mark, se.frontier.Add(-maxSkew)) }
-	sameBuilders := func(step int, what string, got, want map[IP]*featureBuilder) {
+	sameBuilders := func(step int, what string, got *FeatureSet, want map[IP]*featureBuilder) {
 		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("step %d (%s): %d hosts, the heap has %d", step, what, len(got), len(want))
+		if len(got.Features()) != len(want) {
+			t.Fatalf("step %d (%s): %d hosts, the heap has %d", step, what, len(got.Features()), len(want))
 		}
-		for ip, b := range got {
-			if w, ok := want[ip]; !ok || !reflect.DeepEqual(b.feats, w.feats) {
+		for ip, f := range got.Features() {
+			if w, ok := want[ip]; !ok || !reflect.DeepEqual(f, w.feats) {
 				t.Fatalf("step %d (%s): host %v's features differ from the heap's", step, what, ip)
 			}
 		}
-		if !reflect.DeepEqual(contactsOfBuilders(got), contactsOfBuilders(want)) {
+		if !reflect.DeepEqual(got.Contacts(), contactsOfBuilders(want)) {
 			t.Fatalf("step %d (%s): contact sets differ from the heap's", step, what)
 		}
 	}
@@ -557,9 +557,9 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 			at := maxTime(clock.Add(signed*unit(256)), mark.Add(1))
 			se.ReleaseBefore(at)
 			ref.releaseBefore(at)
-			got, want := se.take(), ref.take()
+			got, want := paneOf(se.take()), ref.take()
 			sameBuilders(step, "seal", got, want)
-			cov.sealed += len(got)
+			cov.sealed += got.Hosts()
 			checkLists(t, &se.pending, true)
 		case opRestore:
 			st := se.State()
@@ -595,7 +595,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	}
 	se.Drain()
 	ref.release(ref.frontier.UnixNano() + 1)
-	sameBuilders(len(ops)/2, "Drain", se.builders, ref.builders)
+	sameBuilders(len(ops)/2, "Drain", paneOf(se.sealed()), ref.builders)
 	if se.pending.n != 0 {
 		t.Fatalf("%d entries left after Drain", se.pending.n)
 	}

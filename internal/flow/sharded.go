@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"maps"
 	"runtime"
 	"sync"
 	"time"
@@ -87,8 +86,8 @@ func (se *ShardedExtractor) Shards() int { return len(se.shards) }
 // "stream/skew_drops" counter (atomic, so shards add into it
 // concurrently), the "stream/pending_highwater" gauge (the most entries
 // one shard held pending for its monitored hosts), and the
-// "sharded/hosts_highwater" gauge tracking the deepest any single
-// shard's host table got — the load-balance signal. Behind a
+// "sharded/hosts_highwater" gauge tracking the most hosts one shard
+// folded into one pane — the load-balance signal. Behind a
 // WindowedDetector, stream/skew_drops counts only what the store itself
 // refused — records within MaxSkew of the frontier but below the open
 // pane's start; the engine's "engine/drops" is every late record. A nil
@@ -126,28 +125,26 @@ func (se *ShardedExtractor) ReleaseBefore(t time.Time) {
 	se.each(func(_ int, ex *shardExtractor) { ex.ReleaseBefore(t) })
 }
 
-// TakePane seals every shard for window w, joining their builders into
-// one pane (hosts never straddle shards, so the join is a disjoint map
-// union), and resets the store for the next pane. Pending entries stay;
-// call ReleaseBefore(w.To) first.
+// TakePane seals every shard for window w, copying each one's hosts
+// into the pane (hosts never straddle shards, so a pane is the shards'
+// parts side by side), and resets the store for the next pane. Pending
+// entries stay; call ReleaseBefore(w.To) first.
 func (se *ShardedExtractor) TakePane(w Window) *Pane {
-	taken := make([]map[IP]*featureBuilder, len(se.shards))
-	hosts := 0
-	se.each(func(i int, ex *shardExtractor) {
-		taken[i] = ex.take()
-		hosts += len(taken[i])
+	p := &Pane{shards: make([]paneShard, 0, len(se.shards)), window: w}
+	se.each(func(_ int, ex *shardExtractor) {
+		if s := ex.take(); len(s.feats) > 0 {
+			p.shards = append(p.shards, s)
+		}
 	})
-	builders := make(map[IP]*featureBuilder, hosts)
-	for _, m := range taken {
-		maps.Copy(builders, m)
-	}
-	return &Pane{builders: builders, window: w}
+	return p
 }
 
-// Hosts returns the total distinct-initiator count across shards.
+// Hosts returns how many monitored hosts have records folded into the
+// open pane, across shards. Records still pending, records of
+// unmonitored initiators and earlier panes do not count.
 func (se *ShardedExtractor) Hosts() int {
 	n := 0
-	se.each(func(_ int, ex *shardExtractor) { n += len(ex.builders) })
+	se.each(func(_ int, ex *shardExtractor) { n += ex.hosts })
 	return n
 }
 

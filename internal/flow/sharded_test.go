@@ -18,6 +18,11 @@ func sealAll(se *ShardedExtractor) *FeatureSet {
 	return se.TakePane(Window{}).FeatureSet()
 }
 
+// paneOf is one shard's part of a pane as a window.
+func paneOf(s paneShard) *FeatureSet {
+	return (&Pane{shards: []paneShard{s}}).FeatureSet()
+}
+
 // batchDiff describes how a sealed window differs from batch extraction
 // over records: host by host, then the contact sets ("" when it does
 // not).
@@ -113,7 +118,7 @@ func TestShardedConcurrentAddMatchesBatch(t *testing.T) {
 
 // sortedGaps returns a host's interstitial samples in ascending order —
 // MergePanes guarantees the multiset, not the ordering (pane-major, and
-// boundary gaps in map order), and every downstream consumer is
+// boundary gaps in destination order), and every downstream consumer is
 // order-insensitive.
 func sortedGaps(f *HostFeatures) []float64 {
 	out := append([]float64(nil), f.Interstitials...)
@@ -199,7 +204,7 @@ func TestMergePanesSinglePopulatedExact(t *testing.T) {
 	}
 	w := Window{From: records[0].Start, To: records[len(records)-1].Start.Add(1)}
 	pane := se.TakePane(w)
-	empty := &Pane{builders: map[IP]*featureBuilder{}, window: Window{From: w.To, To: w.To.Add(time.Hour)}}
+	empty := &Pane{window: Window{From: w.To, To: w.To.Add(time.Hour)}}
 
 	merged := MergePanes(0, pane, empty)
 	batch := ExtractFeatures(records, FeatureOptions{})

@@ -13,7 +13,8 @@ type FeatureSource interface {
 	Features() map[IP]*HostFeatures
 	// Contacts returns each host's contacted destinations in ascending
 	// address order (the flow-graph detectors' input). Nil means the
-	// source did not track contacts.
+	// source did not track contacts. Callers must not mutate it: a
+	// sealed pane's contact sets share one array.
 	Contacts() map[IP][]IP
 	// Sketches returns the per-host θ_hm signatures; a host with too few
 	// samples to cluster has no entry. Nil means the source carries raw

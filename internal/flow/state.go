@@ -73,45 +73,33 @@ type PaneState struct {
 	Hosts  []HostState
 }
 
-// stateOfBuilders snapshots a builder map as address-sorted HostStates,
-// deep-copying every slice and table so the snapshot stays valid while
-// the live extractor keeps accumulating.
-func stateOfBuilders(builders map[IP]*featureBuilder) []HostState {
-	if len(builders) == 0 {
-		return nil
-	}
-	out := make([]HostState, 0, len(builders))
-	for _, ip := range SortedHosts(builders) {
-		b := builders[ip]
-		hs := HostState{Feats: *b.feats}
-		hs.Feats.Interstitials = append([]float64(nil), b.feats.Interstitials...)
-		for _, d := range b.dests.slots {
-			if d.used {
-				hs.Dests = append(hs.Dests, DestTimes{Dst: d.dst, First: time.Unix(0, d.first).UTC(), Last: time.Unix(0, d.last).UTC()})
-			}
+// statesOf snapshots a pane's hosts as address-sorted HostStates,
+// deep-copying every slice.
+func statesOf(p *Pane) []HostState {
+	out := slices.Grow([]HostState(nil), p.Hosts())
+	p.each(func(f *HostFeatures, dsts []IP, spans []span) {
+		hs := HostState{Feats: *f, Dests: make([]DestTimes, len(dsts))}
+		hs.Feats.Interstitials = append([]float64(nil), f.Interstitials...)
+		for j, dst := range dsts {
+			hs.Dests[j] = DestTimes{Dst: dst, First: time.Unix(0, spans[j].first).UTC(), Last: time.Unix(0, spans[j].last).UTC()}
 		}
-		slices.SortFunc(hs.Dests, func(a, b DestTimes) int { return cmp.Compare(a.Dst, b.Dst) })
 		out = append(out, hs)
-	}
+	})
+	slices.SortFunc(out, func(a, b HostState) int { return cmp.Compare(a.Feats.Host, b.Feats.Host) })
 	return out
 }
 
-// buildersFromState rebuilds the live builder map.
-func buildersFromState(hosts []HostState) map[IP]*featureBuilder {
-	builders := make(map[IP]*featureBuilder, len(hosts))
-	for i := range hosts {
-		hs := &hosts[i]
-		feats := hs.Feats
-		feats.Interstitials = append([]float64(nil), hs.Feats.Interstitials...)
-		b := &featureBuilder{feats: &feats, firstSeen: feats.FirstSeen.UnixNano()}
-		b.dests.reserve(len(hs.Dests))
-		for _, e := range hs.Dests {
-			d, _ := b.dests.upsert(e.Dst)
-			d.first, d.last = e.First.UnixNano(), e.Last.UnixNano()
-		}
-		builders[hs.Feats.Host] = b
+// builderOfState rebuilds a live builder.
+func builderOfState(hs *HostState) *featureBuilder {
+	feats := hs.Feats
+	feats.Interstitials = append([]float64(nil), hs.Feats.Interstitials...)
+	b := &featureBuilder{feats: &feats, firstSeen: feats.FirstSeen.UnixNano()}
+	b.dests.reserve(len(hs.Dests))
+	for _, e := range hs.Dests {
+		d, _ := b.dests.upsert(e.Dst)
+		d.first, d.last = e.First.UnixNano(), e.Last.UnixNano()
 	}
-	return builders
+	return b
 }
 
 // State detaches a deep snapshot of the extractor's dynamic state.
@@ -121,7 +109,7 @@ func (se *shardExtractor) State() *StreamState {
 	st := &StreamState{
 		Frontier: se.frontier,
 		Released: se.released,
-		Hosts:    stateOfBuilders(se.builders),
+		Hosts:    statesOf(&Pane{shards: []paneShard{se.sealed()}}),
 	}
 	if se.pending.n == 0 {
 		return st
@@ -156,19 +144,18 @@ func (se *shardExtractor) State() *StreamState {
 // extractor that has taken a record (which moves its frontier) is
 // rejected.
 func (se *shardExtractor) RestoreState(st *StreamState) error {
-	if !se.frontier.IsZero() || len(se.builders) != 0 || se.pending.n != 0 {
+	if !se.frontier.IsZero() || se.hosts != 0 || se.pending.n != 0 {
 		return fmt.Errorf("flow: RestoreState on an extractor that has already taken records (frontier %v)", se.frontier)
 	}
 	se.frontier = st.Frontier
 	se.released = st.Released
-	se.builders = buildersFromState(st.Hosts)
 	// Every builder of the open pane hangs off its host's queue, where
 	// take finds it. Its host is monitored, so the queue may exist.
 	for i := range st.Hosts {
-		host := st.Hosts[i].Feats.Host
-		se.pending.queues[se.pending.queue(host)].b = se.builders[host]
+		se.pending.queues[se.pending.queue(st.Hosts[i].Feats.Host)].b = builderOfState(&st.Hosts[i])
 	}
-	se.hostsHW.SetMax(int64(len(se.builders)))
+	se.hosts = len(st.Hosts)
+	se.hostsHW.SetMax(int64(se.hosts))
 	for _, p := range st.Pending {
 		if se.opts.Hosts != nil && !se.opts.Hosts(p.Src) {
 			continue // an older build held unmonitored records too
@@ -216,10 +203,14 @@ func (se *ShardedExtractor) RestoreState(st *ShardedState) error {
 
 // State detaches a deep snapshot of the sealed pane.
 func (p *Pane) State() *PaneState {
-	return &PaneState{Window: p.window, Hosts: stateOfBuilders(p.builders)}
+	return &PaneState{Window: p.window, Hosts: statesOf(p)}
 }
 
 // NewPaneFromState rebuilds a sealed pane from its snapshot.
 func NewPaneFromState(st *PaneState) *Pane {
-	return &Pane{builders: buildersFromState(st.Hosts), window: st.Window}
+	bs := make([]*featureBuilder, len(st.Hosts))
+	for i := range st.Hosts {
+		bs[i] = builderOfState(&st.Hosts[i])
+	}
+	return &Pane{shards: []paneShard{sealBuilders(bs)}, window: st.Window}
 }

@@ -25,15 +25,15 @@ import (
 //
 // A host's queue outlives the pane. It spares a known host the
 // monitored test (FeatureOptions.Hosts runs once per monitored host,
-// and once per record of an unmonitored one), and it carries the size
-// of the host's last pane, so the host's next builder does not grow its
-// destination table and gap slice from empty every pane.
+// and once per record of an unmonitored one), and it holds the host's
+// builder, which a seal copies out and resets in place.
 type shardExtractor struct {
-	opts     FeatureOptions
-	grace    time.Duration
-	maxSkew  time.Duration
-	builders map[IP]*featureBuilder
-	pending  pendingLists
+	opts    FeatureOptions
+	grace   time.Duration
+	maxSkew time.Duration
+	pending pendingLists
+	// hosts counts the builders holding records of the open pane.
+	hosts    int
 	frontier time.Time // latest start time seen
 	released time.Time // latest start folded, or the last ReleaseBefore bound
 
@@ -51,11 +51,10 @@ func newShardExtractor(opts FeatureOptions, maxSkew time.Duration) *shardExtract
 		grace = DefaultNewPeerGrace
 	}
 	return &shardExtractor{
-		opts:     opts,
-		grace:    grace,
-		maxSkew:  max(maxSkew, 0),
-		builders: make(map[IP]*featureBuilder),
-		pending:  newPendingLists(),
+		opts:    opts,
+		grace:   grace,
+		maxSkew: max(maxSkew, 0),
+		pending: newPendingLists(),
 	}
 }
 
@@ -152,25 +151,22 @@ func (se *shardExtractor) sweep(bound int64) {
 	p.active = kept
 }
 
-// builder returns q's host's builder in the open pane, starting one at
-// first (Unix ns) when the pane has none: the host's grace period
-// restarts at its first activity in every pane. A new builder's table starts at the size of the
-// host's last pane, and its gap slice will.
+// builder returns q's host's builder in the open pane. The pane's first
+// fold starts it at first (Unix ns), restarting the host's grace period
+// every pane, and sizes what it lacks for the host's last pane.
 func (se *shardExtractor) builder(q *hostQueue, first int64) *featureBuilder {
-	if q.b != nil {
-		return q.b
+	b := q.b
+	if b == nil {
+		b = &featureBuilder{feats: &HostFeatures{Host: q.host}}
+		q.b = b
+	} else if b.feats.Flows > 0 {
+		return b
 	}
-	b, ok := se.builders[q.host]
-	if !ok {
-		b = newFeatureBuilder(q.host, first)
-		b.dests.reserve(int(q.dests))
-		b.gapCap = int(q.gaps)
-		se.builders[q.host] = b
-		// The gauge is one cache line every shard's caller shares: touch
-		// it only when this shard's host table grows.
-		se.hostsHW.SetMax(int64(len(se.builders)))
-	}
-	q.b = b
+	b.firstSeen, b.feats.FirstSeen = first, time.Unix(0, first).UTC()
+	b.dests.reserve(int(q.dests))
+	b.gapCap = int(q.gaps)
+	se.hosts++
+	se.hostsHW.SetMax(int64(se.hosts))
 	return b
 }
 
@@ -192,22 +188,52 @@ func (se *shardExtractor) ReleaseBefore(t time.Time) {
 	}
 }
 
-// take detaches the accumulated builders and resets the extractor for
-// the next pane. Pending entries are untouched — call ReleaseBefore at
-// the pane's end first so everything belonging to the pane has been
-// folded. Each detached host's queue records the builder's size for
-// the host's next pane, and the next pane's map starts at this one's
-// host count.
-func (se *shardExtractor) take() map[IP]*featureBuilder {
-	builders := se.builders
-	se.builders = make(map[IP]*featureBuilder, len(builders))
+// sealed copies the open pane's builders, leaving them as they are.
+func (se *shardExtractor) sealed() paneShard {
+	bs := make([]*featureBuilder, 0, se.hosts)
 	for i := range se.pending.queues {
-		if q := &se.pending.queues[i]; q.b != nil {
-			q.dests, q.gaps = uint32(q.b.dests.n), uint32(len(q.b.feats.Interstitials))
-			q.b = nil
+		if b := se.pending.queues[i].b; b != nil && b.feats.Flows > 0 {
+			bs = append(bs, b)
 		}
 	}
-	return builders
+	return sealBuilders(bs)
+}
+
+// take seals the open pane and resets the extractor for the next one.
+// Pending entries are untouched — call ReleaseBefore at the pane's end
+// first so everything belonging to the pane has been folded. A host
+// with records in the pane keeps its builder, reset, and its queue
+// records the pane's counts; a host without gives its builder up.
+func (se *shardExtractor) take() paneShard {
+	s := se.sealed()
+	for i := range se.pending.queues {
+		if q := &se.pending.queues[i]; q.b != nil && q.b.feats.Flows == 0 {
+			q.b = nil
+		} else if q.b != nil {
+			q.dests, q.gaps = uint32(q.b.dests.n), uint32(len(q.b.feats.Interstitials))
+			q.b.reset()
+		}
+	}
+	se.hosts = 0
+	return s
+}
+
+// reset empties b for its host's next pane. It keeps the destination
+// table unless the table is over twice the size reserve gives for the
+// destinations it held — they fit a quarter of it — and the gap buffer
+// unless it is over twice the gaps it held.
+func (b *featureBuilder) reset() {
+	if quarter := len(b.dests.slots) / 4; quarter >= destTableMin && b.dests.n*8 <= quarter*7 {
+		b.dests = destTable{}
+	} else {
+		clear(b.dests.slots)
+		b.dests.n = 0
+	}
+	gaps := b.feats.Interstitials
+	if cap(gaps) > 2*len(gaps) {
+		gaps = nil
+	}
+	*b.feats = HostFeatures{Host: b.feats.Host, Interstitials: gaps[:0]}
 }
 
 // observe folds one record into a host's builder: one probe of the

@@ -140,69 +140,216 @@ func TestStatePaneSizingMatchesBatch(t *testing.T) {
 	seal(3)
 }
 
+// queueOf is host's queue in se.
+func queueOf(se *ShardedExtractor, host IP) *hostQueue {
+	p := &se.shards[ShardOf(host, len(se.shards))].ex.pending
+	return &p.queues[p.index[host]]
+}
+
 // paneSizes is the destination and gap count host's queue in se holds
 // for the host's next pane.
 func paneSizes(se *ShardedExtractor, host IP) [2]uint32 {
-	p := &se.shards[ShardOf(host, len(se.shards))].ex.pending
-	q := &p.queues[p.index[host]]
+	q := queueOf(se, host)
 	return [2]uint32{q.dests, q.gaps}
 }
 
-// Feeding a pane of the same shape as the last one allocates each host
-// its builder, its features, one destination table that never grows and
-// at most one gap slice: no doubling from empty every pane.
-func TestDestTablePaneSizingAllocs(t *testing.T) {
-	const (
-		hosts   = 64
-		maxSkew = time.Minute
-	)
-	plan := make(map[IP][]paneShape, hosts)
-	rng := rand.New(rand.NewSource(46))
-	for h := IP(1); h <= hosts; h++ {
-		dests := 1 + rng.Intn(200)
-		flows := dests
-		if h%8 != 0 { // every eighth host makes no gap
-			flows += rng.Intn(600)
-		}
-		plan[h] = []paneShape{{dests, flows}}
+// detachedPlan's hosts grow (1), shrink past the 2× rule (2) and within
+// it (3), lose every gap (4), skip a pane and return (5), and appear
+// for the first time (6, 7).
+var detachedPlan = map[IP][]paneShape{
+	1: {{10, 40}, {40, 200}, {300, 900}, {600, 1500}},
+	2: {{300, 900}, {12, 40}, {2, 3}, {150, 400}},
+	3: {{100, 400}, {60, 300}, {40, 200}, {35, 100}},
+	4: {{20, 300}, {30, 30}, {25, 200}, {1, 1}},
+	5: {{50, 200}, {}, {50, 200}, {80, 300}},
+	6: {{}, {}, {}, {30, 90}},
+	7: {{}, {20, 60}, {}, {}},
+}
+
+// checkKeptArrays checks the rules a reset builder keeps its arrays by,
+// in a store that has just sealed detachedPlan's pane 2.
+func checkKeptArrays(t *testing.T, se *ShardedExtractor) {
+	t.Helper()
+	if b := queueOf(se, 2).b; b == nil || b.dests.slots != nil {
+		t.Fatal("host 2 shrank from 300 destinations to 12, and kept its table")
 	}
-	feed := paneFeed(47, plan, maxSkew)
-	slices.SortStableFunc(feed, func(a, b keyedRecord) int { return a.rec.Start.Compare(b.rec.Start) })
-	recs := make([]Record, len(feed))
-	se := newShardExtractor(FeatureOptions{}, maxSkew)
-	var taken map[IP]*featureBuilder
-	k := 0
-	// One call feeds the same pane an hour later than the last, in start
-	// order, and seals it.
-	feedPane := func() {
-		shift := time.Duration(k) * time.Hour
-		for j := range feed {
-			recs[j] = feed[j].rec
-			recs[j].Start = recs[j].Start.Add(shift)
-			if err := se.Add(&recs[j]); err != nil {
-				t.Fatal(err)
+	if b := queueOf(se, 3).b; b == nil || len(b.dests.slots) != 128 {
+		t.Fatal("host 3 shrank from 100 destinations to 60, and did not keep its table")
+	}
+	if b := queueOf(se, 4).b; b == nil || b.feats.Interstitials != nil {
+		t.Fatal("host 4 lost every gap, and kept its gap buffer")
+	}
+	if queueOf(se, 5).b != nil {
+		t.Fatal("host 5 skipped pane 2, and kept its builder")
+	}
+}
+
+// frozenPane is a deep copy of what a sealed pane shows.
+type frozenPane struct {
+	feats    map[IP]HostFeatures
+	contacts map[IP][]IP
+	state    *PaneState
+}
+
+func freeze(p *Pane) frozenPane {
+	fs := p.FeatureSet()
+	fz := frozenPane{feats: map[IP]HostFeatures{}, contacts: map[IP][]IP{}, state: p.State()}
+	for ip, f := range fs.Features() {
+		c := *f
+		c.Interstitials = slices.Clone(f.Interstitials)
+		fz.feats[ip] = c
+	}
+	for ip, c := range fs.Contacts() {
+		fz.contacts[ip] = slices.Clone(c)
+	}
+	return fz
+}
+
+// A sealed pane shares nothing with the store: the builders its hosts
+// keep, reset, for the next pane change nothing it shows, whether they
+// grow, shrink, drop their table or gap buffer, or are given up. Every
+// pane, and the sliding merge of panes 2–4, is the batch extraction
+// over its records, also through a store restored within pane 2.
+func TestSealedPaneIsDetached(t *testing.T) {
+	const maxSkew = 5 * time.Minute
+	feed := paneFeed(53, detachedPlan, maxSkew)
+	stores := []*ShardedExtractor{NewShardedExtractorSkew(FeatureOptions{}, 2, maxSkew)}
+	panes := make([][]*Pane, 2) // per store
+	var records [][]Record      // per pane, arrival order
+	var pane, next []Record
+	var first frozenPane // pane 1 as store 0 sealed it
+	seal := func(k int) {
+		t.Helper()
+		to := baseTime().Add(time.Duration(k+1) * time.Hour)
+		records = append(records, pane)
+		for i, se := range stores {
+			se.ReleaseBefore(to)
+			p := se.TakePane(Window{From: to.Add(-time.Hour), To: to})
+			panes[i] = append(panes[i], p)
+			if diff := batchDiff(p.FeatureSet(), pane, FeatureOptions{}); diff != "" {
+				t.Fatalf("pane %d, store %d: %s", k+1, i, diff)
 			}
 		}
-		k++
-		se.ReleaseBefore(baseTime().Add(time.Duration(k) * time.Hour))
-		taken = se.take()
-	}
-	feedPane() // the first pane grows its tables from empty
-	allocs := testing.AllocsPerRun(4, feedPane)
-	// featureBuilder, HostFeatures, table and gap slice per host, and the
-	// pane's map.
-	if limit := 4*hosts + 8; allocs > float64(limit) {
-		t.Errorf("a pane shaped as the last: %v allocs for %d hosts, want at most %d", allocs, hosts, limit)
-	}
-	for host, b := range taken {
-		sh := plan[host][0]
-		if b.dests.n != sh.dests || len(b.feats.Interstitials) != sh.flows-sh.dests {
-			t.Fatalf("host %v: %d destinations and %d gaps, the plan has %d and %d",
-				host, b.dests.n, len(b.feats.Interstitials), sh.dests, sh.flows-sh.dests)
+		if k == 1 {
+			checkKeptArrays(t, stores[0])
 		}
-		if c := cap(b.feats.Interstitials); c != sh.flows-sh.dests {
-			t.Errorf("host %v: gap slice of capacity %d for %d gaps", host, c, sh.flows-sh.dests)
+		if k == 0 {
+			first = freeze(panes[0][0])
+		} else if !reflect.DeepEqual(freeze(panes[0][0]), first) {
+			t.Fatalf("pane 1 changed when pane %d was sealed", k+1)
 		}
+		pane, next = next, nil
+	}
+	k := 0
+	for j := range feed {
+		kr := &feed[j]
+		for kr.key.Compare(baseTime().Add(time.Duration(k+1)*time.Hour+maxSkew)) >= 0 {
+			seal(k)
+			k++
+		}
+		if len(stores) == 1 && k == 1 && len(pane) > 200 {
+			restored := NewShardedExtractorSkew(FeatureOptions{}, 2, maxSkew)
+			if err := restored.RestoreState(stores[0].State()); err != nil {
+				t.Fatal(err)
+			}
+			stores = append(stores, restored)
+			panes[1] = []*Pane{nil} // pane 1 was sealed before the restore
+		}
+		for i, se := range stores {
+			if err := se.Add(&kr.rec); err != nil {
+				t.Fatalf("record %d, store %d: %v", j, i, err)
+			}
+		}
+		if kr.rec.Start.Before(baseTime().Add(time.Duration(k+1) * time.Hour)) {
+			pane = append(pane, kr.rec)
+		} else {
+			next = append(next, kr.rec)
+		}
+	}
+	if k != 3 || len(stores) != 2 {
+		t.Fatalf("weak run: %d panes sealed before the last, %d stores", k, len(stores))
+	}
+	seal(3)
+	var window []Record
+	for _, rs := range records[1:] {
+		window = append(window, rs...)
+	}
+	want := ExtractFeatureSet(window, FeatureOptions{}, Window{})
+	for i := range stores {
+		merged := MergePanes(0, panes[i][1:]...)
+		if len(merged.Features()) != len(want.Features()) {
+			t.Fatalf("store %d: panes 2–4 merge to %d hosts, batch has %d", i, len(merged.Features()), len(want.Features()))
+		}
+		for ip, wf := range want.Features() {
+			if f := merged.Features()[ip]; f == nil || !featuresEqualModGapOrder(wf, f) {
+				t.Fatalf("store %d: host %v merged from panes 2–4 differs:\nbatch %+v\nmerge %+v", i, ip, wf, f)
+			}
+		}
+		if !reflect.DeepEqual(merged.Contacts(), want.Contacts()) {
+			t.Fatalf("store %d: contacts merged from panes 2–4 differ from batch", i)
+		}
+	}
+}
+
+// Feeding a pane of the same shape as the last one allocates only the
+// sealed pane's arrays: every host keeps its builder, destination table
+// and gap buffer from the last pane, so the count does not grow with
+// the hosts.
+func TestDestTablePaneSizingAllocs(t *testing.T) {
+	const (
+		perPane = 8
+		maxSkew = time.Minute
+	)
+	for _, hosts := range []int{64, 512} {
+		plan := make(map[IP][]paneShape, hosts)
+		rng := rand.New(rand.NewSource(46))
+		for h := IP(1); h <= IP(hosts); h++ {
+			dests := 1 + rng.Intn(200)
+			flows := dests
+			if h%8 != 0 { // every eighth host makes no gap
+				flows += rng.Intn(600)
+			}
+			plan[h] = []paneShape{{dests, flows}}
+		}
+		feed := paneFeed(47, plan, maxSkew)
+		slices.SortStableFunc(feed, func(a, b keyedRecord) int { return a.rec.Start.Compare(b.rec.Start) })
+		recs := make([]Record, len(feed))
+		se := newShardExtractor(FeatureOptions{}, maxSkew)
+		var taken paneShard
+		k := 0
+		// One call feeds the same pane an hour later than the last, in
+		// start order, and seals it.
+		feedPane := func() {
+			shift := time.Duration(k) * time.Hour
+			for j := range feed {
+				recs[j] = feed[j].rec
+				recs[j].Start = recs[j].Start.Add(shift)
+				if err := se.Add(&recs[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k++
+			se.ReleaseBefore(baseTime().Add(time.Duration(k) * time.Hour))
+			taken = se.take()
+		}
+		feedPane() // the first pane grows its tables from empty
+		// The pane's features, destinations, spans and gap array.
+		if allocs := testing.AllocsPerRun(4, feedPane); allocs > perPane {
+			t.Errorf("%d hosts: a pane shaped as the last made %v allocations, want at most %d", hosts, allocs, perPane)
+		}
+		if len(taken.feats) != hosts {
+			t.Fatalf("%d hosts: the pane has %d", hosts, len(taken.feats))
+		}
+		(&Pane{shards: []paneShard{taken}}).each(func(f *HostFeatures, dsts []IP, _ []span) {
+			sh := plan[f.Host][0]
+			if len(dsts) != sh.dests || len(f.Interstitials) != sh.flows-sh.dests {
+				t.Fatalf("host %v: %d destinations and %d gaps, the plan has %d and %d",
+					f.Host, len(dsts), len(f.Interstitials), sh.dests, sh.flows-sh.dests)
+			}
+			if c := cap(f.Interstitials); c != sh.flows-sh.dests {
+				t.Errorf("host %v: gap slice of capacity %d for %d gaps", f.Host, c, sh.flows-sh.dests)
+			}
+		})
 	}
 }
 
