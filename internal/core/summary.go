@@ -130,6 +130,16 @@ func LocalPass(src flow.FeatureSource, cfg Config, shard, shards int) (*ShardSum
 		HasContacts: contacts != nil,
 		Hosts:       make([]HostSummary, len(hosts)),
 	}
+	// Every host's contacts are copied into one exact-size array, each
+	// host's run after the last one's with no room to grow into the next.
+	at := make([]int, len(hosts)+1)
+	for i, h := range hosts {
+		at[i+1] = at[i] + len(contacts[h])
+	}
+	var ips []flow.IP
+	if at[len(hosts)] > 0 {
+		ips = make([]flow.IP, at[len(hosts)])
+	}
 	t := total.Child("sketches")
 	err := eachHost(len(hosts), cfg.Parallelism, func(buf *sketchBuf, i int) error {
 		h := hosts[i]
@@ -148,7 +158,8 @@ func LocalPass(src flow.FeatureSource, cfg Config, shard, shards int) (*ShardSum
 		}
 		hs.Interstitials = nil
 		if cset := contacts[h]; len(cset) > 0 {
-			hs.Contacts = append([]flow.IP(nil), cset...)
+			hs.Contacts = ips[at[i]:at[i+1]:at[i+1]]
+			copy(hs.Contacts, cset)
 			slices.Sort(hs.Contacts)
 		}
 		return nil

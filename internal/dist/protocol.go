@@ -260,6 +260,19 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 	if d.Err() == nil && n > 0 {
 		s.Hosts = make([]core.HostSummary, n)
 	}
+	// Every host's sketch and contacts are carved from one exact-size
+	// array of each kind, sized by a first walk over the hosts' counts;
+	// a full slice expression keeps an append to one host's slice off
+	// its neighbour's.
+	bins, contacts := summaryCounts(*d, n)
+	var positions, weights []float64
+	var ips []flow.IP
+	if bins > 0 {
+		positions, weights = make([]float64, bins), make([]float64, bins)
+	}
+	if contacts > 0 {
+		ips = make([]flow.IP, contacts)
+	}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		h := &s.Hosts[i]
 		h.Host = flow.IP(d.U32())
@@ -277,9 +290,11 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 		// sketch is no correct shard's.
 		if bins := d.Count(16); bins > histogram.MaxBins {
 			d.Fail("host %v sketch has %d bins, more than the %d a histogram holds", h.Host, bins, histogram.MaxBins)
+		} else if bins > len(positions) {
+			d.Fail("host %v sketch has %d bins, more than the frame's first walk counted", h.Host, bins)
 		} else if bins > 0 {
-			h.SketchPositions = make([]float64, bins)
-			h.SketchWeights = make([]float64, bins)
+			h.SketchPositions, positions = positions[:bins:bins], positions[bins:]
+			h.SketchWeights, weights = weights[:bins:bins], weights[bins:]
 			for j := 0; j < bins; j++ {
 				pos, w := d.F64(), d.F64()
 				h.SketchPositions[j], h.SketchWeights[j] = pos, w
@@ -296,8 +311,10 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 				}
 			}
 		}
-		if nc := d.Count(4); nc > 0 {
-			h.Contacts = make([]flow.IP, nc)
+		if nc := d.Count(4); nc > len(ips) {
+			d.Fail("host %v has %d contacts, more than the frame's first walk counted", h.Host, nc)
+		} else if nc > 0 {
+			h.Contacts, ips = ips[:nc:nc], ips[nc:]
 			for j := range h.Contacts {
 				h.Contacts[j] = flow.IP(d.U32())
 				// Contacts is a strictly ascending set, as LocalPass sends
@@ -316,6 +333,23 @@ func DecodeSummary(data []byte) (int, *core.ShardSummary, error) {
 		return 0, nil, fmt.Errorf("dist: summary frame carries %d undecoded trailing bytes", d.Remaining())
 	}
 	return index, s, nil
+}
+
+// summaryCounts walks n encoded hosts from d, a copy of the decoder at
+// the host list, and totals their sketch bins and contacts. It checks
+// only that each count fits the bytes left, as Count does; where the
+// walk fails, DecodeSummary's own pass fails no later.
+func summaryCounts(d wire.Decoder, n int) (bins, contacts int) {
+	const fixed = minHostSummary - 8 // a host's fields up to its sketch count
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.Take(fixed)
+		b := d.Count(16)
+		d.Take(16 * b)
+		c := d.Count(4)
+		d.Take(4 * c)
+		bins, contacts = bins+b, contacts+c
+	}
+	return bins, contacts
 }
 
 // seqPayload prefixes a frame body with its per-shard sequence number.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,37 @@ func TestSummaryRoundTrip(t *testing.T) {
 				t.Errorf("host %d contact %d differs", i, j)
 			}
 		}
+	}
+}
+
+// A decoded summary's per-host slices share one array of each kind, and
+// none has room to grow: appending to one host's sketch or contacts
+// leaves the next host's as decoded.
+func TestSummarySlicesDoNotOverlap(t *testing.T) {
+	want := testSummary()
+	third := want.Hosts[0]
+	third.Host = 0x0a000009
+	third.SketchPositions = []float64{2, 4}
+	third.SketchWeights = []float64{1, 239}
+	third.Contacts = []flow.IP{0x01010101, 0x02020202, 0x03030303}
+	want.Hosts = append(want.Hosts, third)
+	_, got, err := DecodeSummary(EncodeSummary(0, want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range got.Hosts {
+		if cap(h.SketchPositions) != len(h.SketchPositions) || cap(h.SketchWeights) != len(h.SketchWeights) || cap(h.Contacts) != len(h.Contacts) {
+			t.Fatalf("host %d: a slice has room past its end", i)
+		}
+	}
+	first := &got.Hosts[0]
+	first.SketchPositions = append(first.SketchPositions, -1)
+	first.SketchWeights = append(first.SketchWeights, -1)
+	first.Contacts = append(first.Contacts, 0xFFFFFFFF)
+	last := got.Hosts[2]
+	if !slices.Equal(last.SketchPositions, third.SketchPositions) || !slices.Equal(last.SketchWeights, third.SketchWeights) ||
+		!slices.Equal(last.Contacts, third.Contacts) {
+		t.Fatalf("appending to host 0's slices changed host 2's: %+v", last)
 	}
 }
 

@@ -81,39 +81,20 @@ func (h *HostFeatures) NewPeerFraction() float64 {
 	return float64(h.NewPeers) / float64(h.Peers)
 }
 
-// featureBuilder accumulates one host's state during extraction: the
-// features plus one table entry per contacted destination. firstSeen is
-// feats.FirstSeen as Unix nanoseconds, what observe compares against.
-// gapCap is the capacity observe gives a nil Interstitials at the
-// host's first gap (0: let append size it). The store keeps a host's
-// builder from pane to pane (take), and sets gapCap from the last one.
-type featureBuilder struct {
-	feats     *HostFeatures
-	dests     destTable
-	firstSeen int64
-	gapCap    int
-}
-
-// newFeatureBuilder starts a host's builder at firstSeen (Unix ns), the
-// start of the record about to be observed.
-func newFeatureBuilder(host IP, firstSeen int64) *featureBuilder {
-	return &featureBuilder{
-		feats:     &HostFeatures{Host: host, FirstSeen: time.Unix(0, firstSeen).UTC()},
-		firstSeen: firstSeen,
-	}
-}
-
 // ExtractFeatures computes per-host features from the record set.
 // Records need not be pre-sorted; they are processed in start-time order.
 // The input slice is not modified.
 func ExtractFeatures(records []Record, opts FeatureOptions) map[IP]*HostFeatures {
-	return featuresOfBuilders(extractBuilders(records, opts))
+	p := extract(records, opts)
+	out := make(map[IP]*HostFeatures, p.Hosts())
+	p.each(func(f *HostFeatures, _ []IP, _ []span) { out[f.Host] = f })
+	return out
 }
 
-// extractBuilders runs the batch extraction but keeps the per-host
-// builders alive, so callers can also derive the per-destination tables
-// (contact sets) instead of just the folded features.
-func extractBuilders(records []Record, opts FeatureOptions) map[IP]*featureBuilder {
+// extract runs the batch extraction: every record folded, in start
+// order, into one accumulator, sealed as a one-shard pane without spans
+// (nothing merges a batch extraction).
+func extract(records []Record, opts FeatureOptions) *Pane {
 	grace := opts.NewPeerGrace
 	if grace <= 0 {
 		grace = DefaultNewPeerGrace
@@ -135,55 +116,22 @@ func extractBuilders(records []Record, opts FeatureOptions) map[IP]*featureBuild
 		return cmp.Compare(a.i, b.i)
 	})
 
-	builders := make(map[IP]*featureBuilder)
+	var acc accumulator
+	slots := make(map[IP]int32)
 	for _, k := range keys {
 		r := &records[k.i]
 		if opts.Hosts != nil && !opts.Hosts(r.Src) {
 			continue
 		}
 		c := compactOf(r)
-		b, ok := builders[r.Src]
+		s, ok := slots[r.Src]
 		if !ok {
-			b = newFeatureBuilder(r.Src, c.start)
-			builders[r.Src] = b
+			s = acc.open(r.Src, c.start, noEntry)
+			slots[r.Src] = s
 		}
-		b.observe(&c, grace)
+		acc.observe(s, &c, grace)
 	}
-	return builders
-}
-
-// featuresOfBuilders strips a builder map down to the features.
-func featuresOfBuilders(builders map[IP]*featureBuilder) map[IP]*HostFeatures {
-	out := make(map[IP]*HostFeatures, len(builders))
-	for ip, b := range builders {
-		out[ip] = b.feats
-	}
-	return out
-}
-
-// contactsOfBuilders derives each host's contacted-destination set (the
-// keys of its per-destination table) in ascending address order — the
-// flow-graph view of the accumulated state that the community detector
-// consumes.
-func contactsOfBuilders(builders map[IP]*featureBuilder) map[IP][]IP {
-	out := make(map[IP][]IP, len(builders))
-	for ip, b := range builders {
-		out[ip] = b.sortedDests()
-	}
-	return out
-}
-
-// sortedDests returns the host's contacted destinations in ascending
-// address order.
-func (b *featureBuilder) sortedDests() []IP {
-	dsts := make([]IP, 0, b.dests.n)
-	for _, s := range b.dests.slots {
-		if s.used {
-			dsts = append(dsts, s.dst)
-		}
-	}
-	slices.Sort(dsts)
-	return dsts
+	return &Pane{shards: []paneShard{acc.seal(false)}}
 }
 
 // SortedHosts returns a per-host map's keys in ascending address order.

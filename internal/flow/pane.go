@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"slices"
-	"time"
-)
+import "time"
 
 // Pane is one sealed accumulation interval's raw per-host state. A
 // tumbling detection window is a single pane; a sliding window is the
@@ -11,7 +8,7 @@ import (
 // per-destination first contacts and latest starts so MergePanes can
 // stitch adjacent panes back together exactly (peer de-duplication and
 // cross-pane interstitial gaps included). It shares nothing with the
-// store, whose builders go on to the next pane.
+// store, whose accumulator goes on to the next pane.
 type Pane struct {
 	shards []paneShard
 	window Window
@@ -21,7 +18,8 @@ type Pane struct {
 // their features, and one address-sorted run per host of its
 // destinations with their spans, host i's run the feats[i].Peers entries
 // after host i−1's. The hosts' Interstitials share one array (nil for a
-// host with no gap, as batch extraction has it).
+// host with no gap, as batch extraction has it). Only a store's pane
+// has spans: a batch extraction or a merge is never merged again.
 type paneShard struct {
 	feats []HostFeatures
 	dsts  []IP
@@ -30,36 +28,6 @@ type paneShard struct {
 
 // span is a destination's first contact and latest start, Unix ns.
 type span struct{ first, last int64 }
-
-// sealBuilders copies builders into a paneShard.
-func sealBuilders(bs []*featureBuilder) paneShard {
-	dests, gaps := 0, 0
-	for _, b := range bs {
-		dests, gaps = dests+b.dests.n, gaps+len(b.feats.Interstitials)
-	}
-	s := paneShard{make([]HostFeatures, 0, len(bs)), make([]IP, 0, dests), make([]span, 0, dests)}
-	g := make([]float64, 0, gaps)
-	for _, b := range bs {
-		s.feats = append(s.feats, *b.feats)
-		s.feats[len(s.feats)-1].Interstitials = nil
-		if at := len(g); len(b.feats.Interstitials) > 0 {
-			g = append(g, b.feats.Interstitials...)
-			s.feats[len(s.feats)-1].Interstitials = g[at:len(g):len(g)]
-		}
-		at := len(s.dsts)
-		for i := range b.dests.slots {
-			if d := &b.dests.slots[i]; d.used {
-				s.dsts = append(s.dsts, d.dst)
-			}
-		}
-		slices.Sort(s.dsts[at:])
-		for _, dst := range s.dsts[at:] {
-			d, _ := b.dests.upsert(dst) // present: a lookup
-			s.spans = append(s.spans, span{d.first, d.last})
-		}
-	}
-	return s
-}
 
 // Window returns the interval the pane covers.
 func (p *Pane) Window() Window { return p.window }
@@ -74,12 +42,17 @@ func (p *Pane) Hosts() (n int) {
 
 // each calls fn for every host of the pane with its destination run,
 // which has no room to grow: appending to it never reaches a neighbour.
+// spans is nil when the pane has none.
 func (p *Pane) each(fn func(f *HostFeatures, dsts []IP, spans []span)) {
 	for _, s := range p.shards {
 		at := 0
 		for i := range s.feats {
 			end := at + s.feats[i].Peers
-			fn(&s.feats[i], s.dsts[at:end:end], s.spans[at:end:end])
+			var spans []span
+			if s.spans != nil {
+				spans = s.spans[at:end:end]
+			}
+			fn(&s.feats[i], s.dsts[at:end:end], spans)
 			at = end
 		}
 	}
@@ -146,18 +119,20 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 		return fs
 	}
 
-	// Per merged host: the summed features and, per destination, the
-	// earliest first contact and the latest start across the panes so far.
-	merged := make(map[IP]*featureBuilder)
+	// One accumulator folds the panes: per merged host, the summed
+	// features and, per destination, the earliest first contact and the
+	// latest start across the panes so far.
+	var acc accumulator
+	slots := make(map[IP]int32)
 	for _, p := range nonEmpty {
 		p.each(func(pf *HostFeatures, dsts []IP, spans []span) {
-			m, ok := merged[pf.Host]
+			s, ok := slots[pf.Host]
 			if !ok {
-				m = &featureBuilder{feats: &HostFeatures{Host: pf.Host, FirstSeen: pf.FirstSeen}}
-				m.dests.reserve(len(dsts))
-				merged[pf.Host] = m
+				s = acc.open(pf.Host, pf.FirstSeen.UnixNano(), noEntry)
+				slots[pf.Host] = s
 			}
-			f := m.feats
+			h := &acc.hosts[s]
+			f := &h.feats
 			f.Flows += pf.Flows
 			f.FailedFlows += pf.FailedFlows
 			f.BytesUploaded += pf.BytesUploaded
@@ -167,33 +142,33 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 			// Pane-internal gaps survive as-is; the boundary gap between
 			// the earlier panes' last start to a destination and this
 			// pane's first contact with it is reconstructed here.
-			f.Interstitials = append(f.Interstitials, pf.Interstitials...)
+			for _, g := range pf.Interstitials {
+				acc.addGap(h, g)
+			}
 			for j, dst := range dsts {
-				cur, fresh := m.dests.upsert(dst)
+				cur, fresh := acc.dests.upsert(destKey(s, dst))
 				if fresh {
+					f.Peers++
 					cur.first, cur.last = spans[j].first, spans[j].last
 					continue
 				}
-				f.Interstitials = append(f.Interstitials, time.Duration(spans[j].first-cur.last).Seconds())
+				acc.addGap(h, time.Duration(spans[j].first-cur.last).Seconds())
 				cur.first, cur.last = min(spans[j].first, cur.first), max(spans[j].last, cur.last)
 			}
 		})
 	}
 
-	out := make(map[IP]*HostFeatures, len(merged))
-	contacts := make(map[IP][]IP, len(merged))
-	for ip, m := range merged {
-		f := m.feats
-		f.Peers = m.dests.n
-		f.NewPeers = 0
-		graceEnd := f.FirstSeen.Add(grace).UnixNano()
-		for _, d := range m.dests.slots {
-			if d.used && d.first > graceEnd {
-				f.NewPeers++
-			}
-		}
-		out[ip] = f
-		contacts[ip] = m.sortedDests()
+	// New peers are counted once every host's grace period is known.
+	graceEnd := make([]int64, len(acc.hosts))
+	for i := range acc.hosts {
+		graceEnd[i] = acc.hosts[i].feats.FirstSeen.Add(grace).UnixNano()
 	}
-	return NewFeatureSet(out, window).WithContacts(contacts)
+	for i := range acc.dests.slots {
+		if d := &acc.dests.slots[i]; d.key != 0 && d.first > graceEnd[d.slot()] {
+			acc.hosts[d.slot()].feats.NewPeers++
+		}
+	}
+	fs := (&Pane{shards: []paneShard{acc.seal(false)}}).FeatureSet()
+	fs.window = window
+	return fs
 }

@@ -20,11 +20,10 @@ package flow
 // within its own host.
 //
 // A host's queue outlives the pane: it is made on the host's first
-// record and never removed. It holds the host's builder while the host
-// has records in every pane, and the size of the host's last pane.
-// The active list names the queues that may hold entries, so a sweep
-// visits the hosts with something pending, not every host the shard has
-// seen.
+// record and never removed. While the host has records in the open
+// pane it names the host's slot in the shard's accumulator. The active
+// list names the queues that may hold entries, so a sweep visits the
+// hosts with something pending, not every host the shard has seen.
 type pendingLists struct {
 	slab   []pendingEntry
 	free   int32 // first vacated slab slot, noEntry if none
@@ -42,19 +41,14 @@ type pendingEntry struct {
 	prev, next int32 // neighbours on the host's list; next also chains the free list
 }
 
-// hostQueue is one monitored host's list, oldest first, its builder,
-// and what the builder's next pane needs to know.
+// hostQueue is one monitored host's list, oldest first, and its slot.
 type hostQueue struct {
 	head, tail int32 // oldest and newest entry, noEntry when empty
 	host       IP
-	listed     bool // on the active list
-	// b is the host's builder, holding records of the open pane when its
-	// Flows is non-zero: take resets it, or drops it if it holds none.
-	b *featureBuilder
-	// dests and gaps are the host's destination and interstitial counts
-	// in its last sealed pane (zero before one): the capacity a table or
-	// gap slice the builder lacks starts at.
-	dests, gaps uint32
+	// slot is the host's accumulator slot in the open pane, noEntry
+	// until the pane's first fold for the host; take clears it.
+	slot   int32
+	listed bool // on the active list
 }
 
 const noEntry = int32(-1)
@@ -77,7 +71,7 @@ func (p *pendingLists) queue(host IP) int32 {
 func (p *pendingLists) add(host IP) int32 {
 	i := int32(len(p.queues))
 	p.index[host] = i
-	p.queues = append(p.queues, hostQueue{head: noEntry, tail: noEntry, host: host})
+	p.queues = append(p.queues, hostQueue{head: noEntry, tail: noEntry, host: host, slot: noEntry})
 	return i
 }
 

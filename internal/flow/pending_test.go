@@ -149,7 +149,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 		}
 		se.Drain()
 		checkLists(t, &se.pending, true)
-		if want := ExtractFeatures(pane, FeatureOptions{}); !reflect.DeepEqual(paneOf(se.sealed()).Features(), want) {
+		if want := ExtractFeatures(pane, FeatureOptions{}); !reflect.DeepEqual(paneOf(se.take()).Features(), want) {
 			t.Fatalf("seed %d: drained features differ from the batch over the last pane's %d records", seed, len(pane))
 		}
 	}
@@ -349,15 +349,16 @@ func (b *reorderHeap) down(i int) {
 // heapStream is a store shard with the heap for its reorder stage, as
 // the store once was: every accepted record is pushed, everything up to
 // frontier − MaxSkew is released on every Add in (start, arrival) order,
-// each released record is observed at once, and released is the start
-// of the last one.
+// each released record of a monitored host joins the open pane, and
+// released is the start of the last one. A pane's features are the
+// batch extraction over its records in release order.
 type heapStream struct {
 	maxSkew            time.Duration
 	hosts              func(IP) bool
 	heap               reorderHeap
 	frontier, released time.Time
 	seq                uint64
-	builders           map[IP]*featureBuilder
+	pane               []Record
 }
 
 func (h *heapStream) add(r *Record) (accepted bool) {
@@ -387,16 +388,9 @@ func (h *heapStream) release(bound int64) {
 }
 
 func (h *heapStream) observe(r *Record) {
-	if !h.hosts(r.Src) {
-		return
+	if h.hosts(r.Src) {
+		h.pane = append(h.pane, *r)
 	}
-	c := compactOf(r)
-	b, ok := h.builders[r.Src]
-	if !ok {
-		b = newFeatureBuilder(r.Src, c.start)
-		h.builders[r.Src] = b
-	}
-	b.observe(&c, DefaultNewPeerGrace)
 }
 
 func (h *heapStream) releaseBefore(t time.Time) {
@@ -406,10 +400,15 @@ func (h *heapStream) releaseBefore(t time.Time) {
 	}
 }
 
-func (h *heapStream) take() map[IP]*featureBuilder {
-	builders := h.builders
-	h.builders = make(map[IP]*featureBuilder)
-	return builders
+// sealed is the open pane's features.
+func (h *heapStream) sealed() *FeatureSet {
+	return ExtractFeatureSet(h.pane, FeatureOptions{}, Window{})
+}
+
+func (h *heapStream) take() *FeatureSet {
+	fs := h.sealed()
+	h.pane = nil
+	return fs
 }
 
 // ---- the store against the heap -------------------------------------------
@@ -478,7 +477,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	opts := FeatureOptions{Hosts: func(ip IP) bool { return ip != unmonitored }}
 	fresh := func() *shardExtractor { return newShardExtractor(opts, maxSkew) }
 	se := fresh()
-	ref := &heapStream{maxSkew: maxSkew, hosts: opts.Hosts, builders: make(map[IP]*featureBuilder)}
+	ref := &heapStream{maxSkew: maxSkew, hosts: opts.Hosts}
 
 	clock := baseTime()
 	id := 0
@@ -487,17 +486,17 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	// past it. It is the cut itself unless a restore changed MaxSkew.
 	var mark time.Time
 	raiseMark := func() { mark = maxTime(mark, se.frontier.Add(-maxSkew)) }
-	sameBuilders := func(step int, what string, got *FeatureSet, want map[IP]*featureBuilder) {
+	samePane := func(step int, what string, got, want *FeatureSet) {
 		t.Helper()
-		if len(got.Features()) != len(want) {
-			t.Fatalf("step %d (%s): %d hosts, the heap has %d", step, what, len(got.Features()), len(want))
+		if len(got.Features()) != len(want.Features()) {
+			t.Fatalf("step %d (%s): %d hosts, the heap has %d", step, what, len(got.Features()), len(want.Features()))
 		}
 		for ip, f := range got.Features() {
-			if w, ok := want[ip]; !ok || !reflect.DeepEqual(f, w.feats) {
+			if w, ok := want.Features()[ip]; !ok || !reflect.DeepEqual(f, w) {
 				t.Fatalf("step %d (%s): host %v's features differ from the heap's", step, what, ip)
 			}
 		}
-		if !reflect.DeepEqual(got.Contacts(), contactsOfBuilders(want)) {
+		if !reflect.DeepEqual(got.Contacts(), want.Contacts()) {
 			t.Fatalf("step %d (%s): contact sets differ from the heap's", step, what)
 		}
 	}
@@ -558,7 +557,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 			se.ReleaseBefore(at)
 			ref.releaseBefore(at)
 			got, want := paneOf(se.take()), ref.take()
-			sameBuilders(step, "seal", got, want)
+			samePane(step, "seal", got, want)
 			cov.sealed += got.Hosts()
 			checkLists(t, &se.pending, true)
 		case opRestore:
@@ -595,7 +594,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	}
 	se.Drain()
 	ref.release(ref.frontier.UnixNano() + 1)
-	sameBuilders(len(ops)/2, "Drain", paneOf(se.sealed()), ref.builders)
+	samePane(len(ops)/2, "Drain", paneOf(se.take()), ref.sealed())
 	if se.pending.n != 0 {
 		t.Fatalf("%d entries left after Drain", se.pending.n)
 	}
@@ -655,9 +654,9 @@ var reorderScripts = map[string][]byte{
 		opPushWide, 150, opPushFine, 10, opPushWide, 5, opIdle, 2, opSeal, 0xe0,
 		opPushWide, 190, opPushWide, 0, opIdle, 2, opSeal, 0xe0, opPushWide, 80,
 		opIdle, 2, opPushNear, 0, opSeal, 0xe0, opIdle, 16, opPushNear, 0},
-	// A seal detaches the host's builder while later records of the host
-	// are still pending; they, and the host's next records, must start a
-	// new builder, not land in the detached one.
+	// A seal gives up the host's slot while later records of the host
+	// are still pending; they, and the host's next records, must open a
+	// new slot, not land in the sealed pane.
 	"records after a seal detached the builder": {3,
 		opPushFine, 200, opPushFine, 100, opPushNear, 0, opTick, 255, opPushNear, 0, opSeal, 0xf0,
 		opPushWide, 40, opPushNear, 0, opIdle, 1, opPushNear, 0, opSeal, 0x80, opPushFine, 9,

@@ -144,7 +144,7 @@ func (se *ShardedExtractor) TakePane(w Window) *Pane {
 // unmonitored initiators and earlier panes do not count.
 func (se *ShardedExtractor) Hosts() int {
 	n := 0
-	se.each(func(_ int, ex *shardExtractor) { n += ex.hosts })
+	se.each(func(_ int, ex *shardExtractor) { n += len(ex.acc.hosts) })
 	return n
 }
 

@@ -100,7 +100,7 @@ func ExtractFeatureSet(records []Record, opts FeatureOptions, window Window) *Fe
 		}
 		window.To = last.Add(1)
 	}
-	builders := extractBuilders(records, opts)
-	return NewFeatureSet(featuresOfBuilders(builders), window).
-		WithContacts(contactsOfBuilders(builders))
+	fs := extract(records, opts).FeatureSet()
+	fs.window = window
+	return fs
 }

@@ -29,10 +29,10 @@ type DestTimes struct {
 	First, Last time.Time
 }
 
-// HostState is one host's accumulated feature-builder state: the
-// features themselves plus the per-destination table that lets later
-// records extend them (peer de-duplication and interstitial gaps).
-// Feats.Peers is len(Dests).
+// HostState is one host's accumulated state: the features themselves
+// plus the per-destination entries that let later records extend them
+// (peer de-duplication and interstitial gaps). Feats.Peers is
+// len(Dests).
 type HostState struct {
 	Feats HostFeatures
 	Dests []DestTimes // ascending by Dst
@@ -66,8 +66,8 @@ type ShardedState struct {
 	Shards []StreamState
 }
 
-// PaneState is a serializable sealed pane: its window plus every
-// detached host builder.
+// PaneState is a serializable sealed pane: its window plus every host's
+// state in it.
 type PaneState struct {
 	Window Window
 	Hosts  []HostState
@@ -89,19 +89,6 @@ func statesOf(p *Pane) []HostState {
 	return out
 }
 
-// builderOfState rebuilds a live builder.
-func builderOfState(hs *HostState) *featureBuilder {
-	feats := hs.Feats
-	feats.Interstitials = append([]float64(nil), hs.Feats.Interstitials...)
-	b := &featureBuilder{feats: &feats, firstSeen: feats.FirstSeen.UnixNano()}
-	b.dests.reserve(len(hs.Dests))
-	for _, e := range hs.Dests {
-		d, _ := b.dests.upsert(e.Dst)
-		d.first, d.last = e.First.UnixNano(), e.Last.UnixNano()
-	}
-	return b
-}
-
 // State detaches a deep snapshot of the extractor's dynamic state.
 // Configuration (FeatureOptions, MaxSkew) is not included; restore into
 // an extractor constructed with the same configuration.
@@ -109,7 +96,7 @@ func (se *shardExtractor) State() *StreamState {
 	st := &StreamState{
 		Frontier: se.frontier,
 		Released: se.released,
-		Hosts:    statesOf(&Pane{shards: []paneShard{se.sealed()}}),
+		Hosts:    se.acc.states(),
 	}
 	if se.pending.n == 0 {
 		return st
@@ -144,18 +131,23 @@ func (se *shardExtractor) State() *StreamState {
 // extractor that has taken a record (which moves its frontier) is
 // rejected.
 func (se *shardExtractor) RestoreState(st *StreamState) error {
-	if !se.frontier.IsZero() || se.hosts != 0 || se.pending.n != 0 {
+	if !se.frontier.IsZero() || len(se.acc.hosts) != 0 || se.pending.n != 0 {
 		return fmt.Errorf("flow: RestoreState on an extractor that has already taken records (frontier %v)", se.frontier)
 	}
 	se.frontier = st.Frontier
 	se.released = st.Released
-	// Every builder of the open pane hangs off its host's queue, where
-	// take finds it. Its host is monitored, so the queue may exist.
+	// Every host of the open pane gets its slot back, named by its queue
+	// as a fold would have. Its host is monitored, so the queue may
+	// exist.
 	for i := range st.Hosts {
-		se.pending.queues[se.pending.queue(st.Hosts[i].Feats.Host)].b = builderOfState(&st.Hosts[i])
+		qi := se.pending.queue(st.Hosts[i].Feats.Host)
+		q := &se.pending.queues[qi]
+		if q.slot != noEntry {
+			return fmt.Errorf("flow: snapshot lists host %v twice", q.host)
+		}
+		q.slot = se.acc.load(&st.Hosts[i], qi)
 	}
-	se.hosts = len(st.Hosts)
-	se.hostsHW.SetMax(int64(se.hosts))
+	se.hostsHW.SetMax(int64(len(se.acc.hosts)))
 	for _, p := range st.Pending {
 		if se.opts.Hosts != nil && !se.opts.Hosts(p.Src) {
 			continue // an older build held unmonitored records too
@@ -208,9 +200,9 @@ func (p *Pane) State() *PaneState {
 
 // NewPaneFromState rebuilds a sealed pane from its snapshot.
 func NewPaneFromState(st *PaneState) *Pane {
-	bs := make([]*featureBuilder, len(st.Hosts))
+	var a accumulator
 	for i := range st.Hosts {
-		bs[i] = builderOfState(&st.Hosts[i])
+		a.load(&st.Hosts[i], noEntry)
 	}
-	return &Pane{shards: []paneShard{sealBuilders(bs)}, window: st.Window}
+	return &Pane{shards: []paneShard{a.seal(true)}, window: st.Window}
 }

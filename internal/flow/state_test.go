@@ -23,9 +23,9 @@ func randomSkewedRecords(rng *rand.Rand, n int, skew time.Duration) []Record {
 
 // Snapshotting the store mid-stream and restoring into a fresh one must
 // be invisible: feeding the remainder to both the original and the
-// restored store yields identical state (counters, watermarks, open
-// builders and pending records) and identical sealed windows — the property the checkpoint
-// subsystem is built on.
+// restored store yields identical state (counters, watermarks, the
+// open pane's hosts and pending records) and identical sealed windows —
+// the property the checkpoint subsystem is built on.
 func TestStreamStateRestoreIsTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const skew = 10 * time.Minute

@@ -25,17 +25,17 @@ import (
 //
 // A host's queue outlives the pane. It spares a known host the
 // monitored test (FeatureOptions.Hosts runs once per monitored host,
-// and once per record of an unmonitored one), and it holds the host's
-// builder, which a seal copies out and resets in place.
+// and once per record of an unmonitored one), and it names the host's
+// slot in the shard's one accumulator, which a seal copies out and
+// resets in place.
 type shardExtractor struct {
-	opts    FeatureOptions
-	grace   time.Duration
-	maxSkew time.Duration
-	pending pendingLists
-	// hosts counts the builders holding records of the open pane.
-	hosts    int
-	frontier time.Time // latest start time seen
-	released time.Time // latest start folded, or the last ReleaseBefore bound
+	opts     FeatureOptions
+	grace    time.Duration
+	maxSkew  time.Duration
+	pending  pendingLists
+	acc      accumulator // the open pane
+	frontier time.Time   // latest start time seen
+	released time.Time   // latest start folded, or the last ReleaseBefore bound
 
 	// Instrumentation (nil-safe no-ops until ShardedExtractor.Metrics).
 	dropCtr   *metrics.Counter
@@ -55,6 +55,7 @@ func newShardExtractor(opts FeatureOptions, maxSkew time.Duration) *shardExtract
 		grace:   grace,
 		maxSkew: max(maxSkew, 0),
 		pending: newPendingLists(),
+		acc:     accumulator{dests: destTable{kept: true}},
 	}
 }
 
@@ -93,7 +94,7 @@ func (se *shardExtractor) Add(r *Record) error {
 	}
 	c := compactOf(r)
 	if se.maxSkew == 0 {
-		se.builder(&se.pending.queues[i], c.start).observe(&c, se.grace)
+		se.acc.observe(se.slot(i, c.start), &c, se.grace)
 		return nil
 	}
 	se.pendingHW.SetMax(int64(se.pending.n) + 1)
@@ -106,7 +107,7 @@ func (se *shardExtractor) Add(r *Record) error {
 	if every := max(int64(se.maxSkew)/4, 1); bound/every != before/every {
 		se.sweep(bound)
 	} else {
-		se.fold(&se.pending.queues[i], bound)
+		se.fold(i, bound)
 	}
 	return nil
 }
@@ -117,17 +118,19 @@ func (se *shardExtractor) watermark() int64 {
 	return se.frontier.UnixNano() - int64(se.maxSkew) + 1
 }
 
-// fold observes q's entries that start before bound, oldest first.
-func (se *shardExtractor) fold(q *hostQueue, bound int64) {
+// fold observes queue i's entries that start before bound, oldest
+// first.
+func (se *shardExtractor) fold(i int32, bound int64) {
+	q := &se.pending.queues[i]
 	if !se.pending.ready(q, bound) {
 		return
 	}
-	b := se.builder(q, se.pending.slab[q.head].start)
+	s := se.slot(i, se.pending.slab[q.head].start)
 	var last int64
 	for se.pending.ready(q, bound) {
 		c := se.pending.pop(q)
 		last = c.start
-		b.observe(c, se.grace)
+		se.acc.observe(s, c, se.grace)
 	}
 	if last > se.released.UnixNano() {
 		se.released = time.Unix(0, last).UTC()
@@ -140,9 +143,8 @@ func (se *shardExtractor) sweep(bound int64) {
 	p := &se.pending
 	kept := p.active[:0]
 	for _, i := range p.active {
-		q := &p.queues[i]
-		se.fold(q, bound)
-		if q.head == noEntry {
+		se.fold(i, bound)
+		if q := &p.queues[i]; q.head == noEntry {
 			q.listed = false
 		} else {
 			kept = append(kept, i)
@@ -151,23 +153,16 @@ func (se *shardExtractor) sweep(bound int64) {
 	p.active = kept
 }
 
-// builder returns q's host's builder in the open pane. The pane's first
-// fold starts it at first (Unix ns), restarting the host's grace period
-// every pane, and sizes what it lacks for the host's last pane.
-func (se *shardExtractor) builder(q *hostQueue, first int64) *featureBuilder {
-	b := q.b
-	if b == nil {
-		b = &featureBuilder{feats: &HostFeatures{Host: q.host}}
-		q.b = b
-	} else if b.feats.Flows > 0 {
-		return b
+// slot returns queue i's host's slot in the open pane. The pane's first
+// fold opens it at first (Unix ns), restarting the host's grace period
+// every pane.
+func (se *shardExtractor) slot(i int32, first int64) int32 {
+	q := &se.pending.queues[i]
+	if q.slot == noEntry {
+		q.slot = se.acc.open(q.host, first, i)
+		se.hostsHW.SetMax(int64(len(se.acc.hosts)))
 	}
-	b.firstSeen, b.feats.FirstSeen = first, time.Unix(0, first).UTC()
-	b.dests.reserve(int(q.dests))
-	b.gapCap = int(q.gaps)
-	se.hosts++
-	se.hostsHW.SetMax(int64(se.hosts))
-	return b
+	return q.slot
 }
 
 // Drain folds every pending entry (end of feed).
@@ -188,76 +183,13 @@ func (se *shardExtractor) ReleaseBefore(t time.Time) {
 	}
 }
 
-// sealed copies the open pane's builders, leaving them as they are.
-func (se *shardExtractor) sealed() paneShard {
-	bs := make([]*featureBuilder, 0, se.hosts)
-	for i := range se.pending.queues {
-		if b := se.pending.queues[i].b; b != nil && b.feats.Flows > 0 {
-			bs = append(bs, b)
-		}
-	}
-	return sealBuilders(bs)
-}
-
 // take seals the open pane and resets the extractor for the next one.
 // Pending entries are untouched — call ReleaseBefore at the pane's end
-// first so everything belonging to the pane has been folded. A host
-// with records in the pane keeps its builder, reset, and its queue
-// records the pane's counts; a host without gives its builder up.
+// first so everything belonging to the pane has been folded. Every
+// host of the pane gives its slot up; the accumulator keeps its arrays.
 func (se *shardExtractor) take() paneShard {
-	s := se.sealed()
-	for i := range se.pending.queues {
-		if q := &se.pending.queues[i]; q.b != nil && q.b.feats.Flows == 0 {
-			q.b = nil
-		} else if q.b != nil {
-			q.dests, q.gaps = uint32(q.b.dests.n), uint32(len(q.b.feats.Interstitials))
-			q.b.reset()
-		}
+	for i := range se.acc.hosts {
+		se.pending.queues[se.acc.hosts[i].queue].slot = noEntry
 	}
-	se.hosts = 0
-	return s
-}
-
-// reset empties b for its host's next pane. It keeps the destination
-// table unless the table is over twice the size reserve gives for the
-// destinations it held — they fit a quarter of it — and the gap buffer
-// unless it is over twice the gaps it held.
-func (b *featureBuilder) reset() {
-	if quarter := len(b.dests.slots) / 4; quarter >= destTableMin && b.dests.n*8 <= quarter*7 {
-		b.dests = destTable{}
-	} else {
-		clear(b.dests.slots)
-		b.dests.n = 0
-	}
-	gaps := b.feats.Interstitials
-	if cap(gaps) > 2*len(gaps) {
-		gaps = nil
-	}
-	*b.feats = HostFeatures{Host: b.feats.Host, Interstitials: gaps[:0]}
-}
-
-// observe folds one record into a host's builder: one probe of the
-// destination table, whose slot is read and updated in place. Shared by
-// the batch and streaming extractors so their semantics cannot drift.
-func (b *featureBuilder) observe(c *compactRecord, grace time.Duration) {
-	f := b.feats
-	f.Flows++
-	if c.state == StateFailed {
-		f.FailedFlows++
-	}
-	f.BytesUploaded += c.srcBytes
-	d, fresh := b.dests.upsert(c.dst)
-	if fresh {
-		d.first = c.start
-		f.Peers++
-		if c.start-b.firstSeen > int64(grace) {
-			f.NewPeers++
-		}
-	} else {
-		if f.Interstitials == nil && b.gapCap > 0 {
-			f.Interstitials = make([]float64, 0, b.gapCap)
-		}
-		f.Interstitials = append(f.Interstitials, time.Duration(c.start-d.last).Seconds())
-	}
-	d.last = c.start
+	return se.acc.seal(true)
 }

@@ -81,7 +81,7 @@ func TestStreamExtractorNilMetrics(t *testing.T) {
 
 // A host whose first records are folded by ReleaseBefore or Drain, not
 // by an Add, still counts toward sharded/hosts_highwater: the gauge is
-// published wherever a builder is made.
+// published wherever a host's slot is opened.
 func TestHostsHighwaterCountsReleasedHosts(t *testing.T) {
 	t0 := time.Date(2010, time.June, 21, 8, 0, 0, 0, time.UTC)
 	rec := func(src IP, at time.Duration) *Record {

@@ -46,7 +46,7 @@ func paneFeed(seed int64, plan map[IP][]paneShape, maxSkew time.Duration) []keye
 // paneSizingPlan has hosts that grow, shrink, lose every gap (and win
 // them back), skip a pane, keep one shape and arrive late, and one
 // (host 9) whose one record in pane 2 has folded when the store is
-// restored, so that only the restored builder holds it.
+// restored, so that only the restored slot holds it.
 var paneSizingPlan = map[IP][]paneShape{
 	1: {{4, 10}, {40, 200}, {150, 700}, {300, 900}},
 	2: {{300, 900}, {60, 200}, {12, 40}, {2, 3}},
@@ -57,11 +57,11 @@ var paneSizingPlan = map[IP][]paneShape{
 	9: {{}, {}, {1, 1}, {3, 6}},
 }
 
-// Sizing a host's builder from its last pane changes capacity only:
-// every pane a store seals, hints or none, is the batch extraction over
-// the pane's records (nil Interstitials where the batch has nil), and a
-// store restored mid-stream, which starts without hints, keeps the same
-// state, seals the same panes and sizes the next ones alike.
+// Carrying one accumulator from pane to pane changes capacity only:
+// every pane a store seals, its arrays warm or cold, is the batch
+// extraction over the pane's records (nil Interstitials where the batch
+// has nil), and a store restored mid-stream, which starts cold, keeps
+// the same state and seals the same panes.
 func TestStatePaneSizingMatchesBatch(t *testing.T) {
 	const maxSkew = 5 * time.Minute
 	feed := paneFeed(45, paneSizingPlan, maxSkew)
@@ -91,16 +91,8 @@ func TestStatePaneSizingMatchesBatch(t *testing.T) {
 				t.Fatalf("pane %d: host %v has no gaps, but a non-nil gap slice", k, host)
 			}
 		}
-		if len(stores) == 2 {
-			if !reflect.DeepEqual(stores[0].State(), stores[1].State()) {
-				t.Fatalf("pane %d: the restored store's state differs", k)
-			}
-			// Builders restored from the snapshot size the next pane too.
-			for host := range feats {
-				if a, b := paneSizes(stores[0], host), paneSizes(stores[1], host); a != b {
-					t.Fatalf("pane %d: host %v sized at %v, and at %v after the restore", k, host, a, b)
-				}
-			}
+		if len(stores) == 2 && !reflect.DeepEqual(stores[0].State(), stores[1].State()) {
+			t.Fatalf("pane %d: the restored store's state differs", k)
 		}
 		pane, next = next, nil
 	}
@@ -140,22 +132,9 @@ func TestStatePaneSizingMatchesBatch(t *testing.T) {
 	seal(3)
 }
 
-// queueOf is host's queue in se.
-func queueOf(se *ShardedExtractor, host IP) *hostQueue {
-	p := &se.shards[ShardOf(host, len(se.shards))].ex.pending
-	return &p.queues[p.index[host]]
-}
-
-// paneSizes is the destination and gap count host's queue in se holds
-// for the host's next pane.
-func paneSizes(se *ShardedExtractor, host IP) [2]uint32 {
-	q := queueOf(se, host)
-	return [2]uint32{q.dests, q.gaps}
-}
-
-// detachedPlan's hosts grow (1), shrink past the 2× rule (2) and within
-// it (3), lose every gap (4), skip a pane and return (5), and appear
-// for the first time (6, 7).
+// detachedPlan's hosts grow (1), shrink (2, 3), lose every gap (4),
+// skip a pane and return (5), and appear for the first time (6, 7).
+// Pane 1 is busier than panes 2 and 3, and pane 4 the busiest.
 var detachedPlan = map[IP][]paneShape{
 	1: {{10, 40}, {40, 200}, {300, 900}, {600, 1500}},
 	2: {{300, 900}, {12, 40}, {2, 3}, {150, 400}},
@@ -166,21 +145,37 @@ var detachedPlan = map[IP][]paneShape{
 	7: {{}, {20, 60}, {}, {}},
 }
 
-// checkKeptArrays checks the rules a reset builder keeps its arrays by,
-// in a store that has just sealed detachedPlan's pane 2.
-func checkKeptArrays(t *testing.T, se *ShardedExtractor) {
+// busiest is the most a store shard's accumulator has held at a seal:
+// table entries and gap chunks.
+type busiest struct{ dests, chunks int }
+
+// noteBusiest raises each shard's busiest pane to the one it is about
+// to seal.
+func noteBusiest(se *ShardedExtractor, most []busiest) {
+	for i := range se.shards {
+		a := &se.shards[i].ex.acc
+		most[i] = busiest{max(most[i].dests, a.dests.n), max(most[i].chunks, int(a.gaps.used))}
+	}
+}
+
+// checkBusiest fails unless every shard of a store that has just sealed
+// holds what its busiest pane needed and no more: the table at the size
+// its growth steps give for that pane's entries, and the pages that
+// pane's chunks filled. Quiet panes after a busy one shrink nothing,
+// and grow nothing either.
+func checkBusiest(t *testing.T, se *ShardedExtractor, most []busiest) {
 	t.Helper()
-	if b := queueOf(se, 2).b; b == nil || b.dests.slots != nil {
-		t.Fatal("host 2 shrank from 300 destinations to 12, and kept its table")
-	}
-	if b := queueOf(se, 3).b; b == nil || len(b.dests.slots) != 128 {
-		t.Fatal("host 3 shrank from 100 destinations to 60, and did not keep its table")
-	}
-	if b := queueOf(se, 4).b; b == nil || b.feats.Interstitials != nil {
-		t.Fatal("host 4 lost every gap, and kept its gap buffer")
-	}
-	if queueOf(se, 5).b != nil {
-		t.Fatal("host 5 skipped pane 2, and kept its builder")
+	for i := range se.shards {
+		a := &se.shards[i].ex.acc
+		if size, _ := tableSize(most[i].dests, true); most[i].dests > 0 && len(a.dests.slots) != size {
+			t.Fatalf("shard %d: table of %d slots, its busiest pane of %d entries needs %d", i, len(a.dests.slots), most[i].dests, size)
+		}
+		if pages := (most[i].chunks + pageChunks - 1) / pageChunks; len(a.gaps.pages) != pages {
+			t.Fatalf("shard %d: %d gap pages, its busiest pane of %d chunks needs %d", i, len(a.gaps.pages), most[i].chunks, pages)
+		}
+		if a.dests.n != 0 || a.gaps.used != 0 || len(a.hosts) != 0 {
+			t.Fatalf("shard %d: the seal left entries, chunks or slots in use", i)
+		}
 	}
 }
 
@@ -205,17 +200,19 @@ func freeze(p *Pane) frozenPane {
 	return fz
 }
 
-// A sealed pane shares nothing with the store: the builders its hosts
-// keep, reset, for the next pane change nothing it shows, whether they
-// grow, shrink, drop their table or gap buffer, or are given up. Every
-// pane, and the sliding merge of panes 2–4, is the batch extraction
-// over its records, also through a store restored within pane 2.
+// A sealed pane shares nothing with the store: the accumulator the
+// store folds the next panes into, through the same table and pages,
+// changes nothing it shows, whatever its hosts do next. Every pane, and
+// the sliding merge of panes 2–4, is the batch extraction over its
+// records, also through a store restored within pane 2; and after every
+// seal each shard holds what its busiest pane needed (checkBusiest).
 func TestSealedPaneIsDetached(t *testing.T) {
 	const maxSkew = 5 * time.Minute
 	feed := paneFeed(53, detachedPlan, maxSkew)
 	stores := []*ShardedExtractor{NewShardedExtractorSkew(FeatureOptions{}, 2, maxSkew)}
-	panes := make([][]*Pane, 2) // per store
-	var records [][]Record      // per pane, arrival order
+	panes := make([][]*Pane, 2)  // per store
+	most := make([][]busiest, 2) // per store, per shard
+	var records [][]Record       // per pane, arrival order
 	var pane, next []Record
 	var first frozenPane // pane 1 as store 0 sealed it
 	seal := func(k int) {
@@ -224,14 +221,16 @@ func TestSealedPaneIsDetached(t *testing.T) {
 		records = append(records, pane)
 		for i, se := range stores {
 			se.ReleaseBefore(to)
+			if most[i] == nil {
+				most[i] = make([]busiest, se.Shards())
+			}
+			noteBusiest(se, most[i])
 			p := se.TakePane(Window{From: to.Add(-time.Hour), To: to})
+			checkBusiest(t, se, most[i])
 			panes[i] = append(panes[i], p)
 			if diff := batchDiff(p.FeatureSet(), pane, FeatureOptions{}); diff != "" {
 				t.Fatalf("pane %d, store %d: %s", k+1, i, diff)
 			}
-		}
-		if k == 1 {
-			checkKeptArrays(t, stores[0])
 		}
 		if k == 0 {
 			first = freeze(panes[0][0])
@@ -291,15 +290,22 @@ func TestSealedPaneIsDetached(t *testing.T) {
 	}
 }
 
-// Feeding a pane of the same shape as the last one allocates only the
-// sealed pane's arrays: every host keeps its builder, destination table
-// and gap buffer from the last pane, so the count does not grow with
-// the hosts.
+// A warm store shard folds a pane no larger than its largest without
+// allocating — the table, the pages, the slots and the pending slab are
+// all sized already — and seals it in a constant number of allocations,
+// whatever the number of hosts: the pane's features, destinations,
+// spans and gap array.
 func TestDestTablePaneSizingAllocs(t *testing.T) {
 	const (
-		perPane = 8
+		perSeal = 4
 		maxSkew = time.Minute
 	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
 	for _, hosts := range []int{64, 512} {
 		plan := make(map[IP][]paneShape, hosts)
 		rng := rand.New(rand.NewSource(46))
@@ -316,26 +322,43 @@ func TestDestTablePaneSizingAllocs(t *testing.T) {
 		recs := make([]Record, len(feed))
 		se := newShardExtractor(FeatureOptions{}, maxSkew)
 		var taken paneShard
-		k := 0
-		// One call feeds the same pane an hour later than the last, in
-		// start order, and seals it.
-		feedPane := func() {
+		// pane feeds the k-th copy of the pane, an hour after the last, in
+		// start order, with every third pane only its first half: never
+		// larger than the first.
+		pane := func(k int) {
 			shift := time.Duration(k) * time.Hour
-			for j := range feed {
+			n := len(feed)
+			if k%3 == 2 {
+				n /= 2
+			}
+			for j := range feed[:n] {
 				recs[j] = feed[j].rec
 				recs[j].Start = recs[j].Start.Add(shift)
 				if err := se.Add(&recs[j]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			k++
-			se.ReleaseBefore(baseTime().Add(time.Duration(k) * time.Hour))
-			taken = se.take()
+			se.ReleaseBefore(baseTime().Add(shift + time.Hour))
 		}
-		feedPane() // the first pane grows its tables from empty
-		// The pane's features, destinations, spans and gap array.
-		if allocs := testing.AllocsPerRun(4, feedPane); allocs > perPane {
-			t.Errorf("%d hosts: a pane shaped as the last made %v allocations, want at most %d", hosts, allocs, perPane)
+		pane(0) // the first pane grows everything from empty
+		taken = se.take()
+		for k := 1; k <= 4; k++ {
+			// A collection under way allocates for itself; start each
+			// phase after a whole one.
+			runtime.GC()
+			m0 := mallocs()
+			pane(k)
+			m1 := mallocs()
+			runtime.GC()
+			m2 := mallocs()
+			taken = se.take()
+			m3 := mallocs()
+			if m1 != m0 {
+				t.Errorf("%d hosts, pane %d: folding made %d allocations, want 0", hosts, k, m1-m0)
+			}
+			if m3-m2 > perSeal {
+				t.Errorf("%d hosts, pane %d: the seal made %d allocations, want at most %d", hosts, k, m3-m2, perSeal)
+			}
 		}
 		if len(taken.feats) != hosts {
 			t.Fatalf("%d hosts: the pane has %d", hosts, len(taken.feats))
@@ -353,15 +376,18 @@ func TestDestTablePaneSizingAllocs(t *testing.T) {
 	}
 }
 
-// The store's per-host state grows by at most 16 bytes for pane sizing
-// and the active list: the queue stays at 32 bytes, and the builder in
-// its 64-byte size class.
+// A known host costs the store 20 bytes whether it is active or idle —
+// its queue — and a host with records in the open pane 120 more, its
+// accumulator slot: 140 in all, against the 192 (a 32-byte queue, a
+// builder in the 64-byte size class and its 96-byte features) a host
+// cost when each kept its own builder. Its destinations and gaps are
+// in the shard's table and pages.
 func TestReorderHostQueueSize(t *testing.T) {
-	if size := unsafe.Sizeof(hostQueue{}); size > 32 {
-		t.Errorf("host queue is %d bytes, want at most 32", size)
+	if size := unsafe.Sizeof(hostQueue{}); size > 20 {
+		t.Errorf("host queue is %d bytes, want at most 20", size)
 	}
-	if size := unsafe.Sizeof(featureBuilder{}); size > 64 {
-		t.Errorf("feature builder is %d bytes, want at most 64", size)
+	if size := unsafe.Sizeof(hostSlot{}); size > 120 {
+		t.Errorf("host slot is %d bytes, want at most 120", size)
 	}
 }
 
@@ -454,4 +480,43 @@ func BenchmarkStreamExtractorPanes(b *testing.B) {
 			b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/record")
 		})
 	}
+}
+
+// BenchmarkStreamFoldWarm is one hourly pane folded into a warm store
+// shard, without its seal: BenchmarkStreamExtractorSkew's day-shaped
+// feed (400 hosts, MaxSkew 5 m) over one hour, filed on the pending
+// lists and folded into the accumulator by the sweeps and the closing
+// ReleaseBefore. A first pane, sealed before the timer starts, sizes
+// the table, the gap pages, the slots and the slab, and every op folds
+// the same pane an hour later, so CI gates its allocs/op at zero
+// (benchgate -zero-allocs). The seal runs with the timer stopped.
+func BenchmarkStreamFoldWarm(b *testing.B) {
+	const maxSkew = 5 * time.Minute
+	feed := dayFeed(400, time.Hour, maxSkew, dayHostShape)
+	recs := make([]Record, len(feed))
+	se := newShardExtractor(FeatureOptions{}, maxSkew)
+	pane := func(k int) {
+		shift := time.Duration(k) * time.Hour
+		for j := range feed {
+			recs[j] = feed[j].rec
+			recs[j].Start = recs[j].Start.Add(shift)
+			if err := se.Add(&recs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		se.ReleaseBefore(baseTime().Add(shift + time.Hour))
+	}
+	pane(0)
+	se.take()
+	runtime.GC() // a collection under way allocates for itself
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pane(i + 1)
+		b.StopTimer()
+		se.take()
+		runtime.GC()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(feed)), "ns/record")
 }

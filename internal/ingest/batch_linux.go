@@ -19,8 +19,10 @@ type mmsghdr struct {
 // mmsgReader drains up to batch datagrams per recvmmsg(2) call against
 // the connection's pollable file descriptor. The msghdr/iovec/sockaddr
 // arrays are allocated once and rewired to the caller's ring buffers on
-// every call, so the steady-state receive path performs one system call
-// per batch and zero allocations per packet.
+// every call, and the RawConn.Read callback is a method value bound once
+// at construction whose results land in the reader's fields, so the
+// steady-state receive path performs one system call per batch and zero
+// allocations per call.
 //
 // The socket stays in the Go runtime's non-blocking mode: recvmmsg runs
 // with MSG_DONTWAIT inside RawConn.Read, whose callback contract parks
@@ -33,6 +35,12 @@ type mmsgReader struct {
 	hdrs   []mmsghdr
 	iovs   []syscall.Iovec
 	names  [][syscall.SizeofSockaddrInet6]byte
+	// recv is r.recvmmsg, bound once; want is the slots it offers the
+	// kernel, got and operr what the call returned.
+	recv  func(fd uintptr) bool
+	want  int
+	got   int
+	operr error
 }
 
 // newMMsgReader prepares a recvmmsg reader, or nil when the connection
@@ -42,13 +50,15 @@ func newMMsgReader(conn *net.UDPConn, batch int) *mmsgReader {
 	if err != nil {
 		return nil
 	}
-	return &mmsgReader{
+	r := &mmsgReader{
 		raw:    raw,
 		intern: NewInterner(),
 		hdrs:   make([]mmsghdr, batch),
 		iovs:   make([]syscall.Iovec, batch),
 		names:  make([][syscall.SizeofSockaddrInet6]byte, batch),
 	}
+	r.recv = r.recvmmsg
+	return r
 }
 
 // ReadBatch fills up to min(len(bufs), batch) buffers from one recvmmsg
@@ -71,28 +81,14 @@ func (r *mmsgReader) ReadBatch(bufs []*Buf) (int, error) {
 		h.Flags = 0
 		r.hdrs[i].len = 0
 	}
-	var got int
-	var operr error
-	err := r.raw.Read(func(fd uintptr) bool {
-		rn, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(n),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if errno != 0 {
-			if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
-				return false // park on the netpoller until readable
-			}
-			operr = errno
-			return true
-		}
-		got = int(rn)
-		return true
-	})
-	if err != nil {
+	r.want, r.got, r.operr = n, 0, nil
+	if err := r.raw.Read(r.recv); err != nil {
 		return 0, err // closed socket or poll failure, as a net error
 	}
-	if operr != nil {
-		return 0, operr
+	if r.operr != nil {
+		return 0, r.operr
 	}
+	got := r.got
 	for i := 0; i < got; i++ {
 		b := bufs[i]
 		b.Data = b.Data[:min(int(r.hdrs[i].len), len(b.Data))]
@@ -100,6 +96,23 @@ func (r *mmsgReader) ReadBatch(bufs []*Buf) (int, error) {
 		b.Exporter = r.intern.Intern(r.sockaddr(i))
 	}
 	return got, nil
+}
+
+// recvmmsg is the RawConn.Read callback: one non-blocking recvmmsg(2)
+// into the first r.want slots.
+func (r *mmsgReader) recvmmsg(fd uintptr) bool {
+	rn, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(r.want),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if errno != 0 {
+		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
+			return false // park on the netpoller until readable
+		}
+		r.operr = errno
+		return true
+	}
+	r.got = int(rn)
+	return true
 }
 
 // sockaddr decodes slot i's raw source address. Unknown families
