@@ -6,8 +6,8 @@
 //	plotfind [-format F] [-internal CIDR[,CIDR]] [-sample N] [-metrics FILE] [-v] TRACE
 //	plotfind -window 6h [-slide 1h] [-shards N] [-skew 5m] [-origin TIME] ... TRACE
 //	plotfind -listen :2055 -window 6h [-ingest-batch 32] [-state-dir DIR [-checkpoint-every 5m]] ...
-//	plotfind -role shard -shard 0 -dist-shards 2 -peers host:7055 -window 6h -origin TIME ... TRACE
-//	plotfind -role coordinator -peers :7055 -dist-shards 2 -window 6h -origin TIME ...
+//	plotfind -role shard -shard 0 -dist-shards 2 -peers host:7055 -window 6h ... TRACE
+//	plotfind -role coordinator -peers :7055 -dist-shards 2 -window 6h ...
 //
 // Source. A TRACE file is streamed record by record. -listen binds a UDP
 // socket instead and decodes NetFlow v5/v9, IPFIX and sFlow v5 exports
@@ -20,21 +20,22 @@
 // Engine. Without -window the records are collected and FindPlotters
 // runs once. -window streams them through the continuous windowed
 // engine: the full pipeline at every window boundary, tumbling or
-// -slide, aligned at -origin. With -listen, -state-dir puts a checkpoint
-// manager around that engine — every record write-ahead logged, the
-// detection state snapshotted every -checkpoint-every and on shutdown —
-// so a restart with the same flags resumes exactly where the last
-// process stopped, even after kill -9; a failed periodic checkpoint
-// stops collection. -role shard runs only the shard-local phase for the
-// hosts hashing to -shard of -dist-shards and ships versioned summaries
-// over TCP to -peers; -role coordinator binds -peers, merges them and
-// runs the global phase per window. Every node must run with the same
-// -window, -origin and detection knobs (a mismatch is refused at
-// connection time, naming the knob); the result is then bit-identical to
-// a single -window process. One loop feeds every engine, with one
-// policy: a record more than -skew behind the stream is counted and
-// dropped, never fatal, and at end of feed the watermark advances to the
-// last record and the tail window is flushed, marked [partial].
+// -slide, aligned at -origin (default the Unix epoch). With -listen,
+// -state-dir puts a checkpoint manager around that engine — every
+// record write-ahead logged, the detection state snapshotted every
+// -checkpoint-every and on shutdown — so a restart with the same flags
+// resumes exactly where the last process stopped, even after kill -9; a
+// failed periodic checkpoint stops collection. -role shard runs only
+// the shard-local phase for the hosts hashing to -shard of -dist-shards
+// and ships versioned summaries over TCP to -peers; -role coordinator
+// binds -peers, merges them and runs the global phase per window. Every
+// node must run with the same -window, -origin and detection knobs (a
+// mismatch is refused at connection time, naming the knob); the result
+// is then bit-identical to a single -window process. One loop feeds
+// every engine, with one policy: a record more than -skew behind the
+// stream is counted and dropped, never fatal, and at end of feed the
+// watermark advances to the last record and the tail window is flushed,
+// marked [partial].
 //
 // Sink. One line per sealed window (suspects with -v), or the batch
 // run's stage table, suspects and θ_hm clusters when -detectors lists
@@ -123,7 +124,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.shardIdx, "shard", 0, "this worker's shard index in [0,dist-shards) for -role shard")
 	fs.IntVar(&o.distN, "dist-shards", 0, "total shard-worker count in the distributed deployment (required with -role)")
 	fs.DurationVar(&o.distWait, "dist-timeout", 0, "coordinator: force-seal a window as [partial] when shards lag this long behind it (0 = wait forever)")
-	fs.StringVar(&o.origin, "origin", "", "window alignment origin, RFC 3339 (required with -role, where every node must agree on it; optional with plain -window)")
+	fs.StringVar(&o.origin, "origin", "", "window alignment origin, RFC 3339 (default the Unix epoch; every node of a -role deployment must agree on it)")
 	fs.DurationVar(&o.drainWait, "drain-timeout", 30*time.Second, "shard: how long to wait at end of trace for the coordinator to acknowledge every frame")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -191,7 +192,6 @@ func (o *options) validate() (mode, error) {
 		{dist && o.window <= 0, "-role requires -window (distributed detection is windowed)"},
 		{dist && o.peers == "", "-role requires -peers (the coordinator's TCP address)"},
 		{dist && o.distN < 1, "-role requires -dist-shards >= 1"},
-		{dist && o.origin == "", "-role requires -origin (shard and coordinator window indices align only against a shared origin)"},
 		{live && o.nargs != 0, "-listen takes no trace file argument"},
 		{m == coordMode && o.nargs != 0, "-role coordinator takes no trace file argument (shards read the traces)"},
 		{!live && m != coordMode && o.nargs != 1, "expected exactly one trace file argument"},

@@ -241,6 +241,18 @@ func TestModesAgree(t *testing.T) {
 			t.Errorf("%s disagrees with the batch run:\n got  %+v\n want %+v", mode, v, want)
 		}
 	}
+
+	// Without -origin every node computes the same epoch grid, so the
+	// shards and coordinator print the single process's windows.
+	epoch := []string{"-v", "-window", "6h"}
+	lines := func(out string) []string {
+		return append(windowLine.FindAllString(out, -1), suspectLine.FindAllString(out, -1)...)
+	}
+	single := lines(foreground(t, append(epoch, trace)...))
+	coordinator, _ = distRun(t, 2, trace, epoch...)
+	if got := lines(coordinator); len(single) == 0 || !reflect.DeepEqual(got, single) {
+		t.Errorf("without -origin, 2 shards + coordinator disagree with -window:\n got  %q\n want %q", got, single)
+	}
 }
 
 // replay sends records to a collector as NetFlow v5 datagrams through
@@ -447,7 +459,6 @@ func TestRejectedFlags(t *testing.T) {
 		{"-listen :0 -window 6h x", "-listen takes no trace file argument"},
 		{"-role coordinator " + dist + " x", "-role coordinator takes no trace file argument"},
 		{"-role worker " + dist + " x", "-role must be shard or coordinator"},
-		{"-role shard -peers :7055 -dist-shards 2 -window 6h x", "-role requires -origin"},
 		{"-role shard -peers :7055 -window 6h -origin " + dayOrigin + " x", "-role requires -dist-shards"},
 		{"-role shard -dist-shards 2 -window 6h -origin " + dayOrigin + " x", "-role requires -peers"},
 		{"-role shard -peers :7055 -dist-shards 2 -origin " + dayOrigin + " x", "-role requires -window"},

@@ -81,10 +81,10 @@ var ErrNotSnapshot = errors.New("checkpoint: not a checkpoint snapshot (bad magi
 
 // Meta pins everything a snapshot's state silently depends on: when and
 // at which WAL position it was taken, and the configuration fingerprint
-// (window geometry, skew, shard count, churn grace, late-record policy)
-// that must match the restoring engine. Restoring under a different
-// configuration would not fail loudly on its own — features would just
-// accumulate differently — so RestoreEngine checks every field.
+// (window geometry, skew, shard count, churn grace) that must match the
+// restoring engine. Restoring under a different geometry would not fail
+// loudly on its own — features would just accumulate differently — so
+// RestoreEngine checks it.
 type Meta struct {
 	// Created is when the snapshot was taken.
 	Created time.Time
@@ -93,11 +93,14 @@ type Meta struct {
 	// with greater sequence numbers, which makes a crash between
 	// snapshot commit and WAL rotation harmless.
 	WALSeq uint64
-	// Geometry and DropLate fingerprint the engine configuration.
-	// Geometry.Shards is the feature store's resolved count: the shard
-	// hash is deterministic, so an equal count restores every host to
-	// the shard that accumulated it.
+	// Geometry fingerprints the engine configuration. Geometry.Shards is
+	// the feature store's resolved count: the shard hash is
+	// deterministic, so an equal count restores every host to the shard
+	// that accumulated it.
 	engine.Geometry
+	// DropLate records the snapshotted engine's late-record policy. It is
+	// not compared: it decides only whether Add reports a late record,
+	// never what the state holds.
 	DropLate bool
 }
 
@@ -119,28 +122,16 @@ func EngineMeta(eng *engine.WindowedDetector) Meta {
 	return Meta{Geometry: cfg.Geometry(eng.Store().Shards()), DropLate: cfg.DropLate}
 }
 
-// checkCompatible compares the snapshot fingerprint m against a live
-// engine's, naming the first mismatched knob.
-func (m Meta) checkCompatible(cur Meta) error {
-	knob, snap, now := m.Geometry.Mismatch(cur.Geometry)
-	if knob == "" && m.DropLate != cur.DropLate {
-		knob, snap, now = "drop-late", m.DropLate, cur.DropLate
-	}
-	if knob != "" {
-		return fmt.Errorf("checkpoint: snapshot was taken with %s %v but this engine is configured with %v — restore requires the snapshotted configuration",
-			knob, snap, now)
-	}
-	return nil
-}
-
 // RestoreEngine verifies the snapshot's configuration fingerprint
-// against eng and restores its state. eng must be freshly constructed.
+// against eng, naming the first mismatched knob, and restores its state.
+// eng must be freshly constructed.
 func (s *Snapshot) RestoreEngine(eng *engine.WindowedDetector) error {
 	if s.Engine == nil {
 		return fmt.Errorf("checkpoint: snapshot carries no engine state")
 	}
-	if err := s.Meta.checkCompatible(EngineMeta(eng)); err != nil {
-		return err
+	if knob, snap, now := s.Meta.Mismatch(EngineMeta(eng).Geometry); knob != "" {
+		return fmt.Errorf("checkpoint: snapshot was taken with %s %v but this engine is configured with %v — restore requires the snapshotted configuration",
+			knob, snap, now)
 	}
 	return eng.RestoreState(s.Engine)
 }

@@ -13,6 +13,7 @@ import (
 
 	"plotters/internal/checkpoint"
 	"plotters/internal/engine"
+	"plotters/internal/flow"
 )
 
 // A decoded snapshot must re-encode to the exact bytes it came from —
@@ -175,7 +176,6 @@ func TestSnapshotRestoreConfigMismatch(t *testing.T) {
 	// window by the snapshot.
 	tumbling := testEngineConfig()
 	tumbling.Slide = 0
-	tumbling.Origin = baseTime()
 	for _, c := range []struct {
 		name    string
 		snap    engine.Config
@@ -227,5 +227,66 @@ func TestSnapshotRestoreConfigMismatch(t *testing.T) {
 				t.Fatalf("restored engine sealed %v, the snapshotted one %v", got, want[sealed:])
 			}
 		})
+	}
+}
+
+// DropLate decides only whether Add reports a late record: engine and
+// store state are the same either way. So a snapshot taken with it off
+// restores into an engine with it on, and the run carries on exactly as
+// one that had it on from the start, late records counted. The meta
+// still records the snapshot's setting. Such a restore was once refused.
+func TestSnapshotRestoresAcrossDropLate(t *testing.T) {
+	records := synthStream(rand.New(rand.NewSource(42)), baseTime(), 90*time.Minute)
+	cut := len(records) / 2
+	late := records[len(records)-1]
+	late.Start, late.End = late.Start.Add(-30*time.Minute), late.End.Add(-30*time.Minute)
+	records = append(records, late)
+	feed := func(eng *engine.WindowedDetector, records []flow.Record) {
+		t.Helper()
+		for i := range records {
+			if err := eng.Add(&records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var want, got []windowKey
+	whole := newTestEngine(t, "", &want)
+	feed(whole, records[:cut])
+	before := len(want)
+	feed(whole, records[cut:])
+	if err := whole.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	strict := testEngineConfig()
+	strict.DropLate = false
+	first, err := engine.New(strict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(first, records[:cut])
+	data, err := checkpoint.Encode(&checkpoint.Snapshot{Meta: checkpoint.EngineMeta(first), Engine: first.State()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Meta.DropLate {
+		t.Fatal("the meta lost the snapshot's DropLate setting")
+	}
+	resumed := newTestEngine(t, "", &got)
+	if err := snap.RestoreEngine(resumed); err != nil {
+		t.Fatal(err)
+	}
+	feed(resumed, records[cut:])
+	if err := resumed.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 2 || !reflect.DeepEqual(got, want[before:]) || resumed.Dropped() != 1 || whole.Dropped() != 1 {
+		t.Fatalf("resumed run emitted\n%+v\nand dropped %d; the unbroken run, after the cut:\n%+v\nand dropped %d",
+			got, resumed.Dropped(), want[before:], whole.Dropped())
 	}
 }

@@ -104,8 +104,8 @@ func TestSnapshotSchemaEvolution(t *testing.T) {
 }
 
 // The snapshots earlier builds wrote, each of synthStream(seed 18,
-// 50 min) — 454 records — through testEngineConfig(), so two sealed
-// panes and pending records are in them. snapshot_v1_pr18.bin was
+// 50 min) — 454 records — through testEngineConfig() with its explicit
+// origin, so two sealed panes and pending records are in them. snapshot_v1_pr18.bin was
 // written by the commit before the feature layer merged each host's two
 // per-destination maps into one table and replaced the reorder heap
 // with keys over a record slab; snapshot_v2_pr42.bin by the commit

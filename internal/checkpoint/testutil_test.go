@@ -25,6 +25,7 @@ func testEngineConfig() engine.Config {
 	return engine.Config{
 		Window:   time.Hour,
 		Slide:    20 * time.Minute,
+		Origin:   baseTime(),
 		Shards:   3,
 		MaxSkew:  2 * time.Minute,
 		DropLate: true,

@@ -78,11 +78,12 @@ type Coordinator struct {
 // connection, its watermark, and its sequence accounting — the
 // collector's NetFlow discipline applied to summary streams: a forward
 // jump is a gap (frames lost in transit), a backward jump is a resend
-// after reconnect — counted, deduplicated by (shard, window), never
-// fatal.
+// after reconnect — counted, deduplicated against the highest window
+// the shard delivered, never fatal.
 type shardState struct {
 	conn      net.Conn  // latest live connection; nil between connections
 	watermark time.Time // no summary will come for a window ending at or before it
+	sentTo    int       // one past the highest window index this shard sent a summary for
 	seen      bool
 	next      uint64 // next expected sequence number
 	gaps      uint64 // forward jumps observed
@@ -341,7 +342,7 @@ func (c *Coordinator) account(shard int, seq uint64) {
 		c.reg.Counter("dist/lost_frames").Add(int64(seq - s.next))
 		s.next = seq + 1
 	case seq < s.next:
-		s.dups++ // resend after reconnect; offer dedups by (shard, window)
+		s.dups++ // resend after reconnect; offer dedups its summaries
 		c.reg.Counter("dist/dup_frames").Add(1)
 	default:
 		s.next = seq + 1
@@ -349,11 +350,13 @@ func (c *Coordinator) account(shard int, seq uint64) {
 }
 
 // offer folds one shard's summary for window index in, sealing every
-// window that completes. A summary already held for (shard, window), or
-// for a window already sealed, is a resend after reconnect: counted
-// under dist/summaries/dup, not an error. A summary inconsistent with
-// the deployment or with the other shards is refused before it changes
-// anything.
+// window that completes. A shard seals its windows in index order, so a
+// summary at or below the highest index it already sent is a resend
+// after reconnect (dist/summaries/dup); one above it for a window
+// already sealed is a straggler's, whose window WindowTimeout
+// force-sealed without it (dist/summaries/late). Neither is folded in,
+// and neither is an error. A summary inconsistent with the deployment
+// or with the other shards is refused before it changes anything.
 func (c *Coordinator) offer(shard, index int, sum *core.ShardSummary) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -369,11 +372,17 @@ func (c *Coordinator) offer(shard, index int, sum *core.ShardSummary) error {
 			shard, index, sum.Window.From, sum.Window.To, pw.window.From, pw.window.To)
 	}
 	// A complete summary for w proves the shard's frontier passed w's end.
-	if s := &c.shards[shard]; !sum.Partial && sum.Window.To.After(s.watermark) {
+	s := &c.shards[shard]
+	if !sum.Partial && sum.Window.To.After(s.watermark) {
 		s.watermark = sum.Window.To
 	}
-	if index <= c.maxSealed || (pw != nil && pw.sums[shard] != nil) {
+	if index < s.sentTo {
 		c.reg.Counter("dist/summaries/dup").Add(1)
+		return c.seal(math.MaxInt, false)
+	}
+	s.sentTo = index + 1
+	if index <= c.maxSealed {
+		c.reg.Counter("dist/summaries/late").Add(1)
 		return c.seal(math.MaxInt, false)
 	}
 	if pw == nil {

@@ -132,8 +132,10 @@ func waitWindows(t *testing.T, coord *Coordinator, n int) {
 // A window one shard never reports is force-sealed WindowTimeout after
 // its first summary: emitted once, Partial, with only the reporting
 // shard's hosts. The straggler's summary for it, when it finally comes,
-// is a duplicate. A timeout of 1 ns once panicked the process (a ticker
-// at a quarter of it got a zero interval).
+// is late (it was once counted as a duplicate), and the same summary
+// resent after a reconnect is a duplicate. A timeout of 1 ns once
+// panicked the process (a ticker at a quarter of it got a zero
+// interval).
 func TestCoordinatorTimeoutForceSeal(t *testing.T) {
 	records := clusterCorpus()
 	w0 := clusterWindow(0)
@@ -179,8 +181,21 @@ func TestCoordinatorTimeoutForceSeal(t *testing.T) {
 			if n := len(out.get()); n != 1 || cl.Coordinator.Windows() != 1 {
 				t.Errorf("the straggler's summary re-emitted window 0: %d results", n)
 			}
-			if n := reg.TakeSnapshot().Counters["dist/summaries/dup"]; n != 1 {
-				t.Errorf("dist/summaries/dup = %d, want 1", n)
+			counts := func(late, dup int64) {
+				t.Helper()
+				c := reg.TakeSnapshot().Counters
+				if c["dist/summaries/late"] != late || c["dist/summaries/dup"] != dup {
+					t.Errorf("dist/summaries/late = %d, dup = %d; want %d and %d",
+						c["dist/summaries/late"], c["dist/summaries/dup"], late, dup)
+				}
+			}
+			counts(1, 0)
+
+			resend := dialFake(t, cl.Coordinator, 1)
+			resend.mustSend(frameSummary, EncodeSummary(0, shardSummaries(t, records, w0, 2)[1]))
+			counts(1, 1)
+			if n := len(out.get()); n != 1 {
+				t.Errorf("the resent summary re-emitted window 0: %d results", n)
 			}
 		})
 	}

@@ -93,6 +93,8 @@ const minHostSummary = 4 + 2*8 + 8 + 2*8 + 9 + 8 + 4 + 4
 type Fingerprint struct {
 	// Geometry.Shards is the deployment's worker-process count.
 	engine.Geometry
+	// Origin is the resolved grid origin (engine.Config.GridOrigin), so
+	// a zero Config.Origin and an explicit epoch one match.
 	Origin time.Time
 
 	MinInterstitialSamples int
@@ -104,7 +106,7 @@ type Fingerprint struct {
 func FingerprintOf(cfg engine.Config, shards int) Fingerprint {
 	return Fingerprint{
 		Geometry:               cfg.Geometry(shards),
-		Origin:                 cfg.Origin,
+		Origin:                 cfg.GridOrigin(),
 		MinInterstitialSamples: cfg.Core.MinInterstitialSamples,
 		RawTimeScale:           cfg.Core.RawTimeScale,
 	}

@@ -316,6 +316,17 @@ func TestHelloVersionMismatchRejected(t *testing.T) {
 	}
 }
 
+// A zero Origin is the epoch grid, so it matches an explicit epoch
+// origin. It was once compared as the zero time's Unix nanoseconds, a
+// value out of int64's range, and refused.
+func TestFingerprintZeroOriginIsTheEpoch(t *testing.T) {
+	zero, epoch := testEngineConfig(), testEngineConfig()
+	zero.Origin, epoch.Origin = time.Time{}, time.Unix(0, 0)
+	if err := FingerprintOf(zero, 2).Check(FingerprintOf(epoch, 2)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Fingerprint.Check must name the first mismatched knob.
 func TestFingerprintMismatchNamesKnob(t *testing.T) {
 	base := FingerprintOf(testEngineConfig(), 4)

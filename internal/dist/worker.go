@@ -22,11 +22,10 @@ type WorkerConfig struct {
 	Shards int
 	// Engine is the window geometry and detection configuration, which
 	// must match the coordinator's in what a Fingerprint pins (the hello
-	// handshake enforces it). Engine.Origin must be set: shard and
-	// coordinator window indices align only against a shared explicit
-	// origin, never a first-record time one shard observes and another
-	// does not. Engine.Detectors, the percentiles, the cut fraction and
-	// MaxDiameter are ignored — a shard runs exactly the local phase.
+	// handshake enforces it), Origin included: a zero one is the epoch
+	// grid every node computes alike. Engine.Detectors, the percentiles,
+	// the cut fraction and MaxDiameter are ignored — a shard runs exactly
+	// the local phase.
 	Engine engine.Config
 	// Dial establishes a connection to the coordinator. Required; the
 	// TCP deployment uses net.Dial, tests use net.Pipe.
@@ -97,9 +96,6 @@ func NewShardWorker(cfg WorkerConfig) (*ShardWorker, error) {
 	}
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("dist: worker needs a Dial function")
-	}
-	if cfg.Engine.Origin.IsZero() {
-		return nil, fmt.Errorf("dist: worker needs an explicit Engine.Origin — shard and coordinator window indices align only against a shared origin")
 	}
 
 	w := &ShardWorker{cfg: cfg, reg: cfg.Engine.Core.Metrics, fp: FingerprintOf(cfg.Engine, cfg.Shards)}

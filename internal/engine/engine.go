@@ -25,8 +25,8 @@ import (
 )
 
 // ErrLateRecord marks a record that arrived more than MaxSkew behind
-// the stream frontier, before an explicit Origin, or before the open
-// pane (its pane was sealed or skipped), and was dropped.
+// the stream frontier, before the Origin, or before the open pane (its
+// pane was sealed or skipped), and was dropped.
 // Callers running over live feeds typically count these and continue
 // (errors.Is).
 var ErrLateRecord = errors.New("engine: late record")
@@ -43,9 +43,10 @@ type Config struct {
 	// windows (back to back, no overlap).
 	Slide time.Duration
 	// Origin aligns window boundaries: windows start at Origin + i*Slide
-	// (tumbling: Origin + i*Window). The zero value aligns the first
-	// window at the first record's start time. A record that starts
-	// before an explicit Origin is dropped as late.
+	// (tumbling: Origin + i*Window). The zero value is the Unix epoch,
+	// 1970-01-01T00:00Z, so every engine of one geometry shares one grid
+	// whatever its first record. A record that starts before the origin
+	// is dropped as late.
 	Origin time.Time
 	// Shards is the feature store's shard count (≤ 0 = one per CPU).
 	Shards int
@@ -106,6 +107,15 @@ func (c *Config) Validate() error {
 	return c.Core.Validate()
 }
 
+// GridOrigin is the origin windows align to: Origin, or the Unix epoch
+// when Origin is zero.
+func (c *Config) GridOrigin() time.Time {
+	if c.Origin.IsZero() {
+		return time.Unix(0, 0).UTC()
+	}
+	return c.Origin
+}
+
 // ResolveDetectors returns the detectors run over every window: the
 // configured list, or, when it is empty, the paper pipeline alone at
 // Core.
@@ -124,10 +134,11 @@ func (c *Config) ResolveDetectors() ([]core.Detector, error) {
 type Result struct {
 	// Window is the detection window the result covers (half-open).
 	Window flow.Window
-	// Index is the window's absolute slot number since the stream
-	// origin: Window.From == origin + Index*Slide (tumbling:
-	// Index*Window). Slots whose windows held no traffic emit nothing,
-	// so indices observed by the caller may skip.
+	// Index is the window's absolute slot number since the origin:
+	// Window.From == origin + Index*Slide (tumbling: Index*Window), so
+	// under a zero Origin it counts slots since 1970. Slots whose windows
+	// held no traffic emit nothing, so indices observed by the caller may
+	// skip.
 	Index int
 	// Hosts is the number of monitored hosts with features in the
 	// window.
@@ -165,8 +176,7 @@ type WindowedDetector struct {
 	paneDur time.Duration
 	k       int // panes per window (1 = tumbling)
 
-	started  bool
-	origin   time.Time
+	origin   time.Time // Config.GridOrigin, or a restored snapshot's
 	paneIdx  int       // index of the open pane since origin; set through setPane
 	sealAt   int64     // the open pane's end + MaxSkew, Unix ns: a frontier there ends it
 	frontier time.Time // latest start time seen (or AdvanceTo watermark)
@@ -231,9 +241,11 @@ func NewSealer(cfg Config, step func(*flow.FeatureSet, *Result) error) (*Windowe
 		store:   store,
 		paneDur: paneDur,
 		k:       k,
+		origin:  cfg.GridOrigin(),
 		records: cfg.Core.Metrics.Counter("engine/records"),
 		drops:   cfg.Core.Metrics.Counter("engine/drops"),
 	}
+	d.setPane(0)
 	d.step = func(src *flow.FeatureSet, res *Result) error {
 		d.emitted++
 		return step(src, res)
@@ -262,7 +274,7 @@ func (d *WindowedDetector) BeforeSeal(fn func() error) { d.preSeal = fn }
 func (d *WindowedDetector) Windows() int { return d.emitted }
 
 // Dropped returns how many records were dropped for arriving beyond
-// MaxSkew or before an explicit Origin, in either error mode — the one
+// MaxSkew or before the Origin, in either error mode — the one
 // drop count ("engine/drops"); the store's "stream/skew_drops" sees
 // only the pane-boundary share.
 func (d *WindowedDetector) Dropped() int { return d.dropped }
@@ -285,31 +297,19 @@ func (d *WindowedDetector) setPane(idx int) {
 
 // Add folds one record into the open window, sealing and detecting any
 // windows the record's start time proves complete first. Records more
-// than MaxSkew behind the frontier, before an explicit Origin, or before
-// the open pane are dropped: with ErrLateRecord, or silently counted
-// when cfg.DropLate is set. Detection and emit errors abort the call
-// either way.
+// than MaxSkew behind the frontier, before the Origin, or before the
+// open pane are dropped: with ErrLateRecord, or silently counted when
+// cfg.DropLate is set. Detection and emit errors abort the call either
+// way.
 func (d *WindowedDetector) Add(r *flow.Record) error {
-	if r.Start.Before(d.cfg.Origin) {
-		// No window holds it; it does not start the engine either.
-		return d.late(r)
-	}
-	if !d.started {
-		d.origin = d.cfg.Origin
-		if d.origin.IsZero() {
-			d.origin = r.Start
-		}
-		d.started = true
-		d.frontier = r.Start
-		d.setPane(int(r.Start.Sub(d.origin) / d.paneDur))
-		if !d.cfg.Origin.IsZero() {
-			// The panes before the first record's are empty and closed.
-			d.store.ReleaseBefore(d.paneStart())
-		}
+	if r.Start.Before(d.origin) {
+		return d.late(r) // no window holds it; it moves no frontier either
 	}
 	if r.Start.After(d.frontier) {
 		d.frontier = r.Start
 	}
+	// The open pane keeps the one holding frontier − MaxSkew, the earliest
+	// start still conforming; the first record fast-forwards to it.
 	if d.frontier.UnixNano() >= d.sealAt {
 		if err := d.advance(d.frontier.Add(-d.cfg.MaxSkew)); err != nil {
 			return err
@@ -319,8 +319,8 @@ func (d *WindowedDetector) Add(r *flow.Record) error {
 	// sees the record: a shard's own watermark trails the frontier by
 	// however long its hosts were quiet, so judged there the verdict would
 	// depend on the shard count. The store's check still guards the open
-	// pane's start, which AdvanceTo or an explicit Origin can put within
-	// MaxSkew of the frontier.
+	// pane's start, which AdvanceTo can put within MaxSkew of the
+	// frontier.
 	if r.Start.UnixNano() < d.frontier.UnixNano()-int64(d.cfg.MaxSkew) || d.store.Add(r) != nil {
 		return d.late(r)
 	}
@@ -340,8 +340,8 @@ func (d *WindowedDetector) late(r *flow.Record) error {
 	if d.cfg.DropLate {
 		return nil
 	}
-	if r.Start.Before(d.cfg.Origin) {
-		return fmt.Errorf("%w: record at %v precedes the window origin %v", ErrLateRecord, r.Start, d.cfg.Origin)
+	if r.Start.Before(d.origin) {
+		return fmt.Errorf("%w: record at %v precedes the window origin %v", ErrLateRecord, r.Start, d.origin)
 	}
 	if r.Start.UnixNano() >= d.frontier.UnixNano()-int64(d.cfg.MaxSkew) {
 		// Within MaxSkew: the store refused it below the open pane.
@@ -356,11 +356,9 @@ func (d *WindowedDetector) late(r *flow.Record) error {
 // arrive (stream punctuation: an idle-feed heartbeat, or the known end
 // of a batch of traffic), sealing and detecting every window that ends
 // at or before t. Unlike record-driven sealing it does not wait out
-// MaxSkew — the caller is asserting completeness.
+// MaxSkew — the caller is asserting completeness. Before the first
+// record it positions the grid: the open pane becomes the one holding t.
 func (d *WindowedDetector) AdvanceTo(t time.Time) error {
-	if !d.started {
-		return nil
-	}
 	if t.After(d.frontier) {
 		d.frontier = t
 	}
@@ -373,9 +371,6 @@ func (d *WindowedDetector) AdvanceTo(t time.Time) error {
 // frontier is emitted with Result.Partial set — it covers only the
 // traffic the feed delivered before stopping.
 func (d *WindowedDetector) Flush() error {
-	if !d.started {
-		return nil
-	}
 	d.flushing = true
 	defer func() { d.flushing = false }()
 	if err := d.advance(d.frontier); err != nil {

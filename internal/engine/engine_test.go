@@ -435,8 +435,8 @@ func TestLateRecordRejectPath(t *testing.T) {
 // A record below the open pane's start is late even when it is within
 // MaxSkew of the frontier: the store's bound follows the open pane
 // wherever the engine moves it, also past a silent stretch AdvanceTo
-// skipped and to the first pane under an explicit Origin. Both records
-// were once folded into the open pane, a window that does not hold them.
+// skipped. Such a record was once folded into the open pane, a window
+// that does not hold it.
 func TestRecordBeforeOpenPaneIsLate(t *testing.T) {
 	base := baseTime()
 	for _, tc := range []struct {
@@ -449,8 +449,6 @@ func TestRecordBeforeOpenPaneIsLate(t *testing.T) {
 	}{
 		{"skipped panes", 2 * time.Hour, 10*time.Hour + 30*time.Minute,
 			[]time.Duration{10 * time.Minute, 10*time.Hour + 15*time.Minute}, 9 * time.Hour, []string{"0:1", "10:1"}},
-		{"first pane past the origin", time.Hour, 0,
-			[]time.Duration{5*time.Hour + 10*time.Minute}, 4*time.Hour + 40*time.Minute, []string{"5:1"}},
 	} {
 		var got []string
 		d, err := New(Config{Window: time.Hour, Origin: base, MaxSkew: tc.maxSkew, Core: testConfig()},

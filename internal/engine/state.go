@@ -17,6 +17,7 @@ import (
 // restoring caller constructs the engine with the same Config, and the
 // checkpoint layer pins that equality in its metadata.
 type State struct {
+	// Started reports a frontier: a record or AdvanceTo has set one.
 	Started  bool
 	Origin   time.Time
 	Frontier time.Time
@@ -32,7 +33,7 @@ type State struct {
 // while ingest is quiesced), exactly like any other engine method.
 func (d *WindowedDetector) State() *State {
 	st := &State{
-		Started:  d.started,
+		Started:  !d.frontier.IsZero(),
 		Origin:   d.origin,
 		Frontier: d.frontier,
 		PaneIdx:  d.paneIdx,
@@ -55,9 +56,11 @@ func (d *WindowedDetector) State() *State {
 // the snapshotted one (window geometry, skew, shard count, grace —
 // internal/checkpoint verifies this from its metadata) and must not
 // have ingested any records yet. A started snapshot's windows are
-// aligned to its origin, so an explicit Origin must equal it.
+// aligned to its origin: an explicit Origin must equal it, and under a
+// zero Origin the engine keeps it, so a snapshot written before zero
+// meant the epoch resumes on its own grid.
 func (d *WindowedDetector) RestoreState(st *State) error {
-	if d.started {
+	if !d.frontier.IsZero() {
 		return fmt.Errorf("engine: RestoreState on a detector that has already started")
 	}
 	if st.Started && !d.cfg.Origin.IsZero() && !st.Origin.Equal(d.cfg.Origin) {
@@ -74,8 +77,9 @@ func (d *WindowedDetector) RestoreState(st *State) error {
 	if err := d.store.RestoreState(st.Store); err != nil {
 		return err
 	}
-	d.started = st.Started
-	d.origin = st.Origin
+	if st.Started {
+		d.origin = st.Origin
+	}
 	d.frontier = st.Frontier
 	for _, sh := range st.Store.Shards {
 		if sh.Frontier.After(d.accepted) {

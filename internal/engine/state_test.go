@@ -140,6 +140,54 @@ func TestEngineStateResumeEquivalence(t *testing.T) {
 	}
 }
 
+// A snapshot keeps the grid it was taken on: restored into an engine
+// with a zero Origin, one whose origin lies off the epoch grid (as an
+// older build's first-record origin does) carries on exactly as the
+// engine that took it.
+func TestZeroOriginRestoreKeepsSnapshotOrigin(t *testing.T) {
+	records := synthStream(rand.New(rand.NewSource(80)), baseTime(), 3*time.Hour)
+	old := resumeConfig(time.Hour, 20*time.Minute)
+	old.Origin = baseTime().Add(-7 * time.Minute)
+	run := func(d *WindowedDetector, records []flow.Record) {
+		t.Helper()
+		for i := range records {
+			if err := d.Add(&records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var want, got []windowSummary
+	ref, err := New(old, collectSummaries(&want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(ref, records)
+	if err := ref.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := New(old, collectSummaries(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(records) / 2
+	run(first, records[:cut])
+	resumed, err := New(resumeConfig(time.Hour, 20*time.Minute), collectSummaries(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.RestoreState(first.State()); err != nil {
+		t.Fatal(err)
+	}
+	run(resumed, records[cut:])
+	if err := resumed.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed under a zero Origin:\n%+v\nthe snapshotted grid's run:\n%+v", got, want)
+	}
+}
+
 // RestoreState must reject a detector that already ingested records and
 // a snapshot whose pane ring does not fit the window geometry.
 func TestEngineRestoreStateRejects(t *testing.T) {

@@ -2,7 +2,7 @@ package flow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -186,9 +186,7 @@ func (r *Record) String() string {
 // SortByStart orders records by start time (stable), the order required
 // by the feature extractor and the overlay merger.
 func SortByStart(records []Record) {
-	sort.SliceStable(records, func(i, j int) bool {
-		return records[i].Start.Before(records[j].Start)
-	})
+	slices.SortStableFunc(records, func(a, b Record) int { return a.Start.Compare(b.Start) })
 }
 
 // Window is a half-open observation interval [From, To) — the paper's

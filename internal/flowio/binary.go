@@ -67,12 +67,10 @@ func AppendRecord(dst []byte, r *flow.Record) []byte {
 	return append(dst, r.Payload...)
 }
 
-// DecodeRecord decodes one record produced by AppendRecord from the
-// front of b, returning the bytes consumed.
-func DecodeRecord(b []byte) (flow.Record, int, error) {
-	if len(b) < binaryHeaderSize {
-		return flow.Record{}, 0, fmt.Errorf("flowio: record truncated: %d of %d header bytes", len(b), binaryHeaderSize)
-	}
+// decodeHeader decodes one record's fixed header: the record without
+// its payload, and the payload's length, checked against the cap. The
+// array pointer spares every field its bounds check.
+func decodeHeader(b *[binaryHeaderSize]byte) (flow.Record, int, error) {
 	le := binary.LittleEndian
 	r := flow.Record{
 		Src:      flow.IP(le.Uint32(b[0:])),
@@ -88,16 +86,29 @@ func DecodeRecord(b []byte) (flow.Record, int, error) {
 		SrcBytes: le.Uint64(b[38:]),
 		DstBytes: le.Uint64(b[46:]),
 	}
-	n := binaryHeaderSize
-	if pl := int(b[54]); pl > 0 {
-		if pl > flow.MaxPayload {
-			return flow.Record{}, 0, fmt.Errorf("flowio: payload length %d exceeds cap", pl)
-		}
-		if len(b) < n+pl {
-			return flow.Record{}, 0, fmt.Errorf("flowio: record truncated: %d of %d payload bytes", len(b)-n, pl)
-		}
-		r.Payload = append([]byte(nil), b[n:n+pl]...)
-		n += pl
+	pl := int(b[54])
+	if pl > flow.MaxPayload {
+		return flow.Record{}, 0, fmt.Errorf("flowio: payload length %d exceeds cap", pl)
+	}
+	return r, pl, nil
+}
+
+// DecodeRecord decodes one record produced by AppendRecord from the
+// front of b, returning the bytes consumed.
+func DecodeRecord(b []byte) (flow.Record, int, error) {
+	if len(b) < binaryHeaderSize {
+		return flow.Record{}, 0, fmt.Errorf("flowio: record truncated: %d of %d header bytes", len(b), binaryHeaderSize)
+	}
+	r, pl, err := decodeHeader((*[binaryHeaderSize]byte)(b))
+	if err != nil {
+		return flow.Record{}, 0, err
+	}
+	n := binaryHeaderSize + pl
+	if len(b) < n {
+		return flow.Record{}, 0, fmt.Errorf("flowio: record truncated: %d of %d payload bytes", len(b)-binaryHeaderSize, pl)
+	}
+	if pl > 0 {
+		r.Payload = append([]byte(nil), b[binaryHeaderSize:n]...)
 	}
 	return r, n, nil
 }
@@ -165,32 +176,17 @@ func (br *BinaryReader) Next() (flow.Record, error) {
 		}
 		br.started = true
 	}
-	b := br.buf[:]
-	if _, err := io.ReadFull(br.r, b); err != nil {
+	if _, err := io.ReadFull(br.r, br.buf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return flow.Record{}, io.EOF
 		}
 		return flow.Record{}, fmt.Errorf("flowio: reading record: %w", err)
 	}
-	le := binary.LittleEndian
-	r := flow.Record{
-		Src:      flow.IP(le.Uint32(b[0:])),
-		Dst:      flow.IP(le.Uint32(b[4:])),
-		SrcPort:  le.Uint16(b[8:]),
-		DstPort:  le.Uint16(b[10:]),
-		Proto:    flow.Proto(b[12]),
-		State:    flow.ConnState(b[13]),
-		Start:    time.Unix(0, int64(le.Uint64(b[14:]))).UTC(),
-		End:      time.Unix(0, int64(le.Uint64(b[22:]))).UTC(),
-		SrcPkts:  le.Uint32(b[30:]),
-		DstPkts:  le.Uint32(b[34:]),
-		SrcBytes: le.Uint64(b[38:]),
-		DstBytes: le.Uint64(b[46:]),
+	r, n, err := decodeHeader(&br.buf)
+	if err != nil {
+		return flow.Record{}, err
 	}
-	if n := int(b[54]); n > 0 {
-		if n > flow.MaxPayload {
-			return flow.Record{}, fmt.Errorf("flowio: payload length %d exceeds cap", n)
-		}
+	if n > 0 {
 		r.Payload = make([]byte, n)
 		if _, err := io.ReadFull(br.r, r.Payload); err != nil {
 			return flow.Record{}, fmt.Errorf("flowio: reading payload: %w", err)
