@@ -16,7 +16,7 @@
 // After an intentional behavior change, regenerate the pinned files
 // (each test rewrites its scenarios' files from their reference cells):
 //
-//	go test -run 'TestFindPlottersGolden|TestCollectorLoopbackGolden|TestIngestLoopbackFormats' -update
+//	go test -run 'TestFindPlottersGolden|TestCollectorLoopbackGolden|TestIngestLoopbackFormats|TestSlidingWindowGolden' -update
 package plotters_test
 
 import (
@@ -61,6 +61,14 @@ func TestCollectorLoopbackGolden(t *testing.T) { runMatrix(t, []*scenario{v5Day}
 
 func TestCheckpointKillAndResumeGolden(t *testing.T) {
 	runMatrix(t, []*scenario{v5Day}, "sync1", "sync256", "sync1073741824")
+}
+
+// A sliding window is the merge of its last Window/Slide panes, so every
+// path that carries panes across a process or a wire must rebuild them
+// exactly: a snapshot's recent panes with their destination spans, the
+// log replay after it, the shards' summaries.
+func TestSlidingWindowGolden(t *testing.T) {
+	runMatrix(t, []*scenario{v5Slide}, "shards=4", "sync1", "sync256", "sync1073741824", "simnet", "tcp", "kill-and-reconnect")
 }
 
 func TestIngestLoopbackFormats(t *testing.T) {
@@ -432,6 +440,7 @@ var (
 	v5Day    = &scenario{name: "v5", ref: "windowed", build: buildWire("netflow"), pins: []pin{{file: "testdata/collector_golden.json", view: wireView}}}
 	ipfixDay = &scenario{name: "ipfix", ref: "windowed", build: buildWire("ipfix"), pins: []pin{{file: "testdata/ingest_golden.json", key: "ipfix", view: wireView}}}
 	sflowDay = &scenario{name: "sflow", ref: "windowed", build: buildWire("sflow"), pins: []pin{{file: "testdata/ingest_golden.json", key: "sflow", view: wireView}}}
+	v5Slide  = &scenario{name: "v5-sliding", ref: "shards=1", build: buildSliding, pins: []pin{{file: "testdata/sliding_golden.json", view: wireView}}}
 )
 
 // goldenCorpus synthesizes day 0 of the seed-42 evaluation corpus. Day d
@@ -571,6 +580,17 @@ func buildWire(format string) func(s *scenario) error {
 			Internal: plotters.IsInternal, DropLate: true, Core: smallPipe()}
 		return nil
 	}
+}
+
+// buildSliding cuts the v5 scenario's stream into 2 h windows that slide
+// by 40 min: three panes a window.
+func buildSliding(s *scenario) error {
+	if err := v5Day.load(); err != nil {
+		return err
+	}
+	s.records, s.window, s.engine = v5Day.records, v5Day.window, v5Day.engine
+	s.engine.Window, s.engine.Slide = 2*time.Hour, 40*time.Minute
+	return nil
 }
 
 // path is one row of the path table. A fault row carries the seed its
