@@ -16,9 +16,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -238,12 +240,11 @@ func (d *Dendrogram) Cut(removeLinks int) [][]int {
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ma, mb := d.merges[order[a]], d.merges[order[b]]
-			if ma.Weight != mb.Weight {
-				return ma.Weight > mb.Weight
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(d.merges[b].Weight, d.merges[a].Weight); c != 0 {
+				return c
 			}
-			return order[a] > order[b]
+			return cmp.Compare(b, a)
 		})
 		if removeLinks > len(order) {
 			removeLinks = len(order)
@@ -296,7 +297,7 @@ func (d *Dendrogram) Cut(removeLinks int) [][]int {
 		sort.Ints(members)
 		clusters = append(clusters, members)
 	}
-	sort.Slice(clusters, func(a, b int) bool { return clusters[a][0] < clusters[b][0] })
+	slices.SortFunc(clusters, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 	return clusters
 }
 

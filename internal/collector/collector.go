@@ -1,12 +1,13 @@
 package collector
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -478,11 +479,11 @@ func (c *Collector) SequenceStates() []SequenceState {
 			V9Next:   st[1].next,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Exporter != out[j].Exporter {
-			return out[i].Exporter < out[j].Exporter
+	slices.SortFunc(out, func(a, b SequenceState) int {
+		if c := cmp.Compare(a.Exporter, b.Exporter); c != 0 {
+			return c
 		}
-		return out[i].Engine < out[j].Engine
+		return cmp.Compare(a.Engine, b.Engine)
 	})
 	return out
 }

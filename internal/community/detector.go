@@ -2,7 +2,7 @@ package community
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"plotters/internal/core"
 	"plotters/internal/flow"
@@ -121,7 +121,7 @@ func (d *Detector) Detect(src flow.FeatureSource) (*core.Detection, error) {
 			suspects[h] = true
 		}
 	}
-	sort.Slice(rep.Flagged, func(i, j int) bool { return rep.Flagged[i] < rep.Flagged[j] })
+	slices.Sort(rep.Flagged)
 	t.Stop()
 	reg.Gauge("community/suspects").Set(int64(len(suspects)))
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"plotters/internal/flow"
@@ -95,11 +97,11 @@ func FindPlottersByApplication(records []flow.Record, internal func(flow.IP) boo
 			keys = append(keys, vh)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Host != keys[j].Host {
-			return keys[i].Host < keys[j].Host
+	slices.SortFunc(keys, func(a, b virtualHost) int {
+		if c := cmp.Compare(a.Host, b.Host); c != 0 {
+			return c
 		}
-		return keys[i].Group < keys[j].Group
+		return cmp.Compare(a.Group, b.Group)
 	})
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("core: no (host, group) pairs with >= %d flows", minGroupFlows)

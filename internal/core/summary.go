@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"plotters/internal/flow"
 )
@@ -219,7 +219,7 @@ func MergeSummaries(sums []*ShardSummary) (*ShardSummary, error) {
 		out.HasContacts = out.HasContacts || s.HasContacts
 		out.Hosts = append(out.Hosts, s.Hosts...)
 	}
-	sort.Slice(out.Hosts, func(i, j int) bool { return out.Hosts[i].Host < out.Hosts[j].Host })
+	slices.SortFunc(out.Hosts, func(a, b HostSummary) int { return cmp.Compare(a.Host, b.Host) })
 	for i := 1; i < len(out.Hosts); i++ {
 		if out.Hosts[i].Host == out.Hosts[i-1].Host {
 			return nil, fmt.Errorf("core: merge: host %v appears in more than one shard summary — per-host state must never split across shards", out.Hosts[i].Host)

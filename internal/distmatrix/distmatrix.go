@@ -37,9 +37,10 @@
 package distmatrix
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,7 +238,7 @@ func ComputeSparse(key []float64, slack float64, dist DistFunc, opts Options) *G
 	for i := range g.Order {
 		g.Order[i] = int32(i)
 	}
-	sort.Slice(g.Order, func(a, b int) bool { return key[g.Order[a]] < key[g.Order[b]] })
+	slices.SortFunc(g.Order, func(a, b int32) int { return cmp.Compare(key[a], key[b]) })
 	// End[p] is one past the last sweep position whose key is within the
 	// widened cut of position p's; keys ascend, so it never moves back.
 	width := opts.Cut*(1+boundSlack) + slack

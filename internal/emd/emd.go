@@ -19,10 +19,11 @@
 package emd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrEmptySignature is returned when a signature has no mass.
@@ -84,7 +85,7 @@ func newSignature(pos, w []float64) (signature, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return pos[idx[a]] < pos[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(pos[a], pos[b]) })
 	s := signature{pos: make([]float64, 0, len(pos)), w: make([]float64, 0, len(w))}
 	for _, i := range idx {
 		if w[i] == 0 {
