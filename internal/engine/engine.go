@@ -441,7 +441,7 @@ func (d *WindowedDetector) sealPane() error {
 	w := flow.Window{From: d.paneStart(), To: d.paneEnd()}
 	t := reg.StartStage("engine/seal")
 	d.store.ReleaseBefore(w.To)
-	pane := d.store.TakePane(w)
+	pane := d.store.SealPane(w, d.k > 1) // only the sliding ring merges and snapshots panes
 	t.Stop()
 	sealedIdx := d.paneIdx
 	d.setPane(sealedIdx + 1)

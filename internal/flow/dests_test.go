@@ -195,7 +195,7 @@ func TestStoreTableMatchesMap(t *testing.T) {
 	}
 	check("through State/RestoreState", restored)
 
-	pane := NewPaneFromState((&Pane{shards: []paneShard{se.take()}}).State())
+	pane := NewPaneFromState((&Pane{shards: []paneShard{se.take(true)}}).State())
 	seen := 0
 	pane.each(func(f *HostFeatures, dsts []IP, spans []span) {
 		seen++

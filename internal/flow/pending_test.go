@@ -107,7 +107,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 					rest = append(rest, r)
 				}
 			}
-			got := paneOf(se.take()).Features()
+			got := paneOf(se.take(true)).Features()
 			if want := ExtractFeatures(in, FeatureOptions{}); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: pane sealed at %v differs from the batch over its %d records", seed, at, len(in))
 			}
@@ -149,7 +149,7 @@ func TestReorderMatchesStableSort(t *testing.T) {
 		}
 		se.Drain()
 		checkLists(t, &se.pending, true)
-		if want := ExtractFeatures(pane, FeatureOptions{}); !reflect.DeepEqual(paneOf(se.take()).Features(), want) {
+		if want := ExtractFeatures(pane, FeatureOptions{}); !reflect.DeepEqual(paneOf(se.take(true)).Features(), want) {
 			t.Fatalf("seed %d: drained features differ from the batch over the last pane's %d records", seed, len(pane))
 		}
 	}
@@ -556,7 +556,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 			at := maxTime(clock.Add(signed*unit(256)), mark.Add(1))
 			se.ReleaseBefore(at)
 			ref.releaseBefore(at)
-			got, want := paneOf(se.take()), ref.take()
+			got, want := paneOf(se.take(true)), ref.take()
 			samePane(step, "seal", got, want)
 			cov.sealed += got.Hosts()
 			checkLists(t, &se.pending, true)
@@ -594,7 +594,7 @@ func runReorderScript(t testing.TB, script []byte, cov *reorderCoverage) {
 	}
 	se.Drain()
 	ref.release(ref.frontier.UnixNano() + 1)
-	samePane(len(ops)/2, "Drain", paneOf(se.take()), ref.sealed())
+	samePane(len(ops)/2, "Drain", paneOf(se.take(true)), ref.sealed())
 	if se.pending.n != 0 {
 		t.Fatalf("%d entries left after Drain", se.pending.n)
 	}

@@ -125,14 +125,21 @@ func (se *ShardedExtractor) ReleaseBefore(t time.Time) {
 	se.each(func(_ int, ex *shardExtractor) { ex.ReleaseBefore(t) })
 }
 
-// TakePane seals every shard for window w, copying each one's hosts
+// TakePane is SealPane(w, true): a pane that MergePanes can stitch to
+// its neighbours and State can snapshot.
+func (se *ShardedExtractor) TakePane(w Window) *Pane { return se.SealPane(w, true) }
+
+// SealPane seals every shard for window w, copying each one's hosts
 // into the pane (hosts never straddle shards, so a pane is the shards'
 // parts side by side), and resets the store for the next pane. Pending
-// entries stay; call ReleaseBefore(w.To) first.
-func (se *ShardedExtractor) TakePane(w Window) *Pane {
+// entries stay; call ReleaseBefore(w.To) first. Without spans the pane
+// keeps no destination's first contact and latest start: its
+// FeatureSet is exact, but it cannot be merged or snapshotted, so only
+// a pane that is detected alone — a tumbling window — goes without.
+func (se *ShardedExtractor) SealPane(w Window, spans bool) *Pane {
 	p := &Pane{shards: make([]paneShard, 0, len(se.shards)), window: w}
 	se.each(func(_ int, ex *shardExtractor) {
-		if s := ex.take(); len(s.feats) > 0 {
+		if s := ex.take(spans); len(s.feats) > 0 {
 			p.shards = append(p.shards, s)
 		}
 	})

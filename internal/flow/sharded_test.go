@@ -309,3 +309,33 @@ func TestShardedTakePaneRotates(t *testing.T) {
 		t.Errorf("pane window = %v, want %v", pw, w)
 	}
 }
+
+// A pane sealed without spans — a tumbling window's — keeps no
+// destination span at all, and its features are those of the same pane
+// sealed with them, which MergePanes and State need.
+func TestSealPaneSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	records := strictlyOrderedRecords(rng, 400)
+	w := Window{From: records[0].Start, To: records[len(records)-1].Start.Add(1)}
+	panes := make(map[bool]*Pane)
+	for _, spans := range []bool{false, true} {
+		se := NewShardedExtractorSkew(FeatureOptions{}, 4, 0)
+		for i := range records {
+			if err := se.Add(&records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		panes[spans] = se.SealPane(w, spans)
+		for i, s := range panes[spans].shards {
+			if got := s.spans != nil; got != spans || (spans && len(s.spans) != len(s.dsts)) {
+				t.Errorf("sealed with spans %v: shard %d holds %d spans for %d destinations", spans, i, len(s.spans), len(s.dsts))
+			}
+		}
+	}
+	if !reflect.DeepEqual(panes[false].FeatureSet().Features(), panes[true].FeatureSet().Features()) {
+		t.Error("a pane sealed without spans has other features than one sealed with them")
+	}
+	if diff := batchDiff(panes[false].FeatureSet(), records, FeatureOptions{}); diff != "" {
+		t.Error(diff)
+	}
+}

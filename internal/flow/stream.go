@@ -183,13 +183,14 @@ func (se *shardExtractor) ReleaseBefore(t time.Time) {
 	}
 }
 
-// take seals the open pane and resets the extractor for the next one.
-// Pending entries are untouched — call ReleaseBefore at the pane's end
-// first so everything belonging to the pane has been folded. Every
-// host of the pane gives its slot up; the accumulator keeps its arrays.
-func (se *shardExtractor) take() paneShard {
+// take seals the open pane, with its destinations' spans when spans is
+// set, and resets the extractor for the next one. Pending entries are
+// untouched — call ReleaseBefore at the pane's end first so everything
+// belonging to the pane has been folded. Every host of the pane gives
+// its slot up; the accumulator keeps its arrays.
+func (se *shardExtractor) take(spans bool) paneShard {
 	for i := range se.acc.hosts {
 		se.pending.queues[se.acc.hosts[i].queue].slot = noEntry
 	}
-	return se.acc.seal(true)
+	return se.acc.seal(spans)
 }

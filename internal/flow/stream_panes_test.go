@@ -341,7 +341,7 @@ func TestDestTablePaneSizingAllocs(t *testing.T) {
 			se.ReleaseBefore(baseTime().Add(shift + time.Hour))
 		}
 		pane(0) // the first pane grows everything from empty
-		taken = se.take()
+		taken = se.take(true)
 		for k := 1; k <= 4; k++ {
 			// A collection under way allocates for itself; start each
 			// phase after a whole one.
@@ -351,7 +351,7 @@ func TestDestTablePaneSizingAllocs(t *testing.T) {
 			m1 := mallocs()
 			runtime.GC()
 			m2 := mallocs()
-			taken = se.take()
+			taken = se.take(true)
 			m3 := mallocs()
 			if m1 != m0 {
 				t.Errorf("%d hosts, pane %d: folding made %d allocations, want 0", hosts, k, m1-m0)
@@ -507,14 +507,14 @@ func BenchmarkStreamFoldWarm(b *testing.B) {
 		se.ReleaseBefore(baseTime().Add(shift + time.Hour))
 	}
 	pane(0)
-	se.take()
+	se.take(true)
 	runtime.GC() // a collection under way allocates for itself
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pane(i + 1)
 		b.StopTimer()
-		se.take()
+		se.take(true)
 		runtime.GC()
 		b.StartTimer()
 	}
