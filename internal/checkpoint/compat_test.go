@@ -3,16 +3,17 @@ package checkpoint_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"plotters/internal/checkpoint"
-	"plotters/internal/engine"
 	"plotters/internal/flow"
 )
 
@@ -216,48 +217,107 @@ func TestSnapshotV3ResumesLikeAnUnbrokenRun(t *testing.T) {
 	resumesLikeAnUnbrokenRun(t, oldSnapshots[2].file)
 }
 
-func resumesLikeAnUnbrokenRun(t *testing.T, file string) {
-	const cut = 454 // the records the fixture holds: synthStream(seed 18, 50 min)
+// fixtureCut is how many records the snapshot fixtures cover:
+// synthStream(seed 18, 50 min).
+const fixtureCut = 454
+
+// unbrokenRun is the stream the snapshot fixtures were cut from and 40
+// minutes more, and the windows one engine fed all of it emits after
+// the fixtures' point.
+func unbrokenRun(t *testing.T) ([]flow.Record, []windowKey) {
+	t.Helper()
 	records := synthStream(rand.New(rand.NewSource(18)), baseTime(), 50*time.Minute)
-	if len(records) != cut {
-		t.Fatalf("synthStream(seed 18, 50 min) has %d records, the fixture holds %d", len(records), cut)
+	if len(records) != fixtureCut {
+		t.Fatalf("synthStream(seed 18, 50 min) has %d records, the fixtures hold %d", len(records), fixtureCut)
 	}
 	records = append(records, synthStream(rand.New(rand.NewSource(19)), baseTime().Add(50*time.Minute), 40*time.Minute)...)
-	feed := func(eng *engine.WindowedDetector, records []flow.Record) {
-		t.Helper()
-		for i := range records {
-			if err := eng.Add(&records[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	var want, got []windowKey
+	var want []windowKey
 	whole := newTestEngine(t, "", &want)
-	feed(whole, records[:cut])
+	feed(t, whole.Add, records[:fixtureCut])
 	before := len(want)
-	feed(whole, records[cut:])
+	feed(t, whole.Add, records[fixtureCut:])
 	if err := whole.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return records, want[before:]
+}
 
+func feed(t *testing.T, add func(*flow.Record) error, records []flow.Record) {
+	t.Helper()
+	for i := range records {
+		if err := add(&records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func resumesLikeAnUnbrokenRun(t *testing.T, file string) {
+	records, want := unbrokenRun(t)
 	snap, err := checkpoint.Read(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Meta.WALSeq != cut {
-		t.Fatalf("the fixture covers %d records, want %d", snap.Meta.WALSeq, cut)
+	if snap.Meta.WALSeq != fixtureCut {
+		t.Fatalf("the fixture covers %d records, want %d", snap.Meta.WALSeq, fixtureCut)
 	}
+	var got []windowKey
 	resumed := newTestEngine(t, "", &got)
 	if err := snap.RestoreEngine(resumed); err != nil {
 		t.Fatal(err)
 	}
-	feed(resumed, records[cut:])
+	feed(t, resumed.Add, records[fixtureCut:])
 	if err := resumed.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) < 2 || !reflect.DeepEqual(got, want[before:]) {
-		t.Fatalf("resumed run emitted\n%+v\nthe unbroken run, after the fixture's point:\n%+v", got, want[before:])
+	if len(got) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed run emitted\n%+v\nthe unbroken run, after the fixture's point:\n%+v", got, want)
+	}
+}
+
+// A state directory an older build left — its snapshot, and a version 1
+// log of the records it took after it — recovers to the windows the
+// unbroken run emits, and holds a version 2 log afterwards: Recover
+// snapshots what the old log replayed and rotates it.
+func TestManagerRecoversVersion1Log(t *testing.T) {
+	records, want := unbrokenRun(t)
+	const logged = fixtureCut + 200 // the records the old log holds
+	dir := t.TempDir()
+	snapshot, err := os.ReadFile(oldSnapshots[2].file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpoint.SnapshotFile), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walFile := filepath.Join(dir, checkpoint.WALFile)
+	if err := os.WriteFile(walFile, walLog(1, fixtureCut, chunks(records[fixtureCut:logged], 1)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []windowKey
+	m, err := checkpoint.NewManager(managerConfig(nil), newTestEngine(t, dir, &got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := m.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.SnapshotLoaded || info.Replayed != logged-fixtureCut {
+		t.Fatalf("recovered %+v, want the snapshot and %d replayed records", info, logged-fixtureCut)
+	}
+	if log, err := os.ReadFile(walFile); err != nil || !bytes.Equal(log, walLog(2, logged)) {
+		t.Fatalf("after recovery the log is %x (%v), want an empty version 2 log based at %d", log, err, logged)
+	}
+	if snap, err := checkpoint.Read(m.SnapshotPath()); err != nil || snap.Meta.WALSeq != logged {
+		t.Fatalf("after recovery the snapshot covers %v records (%v), want %d", snap.Meta.WALSeq, err, logged)
+	}
+	feed(t, m.Add, records[logged:])
+	if err := errors.Join(m.Flush(), m.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered run emitted\n%+v\nthe unbroken run, after the snapshot's point:\n%+v", got, want)
 	}
 }
 

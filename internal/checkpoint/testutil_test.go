@@ -1,6 +1,8 @@
 package checkpoint_test
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"plotters/internal/core"
 	"plotters/internal/engine"
 	"plotters/internal/flow"
+	"plotters/internal/flowio"
 )
 
 func baseTime() time.Time {
@@ -152,4 +155,47 @@ func populatedSnapshot(t testing.TB) *checkpoint.Snapshot {
 			{Exporter: "10.0.0.2:2055", Engine: 7, V5Seen: true, V5Next: 99, V9Seen: true, V9Next: 1},
 		},
 	}
+}
+
+// walLog spells a write-ahead log out by hand: the header at version,
+// then one frame per group of records, numbered on from baseSeq. A
+// version 1 frame holds one record in flowio's encoding; a version 2
+// frame holds its records back to back, each as src, dst, the zig-zag
+// varint start delta from the frame's previous record, the uvarint
+// bytes uploaded and proto | state<<6.
+func walLog(version uint16, baseSeq uint64, frames ...[]flow.Record) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint64(le.AppendUint16([]byte("PWAL"), version), baseSeq)
+	seq := baseSeq + 1
+	for _, recs := range frames {
+		body := le.AppendUint32(le.AppendUint64(nil, seq), 0) // first seq, len
+		var prev int64
+		for i := range recs {
+			r := &recs[i]
+			if version == 1 {
+				body = flowio.AppendRecord(body, r)
+				continue
+			}
+			body = le.AppendUint32(le.AppendUint32(body, uint32(r.Src)), uint32(r.Dst))
+			body = binary.AppendVarint(body, r.Start.UnixNano()-prev)
+			body = binary.AppendUvarint(body, r.SrcBytes)
+			body = append(body, byte(r.Proto)|byte(r.State)<<6)
+			prev = r.Start.UnixNano()
+		}
+		le.PutUint32(body[8:12], uint32(len(body)-12))
+		out = append(le.AppendUint32(out, crc32.ChecksumIEEE(body)), body...)
+		seq += uint64(len(recs))
+	}
+	return out
+}
+
+// chunks cuts records into consecutive groups of n, the last holding
+// the rest: the frames a log synced every n appends is written in.
+func chunks(records []flow.Record, n int) [][]flow.Record {
+	var out [][]flow.Record
+	for len(records) > n {
+		out = append(out, records[:n:n])
+		records = records[n:]
+	}
+	return append(out, records)
 }

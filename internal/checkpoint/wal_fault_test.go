@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,8 +44,7 @@ func (f *faultyFile) Sync() error {
 	return f.walFile.Sync()
 }
 
-// faultRecords returns n payload-free records a second apart: 71-byte
-// frames.
+// faultRecords returns n records a second apart.
 func faultRecords(n int) []flow.Record {
 	base := time.Date(2007, 11, 5, 9, 0, 0, 0, time.UTC)
 	out := make([]flow.Record, n)
@@ -58,8 +58,6 @@ func faultRecords(n int) []flow.Record {
 	}
 	return out
 }
-
-const frameSize = walFrameHeader + 55 // a payload-free record
 
 func openFaulty(t *testing.T, path string, syncEvery int, f *faultyFile) *WAL {
 	t.Helper()
@@ -75,11 +73,11 @@ func openFaulty(t *testing.T, path string, syncEvery int, f *faultyFile) *WAL {
 // The sync policy sets the write cadence too: SyncEvery 1 is still one
 // write and one fsync per record, as before frames were gathered; above
 // it both happen once per SyncEvery records; out of reach, a write goes
-// out only when the buffer has no room for another frame.
+// out only when the frame holds walFrameMax records.
 func TestWALWritesPerSyncPolicy(t *testing.T) {
 	const n = 2000
 	records := faultRecords(n)
-	perBuffer := (walBufSize-walFrameHeader-walMaxFrameLen)/frameSize + 1
+	perBuffer := walFrameMax
 	for _, tc := range []struct{ syncEvery, writes, syncs int }{
 		{0, n, n},
 		{1, n, n},
@@ -107,47 +105,65 @@ func TestWALWritesPerSyncPolicy(t *testing.T) {
 	}
 }
 
-// A multi-frame write that stops at any byte — the kill -9 that lands
-// inside write(2), or a disk that fills — leaves a log that reopens to
-// its last whole frame, says it was torn when it was, takes appends
-// again, and scans clean and gapless afterwards.
+// A write that stops at any byte — the kill -9 that lands inside
+// write(2), or a disk that fills — leaves a log that reopens to the
+// whole frames before it, says it was torn when it was, takes appends
+// again, and scans clean and gapless afterwards. Each write is one
+// frame, here of perFrame records, so every byte of three frames is cut
+// at: inside the frame header, inside a record, and between records of
+// the same frame, which are lost with it.
 func TestWALBufferTornAtEveryOffset(t *testing.T) {
-	const frames = 5
-	records := faultRecords(frames + 1)
+	const frames, perFrame = 3, 4
+	records := faultRecords(frames*perFrame + 1)
+	path := filepath.Join(t.TempDir(), WALFile)
+	w, _, err := OpenWAL(path, perFrame, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int{walHeaderSize} // where the header and each frame end
+	for i := range records[:frames*perFrame] {
+		if _, err := w.Append(&records[i]); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%perFrame == 0 {
+			ends = append(ends, int(w.Size()))
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	for cut := 0; cut <= frames*frameSize; cut++ {
+	for cut := walHeaderSize; cut <= len(data); cut++ {
 		path := filepath.Join(dir, fmt.Sprintf("cut%d.log", cut))
-		f := &faultyFile{failAt: 1, keep: cut}
-		w := openFaulty(t, path, 1<<30, f)
-		for i := 0; i < frames; i++ {
-			if _, err := w.Append(&records[i]); err != nil {
-				t.Fatal(err)
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole := 0
+		for _, end := range ends[1:] {
+			if end <= cut {
+				whole += perFrame
 			}
 		}
-		err := w.Close()
-		if f.writes != 1 {
-			t.Fatalf("cut %d: %d frames took %d writes, want one", cut, frames, f.writes)
-		}
-		if (err == nil) != (cut == frames*frameSize) {
-			t.Fatalf("cut %d: Close returned %v", cut, err)
-		}
-
-		whole := cut / frameSize
+		torn := !slices.Contains(ends, cut)
 		replayed := 0
 		w2, info, err := OpenWAL(path, 1<<30, func(seq uint64, _ *flow.Record) error {
 			replayed++
 			if seq != uint64(replayed) {
-				t.Fatalf("cut %d: frame %d replayed with seq %d", cut, replayed, seq)
+				t.Fatalf("cut %d: record %d replayed with seq %d", cut, replayed, seq)
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if replayed != whole || info.Torn != (cut%frameSize != 0) {
-			t.Fatalf("cut %d: reopened to %d frames, torn %v; want %d, %v", cut, replayed, info.Torn, whole, cut%frameSize != 0)
+		if replayed != whole || info.Torn != torn {
+			t.Fatalf("cut %d: reopened to %d records, torn %v; want %d, %v", cut, replayed, info.Torn, whole, torn)
 		}
-		seq, err := w2.Append(&records[frames])
+		seq, err := w2.Append(&records[frames*perFrame])
 		if err != nil || seq != uint64(whole+1) {
 			t.Fatalf("cut %d: append after reopen: seq %d, err %v; want seq %d", cut, seq, err, whole+1)
 		}
@@ -159,7 +175,7 @@ func TestWALBufferTornAtEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		if info, err := ReplayWALBytes(data, nil); err != nil || info.Torn || info.Frames != whole+1 || info.LastSeq != uint64(whole+1) {
-			t.Fatalf("cut %d: repaired log scanned as %+v, err %v; want %d clean frames", cut, info, err, whole+1)
+			t.Fatalf("cut %d: repaired log scanned as %+v, err %v; want %d clean records", cut, info, err, whole+1)
 		}
 	}
 }
@@ -204,11 +220,12 @@ func TestWALFailedWriteIsSticky(t *testing.T) {
 			if f.writes != 2 {
 				t.Errorf("%d writes reached the file, want none after the second failed", f.writes)
 			}
-			// What a restart finds: the first write's 256 frames, the
-			// second's first whole frame, and a torn tail.
+			// What a restart finds: the first write's frame of 256
+			// records, and the second's, torn at 100 bytes, as a torn
+			// tail.
 			_, info, err := OpenWAL(path, 256, nil)
-			if err != nil || !info.Torn || info.Frames != 257 {
-				t.Fatalf("log after the failure scanned as %+v, err %v; want 257 frames and a torn tail", info, err)
+			if err != nil || !info.Torn || info.Frames != 256 {
+				t.Fatalf("log after the failure scanned as %+v, err %v; want 256 records and a torn tail", info, err)
 			}
 		})
 	}

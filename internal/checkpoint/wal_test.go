@@ -304,41 +304,41 @@ func TestWALBadMagic(t *testing.T) {
 	}
 }
 
-// testdata/wal_v1_pr25.log was written by the last commit whose Append
-// issued one write(2) per frame: the 78 records of synthStream(seed 26,
-// 10 min), synced every append, closed. Gathering frames into one
-// buffer changed when bytes reach the file, never which bytes: at any
-// sync cadence the closed log is that file exactly, which is also the
-// layout spelled out by hand below, and this build replays the old
-// build's log and carries on from it.
+// testdata/wal_v1_pr25.log was written by a version 1 build: the 78
+// records of synthStream(seed 26, 10 min), synced every append, closed.
+// Its layout, one record a frame in flowio's encoding, is spelled out by
+// hand below, and this build replays it. testdata/wal_v2_pr56.log holds
+// the same records as the first version 2 build wrote them at SyncEvery
+// 7. At any sync cadence the closed log is the version 2 layout spelled
+// out by hand — a frame per flush, SyncEvery records each and the rest
+// in the last — and that file is the SyncEvery 7 case.
 func TestWALBytesUnchanged(t *testing.T) {
 	records := synthStream(rand.New(rand.NewSource(26)), baseTime(), 10*time.Minute)
 	parent, err := os.ReadFile("testdata/wal_v1_pr25.log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	le := binary.LittleEndian
-	byHand := le.AppendUint64(append([]byte("PWAL"), 1, 0), 0) // magic, version 1, base seq 0
-	for i := range records {
-		payload := flowio.AppendRecord(nil, &records[i])
-		body := le.AppendUint64(nil, uint64(i+1)) // seq
-		body = le.AppendUint32(body, uint32(len(payload)))
-		body = append(body, payload...)
-		byHand = append(le.AppendUint32(byHand, crc32.ChecksumIEEE(body)), body...)
+	if byHand := walLog(1, 0, chunks(records, 1)...); !bytes.Equal(byHand, parent) {
+		t.Fatalf("the version 1 fixture (%d bytes) is not the documented layout (%d bytes)", len(parent), len(byHand))
 	}
-	if !bytes.Equal(byHand, parent) {
-		t.Fatalf("the fixture (%d bytes) is not the documented layout (%d bytes)", len(parent), len(byHand))
+	v2, err := os.ReadFile("testdata/wal_v2_pr56.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byHand := walLog(2, 0, chunks(records, 7)...); !bytes.Equal(byHand, v2) {
+		t.Fatalf("the version 2 fixture (%d bytes) is not the documented layout (%d bytes)", len(v2), len(byHand))
 	}
 	for _, syncEvery := range []int{1, 7, 1 << 30} {
 		t.Run(fmt.Sprintf("sync%d", syncEvery), func(t *testing.T) {
+			want := walLog(2, 0, chunks(records, syncEvery)...)
 			path := walPath(t)
 			w, _, err := checkpoint.OpenWAL(path, syncEvery, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			appendAll(t, w, records)
-			if got, want := w.Size(), int64(len(parent)); got != want {
-				t.Errorf("Size() = %d before Close, want %d: buffered frames count", got, want)
+			if got := w.Size(); got != int64(len(want)) {
+				t.Errorf("Size() = %d before Close, want %d: the open frame counts", got, len(want))
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
@@ -347,8 +347,8 @@ func TestWALBytesUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, parent) {
-				t.Fatalf("closed log (%d bytes) differs from the parent build's (%d bytes)", len(got), len(parent))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("closed log (%d bytes) is not the documented layout (%d bytes)", len(got), len(want))
 			}
 		})
 	}
@@ -365,18 +365,59 @@ func TestWALBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Torn || info.Frames != len(records) || info.LastSeq != uint64(len(records)) {
-		t.Fatalf("parent-written log scanned as %+v, want %d clean frames", info, len(records))
+	if info.Version != 1 || info.Torn || info.Frames != len(records) || info.LastSeq != uint64(len(records)) {
+		t.Fatalf("parent-written log scanned as %+v, want %d clean version 1 records", info, len(records))
 	}
 	for i := range records {
 		if got, want := flowio.AppendRecord(nil, &replayed[i]), flowio.AppendRecord(nil, &records[i]); !bytes.Equal(got, want) {
 			t.Fatalf("frame %d replayed as %+v, want %+v", i, replayed[i], records[i])
 		}
 	}
+	// A version 1 log takes appends only once rotated to version 2.
+	if seq, err := w.Append(&records[0]); err == nil {
+		t.Fatalf("appended seq %d to a version 1 log", seq)
+	}
+	if err := w.Rotate(w.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
 	if seq, err := w.Append(&records[0]); err != nil || seq != uint64(len(records)+1) {
-		t.Fatalf("append after the parent's frames: seq %d, err %v", seq, err)
+		t.Fatalf("append after rotating the parent's log: seq %d, err %v", seq, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := walLog(2, uint64(len(records)), records[:1]); !bytes.Equal(got, want) {
+		t.Fatalf("the rotated log is %x, want %x", got, want)
+	}
+}
+
+// A frame whose CRC holds but whose records do not parse — cut inside a
+// record, or empty — is corruption, not a torn tail: a writer never
+// framed it. Cut at a record boundary it is whole, with fewer records.
+func TestWALFrameEndingInsideARecordIsAnError(t *testing.T) {
+	records := synthStream(rand.New(rand.NewSource(27)), baseTime(), 2*time.Minute)[:6]
+	const header, frameHeader = 14, 16
+	payload := walLog(2, 0, records)[header+frameHeader:]
+	boundaries := map[int]int{} // payload length → records it holds
+	for k := 1; k <= len(records); k++ {
+		boundaries[len(walLog(2, 0, records[:k]))-header-frameHeader] = k
+	}
+	le := binary.LittleEndian
+	for cut := 0; cut <= len(payload); cut++ {
+		body := le.AppendUint32(le.AppendUint64(nil, 1), uint32(cut))
+		body = append(body, payload[:cut]...)
+		data := append(le.AppendUint32(walLog(2, 0), crc32.ChecksumIEEE(body)), body...)
+		info, err := checkpoint.ReplayWALBytes(data, nil)
+		if k, whole := boundaries[cut]; whole {
+			if err != nil || info.Frames != k || info.Torn {
+				t.Fatalf("cut %d: a frame of %d whole records scanned as %+v, err %v", cut, k, info, err)
+			}
+		} else if err == nil {
+			t.Fatalf("cut %d: a frame ending inside a record scanned as %+v", cut, info)
+		}
 	}
 }
